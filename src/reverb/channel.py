@@ -254,8 +254,12 @@ def optimal_bandwidth(
             * d_ln2
         )
     )
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise InfeasibleError(f"degenerate link constant theta={theta!r}")
+    # Checked before the Lambert-W calls: for small theta, e^{-1/theta} underflows to 0.
+    if not math.isfinite(theta) or theta <= 1.0:
+        raise InfeasibleError(
+            f"agent {agent_id} at {distance_m:g} m: link constant theta={theta:.6g} is not "
+            "a finite value above 1, so no finite bandwidth meets the deadline"
+        )
     z = -math.exp(-1.0 / theta) / theta
     trivial = -1.0 / theta
     roots = [lambert_w(z, "principal"), lambert_w(z, "lower")]

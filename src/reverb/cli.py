@@ -17,7 +17,7 @@ import numpy as np
 
 from . import control
 from .config import SCHEMES, RunConfig, load_config
-from .errors import ReverbError
+from .errors import ConfigError, ReverbError
 from .metrics import compute_metrics
 from .recordio import write_episode_csv, write_summary_csv, write_summary_json
 from .runner import monte_carlo, run_sweep
@@ -28,7 +28,10 @@ def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     env_seed = os.environ.get("REVERB_SEED")
     if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        try:
+            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        except ValueError:
+            raise ConfigError(f"REVERB_SEED must be an integer, got {env_seed!r}") from None
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "scheme", None):

@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .sensing import FleetConfig
 
 SCHEMES = ("AoL-REVERB", "Perfect", "CB-Greedy", "EB-Greedy", "Traditional")
+STATE_FEATURES = 2          # mountain car: position, velocity
 
 
 @dataclass
@@ -35,12 +36,14 @@ class RunConfig:
     init_belief_var: float = 1e-4
     train_episodes: int = 500
     out_dir: str = "out"
-    carrier_frequency_hz: float = 2.4e9            # recorded for provenance; not used numerically
     channel: ChannelParams = field(default_factory=ChannelParams)
     fleet: FleetConfig = field(default_factory=FleetConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
 
     def __post_init__(self) -> None:
+        for name in ("aol_thresholds", "required_var", "scripted_accuracy", "process_noise_var"):
+            if len(getattr(self, name)) != STATE_FEATURES:
+                raise ConfigError(f"{name} needs one entry per state feature ({STATE_FEATURES})")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.episodes < 1 or self.train_episodes < 0 or self.qi_cap < 1:
@@ -57,13 +60,27 @@ class RunConfig:
             raise ConfigError("scripted accuracy requests must be nonnegative")
 
 
+def _integer(value, name: str) -> int:
+    """A count as written; 2.5 or true is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 _TUPLE_FIELDS = {
-    "aol_thresholds": int,
-    "required_var": float,
-    "scripted_accuracy": float,
-    "process_noise_var": float,
-    "hidden": int,
-    "input_scale": float,
+    "aol_thresholds": _integer,
+    "required_var": _real,
+    "scripted_accuracy": _real,
+    "process_noise_var": _real,
+    "hidden": _integer,
+    "input_scale": _real,
 }
 
 
@@ -80,8 +97,11 @@ def _build(cls, data: dict, path: str):
         elif key == "noise_var_ranges":
             kwargs[key] = tuple((float(lo), float(hi)) for lo, hi in value)
         elif key in _TUPLE_FIELDS:
-            cast = _TUPLE_FIELDS[key]
-            kwargs[key] = tuple(cast(v) for v in value)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{path + key} must be a list, got {value!r}")
+            kwargs[key] = tuple(_TUPLE_FIELDS[key](v, path + key) for v in value)
+        elif known[key].type == "int":
+            kwargs[key] = _integer(value, path + key)
         else:
             kwargs[key] = value
     try:

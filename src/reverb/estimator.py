@@ -95,26 +95,26 @@ def _innovation_solve(s_mat: Array, rhs: Array) -> Array:
         try:
             chol = sla.cho_factor(s_mat + jitter * np.eye(s_mat.shape[0]), lower=True)
             return sla.cho_solve(chol, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        except sla.LinAlgError:
+        except np.linalg.LinAlgError:   # scipy.linalg.LinAlgError is the same class
             continue
     raise NumericalError("innovation covariance is singular")
 
 
-def posterior_cov(prior_cov: Array, obs_matrix: Array, noise_cov: Array) -> Array:
-    """Posterior covariance of fusing observations with the given prior (Joseph form)."""
-    h = np.atleast_2d(obs_matrix)
-    r = np.atleast_2d(noise_cov)
+def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
+    """Kalman gain and Joseph-form posterior covariance, cross-checked against (I-KH)P."""
     s_mat = r + h @ prior_cov @ h.T
     gain = _innovation_solve(s_mat, h @ prior_cov).T
-    eye = np.eye(prior_cov.shape[0])
-    ikh = eye - gain @ h
-    joseph = _symmetrize(ikh @ prior_cov @ ikh.T + gain @ r @ gain.T)
-    plain = ikh @ prior_cov
-    if np.max(np.abs(joseph - plain)) > JOSEPH_TOL:
+    ikh = np.eye(prior_cov.shape[0]) - gain @ h
+    cov = _symmetrize(ikh @ prior_cov @ ikh.T + gain @ r @ gain.T)
+    if np.max(np.abs(cov - ikh @ prior_cov)) > JOSEPH_TOL:
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return joseph
+    return gain, cov
+
+
+def posterior_cov(prior_cov: Array, obs_matrix: Array, noise_cov: Array) -> Array:
+    """Posterior covariance of fusing observations with the given prior (Joseph form)."""
+    _, cov = _joseph_update(prior_cov, np.atleast_2d(obs_matrix), np.atleast_2d(noise_cov))
+    return cov
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
@@ -122,13 +122,7 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
     h = batch.obs_matrix
     if h.shape[1] != prior.mean.shape[0] or h.shape[0] != batch.values.shape[0]:
         raise InputError("batch dimensions do not match the belief")
-    s_mat = batch.noise_cov + h @ prior.cov @ h.T
-    gain = _innovation_solve(s_mat, h @ prior.cov).T
-    eye = np.eye(prior.cov.shape[0])
-    ikh = eye - gain @ h
-    cov = _symmetrize(ikh @ prior.cov @ ikh.T + gain @ batch.noise_cov @ gain.T)
-    if np.max(np.abs(cov - ikh @ prior.cov)) > JOSEPH_TOL:
-        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
+    gain, cov = _joseph_update(prior.cov, h, batch.noise_cov)
     _check_cov(cov)
     mean = prior.mean + gain @ (batch.values - h @ prior.mean)
     return Belief(mean=mean, cov=cov, qi=prior.qi)

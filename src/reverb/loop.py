@@ -2,16 +2,16 @@
 
 ``TwinLoop`` owns the mutable episode state and advances it one query interval
 per ``step``: the plant moves under the applied force, the belief is blindly
-predicted, ages tick, and the configured scheduling scheme decides which
-sensors transmit and how the belief is corrected. Scheme behavior is injected
-as a callable so the same engine drives the scheduler-based policy and every
-benchmark variant.
+predicted, ages tick, and the scheme's round decides which sensors transmit
+and how the belief is corrected. The round is injected as a callable
+(``schemes.make_round``): for every radio scheme it is the one pipeline
+``scheduler.run_round`` with that scheme's selector and fuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -19,26 +19,13 @@ from . import dynamics as dyn
 from . import estimator as est
 from .aol import AolTracker
 from .channel import ChannelParams
-from .scheduler import ScheduleResult, UncertaintyTargets, compute_targets
+from .scheduler import ScheduleResult, compute_targets
 from .sensing import SensorFleet
 
 Array = np.ndarray
 
-
-class SchemeRound(Protocol):
-    """One scheduling round: decide, transmit, and correct the belief."""
-
-    def __call__(
-        self,
-        prior: est.Belief,
-        targets: UncertaintyTargets,
-        aol: AolTracker,
-        fleet: SensorFleet,
-        params: ChannelParams,
-        cap: int,
-        true_state: Array,
-        rng: np.random.Generator,
-    ) -> tuple[ScheduleResult, est.Belief, AolTracker]: ...
+TERMINATION_REWARD = 100.0      # environment reward for reaching the goal
+ACTION_COST_WEIGHT = 0.1        # environment reward per unit of squared force, negated
 
 
 @dataclass
@@ -62,10 +49,8 @@ class TwinLoop:
         required_var: Array,
         aol_thresholds: tuple[int, ...],
         cap: int,
-        scheme_round: SchemeRound,
+        scheme_round: Callable[..., tuple[ScheduleResult, est.Belief, AolTracker]],
         rng: np.random.Generator,
-        termination_reward: float = 100.0,
-        action_cost_weight: float = 0.1,
         init_belief_var: float = 1e-4,
     ) -> None:
         self.model = model
@@ -77,8 +62,6 @@ class TwinLoop:
         self.cap = cap
         self.scheme_round = scheme_round
         self.rng = rng
-        self.termination_reward = termination_reward
-        self.action_cost_weight = action_cost_weight
         self.init_belief_var = init_belief_var
         self.state: Array | None = None
         self.belief: est.Belief | None = None
@@ -94,9 +77,9 @@ class TwinLoop:
         assert self.state is not None, "call reset() first"
         self.state = dyn.step(self.model, self.state, force, self.rng)
         done = bool(self.state[0] >= self.mc_params.goal_position)
-        reward = -self.action_cost_weight * float(force) ** 2
+        reward = -ACTION_COST_WEIGHT * float(force) ** 2
         if done:
-            reward += self.termination_reward
+            reward += TERMINATION_REWARD
 
         prior = est.predict(self.belief, force, self.model)
         self.aol = self.aol.tick()
@@ -112,7 +95,7 @@ class TwinLoop:
             self.rng,
         )
         self.belief = posterior
-        failed = bool(np.any(np.diag(posterior.cov) > targets.variance_bounds))
+        met, _ = est.meets_targets(posterior, targets.variance_bounds)
         return StepResult(
             belief=posterior,
             reward_env=reward,
@@ -120,5 +103,5 @@ class TwinLoop:
             schedule=sched,
             true_state=self.state.copy(),
             targets=targets.variance_bounds.copy(),
-            failed=failed,
+            failed=not met,
         )

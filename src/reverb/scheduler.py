@@ -1,13 +1,17 @@
-"""Greedy value-of-information sensor scheduling under a connection cap.
+"""Greedy value-of-information sensor scheduling and the one round pipeline.
 
-Per query interval the scheduler: (1) services age-of-loop violations with the
-nearest sensor of each stale feature, (2) if the variance targets still fail,
-repeatedly picks the feature with the worst variance-to-target ratio and adds
-the lowest-noise available sensor for it, recomputing the would-be posterior
-covariance after each pick, until the targets hold, the cap is reached, or no
-candidate sensor remains. Selected sensors then get a sized link budget, their
-observations are transmitted, and only the ones that actually arrive are fused
-into the stored belief and close the loop for their features.
+The planner (``plan_selection``) decides AoL-REVERB's transmission set per
+query interval: (1) service age-of-loop violations with the nearest sensor of
+each stale feature, (2) while the variance targets still fail, pick the
+feature with the worst variance-to-target ratio and add the lowest-noise
+available sensor for it, recomputing the would-be posterior covariance after
+each pick, until the targets hold, the cap is reached, or no candidate sensor
+remains.
+
+``run_round`` is the round every radio scheme runs: the scheme's selector
+names the sensors, their links are sized and their observations transmitted,
+the scheme's fuse corrects the belief with the ones that actually arrive, and
+those close the loop for their features.
 """
 
 from __future__ import annotations
@@ -66,21 +70,6 @@ def compute_targets(required_var: Array, accuracy_request: Array) -> Uncertainty
     asked = eta > 0.0
     requested[asked] = 1.0 / eta[asked]
     return UncertaintyTargets(np.minimum(xi, requested))
-
-
-def service_aol(
-    violated: tuple[int, ...], fleet: SensorFleet, available: set[int]
-) -> list[int]:
-    """Nearest available sensor per stale feature (ties: lowest id); picks consume availability."""
-    chosen: list[int] = []
-    for k in sorted(violated):
-        cands = [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
-        if not cands:
-            continue  # unserviceable; surfaces in the age logs, not as an error
-        best = min(cands, key=lambda a: (a.distance_m, a.agent_id))
-        chosen.append(best.agent_id)
-        available.discard(best.agent_id)
-    return chosen
 
 
 def select_feature(
@@ -194,7 +183,8 @@ def fuse_delivered(
     return est.fuse(prior, batch)
 
 
-def schedule(
+def run_round(
+    select,
     prior: est.Belief,
     targets: UncertaintyTargets,
     aol: AolTracker,
@@ -203,25 +193,24 @@ def schedule(
     cap: int,
     true_state: Array,
     rng: np.random.Generator,
+    fuse=None,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
-    """Full scheduling round: plan, size links, transmit, fuse what arrived."""
-    selected, serviced, _ = plan_selection(prior.cov, targets, aol.violated(), fleet, cap)
-    if not selected:
-        result = ScheduleResult(
-            selected=(), budgets=(), aol_serviced=tuple(serviced), delivered=(), blind=True
-        )
-        return result, prior.copy(), aol
+    """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
 
+    ``select(prior, targets, aol, fleet, cap)`` returns (agent ids in order,
+    age-serviced features); ``fuse`` has the signature of ``fuse_delivered``,
+    which it defaults to.
+    """
+    selected, serviced = select(prior, targets, aol, fleet, cap)
     budgets, observations, delivered = size_and_transmit(
         selected, fleet, params, true_state, rng, qi=prior.qi
     )
-    posterior = fuse_delivered(prior, selected, delivered, observations, fleet)
-    closed = {fleet.agents[i].feature for i in delivered}
+    posterior = (fuse or fuse_delivered)(prior, selected, delivered, observations, fleet)
     result = ScheduleResult(
         selected=tuple(selected),
         budgets=budgets,
         aol_serviced=tuple(serviced),
         delivered=tuple(delivered),
-        blind=False,
+        blind=not selected,
     )
-    return result, posterior, aol.close_loop(closed)
+    return result, posterior, aol.close_loop(fleet.agents[i].feature for i in delivered)

@@ -1,18 +1,22 @@
 """Scheduling schemes: the scheduler-driven policy and the four benchmarks.
 
-Every scheme plugs into ``TwinLoop`` as a round callable with the same
-signature; they differ only in which sensors transmit and how the belief is
-corrected:
+There is one round pipeline, ``scheduler.run_round``; a radio scheme is a
+selector (which sensors transmit) plus a fuse (how what arrived corrects the
+belief):
 
-* ``AoL-REVERB``  -- the full planner (age servicing + value-of-information).
-* ``Perfect``     -- oracle belief equal to the true next state, no radio.
-* ``CB-Greedy``   -- the ``cap`` nearest sensors every interval.
-* ``EB-Greedy``   -- the ``cap`` lowest-noise sensors every interval.
+* ``AoL-REVERB``  -- the full planner (age servicing + value-of-information),
+  EKF fusion of the delivered observations.
+* ``CB-Greedy``   -- the ``cap`` nearest sensors every interval, EKF fusion.
+* ``EB-Greedy``   -- the ``cap`` lowest-noise sensors every interval, EKF fusion.
 * ``Traditional`` -- fixed sensor(s), belief replaced by the raw observation
   (no memory across intervals, the pre-twin baseline).
+
+``Perfect`` uses no radio: its round sets the belief to the true next state.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,10 +34,6 @@ from .sensing import generate_fleet
 Array = np.ndarray
 
 
-def reverb_round(prior, targets, aol, fleet, params, cap, true_state, rng):
-    return sched.schedule(prior, targets, aol, fleet, params, cap, true_state, rng)
-
-
 def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
     belief = est.Belief(
         mean=np.asarray(true_state, dtype=float).copy(),
@@ -44,88 +44,65 @@ def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
     return result, belief, aol.close_loop(range(len(aol.ages)))
 
 
-def _transmission_round(selected, prior, aol, fleet, params, true_state, rng):
-    budgets, observations, delivered = sched.size_and_transmit(
-        selected, fleet, params, true_state, rng, qi=prior.qi
-    )
-    posterior = sched.fuse_delivered(prior, selected, delivered, observations, fleet)
-    closed = {fleet.agents[i].feature for i in delivered}
-    result = ScheduleResult(
-        selected=tuple(selected),
-        budgets=budgets,
-        aol_serviced=(),
-        delivered=tuple(delivered),
-        blind=not selected,
-    )
-    return result, posterior, aol.close_loop(closed)
+def select_reverb(prior, targets, aol, fleet, cap):
+    """AoL-REVERB: the planner's picks and the features it serviced for age."""
+    selected, serviced, _ = sched.plan_selection(prior.cov, targets, aol.violated(), fleet, cap)
+    return selected, serviced
 
 
-def make_greedy_round(kind: str):
-    """Greedy benchmarks: rank by distance (cost) or by measurement noise (error)."""
-    if kind == "distance":
-        key = lambda a: (a.distance_m, a.agent_id)
-    elif kind == "noise":
-        key = lambda a: (a.noise_var, a.agent_id)
-    else:
-        raise ConfigError(f"unknown greedy ranking {kind!r}")
-
-    def round_fn(prior, targets, aol, fleet, params, cap, true_state, rng):
-        ranked = sorted(fleet.agents, key=key)
-        selected = [a.agent_id for a in ranked[:cap]]
-        return _transmission_round(selected, prior, aol, fleet, params, true_state, rng)
-
-    return round_fn
+def _ranked(fleet, cap, key):
+    return [a.agent_id for a in sorted(fleet.agents, key=key)[:cap]], []
 
 
-def make_traditional_round(n_sensors: int):
-    """Fixed sensor set, memoryless belief: the estimate is the raw observation.
+def select_nearest(prior, targets, aol, fleet, cap):
+    """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id)."""
+    return _ranked(fleet, cap, lambda a: (a.distance_m, a.agent_id))
+
+
+def select_quietest(prior, targets, aol, fleet, cap):
+    """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id)."""
+    return _ranked(fleet, cap, lambda a: (a.noise_var, a.agent_id))
+
+
+def select_traditional(n_sensors, prior, targets, aol, fleet, cap):
+    """Fixed sensor set: the lowest-id sensor of each feature, the first ``n_sensors`` by id.
 
     With two sensors the lowest-id sensor of each feature reports every
-    interval; with one, only the lowest-id sensor overall. Features without a
-    delivered observation keep the predicted prior.
+    interval; with one, only the lowest-id sensor overall.
     """
+    per_feature = [ids[0] for ids in (fleet.agents_for(k) for k in range(len(prior.mean))) if ids]
+    return sorted(per_feature)[:n_sensors], []
 
-    def round_fn(prior, targets, aol, fleet, params, cap, true_state, rng):
-        per_feature = [ids[0] for ids in (fleet.agents_for(k) for k in range(len(prior.mean))) if ids]
-        selected = sorted(per_feature)[:n_sensors]
-        budgets, observations, delivered = sched.size_and_transmit(
-            selected, fleet, params, true_state, rng, qi=prior.qi
-        )
-        mean = prior.mean.copy()
-        cov = prior.cov.copy()
-        for agent_id in delivered:
-            agent = fleet.agents[agent_id]
-            obs = observations[selected.index(agent_id)]
-            k = agent.feature
-            mean[k] = obs.values[0]
-            cov[k, :] = 0.0
-            cov[:, k] = 0.0
-            cov[k, k] = agent.noise_var
-        posterior = est.Belief(mean=mean, cov=cov, qi=prior.qi)
-        closed = {fleet.agents[i].feature for i in delivered}
-        result = ScheduleResult(
-            selected=tuple(selected),
-            budgets=budgets,
-            aol_serviced=(),
-            delivered=tuple(delivered),
-            blind=not selected,
-        )
-        return result, posterior, aol.close_loop(closed)
 
-    return round_fn
+def fuse_memoryless(prior, selected, delivered, observations, fleet):
+    """Traditional's update: a delivered feature's estimate is the raw observation.
+
+    Features without a delivered observation keep the predicted prior.
+    """
+    mean = prior.mean.copy()
+    cov = prior.cov.copy()
+    for agent_id in delivered:
+        agent = fleet.agents[agent_id]
+        k = agent.feature
+        mean[k] = observations[selected.index(agent_id)].values[0]
+        cov[k, :] = 0.0
+        cov[:, k] = 0.0
+        cov[k, k] = agent.noise_var
+    return est.Belief(mean=mean, cov=cov, qi=prior.qi)
+
+
+SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}
 
 
 def make_round(scheme: str, cfg: RunConfig):
-    if scheme == "AoL-REVERB":
-        return reverb_round
+    """The round ``TwinLoop.step`` calls once per interval for ``scheme``."""
     if scheme == "Perfect":
         return perfect_round
-    if scheme == "CB-Greedy":
-        return make_greedy_round("distance")
-    if scheme == "EB-Greedy":
-        return make_greedy_round("noise")
     if scheme == "Traditional":
-        return make_traditional_round(cfg.traditional_sensors)
+        select = functools.partial(select_traditional, cfg.traditional_sensors)
+        return functools.partial(sched.run_round, select, fuse=fuse_memoryless)
+    if scheme in SELECTORS:
+        return functools.partial(sched.run_round, SELECTORS[scheme])
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 

@@ -224,6 +224,12 @@ def test_infeasible_link_raises():
         ch.optimal_bandwidth(TABLE, 0.02, 200.0)
 
 
+def test_starved_link_names_agent_distance_and_theta():
+    # theta ~ 1e-6: e^{-1/theta} underflows, so the guard must fire before Lambert W
+    with pytest.raises(InfeasibleError, match=r"agent 7 at 5 m: link constant theta=1\.16\d*e-06"):
+        ch.optimal_bandwidth(TABLE, 1e-9, 5.0, agent_id=7)
+
+
 def test_uplink_delivers_at_nominal_fading():
     budget = ch.optimal_bandwidth(TABLE, 0.02, 20.0)
     # direct rate evaluation with fading pinned at its mean

@@ -279,3 +279,36 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
 
 def test_cli_sweep_spec_error(tmp_path):
     assert cli.main(["bench", "--sweep", "Q:1..3", "--episodes", "1", "--out", str(tmp_path)]) == 1
+
+
+def assert_one_error_line(capsys, fragment):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0], err
+
+
+def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REVERB_SEED", "abc")
+    assert cli.main(["run", "--scheme", "Perfect", "--out", str(tmp_path)]) == 1
+    assert_one_error_line(capsys, "REVERB_SEED")
+
+
+@pytest.mark.parametrize(
+    "setting, fragment",
+    [
+        ("cap: 2.5", "cap must be an integer"),  # would act as a different cap
+        ("fleet: {n_agents: 20.5}", "fleet.n_agents must be an integer"),
+        ("required_var: [0.01]", "required_var needs one entry per state feature"),
+        ("aol_thresholds: [5, 5, 5]", "aol_thresholds needs one entry per state feature"),
+        ("scripted_accuracy: [4000.0]", "scripted_accuracy needs one entry per state feature"),
+        ("process_noise_var: [1.0e-6, 1.0e-6, 1.0e-6]", "process_noise_var needs one entry"),
+        ("required_var: [0.01, abc]", "required_var must be a number"),
+        ("required_var: 0.01", "required_var must be a list"),
+        ("fleet: {tx_power_w: 1.0e-9}", "theta="),  # infeasible link, theta far below 1
+    ],
+)
+def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(setting + "\n")
+    argv = ["run", "--scheme", "AoL-REVERB", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, fragment)

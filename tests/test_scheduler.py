@@ -4,6 +4,7 @@ from reverb import estimator as est
 from reverb import scheduler as sched
 from reverb.aol import AolTracker
 from reverb.channel import ChannelParams
+from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
 
@@ -35,16 +36,22 @@ def test_compute_targets_elementwise_min():
     assert np.allclose(t.variance_bounds, [0.005, 0.002])
 
 
+def plan_aol_only(violated, fleet, cap=3):
+    """Plan with targets that already hold, so only stale features draw picks."""
+    targets = sched.UncertaintyTargets(np.array([1.0, 1.0]))
+    selected, serviced, _ = sched.plan_selection(np.diag([1e-4, 1e-4]), targets, violated, fleet, cap)
+    return selected, serviced
+
+
 def test_service_aol_picks_nearest():
     fleet = make_fleet([(0, 1e-3, 12.0), (0, 5e-3, 5.0), (1, 1e-3, 3.0)])
-    picks = sched.service_aol((0,), fleet, {0, 1, 2})
-    assert picks == [1]
+    assert plan_aol_only((0,), fleet) == ([1], [0])
 
 
 def test_service_aol_empty_and_disjoint():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 9.0)])
-    assert sched.service_aol((), fleet, {0, 1}) == []
-    assert sched.service_aol((0, 1), fleet, {0, 1}) == [0, 1]
+    assert plan_aol_only((), fleet) == ([], [])
+    assert plan_aol_only((0, 1), fleet) == ([0, 1], [0, 1])
 
 
 def test_select_feature_ratio_argmax():
@@ -74,8 +81,9 @@ def test_blind_when_targets_already_met():
     targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
     prior = est.Belief(np.zeros(2), np.diag([1e-4, 1e-4]))
     aol = AolTracker((1, 1), (5, 5))
-    result, post, aol2 = sched.schedule(
-        prior, targets, aol, fleet, ChannelParams(), 3, np.zeros(2), np.random.default_rng(0)
+    result, post, aol2 = sched.run_round(
+        select_reverb, prior, targets, aol, fleet, ChannelParams(), 3, np.zeros(2),
+        np.random.default_rng(0),
     )
     assert result.blind and result.selected == ()
     assert np.array_equal(post.cov, prior.cov)
@@ -225,8 +233,8 @@ def test_schedule_deterministic_given_seed():
     params = ChannelParams()
     runs = []
     for _ in range(2):
-        result, post, trk = sched.schedule(
-            prior.copy(), targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
+        result, post, trk = sched.run_round(
+            select_reverb, prior.copy(), targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
             np.random.default_rng(31),
         )
         runs.append((result, post.mean.copy(), post.cov.copy(), trk.ages))
@@ -241,8 +249,8 @@ def test_schedule_closes_loops_for_delivered_features():
     targets = sched.UncertaintyTargets(np.array([1e-4, 1e-4]))
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 6), (5, 5))
-    result, post, trk = sched.schedule(
-        prior, targets, aol, fleet, ChannelParams(), 2, np.array([-0.49, 0.012]),
+    result, post, trk = sched.run_round(
+        select_reverb, prior, targets, aol, fleet, ChannelParams(), 2, np.array([-0.49, 0.012]),
         np.random.default_rng(1),
     )
     assert set(result.selected) == {0, 1}
