@@ -95,13 +95,19 @@ def _build(cls, data: dict, path: str):
         if dataclasses.is_dataclass(_DATACLASS_FIELDS.get(key, None)):
             kwargs[key] = _build(_DATACLASS_FIELDS[key], value, path + key + ".")
         elif key == "noise_var_ranges":
-            kwargs[key] = tuple((float(lo), float(hi)) for lo, hi in value)
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
+            ):
+                raise ConfigError(f"{path + key} must be a list of [lo, hi] pairs, got {value!r}")
+            kwargs[key] = tuple((_real(lo, path + key), _real(hi, path + key)) for lo, hi in value)
         elif key in _TUPLE_FIELDS:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{path + key} must be a list, got {value!r}")
             kwargs[key] = tuple(_TUPLE_FIELDS[key](v, path + key) for v in value)
         elif known[key].type == "int":
             kwargs[key] = _integer(value, path + key)
+        elif known[key].type == "float":
+            kwargs[key] = _real(value, path + key)
         else:
             kwargs[key] = value
     try:

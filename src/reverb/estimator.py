@@ -4,10 +4,20 @@ Prediction propagates the covariance through the dynamics Jacobian; fusion
 stacks any number of sensor observations into one batch update. The posterior
 covariance is computed in Joseph form for robustness and cross-checked against
 the textbook (I - KH) P expression.
+
+Scalar fast path: when a sensor is a selector row ``e_k`` with 1x1 noise r,
+``posterior_cov`` is the rank-1 update S = P_kk + r, K = P[:, k] / S, still in
+Joseph form with the same cross-check (sequential scalar processing, Bierman
+1977); it may differ from the general Cholesky-solved path in the last ulp.
+A batch of scalar sensors gets its noise covariance from ``np.diag`` rather
+than ``block_diag``; ``fuse`` itself always runs the general batch update.
+Covariance checks use closed-form eigenvalues on 2x2 matrices and run once
+per new belief, when it is constructed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +26,7 @@ from scipy import linalg as sla
 
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
-from .sensing import Observation, SensingAgent
+from .sensing import Observation, SensingAgent, selector_feature
 
 Array = np.ndarray
 
@@ -58,7 +68,10 @@ class FusionBatch:
         if len(agents) != len(observations) or not agents:
             raise InputError("need one observation per agent, at least one of each")
         h = np.vstack([a.obs_matrix for a in agents])
-        c = sla.block_diag(*[a.noise_cov for a in agents])
+        if all(a.scalar for a in agents):
+            c = np.diag([a.noise_var for a in agents])
+        else:
+            c = sla.block_diag(*[a.noise_cov for a in agents])
         o = np.concatenate([np.atleast_1d(ob.values) for ob in observations])
         return cls(obs_matrix=h, noise_cov=c, values=o)
 
@@ -66,9 +79,17 @@ class FusionBatch:
 def _check_cov(cov: Array) -> None:
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise NumericalError("covariance must be square")
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+    if cov.shape[0] == 2:
+        (a, b), (c, d) = cov.tolist()
+        asymmetry = abs(b - c)
+        # Smaller eigenvalue of [[a, b], [b, d]] in closed form.
+        min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+    else:
+        asymmetry = np.max(np.abs(cov - cov.T))
+        min_eig = np.linalg.eigvalsh(cov).min()
+    if not asymmetry <= SYMMETRY_TOL:
         raise NumericalError("covariance lost symmetry")
-    if np.linalg.eigvalsh(cov).min() < -SYMMETRY_TOL:
+    if not min_eig >= -SYMMETRY_TOL:
         raise NumericalError("covariance lost positive semidefiniteness")
 
 
@@ -84,7 +105,6 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     """
     jac = jacobian_at(model, belief.mean)
     cov = _symmetrize(jac @ belief.cov @ jac.T + model.process_noise_cov)
-    _check_cov(cov)
     mean = model.update(belief.mean, action)
     return Belief(mean=mean, cov=cov, qi=belief.qi + 1)
 
@@ -111,9 +131,49 @@ def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
     return gain, cov
 
 
+def _scalar_update(prior_cov: Array, k: int, r: float) -> Array:
+    """Joseph-form posterior of one selector row e_k with noise variance r, cross-checked.
+
+    Plain float arithmetic, one numpy call at the end: on a 2x2 prior the
+    per-call overhead of numpy would dominate.
+    """
+    p = prior_cov.tolist()
+    for jitter in (0.0, 1e-12):
+        s = p[k][k] + r + jitter
+        if s > 0.0:
+            break
+    else:
+        raise NumericalError("innovation covariance is singular")
+    gain = [row[k] / s for row in p]
+    # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
+    ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
+    joseph = [
+        [aij - row[k] * gj + r * (gi * gj) for aij, gj in zip(row, gain)]
+        for gi, row in zip(gain, ikh_p)
+    ]
+    n = len(p)
+    cov = [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]  # symmetrize
+    if any(
+        not abs(cij - aij) <= JOSEPH_TOL
+        for crow, arow in zip(cov, ikh_p)
+        for cij, aij in zip(crow, arow)
+    ):
+        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
+    return np.array(cov)
+
+
 def posterior_cov(prior_cov: Array, obs_matrix: Array, noise_cov: Array) -> Array:
-    """Posterior covariance of fusing observations with the given prior (Joseph form)."""
-    _, cov = _joseph_update(prior_cov, np.atleast_2d(obs_matrix), np.atleast_2d(noise_cov))
+    """Posterior covariance of fusing observations with the given prior (Joseph form).
+
+    A selector row with 1x1 noise takes the rank-1 update; anything else the
+    general ``_joseph_update``.
+    """
+    h = np.atleast_2d(obs_matrix)
+    r = np.atleast_2d(noise_cov)
+    k = selector_feature(h)
+    if k is not None and r.shape == (1, 1):
+        return _scalar_update(prior_cov, k, r.item())
+    _, cov = _joseph_update(prior_cov, h, r)
     return cov
 
 
@@ -123,7 +183,6 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
     if h.shape[1] != prior.mean.shape[0] or h.shape[0] != batch.values.shape[0]:
         raise InputError("batch dimensions do not match the belief")
     gain, cov = _joseph_update(prior.cov, h, batch.noise_cov)
-    _check_cov(cov)
     mean = prior.mean + gain @ (batch.values - h @ prior.mean)
     return Belief(mean=mean, cov=cov, qi=prior.qi)
 

@@ -11,7 +11,8 @@ remains.
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
 the scheme's fuse corrects the belief with the ones that actually arrive, and
-those close the loop for their features.
+those close the loop for their features. A link budget is solved once per
+fleet, the first time its sensor is selected.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def compute_targets(required_var: Array, accuracy_request: Array) -> Uncertainty
     return UncertaintyTargets(np.minimum(xi, requested))
 
 
+def _first_available(order: tuple[int, ...], available: set[int]) -> int | None:
+    for i in order:
+        if i in available:
+            return i
+    return None
+
+
 def select_feature(
     cov_diag: Array,
     targets: UncertaintyTargets,
@@ -81,8 +89,8 @@ def select_feature(
     """Feature with the largest variance-to-target ratio among coverable features."""
     best_k: int | None = None
     best_ratio = -np.inf
-    for k in range(cov_diag.shape[0]):
-        if not any(i in available for i in fleet.agents_for(k)):
+    for k in range(len(cov_diag)):
+        if _first_available(fleet.quietest_first.get(k, ()), available) is None:
             continue
         ratio = cov_diag[k] / targets.variance_bounds[k]
         if ratio > best_ratio:  # strict: ties keep the lowest feature index
@@ -101,41 +109,43 @@ def plan_selection(
     """Decide the transmission set; returns (agent ids in order, serviced features, planned cov).
 
     The covariance used inside the loop assumes every pick is delivered; real
-    outages are applied afterwards to the stored belief only.
+    outages are applied afterwards to the stored belief only. Candidates come
+    from the fleet's cached per-feature orders: nearest first for stale
+    features, quietest first for the value-of-information picks.
     """
     if cap < 1:
         raise ConfigError("connection cap must be at least 1")
     if len(fleet) < 1:
         raise ConfigError("fleet must not be empty")
-    available = {a.agent_id for a in fleet.agents}
+    available = set(range(len(fleet)))
+    bounds = targets.variance_bounds.tolist()
     cov = np.array(prior_cov, dtype=float)
     selected: list[int] = []
     serviced: list[int] = []
 
+    def pick(agent_id: int) -> None:
+        nonlocal cov
+        agent = fleet.agents[agent_id]
+        selected.append(agent_id)
+        available.discard(agent_id)
+        cov = est.posterior_cov(cov, agent.obs_matrix, agent.noise_cov)
+
     for k in sorted(violated):
         if len(selected) >= cap:
             break
-        cands = [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
-        if not cands:
-            continue
-        agent = min(cands, key=lambda a: (a.distance_m, a.agent_id))
-        selected.append(agent.agent_id)
-        available.discard(agent.agent_id)
-        serviced.append(k)
-        cov = est.posterior_cov(cov, agent.obs_matrix, agent.noise_cov)
+        agent_id = _first_available(fleet.nearest_first.get(k, ()), available)
+        if agent_id is not None:
+            pick(agent_id)
+            serviced.append(k)
 
     while len(selected) < cap:
-        diag = np.diag(cov)
-        if not np.any(diag > targets.variance_bounds):
+        diag = cov.diagonal().tolist()
+        if not any(d > b for d, b in zip(diag, bounds)):
             break
         k = select_feature(diag, targets, fleet, available)
         if k is None:
             break
-        cands = [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
-        agent = min(cands, key=lambda a: (a.noise_var, a.agent_id))
-        selected.append(agent.agent_id)
-        available.discard(agent.agent_id)
-        cov = est.posterior_cov(cov, agent.obs_matrix, agent.noise_cov)
+        pick(_first_available(fleet.quietest_first[k], available))
 
     return selected, serviced, cov
 
@@ -152,14 +162,17 @@ def size_and_transmit(
 
     Returns (budgets, observations, delivered agent ids). Observations are
     drawn for all selected sensors first, then the link outcomes, so the
-    stream of random draws is well defined for reproducibility.
+    stream of random draws is well defined for reproducibility. A link budget
+    depends only on the channel and the sensor, so it is solved the first
+    time the sensor is selected and kept in the fleet's memo; a sensor that
+    is never selected is never sized, even when its link is infeasible.
     """
-    budgets = tuple(
-        ch.optimal_bandwidth(
-            params, fleet.agents[i].tx_power_w, fleet.agents[i].distance_m, agent_id=i
-        )
-        for i in selected
-    )
+    memo = fleet.link_memo.setdefault(params, {})
+    for i in selected:
+        if i not in memo:
+            agent = fleet.agents[i]
+            memo[i] = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
+    budgets = tuple(memo[i] for i in selected)
     observations = [observe(fleet.agents[i], true_state, rng, qi=qi) for i in selected]
     outcomes = [ch.uplink_outcome(params, b, rng) for b in budgets]
     delivered = [i for i, out in zip(selected, outcomes) if out.delivered]

@@ -1,9 +1,21 @@
-"""Sensing agents: placement, observation matrices, and noisy measurements."""
+"""Sensing agents: placement, observation matrices, and noisy measurements.
+
+Every generated sensor is a scalar selector: its observation matrix is one
+row picking a single state feature and its noise covariance is 1x1. Such an
+agent carries its feature, noise variance and noise standard deviation as
+constants computed once, and ``observe`` draws ``s[k] + std * z`` for it; the
+general ``H s + chol(C) z`` draw stays for any other sensor and as the
+oracle of the scalar one. A fleet also caches each feature's candidate
+orders for the planner and a memo of link budgets, filled lazily by the
+scheduler the first time a sensor is selected.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -22,6 +34,11 @@ class SensingAgent:
     noise_cov: Array         # (D, D) symmetric positive definite
     distance_m: float
     tx_power_w: float
+    # Constants derived from the matrices once, in __post_init__.
+    feature: int = field(init=False, repr=False, compare=False)      # argmax of the first H row
+    noise_var: float = field(init=False, repr=False, compare=False)  # C_w[0, 0]
+    noise_std: float = field(init=False, repr=False, compare=False)  # sqrt(noise_var)
+    scalar: bool = field(init=False, repr=False, compare=False)      # one selector row, 1x1 noise
 
     def __post_init__(self) -> None:
         h = np.atleast_2d(np.asarray(self.obs_matrix, dtype=float))
@@ -36,18 +53,23 @@ class SensingAgent:
             raise ConfigError("distance must be strictly positive")
         if not (self.tx_power_w > 0.0):
             raise ConfigError("transmit power budget must be strictly positive")
+        noise_var = float(c[0, 0])
         object.__setattr__(self, "obs_matrix", h)
         object.__setattr__(self, "noise_cov", c)
+        object.__setattr__(self, "feature", int(np.argmax(h[0])))
+        object.__setattr__(self, "noise_var", noise_var)
+        object.__setattr__(self, "noise_std", math.sqrt(noise_var))
+        object.__setattr__(self, "scalar", selector_feature(h) is not None)
 
-    @property
-    def feature(self) -> int:
-        """Measured state feature for single-feature (selector-row) sensors."""
-        return int(np.argmax(self.obs_matrix[0]))
 
-    @property
-    def noise_var(self) -> float:
-        """Scalar measurement variance for single-feature sensors."""
-        return float(self.noise_cov[0, 0])
+def selector_feature(obs_matrix: Array) -> int | None:
+    """``k`` when ``obs_matrix`` is the single row e_k, else None."""
+    if obs_matrix.shape[0] != 1:
+        return None
+    row = obs_matrix[0].tolist()
+    if row.count(1.0) == 1 and row.count(0.0) == len(row) - 1:
+        return row.index(1.0)
+    return None
 
 
 @dataclass(frozen=True)
@@ -58,7 +80,7 @@ class Observation:
 
     def __post_init__(self) -> None:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputError("observation values must be finite")
         if self.qi < 0:
             raise InputError("query interval index must be nonnegative")
@@ -87,14 +109,35 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class SensorFleet:
+    """The sensors of one episode; ``agents[i].agent_id == i``."""
+
     agents: tuple[SensingAgent, ...]
     feature_index: Mapping[int, tuple[int, ...]]
+    # Link budgets per channel configuration, keyed by agent id; the
+    # scheduler fills an entry the first time that agent is selected.
+    link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.agents)
 
     def agents_for(self, feature: int) -> tuple[int, ...]:
         return self.feature_index.get(feature, ())
+
+    def _order(self, key) -> dict[int, tuple[int, ...]]:
+        return {
+            k: tuple(sorted(ids, key=lambda i: key(self.agents[i])))
+            for k, ids in self.feature_index.items()
+        }
+
+    @cached_property
+    def nearest_first(self) -> dict[int, tuple[int, ...]]:
+        """Per feature, its sensor ids ordered by (distance_m, id)."""
+        return self._order(lambda a: (a.distance_m, a.agent_id))
+
+    @cached_property
+    def quietest_first(self) -> dict[int, tuple[int, ...]]:
+        """Per feature, its sensor ids ordered by (noise_var, id)."""
+        return self._order(lambda a: (a.noise_var, a.agent_id))
 
 
 def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) -> SensorFleet:
@@ -135,13 +178,25 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) 
 
 
 def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int = 0) -> Observation:
-    """Measure ``H s + w`` with ``w ~ N(0, C_w)``."""
+    """Measure ``H s + w`` with ``w ~ N(0, C_w)``.
+
+    A scalar selector draws ``s[k] + sqrt(r) z``, the same value and the same
+    draw as ``_observe_general``.
+    """
     s = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise InputError("state must be finite")
-    mean = agent.obs_matrix @ s
+    if agent.scalar:
+        values = np.array([s[agent.feature] + agent.noise_std * rng.standard_normal()])
+    else:
+        values = _observe_general(agent, s, rng)
+    return Observation(agent_id=agent.agent_id, values=values, qi=qi)
+
+
+def _observe_general(agent: SensingAgent, state: Array, rng: np.random.Generator) -> Array:
+    """``H s + chol(C_w) z`` for any sensor."""
     noise = np.linalg.cholesky(agent.noise_cov) @ rng.standard_normal(agent.obs_matrix.shape[0])
-    return Observation(agent_id=agent.agent_id, values=mean + noise, qi=qi)
+    return agent.obs_matrix @ state + noise
 
 
 def fleet_to_dict(fleet: SensorFleet) -> dict:

@@ -304,6 +304,11 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("required_var: [0.01, abc]", "required_var must be a number"),
         ("required_var: 0.01", "required_var must be a list"),
         ("fleet: {tx_power_w: 1.0e-9}", "theta="),  # infeasible link, theta far below 1
+        ("init_belief_var: abc", "init_belief_var must be a number"),
+        ("fleet: {tx_power_w: abc}", "fleet.tx_power_w must be a number"),
+        ("channel: {rician_k: abc}", "channel.rician_k must be a number"),
+        ("fleet: {max_distance_m: abc}", "fleet.max_distance_m must be a number"),
+        ("fleet: {noise_var_ranges: [[1.0e-3]]}", "fleet.noise_var_ranges must be a list of [lo, hi] pairs"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):

@@ -1,0 +1,219 @@
+"""Scalar-sensor fast path and lazy link memo, each checked against the general path."""
+
+import dataclasses
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg as sla
+
+from reverb import channel as ch
+from reverb import cli
+from reverb import config
+from reverb import estimator as est
+from reverb import scheduler as sched
+from reverb import schemes
+from reverb import sensing
+from reverb.errors import InfeasibleError, NumericalError
+
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+positive = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def spd_2x2(draw):
+    a = np.array([[draw(unit), draw(unit)], [draw(unit), draw(unit)]])
+    return a @ a.T + np.diag([draw(positive), draw(positive)])
+
+
+def selector(k: int, dim: int = 2) -> np.ndarray:
+    h = np.zeros((1, dim))
+    h[0, k] = 1.0
+    return h
+
+
+def scalar_agent(agent_id: int, k: int, var: float, dist: float = 5.0) -> sensing.SensingAgent:
+    return sensing.SensingAgent(agent_id, selector(k), [[var]], distance_m=dist, tx_power_w=0.02)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
+def test_scalar_posterior_matches_joseph(prior, k, r):
+    h, noise = selector(k), np.array([[r]])
+    fast = est.posterior_cov(prior, h, noise)
+    _, oracle = est._joseph_update(prior, h, noise)
+    assert np.array_equal(fast, est._scalar_update(prior, k, r))  # the fast path was taken
+    assert np.max(np.abs(fast - oracle)) <= 1e-12
+    assert np.array_equal(fast, fast.T)
+
+
+def test_non_selector_row_takes_joseph_path():
+    prior = np.array([[0.02, 0.003], [0.003, 0.01]])
+    h, noise = np.array([[0.6, 0.8]]), np.array([[1e-3]])
+    assert np.array_equal(est.posterior_cov(prior, h, noise), est._joseph_update(prior, h, noise)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, k=st.sampled_from([0, 1]), var=positive, s0=unit, s1=unit)
+def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
+    agent = scalar_agent(0, k, var)
+    assert agent.scalar
+    state = np.array([s0, s1])
+    fast_rng, general_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = sensing.observe(agent, state, fast_rng).values
+    general = sensing._observe_general(agent, state, general_rng)
+    assert fast.shape == general.shape == (1,)
+    assert fast.tobytes() == general.tobytes()
+    assert fast_rng.bit_generator.state == general_rng.bit_generator.state
+
+
+def test_general_observe_for_two_row_sensor():
+    agent = sensing.SensingAgent(0, np.eye(2), np.diag([1e-4, 4e-4]), distance_m=5.0, tx_power_w=0.02)
+    assert not agent.scalar
+    state = np.array([0.3, -0.01])
+    obs = sensing.observe(agent, state, np.random.default_rng(3))
+    want = sensing._observe_general(agent, state, np.random.default_rng(3))
+    assert np.array_equal(obs.values, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(st.tuples(st.sampled_from([0, 1]), positive), min_size=1, max_size=12))
+def test_diag_batch_equals_block_diag(specs):
+    agents = [scalar_agent(i, k, var) for i, (k, var) in enumerate(specs)]
+    obs = [sensing.Observation(a.agent_id, [0.1]) for a in agents]
+    batch = est.FusionBatch.from_observations(agents, obs)
+    assert np.array_equal(batch.noise_cov, sla.block_diag(*[a.noise_cov for a in agents]))
+
+
+def test_mixed_batch_takes_block_diag():
+    agents = [
+        scalar_agent(0, 0, 1e-3),
+        sensing.SensingAgent(1, np.eye(2), [[2e-3, 1e-4], [1e-4, 3e-3]], distance_m=5.0, tx_power_w=0.02),
+    ]
+    obs = [sensing.Observation(0, [0.1]), sensing.Observation(1, [0.1, 0.0])]
+    batch = est.FusionBatch.from_observations(agents, obs)
+    assert np.array_equal(batch.noise_cov, sla.block_diag(agents[0].noise_cov, agents[1].noise_cov))
+
+
+def general_plan(prior_cov, targets, violated, fleet, cap):
+    """The planner on the general path: candidate lists min-scanned per pick, Joseph updates."""
+    available = {a.agent_id for a in fleet.agents}
+    cov = np.array(prior_cov, dtype=float)
+    selected, serviced = [], []
+
+    def pick(agent):
+        nonlocal cov
+        selected.append(agent.agent_id)
+        available.discard(agent.agent_id)
+        cov = est._joseph_update(cov, agent.obs_matrix, agent.noise_cov)[1]
+
+    def candidates(k):
+        return [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
+
+    for k in sorted(violated):
+        if len(selected) >= cap:
+            break
+        if candidates(k):
+            pick(min(candidates(k), key=lambda a: (a.distance_m, a.agent_id)))
+            serviced.append(k)
+    while len(selected) < cap and np.any(np.diag(cov) > targets.variance_bounds):
+        ratios = [
+            (np.diag(cov)[k] / targets.variance_bounds[k], -k) for k in (0, 1) if candidates(k)
+        ]
+        if not ratios:
+            break
+        k = -max(ratios)[1]
+        pick(min(candidates(k), key=lambda a: (a.noise_var, a.agent_id)))
+    return selected, serviced, cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from([0, 1]), positive, st.floats(min_value=0.5, max_value=20.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    prior=spd_2x2(),
+    bounds=st.tuples(positive, positive),
+    violated=st.sets(st.sampled_from([0, 1])),
+    cap=st.integers(min_value=1, max_value=12),
+)
+def test_plan_selection_same_picks_as_general_path(specs, prior, bounds, violated, cap):
+    agents = [scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)]
+    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
+    fleet = sensing.SensorFleet(agents=tuple(agents), feature_index=index)
+    targets = sched.UncertaintyTargets(np.array(bounds))
+    violated = tuple(sorted(violated))
+    fast = sched.plan_selection(prior, targets, violated, fleet, cap)
+    general = general_plan(prior, targets, violated, fleet, cap)
+    assert fast[:2] == general[:2]
+    assert np.max(np.abs(fast[2] - general[2])) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=unit, b=unit, d=unit)
+def test_closed_form_2x2_check_agrees_with_eigvalsh(a, b, d):
+    cov = np.array([[a, b], [b, d]])
+    min_eig = np.linalg.eigvalsh(cov).min()
+    if abs(min_eig + est.SYMMETRY_TOL) < 1e-12:
+        return  # too close to the threshold for either method to decide
+    if min_eig < -est.SYMMETRY_TOL:
+        with pytest.raises(NumericalError, match="semidefiniteness"):
+            est._check_cov(cov)
+    else:
+        est._check_cov(cov)
+    with pytest.raises(NumericalError, match="symmetry"):
+        est._check_cov(cov + np.array([[0.0, 1e-9], [0.0, 0.0]]))
+
+
+# --- lazy link memo ----------------------------------------------------------
+
+# At 30 m maximum distance, seed 1 places agents 2 and 3 where theta <= 1.
+FAR = {"fleet": {"max_distance_m": 30}, "qi_cap": 50}
+
+
+def far_fleet():
+    cfg = config.config_from_dict(FAR)
+    return cfg, schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(1)).fleet
+
+
+@pytest.mark.parametrize("scheme", ["CB-Greedy", "EB-Greedy", "AoL-REVERB"])
+def test_unreachable_sensor_never_selected_does_not_stop_the_run(tmp_path, scheme):
+    cfg_path = tmp_path / "far.yaml"
+    cfg_path.write_text("fleet: {max_distance_m: 30}\nqi_cap: 50\n")
+    argv = ["run", "--scheme", scheme, "--seed", "1", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+
+def test_selecting_unreachable_sensor_names_agent_distance_and_theta():
+    cfg, fleet = far_fleet()
+    far = fleet.agents[2]
+    rng = np.random.default_rng(0)
+    pattern = rf"agent 2 at {far.distance_m:g} m: link constant theta=0\.79"
+    with pytest.raises(InfeasibleError, match=pattern):
+        sched.size_and_transmit([0, 2], fleet, cfg.channel, np.zeros(2), rng)
+    with pytest.raises(InfeasibleError, match=re.escape(f"agent 3 at {fleet.agents[3].distance_m:g} m")):
+        sched.size_and_transmit([3], fleet, cfg.channel, np.zeros(2), rng)
+
+
+def test_link_memo_hit_equals_fresh_solve():
+    cfg, fleet = far_fleet()
+    rng = np.random.default_rng(0)
+    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, np.zeros(2), rng)
+    with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
+        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, np.zeros(2), rng)
+    assert again == (first[1], first[0])
+    for budget in again:
+        a = fleet.agents[budget.agent_id]
+        assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=a.agent_id)
+    # Another channel configuration is sized on its own.
+    longer = dataclasses.replace(cfg.channel, packet_bits=2048.0)
+    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, np.zeros(2), rng)
+    a = fleet.agents[0]
+    assert wide == ch.optimal_bandwidth(longer, a.tx_power_w, a.distance_m, agent_id=0)
+    assert wide.bandwidth_hz > first[0].bandwidth_hz
