@@ -9,12 +9,12 @@ Runs, with the package from this checkout's ``src/``:
 * ``reverb train --episodes 5 --seed 1``                         -> DIR/train
 
 Outputs are byte-identical across reruns of the same code, so the gate for a
-change is that ``diff -r`` of this script's output at the parent commit and at
-the change is empty:
+change is that this script's output at the parent commit and at the change
+are the same files with the same bytes. ``--against DIR`` checks that after
+writing and exits 1 naming the first differing or missing file:
 
-    python3 scripts/golden_outputs.py --out /tmp/golden_new
     (cd parent-checkout && python3 scripts/golden_outputs.py --out /tmp/golden_old)
-    diff -r /tmp/golden_old /tmp/golden_new
+    python3 scripts/golden_outputs.py --out /tmp/golden_new --against /tmp/golden_old
 """
 
 import argparse
@@ -40,16 +40,43 @@ def commands(out: Path) -> list[list[str]]:
     return runs
 
 
+def first_difference(new: Path, old: Path) -> str | None:
+    """The first file, in path order, that is missing from either tree or differs in bytes."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    new_files, old_files = files(new), files(old)
+    for rel in sorted(new_files | old_files):
+        if rel not in old_files:
+            return f"{rel}: only in {new}"
+        if rel not in new_files:
+            return f"{rel}: only in {old}"
+        if (new / rel).read_bytes() != (old / rel).read_bytes():
+            return f"{rel}: contents differ"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, required=True, help="directory to write into")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="earlier output tree the new one must equal byte for byte")
     args = parser.parse_args()
     for argv in commands(args.out):
         print("reverb " + " ".join(argv), flush=True)
         code = reverb_main(argv)
         if code != 0:
             return code
+    if args.against is not None:
+        if not args.against.is_dir():
+            print(f"error: {args.against} is not a directory", file=sys.stderr)
+            return 1
+        diff = first_difference(args.out, args.against)
+        if diff is not None:
+            print(f"error: {diff}", file=sys.stderr)
+            return 1
+        print(f"identical to {args.against}")
     return 0
 
 

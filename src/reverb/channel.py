@@ -113,13 +113,20 @@ def rician_fading_sample(
     """Unit-mean Rician fading power: |sqrt(K/(K+1)) + CN(0, 1/(K+1))|^2."""
     if rician_k < 0.0:
         raise InputError("Rician factor must be nonnegative")
+    shape = () if size is None else (size,)
+    re_z = rng.standard_normal(shape)
+    im_z = rng.standard_normal(shape)
+    power = rician_power(rician_k, re_z, im_z)
+    return float(power) if size is None else power
+
+
+def rician_power(rician_k: float, re_z, im_z):
+    """Fading power from standard normal draws of the real and imaginary parts."""
     los = math.sqrt(rician_k / (rician_k + 1.0))
     sigma = math.sqrt(0.5 / (rician_k + 1.0))  # per real dimension
-    shape = () if size is None else (size,)
-    re = los + sigma * rng.standard_normal(shape)
-    im = sigma * rng.standard_normal(shape)
-    power = re * re + im * im
-    return float(power) if size is None else power
+    re = los + sigma * re_z
+    im = sigma * im_z
+    return re * re + im * im
 
 
 def marcum_q1(a: float, b: float, rel_tol: float = 1e-12) -> float:
@@ -288,7 +295,12 @@ def uplink_outcome(
 ) -> LinkOutcome:
     """Realize one transmission: sample fading, check the latency deadline."""
     fading = rician_fading_sample(params.rician_k, rng)
+    latency = uplink_latency(params, budget, fading)
+    return LinkOutcome(delivered=latency <= params.max_latency_s, latency_s=latency, fading=fading)
+
+
+def uplink_latency(params: ChannelParams, budget: LinkBudget, fading: float) -> float:
+    """Time to send one packet over a sized link at the given fading power."""
     gamma = snr(params, budget.tx_power_w, budget.distance_m, budget.bandwidth_hz, fading)
     rate = budget.bandwidth_hz * math.log2(1.0 + gamma)
-    latency = params.packet_bits / rate if rate > 0.0 else math.inf
-    return LinkOutcome(delivered=latency <= params.max_latency_s, latency_s=latency, fading=fading)
+    return params.packet_bits / rate if rate > 0.0 else math.inf

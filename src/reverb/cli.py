@@ -45,7 +45,11 @@ def _load_agent(path: str | None) -> control.PolicyAgent | None:
     if not path:
         return None
     with open(path) as fh:
-        return control.PolicyAgent.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    return control.PolicyAgent.from_dict(data)
 
 
 def cmd_train(args) -> int:
@@ -163,7 +167,7 @@ def main(argv=None) -> int:
     except ReverbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:   # a missing or unreadable file, a directory, a full disk
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ a different experiment than intended.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -54,10 +55,17 @@ class RunConfig:
             raise ConfigError("traditional_sensors must be 1 or 2")
         if any(t < 1 for t in self.aol_thresholds):
             raise ConfigError("age thresholds must be at least 1")
+        for name in ("required_var", "scripted_accuracy", "process_noise_var"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
         if any(v <= 0 for v in self.required_var):
             raise ConfigError("required variances must be strictly positive")
         if any(a < 0 for a in self.scripted_accuracy):
             raise ConfigError("scripted accuracy requests must be nonnegative")
+        if not (math.isfinite(self.init_belief_var) and self.init_belief_var > 0):
+            raise ConfigError(
+                f"init_belief_var must be finite and strictly positive, got {self.init_belief_var}"
+            )
 
 
 def _integer(value, name: str) -> int:
@@ -129,7 +137,10 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
     if data is None:
         data = {}
     return config_from_dict(data)

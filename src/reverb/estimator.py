@@ -9,10 +9,14 @@ Scalar fast path: when a sensor is a selector row ``e_k`` with 1x1 noise r,
 ``posterior_cov`` is the rank-1 update S = P_kk + r, K = P[:, k] / S, still in
 Joseph form with the same cross-check (sequential scalar processing, Bierman
 1977); it may differ from the general Cholesky-solved path in the last ulp.
-A batch of scalar sensors gets its noise covariance from ``np.diag`` rather
-than ``block_diag``; ``fuse`` itself always runs the general batch update.
-Covariance checks use closed-form eigenvalues on 2x2 matrices and run once
-per new belief, when it is constructed.
+``posterior_cov_2x2`` is the same update unrolled on a nested-float 2x2
+covariance, for the planner. A batch of scalar sensors gets its noise
+covariance from ``np.diag`` rather than ``block_diag``; ``fuse`` itself always
+runs the general batch update, whose innovation system is solved by the LAPACK
+routines scipy's ``cho_factor``/``cho_solve`` call (potrf, potrs), called
+directly with the same arguments. Covariance checks use closed-form
+eigenvalues on 2x2 matrices and run once per new belief, when it is
+constructed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
@@ -109,14 +114,22 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     return Belief(mean=mean, cov=cov, qi=belief.qi + 1)
 
 
+# The LAPACK routines behind scipy's cho_factor/cho_solve, called with the
+# same arguments but without their per-call wrapper work.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+
+
 def _innovation_solve(s_mat: Array, rhs: Array) -> Array:
     """Solve S x = rhs via Cholesky, one jitter retry, else fail."""
+    if not (np.isfinite(s_mat).all() and np.isfinite(rhs).all()):
+        raise NumericalError("innovation covariance or gain system is not finite")
     for jitter in (0.0, 1e-12):
-        try:
-            chol = sla.cho_factor(s_mat + jitter * np.eye(s_mat.shape[0]), lower=True)
-            return sla.cho_solve(chol, rhs)
-        except np.linalg.LinAlgError:   # scipy.linalg.LinAlgError is the same class
-            continue
+        shifted = s_mat + jitter * np.eye(s_mat.shape[0]) if jitter else s_mat
+        chol, info = _POTRF(shifted, lower=1, clean=0)
+        if info == 0:
+            x, info = _POTRS(chol, rhs, lower=1)
+            if info == 0:
+                return x
     raise NumericalError("innovation covariance is singular")
 
 
@@ -131,6 +144,14 @@ def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
     return gain, cov
 
 
+def _scalar_innovation(p_kk: float, r: float) -> float:
+    for jitter in (0.0, 1e-12):
+        s = p_kk + r + jitter
+        if s > 0.0:
+            return s
+    raise NumericalError("innovation covariance is singular")
+
+
 def _scalar_update(prior_cov: Array, k: int, r: float) -> Array:
     """Joseph-form posterior of one selector row e_k with noise variance r, cross-checked.
 
@@ -138,12 +159,7 @@ def _scalar_update(prior_cov: Array, k: int, r: float) -> Array:
     per-call overhead of numpy would dominate.
     """
     p = prior_cov.tolist()
-    for jitter in (0.0, 1e-12):
-        s = p[k][k] + r + jitter
-        if s > 0.0:
-            break
-    else:
-        raise NumericalError("innovation covariance is singular")
+    s = _scalar_innovation(p[k][k], r)
     gain = [row[k] / s for row in p]
     # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
     ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
@@ -160,6 +176,34 @@ def _scalar_update(prior_cov: Array, k: int, r: float) -> Array:
     ):
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
     return np.array(cov)
+
+
+def posterior_cov_2x2(p: list[list[float]], k: int, r: float) -> list[list[float]]:
+    """``_scalar_update`` unrolled for a 2x2 prior held as nested floats.
+
+    The same operations in the same order, so the same bits, and the same
+    cross-check; the planner keeps its covariance in this form across picks.
+    """
+    (p00, p01), (p10, p11) = p
+    s = _scalar_innovation(p[k][k], r)
+    g0, g1 = p[0][k] / s, p[1][k] / s
+    pk0, pk1 = p[k]
+    a00, a01 = p00 - g0 * pk0, p01 - g0 * pk1
+    a10, a11 = p10 - g1 * pk0, p11 - g1 * pk1
+    a0k, a1k = (a00, a10) if k == 0 else (a01, a11)
+    j00 = a00 - a0k * g0 + r * (g0 * g0)
+    j01 = a01 - a0k * g1 + r * (g0 * g1)
+    j10 = a10 - a1k * g0 + r * (g1 * g0)
+    j11 = a11 - a1k * g1 + r * (g1 * g1)
+    c00, c01, c10, c11 = 0.5 * (j00 + j00), 0.5 * (j01 + j10), 0.5 * (j10 + j01), 0.5 * (j11 + j11)
+    if not (
+        abs(c00 - a00) <= JOSEPH_TOL
+        and abs(c01 - a01) <= JOSEPH_TOL
+        and abs(c10 - a10) <= JOSEPH_TOL
+        and abs(c11 - a11) <= JOSEPH_TOL
+    ):
+        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
+    return [[c00, c01], [c10, c11]]
 
 
 def posterior_cov(prior_cov: Array, obs_matrix: Array, noise_cov: Array) -> Array:

@@ -12,7 +12,11 @@ remains.
 names the sensors, their links are sized and their observations transmitted,
 the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved once per
-fleet, the first time its sensor is selected.
+fleet, the first time its sensor is selected. A round makes one draw for all
+observation noise and one for all fades, the same numbers per-sensor
+``observe`` and per-link ``uplink_outcome`` calls would draw, and fuses a
+batch gathered from the fleet's stacked rows; the planner keeps its 2x2
+covariance as nested floats across picks.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
 from .errors import ConfigError, InputError
-from .sensing import SensorFleet, observe
+from .sensing import Observation, SensorFleet, observe_many
 
 Array = np.ndarray
 
@@ -119,7 +123,7 @@ def plan_selection(
         raise ConfigError("fleet must not be empty")
     available = set(range(len(fleet)))
     bounds = targets.variance_bounds.tolist()
-    cov = np.array(prior_cov, dtype=float)
+    cov = np.asarray(prior_cov, dtype=float).tolist()  # nested floats until the end
     selected: list[int] = []
     serviced: list[int] = []
 
@@ -128,7 +132,10 @@ def plan_selection(
         agent = fleet.agents[agent_id]
         selected.append(agent_id)
         available.discard(agent_id)
-        cov = est.posterior_cov(cov, agent.obs_matrix, agent.noise_cov)
+        if agent.scalar and len(cov) == 2:
+            cov = est.posterior_cov_2x2(cov, agent.feature, agent.noise_var)
+        else:
+            cov = est.posterior_cov(np.array(cov), agent.obs_matrix, agent.noise_cov).tolist()
 
     for k in sorted(violated):
         if len(selected) >= cap:
@@ -139,7 +146,7 @@ def plan_selection(
             serviced.append(k)
 
     while len(selected) < cap:
-        diag = cov.diagonal().tolist()
+        diag = [row[k] for k, row in enumerate(cov)]
         if not any(d > b for d, b in zip(diag, bounds)):
             break
         k = select_feature(diag, targets, fleet, available)
@@ -147,7 +154,7 @@ def plan_selection(
             break
         pick(_first_available(fleet.quietest_first[k], available))
 
-    return selected, serviced, cov
+    return selected, serviced, np.array(cov)
 
 
 def size_and_transmit(
@@ -156,13 +163,17 @@ def size_and_transmit(
     params: ch.ChannelParams,
     true_state: Array,
     rng: np.random.Generator,
-    qi: int = 0,
-) -> tuple[tuple[ch.LinkBudget, ...], list, list[int]]:
+) -> tuple[tuple[ch.LinkBudget, ...], Array, list[int]]:
     """Size every selected link, draw observations, realize the uplinks.
 
-    Returns (budgets, observations, delivered agent ids). Observations are
-    drawn for all selected sensors first, then the link outcomes, so the
-    stream of random draws is well defined for reproducibility. A link budget
+    Returns (budgets, values, delivered agent ids); ``values`` stacks the
+    selected sensors' observations in selection order, one value per scalar
+    selector. All observation noise comes from one draw, then all fades from
+    one draw of two normals per link (real, imaginary part): the numbers, in
+    the order, that ``sensing.observe`` per sensor and then
+    ``channel.uplink_outcome`` per link draw, and each deadline test is
+    ``uplink_outcome``'s own float expression, so values, deliveries and the
+    generator state afterwards equal theirs bit for bit. A link budget
     depends only on the channel and the sensor, so it is solved the first
     time the sensor is selected and kept in the fleet's memo; a sensor that
     is never selected is never sized, even when its link is infeasible.
@@ -173,26 +184,46 @@ def size_and_transmit(
             agent = fleet.agents[i]
             memo[i] = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
     budgets = tuple(memo[i] for i in selected)
-    observations = [observe(fleet.agents[i], true_state, rng, qi=qi) for i in selected]
-    outcomes = [ch.uplink_outcome(params, b, rng) for b in budgets]
-    delivered = [i for i, out in zip(selected, outcomes) if out.delivered]
-    return budgets, observations, delivered
+    values = observe_many(fleet, selected, true_state, rng)
+    z = rng.standard_normal(2 * len(budgets))
+    fades = ch.rician_power(params.rician_k, z[0::2], z[1::2]).tolist()
+    delivered = [
+        i
+        for i, budget, fading in zip(selected, budgets, fades)
+        if ch.uplink_latency(params, budget, fading) <= params.max_latency_s
+    ]
+    return budgets, values, delivered
 
 
 def fuse_delivered(
     prior: est.Belief,
     selected: list[int],
     delivered: list[int],
-    observations: list,
+    values: Array,
     fleet: SensorFleet,
 ) -> est.Belief:
-    """Kalman-update the prior with the observations that actually arrived."""
+    """Kalman-update the prior with the observations that actually arrived.
+
+    For a fleet of scalar selectors the batch is gathered by delivered id
+    from the fleet's stacked rows and noise variances; any other fleet builds
+    it with ``FusionBatch.from_observations``.
+    """
     if not delivered:
         return prior.copy()
-    idx = [selected.index(i) for i in delivered]
-    batch = est.FusionBatch.from_observations(
-        [fleet.agents[i] for i in delivered], [observations[j] for j in idx]
-    )
+    if fleet.all_scalar:
+        batch = est.FusionBatch(
+            obs_matrix=fleet.obs_rows[delivered],
+            noise_cov=np.diag(fleet.noise_vars[delivered]),
+            values=values[[selected.index(i) for i in delivered]],
+        )
+    else:
+        starts = fleet.value_starts(selected)
+        agents = [fleet.agents[i] for i in delivered]
+        observations = []
+        for a in agents:
+            at = starts[selected.index(a.agent_id)]
+            observations.append(Observation(a.agent_id, values[at:at + a.obs_matrix.shape[0]]))
+        batch = est.FusionBatch.from_observations(agents, observations)
     return est.fuse(prior, batch)
 
 
@@ -215,10 +246,8 @@ def run_round(
     which it defaults to.
     """
     selected, serviced = select(prior, targets, aol, fleet, cap)
-    budgets, observations, delivered = size_and_transmit(
-        selected, fleet, params, true_state, rng, qi=prior.qi
-    )
-    posterior = (fuse or fuse_delivered)(prior, selected, delivered, observations, fleet)
+    budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
+    posterior = (fuse or fuse_delivered)(prior, selected, delivered, values, fleet)
     result = ScheduleResult(
         selected=tuple(selected),
         budgets=budgets,

@@ -50,18 +50,14 @@ def select_reverb(prior, targets, aol, fleet, cap):
     return selected, serviced
 
 
-def _ranked(fleet, cap, key):
-    return [a.agent_id for a in sorted(fleet.agents, key=key)[:cap]], []
-
-
 def select_nearest(prior, targets, aol, fleet, cap):
     """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id)."""
-    return _ranked(fleet, cap, lambda a: (a.distance_m, a.agent_id))
+    return list(fleet.nearest[:cap]), []
 
 
 def select_quietest(prior, targets, aol, fleet, cap):
     """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id)."""
-    return _ranked(fleet, cap, lambda a: (a.noise_var, a.agent_id))
+    return list(fleet.quietest[:cap]), []
 
 
 def select_traditional(n_sensors, prior, targets, aol, fleet, cap):
@@ -74,17 +70,18 @@ def select_traditional(n_sensors, prior, targets, aol, fleet, cap):
     return sorted(per_feature)[:n_sensors], []
 
 
-def fuse_memoryless(prior, selected, delivered, observations, fleet):
+def fuse_memoryless(prior, selected, delivered, values, fleet):
     """Traditional's update: a delivered feature's estimate is the raw observation.
 
     Features without a delivered observation keep the predicted prior.
     """
     mean = prior.mean.copy()
     cov = prior.cov.copy()
+    starts = fleet.value_starts(selected)
     for agent_id in delivered:
         agent = fleet.agents[agent_id]
         k = agent.feature
-        mean[k] = observations[selected.index(agent_id)].values[0]
+        mean[k] = values[starts[selected.index(agent_id)]]
         cov[k, :] = 0.0
         cov[:, k] = 0.0
         cov[k, k] = agent.noise_var

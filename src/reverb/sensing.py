@@ -5,9 +5,12 @@ row picking a single state feature and its noise covariance is 1x1. Such an
 agent carries its feature, noise variance and noise standard deviation as
 constants computed once, and ``observe`` draws ``s[k] + std * z`` for it; the
 general ``H s + chol(C) z`` draw stays for any other sensor and as the
-oracle of the scalar one. A fleet also caches each feature's candidate
-orders for the planner and a memo of link budgets, filled lazily by the
-scheduler the first time a sensor is selected.
+oracle of the scalar one. ``observe_many`` observes a whole selection from
+one noise draw, the same numbers ``observe`` per sensor would draw. A fleet
+caches its sensors' stacked observation rows and noise variances for
+fusion, global and per-feature candidate orders for the schedulers, and a
+memo of link budgets, filled lazily by the scheduler the first time a sensor
+is selected.
 """
 
 from __future__ import annotations
@@ -123,21 +126,62 @@ class SensorFleet:
     def agents_for(self, feature: int) -> tuple[int, ...]:
         return self.feature_index.get(feature, ())
 
-    def _order(self, key) -> dict[int, tuple[int, ...]]:
-        return {
-            k: tuple(sorted(ids, key=lambda i: key(self.agents[i])))
-            for k, ids in self.feature_index.items()
-        }
+    def _order(self, key) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self.agents)), key=lambda i: key(self.agents[i])))
+
+    def _per_feature(self, order: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        rank = {i: r for r, i in enumerate(order)}
+        return {k: tuple(sorted(ids, key=rank.__getitem__)) for k, ids in self.feature_index.items()}
+
+    @cached_property
+    def nearest(self) -> tuple[int, ...]:
+        """Every sensor id ordered by (distance_m, id)."""
+        return self._order(lambda a: (a.distance_m, a.agent_id))
+
+    @cached_property
+    def quietest(self) -> tuple[int, ...]:
+        """Every sensor id ordered by (noise_var, id)."""
+        return self._order(lambda a: (a.noise_var, a.agent_id))
 
     @cached_property
     def nearest_first(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids ordered by (distance_m, id)."""
-        return self._order(lambda a: (a.distance_m, a.agent_id))
+        return self._per_feature(self.nearest)
 
     @cached_property
     def quietest_first(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids ordered by (noise_var, id)."""
-        return self._order(lambda a: (a.noise_var, a.agent_id))
+        return self._per_feature(self.quietest)
+
+    @cached_property
+    def all_scalar(self) -> bool:
+        """Every sensor is a scalar selector: sensor i is row i of ``obs_rows``."""
+        return all(a.scalar for a in self.agents)
+
+    @cached_property
+    def obs_rows(self) -> Array:
+        """(n_agents, K): each sensor's first observation row, stacked by id."""
+        return np.vstack([a.obs_matrix[0] for a in self.agents])
+
+    @cached_property
+    def features(self) -> Array:
+        return np.array([a.feature for a in self.agents], dtype=np.intp)
+
+    @cached_property
+    def noise_vars(self) -> Array:
+        return np.array([a.noise_var for a in self.agents])
+
+    @cached_property
+    def noise_stds(self) -> Array:
+        return np.array([a.noise_std for a in self.agents])
+
+    def value_starts(self, ids) -> list[int]:
+        """Where each sensor's values start when the observations of ``ids`` are stacked."""
+        starts, at = [], 0
+        for i in ids:
+            starts.append(at)
+            at += self.agents[i].obs_matrix.shape[0]
+        return starts
 
 
 def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) -> SensorFleet:
@@ -195,8 +239,36 @@ def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int
 
 def _observe_general(agent: SensingAgent, state: Array, rng: np.random.Generator) -> Array:
     """``H s + chol(C_w) z`` for any sensor."""
-    noise = np.linalg.cholesky(agent.noise_cov) @ rng.standard_normal(agent.obs_matrix.shape[0])
-    return agent.obs_matrix @ state + noise
+    return _general_values(agent, state, rng.standard_normal(agent.obs_matrix.shape[0]))
+
+
+def _general_values(agent: SensingAgent, state: Array, z: Array) -> Array:
+    return agent.obs_matrix @ state + np.linalg.cholesky(agent.noise_cov) @ z
+
+
+def observe_many(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
+    """The observations of sensors ``ids``, in order, stacked into one array, from one draw.
+
+    A sensor contributes one value per observation row. ``rng.standard_normal(n)``
+    yields the numbers of n scalar draws, so the values and the generator
+    state afterwards equal those of calling ``observe`` for each sensor in
+    turn. In a fleet of scalar selectors that is ``s[k] + std * z`` per
+    sensor; in any other fleet each sensor takes its slice of the draw
+    through its Cholesky factor, which gives a scalar selector the same bits.
+    """
+    s = np.asarray(state, dtype=float)
+    if not np.isfinite(s).all():
+        raise InputError("state must be finite")
+    if fleet.all_scalar:
+        idx = np.array(ids, dtype=np.intp)
+        return s[fleet.features[idx]] + fleet.noise_stds[idx] * rng.standard_normal(len(idx))
+    agents = [fleet.agents[i] for i in ids]
+    z = rng.standard_normal(sum(a.obs_matrix.shape[0] for a in agents))
+    parts = [
+        _general_values(a, s, z[at:at + a.obs_matrix.shape[0]])
+        for a, at in zip(agents, fleet.value_starts(ids))
+    ]
+    return np.concatenate(parts) if parts else z
 
 
 def fleet_to_dict(fleet: SensorFleet) -> dict:

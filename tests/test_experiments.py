@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +311,12 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("channel: {rician_k: abc}", "channel.rician_k must be a number"),
         ("fleet: {max_distance_m: abc}", "fleet.max_distance_m must be a number"),
         ("fleet: {noise_var_ranges: [[1.0e-3]]}", "fleet.noise_var_ranges must be a list of [lo, hi] pairs"),
+        ("required_var: [.nan, 0.002]", "required_var must be finite"),  # ran with no position target
+        ("scripted_accuracy: [.inf, 1.0e+4]", "scripted_accuracy must be finite"),
+        ("process_noise_var: [.nan, 1.0e-6]", "process_noise_var must be finite"),
+        ("init_belief_var: -1.0", "init_belief_var must be finite and strictly positive"),
+        ("init_belief_var: .nan", "init_belief_var must be finite and strictly positive"),
+        ("cap: [1, 2", "is not valid YAML"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
@@ -317,3 +325,39 @@ def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
     argv = ["run", "--scheme", "AoL-REVERB", "--config", str(cfg_path), "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert_one_error_line(capsys, fragment)
+
+
+def test_cli_config_directory_returns_1(tmp_path, capsys):
+    argv = ["run", "--scheme", "Perfect", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, "Is a directory")
+
+
+def test_cli_weights_not_json_returns_1(tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text("not json\n")
+    argv = ["run", "--scheme", "Perfect", "--weights", str(weights), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, "is not valid JSON")
+
+
+def load_golden_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "golden_outputs.py"
+    spec = importlib.util.spec_from_file_location("golden_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_outputs_names_first_difference(tmp_path):
+    golden = load_golden_script()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "episode_0.csv").write_text("qi\n0\n")
+        (root / "summary.csv").write_text("a\n")
+    assert golden.first_difference(new, old) is None
+    (new / "summary.csv").write_text("b\n")
+    assert golden.first_difference(new, old) == "summary.csv: contents differ"
+    (old / "run" / "episode_0.csv").unlink()
+    assert golden.first_difference(new, old) == f"run/episode_0.csv: only in {new}"

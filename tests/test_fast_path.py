@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
+from scipy.optimize import brentq
 
 from reverb import channel as ch
 from reverb import cli
@@ -217,3 +218,198 @@ def test_link_memo_hit_equals_fresh_solve():
     a = fleet.agents[0]
     assert wide == ch.optimal_bandwidth(longer, a.tx_power_w, a.distance_m, agent_id=0)
     assert wide.bandwidth_hz > first[0].bandwidth_hz
+
+
+# --- one draw per round --------------------------------------------------------
+
+
+def two_row_agent(agent_id: int, v0: float, v1: float, dist: float = 5.0) -> sensing.SensingAgent:
+    c = 0.5 * np.sqrt(v0 * v1)
+    return sensing.SensingAgent(agent_id, np.eye(2), [[v0, c], [c, v1]], distance_m=dist, tx_power_w=0.02)
+
+
+def fleet_of(agents) -> sensing.SensorFleet:
+    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
+    return sensing.SensorFleet(agents=tuple(agents), feature_index=index)
+
+
+def per_link_transmit(selected, fleet, params, state, rng):
+    """The oracle: ``observe`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
+    observations = [sensing.observe(fleet.agents[i], state, rng) for i in selected]
+    outcomes = [ch.uplink_outcome(params, fleet.link_memo[params][i], rng) for i in selected]
+    values = np.concatenate([o.values for o in observations]) if observations else np.empty(0)
+    return values, [i for i, out in zip(selected, outcomes) if out.delivered]
+
+
+sensor_specs = st.lists(
+    st.tuples(
+        st.booleans(),                              # two-row sensor
+        st.sampled_from([0, 1]),
+        positive,
+        st.floats(min_value=0.5, max_value=20.0),   # every link feasible
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def build_fleet(specs):
+    return fleet_of([
+        two_row_agent(i, var, 2.0 * var, dist) if two else scalar_agent(i, k, var, dist)
+        for i, (two, k, var, dist) in enumerate(specs)
+    ])
+
+
+def coin_flip_budget(params, agent):
+    """A link that makes the deadline only when its fading power exceeds 1, about half the time."""
+    budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=agent.agent_id)
+
+    def slack(w):
+        sized = dataclasses.replace(budget, bandwidth_hz=w)
+        return ch.uplink_latency(params, sized, 1.0) - params.max_latency_s
+
+    return dataclasses.replace(budget, bandwidth_hz=brentq(slack, 1e-3 * budget.bandwidth_hz, budget.bandwidth_hz))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=sensor_specs, seed=seeds, data=st.data(), s0=unit, s1=unit)
+def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
+    fleet = build_fleet(specs)
+    selected = data.draw(st.permutations(range(len(fleet))))
+    selected = selected[: data.draw(st.integers(min_value=0, max_value=len(selected)))]
+    params, state = ch.ChannelParams(), np.array([s0, s1])
+    memo = fleet.link_memo.setdefault(params, {})
+    for a in fleet.agents:
+        if data.draw(st.booleans(), label=f"coin-flip link {a.agent_id}"):
+            memo[a.agent_id] = coin_flip_budget(params, a)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
+    want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
+    assert budgets == tuple(fleet.link_memo[params][i] for i in selected)
+    assert values.shape == want_values.shape
+    assert values.tobytes() == want_values.tobytes()
+    assert delivered == want_delivered
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_empty_selection_draws_nothing():
+    fleet = build_fleet([(False, 0, 1e-3, 5.0), (True, 0, 1e-3, 5.0)])
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), np.zeros(2), rng)
+    assert budgets == () and values.shape == (0,) and delivered == []
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("two_row", [False, True])
+def test_starved_link_is_not_delivered(two_row):
+    fleet = build_fleet([(False, 0, 1e-3, 5.0), (two_row, 1, 1e-3, 6.0), (False, 1, 2e-3, 7.0)])
+    params, state = ch.ChannelParams(), np.array([-0.5, 0.01])
+    memo = fleet.link_memo.setdefault(params, {})
+    budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
+    memo[1] = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
+    rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
+    _, values, delivered = sched.size_and_transmit([2, 1, 0], fleet, params, state, rng)
+    want_values, want_delivered = per_link_transmit([2, 1, 0], fleet, params, state, oracle_rng)
+    assert delivered == want_delivered == [2, 0]
+    assert values.tobytes() == want_values.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=sensor_specs, seed=seeds, data=st.data(), prior=spd_2x2())
+def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
+    fleet = build_fleet(specs)
+    selected = data.draw(st.permutations(range(len(fleet))))
+    selected = selected[: data.draw(st.integers(min_value=1, max_value=len(selected)))]
+    delivered = [i for i in selected if data.draw(st.booleans())]
+    belief = est.Belief(np.array([-0.5, 0.01]), prior)
+    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    post = sched.fuse_delivered(belief, selected, delivered, values, fleet)
+    if not delivered:
+        assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
+        return
+    starts = fleet.value_starts(selected)
+    agents = [fleet.agents[i] for i in delivered]
+    observations = []
+    for a in agents:
+        at = starts[selected.index(a.agent_id)]
+        observations.append(sensing.Observation(a.agent_id, values[at:at + a.obs_matrix.shape[0]]))
+    want = est.fuse(belief, est.FusionBatch.from_observations(agents, observations))
+    assert post.mean.tobytes() == want.mean.tobytes()
+    assert post.cov.tobytes() == want.cov.tobytes()
+
+
+spd_n = st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(unit, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(positive, min_size=n, max_size=n),
+        st.lists(st.lists(unit, min_size=2, max_size=2), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=spd_n)
+def test_innovation_solve_is_bit_equal_to_scipy(spec):
+    b, diag, rhs = (np.array(x) for x in spec)
+    s_mat = b @ b.T + np.diag(diag)
+    want = sla.cho_solve(sla.cho_factor(s_mat, lower=True), rhs)
+    assert est._innovation_solve(s_mat, rhs).tobytes() == want.tobytes()
+
+
+def test_innovation_solve_retries_with_jitter_then_fails():
+    rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    retried = sla.cho_solve(sla.cho_factor(1e-12 * np.eye(2), lower=True), rhs)
+    assert np.array_equal(est._innovation_solve(np.zeros((2, 2)), rhs), retried)
+    with pytest.raises(NumericalError, match="singular"):
+        est._innovation_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), rhs)
+
+
+@pytest.mark.parametrize("bad", ["s", "rhs"])
+def test_innovation_solve_rejects_non_finite(bad):
+    s_mat, rhs = np.eye(2), np.ones((2, 2))
+    (s_mat if bad == "s" else rhs)[0, 1] = np.nan
+    with pytest.raises(NumericalError, match="not finite"):
+        est._innovation_solve(s_mat, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
+def test_float_2x2_update_matches_scalar_and_joseph(prior, k, r):
+    fast = est.posterior_cov_2x2(prior.tolist(), k, r)
+    assert np.array(fast).tobytes() == est._scalar_update(prior, k, r).tobytes()
+    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
+    assert np.max(np.abs(np.array(fast) - oracle)) <= 1e-12
+
+
+def test_float_2x2_update_keeps_cross_check():
+    with pytest.raises(NumericalError, match="disagree"):
+        est.posterior_cov_2x2([[1.0, 0.0], [0.0, 1.0]], 0, -1.0 + 1e-9)
+
+
+def test_plan_selection_with_two_row_sensor_takes_general_update():
+    fleet = fleet_of([scalar_agent(0, 0, 4e-3), two_row_agent(1, 1e-3, 2e-3), scalar_agent(2, 1, 1e-3)])
+    targets = sched.UncertaintyTargets(np.array([1e-4, 1e-4]))
+    prior = np.diag([0.02, 0.01])
+    fast = sched.plan_selection(prior, targets, (), fleet, 3)
+    general = general_plan(prior, targets, (), fleet, 3)
+    assert fast[0] == general[0] == [1, 2, 0]
+    assert np.max(np.abs(fast[2] - general[2])) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from([0, 1]), st.sampled_from([1e-3, 2e-3]), st.sampled_from([2.0, 5.0, 9.0])),
+        min_size=1,
+        max_size=15,
+    ),
+    cap=st.integers(min_value=1, max_value=20),
+)
+def test_greedy_picks_equal_a_fresh_sort(specs, cap):
+    fleet = fleet_of([scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)])
+    by_distance = sorted(fleet.agents, key=lambda a: (a.distance_m, a.agent_id))
+    by_noise = sorted(fleet.agents, key=lambda a: (a.noise_var, a.agent_id))
+    assert schemes.select_nearest(None, None, None, fleet, cap) == ([a.agent_id for a in by_distance[:cap]], [])
+    assert schemes.select_quietest(None, None, None, fleet, cap) == ([a.agent_id for a in by_noise[:cap]], [])
