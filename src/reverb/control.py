@@ -13,6 +13,7 @@ scheduling pipeline can be exercised without a trained policy.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -152,20 +153,32 @@ class PolicyAgent:
 
     @classmethod
     def from_dict(cls, data: dict, cfg: ControlConfig | None = None) -> "PolicyAgent":
+        if not isinstance(data, dict):
+            raise InputError(f"weights must be a JSON object, got {type(data).__name__}")
         if data.get("version") != 1:
             raise InputError(f"unsupported weights version {data.get('version')!r}")
-        import dataclasses
 
-        cfg = dataclasses.replace(cfg or ControlConfig(), eta_max=float(data["eta_max"]))
+        def read(key: str, convert):
+            if key not in data:
+                raise InputError(f"weights: missing key {key!r}")
+            try:
+                return convert(data[key])
+            except (TypeError, ValueError, KeyError, AttributeError) as exc:
+                raise InputError(f"weights: ill-typed {key!r} ({type(exc).__name__}: {exc})") from None
+
+        def floats(value) -> Array:
+            return np.array(value, dtype=float)
+
+        cfg = dataclasses.replace(cfg or ControlConfig(), eta_max=read("eta_max", float))
         agent = cls.__new__(cls)
         agent.cfg = cfg
-        agent.state_dim = int(data["state_dim"])
-        agent.n_features = int(data["n_features"])
+        agent.state_dim = read("state_dim", int)
+        agent.n_features = read("n_features", int)
         agent.action_dim = 1 + agent.n_features
-        agent.actor = MLP.from_lists(data["actor"])
-        agent.critic = MLP.from_lists(data["critic"])
-        agent.log_std = np.array(data["log_std"], dtype=float)
-        agent.scale = np.array(data["input_scale"], dtype=float)
+        agent.actor = read("actor", MLP.from_lists)
+        agent.critic = read("critic", MLP.from_lists)
+        agent.log_std = read("log_std", floats)
+        agent.scale = read("input_scale", floats)
         return agent
 
 

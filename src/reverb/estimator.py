@@ -1,20 +1,18 @@
 """Extended Kalman filter over the twin's Gaussian belief.
 
 Prediction propagates the covariance through the dynamics Jacobian; fusion
-stacks any number of sensor observations into one batch update. The posterior
-covariance is computed in Joseph form for robustness and cross-checked against
-the textbook (I - KH) P expression.
+stacks the observations of any number of sensors, one selector row and one
+noise variance each, into one batch update. The posterior covariance is
+computed in Joseph form for robustness and cross-checked against the
+textbook (I - KH) P expression.
 
-Scalar fast path: when a sensor is a selector row ``e_k`` with 1x1 noise r,
-``posterior_cov`` is the rank-1 update S = P_kk + r, K = P[:, k] / S, still in
-Joseph form with the same cross-check (sequential scalar processing, Bierman
-1977); it may differ from the general Cholesky-solved path in the last ulp.
-``posterior_cov_2x2`` is the same update unrolled on a nested-float 2x2
-covariance, for the planner. A batch of scalar sensors gets its noise
-covariance from ``np.diag`` rather than ``block_diag``; ``fuse`` itself always
-runs the general batch update, whose innovation system is solved by the LAPACK
-routines scipy's ``cho_factor``/``cho_solve`` call (potrf, potrs), called
-directly with the same arguments. Covariance checks use closed-form
+``fuse`` runs the general batch update, whose innovation system is solved by
+the LAPACK routines scipy's ``cho_factor``/``cho_solve`` call (potrf, potrs),
+called directly with the same arguments. The planner adds one sensor at a
+time with ``posterior_cov``, the rank-1 Joseph update S = P_kk + r,
+K = P[:, k] / S (sequential processing, Bierman 1977) on a 2x2 covariance
+held as nested floats, with the same cross-check; it may differ from
+``_joseph_update`` in the last ulp. Covariance checks use closed-form
 eigenvalues on 2x2 matrices and run once per new belief, when it is
 constructed.
 """
@@ -26,12 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
-from .sensing import Observation, SensingAgent, selector_feature
+from .sensing import Observation, SensingAgent
 
 Array = np.ndarray
 
@@ -60,11 +57,11 @@ class Belief:
 
 @dataclass(frozen=True)
 class FusionBatch:
-    """Stacked observations of several sensors: H rows, block-diagonal noise."""
+    """Stacked observations of several sensors: selector rows, diagonal noise."""
 
-    obs_matrix: Array   # (sum(D), K)
-    noise_cov: Array    # (sum(D), sum(D))
-    values: Array       # (sum(D),)
+    obs_matrix: Array   # (n, K)
+    noise_cov: Array    # (n, n)
+    values: Array       # (n,)
 
     @classmethod
     def from_observations(
@@ -73,10 +70,7 @@ class FusionBatch:
         if len(agents) != len(observations) or not agents:
             raise InputError("need one observation per agent, at least one of each")
         h = np.vstack([a.obs_matrix for a in agents])
-        if all(a.scalar for a in agents):
-            c = np.diag([a.noise_var for a in agents])
-        else:
-            c = sla.block_diag(*[a.noise_cov for a in agents])
+        c = np.diag([a.noise_var for a in agents])
         o = np.concatenate([np.atleast_1d(ob.values) for ob in observations])
         return cls(obs_matrix=h, noise_cov=c, values=o)
 
@@ -144,49 +138,23 @@ def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
     return gain, cov
 
 
-def _scalar_innovation(p_kk: float, r: float) -> float:
-    for jitter in (0.0, 1e-12):
-        s = p_kk + r + jitter
-        if s > 0.0:
-            return s
-    raise NumericalError("innovation covariance is singular")
+def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
+    """Joseph-form posterior of a 2x2 prior fused with one sensor, cross-checked against (I-KH)P.
 
-
-def _scalar_update(prior_cov: Array, k: int, r: float) -> Array:
-    """Joseph-form posterior of one selector row e_k with noise variance r, cross-checked.
-
-    Plain float arithmetic, one numpy call at the end: on a 2x2 prior the
-    per-call overhead of numpy would dominate.
-    """
-    p = prior_cov.tolist()
-    s = _scalar_innovation(p[k][k], r)
-    gain = [row[k] / s for row in p]
-    # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
-    ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
-    joseph = [
-        [aij - row[k] * gj + r * (gi * gj) for aij, gj in zip(row, gain)]
-        for gi, row in zip(gain, ikh_p)
-    ]
-    n = len(p)
-    cov = [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]  # symmetrize
-    if any(
-        not abs(cij - aij) <= JOSEPH_TOL
-        for crow, arow in zip(cov, ikh_p)
-        for cij, aij in zip(crow, arow)
-    ):
-        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return np.array(cov)
-
-
-def posterior_cov_2x2(p: list[list[float]], k: int, r: float) -> list[list[float]]:
-    """``_scalar_update`` unrolled for a 2x2 prior held as nested floats.
-
-    The same operations in the same order, so the same bits, and the same
-    cross-check; the planner keeps its covariance in this form across picks.
+    The sensor observes feature ``k`` with noise variance ``r``. ``p`` and the
+    result are nested floats: on a 2x2 prior the per-call overhead of numpy
+    would dominate, and the planner keeps its covariance in this form across
+    picks.
     """
     (p00, p01), (p10, p11) = p
-    s = _scalar_innovation(p[k][k], r)
+    for jitter in (0.0, 1e-12):
+        s = p[k][k] + r + jitter
+        if s > 0.0:
+            break
+    else:
+        raise NumericalError("innovation covariance is singular")
     g0, g1 = p[0][k] / s, p[1][k] / s
+    # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
     pk0, pk1 = p[k]
     a00, a01 = p00 - g0 * pk0, p01 - g0 * pk1
     a10, a11 = p10 - g1 * pk0, p11 - g1 * pk1
@@ -204,21 +172,6 @@ def posterior_cov_2x2(p: list[list[float]], k: int, r: float) -> list[list[float
     ):
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
     return [[c00, c01], [c10, c11]]
-
-
-def posterior_cov(prior_cov: Array, obs_matrix: Array, noise_cov: Array) -> Array:
-    """Posterior covariance of fusing observations with the given prior (Joseph form).
-
-    A selector row with 1x1 noise takes the rank-1 update; anything else the
-    general ``_joseph_update``.
-    """
-    h = np.atleast_2d(obs_matrix)
-    r = np.atleast_2d(noise_cov)
-    k = selector_feature(h)
-    if k is not None and r.shape == (1, 1):
-        return _scalar_update(prior_cov, k, r.item())
-    _, cov = _joseph_update(prior_cov, h, r)
-    return cov
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:

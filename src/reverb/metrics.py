@@ -25,7 +25,7 @@ class MetricsSummary:
     selected_cdf: dict = field(default_factory=dict)   # |Q_t| -> P[X <= x]
 
     def to_row(self) -> dict:
-        """Flat scalar view for the summary CSV."""
+        """One flat row of plain values for the summary CSV."""
         return {
             "scheme": self.scheme,
             "episodes": self.episodes,

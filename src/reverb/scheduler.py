@@ -15,8 +15,8 @@ those close the loop for their features. A link budget is solved once per
 fleet, the first time its sensor is selected. A round makes one draw for all
 observation noise and one for all fades, the same numbers per-sensor
 ``observe`` and per-link ``uplink_outcome`` calls would draw, and fuses a
-batch gathered from the fleet's stacked rows; the planner keeps its 2x2
-covariance as nested floats across picks.
+batch gathered from the fleet's stacked selector rows and noise variances;
+the planner keeps its 2x2 covariance as nested floats across picks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
 from .errors import ConfigError, InputError
-from .sensing import Observation, SensorFleet, observe_many
+from .sensing import SensorFleet, observe_many
 
 Array = np.ndarray
 
@@ -132,10 +132,7 @@ def plan_selection(
         agent = fleet.agents[agent_id]
         selected.append(agent_id)
         available.discard(agent_id)
-        if agent.scalar and len(cov) == 2:
-            cov = est.posterior_cov_2x2(cov, agent.feature, agent.noise_var)
-        else:
-            cov = est.posterior_cov(np.array(cov), agent.obs_matrix, agent.noise_cov).tolist()
+        cov = est.posterior_cov(cov, agent.feature, agent.noise_var)
 
     for k in sorted(violated):
         if len(selected) >= cap:
@@ -166,17 +163,17 @@ def size_and_transmit(
 ) -> tuple[tuple[ch.LinkBudget, ...], Array, list[int]]:
     """Size every selected link, draw observations, realize the uplinks.
 
-    Returns (budgets, values, delivered agent ids); ``values`` stacks the
-    selected sensors' observations in selection order, one value per scalar
-    selector. All observation noise comes from one draw, then all fades from
-    one draw of two normals per link (real, imaginary part): the numbers, in
-    the order, that ``sensing.observe`` per sensor and then
-    ``channel.uplink_outcome`` per link draw, and each deadline test is
-    ``uplink_outcome``'s own float expression, so values, deliveries and the
-    generator state afterwards equal theirs bit for bit. A link budget
-    depends only on the channel and the sensor, so it is solved the first
-    time the sensor is selected and kept in the fleet's memo; a sensor that
-    is never selected is never sized, even when its link is infeasible.
+    Returns (budgets, values, delivered agent ids); ``values`` holds the
+    selected sensors' observations in selection order. All observation noise
+    comes from one draw, then all fades from one draw of two normals per link
+    (real, imaginary part): the numbers, in the order, that
+    ``sensing.observe`` per sensor and then ``channel.uplink_outcome`` per
+    link draw, and each deadline test is ``uplink_outcome``'s own float
+    expression, so values, deliveries and the generator state afterwards
+    equal theirs bit for bit. A link budget depends only on the channel and
+    the sensor, so it is solved the first time the sensor is selected and kept
+    in the fleet's memo; a sensor that is never selected is never sized, even
+    when its link is infeasible.
     """
     memo = fleet.link_memo.setdefault(params, {})
     for i in selected:
@@ -204,26 +201,16 @@ def fuse_delivered(
 ) -> est.Belief:
     """Kalman-update the prior with the observations that actually arrived.
 
-    For a fleet of scalar selectors the batch is gathered by delivered id
-    from the fleet's stacked rows and noise variances; any other fleet builds
-    it with ``FusionBatch.from_observations``.
+    The batch is gathered by delivered id from the fleet's stacked selector
+    rows and noise variances.
     """
     if not delivered:
         return prior.copy()
-    if fleet.all_scalar:
-        batch = est.FusionBatch(
-            obs_matrix=fleet.obs_rows[delivered],
-            noise_cov=np.diag(fleet.noise_vars[delivered]),
-            values=values[[selected.index(i) for i in delivered]],
-        )
-    else:
-        starts = fleet.value_starts(selected)
-        agents = [fleet.agents[i] for i in delivered]
-        observations = []
-        for a in agents:
-            at = starts[selected.index(a.agent_id)]
-            observations.append(Observation(a.agent_id, values[at:at + a.obs_matrix.shape[0]]))
-        batch = est.FusionBatch.from_observations(agents, observations)
+    batch = est.FusionBatch(
+        obs_matrix=fleet.obs_rows[delivered],
+        noise_cov=np.diag(fleet.noise_vars[delivered]),
+        values=values[[selected.index(i) for i in delivered]],
+    )
     return est.fuse(prior, batch)
 
 

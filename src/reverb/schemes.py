@@ -77,11 +77,10 @@ def fuse_memoryless(prior, selected, delivered, values, fleet):
     """
     mean = prior.mean.copy()
     cov = prior.cov.copy()
-    starts = fleet.value_starts(selected)
     for agent_id in delivered:
         agent = fleet.agents[agent_id]
         k = agent.feature
-        mean[k] = values[starts[selected.index(agent_id)]]
+        mean[k] = values[selected.index(agent_id)]
         cov[k, :] = 0.0
         cov[:, k] = 0.0
         cov[k, k] = agent.noise_var

@@ -1,16 +1,14 @@
-"""Sensing agents: placement, observation matrices, and noisy measurements.
+"""Sensing agents: placement, observation rows, and noisy measurements.
 
-Every generated sensor is a scalar selector: its observation matrix is one
-row picking a single state feature and its noise covariance is 1x1. Such an
-agent carries its feature, noise variance and noise standard deviation as
-constants computed once, and ``observe`` draws ``s[k] + std * z`` for it; the
-general ``H s + chol(C) z`` draw stays for any other sensor and as the
-oracle of the scalar one. ``observe_many`` observes a whole selection from
-one noise draw, the same numbers ``observe`` per sensor would draw. A fleet
-caches its sensors' stacked observation rows and noise variances for
-fusion, global and per-feature candidate orders for the schedulers, and a
-memo of link budgets, filled lazily by the scheduler the first time a sensor
-is selected.
+A sensor sees one state feature and adds its own measurement error: its
+observation matrix is the selector row e_k, its noise covariance the 1x1
+variance r, and it measures ``s[k] + sqrt(r) z``. An agent carries k, r and
+sqrt(r) as constants computed once. ``observe_many`` observes a whole
+selection from one noise draw, the same numbers ``observe`` per sensor would
+draw. A fleet caches its sensors' stacked observation rows and noise
+variances for fusion, global and per-feature candidate orders for the
+schedulers, and a memo of link budgets, filled lazily by the scheduler the
+first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -33,25 +31,23 @@ class SensingAgent:
     """One wireless sensor: what it measures, how noisily, and where it sits."""
 
     agent_id: int
-    obs_matrix: Array        # (D, K) row selector(s) into the state
-    noise_cov: Array         # (D, D) symmetric positive definite
+    obs_matrix: Array        # (1, K) selector row e_k into the state
+    noise_cov: Array         # (1, 1) measurement variance r
     distance_m: float
     tx_power_w: float
     # Constants derived from the matrices once, in __post_init__.
-    feature: int = field(init=False, repr=False, compare=False)      # argmax of the first H row
-    noise_var: float = field(init=False, repr=False, compare=False)  # C_w[0, 0]
-    noise_std: float = field(init=False, repr=False, compare=False)  # sqrt(noise_var)
-    scalar: bool = field(init=False, repr=False, compare=False)      # one selector row, 1x1 noise
+    feature: int = field(init=False, repr=False, compare=False)      # k
+    noise_var: float = field(init=False, repr=False, compare=False)  # r
+    noise_std: float = field(init=False, repr=False, compare=False)  # sqrt(r)
 
     def __post_init__(self) -> None:
         h = np.atleast_2d(np.asarray(self.obs_matrix, dtype=float))
         c = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        if h.shape[0] > h.shape[1]:
-            raise ConfigError("observation dimension may not exceed the state dimension")
-        if c.shape != (h.shape[0], h.shape[0]) or not np.allclose(c, c.T, atol=1e-12):
-            raise ConfigError("noise covariance must be symmetric and match the observation dim")
-        if np.linalg.eigvalsh(c).min() <= 0.0:
-            raise ConfigError("noise covariance must be positive definite")
+        row = h[0].tolist() if h.shape[0] == 1 else []
+        if row.count(1.0) != 1 or row.count(0.0) != len(row) - 1:
+            raise ConfigError("observation matrix must be one selector row e_k")
+        if c.shape != (1, 1) or not (math.isfinite(c[0, 0]) and c[0, 0] > 0.0):
+            raise ConfigError("noise covariance must be one finite, strictly positive variance")
         if not (self.distance_m > 0.0):
             raise ConfigError("distance must be strictly positive")
         if not (self.tx_power_w > 0.0):
@@ -59,20 +55,9 @@ class SensingAgent:
         noise_var = float(c[0, 0])
         object.__setattr__(self, "obs_matrix", h)
         object.__setattr__(self, "noise_cov", c)
-        object.__setattr__(self, "feature", int(np.argmax(h[0])))
+        object.__setattr__(self, "feature", row.index(1.0))
         object.__setattr__(self, "noise_var", noise_var)
         object.__setattr__(self, "noise_std", math.sqrt(noise_var))
-        object.__setattr__(self, "scalar", selector_feature(h) is not None)
-
-
-def selector_feature(obs_matrix: Array) -> int | None:
-    """``k`` when ``obs_matrix`` is the single row e_k, else None."""
-    if obs_matrix.shape[0] != 1:
-        return None
-    row = obs_matrix[0].tolist()
-    if row.count(1.0) == 1 and row.count(0.0) == len(row) - 1:
-        return row.index(1.0)
-    return None
 
 
 @dataclass(frozen=True)
@@ -106,8 +91,10 @@ class FleetConfig:
         if self.max_distance_m <= 0.0:
             raise ConfigError("max distance must be positive")
         for lo, hi in self.noise_var_ranges:
-            if not (0.0 < lo <= hi):
-                raise ConfigError("noise variance range must satisfy 0 < lo <= hi")
+            if not (0.0 < lo <= hi < math.inf):
+                raise ConfigError(
+                    f"noise_var_ranges must be finite with 0 < lo <= hi, got [{lo}, {hi}]"
+                )
 
 
 @dataclass(frozen=True)
@@ -154,14 +141,9 @@ class SensorFleet:
         return self._per_feature(self.quietest)
 
     @cached_property
-    def all_scalar(self) -> bool:
-        """Every sensor is a scalar selector: sensor i is row i of ``obs_rows``."""
-        return all(a.scalar for a in self.agents)
-
-    @cached_property
     def obs_rows(self) -> Array:
-        """(n_agents, K): each sensor's first observation row, stacked by id."""
-        return np.vstack([a.obs_matrix[0] for a in self.agents])
+        """(n_agents, K): each sensor's selector row, stacked by id."""
+        return np.vstack([a.obs_matrix for a in self.agents])
 
     @cached_property
     def features(self) -> Array:
@@ -175,20 +157,12 @@ class SensorFleet:
     def noise_stds(self) -> Array:
         return np.array([a.noise_std for a in self.agents])
 
-    def value_starts(self, ids) -> list[int]:
-        """Where each sensor's values start when the observations of ``ids`` are stacked."""
-        starts, at = [], 0
-        for i in ids:
-            starts.append(at)
-            at += self.agents[i].obs_matrix.shape[0]
-        return starts
-
 
 def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) -> SensorFleet:
     """Place ``n_agents`` single-feature sensors, features assigned round-robin.
 
-    Distances are i.i.d. uniform on (0, max_distance]; each sensor's scalar
-    noise variance is uniform in its feature's configured range.
+    Distances are i.i.d. uniform on (0, max_distance]; each sensor's noise
+    variance is uniform in its feature's configured range.
     """
     n_features = len(config.noise_var_ranges)
     if n_features != dim:
@@ -222,82 +196,23 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) 
 
 
 def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int = 0) -> Observation:
-    """Measure ``H s + w`` with ``w ~ N(0, C_w)``.
-
-    A scalar selector draws ``s[k] + sqrt(r) z``, the same value and the same
-    draw as ``_observe_general``.
-    """
+    """Measure ``s[k] + sqrt(r) z`` with one standard normal draw ``z``."""
     s = np.asarray(state, dtype=float)
     if not np.isfinite(s).all():
         raise InputError("state must be finite")
-    if agent.scalar:
-        values = np.array([s[agent.feature] + agent.noise_std * rng.standard_normal()])
-    else:
-        values = _observe_general(agent, s, rng)
+    values = np.array([s[agent.feature] + agent.noise_std * rng.standard_normal()])
     return Observation(agent_id=agent.agent_id, values=values, qi=qi)
 
 
-def _observe_general(agent: SensingAgent, state: Array, rng: np.random.Generator) -> Array:
-    """``H s + chol(C_w) z`` for any sensor."""
-    return _general_values(agent, state, rng.standard_normal(agent.obs_matrix.shape[0]))
-
-
-def _general_values(agent: SensingAgent, state: Array, z: Array) -> Array:
-    return agent.obs_matrix @ state + np.linalg.cholesky(agent.noise_cov) @ z
-
-
 def observe_many(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
-    """The observations of sensors ``ids``, in order, stacked into one array, from one draw.
+    """The observations of sensors ``ids``, in order, from one draw of ``len(ids)`` normals.
 
-    A sensor contributes one value per observation row. ``rng.standard_normal(n)``
-    yields the numbers of n scalar draws, so the values and the generator
-    state afterwards equal those of calling ``observe`` for each sensor in
-    turn. In a fleet of scalar selectors that is ``s[k] + std * z`` per
-    sensor; in any other fleet each sensor takes its slice of the draw
-    through its Cholesky factor, which gives a scalar selector the same bits.
+    ``rng.standard_normal(n)`` yields the numbers of n single draws, so the
+    values and the generator state afterwards equal those of calling
+    ``observe`` for each sensor in turn.
     """
     s = np.asarray(state, dtype=float)
     if not np.isfinite(s).all():
         raise InputError("state must be finite")
-    if fleet.all_scalar:
-        idx = np.array(ids, dtype=np.intp)
-        return s[fleet.features[idx]] + fleet.noise_stds[idx] * rng.standard_normal(len(idx))
-    agents = [fleet.agents[i] for i in ids]
-    z = rng.standard_normal(sum(a.obs_matrix.shape[0] for a in agents))
-    parts = [
-        _general_values(a, s, z[at:at + a.obs_matrix.shape[0]])
-        for a, at in zip(agents, fleet.value_starts(ids))
-    ]
-    return np.concatenate(parts) if parts else z
-
-
-def fleet_to_dict(fleet: SensorFleet) -> dict:
-    """Snapshot a fleet for the run's config record (lossless floats)."""
-    return {
-        "agents": [
-            {
-                "agent_id": a.agent_id,
-                "obs_matrix": a.obs_matrix.tolist(),
-                "noise_cov": a.noise_cov.tolist(),
-                "distance_m": a.distance_m,
-                "tx_power_w": a.tx_power_w,
-            }
-            for a in fleet.agents
-        ]
-    }
-
-
-def fleet_from_dict(data: dict) -> SensorFleet:
-    agents = tuple(
-        SensingAgent(
-            agent_id=int(d["agent_id"]),
-            obs_matrix=np.array(d["obs_matrix"], dtype=float),
-            noise_cov=np.array(d["noise_cov"], dtype=float),
-            distance_m=float(d["distance_m"]),
-            tx_power_w=float(d["tx_power_w"]),
-        )
-        for d in data["agents"]
-    )
-    dim = agents[0].obs_matrix.shape[1] if agents else 0
-    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in range(dim)}
-    return SensorFleet(agents=agents, feature_index=index)
+    idx = np.array(ids, dtype=np.intp)
+    return s[fleet.features[idx]] + fleet.noise_stds[idx] * rng.standard_normal(len(idx))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reverb import cli
+from reverb import cli, control
 from reverb.config import RunConfig, config_from_dict, config_to_dict, load_config
 from reverb.errors import ConfigError, InputError
 from reverb.metrics import compute_metrics
@@ -311,6 +311,8 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("channel: {rician_k: abc}", "channel.rician_k must be a number"),
         ("fleet: {max_distance_m: abc}", "fleet.max_distance_m must be a number"),
         ("fleet: {noise_var_ranges: [[1.0e-3]]}", "fleet.noise_var_ranges must be a list of [lo, hi] pairs"),
+        ("fleet: {noise_var_ranges: [[1.0e-3, .inf], [2.0e-4, 4.0e-3]]}", "noise_var_ranges must be finite"),
+        ("fleet: {noise_var_ranges: [[.nan, 1.0e-3], [2.0e-4, 4.0e-3]]}", "noise_var_ranges must be finite"),
         ("required_var: [.nan, 0.002]", "required_var must be finite"),  # ran with no position target
         ("scripted_accuracy: [.inf, 1.0e+4]", "scripted_accuracy must be finite"),
         ("process_noise_var: [.nan, 1.0e-6]", "process_noise_var must be finite"),
@@ -339,6 +341,26 @@ def test_cli_weights_not_json_returns_1(tmp_path, capsys):
     argv = ["run", "--scheme", "Perfect", "--weights", str(weights), "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert_one_error_line(capsys, "is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda w: {"version": 1}, "missing key 'eta_max'"),
+        (lambda w: [1, 2, 3], "weights must be a JSON object, got list"),
+        (lambda w: {k: v for k, v in w.items() if k != "actor"}, "missing key 'actor'"),
+        (lambda w: {**w, "eta_max": "abc"}, "ill-typed 'eta_max'"),
+        (lambda w: {**w, "actor": []}, "ill-typed 'actor'"),
+        (lambda w: {**w, "log_std": [[1.0], [2.0, 3.0]]}, "ill-typed 'log_std'"),
+    ],
+)
+def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):
+    weights = control.PolicyAgent(2, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict()
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(edit(weights)))
+    argv = ["run", "--scheme", "Perfect", "--weights", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, fragment)
 
 
 def load_golden_script():

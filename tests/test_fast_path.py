@@ -1,4 +1,9 @@
-"""Scalar-sensor fast path and lazy link memo, each checked against the general path."""
+"""The round's array-at-a-time stages and lazy link memo, each checked against its oracle.
+
+The oracles are the per-sensor and per-link functions (``sensing.observe``,
+``channel.uplink_outcome``, ``FusionBatch.from_observations`` + ``fuse``) and
+the general Joseph update ``estimator._joseph_update``.
+"""
 
 import dataclasses
 import re
@@ -44,41 +49,50 @@ def scalar_agent(agent_id: int, k: int, var: float, dist: float = 5.0) -> sensin
 @settings(max_examples=300, deadline=None)
 @given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
 def test_scalar_posterior_matches_joseph(prior, k, r):
-    h, noise = selector(k), np.array([[r]])
-    fast = est.posterior_cov(prior, h, noise)
-    _, oracle = est._joseph_update(prior, h, noise)
-    assert np.array_equal(fast, est._scalar_update(prior, k, r))  # the fast path was taken
+    fast = np.array(est.posterior_cov(prior.tolist(), k, r))
+    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
     assert np.max(np.abs(fast - oracle)) <= 1e-12
     assert np.array_equal(fast, fast.T)
 
 
-def test_non_selector_row_takes_joseph_path():
-    prior = np.array([[0.02, 0.003], [0.003, 0.01]])
-    h, noise = np.array([[0.6, 0.8]]), np.array([[1e-3]])
-    assert np.array_equal(est.posterior_cov(prior, h, noise), est._joseph_update(prior, h, noise)[1])
+def rank1_joseph(p, k, r):
+    """The rank-1 Joseph update of a nested-float prior of any size, written as loops."""
+    s = p[k][k] + r
+    gain = [row[k] / s for row in p]
+    ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
+    joseph = [
+        [aij - row[k] * gj + r * (gi * gj) for aij, gj in zip(row, gain)]
+        for gi, row in zip(gain, ikh_p)
+    ]
+    n = len(p)
+    return [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
+def test_float_2x2_update_matches_scalar_and_joseph(prior, k, r):
+    fast = est.posterior_cov(prior.tolist(), k, r)
+    assert np.array(fast).tobytes() == np.array(rank1_joseph(prior.tolist(), k, r)).tobytes()
+    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
+    assert np.max(np.abs(np.array(fast) - oracle)) <= 1e-12
+
+
+def test_float_2x2_update_keeps_cross_check():
+    with pytest.raises(NumericalError, match="disagree"):
+        est.posterior_cov([[1.0, 0.0], [0.0, 1.0]], 0, -1.0 + 1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds, k=st.sampled_from([0, 1]), var=positive, s0=unit, s1=unit)
 def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
     agent = scalar_agent(0, k, var)
-    assert agent.scalar
     state = np.array([s0, s1])
     fast_rng, general_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     fast = sensing.observe(agent, state, fast_rng).values
-    general = sensing._observe_general(agent, state, general_rng)
+    general = state[k] + np.linalg.cholesky(np.array([[var]])) @ general_rng.standard_normal(1)
     assert fast.shape == general.shape == (1,)
     assert fast.tobytes() == general.tobytes()
     assert fast_rng.bit_generator.state == general_rng.bit_generator.state
-
-
-def test_general_observe_for_two_row_sensor():
-    agent = sensing.SensingAgent(0, np.eye(2), np.diag([1e-4, 4e-4]), distance_m=5.0, tx_power_w=0.02)
-    assert not agent.scalar
-    state = np.array([0.3, -0.01])
-    obs = sensing.observe(agent, state, np.random.default_rng(3))
-    want = sensing._observe_general(agent, state, np.random.default_rng(3))
-    assert np.array_equal(obs.values, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,16 +102,6 @@ def test_diag_batch_equals_block_diag(specs):
     obs = [sensing.Observation(a.agent_id, [0.1]) for a in agents]
     batch = est.FusionBatch.from_observations(agents, obs)
     assert np.array_equal(batch.noise_cov, sla.block_diag(*[a.noise_cov for a in agents]))
-
-
-def test_mixed_batch_takes_block_diag():
-    agents = [
-        scalar_agent(0, 0, 1e-3),
-        sensing.SensingAgent(1, np.eye(2), [[2e-3, 1e-4], [1e-4, 3e-3]], distance_m=5.0, tx_power_w=0.02),
-    ]
-    obs = [sensing.Observation(0, [0.1]), sensing.Observation(1, [0.1, 0.0])]
-    batch = est.FusionBatch.from_observations(agents, obs)
-    assert np.array_equal(batch.noise_cov, sla.block_diag(agents[0].noise_cov, agents[1].noise_cov))
 
 
 def general_plan(prior_cov, targets, violated, fleet, cap):
@@ -223,11 +227,6 @@ def test_link_memo_hit_equals_fresh_solve():
 # --- one draw per round --------------------------------------------------------
 
 
-def two_row_agent(agent_id: int, v0: float, v1: float, dist: float = 5.0) -> sensing.SensingAgent:
-    c = 0.5 * np.sqrt(v0 * v1)
-    return sensing.SensingAgent(agent_id, np.eye(2), [[v0, c], [c, v1]], distance_m=dist, tx_power_w=0.02)
-
-
 def fleet_of(agents) -> sensing.SensorFleet:
     index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
     return sensing.SensorFleet(agents=tuple(agents), feature_index=index)
@@ -243,7 +242,6 @@ def per_link_transmit(selected, fleet, params, state, rng):
 
 sensor_specs = st.lists(
     st.tuples(
-        st.booleans(),                              # two-row sensor
         st.sampled_from([0, 1]),
         positive,
         st.floats(min_value=0.5, max_value=20.0),   # every link feasible
@@ -254,10 +252,7 @@ sensor_specs = st.lists(
 
 
 def build_fleet(specs):
-    return fleet_of([
-        two_row_agent(i, var, 2.0 * var, dist) if two else scalar_agent(i, k, var, dist)
-        for i, (two, k, var, dist) in enumerate(specs)
-    ])
+    return fleet_of([scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)])
 
 
 def coin_flip_budget(params, agent):
@@ -293,7 +288,7 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
 
 
 def test_empty_selection_draws_nothing():
-    fleet = build_fleet([(False, 0, 1e-3, 5.0), (True, 0, 1e-3, 5.0)])
+    fleet = build_fleet([(0, 1e-3, 5.0), (1, 2e-3, 5.0)])
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), np.zeros(2), rng)
@@ -301,16 +296,17 @@ def test_empty_selection_draws_nothing():
     assert rng.bit_generator.state == before
 
 
-@pytest.mark.parametrize("two_row", [False, True])
-def test_starved_link_is_not_delivered(two_row):
-    fleet = build_fleet([(False, 0, 1e-3, 5.0), (two_row, 1, 1e-3, 6.0), (False, 1, 2e-3, 7.0)])
+@pytest.mark.parametrize("starved_first", [False, True])
+def test_starved_link_is_not_delivered(starved_first):
+    fleet = build_fleet([(0, 1e-3, 5.0), (1, 1e-3, 6.0), (1, 2e-3, 7.0)])
+    selected = [1, 2, 0] if starved_first else [2, 1, 0]
     params, state = ch.ChannelParams(), np.array([-0.5, 0.01])
     memo = fleet.link_memo.setdefault(params, {})
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
     memo[1] = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
-    _, values, delivered = sched.size_and_transmit([2, 1, 0], fleet, params, state, rng)
-    want_values, want_delivered = per_link_transmit([2, 1, 0], fleet, params, state, oracle_rng)
+    _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
+    want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
     assert delivered == want_delivered == [2, 0]
     assert values.tobytes() == want_values.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -329,12 +325,8 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     if not delivered:
         assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
         return
-    starts = fleet.value_starts(selected)
     agents = [fleet.agents[i] for i in delivered]
-    observations = []
-    for a in agents:
-        at = starts[selected.index(a.agent_id)]
-        observations.append(sensing.Observation(a.agent_id, values[at:at + a.obs_matrix.shape[0]]))
+    observations = [sensing.Observation(i, values[selected.index(i)]) for i in delivered]
     want = est.fuse(belief, est.FusionBatch.from_observations(agents, observations))
     assert post.mean.tobytes() == want.mean.tobytes()
     assert post.cov.tobytes() == want.cov.tobytes()
@@ -374,30 +366,6 @@ def test_innovation_solve_rejects_non_finite(bad):
         est._innovation_solve(s_mat, rhs)
 
 
-@settings(max_examples=300, deadline=None)
-@given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
-def test_float_2x2_update_matches_scalar_and_joseph(prior, k, r):
-    fast = est.posterior_cov_2x2(prior.tolist(), k, r)
-    assert np.array(fast).tobytes() == est._scalar_update(prior, k, r).tobytes()
-    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
-    assert np.max(np.abs(np.array(fast) - oracle)) <= 1e-12
-
-
-def test_float_2x2_update_keeps_cross_check():
-    with pytest.raises(NumericalError, match="disagree"):
-        est.posterior_cov_2x2([[1.0, 0.0], [0.0, 1.0]], 0, -1.0 + 1e-9)
-
-
-def test_plan_selection_with_two_row_sensor_takes_general_update():
-    fleet = fleet_of([scalar_agent(0, 0, 4e-3), two_row_agent(1, 1e-3, 2e-3), scalar_agent(2, 1, 1e-3)])
-    targets = sched.UncertaintyTargets(np.array([1e-4, 1e-4]))
-    prior = np.diag([0.02, 0.01])
-    fast = sched.plan_selection(prior, targets, (), fleet, 3)
-    general = general_plan(prior, targets, (), fleet, 3)
-    assert fast[0] == general[0] == [1, 2, 0]
-    assert np.max(np.abs(fast[2] - general[2])) <= 1e-12
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     specs=st.lists(
@@ -408,7 +376,7 @@ def test_plan_selection_with_two_row_sensor_takes_general_update():
     cap=st.integers(min_value=1, max_value=20),
 )
 def test_greedy_picks_equal_a_fresh_sort(specs, cap):
-    fleet = fleet_of([scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)])
+    fleet = build_fleet(specs)
     by_distance = sorted(fleet.agents, key=lambda a: (a.distance_m, a.agent_id))
     by_noise = sorted(fleet.agents, key=lambda a: (a.noise_var, a.agent_id))
     assert schemes.select_nearest(None, None, None, fleet, cap) == ([a.agent_id for a in by_distance[:cap]], [])

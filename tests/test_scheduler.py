@@ -217,7 +217,7 @@ def test_reachable_targets_met_with_full_fleet():
         # oracle: fusing every agent must reach the bounds for this instance
         cov = prior_cov.copy()
         for a in fleet.agents:
-            cov = est.posterior_cov(cov, a.obs_matrix, a.noise_cov)
+            cov = est._joseph_update(cov, a.obs_matrix, a.noise_cov)[1]
         if np.any(np.diag(cov) > bounds):
             continue
         targets = sched.UncertaintyTargets(bounds)

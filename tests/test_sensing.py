@@ -76,12 +76,18 @@ def test_feature_index_round_trips():
             assert fleet.agents[i].obs_matrix[0, k] == 1.0
 
 
-def test_fleet_serialization_round_trip():
-    fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=6), np.random.default_rng(11))
-    clone = sensing.fleet_from_dict(sensing.fleet_to_dict(fleet))
-    for a, b in zip(fleet.agents, clone.agents):
-        assert a.agent_id == b.agent_id
-        assert a.distance_m == b.distance_m
-        assert a.noise_var == b.noise_var
-        assert np.array_equal(a.obs_matrix, b.obs_matrix)
-    assert clone.feature_index == dict(fleet.feature_index)
+@pytest.mark.parametrize(
+    "obs_matrix, noise_cov",
+    [
+        (np.eye(2), np.diag([1e-4, 4e-4])),        # two rows
+        ([[0.6, 0.8]], [[1e-4]]),                   # not a selector row
+        ([[1.0, 0.0]], [[1e-4, 0.0], [0.0, 1e-4]]),  # 2x2 noise
+        ([[1.0, 0.0]], [[np.nan]]),
+        ([[1.0, 0.0]], [[0.0]]),
+        ([[0.0, 1.0]], [[-1e-4]]),
+    ],
+    ids=["two-row", "non-unit-row", "2x2-noise", "nan-var", "zero-var", "negative-var"],
+)
+def test_non_selector_sensor_rejected(obs_matrix, noise_cov):
+    with pytest.raises(ConfigError):
+        sensing.SensingAgent(0, obs_matrix, noise_cov, distance_m=5.0, tx_power_w=0.02)
