@@ -11,13 +11,19 @@ Runs, with the package from this checkout's ``src/``:
 Outputs are byte-identical across reruns of the same code, so the gate for a
 change is that this script's output at the parent commit and at the change
 are the same files with the same bytes. ``--against DIR`` checks that after
-writing and exits 1 naming the first differing or missing file:
+writing and exits 1 naming the first differing or missing file. For every CSV
+or JSON file present in both trees whose bytes differ it also prints the
+largest relative difference between float cells and the number of other
+cells (integers, ids, text) that differ, which sizes a deliberate rounding
+shift:
 
     (cd parent-checkout && python3 scripts/golden_outputs.py --out /tmp/golden_old)
     python3 scripts/golden_outputs.py --out /tmp/golden_new --against /tmp/golden_old
 """
 
 import argparse
+import csv
+import json
 import sys
 from pathlib import Path
 
@@ -40,12 +46,13 @@ def commands(out: Path) -> list[list[str]]:
     return runs
 
 
+def _files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
 def first_difference(new: Path, old: Path) -> str | None:
     """The first file, in path order, that is missing from either tree or differs in bytes."""
-    def files(root: Path) -> set[str]:
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
-
-    new_files, old_files = files(new), files(old)
+    new_files, old_files = _files(new), _files(old)
     for rel in sorted(new_files | old_files):
         if rel not in old_files:
             return f"{rel}: only in {new}"
@@ -54,6 +61,74 @@ def first_difference(new: Path, old: Path) -> str | None:
         if (new / rel).read_bytes() != (old / rel).read_bytes():
             return f"{rel}: contents differ"
     return None
+
+
+def _cells(path: Path) -> list:
+    """A CSV's cells row by row, or a JSON document's leaves in document order.
+
+    A CSV cell that reads as a float but not as an integer becomes a float;
+    every other cell stays text.
+    """
+    if path.suffix == ".json":
+        def leaves(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from leaves(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from leaves(value)
+            else:
+                yield node
+
+        return list(leaves(json.loads(path.read_text())))
+
+    def cell(text: str):
+        try:
+            int(text)
+            return text
+        except ValueError:
+            pass
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        return [cell(text) for row in csv.reader(fh) for text in row]
+
+
+def float_shift(new_file: Path, old_file: Path) -> tuple[float, int]:
+    """(largest relative difference of paired float cells, number of other cells that differ).
+
+    Cells pair up by position; a cell without a partner counts as a differing
+    non-float cell.
+    """
+    new_cells, old_cells = _cells(new_file), _cells(old_file)
+    largest, others = 0.0, abs(len(new_cells) - len(old_cells))
+    for a, b in zip(new_cells, old_cells):
+        if type(a) is float and type(b) is float:
+            if a != b:
+                largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+        elif a != b:
+            others += 1
+    return largest, others
+
+
+def shifted_files(new: Path, old: Path) -> list[str]:
+    """One line per CSV or JSON file present in both trees whose bytes differ, with its shift."""
+    lines = []
+    for rel in sorted(_files(new) & _files(old)):
+        if Path(rel).suffix not in (".csv", ".json"):
+            continue
+        if (new / rel).read_bytes() == (old / rel).read_bytes():
+            continue
+        largest, others = float_shift(new / rel, old / rel)
+        lines.append(
+            f"{rel}: largest relative float difference {largest:.3g}, "
+            f"{others} differing non-float cells"
+        )
+    return lines
 
 
 def main() -> int:
@@ -75,6 +150,8 @@ def main() -> int:
         diff = first_difference(args.out, args.against)
         if diff is not None:
             print(f"error: {diff}", file=sys.stderr)
+            for line in shifted_files(args.out, args.against):
+                print(f"  {line}", file=sys.stderr)
             return 1
         print(f"identical to {args.against}")
     return 0

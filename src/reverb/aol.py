@@ -20,9 +20,9 @@ class AolTracker:
     def __post_init__(self) -> None:
         if len(self.ages) != len(self.thresholds):
             raise ConfigError("one threshold per feature is required")
-        if any(a < 0 for a in self.ages):
+        if min(self.ages, default=0) < 0:
             raise InputError("ages must be nonnegative")
-        if any(t < 1 for t in self.thresholds):
+        if min(self.thresholds, default=1) < 1:
             raise ConfigError("thresholds must be at least 1")
 
     @classmethod
@@ -37,7 +37,7 @@ class AolTracker:
     def close_loop(self, features: Iterable[int]) -> "AolTracker":
         """Reset the listed features to age 1; others are untouched."""
         closing = set(features)
-        if any(k < 0 or k >= len(self.ages) for k in closing):
+        if closing and (min(closing) < 0 or max(closing) >= len(self.ages)):
             raise InputError("feature index out of range")
         ages = tuple(1 if k in closing else a for k, a in enumerate(self.ages))
         return AolTracker(ages, self.thresholds)

@@ -18,14 +18,16 @@ Granted bandwidth is quantized upward to physical resource blocks (PRBs).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DomainError, InfeasibleError, InputError
 
 _INV_E = math.exp(-1.0)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class ChannelParams:
                 f"(need rician_k > {0.5 * q * q:.3f})"
             )
 
-    @property
+    @cached_property
     def noise_psd(self) -> float:
         """Noise power spectral density in W/Hz."""
         return 10.0 ** (self.noise_power_dbm / 10.0 - 3.0) / self.noise_ref_bandwidth_hz
@@ -163,10 +165,14 @@ def gaussian_q(x: float) -> float:
 
 
 def gaussian_q_inv(eps: float) -> float:
-    """Inverse of the Gaussian Q-function via erfc^{-1}."""
+    """Inverse of the Gaussian Q-function: Q^{-1}(eps) = -Phi^{-1}(eps).
+
+    ``statistics.NormalDist.inv_cdf`` evaluates Phi^{-1} with Wichura's AS241
+    rational approximations, accurate to about 1e-16 relative.
+    """
     if not (0.0 < eps < 1.0):
         raise DomainError("tail probability must lie in (0, 1)")
-    return math.sqrt(2.0) * float(special.erfcinv(2.0 * eps))
+    return -_STANDARD_NORMAL.inv_cdf(eps)
 
 
 def lambert_w(x: float, branch: str = "principal", rel_tol: float = 1e-12) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import control
-from .config import SCHEMES, RunConfig, load_config
+from .config import SCHEMES, STATE_FEATURES, RunConfig, load_config
 from .errors import ConfigError, ReverbError
 from .metrics import compute_metrics
 from .recordio import write_episode_csv, write_summary_csv, write_summary_json
@@ -29,9 +29,10 @@ def _resolve_config(args) -> RunConfig:
     env_seed = os.environ.get("REVERB_SEED")
     if env_seed is not None:
         try:
-            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"REVERB_SEED must be an integer, got {env_seed!r}") from None
+        cfg = dataclasses.replace(cfg, seed=seed)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "scheme", None):
@@ -49,12 +50,20 @@ def _load_agent(path: str | None) -> control.PolicyAgent | None:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return control.PolicyAgent.from_dict(data)
+    agent = control.PolicyAgent.from_dict(data)
+    if (agent.state_dim, agent.n_features) != (STATE_FEATURES, STATE_FEATURES):
+        raise ConfigError(
+            f"{path}: weights for state_dim {agent.state_dim} and n_features {agent.n_features}, "
+            f"but the plant has {STATE_FEATURES} state features"
+        )
+    return agent
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     episodes = args.episodes if args.episodes is not None else cfg.train_episodes
+    if episodes < 1:
+        raise ConfigError(f"train needs at least one episode, got {episodes}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

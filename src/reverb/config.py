@@ -51,6 +51,8 @@ class RunConfig:
             raise ConfigError("episode and interval counts must be positive")
         if self.cap < 1:
             raise ConfigError("connection cap must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.traditional_sensors not in (1, 2):
             raise ConfigError("traditional_sensors must be 1 or 2")
         if any(t < 1 for t in self.aol_thresholds):

@@ -40,11 +40,12 @@ class ActionVector:
 
     def __post_init__(self) -> None:
         acc = np.asarray(self.accuracy, dtype=float)
-        if not np.isfinite(self.force) or not np.all(np.isfinite(acc)):
+        values = acc.ravel().tolist()
+        if not (math.isfinite(self.force) and all(map(math.isfinite, values))):
             raise InputError("action fields must be finite")
         if abs(self.force) > 1.0 + 1e-12:
             raise InputError("force outside [-1, 1]")
-        if np.any(acc < 0.0):
+        if min(values, default=0.0) < 0.0:  # NaN was rejected above
             raise InputError("accuracy requests must be nonnegative")
         object.__setattr__(self, "accuracy", acc)
 
@@ -169,16 +170,40 @@ class PolicyAgent:
         def floats(value) -> Array:
             return np.array(value, dtype=float)
 
+        def vector(key: str, n: int) -> Array:
+            value = read(key, floats)
+            if value.shape != (n,):
+                raise InputError(f"weights: {key!r} has shape {value.shape}, expected ({n},)")
+            return value
+
+        def net(key: str, n_in: int, n_out: int) -> MLP:
+            mlp = read(key, MLP.from_lists)
+            sizes = mlp.sizes
+            if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
+                raise InputError(f"weights: {key!r} sizes {list(sizes)} must run from {n_in} to {n_out}")
+            if len(mlp.weights) != len(sizes) - 1 or len(mlp.biases) != len(sizes) - 1:
+                raise InputError(f"weights: {key!r} needs {len(sizes) - 1} weight matrices and bias vectors")
+            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+                want_w, want_b = (sizes[i], sizes[i + 1]), (sizes[i + 1],)
+                if w.shape != want_w or b.shape != want_b:
+                    raise InputError(
+                        f"weights: {key!r} layer {i} has shapes {w.shape} and {b.shape}, "
+                        f"expected {want_w} and {want_b}"
+                    )
+            return mlp
+
         cfg = dataclasses.replace(cfg or ControlConfig(), eta_max=read("eta_max", float))
         agent = cls.__new__(cls)
         agent.cfg = cfg
         agent.state_dim = read("state_dim", int)
         agent.n_features = read("n_features", int)
+        if agent.state_dim < 1 or agent.n_features < 0:
+            raise InputError("weights: 'state_dim' must be at least 1 and 'n_features' nonnegative")
         agent.action_dim = 1 + agent.n_features
-        agent.actor = read("actor", MLP.from_lists)
-        agent.critic = read("critic", MLP.from_lists)
-        agent.log_std = read("log_std", floats)
-        agent.scale = read("input_scale", floats)
+        agent.actor = net("actor", agent.state_dim, agent.action_dim)
+        agent.critic = net("critic", agent.state_dim, 1)
+        agent.log_std = vector("log_std", agent.action_dim)
+        agent.scale = vector("input_scale", agent.state_dim)
         return agent
 
 
@@ -192,11 +217,18 @@ def shaped_reward(reward_env: float, accuracy: Array, kappa: float, mode: str = 
     """Add the accuracy-request term: reward + kappa * mean(accuracy).
 
     ``accuracy_cost`` flips the sign, treating requested accuracy as a direct
-    cost instead of a bonus.
+    cost instead of a bonus. The mean sums in index order, as ``np.mean``
+    does for a 2-vector.
     """
     if kappa < 0.0:
         raise InputError("kappa must be nonnegative")
-    term = kappa * float(np.mean(np.asarray(accuracy, dtype=float)))
+    values = np.asarray(accuracy, dtype=float).ravel().tolist()
+    if not values:
+        raise InputError("need at least one accuracy request")
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    term = kappa * (total / len(values))
     if mode == "accuracy_bonus":
         return reward_env + term
     if mode == "accuracy_cost":
@@ -326,6 +358,8 @@ def train(
     Each episode drives a fresh co-simulation; the shaped reward is observed,
     transitions are batched per episode, and one clipped-ratio update follows.
     """
+    if episodes < 0:
+        raise InputError(f"episode count must be nonnegative, got {episodes}")
     root = np.random.SeedSequence(seed)
     init_ss, act_ss, update_ss, env_ss = root.spawn(4)
     init_rng = np.random.default_rng(init_ss)
@@ -372,8 +406,8 @@ def train(
 
 def scripted_controller(state: Array, accuracy: Array) -> ActionVector:
     """Deterministic energy pump: push along the velocity sign, +1 at rest."""
-    s = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(s)):
+    s = np.asarray(state, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite, s)):
         raise InputError("state must be finite")
     force = 1.0 if s[1] >= 0.0 else -1.0
-    return ActionVector(force=force, accuracy=np.asarray(accuracy, dtype=float))
+    return ActionVector(force=force, accuracy=accuracy)

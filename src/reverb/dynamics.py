@@ -11,14 +11,20 @@ second for the mountain car):
   with zero control.
 
 Process noise is additive Gaussian on top of ``update``; clamps are re-applied
-after the noise so outputs always respect the state bounds.
+after the noise so outputs always respect the state bounds. ``clamp``
+receives the next state as a list of floats. The noise is the PSD square root
+of its covariance, kept as nested floats, times one standard normal draw,
+formed as float expressions summed in index order. The per-interval checks of
+``step`` and ``jacobian_at`` run on Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import reduce
+from operator import add, mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,11 +61,12 @@ class DynamicsModel:
     update: Callable[[Array, float], Array]
     update_free: Callable[[Array, float], Array]
     jacobian: Callable[[Array], Array]
-    clamp: Callable[[Array], Array]
+    clamp: Callable[[list[float]], Sequence[float]]
     control_gain: Array
     process_noise_cov: Array
     action_bound: float = 1.0
-    noise_scale: Array = field(init=False, repr=False)
+    # PSD square root of process_noise_cov as nested floats; None without noise.
+    noise_scale: list[list[float]] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.process_noise_cov, dtype=float)
@@ -73,30 +80,34 @@ class DynamicsModel:
         # PSD square root; works for rank-deficient (e.g. zero) covariances.
         scale = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
         object.__setattr__(self, "process_noise_cov", cov)
-        object.__setattr__(self, "noise_scale", scale)
+        object.__setattr__(self, "noise_scale", scale.tolist() if np.any(cov) else None)
         object.__setattr__(self, "control_gain", np.asarray(self.control_gain, dtype=float))
+
+
+def _checked_state(model: DynamicsModel, state: Array) -> Array:
+    s = np.asarray(state, dtype=float)
+    if s.shape != (model.dim,) or not all(map(math.isfinite, s.tolist())):
+        raise InputError("state must be a finite vector of the model dimension")
+    return s
 
 
 def step(model: DynamicsModel, state: Array, action: float, rng: np.random.Generator) -> Array:
     """Advance the plant one interval: deterministic update plus process noise."""
-    s = np.asarray(state, dtype=float)
-    if s.shape != (model.dim,) or not np.all(np.isfinite(s)):
-        raise InputError("state must be a finite vector of the model dimension")
-    if not np.isfinite(action):
+    s = _checked_state(model, state)
+    if not math.isfinite(action):
         raise InputError("action must be finite")
-    a = float(np.clip(action, -model.action_bound, model.action_bound))
-    nxt = model.update(s, a)
-    if np.any(model.process_noise_cov):
-        nxt = nxt + model.noise_scale @ rng.standard_normal(model.dim)
-    return model.clamp(nxt)
+    a = min(max(float(action), -model.action_bound), model.action_bound)
+    nxt = model.update(s, a).tolist()
+    if model.noise_scale is not None:
+        z = rng.standard_normal(model.dim).tolist()
+        # x + (noise_scale @ z)[i], the products summed in index order.
+        nxt = [x + reduce(add, map(mul, row, z)) for x, row in zip(nxt, model.noise_scale)]
+    return np.asarray(model.clamp(nxt), dtype=float)
 
 
 def jacobian_at(model: DynamicsModel, state: Array) -> Array:
     """Exact Jacobian of the clamp-free update map at ``state`` with zero control."""
-    s = np.asarray(state, dtype=float)
-    if s.shape != (model.dim,) or not np.all(np.isfinite(s)):
-        raise InputError("state must be a finite vector of the model dimension")
-    return model.jacobian(s)
+    return model.jacobian(_checked_state(model, state))
 
 
 def finite_difference_jacobian(model: DynamicsModel, state: Array, h: float = 1e-6) -> Array:
@@ -139,7 +150,7 @@ def mountain_car_model(
         g = 3.0 * p.gravity * math.sin(3.0 * float(s[0]))
         return np.array([[1.0 + g, 1.0], [g, 1.0]])
 
-    def clamp(s: Array) -> Array:
+    def clamp(s: list[float]) -> Array:
         x = min(max(float(s[0]), p.position_min), p.position_max)
         v = min(max(float(s[1]), -p.velocity_max), p.velocity_max)
         if x == p.position_min and v < 0.0:

@@ -1,30 +1,36 @@
 """Extended Kalman filter over the twin's Gaussian belief.
 
-Prediction propagates the covariance through the dynamics Jacobian; fusion
-stacks the observations of any number of sensors, one selector row and one
-noise variance each, into one batch update. The posterior covariance is
-computed in Joseph form for robustness and cross-checked against the
-textbook (I - KH) P expression.
+Prediction propagates the covariance through the dynamics Jacobian,
+J P J^T + Q, as float expressions with each entry's products summed in index
+order, so the result does not depend on the BLAS kernel (it equals the
+elementwise ``einsum`` product bit for bit).
 
-``fuse`` runs the general batch update, whose innovation system is solved by
-the LAPACK routines scipy's ``cho_factor``/``cho_solve`` call (potrf, potrs),
-called directly with the same arguments. The planner adds one sensor at a
-time with ``posterior_cov``, the rank-1 Joseph update S = P_kk + r,
-K = P[:, k] / S (sequential processing, Bierman 1977) on a 2x2 covariance
-held as nested floats, with the same cross-check; it may differ from
-``_joseph_update`` in the last ulp. Covariance checks use closed-form
-eigenvalues on 2x2 matrices and run once per new belief, when it is
-constructed.
+A sensor observes one feature k with noise variance r, so independent
+readings are fused one at a time (sequential processing, Bierman 1977):
+``rank1_update`` is the Joseph-form update S = P_kk + r, K = P[:, k] / S of a
+2x2 covariance held as nested floats, cross-checked against the textbook
+(I - K e_k^T) P expression, with one jitter retry when S is not positive.
+The planner calls it through ``posterior_cov`` once per pick, and
+``fuse_readings`` once per delivered reading, in selection order, with the
+mean update m + K (y - m_k).
+
+``fuse`` is the general batch update of a stacked observation batch, kept as
+the oracle of the sequential path and for the acceptance checks; its
+innovation system is solved by the LAPACK routines scipy's
+``cho_factor``/``cho_solve`` call (potrf, potrs), loaded on first use.
+Covariance checks use closed-form eigenvalues on 2x2 matrices and run once
+per new belief, when it is constructed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache, reduce
+from operator import add, mul
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
@@ -47,7 +53,7 @@ class Belief:
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        if not np.all(np.isfinite(self.mean)):
+        if not all(map(math.isfinite, self.mean.ravel().tolist())):
             raise InputError("belief mean must be finite")
         _check_cov(self.cov)
 
@@ -102,26 +108,44 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     The process noise enters only through its covariance; sampling it here
     would bias the minimum-mean-square-error predictor.
     """
-    jac = jacobian_at(model, belief.mean)
-    cov = _symmetrize(jac @ belief.cov @ jac.T + model.process_noise_cov)
-    mean = model.update(belief.mean, action)
-    return Belief(mean=mean, cov=cov, qi=belief.qi + 1)
+    jac = jacobian_at(model, belief.mean).tolist()
+    p = belief.cov.tolist()
+    # A = J P, then C = A J^T + Q, each entry's products summed in index order.
+    a = [[reduce(add, map(mul, j_row, p_col)) for p_col in zip(*p)] for j_row in jac]
+    c = [
+        [reduce(add, map(mul, a_row, j_row)) + q for j_row, q in zip(jac, q_row)]
+        for a_row, q_row in zip(a, model.process_noise_cov.tolist())
+    ]
+    cov = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(c, zip(*c))]
+    return Belief(mean=model.update(belief.mean, action), cov=np.array(cov), qi=belief.qi + 1)
 
 
-# The LAPACK routines behind scipy's cho_factor/cho_solve, called with the
-# same arguments but without their per-call wrapper work.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+@cache
+def _potrf_potrs():
+    """The LAPACK routines behind scipy's cho_factor/cho_solve, loaded on first use.
+
+    Only the batch ``fuse`` solves a matrix system, so a run that never calls
+    it never imports scipy.linalg.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
 
 
 def _innovation_solve(s_mat: Array, rhs: Array) -> Array:
-    """Solve S x = rhs via Cholesky, one jitter retry, else fail."""
+    """Solve S x = rhs via Cholesky, one jitter retry, else fail.
+
+    Calls potrf/potrs with the arguments cho_factor/cho_solve pass, without
+    their per-call wrapper work.
+    """
     if not (np.isfinite(s_mat).all() and np.isfinite(rhs).all()):
         raise NumericalError("innovation covariance or gain system is not finite")
+    potrf, potrs = _potrf_potrs()
     for jitter in (0.0, 1e-12):
         shifted = s_mat + jitter * np.eye(s_mat.shape[0]) if jitter else s_mat
-        chol, info = _POTRF(shifted, lower=1, clean=0)
+        chol, info = potrf(shifted, lower=1, clean=0)
         if info == 0:
-            x, info = _POTRS(chol, rhs, lower=1)
+            x, info = potrs(chol, rhs, lower=1)
             if info == 0:
                 return x
     raise NumericalError("innovation covariance is singular")
@@ -138,24 +162,26 @@ def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
     return gain, cov
 
 
-def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
-    """Joseph-form posterior of a 2x2 prior fused with one sensor, cross-checked against (I-KH)P.
+def rank1_update(p: list[list[float]], k: int, r: float) -> tuple[tuple[float, float], list[list[float]]]:
+    """Kalman gain and Joseph-form posterior of a 2x2 prior fused with one reading.
 
     The sensor observes feature ``k`` with noise variance ``r``. ``p`` and the
-    result are nested floats: on a 2x2 prior the per-call overhead of numpy
-    would dominate, and the planner keeps its covariance in this form across
-    picks.
+    posterior are nested floats: on a 2x2 prior the per-call overhead of numpy
+    would dominate. Cross-checked against (I-KH)P; S = P_kk + r gets one
+    jitter retry when it is not positive.
     """
     (p00, p01), (p10, p11) = p
-    for jitter in (0.0, 1e-12):
-        s = p[k][k] + r + jitter
-        if s > 0.0:
-            break
-    else:
-        raise NumericalError("innovation covariance is singular")
-    g0, g1 = p[0][k] / s, p[1][k] / s
-    # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
     pk0, pk1 = p[k]
+    p0k, p1k = (p00, p10) if k == 0 else (p01, p11)
+    if not (math.isfinite(pk0) and math.isfinite(pk1) and math.isfinite(r)):
+        raise NumericalError("innovation covariance or gain system is not finite")
+    s = p[k][k] + r
+    if not s > 0.0:
+        s = p[k][k] + r + 1e-12
+        if not s > 0.0:
+            raise NumericalError("innovation covariance is singular")
+    g0, g1 = p0k / s, p1k / s
+    # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
     a00, a01 = p00 - g0 * pk0, p01 - g0 * pk1
     a10, a11 = p10 - g1 * pk0, p11 - g1 * pk1
     a0k, a1k = (a00, a10) if k == 0 else (a01, a11)
@@ -171,7 +197,27 @@ def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
         and abs(c11 - a11) <= JOSEPH_TOL
     ):
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return [[c00, c01], [c10, c11]]
+    return (g0, g1), [[c00, c01], [c10, c11]]
+
+
+def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
+    """The planner's would-be posterior: ``rank1_update``'s covariance alone."""
+    return rank1_update(p, k, r)[1]
+
+
+def fuse_readings(prior: Belief, readings: Iterable[tuple[int, float, float]]) -> Belief:
+    """Kalman update of a 2-D prior with independent readings (k, r, y), one at a time, in order.
+
+    Each reading y of feature k with noise variance r moves the mean by
+    K (y - m_k) and the covariance by ``rank1_update``.
+    """
+    m0, m1 = prior.mean.tolist()
+    cov = prior.cov.tolist()
+    for k, r, y in readings:
+        (g0, g1), cov = rank1_update(cov, k, r)
+        innovation = y - (m0 if k == 0 else m1)
+        m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
+    return Belief(mean=np.array([m0, m1]), cov=np.array(cov), qi=prior.qi)
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
@@ -194,10 +240,12 @@ def accuracy_vector(belief: Belief) -> Array:
 
 def meets_targets(belief: Belief, variance_bounds: Array) -> tuple[bool, tuple[int, ...]]:
     """Check diag(cov) <= bound per feature (inclusive); return the violating features."""
-    bounds = np.asarray(variance_bounds, dtype=float)
-    diag = np.diag(belief.cov)
-    violating = tuple(int(k) for k in np.nonzero(diag > bounds)[0])
-    return (len(violating) == 0), violating
+    bounds = np.asarray(variance_bounds, dtype=float).ravel().tolist()
+    cov = belief.cov.tolist()
+    if len(bounds) != len(cov):
+        raise InputError("one variance bound per feature is required")
+    violating = tuple(k for k, (row, bound) in enumerate(zip(cov, bounds)) if row[k] > bound)
+    return not violating, violating
 
 
 def init_belief(true_state: Array, rng: np.random.Generator, var: float = 1e-4) -> Belief:

@@ -39,6 +39,7 @@ EPISODE_COLUMNS = (
 
 _INT_COLUMNS = {"qi", "n_selected", "prbs", "age_pos", "age_vel", "failed"}
 _STR_COLUMNS = {"selected", "delivered"}
+_COLUMN_SET = frozenset(EPISODE_COLUMNS)
 
 
 @dataclass
@@ -51,7 +52,7 @@ class EpisodeRecord:
     columns: dict = field(default_factory=lambda: {c: [] for c in EPISODE_COLUMNS})
 
     def append(self, **values) -> None:
-        if set(values) != set(EPISODE_COLUMNS):
+        if values.keys() != _COLUMN_SET:
             missing = set(EPISODE_COLUMNS) - set(values)
             extra = set(values) - set(EPISODE_COLUMNS)
             raise ValueError(f"bad row: missing {missing or '{}'}, extra {extra or '{}'}")

@@ -14,13 +14,15 @@ the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved once per
 fleet, the first time its sensor is selected. A round makes one draw for all
 observation noise and one for all fades, the same numbers per-sensor
-``observe`` and per-link ``uplink_outcome`` calls would draw, and fuses a
-batch gathered from the fleet's stacked selector rows and noise variances;
-the planner keeps its 2x2 covariance as nested floats across picks.
+``observe`` and per-link ``uplink_outcome`` calls would draw. The planner
+keeps its 2x2 covariance as nested floats across picks, and fusion runs the
+planner's rank-1 update once per delivered reading, in selection order.
+Targets and their checks are computed in Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ class UncertaintyTargets:
 
     def __post_init__(self) -> None:
         b = np.asarray(self.variance_bounds, dtype=float)
-        if np.any(b <= 0.0):
+        if any(x <= 0.0 for x in b.ravel().tolist()):
             raise InputError("variance bounds must be strictly positive")
         object.__setattr__(self, "variance_bounds", b)
 
@@ -65,16 +67,18 @@ def compute_targets(required_var: Array, accuracy_request: Array) -> Uncertainty
 
     Per feature: min(required_var, 1/request); a zero request imposes nothing.
     """
-    xi = np.asarray(required_var, dtype=float)
-    eta = np.asarray(accuracy_request, dtype=float)
-    if np.any(xi <= 0.0):
-        raise InputError("required variances must be strictly positive")
-    if np.any(eta < 0.0):
-        raise InputError("accuracy requests must be nonnegative")
-    requested = np.full_like(xi, np.inf)
-    asked = eta > 0.0
-    requested[asked] = 1.0 / eta[asked]
-    return UncertaintyTargets(np.minimum(xi, requested))
+    xi = np.asarray(required_var, dtype=float).ravel().tolist()
+    eta = np.asarray(accuracy_request, dtype=float).ravel().tolist()
+    if len(eta) != len(xi):
+        raise InputError("one accuracy request per feature is required")
+    bounds = []
+    for x, e in zip(xi, eta):
+        if x <= 0.0:
+            raise InputError("required variances must be strictly positive")
+        if e < 0.0:
+            raise InputError("accuracy requests must be nonnegative")
+        bounds.append(min(x, 1.0 / e) if e > 0.0 else x)
+    return UncertaintyTargets(np.array(bounds))
 
 
 def _first_available(order: tuple[int, ...], available: set[int]) -> int | None:
@@ -92,7 +96,7 @@ def select_feature(
 ) -> int | None:
     """Feature with the largest variance-to-target ratio among coverable features."""
     best_k: int | None = None
-    best_ratio = -np.inf
+    best_ratio = -math.inf
     for k in range(len(cov_diag)):
         if _first_available(fleet.quietest_first.get(k, ()), available) is None:
             continue
@@ -201,17 +205,19 @@ def fuse_delivered(
 ) -> est.Belief:
     """Kalman-update the prior with the observations that actually arrived.
 
-    The batch is gathered by delivered id from the fleet's stacked selector
-    rows and noise variances.
+    Each delivered reading is one rank-1 update (``estimator.fuse_readings``),
+    applied in selection order.
     """
     if not delivered:
         return prior.copy()
-    batch = est.FusionBatch(
-        obs_matrix=fleet.obs_rows[delivered],
-        noise_cov=np.diag(fleet.noise_vars[delivered]),
-        values=values[[selected.index(i) for i in delivered]],
-    )
-    return est.fuse(prior, batch)
+    arrived = set(delivered)
+    agents = fleet.agents
+    readings = [
+        (agents[i].feature, agents[i].noise_var, y)
+        for i, y in zip(selected, values.tolist())
+        if i in arrived
+    ]
+    return est.fuse_readings(prior, readings)
 
 
 def run_round(

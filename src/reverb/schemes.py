@@ -75,16 +75,20 @@ def fuse_memoryless(prior, selected, delivered, values, fleet):
 
     Features without a delivered observation keep the predicted prior.
     """
-    mean = prior.mean.copy()
-    cov = prior.cov.copy()
-    for agent_id in delivered:
+    mean = prior.mean.tolist()
+    cov = prior.cov.tolist()
+    arrived = set(delivered)
+    for agent_id, y in zip(selected, values.tolist()):
+        if agent_id not in arrived:
+            continue
         agent = fleet.agents[agent_id]
         k = agent.feature
-        mean[k] = values[selected.index(agent_id)]
-        cov[k, :] = 0.0
-        cov[:, k] = 0.0
-        cov[k, k] = agent.noise_var
-    return est.Belief(mean=mean, cov=cov, qi=prior.qi)
+        mean[k] = y
+        for row in cov:
+            row[k] = 0.0
+        cov[k] = [0.0] * len(cov)
+        cov[k][k] = agent.noise_var
+    return est.Belief(mean=np.array(mean), cov=np.array(cov), qi=prior.qi)
 
 
 SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}

@@ -5,10 +5,9 @@ observation matrix is the selector row e_k, its noise covariance the 1x1
 variance r, and it measures ``s[k] + sqrt(r) z``. An agent carries k, r and
 sqrt(r) as constants computed once. ``observe_many`` observes a whole
 selection from one noise draw, the same numbers ``observe`` per sensor would
-draw. A fleet caches its sensors' stacked observation rows and noise
-variances for fusion, global and per-feature candidate orders for the
-schedulers, and a memo of link budgets, filled lazily by the scheduler the
-first time a sensor is selected.
+draw, in Python floats. A fleet caches global and per-feature candidate
+orders for the schedulers, and a memo of link budgets, filled lazily by the
+scheduler the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -140,23 +139,6 @@ class SensorFleet:
         """Per feature, its sensor ids ordered by (noise_var, id)."""
         return self._per_feature(self.quietest)
 
-    @cached_property
-    def obs_rows(self) -> Array:
-        """(n_agents, K): each sensor's selector row, stacked by id."""
-        return np.vstack([a.obs_matrix for a in self.agents])
-
-    @cached_property
-    def features(self) -> Array:
-        return np.array([a.feature for a in self.agents], dtype=np.intp)
-
-    @cached_property
-    def noise_vars(self) -> Array:
-        return np.array([a.noise_var for a in self.agents])
-
-    @cached_property
-    def noise_stds(self) -> Array:
-        return np.array([a.noise_std for a in self.agents])
-
 
 def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) -> SensorFleet:
     """Place ``n_agents`` single-feature sensors, features assigned round-robin.
@@ -207,12 +189,15 @@ def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int
 def observe_many(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
     """The observations of sensors ``ids``, in order, from one draw of ``len(ids)`` normals.
 
-    ``rng.standard_normal(n)`` yields the numbers of n single draws, so the
-    values and the generator state afterwards equal those of calling
-    ``observe`` for each sensor in turn.
+    ``rng.standard_normal(n)`` yields the numbers of n single draws, and each
+    value is ``observe``'s expression, so the values and the generator state
+    afterwards equal those of calling ``observe`` for each sensor in turn.
     """
-    s = np.asarray(state, dtype=float)
-    if not np.isfinite(s).all():
+    s = np.asarray(state, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite, s)):
         raise InputError("state must be finite")
-    idx = np.array(ids, dtype=np.intp)
-    return s[fleet.features[idx]] + fleet.noise_stds[idx] * rng.standard_normal(len(idx))
+    agents = fleet.agents
+    z = rng.standard_normal(len(ids)).tolist()
+    return np.array(
+        [s[agents[i].feature] + agents[i].noise_std * zi for i, zi in zip(ids, z)], dtype=float
+    )

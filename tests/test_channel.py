@@ -90,6 +90,14 @@ def test_gaussian_q_inv_round_trip():
         assert abs(ch.gaussian_q(x) - eps) / eps < 1e-10
 
 
+def test_gaussian_q_inv_matches_erfcinv():
+    eps = np.concatenate([np.geomspace(1e-8, 0.5, 4000, endpoint=False), [1e-5, 1e-3, 0.1, 0.49]])
+    for e in eps.tolist():
+        want = math.sqrt(2.0) * float(special.erfcinv(2.0 * e))
+        assert abs(ch.gaussian_q_inv(e) - want) <= 1e-14 * abs(want)
+    assert ch.gaussian_q_inv(1e-5) == math.sqrt(2.0) * float(special.erfcinv(2e-5))
+
+
 def test_gaussian_q_inv_tail_by_bisection():
     # bisection on Q as the independent oracle
     lo, hi = 0.0, 10.0

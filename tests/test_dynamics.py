@@ -14,7 +14,7 @@ def car():
     return dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
 
 
-def identity_model():
+def identity_model(process_noise_cov=np.zeros((2, 2))):
     return dyn.DynamicsModel(
         dim=2,
         update=lambda s, a: s.copy(),
@@ -22,7 +22,7 @@ def identity_model():
         jacobian=lambda s: np.eye(2),
         clamp=lambda s: s,
         control_gain=np.zeros(2),
-        process_noise_cov=np.zeros((2, 2)),
+        process_noise_cov=process_noise_cov,
     )
 
 
@@ -114,6 +114,19 @@ def test_noise_sample_mean_converges():
     draws = np.array([dyn.step(model, s, 0.0, rng) - base for _ in range(n)])
     for k, v in enumerate(var):
         assert abs(draws[:, k].mean()) < 4.0 * math.sqrt(v) / math.sqrt(n)
+
+
+def test_step_noise_is_the_float_matrix_vector_product():
+    model = identity_model(np.array([[4e-6, 1e-6], [1e-6, 2e-6]]))
+    s = np.array([0.1, -0.2])
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    out = dyn.step(model, s, 0.0, rng)
+    z = oracle_rng.standard_normal(2)
+    (a, b), (c, d) = model.noise_scale
+    want = [0.1 + (a * z[0] + b * z[1]), -0.2 + (c * z[0] + d * z[1])]
+    assert out.tobytes() == np.array(want).tobytes()
+    assert np.max(np.abs(out - (s + np.array(model.noise_scale) @ z))) <= 1e-17
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_invalid_process_noise_rejected():

@@ -57,6 +57,35 @@ def test_blind_prediction_matches_scalar_oracle():
     assert np.allclose(belief.mean, mean)
 
 
+def test_predict_is_bit_equal_to_einsum_oracle():
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(2000):
+        jac = rng.uniform(-2.0, 2.0, (2, 2))
+        q = rng.uniform(-1e-3, 1e-3, (2, 2))
+        q = q @ q.T
+        a = rng.uniform(-1.0, 1.0, (2, 2))
+        p = a @ a.T + np.diag(rng.uniform(1e-6, 1.0, 2))
+        out = est.predict(est.Belief(np.zeros(2), p), 0.0, linear_model(jac, q))
+        c = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", jac, p), jac) + q
+        assert out.cov.tobytes() == (0.5 * (c + c.T)).tobytes()
+        m = jac @ p @ jac.T + q
+        worst = max(worst, float(np.max(np.abs(out.cov - 0.5 * (m + m.T))) / np.max(np.abs(m))))
+    assert worst <= 1e-15
+
+
+def test_predict_keeps_the_mountain_car_mean_and_checks():
+    car = dyn.mountain_car_model()
+    belief = est.Belief(np.array([-0.5, 0.01]), np.diag([1e-4, 2e-4]))
+    out = est.predict(belief, 0.3, car)
+    assert out.mean.tobytes() == car.update(belief.mean, 0.3).tobytes()
+    assert out.qi == 1
+    indefinite = est.Belief.__new__(est.Belief)
+    indefinite.mean, indefinite.cov, indefinite.qi = np.zeros(2), np.diag([-1.0, 1.0]), 0
+    with pytest.raises(NumericalError, match="semidefiniteness"):
+        est.predict(indefinite, 0.0, dyn.mountain_car_model(process_noise_var=(0.0, 0.0)))
+
+
 def test_fuse_equal_variances_halve():
     prior = est.Belief(np.array([0.0]), np.array([[1.0]]))
     batch = est.FusionBatch(np.array([[1.0]]), np.array([[1.0]]), np.array([2.0]))

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +322,7 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("init_belief_var: -1.0", "init_belief_var must be finite and strictly positive"),
         ("init_belief_var: .nan", "init_belief_var must be finite and strictly positive"),
         ("cap: [1, 2", "is not valid YAML"),
+        ("seed: -1", "seed must be nonnegative"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
@@ -352,6 +356,22 @@ def test_cli_weights_not_json_returns_1(tmp_path, capsys):
         (lambda w: {**w, "eta_max": "abc"}, "ill-typed 'eta_max'"),
         (lambda w: {**w, "actor": []}, "ill-typed 'actor'"),
         (lambda w: {**w, "log_std": [[1.0], [2.0, 3.0]]}, "ill-typed 'log_std'"),
+        (lambda w: {**w, "log_std": [0.5, 0.5]}, "'log_std' has shape (2,), expected (3,)"),
+        (lambda w: {**w, "input_scale": [1.0]}, "'input_scale' has shape (1,), expected (2,)"),
+        (  # used to load, then end in a matmul traceback at the first forward pass
+            lambda w: {
+                **w,
+                "input_scale": [1.0],
+                "actor": {**w["actor"], "weights": [[[1.0]]] + w["actor"]["weights"][1:]},
+            },
+            "'actor' layer 0 has shapes (1, 1) and (64,), expected (2, 64) and (64,)",
+        ),
+        (lambda w: {**w, "critic": {**w["critic"], "sizes": [2, 64, 1]}}, "'critic' needs 2 weight"),
+        (lambda w: {**w, "state_dim": 3}, "'actor' sizes [2, 64, 64, 3] must run from 3 to 3"),
+        (
+            lambda w: control.PolicyAgent(1, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict(),
+            "weights for state_dim 1 and n_features 2, but the plant has 2 state features",
+        ),
     ],
 )
 def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):
@@ -361,6 +381,41 @@ def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):
     argv = ["run", "--scheme", "Perfect", "--weights", str(path), "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert_one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, fragment",
+    [
+        (["run", "--scheme", "Perfect", "--seed", "-1"], None, "seed must be nonnegative, got -1"),
+        (["run", "--scheme", "Perfect"], "-3", "seed must be nonnegative, got -3"),
+        (["train", "--episodes", "-1"], None, "train needs at least one episode, got -1"),
+        (["train", "--episodes", "0"], None, "train needs at least one episode, got 0"),
+    ],
+)
+def test_cli_bad_seed_or_episode_count_returns_1(tmp_path, monkeypatch, capsys, argv, env_seed, fragment):
+    if env_seed is not None:
+        monkeypatch.setenv("REVERB_SEED", env_seed)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    assert_one_error_line(capsys, fragment)
+
+
+def test_run_and_train_do_not_load_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from reverb.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (
+        ["run", "--seed", "1", "--out", str(tmp_path / "run")],
+        ["train", "--episodes", "1", "--seed", "1", "--out", str(tmp_path / "train")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
 def load_golden_script():
@@ -383,3 +438,23 @@ def test_golden_outputs_names_first_difference(tmp_path):
     assert golden.first_difference(new, old) == "summary.csv: contents differ"
     (old / "run" / "episode_0.csv").unlink()
     assert golden.first_difference(new, old) == f"run/episode_0.csv: only in {new}"
+    # A differing CSV or JSON file is sized: largest relative float difference,
+    # count of other differing cells. Other files and equal files are skipped.
+    old, new = tmp_path / "old_shift", tmp_path / "new_shift"
+    for root in (old, new):
+        root.mkdir()
+    (old / "episode_0.csv").write_text("qi,cov_pos,selected\n0,0.25,3;5\n1,1e-06,3\n")
+    (new / "episode_0.csv").write_text("qi,cov_pos,selected\n0,0.25000000000001,3;5\n1,1e-06,3;4\n")
+    (old / "summary.json").write_text('[{"mrmse": 2.0, "episodes": 5, "scheme": "A"}]\n')
+    (new / "summary.json").write_text('[{"mrmse": 2.0000000000004, "episodes": 6, "scheme": "A"}]\n')
+    (old / "notes.txt").write_text("a\n")
+    (new / "notes.txt").write_text("b\n")
+    largest, others = golden.float_shift(new / "episode_0.csv", old / "episode_0.csv")
+    assert largest == pytest.approx(4e-14, rel=1e-3) and others == 1
+    largest, others = golden.float_shift(new / "summary.json", old / "summary.json")
+    assert largest == pytest.approx(2e-13, rel=1e-3) and others == 1
+    assert golden.shifted_files(new, old) == [
+        "episode_0.csv: largest relative float difference 4e-14, 1 differing non-float cells",
+        "summary.json: largest relative float difference 2e-13, 1 differing non-float cells",
+    ]
+    assert golden.float_shift(old / "summary.json", old / "summary.json") == (0.0, 0)

@@ -1,8 +1,9 @@
-"""The round's array-at-a-time stages and lazy link memo, each checked against its oracle.
+"""The round's fast stages and lazy link memo, each checked against its oracle.
 
 The oracles are the per-sensor and per-link functions (``sensing.observe``,
-``channel.uplink_outcome``, ``FusionBatch.from_observations`` + ``fuse``) and
-the general Joseph update ``estimator._joseph_update``.
+``channel.uplink_outcome``, ``FusionBatch.from_observations`` + ``fuse``),
+the general Joseph update ``estimator._joseph_update``, and loop-written
+references of the float expressions.
 """
 
 import dataclasses
@@ -312,6 +313,18 @@ def test_starved_link_is_not_delivered(starved_first):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def sequential_fusion(mean, p, readings):
+    """One rank-1 Joseph update and mean update per reading (k, r, y), in order, written as loops."""
+    m = list(mean)
+    for k, r, y in readings:
+        s = p[k][k] + r
+        gain = [row[k] / s for row in p]
+        innovation = y - m[k]
+        m = [mi + gi * innovation for mi, gi in zip(m, gain)]
+        p = rank1_joseph(p, k, r)
+    return m, p
+
+
 @settings(max_examples=150, deadline=None)
 @given(specs=sensor_specs, seed=seeds, data=st.data(), prior=spd_2x2())
 def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
@@ -325,11 +338,50 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     if not delivered:
         assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
         return
+    readings = [
+        (fleet.agents[i].feature, fleet.agents[i].noise_var, values[selected.index(i)]) for i in delivered
+    ]
+    mean, cov = sequential_fusion(belief.mean.tolist(), prior.tolist(), readings)
+    assert post.mean.tobytes() == np.array(mean).tobytes()
+    assert post.cov.tobytes() == np.array(cov).tobytes()
     agents = [fleet.agents[i] for i in delivered]
     observations = [sensing.Observation(i, values[selected.index(i)]) for i in delivered]
-    want = est.fuse(belief, est.FusionBatch.from_observations(agents, observations))
-    assert post.mean.tobytes() == want.mean.tobytes()
-    assert post.cov.tobytes() == want.cov.tobytes()
+    batch = est.fuse(belief, est.FusionBatch.from_observations(agents, observations))
+    assert np.max(np.abs(post.mean - batch.mean)) <= 1e-12
+    assert np.max(np.abs(post.cov - batch.cov)) <= 1e-12
+
+
+def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
+    cfg = config.config_from_dict({"cap": 30, "fleet": {"n_agents": 60}})
+    fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
+    prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
+    targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
+    selected, _, planned = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
+    assert len(selected) > 2
+    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
+    post = sched.fuse_delivered(prior, selected, selected, values, fleet)
+    assert post.cov.tobytes() == planned.tobytes()
+
+
+def test_rank1_update_retries_with_jitter_then_fails():
+    gain, cov = est.rank1_update([[0.0, 0.0], [0.0, 1.0]], 0, 0.0)
+    assert gain == (0.0, 0.0) and cov == [[0.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(NumericalError, match="singular"):
+        est.rank1_update([[-1.0, 0.0], [0.0, 1.0]], 0, 0.5)
+
+
+@pytest.mark.parametrize("bad", ["prior", "variance"])
+def test_fuse_readings_rejects_non_finite(bad):
+    cov = np.eye(2)
+    r = 1e-3
+    if bad == "prior":
+        cov[0, 1] = cov[1, 0] = np.inf
+    else:
+        r = np.nan
+    prior = est.Belief.__new__(est.Belief)
+    prior.mean, prior.cov, prior.qi = np.zeros(2), cov, 0
+    with pytest.raises(NumericalError, match="not finite"):
+        est.fuse_readings(prior, [(1, r, 0.1)])
 
 
 spd_n = st.integers(min_value=1, max_value=30).flatmap(
