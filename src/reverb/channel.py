@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, InfeasibleError, InputError
+from .schema import POSITIVE, check_fields, spec
 
 _INV_E = math.exp(-1.0)
 _STANDARD_NORMAL = statistics.NormalDist()
@@ -34,35 +35,23 @@ _STANDARD_NORMAL = statistics.NormalDist()
 class ChannelParams:
     """Uplink constants shared by every sensor-to-AP link."""
 
-    system_gain: float = 1.0            # lumped frequency/antenna constant
-    path_loss_exp: float = 2.0
-    noise_power_dbm: float = -11.5      # total noise power over the reference bandwidth
-    noise_ref_bandwidth_hz: float = 20e6
-    rician_k: float = 10.0              # LoS-to-scatter power ratio, linear
-    packet_bits: float = 1024.0
-    max_latency_s: float = 5e-3
-    outage_target: float = 1e-5
-    prb_hz: float = 180e3
+    system_gain: float = spec(1.0, float, POSITIVE)            # lumped frequency/antenna constant
+    path_loss_exp: float = spec(2.0, float, POSITIVE)
+    noise_power_dbm: float = spec(-11.5, float)                # total over the reference bandwidth
+    noise_ref_bandwidth_hz: float = spec(20e6, float, POSITIVE)
+    rician_k: float = spec(10.0, float, POSITIVE)              # LoS-to-scatter power ratio, linear
+    packet_bits: float = spec(1024.0, float, POSITIVE)
+    max_latency_s: float = spec(5e-3, float, POSITIVE)
+    outage_target: float = spec(1e-5, float, (lambda p: 0.0 < p < 0.5, "within (0, 0.5)"))
+    prb_hz: float = spec(180e3, float, POSITIVE)
 
     def __post_init__(self) -> None:
-        for name in (
-            "system_gain",
-            "path_loss_exp",
-            "noise_ref_bandwidth_hz",
-            "rician_k",
-            "packet_bits",
-            "max_latency_s",
-            "prb_hz",
-        ):
-            if not (getattr(self, name) > 0.0):
-                raise ConfigError(f"{name} must be strictly positive")
-        if not (0.0 < self.outage_target < 0.5):
-            raise ConfigError("outage target must lie in (0, 0.5)")
+        check_fields(self)
         q = gaussian_q_inv(self.outage_target)
         if not (self.rician_k > 0.5 * q * q):
             raise ConfigError(
-                "LoS component too weak for the outage target "
-                f"(need rician_k > {0.5 * q * q:.3f})"
+                f"rician_k must exceed {0.5 * q * q:.3f} for outage_target {self.outage_target:g}: "
+                "the LoS component is too weak"
             )
 
     @cached_property
@@ -253,20 +242,23 @@ def optimal_bandwidth(
         raise InputError("power and distance must be strictly positive")
     y = outage_fading_threshold(params.rician_k, params.outage_target)
     d_ln2 = params.packet_bits * math.log(2.0)
-    theta = (
-        params.system_gain
-        * tx_power_w
-        * y
-        * y
-        * params.max_latency_s
-        / (
-            2.0
-            * (1.0 + params.rician_k)
-            * distance_m**params.path_loss_exp
-            * params.noise_psd
-            * d_ln2
+    try:
+        theta = (
+            params.system_gain
+            * tx_power_w
+            * y
+            * y
+            * params.max_latency_s
+            / (
+                2.0
+                * (1.0 + params.rician_k)
+                * distance_m**params.path_loss_exp
+                * params.noise_psd
+                * d_ln2
+            )
         )
-    )
+    except (OverflowError, ZeroDivisionError):  # d^alpha or the noise density left the float range
+        theta = math.nan
     # Checked before the Lambert-W calls: for small theta, e^{-1/theta} underflows to 0.
     if not math.isfinite(theta) or theta <= 1.0:
         raise InfeasibleError(
@@ -285,10 +277,15 @@ def optimal_bandwidth(
             "no positive-bandwidth solution: the deadline rate exceeds the wideband limit"
         )
     bandwidth = -d_ln2 / (params.max_latency_s * ups)
+    prbs = bandwidth / params.prb_hz
+    if prbs == math.inf:
+        raise InfeasibleError(
+            f"agent {agent_id}: {bandwidth:g} Hz is no finite count of {params.prb_hz:g}-Hz PRBs"
+        )
     return LinkBudget(
         agent_id=agent_id,
         bandwidth_hz=bandwidth,
-        prbs=int(math.ceil(bandwidth / params.prb_hz)),
+        prbs=int(math.ceil(prbs)),
         theta=theta,
         fading_threshold=y,
         tx_power_w=tx_power_w,

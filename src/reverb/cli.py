@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import control
-from .config import SCHEMES, STATE_FEATURES, RunConfig, load_config
+from .config import SCHEMES, RunConfig, load_config
 from .errors import ConfigError, ReverbError
 from .metrics import compute_metrics
 from .recordio import write_episode_csv, write_summary_csv, write_summary_json
 from .runner import monte_carlo, run_sweep
+from .schema import STATE_FEATURES
 from .schemes import build_loop, make_policy, run_episode
 
 

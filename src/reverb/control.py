@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, TrainingError
+from .errors import ConfigError, InputError, TrainingError
 from .loop import TwinLoop
 from .nets import MLP, make_optimizer
+from .schema import NONNEGATIVE, POSITIVE, at_least, check_fields, one_of, spec, within
 
 Array = np.ndarray
 
@@ -62,28 +64,31 @@ class Transition:
 
 @dataclass
 class ControlConfig:
-    hidden: tuple[int, ...] = (64, 64)
-    lr_actor: float = 1e-3
-    lr_critic: float = 1e-3
-    clip: float = 0.2
-    gamma: float = 0.99
-    kappa: float = 5e-6
-    eta_max: float = 1e4
-    epochs: int = 10
-    minibatch: int = 64
-    entropy_coef: float = 0.0
-    init_log_std: float = 0.5
+    hidden: tuple[int, ...] = spec((64, 64), (int,), at_least(1))
+    lr_actor: float = spec(1e-3, float, POSITIVE)
+    lr_critic: float = spec(1e-3, float, POSITIVE)
+    clip: float = spec(0.2, float, POSITIVE)
+    gamma: float = spec(0.99, float, within(0.0, 1.0))
+    kappa: float = spec(5e-6, float, NONNEGATIVE)
+    eta_max: float = spec(1e4, float, NONNEGATIVE)
+    epochs: int = spec(10, int, at_least(1))
+    minibatch: int = spec(64, int, at_least(1))
+    entropy_coef: float = spec(0.0, float, NONNEGATIVE)
+    init_log_std: float = spec(0.5, float, within(LOG_STD_MIN, LOG_STD_MAX))
     # Exploration schedule: keep log-std at or above this floor for the first
     # explore_frac of training episodes so the sparse summit bonus can be
     # found before the action-cost gradient shrinks the policy's spread.
-    explore_floor: float = -0.75
-    explore_frac: float = 0.5
-    advantage_norm: bool = True
-    optimizer: str = "adam"
-    shaping: str = "accuracy_bonus"  # or "accuracy_cost"
+    explore_floor: float = spec(-0.75, float, within(LOG_STD_MIN, LOG_STD_MAX))
+    explore_frac: float = spec(0.5, float, within(0.0, 1.0))
+    advantage_norm: bool = spec(True, bool)
+    optimizer: str = spec("adam", str, one_of("adam", "sgd"))
+    shaping: str = spec("accuracy_bonus", str, one_of("accuracy_bonus", "accuracy_cost"))
     # Fixed per-feature scaling applied to the belief mean before the nets;
     # mountain-car velocity lives on a ~1/14 scale relative to position.
-    input_scale: tuple[float, ...] = (1.0, 14.285714285714286)
+    input_scale: tuple[float, ...] = spec((1.0, 14.285714285714286), (float,), POSITIVE, per_feature=True)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 class PolicyAgent:
@@ -116,7 +121,8 @@ class PolicyAgent:
     def squash(self, raw: Array) -> ActionVector:
         raw = np.asarray(raw, dtype=float)
         force = math.tanh(float(raw[0]))
-        accuracy = self.cfg.eta_max / (1.0 + np.exp(-raw[1:]))
+        # Past exp(709) the float range ends; below -709 a request saturates to ~0 anyway.
+        accuracy = self.cfg.eta_max / (1.0 + np.exp(np.minimum(-raw[1:], 709.0)))
         return ActionVector(force=force, accuracy=accuracy)
 
     def sample_step(self, state: Array, rng: np.random.Generator) -> tuple[ActionVector, Array, float]:
@@ -164,7 +170,9 @@ class PolicyAgent:
                 raise InputError(f"weights: missing key {key!r}")
             try:
                 return convert(data[key])
-            except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            except ConfigError as exc:  # a number outside the config field's range
+                raise InputError(f"weights: {key!r} is out of range ({exc})") from None
+            except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
                 raise InputError(f"weights: ill-typed {key!r} ({type(exc).__name__}: {exc})") from None
 
         def floats(value) -> Array:
@@ -192,11 +200,11 @@ class PolicyAgent:
                     )
             return mlp
 
-        cfg = dataclasses.replace(cfg or ControlConfig(), eta_max=read("eta_max", float))
+        cfg = read("eta_max", lambda v: dataclasses.replace(cfg or ControlConfig(), eta_max=float(v)))
         agent = cls.__new__(cls)
         agent.cfg = cfg
-        agent.state_dim = read("state_dim", int)
-        agent.n_features = read("n_features", int)
+        agent.state_dim = read("state_dim", operator.index)
+        agent.n_features = read("n_features", operator.index)
         if agent.state_dim < 1 or agent.n_features < 0:
             raise InputError("weights: 'state_dim' must be at least 1 and 'n_features' nonnegative")
         agent.action_dim = 1 + agent.n_features
@@ -220,8 +228,6 @@ def shaped_reward(reward_env: float, accuracy: Array, kappa: float, mode: str = 
     cost instead of a bonus. The mean sums in index order, as ``np.mean``
     does for a 2-vector.
     """
-    if kappa < 0.0:
-        raise InputError("kappa must be nonnegative")
     values = np.asarray(accuracy, dtype=float).ravel().tolist()
     if not values:
         raise InputError("need at least one accuracy request")
@@ -399,7 +405,11 @@ def train(
         if not math.isfinite(shaped_return):
             raise TrainingError("non-finite episode return")
         floor = cfg.explore_floor if ep < explore_until else LOG_STD_MIN
-        ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)
+        except FloatingPointError as exc:  # a learning rate, reward scale or entropy term too large
+            raise TrainingError(f"episode {ep}: the policy update left the float range ({exc})") from None
         curve.append(EpisodeStats(ep, shaped_return, env_return, reached, qis))
     return agent, curve
 

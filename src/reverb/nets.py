@@ -120,8 +120,4 @@ class Adam:
 
 
 def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    return {"sgd": Sgd, "adam": Adam}[kind](lr)

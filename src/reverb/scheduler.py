@@ -30,7 +30,7 @@ import numpy as np
 from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .sensing import SensorFleet, observe_many
 
 Array = np.ndarray
@@ -73,8 +73,6 @@ def compute_targets(required_var: Array, accuracy_request: Array) -> Uncertainty
         raise InputError("one accuracy request per feature is required")
     bounds = []
     for x, e in zip(xi, eta):
-        if x <= 0.0:
-            raise InputError("required variances must be strictly positive")
         if e < 0.0:
             raise InputError("accuracy requests must be nonnegative")
         bounds.append(min(x, 1.0 / e) if e > 0.0 else x)
@@ -89,8 +87,8 @@ def _first_available(order: tuple[int, ...], available: set[int]) -> int | None:
 
 
 def select_feature(
-    cov_diag: Array,
-    targets: UncertaintyTargets,
+    cov_diag: list[float],
+    bounds: list[float],
     fleet: SensorFleet,
     available: set[int],
 ) -> int | None:
@@ -100,7 +98,7 @@ def select_feature(
     for k in range(len(cov_diag)):
         if _first_available(fleet.quietest_first.get(k, ()), available) is None:
             continue
-        ratio = cov_diag[k] / targets.variance_bounds[k]
+        ratio = cov_diag[k] / bounds[k]
         if ratio > best_ratio:  # strict: ties keep the lowest feature index
             best_ratio = ratio
             best_k = k
@@ -121,10 +119,6 @@ def plan_selection(
     from the fleet's cached per-feature orders: nearest first for stale
     features, quietest first for the value-of-information picks.
     """
-    if cap < 1:
-        raise ConfigError("connection cap must be at least 1")
-    if len(fleet) < 1:
-        raise ConfigError("fleet must not be empty")
     available = set(range(len(fleet)))
     bounds = targets.variance_bounds.tolist()
     cov = np.asarray(prior_cov, dtype=float).tolist()  # nested floats until the end
@@ -150,7 +144,7 @@ def plan_selection(
         diag = [row[k] for k, row in enumerate(cov)]
         if not any(d > b for d, b in zip(diag, bounds)):
             break
-        k = select_feature(diag, targets, fleet, available)
+        k = select_feature(diag, bounds, fleet, available)
         if k is None:
             break
         pick(_first_available(fleet.quietest_first[k], available))

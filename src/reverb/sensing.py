@@ -13,7 +13,6 @@ scheduler the first time a sensor is selected.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -21,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .schema import POSITIVE, STATE_FEATURES, at_least, check_fields, spec
 
 Array = np.ndarray
 
@@ -78,22 +78,19 @@ class Observation:
 class FleetConfig:
     """How to generate a fleet of single-feature sensors."""
 
-    n_agents: int = 20
-    max_distance_m: float = 20.0
-    tx_power_w: float = 0.02
+    n_agents: int = spec(20, int, at_least(STATE_FEATURES))  # round-robin covers every feature
+    max_distance_m: float = spec(20.0, float, POSITIVE)
+    tx_power_w: float = spec(0.02, float, POSITIVE)
     # Per-feature [lo, hi] measurement-variance ranges, feature order = state order.
-    noise_var_ranges: tuple[tuple[float, float], ...] = ((1e-3, 2e-2), (2e-4, 4e-3))
+    noise_var_ranges: tuple[tuple[float, float], ...] = spec(
+        ((1e-3, 2e-2), (2e-4, 4e-3)), ((float, float),), POSITIVE, per_feature=True
+    )
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigError("need at least one sensing agent")
-        if self.max_distance_m <= 0.0:
-            raise ConfigError("max distance must be positive")
+        check_fields(self)
         for lo, hi in self.noise_var_ranges:
-            if not (0.0 < lo <= hi < math.inf):
-                raise ConfigError(
-                    f"noise_var_ranges must be finite with 0 < lo <= hi, got [{lo}, {hi}]"
-                )
+            if not lo <= hi:
+                raise ConfigError(f"noise_var_ranges needs lo <= hi, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -140,24 +137,18 @@ class SensorFleet:
         return self._per_feature(self.quietest)
 
 
-def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) -> SensorFleet:
+def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet:
     """Place ``n_agents`` single-feature sensors, features assigned round-robin.
 
     Distances are i.i.d. uniform on (0, max_distance]; each sensor's noise
     variance is uniform in its feature's configured range.
     """
     n_features = len(config.noise_var_ranges)
-    if n_features != dim:
-        raise ConfigError("one noise range per state feature is required")
-    if config.n_agents < n_features:
-        raise ConfigError(
-            f"{config.n_agents} agents cannot cover {n_features} features round-robin"
-        )
     agents = []
     for i in range(config.n_agents):
         k = i % n_features
         lo, hi = config.noise_var_ranges[k]
-        h = np.zeros((1, dim))
+        h = np.zeros((1, n_features))
         h[0, k] = 1.0
         d = float(config.max_distance_m * (1.0 - rng.uniform(0.0, 1.0)))  # in (0, d_max]
         agents.append(
@@ -169,11 +160,7 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator, dim: int = 2) 
                 tx_power_w=config.tx_power_w,
             )
         )
-    index: dict[int, tuple[int, ...]] = {}
-    for k in range(n_features):
-        index[k] = tuple(a.agent_id for a in agents if a.feature == k)
-        if not index[k]:
-            warnings.warn(f"no sensor measures feature {k}; its targets are unreachable")
+    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in range(n_features)}
     return SensorFleet(agents=tuple(agents), feature_index=index)
 
 

@@ -323,6 +323,17 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("init_belief_var: .nan", "init_belief_var must be finite and strictly positive"),
         ("cap: [1, 2", "is not valid YAML"),
         ("seed: -1", "seed must be nonnegative"),
+        ("control: {optimizer: foo}", "control.optimizer must be one of adam, sgd, got 'foo'"),
+        ("control: {minibatch: 0}", "control.minibatch must be at least 1, got 0"),
+        ("control: {explore_frac: .nan}", "control.explore_frac must be finite and within [0.0, 1.0]"),
+        ("control: {hidden: [0, 4]}", "control.hidden must be at least 1, got 0"),
+        ("control: {epochs: 0}", "control.epochs must be at least 1, got 0"),
+        ("control: {clip: -1.0}", "control.clip must be finite and strictly positive, got -1.0"),
+        ("control: {advantage_norm: maybe}", "control.advantage_norm must be true or false, got 'maybe'"),
+        ("control: {input_scale: [1.0]}", "control.input_scale needs one entry per state feature"),
+        ("fleet: {max_distance_m: .nan}", "fleet.max_distance_m must be finite and strictly positive"),
+        ("channel: {noise_power_dbm: .nan}", "channel.noise_power_dbm must be finite, got nan"),
+        ("channel: {system_gain: .inf}", "channel.system_gain must be finite and strictly positive"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
@@ -372,6 +383,8 @@ def test_cli_weights_not_json_returns_1(tmp_path, capsys):
             lambda w: control.PolicyAgent(1, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict(),
             "weights for state_dim 1 and n_features 2, but the plant has 2 state features",
         ),
+        (lambda w: {**w, "eta_max": -1.0}, "weights: 'eta_max' is out of range"),
+        (lambda w: {**w, "eta_max": float("nan")}, "weights: 'eta_max' is out of range"),
     ],
 )
 def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):

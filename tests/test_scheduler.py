@@ -56,23 +56,20 @@ def test_service_aol_empty_and_disjoint():
 
 def test_select_feature_ratio_argmax():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
-    k = sched.select_feature(np.array([0.02, 0.001]), targets, fleet, {0, 1})
+    k = sched.select_feature([0.02, 0.001], [0.01, 0.002], fleet, {0, 1})
     assert k == 0  # ratios 2.0 vs 0.5
 
 
 def test_select_feature_skips_uncovered():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
     # the max-ratio feature has no available sensor left
-    k = sched.select_feature(np.array([0.02, 0.001]), targets, fleet, {1})
+    k = sched.select_feature([0.02, 0.001], [0.01, 0.002], fleet, {1})
     assert k == 1
 
 
 def test_select_feature_tie_goes_low():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.01]))
-    k = sched.select_feature(np.array([0.02, 0.02]), targets, fleet, {0, 1})
+    k = sched.select_feature([0.02, 0.02], [0.01, 0.01], fleet, {0, 1})
     assert k == 0
 
 
