@@ -7,10 +7,14 @@ Rician fading tail. The chain is:
   outage(W) = P[ W log2(1 + snr) < D/tau ] = CDF of the fading power at a
   threshold that depends on W; inverting the (approximated) Rician quantile
   turns this into (1 - Ups*Theta) e^Ups = 1 with Ups = -D ln2 / (W tau),
-  solved by the Lambert W function. Only Theta > 1 admits a positive-W root;
-  the argument -e^{-1/Theta}/Theta always carries the spurious root
-  Ups = 0 (infinite bandwidth) on one branch, so the allocator evaluates both
-  real branches and keeps the one that differs from -1/Theta.
+  solved by the Lambert W function at -e^{-1/Theta}/Theta. Only Theta > 1
+  admits a positive-W root. There the principal branch W_0 always returns
+  -1/Theta, the spurious root Ups = 0 (infinite bandwidth), so the allocator
+  evaluates the lower branch W_{-1} only: Ups = W_{-1} + 1/Theta < 0, which
+  tends to -2 (Theta - 1) as Theta approaches 1.
+
+The fading threshold of the outage target depends only on the channel
+constants, so ``ChannelParams`` computes it once, beside the noise density.
 
 Granted bandwidth is quantized upward to physical resource blocks (PRBs).
 """
@@ -53,11 +57,20 @@ class ChannelParams:
                 f"rician_k must exceed {0.5 * q * q:.3f} for outage_target {self.outage_target:g}: "
                 "the LoS component is too weak"
             )
+        try:
+            self.fading_threshold
+        except DomainError:  # sqrt(2 K) overflowed, leaving the threshold NaN
+            raise ConfigError(f"rician_k must leave the fading threshold finite, got {self.rician_k!r}") from None
 
     @cached_property
     def noise_psd(self) -> float:
         """Noise power spectral density in W/Hz."""
         return 10.0 ** (self.noise_power_dbm / 10.0 - 3.0) / self.noise_ref_bandwidth_hz
+
+    @cached_property
+    def fading_threshold(self) -> float:
+        """Fading power threshold y of the outage target, ``outage_fading_threshold``."""
+        return outage_fading_threshold(self.rician_k, self.outage_target)
 
 
 @dataclass(frozen=True)
@@ -120,39 +133,6 @@ def rician_power(rician_k: float, re_z, im_z):
     return re * re + im * im
 
 
-def marcum_q1(a: float, b: float, rel_tol: float = 1e-12) -> float:
-    """First-order Marcum Q: tail of a noncentral chi-square with 2 dof.
-
-    Poisson-mixture series: sum_k e^{-a^2/2} (a^2/2)^k / k! * P[chi2_{2k+2} > b^2],
-    truncated when the remaining Poisson mass is below ``rel_tol`` of the sum.
-    """
-    if a < 0.0 or b < 0.0:
-        raise InputError("arguments must be nonnegative")
-    if b == 0.0:
-        return 1.0
-    ha = 0.5 * a * a
-    hb = 0.5 * b * b
-    pois = math.exp(-ha)          # Poisson weight at k = 0
-    inner = math.exp(-hb)         # chi-square tail increment at j = 0
-    chi_tail = inner              # P[chi2_2 > b^2]
-    total = pois * chi_tail
-    cum = pois
-    k = 0
-    while (1.0 - cum) > rel_tol * max(total, 1e-300) and k < 100000:
-        k += 1
-        pois *= ha / k
-        inner *= hb / k
-        chi_tail += inner
-        total += pois * chi_tail
-        cum += pois
-    return min(total, 1.0)
-
-
-def gaussian_q(x: float) -> float:
-    """Standard normal tail probability."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def gaussian_q_inv(eps: float) -> float:
     """Inverse of the Gaussian Q-function: Q^{-1}(eps) = -Phi^{-1}(eps).
 
@@ -164,40 +144,22 @@ def gaussian_q_inv(eps: float) -> float:
     return -_STANDARD_NORMAL.inv_cdf(eps)
 
 
-def lambert_w(x: float, branch: str = "principal", rel_tol: float = 1e-12) -> float:
-    """Real Lambert W by Halley iteration: w with w e^w = x.
-
-    ``principal`` covers x >= -1/e; ``lower`` covers -1/e <= x < 0.
-    """
+def lambert_w_lower(x: float, rel_tol: float = 1e-12) -> float:
+    """Lower real branch W_{-1} by Halley iteration: w <= -1 with w e^w = x, for -1/e <= x < 0."""
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
     if x < -_INV_E - 1e-15:
         raise DomainError("no real solution below -1/e")
+    if not (x < 0.0):
+        raise DomainError("lower branch requires x in [-1/e, 0)")
     x = max(x, -_INV_E)
-    if branch == "principal":
-        if x == 0.0:
-            return 0.0
-        # Branch-point series near -1/e, log asymptote for large x, linear otherwise.
-        if x < -0.25:
-            p = math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 + p - p * p / 3.0
-        elif x < math.e:
-            w = x / (1.0 + x)
-        else:
-            lx = math.log(x)
-            w = lx - math.log(lx)
-    elif branch == "lower":
-        if not (x < 0.0):
-            raise DomainError("lower branch requires x in [-1/e, 0)")
-        if x > -0.25:
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-        else:
-            p = -math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 + p - p * p / 3.0
+    # Log asymptote away from the branch point, branch-point series near -1/e.
+    if x > -0.25:
+        lx = math.log(-x)
+        w = lx - math.log(-lx)
     else:
-        raise InputError(f"unknown branch {branch!r}")
-
+        p = -math.sqrt(2.0 * (math.e * x + 1.0))
+        w = -1.0 + p - p * p / 3.0
     for _ in range(100):
         ew = math.exp(w)
         fw = w * ew - x
@@ -225,8 +187,8 @@ def outage_fading_threshold(rician_k: float, outage_target: float) -> float:
     if q == 0.0:
         raise DomainError("outage target of 0.5 leaves the threshold undefined")
     y = s + math.log(s / (s - q)) / (2.0 * q) - q
-    if not (y > 0.0):
-        raise DomainError("fading threshold must be positive")
+    if not (0.0 < y < math.inf):
+        raise DomainError("fading threshold must be finite and positive")
     return y
 
 
@@ -240,7 +202,7 @@ def optimal_bandwidth(
     """
     if tx_power_w <= 0.0 or distance_m <= 0.0:
         raise InputError("power and distance must be strictly positive")
-    y = outage_fading_threshold(params.rician_k, params.outage_target)
+    y = params.fading_threshold
     d_ln2 = params.packet_bits * math.log(2.0)
     try:
         theta = (
@@ -259,19 +221,13 @@ def optimal_bandwidth(
         )
     except (OverflowError, ZeroDivisionError):  # d^alpha or the noise density left the float range
         theta = math.nan
-    # Checked before the Lambert-W calls: for small theta, e^{-1/theta} underflows to 0.
+    # Checked before the Lambert-W call: for small theta, e^{-1/theta} underflows to 0.
     if not math.isfinite(theta) or theta <= 1.0:
         raise InfeasibleError(
             f"agent {agent_id} at {distance_m:g} m: link constant theta={theta:.6g} is not "
             "a finite value above 1, so no finite bandwidth meets the deadline"
         )
-    z = -math.exp(-1.0 / theta) / theta
-    trivial = -1.0 / theta
-    roots = [lambert_w(z, "principal"), lambert_w(z, "lower")]
-    nontrivial = [w for w in roots if abs(w - trivial) > 1e-9 * max(1.0, abs(trivial))]
-    if not nontrivial:
-        raise InfeasibleError("both Lambert branches collapse onto the infinite-bandwidth root")
-    ups = nontrivial[0] + 1.0 / theta
+    ups = lambert_w_lower(-math.exp(-1.0 / theta) / theta) + 1.0 / theta
     if ups >= 0.0:
         raise InfeasibleError(
             "no positive-bandwidth solution: the deadline rate exceeds the wideband limit"

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, InputError, TrainingError
 from .loop import TwinLoop
 from .nets import MLP, make_optimizer
-from .schema import NONNEGATIVE, POSITIVE, at_least, check_fields, one_of, spec, within
+from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_fields, one_of, spec, within
 
 Array = np.ndarray
 
@@ -178,10 +178,15 @@ class PolicyAgent:
         def floats(value) -> Array:
             return np.array(value, dtype=float)
 
+        def finite(key: str, *arrays: Array) -> None:
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise InputError(f"weights: {key!r} holds a NaN or infinite entry")
+
         def vector(key: str, n: int) -> Array:
             value = read(key, floats)
             if value.shape != (n,):
                 raise InputError(f"weights: {key!r} has shape {value.shape}, expected ({n},)")
+            finite(key, value)
             return value
 
         def net(key: str, n_in: int, n_out: int) -> MLP:
@@ -198,6 +203,7 @@ class PolicyAgent:
                         f"weights: {key!r} layer {i} has shapes {w.shape} and {b.shape}, "
                         f"expected {want_w} and {want_b}"
                     )
+            finite(key, *mlp.weights, *mlp.biases)
             return mlp
 
         cfg = read("eta_max", lambda v: dataclasses.replace(cfg or ControlConfig(), eta_max=float(v)))
@@ -240,13 +246,6 @@ def shaped_reward(reward_env: float, accuracy: Array, kappa: float, mode: str = 
     if mode == "accuracy_cost":
         return reward_env - term
     raise InputError(f"unknown shaping mode {mode!r}")
-
-
-def td_error(agent: PolicyAgent, transition: Transition, gamma: float) -> float:
-    """One-step residual r + gamma * V(s') - V(s); no bootstrap on terminal steps."""
-    v_s = float(agent.value(transition.state[None, :])[0])
-    v_next = 0.0 if transition.done else float(agent.value(transition.next_state[None, :])[0])
-    return transition.reward + gamma * v_next - v_s
 
 
 @dataclass
@@ -372,7 +371,7 @@ def train(
     act_rng = np.random.default_rng(act_ss)
     update_rng = np.random.default_rng(update_ss)
     env_children = env_ss.spawn(episodes)
-    agent = PolicyAgent(state_dim=2, n_features=2, cfg=cfg, rng=init_rng)
+    agent = PolicyAgent(state_dim=STATE_FEATURES, n_features=STATE_FEATURES, cfg=cfg, rng=init_rng)
     actor_opt = make_optimizer(cfg.optimizer, cfg.lr_actor)
     critic_opt = make_optimizer(cfg.optimizer, cfg.lr_critic)
     curve: list[EpisodeStats] = []

@@ -1,7 +1,7 @@
-"""Plant models: generic nonlinear discrete-time dynamics and the mountain-car instance.
+"""Plant models: 2-D nonlinear discrete-time dynamics and the mountain-car instance.
 
-A model owns three maps sharing one state convention (position first, velocity
-second for the mountain car):
+The twin's plant has two state features, position first and velocity second
+for the mountain car. A model owns three maps sharing that convention:
 
 * ``update(s, a)``      -- the deterministic per-interval transition, with the
   environment's clamping rules applied,
@@ -13,22 +13,21 @@ second for the mountain car):
 Process noise is additive Gaussian on top of ``update``; clamps are re-applied
 after the noise so outputs always respect the state bounds. ``clamp``
 receives the next state as a list of floats. The noise is the PSD square root
-of its covariance, kept as nested floats, times one standard normal draw,
-formed as float expressions summed in index order. The per-interval checks of
-``step`` and ``jacobian_at`` run on Python floats.
+of its 2x2 covariance, kept as nested floats, times one draw of two standard
+normals, formed as explicit float expressions summed in index order. The
+per-interval checks of ``step`` and ``jacobian_at`` run on Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .schema import STATE_FEATURES
 
 Array = np.ndarray
 
@@ -55,7 +54,7 @@ class MountainCarParams:
 
 @dataclass(frozen=True)
 class DynamicsModel:
-    """Discrete-time plant with additive control and Gaussian process noise."""
+    """Discrete-time 2-D plant with additive control and Gaussian process noise."""
 
     dim: int
     update: Callable[[Array, float], Array]
@@ -70,8 +69,9 @@ class DynamicsModel:
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.process_noise_cov, dtype=float)
-        if cov.shape != (self.dim, self.dim):
-            raise ConfigError(f"process noise covariance must be {self.dim}x{self.dim}")
+        n = STATE_FEATURES
+        if self.dim != n or cov.shape != (n, n):
+            raise ConfigError(f"the plant needs {n} state features and {n}x{n} process noise")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("process noise covariance must be symmetric")
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -97,12 +97,13 @@ def step(model: DynamicsModel, state: Array, action: float, rng: np.random.Gener
     if not math.isfinite(action):
         raise InputError("action must be finite")
     a = min(max(float(action), -model.action_bound), model.action_bound)
-    nxt = model.update(s, a).tolist()
+    x, v = model.update(s, a).tolist()
     if model.noise_scale is not None:
-        z = rng.standard_normal(model.dim).tolist()
-        # x + (noise_scale @ z)[i], the products summed in index order.
-        nxt = [x + reduce(add, map(mul, row, z)) for x, row in zip(nxt, model.noise_scale)]
-    return np.asarray(model.clamp(nxt), dtype=float)
+        z0, z1 = rng.standard_normal(2).tolist()
+        (s00, s01), (s10, s11) = model.noise_scale
+        # (x, v) + noise_scale @ z, each entry's products summed in index order.
+        x, v = x + (s00 * z0 + s01 * z1), v + (s10 * z0 + s11 * z1)
+    return np.asarray(model.clamp([x, v]), dtype=float)
 
 
 def jacobian_at(model: DynamicsModel, state: Array) -> Array:

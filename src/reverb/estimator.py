@@ -1,9 +1,12 @@
-"""Extended Kalman filter over the twin's Gaussian belief.
+"""Extended Kalman filter over the twin's 2-D Gaussian belief.
 
-Prediction propagates the covariance through the dynamics Jacobian,
-J P J^T + Q, as float expressions with each entry's products summed in index
-order, so the result does not depend on the BLAS kernel (it equals the
-elementwise ``einsum`` product bit for bit).
+The twin tracks the mountain car's state, position and velocity: a belief is
+a length-2 mean and a 2x2 covariance, and the arithmetic of a round is
+written out for that shape in Python floats. Prediction propagates the
+covariance through the dynamics Jacobian, J P J^T + Q, as explicit 2x2
+expressions with each entry's products summed in index order, so the result
+does not depend on the BLAS kernel (it equals the elementwise ``einsum``
+product bit for bit).
 
 A sensor observes one feature k with noise variance r, so independent
 readings are fused one at a time (sequential processing, Bierman 1977):
@@ -18,22 +21,23 @@ mean update m + K (y - m_k).
 the oracle of the sequential path and for the acceptance checks; its
 innovation system is solved by the LAPACK routines scipy's
 ``cho_factor``/``cho_solve`` call (potrf, potrs), loaded on first use.
-Covariance checks use closed-form eigenvalues on 2x2 matrices and run once
-per new belief, when it is constructed.
+A new belief's covariance is checked once, when it is constructed, for
+symmetry and, by its smaller eigenvalue in closed form, for positive
+semidefiniteness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import add, mul
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
+from .schema import STATE_FEATURES
 from .sensing import Observation, SensingAgent
 
 Array = np.ndarray
@@ -44,7 +48,7 @@ JOSEPH_TOL = 1e-8
 
 @dataclass
 class Belief:
-    """Gaussian state estimate held by the twin: mean, covariance, interval index."""
+    """Gaussian state estimate held by the twin: 2-vector mean, 2x2 covariance, interval index."""
 
     mean: Array
     cov: Array
@@ -53,7 +57,10 @@ class Belief:
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        if not all(map(math.isfinite, self.mean.ravel().tolist())):
+        n = STATE_FEATURES
+        if self.mean.shape != (n,) or self.cov.shape != (n, n):
+            raise InputError(f"belief must be a {n}-vector mean with a {n}x{n} covariance")
+        if not all(map(math.isfinite, self.mean.tolist())):
             raise InputError("belief mean must be finite")
         _check_cov(self.cov)
 
@@ -75,24 +82,17 @@ class FusionBatch:
     ) -> "FusionBatch":
         if len(agents) != len(observations) or not agents:
             raise InputError("need one observation per agent, at least one of each")
-        h = np.vstack([a.obs_matrix for a in agents])
+        h = np.eye(STATE_FEATURES)[[a.feature for a in agents]]  # rows e_k
         c = np.diag([a.noise_var for a in agents])
         o = np.concatenate([np.atleast_1d(ob.values) for ob in observations])
         return cls(obs_matrix=h, noise_cov=c, values=o)
 
 
 def _check_cov(cov: Array) -> None:
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise NumericalError("covariance must be square")
-    if cov.shape[0] == 2:
-        (a, b), (c, d) = cov.tolist()
-        asymmetry = abs(b - c)
-        # Smaller eigenvalue of [[a, b], [b, d]] in closed form.
-        min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
-    else:
-        asymmetry = np.max(np.abs(cov - cov.T))
-        min_eig = np.linalg.eigvalsh(cov).min()
-    if not asymmetry <= SYMMETRY_TOL:
+    (a, b), (c, d) = cov.tolist()
+    # Smaller eigenvalue of [[a, b], [b, d]] in closed form.
+    min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+    if not abs(b - c) <= SYMMETRY_TOL:
         raise NumericalError("covariance lost symmetry")
     if not min_eig >= -SYMMETRY_TOL:
         raise NumericalError("covariance lost positive semidefiniteness")
@@ -108,15 +108,15 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     The process noise enters only through its covariance; sampling it here
     would bias the minimum-mean-square-error predictor.
     """
-    jac = jacobian_at(model, belief.mean).tolist()
-    p = belief.cov.tolist()
+    (j00, j01), (j10, j11) = jacobian_at(model, belief.mean).tolist()
+    (p00, p01), (p10, p11) = belief.cov.tolist()
+    (q00, q01), (q10, q11) = model.process_noise_cov.tolist()
     # A = J P, then C = A J^T + Q, each entry's products summed in index order.
-    a = [[reduce(add, map(mul, j_row, p_col)) for p_col in zip(*p)] for j_row in jac]
-    c = [
-        [reduce(add, map(mul, a_row, j_row)) + q for j_row, q in zip(jac, q_row)]
-        for a_row, q_row in zip(a, model.process_noise_cov.tolist())
-    ]
-    cov = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(c, zip(*c))]
+    a00, a01 = j00 * p00 + j01 * p10, j00 * p01 + j01 * p11
+    a10, a11 = j10 * p00 + j11 * p10, j10 * p01 + j11 * p11
+    c00, c01 = a00 * j00 + a01 * j01 + q00, a00 * j10 + a01 * j11 + q01
+    c10, c11 = a10 * j00 + a11 * j01 + q10, a10 * j10 + a11 * j11 + q11
+    cov = [[0.5 * (c00 + c00), 0.5 * (c01 + c10)], [0.5 * (c10 + c01), 0.5 * (c11 + c11)]]
     return Belief(mean=model.update(belief.mean, action), cov=np.array(cov), qi=belief.qi + 1)
 
 
@@ -228,14 +228,6 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
     gain, cov = _joseph_update(prior.cov, h, batch.noise_cov)
     mean = prior.mean + gain @ (batch.values - h @ prior.mean)
     return Belief(mean=mean, cov=cov, qi=prior.qi)
-
-
-def accuracy_vector(belief: Belief) -> Array:
-    """Per-feature accuracy: reciprocal of the covariance diagonal."""
-    diag = np.diag(belief.cov)
-    if np.any(diag <= 0.0):
-        raise NumericalError("covariance diagonal must be strictly positive")
-    return 1.0 / diag
 
 
 def meets_targets(belief: Belief, variance_bounds: Array) -> tuple[bool, tuple[int, ...]]:

@@ -1,13 +1,14 @@
-"""Sensing agents: placement, observation rows, and noisy measurements.
+"""Sensing agents: placement, the feature each measures, and noisy measurements.
 
-A sensor sees one state feature and adds its own measurement error: its
-observation matrix is the selector row e_k, its noise covariance the 1x1
-variance r, and it measures ``s[k] + sqrt(r) z``. An agent carries k, r and
-sqrt(r) as constants computed once. ``observe_many`` observes a whole
-selection from one noise draw, the same numbers ``observe`` per sensor would
-draw, in Python floats. A fleet caches global and per-feature candidate
-orders for the schedulers, and a memo of link budgets, filled lazily by the
-scheduler the first time a sensor is selected.
+A sensor sees one state feature k and adds its own measurement error of
+variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
+observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
+distance and power budget; sqrt(r) is computed once. ``observe_many``
+observes a whole selection from one noise draw, the same numbers ``observe``
+per sensor would draw, in Python floats. A fleet caches, derived from its
+agents, the sensor ids of each feature and global and per-feature candidate
+orders for the schedulers, and holds a memo of link budgets, filled lazily by
+the scheduler the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -30,33 +30,23 @@ class SensingAgent:
     """One wireless sensor: what it measures, how noisily, and where it sits."""
 
     agent_id: int
-    obs_matrix: Array        # (1, K) selector row e_k into the state
-    noise_cov: Array         # (1, 1) measurement variance r
+    feature: int             # k: the state feature it measures
+    noise_var: float         # r: its measurement variance
     distance_m: float
     tx_power_w: float
-    # Constants derived from the matrices once, in __post_init__.
-    feature: int = field(init=False, repr=False, compare=False)      # k
-    noise_var: float = field(init=False, repr=False, compare=False)  # r
     noise_std: float = field(init=False, repr=False, compare=False)  # sqrt(r)
 
     def __post_init__(self) -> None:
-        h = np.atleast_2d(np.asarray(self.obs_matrix, dtype=float))
-        c = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        row = h[0].tolist() if h.shape[0] == 1 else []
-        if row.count(1.0) != 1 or row.count(0.0) != len(row) - 1:
-            raise ConfigError("observation matrix must be one selector row e_k")
-        if c.shape != (1, 1) or not (math.isfinite(c[0, 0]) and c[0, 0] > 0.0):
-            raise ConfigError("noise covariance must be one finite, strictly positive variance")
+        if not (isinstance(self.feature, int) and 0 <= self.feature < STATE_FEATURES):
+            raise ConfigError(f"feature must be 0..{STATE_FEATURES - 1}, got {self.feature!r}")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0.0):
+            raise ConfigError(f"noise_var must be finite and strictly positive, got {self.noise_var!r}")
         if not (self.distance_m > 0.0):
             raise ConfigError("distance must be strictly positive")
         if not (self.tx_power_w > 0.0):
             raise ConfigError("transmit power budget must be strictly positive")
-        noise_var = float(c[0, 0])
-        object.__setattr__(self, "obs_matrix", h)
-        object.__setattr__(self, "noise_cov", c)
-        object.__setattr__(self, "feature", row.index(1.0))
-        object.__setattr__(self, "noise_var", noise_var)
-        object.__setattr__(self, "noise_std", math.sqrt(noise_var))
+        object.__setattr__(self, "noise_var", float(self.noise_var))
+        object.__setattr__(self, "noise_std", math.sqrt(self.noise_var))
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,6 @@ class SensorFleet:
     """The sensors of one episode; ``agents[i].agent_id == i``."""
 
     agents: tuple[SensingAgent, ...]
-    feature_index: Mapping[int, tuple[int, ...]]
     # Link budgets per channel configuration, keyed by agent id; the
     # scheduler fills an entry the first time that agent is selected.
     link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -108,6 +97,13 @@ class SensorFleet:
 
     def agents_for(self, feature: int) -> tuple[int, ...]:
         return self.feature_index.get(feature, ())
+
+    @cached_property
+    def feature_index(self) -> dict[int, tuple[int, ...]]:
+        """Per feature, its sensor ids in id order."""
+        return {
+            k: tuple(a.agent_id for a in self.agents if a.feature == k) for k in range(STATE_FEATURES)
+        }
 
     def _order(self, key) -> tuple[int, ...]:
         return tuple(sorted(range(len(self.agents)), key=lambda i: key(self.agents[i])))
@@ -143,25 +139,13 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     Distances are i.i.d. uniform on (0, max_distance]; each sensor's noise
     variance is uniform in its feature's configured range.
     """
-    n_features = len(config.noise_var_ranges)
     agents = []
     for i in range(config.n_agents):
-        k = i % n_features
+        k = i % STATE_FEATURES
         lo, hi = config.noise_var_ranges[k]
-        h = np.zeros((1, n_features))
-        h[0, k] = 1.0
         d = float(config.max_distance_m * (1.0 - rng.uniform(0.0, 1.0)))  # in (0, d_max]
-        agents.append(
-            SensingAgent(
-                agent_id=i,
-                obs_matrix=h,
-                noise_cov=np.array([[rng.uniform(lo, hi)]]),
-                distance_m=d,
-                tx_power_w=config.tx_power_w,
-            )
-        )
-    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in range(n_features)}
-    return SensorFleet(agents=tuple(agents), feature_index=index)
+        agents.append(SensingAgent(i, k, rng.uniform(lo, hi), distance_m=d, tx_power_w=config.tx_power_w))
+    return SensorFleet(agents=tuple(agents))
 
 
 def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int = 0) -> Observation:

@@ -7,6 +7,8 @@ from scipy import integrate, special
 from reverb import channel as ch
 from reverb.errors import ConfigError, DomainError, InfeasibleError
 
+from oracles import gaussian_q, marcum_q1
+
 TABLE = ch.ChannelParams()  # headline parameter set
 
 
@@ -50,12 +52,12 @@ def test_fading_unit_mean():
 
 
 def test_marcum_zero_threshold():
-    assert ch.marcum_q1(1.7, 0.0) == 1.0
+    assert marcum_q1(1.7, 0.0) == 1.0
 
 
 def test_marcum_central_case():
     for b in (0.3, 1.0, 2.5):
-        assert ch.marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2.0), rel=1e-12)
+        assert marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2.0), rel=1e-12)
 
 
 def test_marcum_matches_quadrature():
@@ -65,17 +67,17 @@ def test_marcum_matches_quadrature():
         lambda x: x * math.exp(-(x * x + a * a) / 2.0) * special.i0(a * x), b, 60.0
     )
     assert err < 1e-10
-    assert ch.marcum_q1(a, b) == pytest.approx(val, abs=1e-8)
+    assert marcum_q1(a, b) == pytest.approx(val, abs=1e-8)
 
 
 def test_marcum_monotonicity_grid():
     a_grid = np.linspace(0.0, 4.0, 9)
     b_grid = np.linspace(0.1, 5.0, 11)
     for a in a_grid:
-        vals = [ch.marcum_q1(a, b) for b in b_grid]
+        vals = [marcum_q1(a, b) for b in b_grid]
         assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))  # decreasing in b
     for b in b_grid:
-        vals = [ch.marcum_q1(a, b) for a in a_grid]
+        vals = [marcum_q1(a, b) for a in a_grid]
         assert all(y >= x - 1e-15 for x, y in zip(vals, vals[1:]))  # increasing in a
 
 
@@ -84,10 +86,10 @@ def test_gaussian_q_inv_median():
 
 
 def test_gaussian_q_inv_round_trip():
-    assert ch.gaussian_q_inv(ch.gaussian_q(1.0)) == pytest.approx(1.0, rel=1e-12)
+    assert ch.gaussian_q_inv(gaussian_q(1.0)) == pytest.approx(1.0, rel=1e-12)
     for eps in (1e-6, 1e-4, 1e-2, 0.3):
         x = ch.gaussian_q_inv(eps)
-        assert abs(ch.gaussian_q(x) - eps) / eps < 1e-10
+        assert abs(gaussian_q(x) - eps) / eps < 1e-10
 
 
 def test_gaussian_q_inv_matches_erfcinv():
@@ -103,7 +105,7 @@ def test_gaussian_q_inv_tail_by_bisection():
     lo, hi = 0.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if ch.gaussian_q(mid) > 1e-5:
+        if gaussian_q(mid) > 1e-5:
             lo = mid
         else:
             hi = mid
@@ -113,38 +115,29 @@ def test_gaussian_q_inv_tail_by_bisection():
 
 
 def test_lambert_known_points():
-    assert ch.lambert_w(0.0) == 0.0
-    assert ch.lambert_w(math.e) == pytest.approx(1.0, rel=1e-12)
-    assert ch.lambert_w(-1.0 / math.e, "lower") == pytest.approx(-1.0, abs=1e-6)
+    assert ch.lambert_w_lower(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-6)
+    assert ch.lambert_w_lower(-2.0 * math.exp(-2.0)) == pytest.approx(-2.0, rel=1e-12)
 
 
-def test_lambert_identity_both_branches():
+def test_lambert_identity_lower_branch():
     rng = np.random.default_rng(5)
-    xs = rng.uniform(-1.0 / math.e, 20.0, size=1000)
-    for x in xs:
-        w = ch.lambert_w(x, "principal")
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
     xs = rng.uniform(-1.0 / math.e, -1e-6, size=1000)
     for x in xs:
-        w = ch.lambert_w(x, "lower")
+        w = ch.lambert_w_lower(x)
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
 def test_lambert_matches_scipy():
     rng = np.random.default_rng(6)
-    for x in rng.uniform(-1.0 / math.e + 1e-9, 5.0, size=200):
-        assert ch.lambert_w(x) == pytest.approx(float(special.lambertw(x, 0).real), rel=1e-10)
     for x in rng.uniform(-1.0 / math.e + 1e-9, -1e-6, size=200):
-        assert ch.lambert_w(x, "lower") == pytest.approx(
-            float(special.lambertw(x, -1).real), rel=1e-10
-        )
+        assert ch.lambert_w_lower(x) == pytest.approx(float(special.lambertw(x, -1).real), rel=1e-10)
 
 
 def test_lambert_domain_errors():
     with pytest.raises(DomainError):
-        ch.lambert_w(-1.0)
+        ch.lambert_w_lower(-1.0)
     with pytest.raises(DomainError):
-        ch.lambert_w(0.5, "lower")
+        ch.lambert_w_lower(0.5)
 
 
 def test_fading_threshold_headline_value():
@@ -158,7 +151,7 @@ def test_fading_threshold_consistency_with_marcum():
     # [0.2 eps, 5 eps] fidelity band used for acceptance
     for eps, band in ((1e-3, (0.90, 1.10)), (1e-5, (0.2, 5.0))):
         y = ch.outage_fading_threshold(10.0, eps)
-        outage = 1.0 - ch.marcum_q1(math.sqrt(20.0), y)
+        outage = 1.0 - marcum_q1(math.sqrt(20.0), y)
         assert band[0] <= outage / eps <= band[1]
 
 
@@ -175,6 +168,18 @@ def test_bandwidth_substitution_identity():
     budget = ch.optimal_bandwidth(TABLE, 0.02, 20.0)
     ups = -TABLE.packet_bits * math.log(2.0) / (budget.bandwidth_hz * TABLE.max_latency_s)
     assert (1.0 - ups * budget.theta) * math.exp(ups) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("excess", [5e-8, 1e-6])
+def test_bandwidth_just_above_theta_one_takes_lower_branch(excess):
+    # theta scales as d^-alpha: place the link where theta - 1 = excess
+    theta_1m = ch.optimal_bandwidth(TABLE, 0.02, 1.0).theta
+    distance = (theta_1m / (1.0 + excess)) ** (1.0 / TABLE.path_loss_exp)
+    budget = ch.optimal_bandwidth(TABLE, 0.02, distance)
+    assert budget.theta - 1.0 == pytest.approx(excess, rel=1e-6)
+    ups = -TABLE.packet_bits * math.log(2.0) / (budget.bandwidth_hz * TABLE.max_latency_s)
+    # near theta = 1, (1 - ups theta) e^ups = 1 gives ups ~ -2 (theta - 1)
+    assert ups == pytest.approx(-2.0 * (budget.theta - 1.0), rel=0.05)
 
 
 def bisect_bandwidth(params: ch.ChannelParams, tx_power_w: float, distance_m: float) -> float:

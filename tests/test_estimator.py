@@ -3,7 +3,9 @@ import pytest
 
 from reverb import dynamics as dyn
 from reverb import estimator as est
-from reverb.errors import NumericalError
+from reverb.errors import ConfigError, InputError, NumericalError
+
+from oracles import accuracy_vector
 
 
 def linear_model(a_mat: np.ndarray, noise: np.ndarray) -> dyn.DynamicsModel:
@@ -28,10 +30,22 @@ def test_predict_identity_keeps_covariance():
 
 
 def test_predict_scalar_linear_case():
+    # a diagonal linear model keeps the features apart: each is the scalar case a^2 p + c_u
     a, c_u = 0.7, 0.01
-    model = linear_model([[a]], [[c_u]])
-    out = est.predict(est.Belief(np.array([1.0]), np.array([[0.5]])), 0.0, model)
+    model = linear_model([[a, 0.0], [0.0, 1.0]], [[c_u, 0.0], [0.0, 0.0]])
+    out = est.predict(est.Belief(np.array([1.0, 0.0]), np.diag([0.5, 0.2])), 0.0, model)
     assert out.cov[0, 0] == pytest.approx(a * a * 0.5 + c_u, abs=1e-15)
+    assert out.cov[1, 1] == 0.2 and out.cov[0, 1] == out.cov[1, 0] == 0.0
+
+
+def test_belief_and_plant_are_two_dimensional():
+    for n in (1, 3):
+        with pytest.raises(InputError, match="2-vector mean with a 2x2 covariance"):
+            est.Belief(np.zeros(n), np.eye(n))
+        with pytest.raises(ConfigError, match="2 state features and 2x2 process noise"):
+            linear_model(np.eye(n), np.zeros((n, n)))
+    with pytest.raises(InputError, match="2x2 covariance"):
+        est.Belief(np.zeros(2), np.eye(3))
 
 
 def test_blind_prediction_matches_scalar_oracle():
@@ -87,11 +101,13 @@ def test_predict_keeps_the_mountain_car_mean_and_checks():
 
 
 def test_fuse_equal_variances_halve():
-    prior = est.Belief(np.array([0.0]), np.array([[1.0]]))
-    batch = est.FusionBatch(np.array([[1.0]]), np.array([[1.0]]), np.array([2.0]))
+    prior = est.Belief(np.array([0.0, 0.0]), np.diag([1.0, 1.0]))
+    batch = est.FusionBatch(np.array([[1.0, 0.0]]), np.array([[1.0]]), np.array([2.0]))
     out = est.fuse(prior, batch)
     assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert out.mean[0] == pytest.approx(1.0, abs=1e-12)
+    # the unobserved, uncorrelated feature keeps its prior
+    assert out.cov[1, 1] == pytest.approx(1.0, abs=1e-12) and out.mean[1] == 0.0
 
 
 def test_fuse_exact_sensor_dominates():
@@ -178,18 +194,18 @@ def test_refusing_same_batch_strictly_shrinks():
 
 def test_accuracy_vector_values():
     belief = est.Belief(np.zeros(2), np.diag([0.01, 0.002]))
-    assert np.allclose(est.accuracy_vector(belief), [100.0, 500.0])
+    assert np.allclose(accuracy_vector(belief), [100.0, 500.0])
     eye = est.Belief(np.zeros(2), np.eye(2))
-    assert np.allclose(est.accuracy_vector(eye), [1.0, 1.0])
+    assert np.allclose(accuracy_vector(eye), [1.0, 1.0])
 
 
 def test_accuracy_vector_roundtrip_and_errors():
     belief = est.Belief(np.zeros(2), np.diag([0.037, 0.0021]))
-    eta = est.accuracy_vector(belief)
+    eta = accuracy_vector(belief)
     assert np.allclose(eta * np.diag(belief.cov), 1.0)
     bad = est.Belief(np.zeros(2), np.zeros((2, 2)))
     with pytest.raises(NumericalError):
-        est.accuracy_vector(bad)
+        accuracy_vector(bad)
 
 
 def test_meets_targets_cases():
@@ -203,8 +219,8 @@ def test_meets_targets_cases():
 
 
 def test_singular_innovation_raises():
-    prior = est.Belief(np.zeros(1), np.array([[1.0]]))
-    batch = est.FusionBatch(np.array([[1.0]]), np.array([[-2.0]]), np.array([0.0]))
+    prior = est.Belief(np.zeros(2), np.diag([1.0, 1.0]))
+    batch = est.FusionBatch(np.array([[1.0, 0.0]]), np.array([[-2.0]]), np.array([0.0]))
     with pytest.raises(NumericalError):
         est.fuse(prior, batch)
 

@@ -334,6 +334,8 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("fleet: {max_distance_m: .nan}", "fleet.max_distance_m must be finite and strictly positive"),
         ("channel: {noise_power_dbm: .nan}", "channel.noise_power_dbm must be finite, got nan"),
         ("channel: {system_gain: .inf}", "channel.system_gain must be finite and strictly positive"),
+        # sqrt(2 K) overflows: once "fading threshold must be positive", naming no key
+        ("channel: {rician_k: 1.0e+308}", "channel.rician_k must leave the fading threshold finite"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
@@ -356,6 +358,12 @@ def test_cli_weights_not_json_returns_1(tmp_path, capsys):
     argv = ["run", "--scheme", "Perfect", "--weights", str(weights), "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert_one_error_line(capsys, "is not valid JSON")
+
+
+def nan_first_actor_bias(weights):
+    biases = [list(b) for b in weights["actor"]["biases"]]
+    biases[0][0] = float("nan")
+    return {**weights, "actor": {**weights["actor"], "biases": biases}}
 
 
 @pytest.mark.parametrize(
@@ -385,6 +393,14 @@ def test_cli_weights_not_json_returns_1(tmp_path, capsys):
         ),
         (lambda w: {**w, "eta_max": -1.0}, "weights: 'eta_max' is out of range"),
         (lambda w: {**w, "eta_max": float("nan")}, "weights: 'eta_max' is out of range"),
+        (  # used to end in "action fields must be finite" at the first forward pass
+            nan_first_actor_bias,
+            "weights: 'actor' holds a NaN or infinite entry",
+        ),
+        (  # used to run, silently a different experiment
+            lambda w: {**w, "input_scale": [w["input_scale"][0], float("inf")]},
+            "weights: 'input_scale' holds a NaN or infinite entry",
+        ),
     ],
 )
 def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):

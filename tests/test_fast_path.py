@@ -44,7 +44,7 @@ def selector(k: int, dim: int = 2) -> np.ndarray:
 
 
 def scalar_agent(agent_id: int, k: int, var: float, dist: float = 5.0) -> sensing.SensingAgent:
-    return sensing.SensingAgent(agent_id, selector(k), [[var]], distance_m=dist, tx_power_w=0.02)
+    return sensing.SensingAgent(agent_id, k, var, distance_m=dist, tx_power_w=0.02)
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,7 +102,8 @@ def test_diag_batch_equals_block_diag(specs):
     agents = [scalar_agent(i, k, var) for i, (k, var) in enumerate(specs)]
     obs = [sensing.Observation(a.agent_id, [0.1]) for a in agents]
     batch = est.FusionBatch.from_observations(agents, obs)
-    assert np.array_equal(batch.noise_cov, sla.block_diag(*[a.noise_cov for a in agents]))
+    assert np.array_equal(batch.obs_matrix, np.vstack([selector(a.feature) for a in agents]))
+    assert np.array_equal(batch.noise_cov, sla.block_diag(*[[[a.noise_var]] for a in agents]))
 
 
 def general_plan(prior_cov, targets, violated, fleet, cap):
@@ -115,7 +116,7 @@ def general_plan(prior_cov, targets, violated, fleet, cap):
         nonlocal cov
         selected.append(agent.agent_id)
         available.discard(agent.agent_id)
-        cov = est._joseph_update(cov, agent.obs_matrix, agent.noise_cov)[1]
+        cov = est._joseph_update(cov, selector(agent.feature), np.array([[agent.noise_var]]))[1]
 
     def candidates(k):
         return [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
@@ -151,8 +152,7 @@ def general_plan(prior_cov, targets, violated, fleet, cap):
 )
 def test_plan_selection_same_picks_as_general_path(specs, prior, bounds, violated, cap):
     agents = [scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)]
-    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
-    fleet = sensing.SensorFleet(agents=tuple(agents), feature_index=index)
+    fleet = sensing.SensorFleet(agents=tuple(agents))
     targets = sched.UncertaintyTargets(np.array(bounds))
     violated = tuple(sorted(violated))
     fast = sched.plan_selection(prior, targets, violated, fleet, cap)
@@ -228,11 +228,6 @@ def test_link_memo_hit_equals_fresh_solve():
 # --- one draw per round --------------------------------------------------------
 
 
-def fleet_of(agents) -> sensing.SensorFleet:
-    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
-    return sensing.SensorFleet(agents=tuple(agents), feature_index=index)
-
-
 def per_link_transmit(selected, fleet, params, state, rng):
     """The oracle: ``observe`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
     observations = [sensing.observe(fleet.agents[i], state, rng) for i in selected]
@@ -253,7 +248,8 @@ sensor_specs = st.lists(
 
 
 def build_fleet(specs):
-    return fleet_of([scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)])
+    agents = (scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs))
+    return sensing.SensorFleet(tuple(agents))
 
 
 def coin_flip_budget(params, agent):

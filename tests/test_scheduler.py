@@ -10,15 +10,11 @@ from reverb.sensing import SensingAgent, SensorFleet
 
 def make_fleet(spec):
     """spec: iterable of (feature, noise_var, distance) tuples, ids in order."""
-    agents = []
-    for i, (feature, var, dist) in enumerate(spec):
-        h = np.zeros((1, 2))
-        h[0, feature] = 1.0
-        agents.append(
-            SensingAgent(i, h, [[var]], distance_m=dist, tx_power_w=0.02)
-        )
-    index = {k: tuple(a.agent_id for a in agents if a.feature == k) for k in (0, 1)}
-    return SensorFleet(agents=tuple(agents), feature_index=index)
+    agents = [
+        SensingAgent(i, feature, var, distance_m=dist, tx_power_w=0.02)
+        for i, (feature, var, dist) in enumerate(spec)
+    ]
+    return SensorFleet(agents=tuple(agents))
 
 
 def test_compute_targets_table_values():
@@ -214,7 +210,8 @@ def test_reachable_targets_met_with_full_fleet():
         # oracle: fusing every agent must reach the bounds for this instance
         cov = prior_cov.copy()
         for a in fleet.agents:
-            cov = est._joseph_update(cov, a.obs_matrix, a.noise_cov)[1]
+            h = np.eye(2)[[a.feature]]
+            cov = est._joseph_update(cov, h, np.array([[a.noise_var]]))[1]
         if np.any(np.diag(cov) > bounds):
             continue
         targets = sched.UncertaintyTargets(bounds)

@@ -7,8 +7,8 @@ from reverb.errors import ConfigError
 
 def test_two_agents_cover_both_features():
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=2), np.random.default_rng(0))
-    assert np.array_equal(fleet.agents[0].obs_matrix, [[1.0, 0.0]])
-    assert np.array_equal(fleet.agents[1].obs_matrix, [[0.0, 1.0]])
+    assert [a.feature for a in fleet.agents] == [0, 1]
+    assert fleet.feature_index == {0: (0,), 1: (1,)}
 
 
 def test_round_robin_parity():
@@ -47,13 +47,13 @@ def test_noise_variances_within_feature_ranges():
 
 
 def test_observe_noiseless_limit():
-    agent = sensing.SensingAgent(0, [[1.0, 0.0]], [[1e-30]], distance_m=5.0, tx_power_w=0.02)
+    agent = sensing.SensingAgent(0, 0, 1e-30, distance_m=5.0, tx_power_w=0.02)
     obs = sensing.observe(agent, np.array([0.3, -0.01]), np.random.default_rng(0))
     assert abs(obs.values[0] - 0.3) < 1e-10
 
 
 def test_observe_selector_row():
-    agent = sensing.SensingAgent(0, [[1.0, 0.0]], [[1e-4]], distance_m=5.0, tx_power_w=0.02)
+    agent = sensing.SensingAgent(0, 0, 1e-4, distance_m=5.0, tx_power_w=0.02)
     rng = np.random.default_rng(1)
     samples = np.array([sensing.observe(agent, np.array([0.3, -0.01]), rng).values[0] for _ in range(2000)])
     assert abs(samples.mean() - 0.3) < 4.0 * 1e-2 / np.sqrt(2000)
@@ -61,7 +61,7 @@ def test_observe_selector_row():
 
 def test_residual_moments_match_noise_covariance():
     var = 2.5e-3
-    agent = sensing.SensingAgent(0, [[0.0, 1.0]], [[var]], distance_m=5.0, tx_power_w=0.02)
+    agent = sensing.SensingAgent(0, 1, var, distance_m=5.0, tx_power_w=0.02)
     rng = np.random.default_rng(2)
     s = np.array([0.1, 0.02])
     res = np.array([sensing.observe(agent, s, rng).values[0] - 0.02 for _ in range(100_000)])
@@ -71,23 +71,23 @@ def test_residual_moments_match_noise_covariance():
 
 def test_feature_index_round_trips():
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=12), np.random.default_rng(8))
+    assert sorted(fleet.feature_index) == [0, 1]
     for k, ids in fleet.feature_index.items():
-        for i in ids:
-            assert fleet.agents[i].obs_matrix[0, k] == 1.0
+        assert ids == tuple(a.agent_id for a in fleet.agents if a.feature == k)
 
 
 @pytest.mark.parametrize(
-    "obs_matrix, noise_cov",
+    "feature, noise_var, fragment",
     [
-        (np.eye(2), np.diag([1e-4, 4e-4])),        # two rows
-        ([[0.6, 0.8]], [[1e-4]]),                   # not a selector row
-        ([[1.0, 0.0]], [[1e-4, 0.0], [0.0, 1e-4]]),  # 2x2 noise
-        ([[1.0, 0.0]], [[np.nan]]),
-        ([[1.0, 0.0]], [[0.0]]),
-        ([[0.0, 1.0]], [[-1e-4]]),
+        (2, 1e-4, "feature must be 0..1, got 2"),
+        (-1, 1e-4, "feature must be 0..1, got -1"),
+        (0.5, 1e-4, "feature must be 0..1, got 0.5"),
+        (0, np.nan, "noise_var must be finite and strictly positive, got nan"),
+        (0, 0.0, "noise_var must be finite and strictly positive, got 0.0"),
+        (1, -1e-4, "noise_var must be finite and strictly positive, got -0.0001"),
     ],
-    ids=["two-row", "non-unit-row", "2x2-noise", "nan-var", "zero-var", "negative-var"],
+    ids=["feature-2", "feature-negative", "feature-fraction", "nan-var", "zero-var", "negative-var"],
 )
-def test_non_selector_sensor_rejected(obs_matrix, noise_cov):
-    with pytest.raises(ConfigError):
-        sensing.SensingAgent(0, obs_matrix, noise_cov, distance_m=5.0, tx_power_w=0.02)
+def test_non_selector_sensor_rejected(feature, noise_var, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        sensing.SensingAgent(0, feature, noise_var, distance_m=5.0, tx_power_w=0.02)
