@@ -11,7 +11,9 @@ Rician fading tail. The chain is:
   admits a positive-W root. There the principal branch W_0 always returns
   -1/Theta, the spurious root Ups = 0 (infinite bandwidth), so the allocator
   evaluates the lower branch W_{-1} only: Ups = W_{-1} + 1/Theta < 0, which
-  tends to -2 (Theta - 1) as Theta approaches 1.
+  tends to -2 (Theta - 1) as Theta approaches 1. Within 1e-2 of Theta = 1 the
+  argument rounds towards -1/e and W_{-1} + 1/Theta cancels, so there the
+  allocator sums the power series of Ups in Theta - 1 instead.
 
 The fading threshold of the outage target depends only on the channel
 constants, so ``ChannelParams`` computes it once, beside the noise density.
@@ -33,6 +35,12 @@ from .schema import POSITIVE, check_fields, spec
 
 _INV_E = math.exp(-1.0)
 _STANDARD_NORMAL = statistics.NormalDist()
+# Ups = sum_k c_k delta^k with delta = Theta - 1, from (1 - Ups Theta) e^Ups = 1
+# solved order by order. Below _SERIES_MAX_DELTA these 8 terms are within 2e-15
+# relative of the root, while the Lambert-W form loses about 1e-16 / delta^2 to
+# the rounding of its argument near -1/e (1e-12 at 1e-2, 0.5 at 1e-8).
+_UPS_SERIES = (-2.0, 4 / 3, -10 / 9, 136 / 135, -386 / 405, 524 / 567, -38698 / 42525, 16496 / 18225)
+_SERIES_MAX_DELTA = 1e-2
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,14 @@ def optimal_bandwidth(
             f"agent {agent_id} at {distance_m:g} m: link constant theta={theta:.6g} is not "
             "a finite value above 1, so no finite bandwidth meets the deadline"
         )
-    ups = lambert_w_lower(-math.exp(-1.0 / theta) / theta) + 1.0 / theta
+    delta = theta - 1.0
+    if delta < _SERIES_MAX_DELTA:
+        ups = 0.0
+        for c in reversed(_UPS_SERIES):
+            ups = ups * delta + c
+        ups *= delta
+    else:
+        ups = lambert_w_lower(-math.exp(-1.0 / theta) / theta) + 1.0 / theta
     if ups >= 0.0:
         raise InfeasibleError(
             "no positive-bandwidth solution: the deadline rate exceeds the wideband limit"

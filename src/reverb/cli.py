@@ -46,10 +46,10 @@ def _resolve_config(args) -> RunConfig:
 def _load_agent(path: str | None) -> control.PolicyAgent | None:
     if not path:
         return None
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     agent = control.PolicyAgent.from_dict(data)
     if (agent.state_dim, agent.n_features) != (STATE_FEATURES, STATE_FEATURES):

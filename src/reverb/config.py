@@ -6,8 +6,6 @@ a different experiment than intended.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,7 +29,6 @@ class RunConfig:
     qi_cap: int = spec(999, int, at_least(1))
     aol_thresholds: tuple[int, int] = spec((5, 5), (int,), at_least(1), per_feature=True)
     required_var: tuple[float, float] = spec((0.01, 0.002), (float,), POSITIVE, per_feature=True)
-    traditional_sensors: int = spec(2, int, one_of(1, 2))  # fixed sensors for the baseline
     scripted_accuracy: tuple[float, float] = spec(
         (4000.0, 10000.0), (float,), NONNEGATIVE, per_feature=True
     )
@@ -69,14 +66,10 @@ def config_from_dict(data: dict | None) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
     return config_from_dict(data)
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """The config as plain mappings and lists, as a config file holds it."""
-    return json.loads(json.dumps(dataclasses.asdict(cfg)))

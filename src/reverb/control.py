@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
 from .loop import TwinLoop
-from .nets import MLP, make_optimizer
-from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_fields, one_of, spec, within
+from .nets import MLP, Adam
+from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_fields, spec, within
 
 Array = np.ndarray
 
@@ -73,16 +73,12 @@ class ControlConfig:
     eta_max: float = spec(1e4, float, NONNEGATIVE)
     epochs: int = spec(10, int, at_least(1))
     minibatch: int = spec(64, int, at_least(1))
-    entropy_coef: float = spec(0.0, float, NONNEGATIVE)
     init_log_std: float = spec(0.5, float, within(LOG_STD_MIN, LOG_STD_MAX))
     # Exploration schedule: keep log-std at or above this floor for the first
     # explore_frac of training episodes so the sparse summit bonus can be
     # found before the action-cost gradient shrinks the policy's spread.
     explore_floor: float = spec(-0.75, float, within(LOG_STD_MIN, LOG_STD_MAX))
     explore_frac: float = spec(0.5, float, within(0.0, 1.0))
-    advantage_norm: bool = spec(True, bool)
-    optimizer: str = spec("adam", str, one_of("adam", "sgd"))
-    shaping: str = spec("accuracy_bonus", str, one_of("accuracy_bonus", "accuracy_cost"))
     # Fixed per-feature scaling applied to the belief mean before the nets;
     # mountain-car velocity lives on a ~1/14 scale relative to position.
     input_scale: tuple[float, ...] = spec((1.0, 14.285714285714286), (float,), POSITIVE, per_feature=True)
@@ -132,10 +128,6 @@ class PolicyAgent:
         raw = mean + std * rng.standard_normal(self.action_dim)
         logp = float(gaussian_log_prob(raw[None, :], mean[None, :], self.log_std)[0])
         return self.squash(raw), raw, logp
-
-    def act(self, state: Array, rng: np.random.Generator) -> ActionVector:
-        action, _, _ = self.sample_step(state, rng)
-        return action
 
     def act_mean(self, state: Array) -> ActionVector:
         """Deterministic (mean) action, used for evaluation rollouts."""
@@ -227,12 +219,10 @@ def gaussian_log_prob(raw: Array, mean: Array, log_std: Array) -> Array:
     return -0.5 * np.sum(z * z + 2.0 * log_std + _LOG_2PI, axis=1)
 
 
-def shaped_reward(reward_env: float, accuracy: Array, kappa: float, mode: str = "accuracy_bonus") -> float:
-    """Add the accuracy-request term: reward + kappa * mean(accuracy).
+def shaped_reward(reward_env: float, accuracy: Array, kappa: float) -> float:
+    """Add the accuracy-request bonus: reward + kappa * mean(accuracy).
 
-    ``accuracy_cost`` flips the sign, treating requested accuracy as a direct
-    cost instead of a bonus. The mean sums in index order, as ``np.mean``
-    does for a 2-vector.
+    The mean sums in index order, as ``np.mean`` does for a 2-vector.
     """
     values = np.asarray(accuracy, dtype=float).ravel().tolist()
     if not values:
@@ -240,12 +230,7 @@ def shaped_reward(reward_env: float, accuracy: Array, kappa: float, mode: str = 
     total = values[0]
     for v in values[1:]:
         total += v
-    term = kappa * (total / len(values))
-    if mode == "accuracy_bonus":
-        return reward_env + term
-    if mode == "accuracy_cost":
-        return reward_env - term
-    raise InputError(f"unknown shaping mode {mode!r}")
+    return reward_env + kappa * (total / len(values))
 
 
 @dataclass
@@ -291,9 +276,7 @@ def ppo_update(
         v_next = agent.value(next_states) * not_done
         targets = rewards + cfg.gamma * v_next
         delta = targets - v_s
-        adv = delta.copy()
-        if cfg.advantage_norm:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = (delta - delta.mean()) / (delta.std() + 1e-8)
         last_adv = float(delta.mean())
 
         order = rng.permutation(n)
@@ -317,8 +300,6 @@ def ppo_update(
             z = (raws[mb] - mean) / std
             grad_mean = -(dlogp[:, None] * z / std)  # minimize -surrogate
             grad_log_std = -(dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-            if cfg.entropy_coef > 0.0:
-                grad_log_std -= cfg.entropy_coef * np.ones_like(agent.log_std)
             net_grads = agent.actor.backward(acts, grad_mean)
             if not all(np.all(np.isfinite(g)) for g in net_grads + [grad_log_std]):
                 raise TrainingError("non-finite actor gradients")
@@ -372,8 +353,8 @@ def train(
     update_rng = np.random.default_rng(update_ss)
     env_children = env_ss.spawn(episodes)
     agent = PolicyAgent(state_dim=STATE_FEATURES, n_features=STATE_FEATURES, cfg=cfg, rng=init_rng)
-    actor_opt = make_optimizer(cfg.optimizer, cfg.lr_actor)
-    critic_opt = make_optimizer(cfg.optimizer, cfg.lr_critic)
+    actor_opt = Adam(cfg.lr_actor)
+    critic_opt = Adam(cfg.lr_critic)
     curve: list[EpisodeStats] = []
 
     explore_until = int(cfg.explore_frac * episodes)
@@ -389,7 +370,7 @@ def train(
         for _ in range(qi_cap):
             action, raw, logp = agent.sample_step(state, act_rng)
             res = loop.step(action.force, action.accuracy)
-            r = shaped_reward(res.reward_env, action.accuracy, cfg.kappa, cfg.shaping)
+            r = shaped_reward(res.reward_env, action.accuracy, cfg.kappa)
             next_state = res.belief.mean.copy()
             transitions.append(
                 Transition(state, raw, logp, r, next_state, res.done)
@@ -407,7 +388,7 @@ def train(
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)
-        except FloatingPointError as exc:  # a learning rate, reward scale or entropy term too large
+        except FloatingPointError as exc:  # a learning rate or reward scale too large
             raise TrainingError(f"episode {ep}: the policy update left the float range ({exc})") from None
         curve.append(EpisodeStats(ep, shaped_return, env_return, reached, qis))
     return agent, curve

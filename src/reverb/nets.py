@@ -63,15 +63,6 @@ class MLP:
             out.extend([w, b])
         return out
 
-    def get_flat(self) -> Array:
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def set_flat(self, flat: Array) -> None:
-        i = 0
-        for p in self.parameters():
-            p[...] = flat[i : i + p.size].reshape(p.shape)
-            i += p.size
-
     def to_lists(self) -> dict:
         return {
             "sizes": list(self.sizes),
@@ -86,17 +77,6 @@ class MLP:
         net.weights = [np.array(w, dtype=float) for w in data["weights"]]
         net.biases = [np.array(b, dtype=float) for b in data["biases"]]
         return net
-
-
-class Sgd:
-    """Plain gradient descent on a parameter list."""
-
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, params: list[Array], grads: list[Array]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
 
 
 class Adam:
@@ -117,7 +97,3 @@ class Adam:
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-
-def make_optimizer(kind: str, lr: float):
-    return {"sgd": Sgd, "adam": Adam}[kind](lr)

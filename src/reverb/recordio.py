@@ -98,26 +98,6 @@ def write_episode_csv(record: EpisodeRecord, path: str | Path) -> None:
             writer.writerow([_fmt(c, record.columns[c][i]) for c in EPISODE_COLUMNS])
 
 
-def read_episode_csv(path: str | Path, scheme: str = "", seed: int = 0) -> EpisodeRecord:
-    record = EpisodeRecord(scheme=scheme, seed=seed)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != EPISODE_COLUMNS:
-            raise ValueError(f"unexpected episode CSV header: {header}")
-        for row in reader:
-            values = {}
-            for col, cell in zip(EPISODE_COLUMNS, row):
-                if col in _STR_COLUMNS:
-                    values[col] = cell
-                elif col in _INT_COLUMNS:
-                    values[col] = int(cell)
-                else:
-                    values[col] = float(cell)
-            record.append(**values)
-    return record
-
-
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:
     if not rows:
         raise ValueError("no summary rows to write")
@@ -129,26 +109,6 @@ def write_summary_csv(rows: list[dict], path: str | Path) -> None:
             writer.writerow(
                 [repr(float(row[c])) if isinstance(row[c], float) else str(row[c]) for c in columns]
             )
-
-
-def read_summary_csv(path: str | Path) -> list[dict]:
-    """Read a summary CSV back; numeric cells become ints/floats losslessly."""
-    rows: list[dict] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for raw in reader:
-            row = {}
-            for col, cell in zip(header, raw):
-                try:
-                    row[col] = int(cell)
-                except ValueError:
-                    try:
-                        row[col] = float(cell)
-                    except ValueError:
-                        row[col] = cell
-            rows.append(row)
-    return rows
 
 
 def write_summary_json(payload, path: str | Path) -> None:

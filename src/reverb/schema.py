@@ -1,7 +1,7 @@
 """The declared input contract of the run configuration, and its one validator.
 
 Each config field is declared with ``spec``: a kind (``int``, ``float``,
-``bool``, ``str``, or a tuple of these), optionally a rule every value obeys,
+``str``, or a tuple of these), optionally a rule every value obeys,
 optionally one entry per state feature. ``check_fields``, called by every
 config ``__post_init__``, converts each value to its kind and enforces the
 rest, so YAML, ``dataclasses.replace`` and direct construction are checked
@@ -41,7 +41,7 @@ def spec(default, kind, rule=None, per_feature: bool = False):
     return field(default=default, metadata={"kind": kind, "rule": rule, "n": n})
 
 
-_PHRASES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_PHRASES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class _Mismatch(Exception):
@@ -56,7 +56,7 @@ def _convert(value, kind, rule):
         kinds = kind if len(kind) > 1 else kind * len(value)
         return tuple(_convert(v, k, rule) for v, k in zip(value, kinds))
     out = None
-    if isinstance(value, bool) == (kind is bool):  # true is no number, 1 no flag
+    if not isinstance(value, bool):  # true is no number and no string
         try:  # an int must be written as one: 2.5 is rejected, not truncated
             out = operator.index(value) if kind is int else float(value) if kind is float else value
         except (TypeError, ValueError, OverflowError):

@@ -8,8 +8,9 @@ belief):
   EKF fusion of the delivered observations.
 * ``CB-Greedy``   -- the ``cap`` nearest sensors every interval, EKF fusion.
 * ``EB-Greedy``   -- the ``cap`` lowest-noise sensors every interval, EKF fusion.
-* ``Traditional`` -- fixed sensor(s), belief replaced by the raw observation
-  (no memory across intervals, the pre-twin baseline).
+* ``Traditional`` -- the lowest-id sensor of each feature every interval,
+  belief replaced by the raw observation (no memory across intervals, the
+  pre-twin baseline).
 
 ``Perfect`` uses no radio: its round sets the belief to the true next state.
 """
@@ -60,14 +61,10 @@ def select_quietest(prior, targets, aol, fleet, cap):
     return list(fleet.quietest[:cap]), []
 
 
-def select_traditional(n_sensors, prior, targets, aol, fleet, cap):
-    """Fixed sensor set: the lowest-id sensor of each feature, the first ``n_sensors`` by id.
-
-    With two sensors the lowest-id sensor of each feature reports every
-    interval; with one, only the lowest-id sensor overall.
-    """
+def select_traditional(prior, targets, aol, fleet, cap):
+    """Fixed sensor set: the lowest-id sensor of each feature, in id order."""
     per_feature = [ids[0] for ids in (fleet.agents_for(k) for k in range(len(prior.mean))) if ids]
-    return sorted(per_feature)[:n_sensors], []
+    return sorted(per_feature), []
 
 
 def fuse_memoryless(prior, selected, delivered, values, fleet):
@@ -94,13 +91,12 @@ def fuse_memoryless(prior, selected, delivered, values, fleet):
 SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}
 
 
-def make_round(scheme: str, cfg: RunConfig):
+def make_round(scheme: str):
     """The round ``TwinLoop.step`` calls once per interval for ``scheme``."""
     if scheme == "Perfect":
         return perfect_round
     if scheme == "Traditional":
-        select = functools.partial(select_traditional, cfg.traditional_sensors)
-        return functools.partial(sched.run_round, select, fuse=fuse_memoryless)
+        return functools.partial(sched.run_round, select_traditional, fuse=fuse_memoryless)
     if scheme in SELECTORS:
         return functools.partial(sched.run_round, SELECTORS[scheme])
     raise ConfigError(f"unknown scheme {scheme!r}")
@@ -126,7 +122,7 @@ def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoo
         required_var=np.asarray(cfg.required_var, dtype=float),
         aol_thresholds=cfg.aol_thresholds,
         cap=cfg.cap,
-        scheme_round=make_round(scheme, cfg),
+        scheme_round=make_round(scheme),
         rng=env_rng,
         init_belief_var=cfg.init_belief_var,
     )
@@ -140,7 +136,7 @@ def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord
     for qi in range(cfg.qi_cap):
         action: ActionVector = policy(belief.mean)
         res = loop.step(action.force, action.accuracy)
-        reward = shaped_reward(res.reward_env, action.accuracy, cfg.control.kappa, cfg.control.shaping)
+        reward = shaped_reward(res.reward_env, action.accuracy, cfg.control.kappa)
         record.append(
             qi=qi,
             true_pos=res.true_state[0],

@@ -182,6 +182,17 @@ def test_bandwidth_just_above_theta_one_takes_lower_branch(excess):
     assert ups == pytest.approx(-2.0 * (budget.theta - 1.0), rel=0.05)
 
 
+@pytest.mark.parametrize("excess", [1e-8, 1e-10, 1e-12])
+def test_bandwidth_root_accurate_near_theta_one(excess):
+    # The Lambert-W form read Ups ~ -(Theta - 1) at 1e-8 and about 6,000x the root at 1e-12.
+    theta_1m = ch.optimal_bandwidth(TABLE, 0.02, 1.0).theta
+    distance = (theta_1m / (1.0 + excess)) ** (1.0 / TABLE.path_loss_exp)
+    budget = ch.optimal_bandwidth(TABLE, 0.02, distance)
+    delta = budget.theta - 1.0
+    ups = -TABLE.packet_bits * math.log(2.0) / (budget.bandwidth_hz * TABLE.max_latency_s)
+    assert ups == pytest.approx(-2.0 * delta + 4.0 * delta * delta / 3.0, rel=1e-6)
+
+
 def bisect_bandwidth(params: ch.ChannelParams, tx_power_w: float, distance_m: float) -> float:
     """Independent sizing: bisection on W ln(1 + c/W) = D ln 2 / tau."""
     y = ch.outage_fading_threshold(params.rician_k, params.outage_target)

@@ -6,10 +6,20 @@ from scipy import stats
 
 from reverb import control as ctl
 from reverb import dynamics as dyn
-from reverb.errors import InputError
-from reverb.nets import MLP, make_optimizer
+from reverb.nets import MLP, Adam
 
 from oracles import td_error
+
+
+def get_flat(net):
+    return np.concatenate([p.ravel() for p in net.parameters()])
+
+
+def set_flat(net, flat):
+    i = 0
+    for p in net.parameters():
+        p[...] = flat[i : i + p.size].reshape(p.shape)
+        i += p.size
 
 
 def zeroed_agent(cfg=None, seed=0):
@@ -24,7 +34,7 @@ def test_action_ranges():
     agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(1))
     rng = np.random.default_rng(2)
     for _ in range(10_000):
-        a = agent.act(np.array([-0.5, 0.01]), rng)
+        a = agent.sample_step(np.array([-0.5, 0.01]), rng)[0]
         assert -1.0 <= a.force <= 1.0
         assert np.all(a.accuracy >= 0.0)
         assert np.all(a.accuracy <= agent.cfg.eta_max)
@@ -33,15 +43,15 @@ def test_action_ranges():
 def test_zero_weights_give_symmetric_force():
     agent = zeroed_agent()
     rng = np.random.default_rng(3)
-    forces = np.array([agent.act(np.array([0.2, -0.01]), rng).force for _ in range(4000)])
+    forces = np.array([agent.sample_step(np.array([0.2, -0.01]), rng)[0].force for _ in range(4000)])
     assert abs(forces.mean()) < 4.0 / math.sqrt(forces.size)
     assert abs((forces > 0).mean() - 0.5) < 0.03
 
 
 def test_sampling_deterministic_given_seed():
     agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(5))
-    a1 = agent.act(np.array([0.1, 0.0]), np.random.default_rng(8))
-    a2 = agent.act(np.array([0.1, 0.0]), np.random.default_rng(8))
+    a1 = agent.sample_step(np.array([0.1, 0.0]), np.random.default_rng(8))[0]
+    a2 = agent.sample_step(np.array([0.1, 0.0]), np.random.default_rng(8))[0]
     assert a1.force == a2.force
     assert np.array_equal(a1.accuracy, a2.accuracy)
 
@@ -67,14 +77,6 @@ def test_shaped_reward_monotone_in_accuracy():
     base = ctl.shaped_reward(0.1, np.array([10.0, 10.0]), 5e-6)
     for bump in (1.0, 50.0, 4000.0):
         assert ctl.shaped_reward(0.1, np.array([10.0 + bump, 10.0]), 5e-6) >= base
-
-
-def test_shaped_reward_cost_mode():
-    bonus = ctl.shaped_reward(0.0, np.array([100.0, 100.0]), 5e-6, mode="accuracy_bonus")
-    cost = ctl.shaped_reward(0.0, np.array([100.0, 100.0]), 5e-6, mode="accuracy_cost")
-    assert cost == -bonus
-    with pytest.raises(InputError):
-        ctl.shaped_reward(0.0, np.array([1.0, 1.0]), 5e-6, mode="nope")
 
 
 def test_td_error_zero_critic():
@@ -121,8 +123,8 @@ def test_zero_advantage_leaves_actor_unchanged():
     before = [p.copy() for p in agent.actor.parameters()] + [agent.log_std.copy()]
     ctl.ppo_update(
         agent, batch,
-        make_optimizer("adam", agent.cfg.lr_actor),
-        make_optimizer("adam", agent.cfg.lr_critic),
+        Adam(agent.cfg.lr_actor),
+        Adam(agent.cfg.lr_critic),
         np.random.default_rng(14),
     )
     after = agent.actor.parameters() + [agent.log_std]
@@ -137,11 +139,11 @@ def test_critic_gradient_matches_fd_three_weight_net():
     target = rng.standard_normal(5)
 
     def loss(flat):
-        net.set_flat(flat)
+        set_flat(net, flat)
         err = net.forward(x)[:, 0] - target
         return float(np.mean(err * err))
 
-    flat = net.get_flat()
+    flat = get_flat(net)
     out, acts = net.forward_cached(x)
     grads = net.backward(acts, (2.0 * (out[:, 0] - target) / 5.0)[:, None])
     ana = np.concatenate([g.ravel() for g in grads])
@@ -151,7 +153,7 @@ def test_critic_gradient_matches_fd_three_weight_net():
         up[i] += 1e-6
         dn[i] -= 1e-6
         num[i] = (loss(up) - loss(dn)) / 2e-6
-    net.set_flat(flat)
+    set_flat(net, flat)
     assert np.max(np.abs(ana - num)) < 1e-4
 
 
@@ -164,10 +166,10 @@ def test_critic_gradient_matches_fd_random_nets():
         out, acts = net.forward_cached(x)
         grads = net.backward(acts, (2.0 * (out[:, 0] - target) / 7.0)[:, None])
         ana = np.concatenate([g.ravel() for g in grads])
-        flat = net.get_flat()
+        flat = get_flat(net)
 
         def loss(v):
-            net.set_flat(v)
+            set_flat(net, v)
             err = net.forward(x)[:, 0] - target
             return float(np.mean(err * err))
 
@@ -177,7 +179,7 @@ def test_critic_gradient_matches_fd_random_nets():
             up[i] += 1e-6
             dn[i] -= 1e-6
             num[i] = (loss(up) - loss(dn)) / 2e-6
-        net.set_flat(flat)
+        set_flat(net, flat)
         rel = np.max(np.abs(ana - num) / (np.abs(num) + 1e-6))
         assert rel < 1e-3
 
@@ -190,8 +192,8 @@ def test_critic_moves_toward_td_target():
     before_gap = abs(1.0 - float(agent.value(s[None, :])[0]))
     ctl.ppo_update(
         agent, [tr] * 16,
-        make_optimizer("adam", agent.cfg.lr_actor),
-        make_optimizer("adam", agent.cfg.lr_critic),
+        Adam(agent.cfg.lr_actor),
+        Adam(agent.cfg.lr_critic),
         rng,
     )
     after_gap = abs(1.0 - float(agent.value(s[None, :])[0]))
@@ -259,7 +261,7 @@ def test_training_deterministic_given_seed():
         )
         results.append((
             [(s.shaped_return, s.qis, s.reached_goal) for s in curve],
-            agent.actor.get_flat().copy(),
+            get_flat(agent.actor).copy(),
         ))
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
