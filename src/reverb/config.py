@@ -14,7 +14,7 @@ import yaml
 from .channel import ChannelParams
 from .control import ControlConfig
 from .errors import ConfigError
-from .schema import NONNEGATIVE, POSITIVE, at_least, check_fields, one_of, spec
+from .schema import NONNEGATIVE, POSITIVE, at_least, check_fields, one_of, positive_at_most, spec, within
 from .sensing import FleetConfig
 
 SCHEMES = ("AoL-REVERB", "Perfect", "CB-Greedy", "EB-Greedy", "Traditional")
@@ -32,8 +32,10 @@ class RunConfig:
     scripted_accuracy: tuple[float, float] = spec(
         (4000.0, 10000.0), (float,), NONNEGATIVE, per_feature=True
     )
-    process_noise_var: tuple[float, float] = spec((1e-6, 1e-6), (float,), NONNEGATIVE, per_feature=True)
-    init_belief_var: float = spec(1e-4, float, POSITIVE)
+    # A variance above 1 is wider than the track itself (positions span 1.8,
+    # velocities 0.14); from about 1e8 the twin's covariance checks fail.
+    process_noise_var: tuple[float, float] = spec((1e-6, 1e-6), (float,), within(0.0, 1.0), per_feature=True)
+    init_belief_var: float = spec(1e-4, float, positive_at_most(1.0))
     train_episodes: int = spec(500, int, NONNEGATIVE)
     out_dir: str = spec("out", str)
     channel: ChannelParams = field(default_factory=ChannelParams)

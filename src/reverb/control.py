@@ -240,6 +240,10 @@ class UpdateDiagnostics:
     mean_advantage: float
 
 
+def _flat(grads: list[Array]) -> Array:
+    return np.concatenate([g.ravel() for g in grads])
+
+
 def ppo_update(
     agent: PolicyAgent,
     batch: Sequence[Transition],
@@ -263,8 +267,10 @@ def ppo_update(
     not_done = 1.0 - np.array([t.done for t in batch], dtype=float)
     n = len(batch)
 
-    actor_params = agent.actor.parameters() + [agent.log_std]
-    critic_params = agent.critic.parameters()
+    # Adam steps each net's one flat parameter vector; a backward's layer
+    # gradients are gathered into one vector in the same order.
+    actor_params = [agent.actor.flat, agent.log_std]
+    critic_params = [agent.critic.flat]
     actor_losses: list[float] = []
     critic_losses: list[float] = []
     last_adv = 0.0
@@ -300,20 +306,20 @@ def ppo_update(
             z = (raws[mb] - mean) / std
             grad_mean = -(dlogp[:, None] * z / std)  # minimize -surrogate
             grad_log_std = -(dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-            net_grads = agent.actor.backward(acts, grad_mean)
-            if not all(np.all(np.isfinite(g)) for g in net_grads + [grad_log_std]):
+            actor_grad = _flat(agent.actor.backward(acts, grad_mean))
+            if not (np.isfinite(actor_grad).all() and np.isfinite(grad_log_std).all()):
                 raise TrainingError("non-finite actor gradients")
-            actor_opt.step(actor_params, net_grads + [grad_log_std])
+            actor_opt.step(actor_params, [actor_grad, grad_log_std])
             np.clip(agent.log_std, floor, LOG_STD_MAX, out=agent.log_std)
             actor_losses.append(float(-surrogate.mean()))
 
             # Critic: semi-gradient MSE to the frozen minibatch targets.
             v_mb, c_acts = agent.critic.forward_cached(x)
             err = v_mb[:, 0] - targets[mb]
-            c_grads = agent.critic.backward(c_acts, (2.0 * err / len(mb))[:, None])
-            if not all(np.all(np.isfinite(g)) for g in c_grads):
+            critic_grad = _flat(agent.critic.backward(c_acts, (2.0 * err / len(mb))[:, None]))
+            if not np.isfinite(critic_grad).all():
                 raise TrainingError("non-finite critic gradients")
-            critic_opt.step(critic_params, c_grads)
+            critic_opt.step(critic_params, [critic_grad])
             critic_losses.append(float(np.mean(err * err)))
 
     return UpdateDiagnostics(

@@ -13,9 +13,12 @@ readings are fused one at a time (sequential processing, Bierman 1977):
 ``rank1_update`` is the Joseph-form update S = P_kk + r, K = P[:, k] / S of a
 2x2 covariance held as nested floats, cross-checked against the textbook
 (I - K e_k^T) P expression, with one jitter retry when S is not positive.
-The planner calls it through ``posterior_cov`` once per pick, and
-``fuse_readings`` once per delivered reading, in selection order, with the
-mean update m + K (y - m_k).
+The planner calls it once per pick and keeps each result, (gain,
+covariance), as a step. ``fuse_readings`` applies the delivered readings in
+selection order, each with the mean update m + K (y - m_k): it takes K and
+the covariance from the planner's steps for the leading readings whose picks
+all arrived (the same update on the same numbers), and calls
+``rank1_update`` for the rest. ``posterior_cov`` is the covariance alone.
 
 ``fuse`` is the general batch update of a stacked observation batch, kept as
 the oracle of the sequential path and for the acceptance checks; its
@@ -44,6 +47,9 @@ Array = np.ndarray
 
 SYMMETRY_TOL = 1e-10
 JOSEPH_TOL = 1e-8
+
+# One rank-1 update of a 2x2 covariance held as nested floats: (gain, posterior).
+Step = tuple[tuple[float, float], list[list[float]]]
 
 
 @dataclass
@@ -162,7 +168,7 @@ def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
     return gain, cov
 
 
-def rank1_update(p: list[list[float]], k: int, r: float) -> tuple[tuple[float, float], list[list[float]]]:
+def rank1_update(p: list[list[float]], k: int, r: float) -> Step:
     """Kalman gain and Joseph-form posterior of a 2x2 prior fused with one reading.
 
     The sensor observes feature ``k`` with noise variance ``r``. ``p`` and the
@@ -201,20 +207,28 @@ def rank1_update(p: list[list[float]], k: int, r: float) -> tuple[tuple[float, f
 
 
 def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
-    """The planner's would-be posterior: ``rank1_update``'s covariance alone."""
+    """The would-be posterior of one reading: ``rank1_update``'s covariance alone."""
     return rank1_update(p, k, r)[1]
 
 
-def fuse_readings(prior: Belief, readings: Iterable[tuple[int, float, float]]) -> Belief:
+def fuse_readings(
+    prior: Belief,
+    readings: Iterable[tuple[int, float, float]],
+    steps: Sequence[Step] = (),
+) -> Belief:
     """Kalman update of a 2-D prior with independent readings (k, r, y), one at a time, in order.
 
     Each reading y of feature k with noise variance r moves the mean by
-    K (y - m_k) and the covariance by ``rank1_update``.
+    K (y - m_k) and the covariance by ``rank1_update``. ``steps`` holds
+    ``rank1_update``'s (gain, covariance) for the first readings, already
+    computed from this prior in this order (the planner's); those are reused
+    and the rest are computed here.
     """
     m0, m1 = prior.mean.tolist()
     cov = prior.cov.tolist()
+    planned = iter(steps)
     for k, r, y in readings:
-        (g0, g1), cov = rank1_update(cov, k, r)
+        (g0, g1), cov = next(planned, None) or rank1_update(cov, k, r)
         innovation = y - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
     return Belief(mean=np.array([m0, m1]), cov=np.array(cov), qi=prior.qi)

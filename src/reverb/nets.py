@@ -3,6 +3,12 @@
 Hidden layers use tanh; the output layer is linear. ``backward`` implements
 the exact chain rule for an upstream gradient on the outputs, so analytic
 gradients can be checked against finite differences in the tests.
+
+A net's parameters live in one contiguous vector, ``flat``, laid out in
+``parameters()`` order (w0, b0, w1, b1, ...); each ``weights[i]`` and
+``biases[i]`` is a reshaped view into it. An optimizer steps ``flat`` with
+one call per array operation instead of one per layer, and a forward pass
+sees the update through the views.
 """
 
 from __future__ import annotations
@@ -17,11 +23,21 @@ class MLP:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[Array] = []
-        self.biases: list[Array] = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            self.weights.append(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
+        weights = [rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)) for n_in, n_out in shapes]
+        self._adopt(weights, [np.zeros(n_out) for _, n_out in shapes])
+
+    def _adopt(self, weights: list[Array], biases: list[Array]) -> None:
+        """Copy the layer arrays into one flat vector, in ``parameters()`` order, and keep views into it."""
+        if len(weights) != len(biases):
+            raise ValueError(f"{len(weights)} weight matrices but {len(biases)} bias vectors")
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        self.flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def n_layers(self) -> int:
@@ -74,8 +90,10 @@ class MLP:
     def from_lists(cls, data: dict) -> "MLP":
         net = cls.__new__(cls)
         net.sizes = tuple(int(s) for s in data["sizes"])
-        net.weights = [np.array(w, dtype=float) for w in data["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in data["biases"]]
+        net._adopt(
+            [np.array(w, dtype=float) for w in data["weights"]],
+            [np.array(b, dtype=float) for b in data["biases"]],
+        )
         return net
 
 

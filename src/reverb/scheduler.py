@@ -5,8 +5,9 @@ query interval: (1) service age-of-loop violations with the nearest sensor of
 each stale feature, (2) while the variance targets still fail, pick the
 feature with the worst variance-to-target ratio and add the lowest-noise
 available sensor for it, recomputing the would-be posterior covariance after
-each pick, until the targets hold, the cap is reached, or no candidate sensor
-remains.
+each pick with ``estimator.rank1_update``, until the targets hold, the cap is
+reached, or no candidate sensor remains. It returns each pick's rank-1 update,
+(gain, covariance), as its steps.
 
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
@@ -15,8 +16,11 @@ those close the loop for their features. A link budget is solved once per
 fleet, the first time its sensor is selected. A round makes one draw for all
 observation noise and one for all fades, the same numbers per-sensor
 ``observe`` and per-link ``uplink_outcome`` calls would draw. The planner
-keeps its 2x2 covariance as nested floats across picks, and fusion runs the
-planner's rank-1 update once per delivered reading, in selection order.
+keeps its 2x2 covariance as nested floats across picks. Fusion is one rank-1
+update per delivered reading, in selection order; while every pick so far
+has arrived it is the planner's step for that pick, on the same numbers, so
+fusion replays the planner's gain and covariance and computes only the mean
+update, and from the first lost pick on it runs ``rank1_update`` afresh.
 Targets and their checks are computed in Python floats.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -86,51 +91,40 @@ def _first_available(order: tuple[int, ...], available: set[int]) -> int | None:
     return None
 
 
-def select_feature(
-    cov_diag: list[float],
-    bounds: list[float],
-    fleet: SensorFleet,
-    available: set[int],
-) -> int | None:
-    """Feature with the largest variance-to-target ratio among coverable features."""
-    best_k: int | None = None
-    best_ratio = -math.inf
-    for k in range(len(cov_diag)):
-        if _first_available(fleet.quietest_first.get(k, ()), available) is None:
-            continue
-        ratio = cov_diag[k] / bounds[k]
-        if ratio > best_ratio:  # strict: ties keep the lowest feature index
-            best_ratio = ratio
-            best_k = k
-    return best_k
-
-
 def plan_selection(
     prior_cov: Array,
     targets: UncertaintyTargets,
     violated: tuple[int, ...],
     fleet: SensorFleet,
     cap: int,
-) -> tuple[list[int], list[int], Array]:
-    """Decide the transmission set; returns (agent ids in order, serviced features, planned cov).
+) -> tuple[list[int], list[int], list[est.Step]]:
+    """Decide the transmission set; returns (agent ids in order, serviced features, steps).
 
-    The covariance used inside the loop assumes every pick is delivered; real
-    outages are applied afterwards to the stored belief only. Candidates come
-    from the fleet's cached per-feature orders: nearest first for stale
-    features, quietest first for the value-of-information picks.
+    Step i is ``estimator.rank1_update``'s (gain, covariance) for pick i, from
+    the covariance after the picks before it: the covariance used inside the
+    loop assumes every pick is delivered, and the planned covariance is the
+    last step's (the prior's when nothing is picked). Real outages are
+    applied afterwards to the stored belief only. Candidates come from the
+    fleet's cached per-feature orders: nearest first for stale features,
+    quietest first for the value-of-information picks. A picked sensor never
+    becomes available again, so each feature's quietest-first list is walked
+    with a cursor that only moves forward.
     """
     available = set(range(len(fleet)))
     bounds = targets.variance_bounds.tolist()
     cov = np.asarray(prior_cov, dtype=float).tolist()  # nested floats until the end
     selected: list[int] = []
     serviced: list[int] = []
+    steps: list[est.Step] = []
 
     def pick(agent_id: int) -> None:
         nonlocal cov
         agent = fleet.agents[agent_id]
         selected.append(agent_id)
         available.discard(agent_id)
-        cov = est.posterior_cov(cov, agent.feature, agent.noise_var)
+        step = est.rank1_update(cov, agent.feature, agent.noise_var)
+        steps.append(step)
+        cov = step[1]
 
     for k in sorted(violated):
         if len(selected) >= cap:
@@ -140,16 +134,24 @@ def plan_selection(
             pick(agent_id)
             serviced.append(k)
 
-    while len(selected) < cap:
-        diag = [row[k] for k, row in enumerate(cov)]
-        if not any(d > b for d, b in zip(diag, bounds)):
+    quiet = [fleet.quietest_first.get(k, ()) for k in range(len(cov))]
+    cursor = [0] * len(quiet)
+    while len(selected) < cap and any(row[k] > b for k, (row, b) in enumerate(zip(cov, bounds))):
+        # The coverable feature with the largest variance-to-target ratio.
+        best_k, best_ratio = None, -math.inf
+        for k, order in enumerate(quiet):
+            i = cursor[k]
+            while i < len(order) and order[i] not in available:
+                i += 1
+            cursor[k] = i
+            ratio = cov[k][k] / bounds[k]
+            if i < len(order) and ratio > best_ratio:  # strict: ties keep the lowest feature
+                best_k, best_ratio = k, ratio
+        if best_k is None:
             break
-        k = select_feature(diag, bounds, fleet, available)
-        if k is None:
-            break
-        pick(_first_available(fleet.quietest_first[k], available))
+        pick(quiet[best_k][cursor[best_k]])
 
-    return selected, serviced, np.array(cov)
+    return selected, serviced, steps
 
 
 def size_and_transmit(
@@ -196,11 +198,16 @@ def fuse_delivered(
     delivered: list[int],
     values: Array,
     fleet: SensorFleet,
+    steps: Sequence[est.Step] = (),
 ) -> est.Belief:
     """Kalman-update the prior with the observations that actually arrived.
 
     Each delivered reading is one rank-1 update (``estimator.fuse_readings``),
-    applied in selection order.
+    applied in selection order. ``steps`` are the planner's rank-1 updates of
+    ``selected``, from the same prior and in the same order: while every pick
+    so far has arrived, the planner's gain and covariance are this fusion's,
+    so they are reused and only the mean is updated; from the first lost pick
+    on, each reading is updated afresh.
     """
     if not delivered:
         return prior.copy()
@@ -211,7 +218,10 @@ def fuse_delivered(
         for i, y in zip(selected, values.tolist())
         if i in arrived
     ]
-    return est.fuse_readings(prior, readings)
+    reused = 0
+    while reused < len(steps) and selected[reused] in arrived:
+        reused += 1
+    return est.fuse_readings(prior, readings, steps[:reused])
 
 
 def run_round(
@@ -229,12 +239,13 @@ def run_round(
     """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
 
     ``select(prior, targets, aol, fleet, cap)`` returns (agent ids in order,
-    age-serviced features); ``fuse`` has the signature of ``fuse_delivered``,
-    which it defaults to.
+    age-serviced features, steps), where steps are the planner's rank-1
+    updates of the picks (see ``plan_selection``) or empty; ``fuse`` has the
+    signature of ``fuse_delivered``, which it defaults to.
     """
-    selected, serviced = select(prior, targets, aol, fleet, cap)
+    selected, serviced, steps = select(prior, targets, aol, fleet, cap)
     budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
-    posterior = (fuse or fuse_delivered)(prior, selected, delivered, values, fleet)
+    posterior = (fuse or fuse_delivered)(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(
         selected=tuple(selected),
         budgets=budgets,

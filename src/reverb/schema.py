@@ -31,6 +31,10 @@ def within(lo: float, hi: float):
     return (lambda x: lo <= x <= hi, f"within [{lo}, {hi}]")
 
 
+def positive_at_most(hi: float):
+    return (lambda x: 0 < x <= hi, f"strictly positive and at most {hi}")
+
+
 def one_of(*options):
     return (options.__contains__, f"one of {', '.join(map(str, options))}")
 

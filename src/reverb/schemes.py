@@ -46,31 +46,31 @@ def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
 
 
 def select_reverb(prior, targets, aol, fleet, cap):
-    """AoL-REVERB: the planner's picks and the features it serviced for age."""
-    selected, serviced, _ = sched.plan_selection(prior.cov, targets, aol.violated(), fleet, cap)
-    return selected, serviced
+    """AoL-REVERB: the planner's picks, the features it serviced for age, and its rank-1 steps."""
+    return sched.plan_selection(prior.cov, targets, aol.violated(), fleet, cap)
 
 
 def select_nearest(prior, targets, aol, fleet, cap):
     """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id)."""
-    return list(fleet.nearest[:cap]), []
+    return list(fleet.nearest[:cap]), [], ()
 
 
 def select_quietest(prior, targets, aol, fleet, cap):
     """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id)."""
-    return list(fleet.quietest[:cap]), []
+    return list(fleet.quietest[:cap]), [], ()
 
 
 def select_traditional(prior, targets, aol, fleet, cap):
     """Fixed sensor set: the lowest-id sensor of each feature, in id order."""
     per_feature = [ids[0] for ids in (fleet.agents_for(k) for k in range(len(prior.mean))) if ids]
-    return sorted(per_feature), []
+    return sorted(per_feature), [], ()
 
 
-def fuse_memoryless(prior, selected, delivered, values, fleet):
+def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
     """Traditional's update: a delivered feature's estimate is the raw observation.
 
-    Features without a delivered observation keep the predicted prior.
+    Features without a delivered observation keep the predicted prior. The
+    selector plans nothing, so ``steps`` is empty.
     """
     mean = prior.mean.tolist()
     cov = prior.cov.tolist()

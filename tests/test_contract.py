@@ -178,6 +178,27 @@ def test_cli_contract_on_mutated_weights(doc):
         (["train", "--episodes", "1"], "control: {eta_max: 1.0e+308}", "the policy update left the float range"),
         (["train", "--episodes", "1"], "control: {lr_actor: 1.0e+308}", "the policy update left the float range"),
         (["run"], "required_var: [1.0e-320, 1.0e-320]", None),
+        # Once "covariance lost positive semidefiniteness" and "... symmetry", naming no key.
+        (
+            ["run"],
+            "process_noise_var: [1.0e+308, 1.0e+308]",
+            "process_noise_var must be finite and within [0.0, 1.0]",
+        ),
+        (
+            ["train", "--episodes", "1"],
+            "process_noise_var: [1.0e+308, 1.0e+308]",
+            "process_noise_var must be finite and within [0.0, 1.0]",
+        ),
+        (
+            ["run"],
+            "init_belief_var: 1.0e+308",
+            "init_belief_var must be finite and strictly positive and at most 1.0",
+        ),
+        (
+            ["train", "--episodes", "1"],
+            "init_belief_var: 1.0e+308",
+            "init_belief_var must be finite and strictly positive and at most 1.0",
+        ),
     ],
 )
 def test_extreme_finite_inputs(tmp_path, argv, setting, fragment):

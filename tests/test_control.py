@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats
 
 from reverb import control as ctl
 from reverb import dynamics as dyn
+from reverb.errors import TrainingError
 from reverb.nets import MLP, Adam
 
 from oracles import td_error
@@ -130,6 +132,54 @@ def test_zero_advantage_leaves_actor_unchanged():
     after = agent.actor.parameters() + [agent.log_std]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+
+
+def test_adam_on_the_flat_vector_equals_adam_per_layer():
+    flat_net, layer_net = (MLP((2, 8, 8, 3), np.random.default_rng(30)) for _ in range(2))
+    layers = [p.copy() for p in layer_net.parameters()]  # arrays of their own, not views
+    flat_opt, layer_opt = Adam(1e-2), Adam(1e-2)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        grads = [rng.standard_normal(p.shape) for p in layers]
+        flat_opt.step([flat_net.flat], [np.concatenate([g.ravel() for g in grads])])
+        layer_opt.step(layers, grads)
+    assert flat_net.flat.tobytes() == np.concatenate([p.ravel() for p in layers]).tobytes()
+
+
+def test_layer_arrays_stay_views_of_the_flat_vector():
+    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(epochs=2, minibatch=8), np.random.default_rng(32))
+    rng = np.random.default_rng(33)
+    before = agent.actor.flat.copy()
+    ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(1e-3), Adam(1e-3), rng)
+    assert not np.array_equal(agent.actor.flat, before)
+    clone = ctl.PolicyAgent.from_dict(agent.to_dict())
+    for net in (agent.actor, agent.critic, clone.actor, clone.critic):
+        assert net.flat.size == sum(p.size for p in net.parameters())
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat)
+    s = np.array([-0.4, 0.02])
+    assert np.array_equal(clone.raw_mean(s), agent.raw_mean(s))
+    clone.actor.flat[:] = 0.0  # a forward pass sees a write to the flat vector
+    assert np.array_equal(clone.raw_mean(s), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("net", ["actor", "critic"])
+def test_one_nan_gradient_entry_raises(net):
+    # One minibatch, one step: a NaN that slipped through would raise nowhere else.
+    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(epochs=1, minibatch=8), np.random.default_rng(34))
+    rng = np.random.default_rng(35)
+    batch = make_batch(agent, rng, n=8, reward=1.0)
+    backward = MLP.backward
+
+    def poisoned(self, acts, grad_out):
+        grads = backward(self, acts, grad_out)
+        if self is getattr(agent, net):
+            grads[2].flat[5] = np.nan  # one entry of the second weight matrix
+        return grads
+
+    with mock.patch.object(MLP, "backward", poisoned):
+        with pytest.raises(TrainingError, match=f"non-finite {net} gradients"):
+            ctl.ppo_update(agent, batch, Adam(1e-3), Adam(1e-3), rng)
 
 
 def test_critic_gradient_matches_fd_three_weight_net():

@@ -449,8 +449,14 @@ def nan_first_actor_bias(weights):
             lambda w: control.PolicyAgent(1, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict(),
             "weights for state_dim 1 and n_features 2, but the plant has 2 state features",
         ),
-        (lambda w: {**w, "eta_max": -1.0}, "weights: 'eta_max' is out of range"),
-        (lambda w: {**w, "eta_max": float("nan")}, "weights: 'eta_max' is out of range"),
+        (
+            lambda w: {**w, "eta_max": -1.0},
+            "weights: 'eta_max' is out of range (eta_max must be finite and nonnegative, got -1.0)",
+        ),
+        (
+            lambda w: {**w, "eta_max": float("nan")},
+            "weights: 'eta_max' is out of range (eta_max must be finite and nonnegative, got nan)",
+        ),
         (  # used to end in "action fields must be finite" at the first forward pass
             nan_first_actor_bias,
             "weights: 'actor' holds a NaN or infinite entry",
@@ -478,6 +484,7 @@ def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):
         (["train", "--episodes", "-1"], None, "train needs at least one episode, got -1"),
         (["train", "--episodes", "0"], None, "train needs at least one episode, got 0"),
     ],
+    ids=["seed-flag-minus-1", "seed-env-minus-3", "episodes-minus-1", "episodes-0"],
 )
 def test_cli_bad_seed_or_episode_count_returns_1(tmp_path, monkeypatch, capsys, argv, env_seed, fragment):
     if env_seed is not None:

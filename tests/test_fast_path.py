@@ -24,6 +24,7 @@ from reverb import estimator as est
 from reverb import scheduler as sched
 from reverb import schemes
 from reverb import sensing
+from reverb.aol import AolTracker
 from reverb.errors import InfeasibleError, NumericalError
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -106,6 +107,11 @@ def test_diag_batch_equals_block_diag(specs):
     assert np.array_equal(batch.noise_cov, sla.block_diag(*[[[a.noise_var]] for a in agents]))
 
 
+def planned_cov(prior_cov, steps):
+    """The planned covariance: the last rank-1 step's, the prior's when nothing was picked."""
+    return np.array(steps[-1][1]) if steps else np.asarray(prior_cov, dtype=float)
+
+
 def general_plan(prior_cov, targets, violated, fleet, cap):
     """The planner on the general path: candidate lists min-scanned per pick, Joseph updates."""
     available = {a.agent_id for a in fleet.agents}
@@ -158,7 +164,7 @@ def test_plan_selection_same_picks_as_general_path(specs, prior, bounds, violate
     fast = sched.plan_selection(prior, targets, violated, fleet, cap)
     general = general_plan(prior, targets, violated, fleet, cap)
     assert fast[:2] == general[:2]
-    assert np.max(np.abs(fast[2] - general[2])) <= 1e-12
+    assert np.max(np.abs(planned_cov(prior, fast[2]) - general[2])) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,11 +358,59 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
     targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
-    selected, _, planned = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
+    selected, _, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
     assert len(selected) > 2
     values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
     post = sched.fuse_delivered(prior, selected, selected, values, fleet)
-    assert post.cov.tobytes() == planned.tobytes()
+    assert post.cov.tobytes() == planned_cov(prior.cov, steps).tobytes()
+
+
+LOSSES = ("all delivered", "none delivered", "first lost", "last lost", "random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    specs=sensor_specs,
+    prior=spd_2x2(),
+    bounds=st.tuples(positive, positive),
+    violated=st.sets(st.sampled_from([0, 1])),
+    cap=st.integers(min_value=1, max_value=12),
+    seed=seeds,
+    losses=st.sampled_from(LOSSES),
+    data=st.data(),
+)
+def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violated, cap, seed, losses, data):
+    fleet = build_fleet(specs)
+    belief = est.Belief(np.array([-0.5, 0.01]), prior)
+    targets = sched.UncertaintyTargets(np.array(bounds))
+    selected, _, steps = sched.plan_selection(prior, targets, tuple(sorted(violated)), fleet, cap)
+    assert len(steps) == len(selected)
+    if losses == "random":
+        lost = [i for i in selected if data.draw(st.booleans())]
+    else:
+        lost = {
+            "all delivered": [], "none delivered": selected, "first lost": selected[:1], "last lost": selected[-1:],
+        }[losses]
+    delivered = [i for i in selected if i not in lost]
+    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    replayed = sched.fuse_delivered(belief, selected, delivered, values, fleet, steps)
+    fresh = sched.fuse_delivered(belief, selected, delivered, values, fleet)
+    assert replayed.mean.tobytes() == fresh.mean.tobytes()
+    assert replayed.cov.tobytes() == fresh.cov.tobytes()
+
+
+def test_fully_delivered_round_runs_one_rank1_update_per_pick():
+    cfg = config.config_from_dict({"cap": 30, "fleet": {"n_agents": 60}})
+    fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
+    prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
+    targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
+    with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
+        result, _, _ = sched.run_round(
+            schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel,
+            cfg.cap, np.array([-0.49, 0.012]), np.random.default_rng(0),
+        )
+    assert len(result.selected) > 2 and result.delivered == result.selected
+    assert rank1.call_count == len(result.selected)
 
 
 def test_rank1_update_retries_with_jitter_then_fails():
@@ -427,5 +481,7 @@ def test_greedy_picks_equal_a_fresh_sort(specs, cap):
     fleet = build_fleet(specs)
     by_distance = sorted(fleet.agents, key=lambda a: (a.distance_m, a.agent_id))
     by_noise = sorted(fleet.agents, key=lambda a: (a.noise_var, a.agent_id))
-    assert schemes.select_nearest(None, None, None, fleet, cap) == ([a.agent_id for a in by_distance[:cap]], [])
-    assert schemes.select_quietest(None, None, None, fleet, cap) == ([a.agent_id for a in by_noise[:cap]], [])
+    nearest = [a.agent_id for a in by_distance[:cap]]
+    quietest = [a.agent_id for a in by_noise[:cap]]
+    assert schemes.select_nearest(None, None, None, fleet, cap) == (nearest, [], ())
+    assert schemes.select_quietest(None, None, None, fleet, cap) == (quietest, [], ())

@@ -50,22 +50,34 @@ def test_service_aol_empty_and_disjoint():
     assert plan_aol_only((0, 1), fleet) == ([0, 1], [0, 1])
 
 
+def planned_cov(prior_cov, steps):
+    """The planned covariance: the last rank-1 step's, the prior's when nothing was picked."""
+    return np.array(steps[-1][1]) if steps else np.asarray(prior_cov, dtype=float)
+
+
+def picked_features(fleet, prior_diag, bounds, cap):
+    """Features of the value-of-information picks, no stale features."""
+    targets = sched.UncertaintyTargets(np.array(bounds))
+    selected, _, _ = sched.plan_selection(np.diag(prior_diag), targets, (), fleet, cap)
+    return [fleet.agents[i].feature for i in selected]
+
+
 def test_select_feature_ratio_argmax():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    k = sched.select_feature([0.02, 0.001], [0.01, 0.002], fleet, {0, 1})
+    k = picked_features(fleet, [0.02, 0.001], [0.01, 0.002], cap=1)[0]
     assert k == 0  # ratios 2.0 vs 0.5
 
 
 def test_select_feature_skips_uncovered():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    # the max-ratio feature has no available sensor left
-    k = sched.select_feature([0.02, 0.001], [0.01, 0.002], fleet, {1})
+    # after the first pick the max-ratio feature (0: 9.5 vs 5.0) has no available sensor left
+    k = picked_features(fleet, [0.02, 0.0005], [1e-4, 1e-4], cap=2)[1]
     assert k == 1
 
 
 def test_select_feature_tie_goes_low():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    k = sched.select_feature([0.02, 0.02], [0.01, 0.01], fleet, {0, 1})
+    k = picked_features(fleet, [0.02, 0.02], [0.01, 0.01], cap=1)[0]
     assert k == 0
 
 
@@ -177,14 +189,14 @@ def test_selection_matches_independent_oracle():
         fleet = make_fleet(spec)
         tracker = AolTracker(ages, thresholds)
         targets = sched.UncertaintyTargets(bounds)
-        selected, _, planned_cov = sched.plan_selection(
+        selected, _, steps = sched.plan_selection(
             prior_cov, targets, tracker.violated(), fleet, cap
         )
         want = oracle_plan(prior_cov, bounds, tracker.violated(), agents, cap)
         assert selected == want
         assert len(selected) <= cap
         # planned covariance never inflates a diagonal entry
-        assert np.all(np.diag(planned_cov) <= np.diag(prior_cov) + 1e-12)
+        assert np.all(np.diag(planned_cov(prior_cov, steps)) <= np.diag(prior_cov) + 1e-12)
 
 
 def test_each_pick_shrinks_some_diagonal():
@@ -193,7 +205,8 @@ def test_each_pick_shrinks_some_diagonal():
     prior = np.diag([0.02, 0.01])
     cov = prior.copy()
     for cap in (1, 2, 3):
-        _, _, planned = sched.plan_selection(prior, targets, (), fleet, cap)
+        _, _, steps = sched.plan_selection(prior, targets, (), fleet, cap)
+        planned = planned_cov(prior, steps)
         assert np.diag(planned).sum() < np.diag(cov).sum() + 1e-15
         cov = planned
     selected, _, _ = sched.plan_selection(prior, targets, (), fleet, 3)
@@ -215,7 +228,8 @@ def test_reachable_targets_met_with_full_fleet():
         if np.any(np.diag(cov) > bounds):
             continue
         targets = sched.UncertaintyTargets(bounds)
-        _, _, planned = sched.plan_selection(prior_cov, targets, (), fleet, cap=len(fleet))
+        _, _, steps = sched.plan_selection(prior_cov, targets, (), fleet, cap=len(fleet))
+        planned = planned_cov(prior_cov, steps)
         assert np.all(np.diag(planned) <= bounds)
 
 
