@@ -20,20 +20,18 @@ the covariance from the planner's steps for the leading readings whose picks
 all arrived (the same update on the same numbers), and calls
 ``rank1_update`` for the rest. ``posterior_cov`` is the covariance alone.
 
-``fuse`` is the general batch update of a stacked observation batch, kept as
-the oracle of the sequential path and for the acceptance checks; its
-innovation system is solved by the LAPACK routines scipy's
-``cho_factor``/``cho_solve`` call (potrf, potrs), loaded on first use.
-A new belief's covariance is checked once, when it is constructed, for
-symmetry and, by its smaller eigenvalue in closed form, for positive
-semidefiniteness.
+``fuse`` takes a stacked ``FusionBatch`` of unit-selector rows e_k with a
+diagonal noise covariance. Its readings are independent, so it hands them to
+``fuse_readings`` in row order, which is exact for that input: the package
+has one Kalman update. A new belief's covariance is checked once, when it is
+constructed, for symmetry and, by its smaller eigenvalue in closed form, for
+positive semidefiniteness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,10 +102,6 @@ def _check_cov(cov: Array) -> None:
         raise NumericalError("covariance lost positive semidefiniteness")
 
 
-def _symmetrize(cov: Array) -> Array:
-    return 0.5 * (cov + cov.T)
-
-
 def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     """Blind prediction: mean through the deterministic map, covariance through P Psi P^T + C_u.
 
@@ -124,48 +118,6 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     c10, c11 = a10 * j00 + a11 * j01 + q10, a10 * j10 + a11 * j11 + q11
     cov = [[0.5 * (c00 + c00), 0.5 * (c01 + c10)], [0.5 * (c10 + c01), 0.5 * (c11 + c11)]]
     return Belief(mean=model.update(belief.mean, action), cov=np.array(cov), qi=belief.qi + 1)
-
-
-@cache
-def _potrf_potrs():
-    """The LAPACK routines behind scipy's cho_factor/cho_solve, loaded on first use.
-
-    Only the batch ``fuse`` solves a matrix system, so a run that never calls
-    it never imports scipy.linalg.
-    """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    return get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
-
-
-def _innovation_solve(s_mat: Array, rhs: Array) -> Array:
-    """Solve S x = rhs via Cholesky, one jitter retry, else fail.
-
-    Calls potrf/potrs with the arguments cho_factor/cho_solve pass, without
-    their per-call wrapper work.
-    """
-    if not (np.isfinite(s_mat).all() and np.isfinite(rhs).all()):
-        raise NumericalError("innovation covariance or gain system is not finite")
-    potrf, potrs = _potrf_potrs()
-    for jitter in (0.0, 1e-12):
-        shifted = s_mat + jitter * np.eye(s_mat.shape[0]) if jitter else s_mat
-        chol, info = potrf(shifted, lower=1, clean=0)
-        if info == 0:
-            x, info = potrs(chol, rhs, lower=1)
-            if info == 0:
-                return x
-    raise NumericalError("innovation covariance is singular")
-
-
-def _joseph_update(prior_cov: Array, h: Array, r: Array) -> tuple[Array, Array]:
-    """Kalman gain and Joseph-form posterior covariance, cross-checked against (I-KH)P."""
-    s_mat = r + h @ prior_cov @ h.T
-    gain = _innovation_solve(s_mat, h @ prior_cov).T
-    ikh = np.eye(prior_cov.shape[0]) - gain @ h
-    cov = _symmetrize(ikh @ prior_cov @ ikh.T + gain @ r @ gain.T)
-    if np.max(np.abs(cov - ikh @ prior_cov)) > JOSEPH_TOL:
-        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return gain, cov
 
 
 def rank1_update(p: list[list[float]], k: int, r: float) -> Step:
@@ -235,13 +187,25 @@ def fuse_readings(
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
-    """Kalman update of the prior with a stacked observation batch."""
-    h = batch.obs_matrix
-    if h.shape[1] != prior.mean.shape[0] or h.shape[0] != batch.values.shape[0]:
+    """Kalman update of the prior with a stacked batch of independent readings.
+
+    Each row of ``obs_matrix`` must select one feature k (a unit row e_k) and
+    ``noise_cov`` must be diagonal; row i is then the reading (k, r_ii, y_i),
+    and ``fuse_readings`` applies the readings in row order.
+    """
+    h = np.asarray(batch.obs_matrix, dtype=float)
+    r = np.asarray(batch.noise_cov, dtype=float)
+    y = np.asarray(batch.values, dtype=float)
+    n = y.size
+    if y.shape != (n,) or h.shape != (n, STATE_FEATURES) or r.shape != (n, n):
         raise InputError("batch dimensions do not match the belief")
-    gain, cov = _joseph_update(prior.cov, h, batch.noise_cov)
-    mean = prior.mean + gain @ (batch.values - h @ prior.mean)
-    return Belief(mean=mean, cov=cov, qi=prior.qi)
+    rows = h.tolist()
+    if not all(row.count(1.0) == 1 and row.count(0.0) == len(row) - 1 for row in rows):
+        raise InputError("each observation row must select one feature (a unit row e_k)")
+    if np.any(r[~np.eye(n, dtype=bool)] != 0.0):
+        raise InputError("the batch noise covariance must be diagonal")
+    readings = zip((row.index(1.0) for row in rows), np.diag(r).tolist(), y.tolist())
+    return fuse_readings(prior, readings)
 
 
 def meets_targets(belief: Belief, variance_bounds: Array) -> tuple[bool, tuple[int, ...]]:

@@ -5,15 +5,30 @@
 * ``accuracy_vector``: the per-feature accuracy a belief delivers.
 * ``td_error``: the one-step temporal-difference residual of one transition,
   the quantity ``control.ppo_update`` computes for a whole batch.
+* ``joseph_update``: the general batch Kalman update of any observation
+  matrix, solved by Cholesky and cross-checked against (I - KH) P.
+* ``rank1_joseph`` and ``sequential_fusion``: the rank-1 Joseph update and
+  the one-reading-at-a-time fusion, written as loops over nested floats.
+* ``plan_picks``: the value-of-information planner, min-scanning its
+  candidates at every pick, its covariance following ``rank1_joseph`` or a
+  given update.
+* ``reference_episode``: one episode of any scheme, composed from the above,
+  per-sensor ``sensing.observe`` and per-link ``channel.uplink_outcome``.
 """
 
 import math
 
 import numpy as np
+from scipy import linalg as sla
 
+from reverb import channel as ch
 from reverb import control as ctl
+from reverb import dynamics as dyn
 from reverb import estimator as est
+from reverb import loop
+from reverb import sensing
 from reverb.errors import InputError, NumericalError
+from reverb.recordio import EpisodeRecord
 
 
 def marcum_q1(a: float, b: float, rel_tol: float = 1e-12) -> float:
@@ -62,3 +77,186 @@ def td_error(agent: ctl.PolicyAgent, transition: ctl.Transition, gamma: float) -
     v_s = float(agent.value(transition.state[None, :])[0])
     v_next = 0.0 if transition.done else float(agent.value(transition.next_state[None, :])[0])
     return transition.reward + gamma * v_next - v_s
+
+
+def joseph_update(prior_cov, h, r) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman gain and Joseph-form posterior of a batch update, cross-checked against (I-KH)P."""
+    prior_cov, h, r = (np.asarray(x, dtype=float) for x in (prior_cov, h, r))
+    s_mat = r + h @ prior_cov @ h.T
+    gain = sla.cho_solve(sla.cho_factor(s_mat, lower=True), h @ prior_cov).T
+    ikh = np.eye(prior_cov.shape[0]) - gain @ h
+    cov = ikh @ prior_cov @ ikh.T + gain @ r @ gain.T
+    cov = 0.5 * (cov + cov.T)
+    if np.max(np.abs(cov - ikh @ prior_cov)) > est.JOSEPH_TOL:
+        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
+    return gain, cov
+
+
+def rank1_joseph(p, k, r):
+    """The rank-1 Joseph update of a nested-float prior of any size, written as loops."""
+    s = p[k][k] + r
+    gain = [row[k] / s for row in p]
+    ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
+    joseph = [
+        [aij - row[k] * gj + r * (gi * gj) for aij, gj in zip(row, gain)]
+        for gi, row in zip(gain, ikh_p)
+    ]
+    n = len(p)
+    return [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]
+
+
+def sequential_fusion(mean, p, readings):
+    """One rank-1 Joseph update and mean update per reading (k, r, y), in order, written as loops."""
+    m = list(mean)
+    for k, r, y in readings:
+        s = p[k][k] + r
+        gain = [row[k] / s for row in p]
+        innovation = y - m[k]
+        m = [mi + gi * innovation for mi, gi in zip(m, gain)]
+        p = rank1_joseph(p, k, r)
+    return m, p
+
+
+def plan_picks(prior_cov, bounds, violated, agents, cap, update=rank1_joseph):
+    """The planner step by step: (agent ids in pick order, features serviced for age, covariance).
+
+    Each stale feature, lowest first, gets its nearest available sensor; then,
+    while some variance exceeds its bound, the coverable feature with the
+    largest variance-to-bound ratio (ties: the lowest) gets its quietest
+    available sensor. Candidates are min-scanned at every pick, and the
+    would-be covariance follows ``update(cov, k, r)``. The default,
+    ``rank1_joseph``, carries the package's bits, so no pick can turn on a
+    last-bit difference.
+    """
+    available = {a.agent_id for a in agents}
+    cov = [list(row) for row in prior_cov]
+    selected, serviced = [], []
+
+    def candidates(k):
+        return [a for a in agents if a.feature == k and a.agent_id in available]
+
+    def pick(agent):
+        nonlocal cov
+        selected.append(agent.agent_id)
+        available.discard(agent.agent_id)
+        cov = update(cov, agent.feature, agent.noise_var)
+
+    for k in sorted(violated):
+        if len(selected) >= cap:
+            break
+        if candidates(k):
+            pick(min(candidates(k), key=lambda a: (a.distance_m, a.agent_id)))
+            serviced.append(k)
+    features = range(len(cov))
+    while len(selected) < cap and any(cov[k][k] > bounds[k] for k in features):
+        ratios = [(cov[k][k] / bounds[k], -k) for k in features if candidates(k)]
+        if not ratios:
+            break
+        k = -max(ratios)[1]
+        pick(min(candidates(k), key=lambda a: (a.noise_var, a.agent_id)))
+    return selected, serviced, cov
+
+
+def scheme_selection(scheme, agents, cov, bounds, violated, cap):
+    """A radio scheme's transmission set, agent ids in order, from the scheme's definition."""
+    if scheme == "AoL-REVERB":
+        return plan_picks(cov, bounds, violated, agents, cap)[0]
+    if scheme == "CB-Greedy":
+        return [a.agent_id for a in sorted(agents, key=lambda a: (a.distance_m, a.agent_id))[:cap]]
+    if scheme == "EB-Greedy":
+        return [a.agent_id for a in sorted(agents, key=lambda a: (a.noise_var, a.agent_id))[:cap]]
+    if scheme == "Traditional":
+        return sorted(min(a.agent_id for a in agents if a.feature == k) for k in range(len(cov)))
+    raise InputError(f"no reference for scheme {scheme!r}")
+
+
+def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
+    """One episode of ``scheme`` as ``schemes.run_episode`` logs it, assembled independently.
+
+    The plant step, the blind prediction, the fleet and the link sizing are
+    the package's (each has its own tests); everything between them is
+    written here: the generator streams and the order of their draws, the
+    targets, the selection, one ``sensing.observe`` per selected sensor and
+    then one ``channel.uplink_outcome`` per link, fusion of the delivered
+    readings by ``sequential_fusion`` (Traditional: the raw reading replaces
+    the feature's estimate; Perfect: the true state, with zero covariance),
+    the ages, the reward and the record.
+    """
+    fleet_seq, env_seq = np.random.default_rng(seed).bit_generator.seed_seq.spawn(2)
+    agents = sensing.generate_fleet(cfg.fleet, np.random.default_rng(fleet_seq)).agents
+    rng = np.random.default_rng(env_seq)
+    model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
+    car = dyn.MountainCarParams()
+    state = np.array([rng.uniform(car.start_position_low, car.start_position_high), 0.0])
+    var = cfg.init_belief_var
+    mean = (state + math.sqrt(var) * rng.standard_normal(2)).tolist()
+    cov = [[var, 0.0], [0.0, var]]
+    ages = [0] * len(cfg.aol_thresholds)
+    budgets = {}
+    record = EpisodeRecord(scheme=scheme, seed=seed)
+    for qi in range(cfg.qi_cap):
+        action = policy(np.array(mean))
+        force, eta = action.force, action.accuracy.tolist()
+        state = dyn.step(model, state, force, rng)
+        done = bool(state[0] >= car.goal_position)
+        prior = est.predict(est.Belief(np.array(mean), np.array(cov)), force, model)
+        mean, cov = prior.mean.tolist(), prior.cov.tolist()
+        ages = [a + 1 for a in ages]
+        bounds = [min(x, 1.0 / e) if e > 0.0 else x for x, e in zip(cfg.required_var, eta)]
+        selected, delivered = [], []
+        if scheme == "Perfect":
+            mean, cov = state.tolist(), [[0.0, 0.0], [0.0, 0.0]]
+            ages = [1] * len(ages)
+        else:
+            violated = [k for k, (a, t) in enumerate(zip(ages, cfg.aol_thresholds)) if a > t]
+            selected = scheme_selection(scheme, agents, cov, bounds, violated, cfg.cap)
+            for i in selected:
+                if i not in budgets:
+                    a = agents[i]
+                    budgets[i] = ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
+            values = [float(sensing.observe(agents[i], state, rng).values[0]) for i in selected]
+            arrived = [ch.uplink_outcome(cfg.channel, budgets[i], rng).delivered for i in selected]
+            delivered = [i for i, ok in zip(selected, arrived) if ok]
+            readings = [
+                (agents[i].feature, agents[i].noise_var, y)
+                for i, y, ok in zip(selected, values, arrived)
+                if ok
+            ]
+            if scheme == "Traditional":
+                for k, r, y in readings:
+                    mean[k] = y
+                    cov = [[0.0 if k in (i, j) else c for j, c in enumerate(row)] for i, row in enumerate(cov)]
+                    cov[k][k] = r
+            else:
+                mean, cov = sequential_fusion(mean, cov, readings)
+            for i in delivered:
+                ages[agents[i].feature] = 1
+        reward = -loop.ACTION_COST_WEIGHT * force**2
+        if done:
+            reward += loop.TERMINATION_REWARD
+        record.append(
+            qi=qi,
+            true_pos=state[0],
+            true_vel=state[1],
+            belief_pos=mean[0],
+            belief_vel=mean[1],
+            cov_pos=cov[0][0],
+            cov_vel=cov[1][1],
+            target_pos=bounds[0],
+            target_vel=bounds[1],
+            n_selected=len(selected),
+            selected=";".join(map(str, selected)),
+            delivered=";".join(map(str, delivered)),
+            prbs=sum(budgets[i].prbs for i in selected),
+            age_pos=ages[0],
+            age_vel=ages[1],
+            reward=reward + cfg.control.kappa * ((eta[0] + eta[1]) / 2),
+            force=force,
+            eta_pos=eta[0],
+            eta_vel=eta[1],
+            failed=int(any(cov[k][k] > b for k, b in enumerate(bounds))),
+        )
+        if done:
+            record.reached_goal = True
+            break
+    return record

@@ -5,7 +5,7 @@ from reverb import dynamics as dyn
 from reverb import estimator as est
 from reverb.errors import ConfigError, InputError, NumericalError
 
-from oracles import accuracy_vector
+from oracles import accuracy_vector, joseph_update
 
 
 def linear_model(a_mat: np.ndarray, noise: np.ndarray) -> dyn.DynamicsModel:
@@ -120,6 +120,7 @@ def test_fuse_exact_sensor_dominates():
 
 
 def test_fuse_matches_textbook_oracle():
+    # the batch Joseph oracle, on general observation matrices, against the textbook update
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = rng.standard_normal((2, 2))
@@ -133,9 +134,27 @@ def test_fuse_matches_textbook_oracle():
         gain = prior_cov @ h.T @ np.linalg.inv(s_mat)
         want_cov = (np.eye(2) - gain @ h) @ prior_cov
         want_mean = mean + gain @ (o - h @ mean)
-        got = est.fuse(est.Belief(mean, prior_cov), est.FusionBatch(h, r, o))
-        assert np.max(np.abs(got.cov - want_cov)) < 1e-10
-        assert np.max(np.abs(got.mean - want_mean)) < 1e-10
+        got_gain, got_cov = joseph_update(prior_cov, h, r)
+        got_mean = mean + got_gain @ (o - h @ mean)
+        assert np.max(np.abs(got_cov - want_cov)) < 1e-10
+        assert np.max(np.abs(got_mean - want_mean)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "obs_matrix, noise_cov, values, fragment",
+    [
+        ([[0.5, 0.5]], [[1e-3]], [0.1], "must select one feature"),
+        ([[1.0, 1.0]], [[1e-3]], [0.1], "must select one feature"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1e-3, 1e-5], [1e-5, 1e-3]], [0.1, 0.0], "must be diagonal"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1e-3, 0.0], [0.0, 1e-3]], [0.1], "dimensions do not match"),
+    ],
+    ids=["non-selector-row", "row-with-two-ones", "off-diagonal-noise", "row-count-not-values"],
+)
+def test_fuse_rejects_what_is_not_independent_selector_readings(obs_matrix, noise_cov, values, fragment):
+    prior = est.Belief(np.zeros(2), np.eye(2))
+    batch = est.FusionBatch(np.array(obs_matrix), np.array(noise_cov), np.array(values))
+    with pytest.raises(InputError, match=fragment):
+        est.fuse(prior, batch)
 
 
 def test_fusion_never_inflates_diagonal():

@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -493,23 +495,49 @@ def test_cli_bad_seed_or_episode_count_returns_1(tmp_path, monkeypatch, capsys, 
     assert_one_error_line(capsys, fragment)
 
 
-def test_run_and_train_do_not_load_scipy(tmp_path):
+def test_cli_commands_do_not_load_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         "from reverb.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     for argv in (
         ["run", "--seed", "1", "--out", str(tmp_path / "run")],
         ["train", "--episodes", "1", "--seed", "1", "--out", str(tmp_path / "train")],
+        ["bench", "--episodes", "1", "--scheme", "AoL-REVERB", "--seed", "1", "--out", str(tmp_path / "bench")],
     ):
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
+
+
+# Import name -> distribution name, for the package's third-party imports.
+DISTRIBUTIONS = {"numpy": "numpy", "yaml": "pyyaml"}
+
+
+def test_runtime_dependencies_are_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "reverb").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
+    assert third_party == DISTRIBUTIONS.keys()
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower() for req in requirements}
+
+    assert names(project["dependencies"]) == set(DISTRIBUTIONS.values())
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 def load_golden_script():

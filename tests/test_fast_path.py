@@ -1,9 +1,10 @@
 """The round's fast stages and lazy link memo, each checked against its oracle.
 
 The oracles are the per-sensor and per-link functions (``sensing.observe``,
-``channel.uplink_outcome``, ``FusionBatch.from_observations`` + ``fuse``),
-the general Joseph update ``estimator._joseph_update``, and loop-written
-references of the float expressions.
+``channel.uplink_outcome``, ``FusionBatch.from_observations``), the general
+batch Joseph update ``oracles.joseph_update``, and the loop-written
+references of the float expressions (``oracles.rank1_joseph`` and
+``oracles.sequential_fusion``).
 """
 
 import dataclasses
@@ -26,6 +27,8 @@ from reverb import schemes
 from reverb import sensing
 from reverb.aol import AolTracker
 from reverb.errors import InfeasibleError, NumericalError
+
+from oracles import joseph_update, plan_picks, rank1_joseph, sequential_fusion
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -50,33 +53,12 @@ def scalar_agent(agent_id: int, k: int, var: float, dist: float = 5.0) -> sensin
 
 @settings(max_examples=300, deadline=None)
 @given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
-def test_scalar_posterior_matches_joseph(prior, k, r):
+def test_float_2x2_update_matches_scalar_and_joseph(prior, k, r):
     fast = np.array(est.posterior_cov(prior.tolist(), k, r))
-    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
+    assert fast.tobytes() == np.array(rank1_joseph(prior.tolist(), k, r)).tobytes()
+    _, oracle = joseph_update(prior, selector(k), [[r]])
     assert np.max(np.abs(fast - oracle)) <= 1e-12
     assert np.array_equal(fast, fast.T)
-
-
-def rank1_joseph(p, k, r):
-    """The rank-1 Joseph update of a nested-float prior of any size, written as loops."""
-    s = p[k][k] + r
-    gain = [row[k] / s for row in p]
-    ikh_p = [[pij - gi * pkj for pij, pkj in zip(row, p[k])] for gi, row in zip(gain, p)]
-    joseph = [
-        [aij - row[k] * gj + r * (gi * gj) for aij, gj in zip(row, gain)]
-        for gi, row in zip(gain, ikh_p)
-    ]
-    n = len(p)
-    return [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(prior=spd_2x2(), k=st.sampled_from([0, 1]), r=positive)
-def test_float_2x2_update_matches_scalar_and_joseph(prior, k, r):
-    fast = est.posterior_cov(prior.tolist(), k, r)
-    assert np.array(fast).tobytes() == np.array(rank1_joseph(prior.tolist(), k, r)).tobytes()
-    _, oracle = est._joseph_update(prior, selector(k), np.array([[r]]))
-    assert np.max(np.abs(np.array(fast) - oracle)) <= 1e-12
 
 
 def test_float_2x2_update_keeps_cross_check():
@@ -113,35 +95,12 @@ def planned_cov(prior_cov, steps):
 
 
 def general_plan(prior_cov, targets, violated, fleet, cap):
-    """The planner on the general path: candidate lists min-scanned per pick, Joseph updates."""
-    available = {a.agent_id for a in fleet.agents}
-    cov = np.array(prior_cov, dtype=float)
-    selected, serviced = [], []
+    """The planner on the general path: the batch Joseph update after every pick."""
 
-    def pick(agent):
-        nonlocal cov
-        selected.append(agent.agent_id)
-        available.discard(agent.agent_id)
-        cov = est._joseph_update(cov, selector(agent.feature), np.array([[agent.noise_var]]))[1]
+    def update(cov, k, r):
+        return joseph_update(cov, selector(k), [[r]])[1]
 
-    def candidates(k):
-        return [fleet.agents[i] for i in fleet.agents_for(k) if i in available]
-
-    for k in sorted(violated):
-        if len(selected) >= cap:
-            break
-        if candidates(k):
-            pick(min(candidates(k), key=lambda a: (a.distance_m, a.agent_id)))
-            serviced.append(k)
-    while len(selected) < cap and np.any(np.diag(cov) > targets.variance_bounds):
-        ratios = [
-            (np.diag(cov)[k] / targets.variance_bounds[k], -k) for k in (0, 1) if candidates(k)
-        ]
-        if not ratios:
-            break
-        k = -max(ratios)[1]
-        pick(min(candidates(k), key=lambda a: (a.noise_var, a.agent_id)))
-    return selected, serviced, cov
+    return plan_picks(prior_cov, targets.variance_bounds.tolist(), violated, fleet.agents, cap, update)
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,18 +274,6 @@ def test_starved_link_is_not_delivered(starved_first):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def sequential_fusion(mean, p, readings):
-    """One rank-1 Joseph update and mean update per reading (k, r, y), in order, written as loops."""
-    m = list(mean)
-    for k, r, y in readings:
-        s = p[k][k] + r
-        gain = [row[k] / s for row in p]
-        innovation = y - m[k]
-        m = [mi + gi * innovation for mi, gi in zip(m, gain)]
-        p = rank1_joseph(p, k, r)
-    return m, p
-
-
 @settings(max_examples=150, deadline=None)
 @given(specs=sensor_specs, seed=seeds, data=st.data(), prior=spd_2x2())
 def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
@@ -348,9 +295,11 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     assert post.cov.tobytes() == np.array(cov).tobytes()
     agents = [fleet.agents[i] for i in delivered]
     observations = [sensing.Observation(i, values[selected.index(i)]) for i in delivered]
-    batch = est.fuse(belief, est.FusionBatch.from_observations(agents, observations))
-    assert np.max(np.abs(post.mean - batch.mean)) <= 1e-12
-    assert np.max(np.abs(post.cov - batch.cov)) <= 1e-12
+    batch = est.FusionBatch.from_observations(agents, observations)
+    gain, batch_cov = joseph_update(prior, batch.obs_matrix, batch.noise_cov)
+    batch_mean = belief.mean + gain @ (batch.values - batch.obs_matrix @ belief.mean)
+    assert np.max(np.abs(post.mean - batch_mean)) <= 1e-12
+    assert np.max(np.abs(post.cov - batch_cov)) <= 1e-12
 
 
 def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
@@ -432,40 +381,6 @@ def test_fuse_readings_rejects_non_finite(bad):
     prior.mean, prior.cov, prior.qi = np.zeros(2), cov, 0
     with pytest.raises(NumericalError, match="not finite"):
         est.fuse_readings(prior, [(1, r, 0.1)])
-
-
-spd_n = st.integers(min_value=1, max_value=30).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.lists(unit, min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(positive, min_size=n, max_size=n),
-        st.lists(st.lists(unit, min_size=2, max_size=2), min_size=n, max_size=n),
-    )
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(spec=spd_n)
-def test_innovation_solve_is_bit_equal_to_scipy(spec):
-    b, diag, rhs = (np.array(x) for x in spec)
-    s_mat = b @ b.T + np.diag(diag)
-    want = sla.cho_solve(sla.cho_factor(s_mat, lower=True), rhs)
-    assert est._innovation_solve(s_mat, rhs).tobytes() == want.tobytes()
-
-
-def test_innovation_solve_retries_with_jitter_then_fails():
-    rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    retried = sla.cho_solve(sla.cho_factor(1e-12 * np.eye(2), lower=True), rhs)
-    assert np.array_equal(est._innovation_solve(np.zeros((2, 2)), rhs), retried)
-    with pytest.raises(NumericalError, match="singular"):
-        est._innovation_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), rhs)
-
-
-@pytest.mark.parametrize("bad", ["s", "rhs"])
-def test_innovation_solve_rejects_non_finite(bad):
-    s_mat, rhs = np.eye(2), np.ones((2, 2))
-    (s_mat if bad == "s" else rhs)[0, 1] = np.nan
-    with pytest.raises(NumericalError, match="not finite"):
-        est._innovation_solve(s_mat, rhs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,8 @@ from reverb.channel import ChannelParams
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
+from oracles import joseph_update
+
 
 def make_fleet(spec):
     """spec: iterable of (feature, noise_var, distance) tuples, ids in order."""
@@ -224,7 +226,7 @@ def test_reachable_targets_met_with_full_fleet():
         cov = prior_cov.copy()
         for a in fleet.agents:
             h = np.eye(2)[[a.feature]]
-            cov = est._joseph_update(cov, h, np.array([[a.noise_var]]))[1]
+            cov = joseph_update(cov, h, [[a.noise_var]])[1]
         if np.any(np.diag(cov) > bounds):
             continue
         targets = sched.UncertaintyTargets(bounds)
