@@ -7,6 +7,8 @@ Runs, with the package from this checkout's ``src/``:
 * ``reverb run --scheme S --seed 1`` for all five schemes        -> DIR/run_S
 * ``reverb bench --scheme AoL-REVERB --sweep C:1..30 --episodes 2 --seed 1`` -> DIR/sweep_cap
 * ``reverb train --episodes 5 --seed 1``                         -> DIR/train
+* ``reverb run --scheme AoL-REVERB --weights DIR/train/weights.json --seed 1``
+  (the trained policy loaded back)                               -> DIR/run_weights
 
 Outputs are byte-identical across reruns of the same code, so the gate for a
 change is that this script's output at the parent commit and at the change
@@ -43,6 +45,10 @@ def commands(out: Path) -> list[list[str]]:
         "--seed", "1", "--out", str(out / "sweep_cap"),
     ])
     runs.append(["train", "--episodes", "5", "--seed", "1", "--out", str(out / "train")])
+    runs.append([
+        "run", "--scheme", "AoL-REVERB", "--weights", str(out / "train" / "weights.json"),
+        "--seed", "1", "--out", str(out / "run_weights"),
+    ])
     return runs
 
 

@@ -21,7 +21,6 @@ from .errors import ConfigError, ReverbError
 from .metrics import compute_metrics
 from .recordio import write_episode_csv, write_summary_csv, write_summary_json
 from .runner import monte_carlo, run_sweep
-from .schema import STATE_FEATURES
 from .schemes import build_loop, make_policy, run_episode
 
 
@@ -51,13 +50,7 @@ def _load_agent(path: str | None) -> control.PolicyAgent | None:
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    agent = control.PolicyAgent.from_dict(data)
-    if (agent.state_dim, agent.n_features) != (STATE_FEATURES, STATE_FEATURES):
-        raise ConfigError(
-            f"{path}: weights for state_dim {agent.state_dim} and n_features {agent.n_features}, "
-            f"but the plant has {STATE_FEATURES} state features"
-        )
-    return agent
+    return control.PolicyAgent.from_dict(data)
 
 
 def cmd_train(args) -> int:

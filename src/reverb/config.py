@@ -20,7 +20,7 @@ from .sensing import FleetConfig
 SCHEMES = ("AoL-REVERB", "Perfect", "CB-Greedy", "EB-Greedy", "Traditional")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scheme: str = spec("AoL-REVERB", str, one_of(*SCHEMES))
     episodes: int = spec(200, int, at_least(1))

@@ -7,6 +7,11 @@ the clipped-ratio surrogate are computed in the raw (pre-squash) space. The
 critic is a state-value net trained on one-step temporal-difference targets;
 the same one-step residual is the actor's advantage.
 
+The nets map the scaled belief mean (``STATE_FEATURES`` entries) to
+``ACTION_DIM`` = 1 + ``STATE_FEATURES`` raw entries. A weights file must
+record those dimensions; its ``eta_max`` and ``input_scale`` are set through
+``ControlConfig`` and obey the rules they have in a config file.
+
 A deterministic energy-pumping controller is provided so the estimation and
 scheduling pipeline can be exercised without a trained policy.
 """
@@ -28,6 +33,7 @@ from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_field
 
 Array = np.ndarray
 
+ACTION_DIM = 1 + STATE_FEATURES  # the force, then one accuracy request per feature
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -62,7 +68,7 @@ class Transition:
     done: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlConfig:
     hidden: tuple[int, ...] = spec((64, 64), (int,), at_least(1))
     lr_actor: float = spec(1e-3, float, POSITIVE)
@@ -90,21 +96,12 @@ class ControlConfig:
 class PolicyAgent:
     """Gaussian actor + value critic over the belief mean."""
 
-    def __init__(
-        self,
-        state_dim: int,
-        n_features: int,
-        cfg: ControlConfig,
-        rng: np.random.Generator,
-    ) -> None:
+    def __init__(self, cfg: ControlConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
-        self.state_dim = state_dim
-        self.n_features = n_features
-        self.action_dim = 1 + n_features
-        self.actor = MLP((state_dim, *cfg.hidden, self.action_dim), rng)
-        self.critic = MLP((state_dim, *cfg.hidden, 1), rng)
-        self.log_std = np.full(self.action_dim, float(cfg.init_log_std))
-        self.scale = np.asarray(cfg.input_scale[:state_dim], dtype=float)
+        self.actor = MLP((STATE_FEATURES, *cfg.hidden, ACTION_DIM), rng)
+        self.critic = MLP((STATE_FEATURES, *cfg.hidden, 1), rng)
+        self.log_std = np.full(ACTION_DIM, float(cfg.init_log_std))
+        self.scale = np.asarray(cfg.input_scale, dtype=float)
 
     # --- action plumbing ----------------------------------------------------
 
@@ -125,7 +122,7 @@ class PolicyAgent:
         """Sample a raw action, return (squashed action, raw, log-probability)."""
         mean = self.raw_mean(state)[0]
         std = np.exp(self.log_std)
-        raw = mean + std * rng.standard_normal(self.action_dim)
+        raw = mean + std * rng.standard_normal(ACTION_DIM)
         logp = float(gaussian_log_prob(raw[None, :], mean[None, :], self.log_std)[0])
         return self.squash(raw), raw, logp
 
@@ -141,8 +138,8 @@ class PolicyAgent:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "state_dim": self.state_dim,
-            "n_features": self.n_features,
+            "state_dim": STATE_FEATURES,
+            "n_features": STATE_FEATURES,
             "eta_max": self.cfg.eta_max,
             "input_scale": self.scale.tolist(),
             "log_std": self.log_std.tolist(),
@@ -152,34 +149,26 @@ class PolicyAgent:
 
     @classmethod
     def from_dict(cls, data: dict, cfg: ControlConfig | None = None) -> "PolicyAgent":
+        """An agent from ``to_dict``'s output; ``eta_max`` and ``input_scale`` obey ``cfg``'s rules."""
         if not isinstance(data, dict):
             raise InputError(f"weights must be a JSON object, got {type(data).__name__}")
-        if data.get("version") != 1:
-            raise InputError(f"unsupported weights version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != 1:
+            raise InputError(f"weights: unsupported 'version' {version!r}, expected 1")
 
         def read(key: str, convert):
             if key not in data:
                 raise InputError(f"weights: missing key {key!r}")
             try:
                 return convert(data[key])
-            except ConfigError as exc:  # a number outside the config field's range
+            except ConfigError as exc:  # a value the config field rejects
                 raise InputError(f"weights: {key!r} is out of range ({exc})") from None
             except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
                 raise InputError(f"weights: ill-typed {key!r} ({type(exc).__name__}: {exc})") from None
 
-        def floats(value) -> Array:
-            return np.array(value, dtype=float)
-
         def finite(key: str, *arrays: Array) -> None:
             if not all(np.isfinite(a).all() for a in arrays):
                 raise InputError(f"weights: {key!r} holds a NaN or infinite entry")
-
-        def vector(key: str, n: int) -> Array:
-            value = read(key, floats)
-            if value.shape != (n,):
-                raise InputError(f"weights: {key!r} has shape {value.shape}, expected ({n},)")
-            finite(key, value)
-            return value
 
         def net(key: str, n_in: int, n_out: int) -> MLP:
             mlp = read(key, MLP.from_lists)
@@ -198,18 +187,22 @@ class PolicyAgent:
             finite(key, *mlp.weights, *mlp.biases)
             return mlp
 
-        cfg = read("eta_max", lambda v: dataclasses.replace(cfg or ControlConfig(), eta_max=float(v)))
+        cfg = read("eta_max", lambda v: dataclasses.replace(cfg or ControlConfig(), eta_max=v))
+        dims = read("state_dim", operator.index), read("n_features", operator.index)
+        if dims != (STATE_FEATURES, STATE_FEATURES):
+            raise InputError(
+                f"weights for state_dim {dims[0]} and n_features {dims[1]}, "
+                f"but the plant has {STATE_FEATURES} state features"
+            )
         agent = cls.__new__(cls)
-        agent.cfg = cfg
-        agent.state_dim = read("state_dim", operator.index)
-        agent.n_features = read("n_features", operator.index)
-        if agent.state_dim < 1 or agent.n_features < 0:
-            raise InputError("weights: 'state_dim' must be at least 1 and 'n_features' nonnegative")
-        agent.action_dim = 1 + agent.n_features
-        agent.actor = net("actor", agent.state_dim, agent.action_dim)
-        agent.critic = net("critic", agent.state_dim, 1)
-        agent.log_std = vector("log_std", agent.action_dim)
-        agent.scale = vector("input_scale", agent.state_dim)
+        agent.actor = net("actor", STATE_FEATURES, ACTION_DIM)
+        agent.critic = net("critic", STATE_FEATURES, 1)
+        agent.log_std = read("log_std", lambda v: np.array(v, dtype=float))
+        if agent.log_std.shape != (ACTION_DIM,):
+            raise InputError(f"weights: 'log_std' has shape {agent.log_std.shape}, expected ({ACTION_DIM},)")
+        finite("log_std", agent.log_std)
+        agent.cfg = read("input_scale", lambda v: dataclasses.replace(cfg, input_scale=v))
+        agent.scale = np.asarray(agent.cfg.input_scale, dtype=float)
         return agent
 
 
@@ -358,7 +351,7 @@ def train(
     act_rng = np.random.default_rng(act_ss)
     update_rng = np.random.default_rng(update_ss)
     env_children = env_ss.spawn(episodes)
-    agent = PolicyAgent(state_dim=STATE_FEATURES, n_features=STATE_FEATURES, cfg=cfg, rng=init_rng)
+    agent = PolicyAgent(cfg, init_rng)
     actor_opt = Adam(cfg.lr_actor)
     critic_opt = Adam(cfg.lr_critic)
     curve: list[EpisodeStats] = []

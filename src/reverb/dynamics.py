@@ -1,21 +1,22 @@
 """Plant models: 2-D nonlinear discrete-time dynamics and the mountain-car instance.
 
 The twin's plant has two state features, position first and velocity second
-for the mountain car. A model owns three maps sharing that convention:
+for the mountain car, whose constants are module constants. A model owns three
+maps sharing that convention:
 
-* ``update(s, a)``      -- the deterministic per-interval transition, with the
-  environment's clamping rules applied,
+* ``update(s, a)``      -- the deterministic per-interval transition, ending
+  in ``clamp``, the environment's one clamping rule,
 * ``update_free(s, a)`` -- the same transition without clamping (the map the
   EKF linearizes),
 * ``jacobian(s)``       -- exact partial derivatives of ``update_free`` at ``s``
   with zero control.
 
-Process noise is additive Gaussian on top of ``update``; clamps are re-applied
-after the noise so outputs always respect the state bounds. ``clamp``
-receives the next state as a list of floats. The noise is the PSD square root
-of its 2x2 covariance, kept as nested floats, times one draw of two standard
-normals, formed as explicit float expressions summed in index order. The
-per-interval checks of ``step`` and ``jacobian_at`` run on Python floats.
+``step`` clips the force to [-ACTION_BOUND, ACTION_BOUND], adds Gaussian
+process noise to ``update``'s next state and applies ``clamp`` (which takes a
+list of floats) again, so outputs always respect the state bounds. The noise
+is the PSD square root of its 2x2 covariance, kept as nested floats, times one
+draw of two standard normals, formed as float expressions summed in index
+order. The per-interval checks of ``step`` and ``jacobian_at`` run on floats.
 """
 
 from __future__ import annotations
@@ -32,24 +33,16 @@ from .schema import STATE_FEATURES
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class MountainCarParams:
-    """Constants of the continuous mountain-car environment."""
-
-    gravity: float = 0.0025
-    force_gain: float = 0.0015
-    goal_position: float = 0.45
-    position_min: float = -1.2
-    position_max: float = 0.6
-    velocity_max: float = 0.07
-    start_position_low: float = -0.6
-    start_position_high: float = -0.4
-
-    def __post_init__(self) -> None:
-        if self.gravity <= 0.0 or self.force_gain <= 0.0:
-            raise ConfigError("gravity and force gain must be strictly positive")
-        if self.position_min >= self.position_max:
-            raise ConfigError("position bounds are reversed")
+# Constants of the continuous mountain-car environment.
+GRAVITY = 0.0025
+FORCE_GAIN = 0.0015
+GOAL_POSITION = 0.45
+POSITION_MIN = -1.2
+POSITION_MAX = 0.6
+VELOCITY_MAX = 0.07
+START_POSITION_LOW = -0.6
+START_POSITION_HIGH = -0.4
+ACTION_BOUND = 1.0  # the applied force is clipped to [-ACTION_BOUND, ACTION_BOUND]
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,6 @@ class DynamicsModel:
     clamp: Callable[[list[float]], Sequence[float]]
     control_gain: Array
     process_noise_cov: Array
-    action_bound: float = 1.0
     # PSD square root of process_noise_cov as nested floats; None without noise.
     noise_scale: list[list[float]] | None = field(init=False, repr=False)
 
@@ -96,7 +88,7 @@ def step(model: DynamicsModel, state: Array, action: float, rng: np.random.Gener
     s = _checked_state(model, state)
     if not math.isfinite(action):
         raise InputError("action must be finite")
-    a = min(max(float(action), -model.action_bound), model.action_bound)
+    a = min(max(float(action), -ACTION_BOUND), ACTION_BOUND)
     x, v = model.update(s, a).tolist()
     if model.noise_scale is not None:
         z0, z1 = rng.standard_normal(2).tolist()
@@ -124,39 +116,32 @@ def finite_difference_jacobian(model: DynamicsModel, state: Array, h: float = 1e
     return jac
 
 
-def mountain_car_model(
-    params: MountainCarParams | None = None,
-    process_noise_var: tuple[float, float] = (1e-6, 1e-6),
-) -> DynamicsModel:
-    """Mountain-car dynamics: v' = v + force_gain*a - gravity*cos(3x), x' = x + v'."""
-    p = params or MountainCarParams()
+def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) -> DynamicsModel:
+    """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'."""
+
+    def clamp(s: list[float]) -> Array:
+        x = min(max(float(s[0]), POSITION_MIN), POSITION_MAX)
+        v = min(max(float(s[1]), -VELOCITY_MAX), VELOCITY_MAX)
+        if x == POSITION_MIN and v < 0.0:
+            v = 0.0
+        return np.array([x, v])
 
     def update(s: Array, a: float) -> Array:
         x, v = float(s[0]), float(s[1])
-        v2 = v + p.force_gain * a - p.gravity * math.cos(3.0 * x)
-        v2 = min(max(v2, -p.velocity_max), p.velocity_max)
-        x2 = x + v2
-        x2 = min(max(x2, p.position_min), p.position_max)
-        if x2 == p.position_min and v2 < 0.0:
-            v2 = 0.0
-        return np.array([x2, v2])
+        v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
+        # x' takes the clipped velocity; clamp leaves it as it is.
+        v2 = min(max(v2, -VELOCITY_MAX), VELOCITY_MAX)
+        return clamp([x + v2, v2])
 
     def update_free(s: Array, a: float) -> Array:
         x, v = float(s[0]), float(s[1])
-        v2 = v + p.force_gain * a - p.gravity * math.cos(3.0 * x)
+        v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
         return np.array([x + v2, v2])
 
     def jacobian(s: Array) -> Array:
-        # d v'/d x = 3*gravity*sin(3x); x' = x + v' chains it into the first row.
-        g = 3.0 * p.gravity * math.sin(3.0 * float(s[0]))
+        # d v'/d x = 3*GRAVITY*sin(3x); x' = x + v' chains it into the first row.
+        g = 3.0 * GRAVITY * math.sin(3.0 * float(s[0]))
         return np.array([[1.0 + g, 1.0], [g, 1.0]])
-
-    def clamp(s: list[float]) -> Array:
-        x = min(max(float(s[0]), p.position_min), p.position_max)
-        v = min(max(float(s[1]), -p.velocity_max), p.velocity_max)
-        if x == p.position_min and v < 0.0:
-            v = 0.0
-        return np.array([x, v])
 
     return DynamicsModel(
         dim=2,
@@ -164,13 +149,11 @@ def mountain_car_model(
         update_free=update_free,
         jacobian=jacobian,
         clamp=clamp,
-        control_gain=np.array([0.0, p.force_gain]),
+        control_gain=np.array([0.0, FORCE_GAIN]),
         process_noise_cov=np.diag(process_noise_var),
-        action_bound=1.0,
     )
 
 
-def initial_state(params: MountainCarParams, rng: np.random.Generator) -> Array:
+def initial_state(rng: np.random.Generator) -> Array:
     """Random start: position uniform in the start range, zero velocity."""
-    x0 = rng.uniform(params.start_position_low, params.start_position_high)
-    return np.array([x0, 0.0])
+    return np.array([rng.uniform(START_POSITION_LOW, START_POSITION_HIGH), 0.0])

@@ -52,11 +52,10 @@ Step = tuple[tuple[float, float], list[list[float]]]
 
 @dataclass
 class Belief:
-    """Gaussian state estimate held by the twin: 2-vector mean, 2x2 covariance, interval index."""
+    """Gaussian state estimate held by the twin: 2-vector mean, 2x2 covariance."""
 
     mean: Array
     cov: Array
-    qi: int = 0
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
@@ -69,7 +68,7 @@ class Belief:
         _check_cov(self.cov)
 
     def copy(self) -> "Belief":
-        return Belief(self.mean.copy(), self.cov.copy(), self.qi)
+        return Belief(self.mean.copy(), self.cov.copy())
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     c00, c01 = a00 * j00 + a01 * j01 + q00, a00 * j10 + a01 * j11 + q01
     c10, c11 = a10 * j00 + a11 * j01 + q10, a10 * j10 + a11 * j11 + q11
     cov = [[0.5 * (c00 + c00), 0.5 * (c01 + c10)], [0.5 * (c10 + c01), 0.5 * (c11 + c11)]]
-    return Belief(mean=model.update(belief.mean, action), cov=np.array(cov), qi=belief.qi + 1)
+    return Belief(mean=model.update(belief.mean, action), cov=np.array(cov))
 
 
 def rank1_update(p: list[list[float]], k: int, r: float) -> Step:
@@ -183,7 +182,7 @@ def fuse_readings(
         (g0, g1), cov = next(planned, None) or rank1_update(cov, k, r)
         innovation = y - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-    return Belief(mean=np.array([m0, m1]), cov=np.array(cov), qi=prior.qi)
+    return Belief(mean=np.array([m0, m1]), cov=np.array(cov))
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
@@ -222,4 +221,4 @@ def init_belief(true_state: Array, rng: np.random.Generator, var: float = 1e-4) 
     """Initial belief: true state perturbed by N(0, var I), covariance var I."""
     s = np.asarray(true_state, dtype=float)
     mean = s + np.sqrt(var) * rng.standard_normal(s.shape[0])
-    return Belief(mean=mean, cov=var * np.eye(s.shape[0]), qi=0)
+    return Belief(mean=mean, cov=var * np.eye(s.shape[0]))

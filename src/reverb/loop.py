@@ -43,7 +43,6 @@ class TwinLoop:
     def __init__(
         self,
         model: dyn.DynamicsModel,
-        mc_params: dyn.MountainCarParams,
         fleet: SensorFleet,
         channel_params: ChannelParams,
         required_var: Array,
@@ -54,7 +53,6 @@ class TwinLoop:
         init_belief_var: float = 1e-4,
     ) -> None:
         self.model = model
-        self.mc_params = mc_params
         self.fleet = fleet
         self.channel_params = channel_params
         self.required_var = np.asarray(required_var, dtype=float)
@@ -68,7 +66,7 @@ class TwinLoop:
         self.aol: AolTracker | None = None
 
     def reset(self) -> est.Belief:
-        self.state = dyn.initial_state(self.mc_params, self.rng)
+        self.state = dyn.initial_state(self.rng)
         self.belief = est.init_belief(self.state, self.rng, var=self.init_belief_var)
         self.aol = AolTracker.fresh(self.aol_thresholds)
         return self.belief
@@ -76,7 +74,7 @@ class TwinLoop:
     def step(self, force: float, accuracy: Array) -> StepResult:
         assert self.state is not None, "call reset() first"
         self.state = dyn.step(self.model, self.state, force, self.rng)
-        done = bool(self.state[0] >= self.mc_params.goal_position)
+        done = bool(self.state[0] >= dyn.GOAL_POSITION)
         reward = -ACTION_COST_WEIGHT * float(force) ** 2
         if done:
             reward += TERMINATION_REWARD

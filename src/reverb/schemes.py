@@ -25,7 +25,7 @@ from . import estimator as est
 from . import scheduler as sched
 from .config import RunConfig
 from .control import ActionVector, PolicyAgent, scripted_controller, shaped_reward
-from .dynamics import mountain_car_model, MountainCarParams
+from .dynamics import mountain_car_model
 from .errors import ConfigError
 from .loop import TwinLoop
 from .recordio import EpisodeRecord
@@ -39,7 +39,6 @@ def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
     belief = est.Belief(
         mean=np.asarray(true_state, dtype=float).copy(),
         cov=np.zeros_like(prior.cov),
-        qi=prior.qi,
     )
     result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=(), blind=True)
     return result, belief, aol.close_loop(range(len(aol.ages)))
@@ -85,7 +84,7 @@ def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
             row[k] = 0.0
         cov[k] = [0.0] * len(cov)
         cov[k][k] = agent.noise_var
-    return est.Belief(mean=np.array(mean), cov=np.array(cov), qi=prior.qi)
+    return est.Belief(mean=np.array(mean), cov=np.array(cov))
 
 
 SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}
@@ -116,7 +115,6 @@ def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoo
     model = mountain_car_model(process_noise_var=cfg.process_noise_var)
     return TwinLoop(
         model=model,
-        mc_params=MountainCarParams(),
         fleet=fleet,
         channel_params=cfg.channel,
         required_var=np.asarray(cfg.required_var, dtype=float),

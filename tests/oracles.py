@@ -5,6 +5,8 @@
 * ``accuracy_vector``: the per-feature accuracy a belief delivers.
 * ``td_error``: the one-step temporal-difference residual of one transition,
   the quantity ``control.ppo_update`` computes for a whole batch.
+* ``mountain_car_update``: the clamped mountain-car transition with its
+  constants written out, each bound applied where it first arises.
 * ``joseph_update``: the general batch Kalman update of any observation
   matrix, solved by Cholesky and cross-checked against (I - KH) P.
 * ``rank1_joseph`` and ``sequential_fusion``: the rank-1 Joseph update and
@@ -77,6 +79,17 @@ def td_error(agent: ctl.PolicyAgent, transition: ctl.Transition, gamma: float) -
     v_s = float(agent.value(transition.state[None, :])[0])
     v_next = 0.0 if transition.done else float(agent.value(transition.next_state[None, :])[0])
     return transition.reward + gamma * v_next - v_s
+
+
+def mountain_car_update(x: float, v: float, a: float) -> list[float]:
+    """Next (position, velocity): clip v', move, clamp x', stop at the left wall."""
+    v2 = v + 0.0015 * a - 0.0025 * math.cos(3.0 * x)
+    v2 = min(max(v2, -0.07), 0.07)
+    x2 = x + v2
+    x2 = min(max(x2, -1.2), 0.6)
+    if x2 == -1.2 and v2 < 0.0:
+        v2 = 0.0
+    return [x2, v2]
 
 
 def joseph_update(prior_cov, h, r) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +199,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     agents = sensing.generate_fleet(cfg.fleet, np.random.default_rng(fleet_seq)).agents
     rng = np.random.default_rng(env_seq)
     model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
-    car = dyn.MountainCarParams()
-    state = np.array([rng.uniform(car.start_position_low, car.start_position_high), 0.0])
+    state = np.array([rng.uniform(dyn.START_POSITION_LOW, dyn.START_POSITION_HIGH), 0.0])
     var = cfg.init_belief_var
     mean = (state + math.sqrt(var) * rng.standard_normal(2)).tolist()
     cov = [[var, 0.0], [0.0, var]]
@@ -198,7 +210,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
         action = policy(np.array(mean))
         force, eta = action.force, action.accuracy.tolist()
         state = dyn.step(model, state, force, rng)
-        done = bool(state[0] >= car.goal_position)
+        done = bool(state[0] >= dyn.GOAL_POSITION)
         prior = est.predict(est.Belief(np.array(mean), np.array(cov)), force, model)
         mean, cov = prior.mean.tolist(), prior.cov.tolist()
         ages = [a + 1 for a in ages]

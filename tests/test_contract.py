@@ -44,6 +44,15 @@ def test_every_config_field_is_declared():
     assert flags == []
 
 
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_config_is_frozen(cls):
+    # An assignment would skip check_fields; dataclasses.replace runs it.
+    cfg = cls()
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
 @pytest.mark.parametrize(
     "section, cls, key, value",
     [
@@ -86,7 +95,7 @@ def _leaf_paths(doc, prefix=()):
 
 
 def _fresh_weights() -> dict:
-    agent = control.PolicyAgent(2, 2, ControlConfig(hidden=(3,)), np.random.default_rng(0))
+    agent = control.PolicyAgent(ControlConfig(hidden=(3,)), np.random.default_rng(0))
     return json.loads(json.dumps(agent.to_dict()))
 
 

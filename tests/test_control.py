@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -25,7 +26,7 @@ def set_flat(net, flat):
 
 
 def zeroed_agent(cfg=None, seed=0):
-    agent = ctl.PolicyAgent(2, 2, cfg or ctl.ControlConfig(), np.random.default_rng(seed))
+    agent = ctl.PolicyAgent(cfg or ctl.ControlConfig(), np.random.default_rng(seed))
     for net in (agent.actor, agent.critic):
         for p in net.parameters():
             p[...] = 0.0
@@ -33,7 +34,7 @@ def zeroed_agent(cfg=None, seed=0):
 
 
 def test_action_ranges():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(1))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(1))
     rng = np.random.default_rng(2)
     for _ in range(10_000):
         a = agent.sample_step(np.array([-0.5, 0.01]), rng)[0]
@@ -51,7 +52,7 @@ def test_zero_weights_give_symmetric_force():
 
 
 def test_sampling_deterministic_given_seed():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(5))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(5))
     a1 = agent.sample_step(np.array([0.1, 0.0]), np.random.default_rng(8))[0]
     a2 = agent.sample_step(np.array([0.1, 0.0]), np.random.default_rng(8))[0]
     assert a1.force == a2.force
@@ -59,7 +60,7 @@ def test_sampling_deterministic_given_seed():
 
 
 def test_log_prob_consistent_with_density():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(6))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(6))
     rng = np.random.default_rng(7)
     state = np.array([-0.3, 0.02])
     _, raw, logp = agent.sample_step(state, rng)
@@ -95,7 +96,7 @@ def test_td_error_terminal_drops_bootstrap():
 
 
 def test_td_error_matches_straight_line():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(9))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(9))
     tr = ctl.Transition(
         np.array([0.3, -0.01]), np.zeros(3), 0.0, reward=-0.2,
         next_state=np.array([0.31, -0.005]), done=False,
@@ -119,7 +120,7 @@ def test_zero_advantage_leaves_actor_unchanged():
     agent = zeroed_agent(seed=11)
     rng = np.random.default_rng(12)
     # restore a random actor so the check is not trivially about zeros
-    actor = ctl.PolicyAgent(2, 2, agent.cfg, np.random.default_rng(13)).actor
+    actor = ctl.PolicyAgent(agent.cfg, np.random.default_rng(13)).actor
     agent.actor = actor
     batch = make_batch(agent, rng, reward=0.0)
     before = [p.copy() for p in agent.actor.parameters()] + [agent.log_std.copy()]
@@ -147,7 +148,7 @@ def test_adam_on_the_flat_vector_equals_adam_per_layer():
 
 
 def test_layer_arrays_stay_views_of_the_flat_vector():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(epochs=2, minibatch=8), np.random.default_rng(32))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=2, minibatch=8), np.random.default_rng(32))
     rng = np.random.default_rng(33)
     before = agent.actor.flat.copy()
     ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(1e-3), Adam(1e-3), rng)
@@ -166,7 +167,7 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
 @pytest.mark.parametrize("net", ["actor", "critic"])
 def test_one_nan_gradient_entry_raises(net):
     # One minibatch, one step: a NaN that slipped through would raise nowhere else.
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(epochs=1, minibatch=8), np.random.default_rng(34))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=1, minibatch=8), np.random.default_rng(34))
     rng = np.random.default_rng(35)
     batch = make_batch(agent, rng, n=8, reward=1.0)
     backward = MLP.backward
@@ -235,7 +236,7 @@ def test_critic_gradient_matches_fd_random_nets():
 
 
 def test_critic_moves_toward_td_target():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(epochs=5, minibatch=8), np.random.default_rng(17))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=5, minibatch=8), np.random.default_rng(17))
     rng = np.random.default_rng(18)
     s = np.array([0.2, -0.03])
     tr = ctl.Transition(s, np.zeros(3), 0.0, reward=1.0, next_state=s, done=True)
@@ -272,7 +273,7 @@ def test_scripted_controller_reaches_goal_quickly():
 
 
 def test_agent_serialization_round_trip():
-    agent = ctl.PolicyAgent(2, 2, ctl.ControlConfig(), np.random.default_rng(19))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(19))
     clone = ctl.PolicyAgent.from_dict(agent.to_dict())
     s = np.array([-0.4, 0.02])
     assert np.array_equal(agent.raw_mean(s), clone.raw_mean(s))
@@ -290,9 +291,8 @@ def test_zero_episode_training_returns_initial_params():
     agent, curve = ctl.train(
         lambda rng: build_loop(cfg, "AoL-REVERB", rng), 0, ctl.ControlConfig(), seed=4
     )
-    reference = ctl.PolicyAgent(
-        2, 2, ctl.ControlConfig(), np.random.default_rng(np.random.SeedSequence(4).spawn(4)[0])
-    )
+    init_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(4)[0])
+    reference = ctl.PolicyAgent(ctl.ControlConfig(), init_rng)
     assert curve == []
     for p, q in zip(agent.actor.parameters(), reference.actor.parameters()):
         assert np.array_equal(p, q)
@@ -302,8 +302,7 @@ def test_training_deterministic_given_seed():
     from reverb.config import RunConfig
     from reverb.schemes import build_loop
 
-    cfg = RunConfig()
-    cfg.control.epochs = 2
+    cfg = dataclasses.replace(RunConfig(), control=ctl.ControlConfig(epochs=2))
     results = []
     for _ in range(2):
         agent, curve = ctl.train(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from reverb import dynamics as dyn
 from reverb.errors import ConfigError, InputError
 
+from oracles import mountain_car_update
+
 
 @pytest.fixture
 def car():
@@ -132,14 +134,44 @@ def test_step_noise_is_the_float_matrix_vector_product():
 def test_invalid_process_noise_rejected():
     with pytest.raises(ConfigError):
         dyn.mountain_car_model(process_noise_var=(-1e-6, 1e-6))
-    with pytest.raises(ConfigError):
-        dyn.MountainCarParams(gravity=0.0)
 
 
 def test_initial_state_in_start_range():
-    params = dyn.MountainCarParams()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        s = dyn.initial_state(params, rng)
+        s = dyn.initial_state(rng)
         assert -0.6 <= s[0] <= -0.4
         assert s[1] == 0.0
+
+
+def assert_update_matches_oracle(car, x, v, a):
+    out = car.update(np.array([x, v]), a)
+    assert out.tobytes() == np.array(mountain_car_update(x, v, a)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(-3.0, 3.0),
+    v=st.floats(-0.5, 0.5),
+    a=st.floats(-1.0, 1.0),
+)
+def test_update_is_bit_equal_to_the_oracle_inside_and_outside_the_bounds(x, v, a):
+    assert_update_matches_oracle(dyn.mountain_car_model(), x, v, a)
+
+
+@pytest.mark.parametrize(
+    "x, v, a, want",
+    [
+        (0.5, 0.069, 1.0, (0.5 + 0.07, 0.07)),      # v' clipped at +VELOCITY_MAX
+        (-0.5, -0.069, -1.0, (-0.5 - 0.07, -0.07)),  # v' clipped at -VELOCITY_MAX
+        (-1.19, -0.05, -1.0, (-1.2, 0.0)),           # x' clamped to POSITION_MIN with v' < 0: the car stops
+        (0.59, 0.06, 1.0, (0.6, None)),              # x' clamped to POSITION_MAX
+    ],
+    ids=["velocity-max", "velocity-min", "left-wall", "right-bound"],
+)
+def test_update_clamp_branches(car, x, v, a, want):
+    assert_update_matches_oracle(car, x, v, a)
+    out = car.update(np.array([x, v]), a)
+    assert out[0] == want[0]
+    if want[1] is not None:
+        assert out[1] == want[1]

@@ -26,7 +26,6 @@ def test_predict_identity_keeps_covariance():
     belief = est.Belief(np.zeros(2), np.diag([0.3, 0.04]))
     out = est.predict(belief, 0.0, model)
     assert np.allclose(out.cov, belief.cov)
-    assert out.qi == belief.qi + 1
 
 
 def test_predict_scalar_linear_case():
@@ -93,9 +92,8 @@ def test_predict_keeps_the_mountain_car_mean_and_checks():
     belief = est.Belief(np.array([-0.5, 0.01]), np.diag([1e-4, 2e-4]))
     out = est.predict(belief, 0.3, car)
     assert out.mean.tobytes() == car.update(belief.mean, 0.3).tobytes()
-    assert out.qi == 1
     indefinite = est.Belief.__new__(est.Belief)
-    indefinite.mean, indefinite.cov, indefinite.qi = np.zeros(2), np.diag([-1.0, 1.0]), 0
+    indefinite.mean, indefinite.cov = np.zeros(2), np.diag([-1.0, 1.0])
     with pytest.raises(NumericalError, match="semidefiniteness"):
         est.predict(indefinite, 0.0, dyn.mountain_car_model(process_noise_var=(0.0, 0.0)))
 

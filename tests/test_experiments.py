@@ -432,11 +432,19 @@ def nan_first_actor_bias(weights):
         (lambda w: {"version": 1}, "missing key 'eta_max'"),
         (lambda w: [1, 2, 3], "weights must be a JSON object, got list"),
         (lambda w: {k: v for k, v in w.items() if k != "actor"}, "missing key 'actor'"),
-        (lambda w: {**w, "eta_max": "abc"}, "ill-typed 'eta_max'"),
+        # eta_max and input_scale are set through ControlConfig and obey its rules.
+        (lambda w: {**w, "eta_max": "abc"}, "eta_max must be a number, got 'abc'"),
+        (lambda w: {**w, "eta_max": True}, "eta_max must be a number, got True"),  # used to load as 1.0
+        (lambda w: {**w, "version": True}, "weights: unsupported 'version' True, expected 1"),  # used to load
         (lambda w: {**w, "actor": []}, "ill-typed 'actor'"),
         (lambda w: {**w, "log_std": [[1.0], [2.0, 3.0]]}, "ill-typed 'log_std'"),
         (lambda w: {**w, "log_std": [0.5, 0.5]}, "'log_std' has shape (2,), expected (3,)"),
-        (lambda w: {**w, "input_scale": [1.0]}, "'input_scale' has shape (1,), expected (2,)"),
+        (lambda w: {**w, "input_scale": [1.0]}, "input_scale needs one entry per state feature (2), got [1.0]"),
+        (lambda w: {**w, "input_scale": [True, 1.0]}, "input_scale must be a number, got True"),  # used to load
+        (  # used to run, silently a different experiment
+            lambda w: {**w, "input_scale": [-1.0, 14.0]},
+            "input_scale must be finite and strictly positive, got -1.0",
+        ),
         (  # used to load, then end in a matmul traceback at the first forward pass
             lambda w: {
                 **w,
@@ -446,11 +454,12 @@ def nan_first_actor_bias(weights):
             "'actor' layer 0 has shapes (1, 1) and (64,), expected (2, 64) and (64,)",
         ),
         (lambda w: {**w, "critic": {**w["critic"], "sizes": [2, 64, 1]}}, "'critic' needs 2 weight"),
-        (lambda w: {**w, "state_dim": 3}, "'actor' sizes [2, 64, 64, 3] must run from 3 to 3"),
+        (lambda w: {**w, "state_dim": 3}, "weights for state_dim 3 and n_features 2, but the plant has 2 state"),
         (
-            lambda w: control.PolicyAgent(1, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict(),
+            lambda w: {**w, "state_dim": 1},
             "weights for state_dim 1 and n_features 2, but the plant has 2 state features",
         ),
+        (lambda w: {**w, "n_features": 3}, "weights for state_dim 2 and n_features 3, but the plant has 2 state"),
         (
             lambda w: {**w, "eta_max": -1.0},
             "weights: 'eta_max' is out of range (eta_max must be finite and nonnegative, got -1.0)",
@@ -465,12 +474,12 @@ def nan_first_actor_bias(weights):
         ),
         (  # used to run, silently a different experiment
             lambda w: {**w, "input_scale": [w["input_scale"][0], float("inf")]},
-            "weights: 'input_scale' holds a NaN or infinite entry",
+            "input_scale must be finite and strictly positive, got inf",
         ),
     ],
 )
 def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):
-    weights = control.PolicyAgent(2, 2, control.ControlConfig(), np.random.default_rng(0)).to_dict()
+    weights = control.PolicyAgent(control.ControlConfig(), np.random.default_rng(0)).to_dict()
     path = tmp_path / "weights.json"
     path.write_text(json.dumps(edit(weights)))
     argv = ["run", "--scheme", "Perfect", "--weights", str(path), "--out", str(tmp_path)]

@@ -378,7 +378,7 @@ def test_fuse_readings_rejects_non_finite(bad):
     else:
         r = np.nan
     prior = est.Belief.__new__(est.Belief)
-    prior.mean, prior.cov, prior.qi = np.zeros(2), cov, 0
+    prior.mean, prior.cov = np.zeros(2), cov
     with pytest.raises(NumericalError, match="not finite"):
         est.fuse_readings(prior, [(1, r, 0.1)])
 

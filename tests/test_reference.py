@@ -55,7 +55,7 @@ def test_run_episode_matches_the_reference_episode():
     blind_reverb = replayed_past_a_loss = 0
     for name, overrides in CONFIGS.items():
         cfg = config.config_from_dict(overrides)
-        untrained = ctl.PolicyAgent(2, 2, cfg.control, np.random.default_rng(0))
+        untrained = ctl.PolicyAgent(cfg.control, np.random.default_rng(0))
         for policy_name, policy in (("scripted", make_policy(cfg)), ("untrained", make_policy(cfg, untrained))):
             for scheme in SCHEMES:
                 for seed in SEEDS:
