@@ -6,6 +6,7 @@ Runs, with the package from this checkout's ``src/``:
 * ``reverb bench --episodes 5 --seed 1``                        -> DIR/bench
 * ``reverb run --scheme S --seed 1`` for all five schemes        -> DIR/run_S
 * ``reverb bench --scheme AoL-REVERB --sweep C:1..30 --episodes 2 --seed 1`` -> DIR/sweep_cap
+* ``reverb bench --scheme AoL-REVERB --sweep aol:1..10 --episodes 2 --seed 1`` -> DIR/sweep_aol
 * ``reverb train --episodes 5 --seed 1``                         -> DIR/train
 * ``reverb run --scheme AoL-REVERB --weights DIR/train/weights.json --seed 1``
   (the trained policy loaded back)                               -> DIR/run_weights
@@ -43,6 +44,10 @@ def commands(out: Path) -> list[list[str]]:
     runs.append([
         "bench", "--scheme", "AoL-REVERB", "--sweep", "C:1..30", "--episodes", "2",
         "--seed", "1", "--out", str(out / "sweep_cap"),
+    ])
+    runs.append([
+        "bench", "--scheme", "AoL-REVERB", "--sweep", "aol:1..10", "--episodes", "2",
+        "--seed", "1", "--out", str(out / "sweep_aol"),
     ])
     runs.append(["train", "--episodes", "5", "--seed", "1", "--out", str(out / "train")])
     runs.append([

@@ -89,7 +89,6 @@ class LinkBudget:
     bandwidth_hz: float
     prbs: int
     theta: float
-    fading_threshold: float
     tx_power_w: float
     distance_m: float
 
@@ -258,7 +257,6 @@ def optimal_bandwidth(
         bandwidth_hz=bandwidth,
         prbs=int(math.ceil(prbs)),
         theta=theta,
-        fading_threshold=y,
         tx_power_w=tx_power_w,
         distance_m=distance_m,
     )

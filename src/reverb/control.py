@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
 from .loop import TwinLoop
-from .nets import MLP, Adam
+from .nets import MLP, Adam, number_array
 from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_fields, spec, within
 
 Array = np.ndarray
@@ -148,8 +148,8 @@ class PolicyAgent:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, cfg: ControlConfig | None = None) -> "PolicyAgent":
-        """An agent from ``to_dict``'s output; ``eta_max`` and ``input_scale`` obey ``cfg``'s rules."""
+    def from_dict(cls, data: dict) -> "PolicyAgent":
+        """An agent from ``to_dict``'s output; ``eta_max`` and ``input_scale`` obey ``ControlConfig``."""
         if not isinstance(data, dict):
             raise InputError(f"weights must be a JSON object, got {type(data).__name__}")
         version = data.get("version")
@@ -187,7 +187,7 @@ class PolicyAgent:
             finite(key, *mlp.weights, *mlp.biases)
             return mlp
 
-        cfg = read("eta_max", lambda v: dataclasses.replace(cfg or ControlConfig(), eta_max=v))
+        cfg = read("eta_max", lambda v: ControlConfig(eta_max=v))
         dims = read("state_dim", operator.index), read("n_features", operator.index)
         if dims != (STATE_FEATURES, STATE_FEATURES):
             raise InputError(
@@ -197,7 +197,7 @@ class PolicyAgent:
         agent = cls.__new__(cls)
         agent.actor = net("actor", STATE_FEATURES, ACTION_DIM)
         agent.critic = net("critic", STATE_FEATURES, 1)
-        agent.log_std = read("log_std", lambda v: np.array(v, dtype=float))
+        agent.log_std = read("log_std", number_array)
         if agent.log_std.shape != (ACTION_DIM,):
             raise InputError(f"weights: 'log_std' has shape {agent.log_std.shape}, expected ({ACTION_DIM},)")
         finite("log_std", agent.log_std)
@@ -336,7 +336,7 @@ def train(
     episodes: int,
     cfg: ControlConfig,
     seed: int,
-    qi_cap: int = 999,
+    qi_cap: int,
 ) -> tuple[PolicyAgent, list[EpisodeStats]]:
     """Run the full learning loop: belief in, force and accuracy request out.
 

@@ -67,9 +67,6 @@ class Belief:
             raise InputError("belief mean must be finite")
         _check_cov(self.cov)
 
-    def copy(self) -> "Belief":
-        return Belief(self.mean.copy(), self.cov.copy())
-
 
 @dataclass(frozen=True)
 class FusionBatch:
@@ -217,7 +214,7 @@ def meets_targets(belief: Belief, variance_bounds: Array) -> tuple[bool, tuple[i
     return not violating, violating
 
 
-def init_belief(true_state: Array, rng: np.random.Generator, var: float = 1e-4) -> Belief:
+def init_belief(true_state: Array, rng: np.random.Generator, var: float) -> Belief:
     """Initial belief: true state perturbed by N(0, var I), covariance var I."""
     s = np.asarray(true_state, dtype=float)
     mean = s + np.sqrt(var) * rng.standard_normal(s.shape[0])

@@ -1,26 +1,31 @@
 """Per-episode co-simulation engine: plant, sensing fleet, belief, and ages.
 
-``TwinLoop`` owns the mutable episode state and advances it one query interval
-per ``step``: the plant moves under the applied force, the belief is blindly
-predicted, ages tick, and the scheme's round decides which sensors transmit
-and how the belief is corrected. The round is injected as a callable
-(``schemes.make_round``): for every radio scheme it is the one pipeline
-``scheduler.run_round`` with that scheme's selector and fuse.
+``TwinLoop`` runs one ``RunConfig``: it reads the plant's process noise, the
+channel, the uplink cap, the variance and age targets and the initial belief
+variance from it, and holds none of them a second time. It owns the mutable
+episode state and advances it one query interval per ``step``: the plant
+moves under the applied force, the belief is blindly predicted, ages tick,
+and the scheme's round decides which sensors transmit and how the belief is
+corrected. The round is injected as a callable (``schemes.make_round``): for
+every radio scheme it is the one pipeline ``scheduler.run_round`` with that
+scheme's selector and fuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import dynamics as dyn
 from . import estimator as est
 from .aol import AolTracker
-from .channel import ChannelParams
 from .scheduler import ScheduleResult, compute_targets
 from .sensing import SensorFleet
+
+if TYPE_CHECKING:  # config imports control, which imports this module
+    from .config import RunConfig
 
 Array = np.ndarray
 
@@ -42,33 +47,24 @@ class StepResult:
 class TwinLoop:
     def __init__(
         self,
-        model: dyn.DynamicsModel,
+        cfg: RunConfig,
         fleet: SensorFleet,
-        channel_params: ChannelParams,
-        required_var: Array,
-        aol_thresholds: tuple[int, ...],
-        cap: int,
         scheme_round: Callable[..., tuple[ScheduleResult, est.Belief, AolTracker]],
         rng: np.random.Generator,
-        init_belief_var: float = 1e-4,
     ) -> None:
-        self.model = model
+        self.cfg = cfg
+        self.model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
         self.fleet = fleet
-        self.channel_params = channel_params
-        self.required_var = np.asarray(required_var, dtype=float)
-        self.aol_thresholds = tuple(aol_thresholds)
-        self.cap = cap
         self.scheme_round = scheme_round
         self.rng = rng
-        self.init_belief_var = init_belief_var
         self.state: Array | None = None
         self.belief: est.Belief | None = None
         self.aol: AolTracker | None = None
 
     def reset(self) -> est.Belief:
         self.state = dyn.initial_state(self.rng)
-        self.belief = est.init_belief(self.state, self.rng, var=self.init_belief_var)
-        self.aol = AolTracker.fresh(self.aol_thresholds)
+        self.belief = est.init_belief(self.state, self.rng, self.cfg.init_belief_var)
+        self.aol = AolTracker.fresh(self.cfg.aol_thresholds)
         return self.belief
 
     def step(self, force: float, accuracy: Array) -> StepResult:
@@ -81,14 +77,14 @@ class TwinLoop:
 
         prior = est.predict(self.belief, force, self.model)
         self.aol = self.aol.tick()
-        targets = compute_targets(self.required_var, accuracy)
+        targets = compute_targets(self.cfg.required_var, accuracy)
         sched, posterior, self.aol = self.scheme_round(
             prior,
             targets,
             self.aol,
             self.fleet,
-            self.channel_params,
-            self.cap,
+            self.cfg.channel,
+            self.cfg.cap,
             self.state,
             self.rng,
         )

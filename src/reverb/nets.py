@@ -13,9 +13,33 @@ sees the update through the views.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 Array = np.ndarray
+
+
+def number_array(value) -> Array:
+    """Nested lists of JSON numbers as a float array; a bool, a string or null is no number."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"entries must be numbers, got {v!r}")
+    return np.array(value, dtype=float)
+
+
+def _size(value) -> int:
+    """A layer width written as an integer: not a bool, a float or a string."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"sizes must be integers, got {value!r}")
 
 
 class MLP:
@@ -88,11 +112,12 @@ class MLP:
 
     @classmethod
     def from_lists(cls, data: dict) -> "MLP":
+        """A net from ``to_lists``'s output; sizes must be integers and entries numbers."""
         net = cls.__new__(cls)
-        net.sizes = tuple(int(s) for s in data["sizes"])
+        net.sizes = tuple(_size(s) for s in data["sizes"])
         net._adopt(
-            [np.array(w, dtype=float) for w in data["weights"]],
-            [np.array(b, dtype=float) for b in data["biases"]],
+            [number_array(w) for w in data["weights"]],
+            [number_array(b) for b in data["biases"]],
         )
         return net
 

@@ -15,13 +15,12 @@ from .schemes import make_policy, run_episode
 def monte_carlo(
     cfg: RunConfig,
     n_episodes: int,
-    scheme: str | None = None,
+    scheme: str,
     agent: PolicyAgent | None = None,
 ) -> tuple[MetricsSummary, list[EpisodeRecord]]:
     """Run ``n_episodes`` seeded episodes (seed = base + index) and aggregate."""
     if n_episodes < 1:
         raise InputError("need at least one episode")
-    scheme = scheme or cfg.scheme
     policy = make_policy(cfg, agent)
     records = [
         run_episode(cfg, scheme, policy, seed=cfg.seed + i) for i in range(n_episodes)

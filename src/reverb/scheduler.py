@@ -207,10 +207,9 @@ def fuse_delivered(
     ``selected``, from the same prior and in the same order: while every pick
     so far has arrived, the planner's gain and covariance are this fusion's,
     so they are reused and only the mean is updated; from the first lost pick
-    on, each reading is updated afresh.
+    on, each reading is updated afresh. With nothing delivered the posterior
+    is a new belief holding the prior's numbers.
     """
-    if not delivered:
-        return prior.copy()
     arrived = set(delivered)
     agents = fleet.agents
     readings = [

@@ -25,7 +25,6 @@ from . import estimator as est
 from . import scheduler as sched
 from .config import RunConfig
 from .control import ActionVector, PolicyAgent, scripted_controller, shaped_reward
-from .dynamics import mountain_car_model
 from .errors import ConfigError
 from .loop import TwinLoop
 from .recordio import EpisodeRecord
@@ -61,7 +60,7 @@ def select_quietest(prior, targets, aol, fleet, cap):
 
 def select_traditional(prior, targets, aol, fleet, cap):
     """Fixed sensor set: the lowest-id sensor of each feature, in id order."""
-    per_feature = [ids[0] for ids in (fleet.agents_for(k) for k in range(len(prior.mean))) if ids]
+    per_feature = [ids[0] for ids in fleet.feature_index.values() if ids]
     return sorted(per_feature), [], ()
 
 
@@ -111,19 +110,7 @@ def make_policy(cfg: RunConfig, agent: PolicyAgent | None = None):
 
 def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoop:
     fleet_rng, env_rng = (np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(2))
-    fleet = generate_fleet(cfg.fleet, fleet_rng)
-    model = mountain_car_model(process_noise_var=cfg.process_noise_var)
-    return TwinLoop(
-        model=model,
-        fleet=fleet,
-        channel_params=cfg.channel,
-        required_var=np.asarray(cfg.required_var, dtype=float),
-        aol_thresholds=cfg.aol_thresholds,
-        cap=cfg.cap,
-        scheme_round=make_round(scheme),
-        rng=env_rng,
-        init_belief_var=cfg.init_belief_var,
-    )
+    return TwinLoop(cfg, generate_fleet(cfg.fleet, fleet_rng), make_round(scheme), env_rng)
 
 
 def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord:

@@ -6,9 +6,10 @@ observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
 distance and power budget; sqrt(r) is computed once. ``observe_many``
 observes a whole selection from one noise draw, the same numbers ``observe``
 per sensor would draw, in Python floats. A fleet caches, derived from its
-agents, the sensor ids of each feature and global and per-feature candidate
-orders for the schedulers, and holds a memo of link budgets, filled lazily by
-the scheduler the first time a sensor is selected.
+agents, the sensor ids of each feature and the global candidate orders for
+the schedulers, by (distance, id) and by (noise, id); a feature's order is
+the global one filtered to its sensors. It holds a memo of link budgets,
+filled lazily by the scheduler the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -53,14 +54,11 @@ class SensingAgent:
 class Observation:
     agent_id: int
     values: Array
-    qi: int = 0
 
     def __post_init__(self) -> None:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if not np.isfinite(v).all():
             raise InputError("observation values must be finite")
-        if self.qi < 0:
-            raise InputError("query interval index must be nonnegative")
         object.__setattr__(self, "values", v)
 
 
@@ -95,9 +93,6 @@ class SensorFleet:
     def __len__(self) -> int:
         return len(self.agents)
 
-    def agents_for(self, feature: int) -> tuple[int, ...]:
-        return self.feature_index.get(feature, ())
-
     @cached_property
     def feature_index(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids in id order."""
@@ -109,8 +104,8 @@ class SensorFleet:
         return tuple(sorted(range(len(self.agents)), key=lambda i: key(self.agents[i])))
 
     def _per_feature(self, order: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        rank = {i: r for r, i in enumerate(order)}
-        return {k: tuple(sorted(ids, key=rank.__getitem__)) for k, ids in self.feature_index.items()}
+        """``order`` filtered to each feature's sensors; a filter keeps the order."""
+        return {k: tuple(i for i in order if self.agents[i].feature == k) for k in range(STATE_FEATURES)}
 
     @cached_property
     def nearest(self) -> tuple[int, ...]:
@@ -148,13 +143,13 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     return SensorFleet(agents=tuple(agents))
 
 
-def observe(agent: SensingAgent, state: Array, rng: np.random.Generator, qi: int = 0) -> Observation:
+def observe(agent: SensingAgent, state: Array, rng: np.random.Generator) -> Observation:
     """Measure ``s[k] + sqrt(r) z`` with one standard normal draw ``z``."""
     s = np.asarray(state, dtype=float)
     if not np.isfinite(s).all():
         raise InputError("state must be finite")
     values = np.array([s[agent.feature] + agent.noise_std * rng.standard_normal()])
-    return Observation(agent_id=agent.agent_id, values=values, qi=qi)
+    return Observation(agent_id=agent.agent_id, values=values)
 
 
 def observe_many(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:

@@ -282,7 +282,6 @@ def test_starved_link_mostly_fails():
         bandwidth_hz=budget.bandwidth_hz / 10.0,
         prbs=1,
         theta=budget.theta,
-        fading_threshold=budget.fading_threshold,
         tx_power_w=budget.tx_power_w,
         distance_m=budget.distance_m,
     )

@@ -174,40 +174,53 @@ def test_cli_contract_on_mutated_weights(doc):
 # --- extreme finite inputs: one error line or a clean run ---------------------
 
 
+# Each case's id is its tag, setting and fragment, written in the case rather
+# than taken from its position, so adding or removing a case renames no other.
+# The tags are the ones the suite has printed for these cases since they were added.
+EXTREME_CASES = [
+    ("argv0", ["run"], "channel: {path_loss_exp: 1.0e+6}", "theta=nan is not a finite value above 1"),
+    ("argv1", ["run"], "channel: {noise_power_dbm: 1.0e+300}", "theta=nan is not a finite value above 1"),
+    ("argv2", ["run"], "fleet: {max_distance_m: 1.0e+308}", "theta=nan is not a finite value above 1"),
+    ("argv3", ["run"], "channel: {noise_power_dbm: -1.0e+300}", "theta=nan is not a finite value above 1"),
+    ("argv4", ["run"], "fleet: {max_distance_m: 1.0e-320}", "theta=nan is not a finite value above 1"),
+    ("argv5", ["run", "--scheme", "CB-Greedy"], "channel: {path_loss_exp: 400.0}", "is not a finite value above 1"),
+    ("argv6", ["run"], "channel: {prb_hz: 1.0e-320}", "Hz is no finite count of"),
+    ("argv7", ["train", "--episodes", "1"], "control: {eta_max: 1.0e+308}", "the policy update left the float range"),
+    ("argv8", ["train", "--episodes", "1"], "control: {lr_actor: 1.0e+308}", "the policy update left the float range"),
+    ("argv9", ["run"], "required_var: [1.0e-320, 1.0e-320]", None),
+    # Once "covariance lost positive semidefiniteness" and "... symmetry", naming no key.
+    (
+        "argv10",
+        ["run"],
+        "process_noise_var: [1.0e+308, 1.0e+308]",
+        "process_noise_var must be finite and within [0.0, 1.0]",
+    ),
+    (
+        "argv11",
+        ["train", "--episodes", "1"],
+        "process_noise_var: [1.0e+308, 1.0e+308]",
+        "process_noise_var must be finite and within [0.0, 1.0]",
+    ),
+    (
+        "argv12",
+        ["run"],
+        "init_belief_var: 1.0e+308",
+        "init_belief_var must be finite and strictly positive and at most 1.0",
+    ),
+    (
+        "argv13",
+        ["train", "--episodes", "1"],
+        "init_belief_var: 1.0e+308",
+        "init_belief_var must be finite and strictly positive and at most 1.0",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv, setting, fragment",
     [
-        (["run"], "channel: {path_loss_exp: 1.0e+6}", "theta=nan is not a finite value above 1"),
-        (["run"], "channel: {noise_power_dbm: 1.0e+300}", "theta=nan is not a finite value above 1"),
-        (["run"], "fleet: {max_distance_m: 1.0e+308}", "theta=nan is not a finite value above 1"),
-        (["run"], "channel: {noise_power_dbm: -1.0e+300}", "theta=nan is not a finite value above 1"),
-        (["run"], "fleet: {max_distance_m: 1.0e-320}", "theta=nan is not a finite value above 1"),
-        (["run", "--scheme", "CB-Greedy"], "channel: {path_loss_exp: 400.0}", "is not a finite value above 1"),
-        (["run"], "channel: {prb_hz: 1.0e-320}", "Hz is no finite count of"),
-        (["train", "--episodes", "1"], "control: {eta_max: 1.0e+308}", "the policy update left the float range"),
-        (["train", "--episodes", "1"], "control: {lr_actor: 1.0e+308}", "the policy update left the float range"),
-        (["run"], "required_var: [1.0e-320, 1.0e-320]", None),
-        # Once "covariance lost positive semidefiniteness" and "... symmetry", naming no key.
-        (
-            ["run"],
-            "process_noise_var: [1.0e+308, 1.0e+308]",
-            "process_noise_var must be finite and within [0.0, 1.0]",
-        ),
-        (
-            ["train", "--episodes", "1"],
-            "process_noise_var: [1.0e+308, 1.0e+308]",
-            "process_noise_var must be finite and within [0.0, 1.0]",
-        ),
-        (
-            ["run"],
-            "init_belief_var: 1.0e+308",
-            "init_belief_var must be finite and strictly positive and at most 1.0",
-        ),
-        (
-            ["train", "--episodes", "1"],
-            "init_belief_var: 1.0e+308",
-            "init_belief_var must be finite and strictly positive and at most 1.0",
-        ),
+        pytest.param(argv, setting, fragment, id=f"{tag}-{setting}-{fragment}")
+        for tag, argv, setting, fragment in EXTREME_CASES
     ],
 )
 def test_extreme_finite_inputs(tmp_path, argv, setting, fragment):

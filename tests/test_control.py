@@ -289,7 +289,7 @@ def test_zero_episode_training_returns_initial_params():
 
     cfg = RunConfig()
     agent, curve = ctl.train(
-        lambda rng: build_loop(cfg, "AoL-REVERB", rng), 0, ctl.ControlConfig(), seed=4
+        lambda rng: build_loop(cfg, "AoL-REVERB", rng), 0, ctl.ControlConfig(), seed=4, qi_cap=cfg.qi_cap
     )
     init_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(4)[0])
     reference = ctl.PolicyAgent(ctl.ControlConfig(), init_rng)

@@ -245,7 +245,7 @@ def test_singular_innovation_raises():
 def test_init_belief_statistics():
     rng = np.random.default_rng(21)
     s = np.array([-0.5, 0.0])
-    draws = np.array([est.init_belief(s, rng).mean - s for _ in range(20000)])
+    draws = np.array([est.init_belief(s, rng, 1e-4).mean - s for _ in range(20000)])
     assert abs(draws.mean()) < 4.0 * 1e-2 / np.sqrt(draws.size)
-    belief = est.init_belief(s, rng)
+    belief = est.init_belief(s, rng, 1e-4)
     assert np.allclose(belief.cov, 1e-4 * np.eye(2))

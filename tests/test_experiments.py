@@ -426,6 +426,19 @@ def nan_first_actor_bias(weights):
     return {**weights, "actor": {**weights["actor"], "biases": biases}}
 
 
+def first_actor_weight(value):
+    def edit(weights):
+        rows = [list(row) for row in weights["actor"]["weights"][0]]
+        rows[0][0] = value
+        return {**weights, "actor": {**weights["actor"], "weights": [rows] + weights["actor"]["weights"][1:]}}
+
+    return edit
+
+
+def first_actor_size(value):
+    return lambda w: {**w, "actor": {**w["actor"], "sizes": [value] + w["actor"]["sizes"][1:]}}
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -476,6 +489,19 @@ def nan_first_actor_bias(weights):
             lambda w: {**w, "input_scale": [w["input_scale"][0], float("inf")]},
             "input_scale must be finite and strictly positive, got inf",
         ),
+        # Each of these used to load as a number: true as 1.0, "0.5" as 0.5, a size 2.9 as 2.
+        (first_actor_weight(True), "ill-typed 'actor' (TypeError: entries must be numbers, got True)"),
+        (first_actor_weight("0.5"), "ill-typed 'actor' (TypeError: entries must be numbers, got '0.5')"),
+        (
+            lambda w: {**w, "log_std": ["0.5"] + w["log_std"][1:]},
+            "ill-typed 'log_std' (TypeError: entries must be numbers, got '0.5')",
+        ),
+        (
+            lambda w: {**w, "log_std": [True] + w["log_std"][1:]},
+            "ill-typed 'log_std' (TypeError: entries must be numbers, got True)",
+        ),
+        (first_actor_size(2.9), "ill-typed 'actor' (TypeError: sizes must be integers, got 2.9)"),
+        (first_actor_size("2"), "ill-typed 'actor' (TypeError: sizes must be integers, got '2')"),
     ],
 )
 def test_cli_malformed_weights_returns_1(tmp_path, capsys, edit, fragment):

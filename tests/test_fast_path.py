@@ -286,6 +286,7 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     post = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     if not delivered:
         assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
+        assert not np.shares_memory(post.mean, belief.mean) and not np.shares_memory(post.cov, belief.cov)
         return
     readings = [
         (fleet.agents[i].feature, fleet.agents[i].noise_var, values[selected.index(i)]) for i in delivered
@@ -400,3 +401,9 @@ def test_greedy_picks_equal_a_fresh_sort(specs, cap):
     quietest = [a.agent_id for a in by_noise[:cap]]
     assert schemes.select_nearest(None, None, None, fleet, cap) == (nearest, [], ())
     assert schemes.select_quietest(None, None, None, fleet, cap) == (quietest, [], ())
+    for k in (0, 1):
+        own = [a for a in fleet.agents if a.feature == k]
+        by_k_distance = sorted(own, key=lambda a: (a.distance_m, a.agent_id))
+        by_k_noise = sorted(own, key=lambda a: (a.noise_var, a.agent_id))
+        assert fleet.nearest_first[k] == tuple(a.agent_id for a in by_k_distance)
+        assert fleet.quietest_first[k] == tuple(a.agent_id for a in by_k_noise)

@@ -20,6 +20,15 @@ CONFIGS = {
     "headline": {"qi_cap": 200},
     # About a fifth of the uplinks miss their deadline, and rounds pick many sensors.
     "lossy": {"qi_cap": 200, "cap": 30, "fleet": {"n_agents": 60}, "channel": {"outage_target": 0.2}},
+    # Every setting the loop reads from the config off its default, so reading a default would show.
+    "retuned": {
+        "qi_cap": 200,
+        "cap": 4,
+        "aol_thresholds": [2, 3],
+        "required_var": [0.02, 0.001],
+        "init_belief_var": 1e-3,
+        "process_noise_var": [4e-6, 5e-7],
+    },
 }
 SEEDS = (1, 2, 3)
 

@@ -238,13 +238,13 @@ def test_reachable_targets_met_with_full_fleet():
 def test_schedule_deterministic_given_seed():
     fleet = make_fleet([(0, 5e-3, 12.0), (0, 1e-3, 6.0), (1, 8e-4, 9.0), (1, 2e-3, 2.0)])
     targets = sched.UncertaintyTargets(np.array([1e-3, 5e-4]))
-    prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 2), (5, 5))
     params = ChannelParams()
     runs = []
     for _ in range(2):
+        prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
-            select_reverb, prior.copy(), targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
+            select_reverb, prior, targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
             np.random.default_rng(31),
         )
         runs.append((result, post.mean.copy(), post.cov.copy(), trk.ages))

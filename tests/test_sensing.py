@@ -13,8 +13,8 @@ def test_two_agents_cover_both_features():
 
 def test_round_robin_parity():
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=20), np.random.default_rng(0))
-    assert len(fleet.agents_for(0)) == 10
-    assert len(fleet.agents_for(1)) == 10
+    assert len(fleet.feature_index[0]) == 10
+    assert len(fleet.feature_index[1]) == 10
 
 
 def test_generation_is_deterministic():
