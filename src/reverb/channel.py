@@ -35,6 +35,7 @@ from .schema import POSITIVE, check_fields, spec
 
 _INV_E = math.exp(-1.0)
 _STANDARD_NORMAL = statistics.NormalDist()
+_HALLEY_REL_TOL = 1e-12  # lambert_w_lower stops once a step is this small relative to w
 # Ups = sum_k c_k delta^k with delta = Theta - 1, from (1 - Ups Theta) e^Ups = 1
 # solved order by order. Below _SERIES_MAX_DELTA these 8 terms are within 2e-15
 # relative of the root, while the Lambert-W form loses about 1e-16 / delta^2 to
@@ -151,7 +152,7 @@ def gaussian_q_inv(eps: float) -> float:
     return -_STANDARD_NORMAL.inv_cdf(eps)
 
 
-def lambert_w_lower(x: float, rel_tol: float = 1e-12) -> float:
+def lambert_w_lower(x: float) -> float:
     """Lower real branch W_{-1} by Halley iteration: w <= -1 with w e^w = x, for -1/e <= x < 0."""
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
@@ -178,7 +179,7 @@ def lambert_w_lower(x: float, rel_tol: float = 1e-12) -> float:
             continue
         delta = fw / (ew * wp1 - (w + 2.0) * fw / (2.0 * wp1))
         w -= delta
-        if abs(delta) <= rel_tol * (abs(w) + 1e-300):
+        if abs(delta) <= _HALLEY_REL_TOL * (abs(w) + 1e-300):
             break
     if abs(w * math.exp(w) - x) > 1e-9 * max(abs(x), 1e-12):
         raise DomainError(f"Halley iteration failed to converge for x={x!r}")

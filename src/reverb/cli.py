@@ -18,10 +18,9 @@ import numpy as np
 from . import control
 from .config import SCHEMES, RunConfig, load_config
 from .errors import ConfigError, ReverbError
-from .metrics import compute_metrics
 from .recordio import write_episode_csv, write_summary_csv, write_summary_json
 from .runner import monte_carlo, run_sweep
-from .schemes import build_loop, make_policy, run_episode
+from .schemes import build_loop
 
 
 def _resolve_config(args) -> RunConfig:
@@ -88,12 +87,8 @@ def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    agent = _load_agent(args.weights)
-    policy = make_policy(cfg, agent)
-    record = run_episode(cfg, cfg.scheme, policy, seed=cfg.seed)
-    path = out / "episode_0.csv"
-    write_episode_csv(record, path)
-    summary = compute_metrics([record])
+    summary, (record,) = monte_carlo(cfg, 1, scheme=cfg.scheme, agent=_load_agent(args.weights))
+    write_episode_csv(record, out / "episode_0.csv")
     print(
         f"{cfg.scheme}: {'reached goal' if record.reached_goal else 'timed out'} "
         f"after {record.qis} QIs, {record.total_prbs} PRBs, mrmse {summary.mrmse:.4g}"
@@ -167,10 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ReverbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:   # a missing or unreadable file, a directory, a full disk
+    except (ReverbError, OSError) as exc:  # a missing or unreadable file, a directory, a full disk
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

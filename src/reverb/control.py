@@ -359,13 +359,10 @@ def train(
     explore_until = int(cfg.explore_frac * episodes)
     for ep in range(episodes):
         loop = make_loop(np.random.default_rng(env_children[ep]))
-        belief = loop.reset()
-        state = belief.mean.copy()
+        state = loop.belief.mean.copy()
         transitions: list[Transition] = []
         env_return = 0.0
         shaped_return = 0.0
-        reached = False
-        qis = 0
         for _ in range(qi_cap):
             action, raw, logp = agent.sample_step(state, act_rng)
             res = loop.step(action.force, action.accuracy)
@@ -377,9 +374,7 @@ def train(
             env_return += res.reward_env
             shaped_return += r
             state = next_state
-            qis += 1
             if res.done:
-                reached = True
                 break
         if not math.isfinite(shaped_return):
             raise TrainingError("non-finite episode return")
@@ -389,7 +384,9 @@ def train(
                 ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)
         except FloatingPointError as exc:  # a learning rate or reward scale too large
             raise TrainingError(f"episode {ep}: the policy update left the float range ({exc})") from None
-        curve.append(EpisodeStats(ep, shaped_return, env_return, reached, qis))
+        curve.append(
+            EpisodeStats(ep, shaped_return, env_return, transitions[-1].done, len(transitions))
+        )
     return agent, curve
 
 

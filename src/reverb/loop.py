@@ -3,12 +3,14 @@
 ``TwinLoop`` runs one ``RunConfig``: it reads the plant's process noise, the
 channel, the uplink cap, the variance and age targets and the initial belief
 variance from it, and holds none of them a second time. It owns the mutable
-episode state and advances it one query interval per ``step``: the plant
-moves under the applied force, the belief is blindly predicted, ages tick,
-and the scheme's round decides which sensors transmit and how the belief is
-corrected. The round is injected as a callable (``schemes.make_round``): for
-every radio scheme it is the one pipeline ``scheduler.run_round`` with that
-scheme's selector and fuse.
+episode state, which its constructor starts: it draws the initial plant
+state and then the initial belief from the episode's generator, and sets
+every age fresh. Each ``step`` advances that state one query interval: the
+plant moves under the applied force, the belief is blindly predicted, ages
+tick, and the scheme's round decides which sensors transmit and how the
+belief is corrected. The round is injected as a callable
+(``schemes.make_round``): for every radio scheme it is the one pipeline
+``scheduler.run_round`` with that scheme's selector and fuse.
 """
 
 from __future__ import annotations
@@ -57,18 +59,11 @@ class TwinLoop:
         self.fleet = fleet
         self.scheme_round = scheme_round
         self.rng = rng
-        self.state: Array | None = None
-        self.belief: est.Belief | None = None
-        self.aol: AolTracker | None = None
-
-    def reset(self) -> est.Belief:
-        self.state = dyn.initial_state(self.rng)
-        self.belief = est.init_belief(self.state, self.rng, self.cfg.init_belief_var)
-        self.aol = AolTracker.fresh(self.cfg.aol_thresholds)
-        return self.belief
+        self.state = dyn.initial_state(rng)
+        self.belief = est.init_belief(self.state, rng, cfg.init_belief_var)
+        self.aol = AolTracker.fresh(cfg.aol_thresholds)
 
     def step(self, force: float, accuracy: Array) -> StepResult:
-        assert self.state is not None, "call reset() first"
         self.state = dyn.step(self.model, self.state, force, self.rng)
         done = bool(self.state[0] >= dyn.GOAL_POSITION)
         reward = -ACTION_COST_WEIGHT * float(force) ** 2

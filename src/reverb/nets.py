@@ -19,6 +19,10 @@ import numpy as np
 
 Array = np.ndarray
 
+ADAM_BETA1 = 0.9     # decay of the running gradient mean
+ADAM_BETA2 = 0.999   # decay of the running squared-gradient mean
+ADAM_EPS = 1e-8      # added to the root of the second moment
+
 
 def number_array(value) -> Array:
     """Nested lists of JSON numbers as a float array; a bool, a string or null is no number."""
@@ -123,8 +127,8 @@ class MLP:
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.m: list[Array] | None = None
         self.v: list[Array] | None = None
         self.t = 0
@@ -134,9 +138,9 @@ class Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)

@@ -3,11 +3,13 @@
 The planner (``plan_selection``) decides AoL-REVERB's transmission set per
 query interval: (1) service age-of-loop violations with the nearest sensor of
 each stale feature, (2) while the variance targets still fail, pick the
-feature with the worst variance-to-target ratio and add the lowest-noise
-available sensor for it, recomputing the would-be posterior covariance after
+feature with the worst variance-to-target ratio and add its lowest-noise
+sensor not yet picked, recomputing the would-be posterior covariance after
 each pick with ``estimator.rank1_update``, until the targets hold, the cap is
-reached, or no candidate sensor remains. It returns each pick's rank-1 update,
-(gain, covariance), as its steps.
+reached, or no candidate sensor remains. A sensor measures one feature, so
+each feature's candidates are its own sensors and no other feature's pick
+can take them: the planner walks one candidate queue per feature. It returns
+each pick's rank-1 update, (gain, covariance), as its steps.
 
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
@@ -60,7 +62,11 @@ class ScheduleResult:
     budgets: tuple[ch.LinkBudget, ...]         # aligned with ``selected``
     aol_serviced: tuple[int, ...]              # features serviced for age violations
     delivered: tuple[int, ...]                 # agent ids whose uplink made the deadline
-    blind: bool
+
+    @property
+    def blind(self) -> bool:
+        """No sensor was selected this interval."""
+        return not self.selected
 
     @property
     def total_prbs(self) -> int:
@@ -84,13 +90,6 @@ def compute_targets(required_var: Array, accuracy_request: Array) -> Uncertainty
     return UncertaintyTargets(np.array(bounds))
 
 
-def _first_available(order: tuple[int, ...], available: set[int]) -> int | None:
-    for i in order:
-        if i in available:
-            return i
-    return None
-
-
 def plan_selection(
     prior_cov: Array,
     targets: UncertaintyTargets,
@@ -106,11 +105,12 @@ def plan_selection(
     last step's (the prior's when nothing is picked). Real outages are
     applied afterwards to the stored belief only. Candidates come from the
     fleet's cached per-feature orders: nearest first for stale features,
-    quietest first for the value-of-information picks. A picked sensor never
-    becomes available again, so each feature's quietest-first list is walked
-    with a cursor that only moves forward.
+    quietest first for the value-of-information picks. Each sensor measures
+    one feature and the age phase visits each stale feature once, so no
+    feature's pick can take another feature's candidate: a stale feature's
+    nearest sensor is always free, and each feature's value-of-information
+    queue is its quietest-first order less its own age-phase pick.
     """
-    available = set(range(len(fleet)))
     bounds = targets.variance_bounds.tolist()
     cov = np.asarray(prior_cov, dtype=float).tolist()  # nested floats until the end
     selected: list[int] = []
@@ -121,7 +121,6 @@ def plan_selection(
         nonlocal cov
         agent = fleet.agents[agent_id]
         selected.append(agent_id)
-        available.discard(agent_id)
         step = est.rank1_update(cov, agent.feature, agent.noise_var)
         steps.append(step)
         cov = step[1]
@@ -129,27 +128,21 @@ def plan_selection(
     for k in sorted(violated):
         if len(selected) >= cap:
             break
-        agent_id = _first_available(fleet.nearest_first.get(k, ()), available)
-        if agent_id is not None:
-            pick(agent_id)
+        if fleet.nearest_first[k]:
+            pick(fleet.nearest_first[k][0])
             serviced.append(k)
 
-    quiet = [fleet.quietest_first.get(k, ()) for k in range(len(cov))]
-    cursor = [0] * len(quiet)
+    queues = [[i for i in fleet.quietest_first[k] if i not in selected] for k in range(len(cov))]
     while len(selected) < cap and any(row[k] > b for k, (row, b) in enumerate(zip(cov, bounds))):
         # The coverable feature with the largest variance-to-target ratio.
         best_k, best_ratio = None, -math.inf
-        for k, order in enumerate(quiet):
-            i = cursor[k]
-            while i < len(order) and order[i] not in available:
-                i += 1
-            cursor[k] = i
+        for k, queue in enumerate(queues):
             ratio = cov[k][k] / bounds[k]
-            if i < len(order) and ratio > best_ratio:  # strict: ties keep the lowest feature
+            if queue and ratio > best_ratio:  # strict: ties keep the lowest feature
                 best_k, best_ratio = k, ratio
         if best_k is None:
             break
-        pick(quiet[best_k][cursor[best_k]])
+        pick(queues[best_k].pop(0))
 
     return selected, serviced, steps
 
@@ -233,23 +226,22 @@ def run_round(
     cap: int,
     true_state: Array,
     rng: np.random.Generator,
-    fuse=None,
+    fuse=fuse_delivered,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
     """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
 
     ``select(prior, targets, aol, fleet, cap)`` returns (agent ids in order,
     age-serviced features, steps), where steps are the planner's rank-1
     updates of the picks (see ``plan_selection``) or empty; ``fuse`` has the
-    signature of ``fuse_delivered``, which it defaults to.
+    signature of ``fuse_delivered``.
     """
     selected, serviced, steps = select(prior, targets, aol, fleet, cap)
     budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
-    posterior = (fuse or fuse_delivered)(prior, selected, delivered, values, fleet, steps)
+    posterior = fuse(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(
         selected=tuple(selected),
         budgets=budgets,
         aol_serviced=tuple(serviced),
         delivered=tuple(delivered),
-        blind=not selected,
     )
     return result, posterior, aol.close_loop(fleet.agents[i].feature for i in delivered)

@@ -39,7 +39,7 @@ def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
         mean=np.asarray(true_state, dtype=float).copy(),
         cov=np.zeros_like(prior.cov),
     )
-    result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=(), blind=True)
+    result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=())
     return result, belief, aol.close_loop(range(len(aol.ages)))
 
 
@@ -116,7 +116,7 @@ def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoo
 def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord:
     """Simulate one seeded episode of the given scheme and log every interval."""
     loop = build_loop(cfg, scheme, np.random.default_rng(seed))
-    belief = loop.reset()
+    belief = loop.belief
     record = EpisodeRecord(scheme=scheme, seed=seed)
     for qi in range(cfg.qi_cap):
         action: ActionVector = policy(belief.mean)

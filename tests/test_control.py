@@ -315,3 +315,41 @@ def test_training_deterministic_given_seed():
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
     assert all(math.isfinite(r) for r, _, _ in results[0][0])
+
+
+@pytest.mark.parametrize("done_at", [None, 3])
+def test_episode_stats_match_the_steps_run(done_at):
+    """Each EpisodeStats agrees with the steps its loop ran: a timeout at qi_cap, or the goal."""
+    from reverb.config import RunConfig
+    from reverb.schemes import build_loop
+
+    cfg = RunConfig()
+    runs = []
+
+    def make_loop(rng):
+        loop = build_loop(cfg, "AoL-REVERB", rng)
+        run = []
+        step = loop.step
+
+        def recorded_step(force, accuracy):
+            res = step(force, accuracy)
+            if done_at is not None:
+                res = dataclasses.replace(res, done=len(run) + 1 == done_at)
+            run.append((np.array(accuracy, dtype=float), res))
+            return res
+
+        loop.step = recorded_step
+        runs.append(run)
+        return loop
+
+    _, curve = ctl.train(make_loop, 2, cfg.control, seed=5, qi_cap=6)
+    assert len(curve) == len(runs) == 2
+    for stats, run in zip(curve, runs):
+        env_return = shaped_return = 0.0
+        for accuracy, res in run:
+            env_return += res.reward_env
+            shaped_return += ctl.shaped_reward(res.reward_env, accuracy, cfg.control.kappa)
+        assert stats.qis == len(run) == (done_at or 6)
+        assert stats.reached_goal == (done_at is not None) == run[-1][1].done
+        assert stats.env_return == env_return
+        assert stats.shaped_return == shaped_return
