@@ -21,7 +21,8 @@ all arrived (the same update on the same numbers), and calls
 ``rank1_update`` for the rest. ``posterior_cov`` is the covariance alone.
 
 ``fuse`` takes a stacked ``FusionBatch`` of unit-selector rows e_k with a
-diagonal noise covariance. Its readings are independent, so it hands them to
+diagonal noise covariance (``from_observations`` stacks sensors and their
+read values). Its readings are independent, so it hands them to
 ``fuse_readings`` in row order, which is exact for that input: the package
 has one Kalman update. A new belief's covariance is checked once, when it is
 constructed, for symmetry and, by its smaller eigenvalue in closed form, for
@@ -39,7 +40,7 @@ import numpy as np
 from .dynamics import DynamicsModel, jacobian_at
 from .errors import InputError, NumericalError
 from .schema import STATE_FEATURES
-from .sensing import Observation, SensingAgent
+from .sensing import SensingAgent
 
 Array = np.ndarray
 
@@ -77,15 +78,12 @@ class FusionBatch:
     values: Array       # (n,)
 
     @classmethod
-    def from_observations(
-        cls, agents: Sequence[SensingAgent], observations: Sequence[Observation]
-    ) -> "FusionBatch":
-        if len(agents) != len(observations) or not agents:
+    def from_observations(cls, agents: Sequence[SensingAgent], values: Sequence[float]) -> "FusionBatch":
+        if len(agents) != len(values) or not agents:
             raise InputError("need one observation per agent, at least one of each")
         h = np.eye(STATE_FEATURES)[[a.feature for a in agents]]  # rows e_k
         c = np.diag([a.noise_var for a in agents])
-        o = np.concatenate([np.atleast_1d(ob.values) for ob in observations])
-        return cls(obs_matrix=h, noise_cov=c, values=o)
+        return cls(obs_matrix=h, noise_cov=c, values=np.array(values, dtype=float))
 
 
 def _check_cov(cov: Array) -> None:

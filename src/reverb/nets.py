@@ -4,11 +4,11 @@ Hidden layers use tanh; the output layer is linear. ``backward`` implements
 the exact chain rule for an upstream gradient on the outputs, so analytic
 gradients can be checked against finite differences in the tests.
 
-A net's parameters live in one contiguous vector, ``flat``, laid out in
-``parameters()`` order (w0, b0, w1, b1, ...); each ``weights[i]`` and
-``biases[i]`` is a reshaped view into it. An optimizer steps ``flat`` with
-one call per array operation instead of one per layer, and a forward pass
-sees the update through the views.
+A net's parameters live in one contiguous vector, ``flat``: each layer's
+weights, row-major, then its biases, layer by layer (w0, b0, w1, b1, ...);
+each ``weights[i]`` and ``biases[i]`` is a reshaped view into it. An
+optimizer steps ``flat`` with one call per array operation instead of one
+per layer, and a forward pass sees the update through the views.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class MLP:
         self._adopt(weights, [np.zeros(n_out) for _, n_out in shapes])
 
     def _adopt(self, weights: list[Array], biases: list[Array]) -> None:
-        """Copy the layer arrays into one flat vector, in ``parameters()`` order, and keep views into it."""
+        """Copy the layer arrays into one flat vector, (w0, b0, w1, b1, ...), and keep views into it."""
         if len(weights) != len(biases):
             raise ValueError(f"{len(weights)} weight matrices but {len(biases)} bias vectors")
         arrays = [a for pair in zip(weights, biases) for a in pair]
@@ -100,12 +100,6 @@ class MLP:
         return grads
 
     # --- parameter plumbing -------------------------------------------------
-
-    def parameters(self) -> list[Array]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
     def to_lists(self) -> dict:
         return {

@@ -16,8 +16,8 @@ names the sensors, their links are sized and their observations transmitted,
 the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved once per
 fleet, the first time its sensor is selected. A round makes one draw for all
-observation noise and one for all fades, the same numbers per-sensor
-``observe`` and per-link ``uplink_outcome`` calls would draw. The planner
+observation noise (``sensing.observe``) and one for all fades, the same
+numbers per-link ``uplink_outcome`` calls would draw. The planner
 keeps its 2x2 covariance as nested floats across picks. Fusion is one rank-1
 update per delivered reading, in selection order; while every pick so far
 has arrived it is the planner's step for that pick, on the same numbers, so
@@ -38,7 +38,7 @@ from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
 from .errors import InputError
-from .sensing import SensorFleet, observe_many
+from .sensing import SensorFleet, observe
 
 Array = np.ndarray
 
@@ -158,15 +158,14 @@ def size_and_transmit(
 
     Returns (budgets, values, delivered agent ids); ``values`` holds the
     selected sensors' observations in selection order. All observation noise
-    comes from one draw, then all fades from one draw of two normals per link
-    (real, imaginary part): the numbers, in the order, that
-    ``sensing.observe`` per sensor and then ``channel.uplink_outcome`` per
-    link draw, and each deadline test is ``uplink_outcome``'s own float
-    expression, so values, deliveries and the generator state afterwards
-    equal theirs bit for bit. A link budget depends only on the channel and
-    the sensor, so it is solved the first time the sensor is selected and kept
-    in the fleet's memo; a sensor that is never selected is never sized, even
-    when its link is infeasible.
+    comes from one draw (``sensing.observe``), then all fades from one draw of
+    two normals per link (real, imaginary part): the numbers, in the order,
+    that ``channel.uplink_outcome`` per link draws, and each deadline test is
+    ``uplink_outcome``'s own float expression, so deliveries and the
+    generator state afterwards equal theirs bit for bit. A link budget
+    depends only on the channel and the sensor, so it is solved the first
+    time the sensor is selected and kept in the fleet's memo; a sensor that
+    is never selected is never sized, even when its link is infeasible.
     """
     memo = fleet.link_memo.setdefault(params, {})
     for i in selected:
@@ -174,7 +173,7 @@ def size_and_transmit(
             agent = fleet.agents[i]
             memo[i] = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
     budgets = tuple(memo[i] for i in selected)
-    values = observe_many(fleet, selected, true_state, rng)
+    values = observe(fleet, selected, true_state, rng)
     z = rng.standard_normal(2 * len(budgets))
     fades = ch.rician_power(params.rician_k, z[0::2], z[1::2]).tolist()
     delivered = [
@@ -226,7 +225,7 @@ def run_round(
     cap: int,
     true_state: Array,
     rng: np.random.Generator,
-    fuse=fuse_delivered,
+    fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
     """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
 

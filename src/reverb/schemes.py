@@ -90,13 +90,17 @@ SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greed
 
 
 def make_round(scheme: str):
-    """The round ``TwinLoop.step`` calls once per interval for ``scheme``."""
+    """The round ``TwinLoop.step`` calls once per interval for ``scheme``.
+
+    The fuse is looked up here, when the round is made, so a replacement of
+    ``scheduler.fuse_delivered`` installed before then sees every call.
+    """
     if scheme == "Perfect":
         return perfect_round
     if scheme == "Traditional":
         return functools.partial(sched.run_round, select_traditional, fuse=fuse_memoryless)
     if scheme in SELECTORS:
-        return functools.partial(sched.run_round, SELECTORS[scheme])
+        return functools.partial(sched.run_round, SELECTORS[scheme], fuse=sched.fuse_delivered)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 

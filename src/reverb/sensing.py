@@ -3,13 +3,13 @@
 A sensor sees one state feature k and adds its own measurement error of
 variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
 observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
-distance and power budget; sqrt(r) is computed once. ``observe_many``
-observes a whole selection from one noise draw, the same numbers ``observe``
-per sensor would draw, in Python floats. A fleet caches, derived from its
-agents, the sensor ids of each feature and the global candidate orders for
-the schedulers, by (distance, id) and by (noise, id); a feature's order is
-the global one filtered to its sensors. It holds a memo of link budgets,
-filled lazily by the scheduler the first time a sensor is selected.
+distance and power budget; sqrt(r) is computed once. ``observe`` is the one
+sensor model: it reads a whole selection from one draw of standard normals,
+in Python floats. A fleet caches, derived from its agents, the sensor ids of
+each feature and the global candidate orders for the schedulers, by
+(distance, id) and by (noise, id); a feature's order is the global one
+filtered to its sensors. It holds a memo of link budgets, filled lazily by
+the scheduler the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -51,18 +51,6 @@ class SensingAgent:
 
 
 @dataclass(frozen=True)
-class Observation:
-    agent_id: int
-    values: Array
-
-    def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if not np.isfinite(v).all():
-            raise InputError("observation values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FleetConfig:
     """How to generate a fleet of single-feature sensors."""
 
@@ -90,15 +78,10 @@ class SensorFleet:
     # scheduler fills an entry the first time that agent is selected.
     link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.agents)
-
     @cached_property
     def feature_index(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids in id order."""
-        return {
-            k: tuple(a.agent_id for a in self.agents if a.feature == k) for k in range(STATE_FEATURES)
-        }
+        return self._per_feature(range(len(self.agents)))
 
     def _order(self, key) -> tuple[int, ...]:
         return tuple(sorted(range(len(self.agents)), key=lambda i: key(self.agents[i])))
@@ -143,21 +126,12 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     return SensorFleet(agents=tuple(agents))
 
 
-def observe(agent: SensingAgent, state: Array, rng: np.random.Generator) -> Observation:
-    """Measure ``s[k] + sqrt(r) z`` with one standard normal draw ``z``."""
-    s = np.asarray(state, dtype=float)
-    if not np.isfinite(s).all():
-        raise InputError("state must be finite")
-    values = np.array([s[agent.feature] + agent.noise_std * rng.standard_normal()])
-    return Observation(agent_id=agent.agent_id, values=values)
+def observe(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
+    """The readings ``s[k] + sqrt(r) z`` of sensors ``ids``, in order, from one draw.
 
-
-def observe_many(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
-    """The observations of sensors ``ids``, in order, from one draw of ``len(ids)`` normals.
-
-    ``rng.standard_normal(n)`` yields the numbers of n single draws, and each
-    value is ``observe``'s expression, so the values and the generator state
-    afterwards equal those of calling ``observe`` for each sensor in turn.
+    ``rng.standard_normal(len(ids))`` yields the numbers of that many single
+    draws, so the readings and the generator state afterwards equal those of
+    reading the sensors one at a time, each with its own draw.
     """
     s = np.asarray(state, dtype=float).ravel().tolist()
     if not all(map(math.isfinite, s)):

@@ -14,8 +14,10 @@
 * ``plan_picks``: the value-of-information planner, min-scanning its
   candidates at every pick, its covariance following ``rank1_joseph`` or a
   given update.
+* ``observe_one``: one sensor's reading with its own standard normal draw,
+  the per-sensor form of the batched ``sensing.observe``.
 * ``reference_episode``: one episode of any scheme, composed from the above,
-  per-sensor ``sensing.observe`` and per-link ``channel.uplink_outcome``.
+  ``observe_one`` per sensor and per-link ``channel.uplink_outcome``.
 """
 
 import math
@@ -90,6 +92,11 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     if x2 == -1.2 and v2 < 0.0:
         v2 = 0.0
     return [x2, v2]
+
+
+def observe_one(agent: sensing.SensingAgent, state, rng: np.random.Generator) -> float:
+    """The reading ``s[k] + sqrt(r) z`` of one sensor, with one standard normal draw ``z``."""
+    return float(state[agent.feature]) + agent.noise_std * rng.standard_normal()
 
 
 def joseph_update(prior_cov, h, r) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +196,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     The plant step, the blind prediction, the fleet and the link sizing are
     the package's (each has its own tests); everything between them is
     written here: the generator streams and the order of their draws, the
-    targets, the selection, one ``sensing.observe`` per selected sensor and
+    targets, the selection, one ``observe_one`` per selected sensor and
     then one ``channel.uplink_outcome`` per link, fusion of the delivered
     readings by ``sequential_fusion`` (Traditional: the raw reading replaces
     the feature's estimate; Perfect: the true state, with zero covariance),
@@ -226,7 +233,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
                 if i not in budgets:
                     a = agents[i]
                     budgets[i] = ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
-            values = [float(sensing.observe(agents[i], state, rng).values[0]) for i in selected]
+            values = [observe_one(agents[i], state, rng) for i in selected]
             arrived = [ch.uplink_outcome(cfg.channel, budgets[i], rng).delivered for i in selected]
             delivered = [i for i, ok in zip(selected, arrived) if ok]
             readings = [

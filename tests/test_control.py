@@ -14,13 +14,18 @@ from reverb.nets import MLP, Adam
 from oracles import td_error
 
 
+def param_arrays(net):
+    """The net's arrays in (w0, b0, w1, b1, ...) order."""
+    return [a for pair in zip(net.weights, net.biases) for a in pair]
+
+
 def get_flat(net):
-    return np.concatenate([p.ravel() for p in net.parameters()])
+    return np.concatenate([p.ravel() for p in param_arrays(net)])
 
 
 def set_flat(net, flat):
     i = 0
-    for p in net.parameters():
+    for p in param_arrays(net):
         p[...] = flat[i : i + p.size].reshape(p.shape)
         i += p.size
 
@@ -28,7 +33,7 @@ def set_flat(net, flat):
 def zeroed_agent(cfg=None, seed=0):
     agent = ctl.PolicyAgent(cfg or ctl.ControlConfig(), np.random.default_rng(seed))
     for net in (agent.actor, agent.critic):
-        for p in net.parameters():
+        for p in param_arrays(net):
             p[...] = 0.0
     return agent
 
@@ -123,28 +128,28 @@ def test_zero_advantage_leaves_actor_unchanged():
     actor = ctl.PolicyAgent(agent.cfg, np.random.default_rng(13)).actor
     agent.actor = actor
     batch = make_batch(agent, rng, reward=0.0)
-    before = [p.copy() for p in agent.actor.parameters()] + [agent.log_std.copy()]
+    before = [p.copy() for p in param_arrays(agent.actor)] + [agent.log_std.copy()]
     ctl.ppo_update(
         agent, batch,
         Adam(agent.cfg.lr_actor),
         Adam(agent.cfg.lr_critic),
         np.random.default_rng(14),
     )
-    after = agent.actor.parameters() + [agent.log_std]
+    after = param_arrays(agent.actor) + [agent.log_std]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
 
 
 def test_adam_on_the_flat_vector_equals_adam_per_layer():
     flat_net, layer_net = (MLP((2, 8, 8, 3), np.random.default_rng(30)) for _ in range(2))
-    layers = [p.copy() for p in layer_net.parameters()]  # arrays of their own, not views
+    arrays = [p.copy() for p in param_arrays(layer_net)]  # arrays of their own, not views
     flat_opt, layer_opt = Adam(1e-2), Adam(1e-2)
     rng = np.random.default_rng(31)
     for _ in range(6):
-        grads = [rng.standard_normal(p.shape) for p in layers]
+        grads = [rng.standard_normal(p.shape) for p in arrays]
         flat_opt.step([flat_net.flat], [np.concatenate([g.ravel() for g in grads])])
-        layer_opt.step(layers, grads)
-    assert flat_net.flat.tobytes() == np.concatenate([p.ravel() for p in layers]).tobytes()
+        layer_opt.step(arrays, grads)
+    assert flat_net.flat.tobytes() == np.concatenate([p.ravel() for p in arrays]).tobytes()
 
 
 def test_layer_arrays_stay_views_of_the_flat_vector():
@@ -155,8 +160,8 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
     assert not np.array_equal(agent.actor.flat, before)
     clone = ctl.PolicyAgent.from_dict(agent.to_dict())
     for net in (agent.actor, agent.critic, clone.actor, clone.critic):
-        assert net.flat.size == sum(p.size for p in net.parameters())
-        for p in net.parameters():
+        assert net.flat.size == sum(p.size for p in param_arrays(net))
+        for p in param_arrays(net):
             assert np.shares_memory(p, net.flat)
     s = np.array([-0.4, 0.02])
     assert np.array_equal(clone.raw_mean(s), agent.raw_mean(s))
@@ -294,7 +299,7 @@ def test_zero_episode_training_returns_initial_params():
     init_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(4)[0])
     reference = ctl.PolicyAgent(ctl.ControlConfig(), init_rng)
     assert curve == []
-    for p, q in zip(agent.actor.parameters(), reference.actor.parameters()):
+    for p, q in zip(param_arrays(agent.actor), param_arrays(reference.actor)):
         assert np.array_equal(p, q)
 
 

@@ -1,7 +1,7 @@
 """The round's fast stages and lazy link memo, each checked against its oracle.
 
-The oracles are the per-sensor and per-link functions (``sensing.observe``,
-``channel.uplink_outcome``, ``FusionBatch.from_observations``), the general
+The oracles are the per-sensor reading ``oracles.observe_one``, the per-link
+``channel.uplink_outcome``, ``FusionBatch.from_observations``, the general
 batch Joseph update ``oracles.joseph_update``, and the loop-written
 references of the float expressions (``oracles.rank1_joseph`` and
 ``oracles.sequential_fusion``).
@@ -28,7 +28,7 @@ from reverb import sensing
 from reverb.aol import AolTracker
 from reverb.errors import InfeasibleError, NumericalError
 
-from oracles import joseph_update, plan_picks, rank1_joseph, sequential_fusion
+from oracles import joseph_update, observe_one, plan_picks, rank1_joseph, sequential_fusion
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -71,20 +71,20 @@ def test_float_2x2_update_keeps_cross_check():
 def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
     agent = scalar_agent(0, k, var)
     state = np.array([s0, s1])
-    fast_rng, general_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = sensing.observe(agent, state, fast_rng).values
+    fast_rng, general_rng, batch_rng = (np.random.default_rng(seed) for _ in range(3))
+    fast = np.array([observe_one(agent, state, fast_rng)])
     general = state[k] + np.linalg.cholesky(np.array([[var]])) @ general_rng.standard_normal(1)
-    assert fast.shape == general.shape == (1,)
-    assert fast.tobytes() == general.tobytes()
-    assert fast_rng.bit_generator.state == general_rng.bit_generator.state
+    batched = sensing.observe(sensing.SensorFleet((agent,)), [0], state, batch_rng)
+    assert fast.shape == general.shape == batched.shape == (1,)
+    assert fast.tobytes() == general.tobytes() == batched.tobytes()
+    assert fast_rng.bit_generator.state == general_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
 @given(specs=st.lists(st.tuples(st.sampled_from([0, 1]), positive), min_size=1, max_size=12))
 def test_diag_batch_equals_block_diag(specs):
     agents = [scalar_agent(i, k, var) for i, (k, var) in enumerate(specs)]
-    obs = [sensing.Observation(a.agent_id, [0.1]) for a in agents]
-    batch = est.FusionBatch.from_observations(agents, obs)
+    batch = est.FusionBatch.from_observations(agents, [0.1] * len(agents))
     assert np.array_equal(batch.obs_matrix, np.vstack([selector(a.feature) for a in agents]))
     assert np.array_equal(batch.noise_cov, sla.block_diag(*[[[a.noise_var]] for a in agents]))
 
@@ -194,10 +194,9 @@ def test_link_memo_hit_equals_fresh_solve():
 
 
 def per_link_transmit(selected, fleet, params, state, rng):
-    """The oracle: ``observe`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
-    observations = [sensing.observe(fleet.agents[i], state, rng) for i in selected]
+    """The oracle: ``observe_one`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
+    values = np.array([observe_one(fleet.agents[i], state, rng) for i in selected])
     outcomes = [ch.uplink_outcome(params, fleet.link_memo[params][i], rng) for i in selected]
-    values = np.concatenate([o.values for o in observations]) if observations else np.empty(0)
     return values, [i for i, out in zip(selected, outcomes) if out.delivered]
 
 
@@ -232,7 +231,7 @@ def coin_flip_budget(params, agent):
 @given(specs=sensor_specs, seed=seeds, data=st.data(), s0=unit, s1=unit)
 def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     fleet = build_fleet(specs)
-    selected = data.draw(st.permutations(range(len(fleet))))
+    selected = data.draw(st.permutations(range(len(fleet.agents))))
     selected = selected[: data.draw(st.integers(min_value=0, max_value=len(selected)))]
     params, state = ch.ChannelParams(), np.array([s0, s1])
     memo = fleet.link_memo.setdefault(params, {})
@@ -278,11 +277,11 @@ def test_starved_link_is_not_delivered(starved_first):
 @given(specs=sensor_specs, seed=seeds, data=st.data(), prior=spd_2x2())
 def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     fleet = build_fleet(specs)
-    selected = data.draw(st.permutations(range(len(fleet))))
+    selected = data.draw(st.permutations(range(len(fleet.agents))))
     selected = selected[: data.draw(st.integers(min_value=1, max_value=len(selected)))]
     delivered = [i for i in selected if data.draw(st.booleans())]
     belief = est.Belief(np.array([-0.5, 0.01]), prior)
-    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
     post = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     if not delivered:
         assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
@@ -295,8 +294,7 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     assert post.mean.tobytes() == np.array(mean).tobytes()
     assert post.cov.tobytes() == np.array(cov).tobytes()
     agents = [fleet.agents[i] for i in delivered]
-    observations = [sensing.Observation(i, values[selected.index(i)]) for i in delivered]
-    batch = est.FusionBatch.from_observations(agents, observations)
+    batch = est.FusionBatch.from_observations(agents, [values[selected.index(i)] for i in delivered])
     gain, batch_cov = joseph_update(prior, batch.obs_matrix, batch.noise_cov)
     batch_mean = belief.mean + gain @ (batch.values - batch.obs_matrix @ belief.mean)
     assert np.max(np.abs(post.mean - batch_mean)) <= 1e-12
@@ -310,7 +308,7 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
     selected, _, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
     assert len(selected) > 2
-    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
     post = sched.fuse_delivered(prior, selected, selected, values, fleet)
     assert post.cov.tobytes() == planned_cov(prior.cov, steps).tobytes()
 
@@ -342,7 +340,7 @@ def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violate
             "all delivered": [], "none delivered": selected, "first lost": selected[:1], "last lost": selected[-1:],
         }[losses]
     delivered = [i for i in selected if i not in lost]
-    values = sensing.observe_many(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
     replayed = sched.fuse_delivered(belief, selected, delivered, values, fleet, steps)
     fresh = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     assert replayed.mean.tobytes() == fresh.mean.tobytes()
@@ -357,7 +355,7 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
             schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel,
-            cfg.cap, np.array([-0.49, 0.012]), np.random.default_rng(0),
+            cfg.cap, np.array([-0.49, 0.012]), np.random.default_rng(0), fuse=sched.fuse_delivered,
         )
     assert len(result.selected) > 2 and result.delivered == result.selected
     assert rank1.call_count == len(result.selected)

@@ -2,8 +2,10 @@ import numpy as np
 
 from reverb import estimator as est
 from reverb import scheduler as sched
+from reverb import schemes
 from reverb.aol import AolTracker
 from reverb.channel import ChannelParams
+from reverb.config import RunConfig
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
@@ -90,7 +92,7 @@ def test_blind_when_targets_already_met():
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
         select_reverb, prior, targets, aol, fleet, ChannelParams(), 3, np.zeros(2),
-        np.random.default_rng(0),
+        np.random.default_rng(0), fuse=sched.fuse_delivered,
     )
     assert result.blind and result.selected == ()
     assert np.array_equal(post.cov, prior.cov)
@@ -230,7 +232,7 @@ def test_reachable_targets_met_with_full_fleet():
         if np.any(np.diag(cov) > bounds):
             continue
         targets = sched.UncertaintyTargets(bounds)
-        _, _, steps = sched.plan_selection(prior_cov, targets, (), fleet, cap=len(fleet))
+        _, _, steps = sched.plan_selection(prior_cov, targets, (), fleet, cap=len(fleet.agents))
         planned = planned_cov(prior_cov, steps)
         assert np.all(np.diag(planned) <= bounds)
 
@@ -245,7 +247,7 @@ def test_schedule_deterministic_given_seed():
         prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
             select_reverb, prior, targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
-            np.random.default_rng(31),
+            np.random.default_rng(31), fuse=sched.fuse_delivered,
         )
         runs.append((result, post.mean.copy(), post.cov.copy(), trk.ages))
     assert runs[0][0] == runs[1][0]
@@ -261,10 +263,27 @@ def test_schedule_closes_loops_for_delivered_features():
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
         select_reverb, prior, targets, aol, fleet, ChannelParams(), 2, np.array([-0.49, 0.012]),
-        np.random.default_rng(1),
+        np.random.default_rng(1), fuse=sched.fuse_delivered,
     )
     assert set(result.selected) == {0, 1}
     assert result.aol_serviced == (0, 1)
     assert set(result.delivered) == {0, 1}  # outage at 1e-5 will not trip here
     assert trk.ages == (1, 1)
     assert result.total_prbs >= 2
+
+
+def test_fuse_delivered_replaced_after_import_sees_every_round(monkeypatch):
+    # A round looks the fuse up when it is made, so a wrapper installed
+    # before then (as a profiler installs one) counts every call.
+    calls = []
+    fuse = sched.fuse_delivered
+
+    def counting_fuse(*args):
+        calls.append(args)
+        return fuse(*args)
+
+    monkeypatch.setattr(sched, "fuse_delivered", counting_fuse)
+    loop = schemes.build_loop(RunConfig(), "AoL-REVERB", np.random.default_rng(5))
+    for n in range(1, 6):
+        loop.step(0.5, np.array([50.0, 1e4]))
+        assert len(calls) == n

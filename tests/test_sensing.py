@@ -46,25 +46,27 @@ def test_noise_variances_within_feature_ranges():
         assert lo <= a.noise_var <= hi
 
 
+def one_sensor(feature, noise_var):
+    agent = sensing.SensingAgent(0, feature, noise_var, distance_m=5.0, tx_power_w=0.02)
+    return sensing.SensorFleet((agent,))
+
+
 def test_observe_noiseless_limit():
-    agent = sensing.SensingAgent(0, 0, 1e-30, distance_m=5.0, tx_power_w=0.02)
-    obs = sensing.observe(agent, np.array([0.3, -0.01]), np.random.default_rng(0))
-    assert abs(obs.values[0] - 0.3) < 1e-10
+    obs = sensing.observe(one_sensor(0, 1e-30), [0], np.array([0.3, -0.01]), np.random.default_rng(0))
+    assert abs(obs[0] - 0.3) < 1e-10
 
 
 def test_observe_selector_row():
-    agent = sensing.SensingAgent(0, 0, 1e-4, distance_m=5.0, tx_power_w=0.02)
     rng = np.random.default_rng(1)
-    samples = np.array([sensing.observe(agent, np.array([0.3, -0.01]), rng).values[0] for _ in range(2000)])
+    samples = sensing.observe(one_sensor(0, 1e-4), [0] * 2000, np.array([0.3, -0.01]), rng)
     assert abs(samples.mean() - 0.3) < 4.0 * 1e-2 / np.sqrt(2000)
 
 
 def test_residual_moments_match_noise_covariance():
     var = 2.5e-3
-    agent = sensing.SensingAgent(0, 1, var, distance_m=5.0, tx_power_w=0.02)
     rng = np.random.default_rng(2)
     s = np.array([0.1, 0.02])
-    res = np.array([sensing.observe(agent, s, rng).values[0] - 0.02 for _ in range(100_000)])
+    res = sensing.observe(one_sensor(1, var), [0] * 100_000, s, rng) - 0.02
     assert abs(res.mean()) < 4.0 * np.sqrt(var) / np.sqrt(res.size)
     assert abs(res.var() - var) / var < 0.05
 
