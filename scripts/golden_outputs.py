@@ -22,13 +22,25 @@ shift:
 
     (cd parent-checkout && python3 scripts/golden_outputs.py --out /tmp/golden_old)
     python3 scripts/golden_outputs.py --out /tmp/golden_new --against /tmp/golden_old
+
+``--digest FILE`` writes the SHA-256 of every file in the ``DIGESTED``
+directories, the 11 whose bytes go through no BLAS product (not ``train`` or
+``run_weights``), headed by the Python and numpy versions they were taken
+with; ``tests/golden.sha256`` is that file, and a Tier-1 test regenerates the
+11 files and compares. A change that shifts rounding on purpose rewrites it:
+
+    python3 scripts/golden_outputs.py --out /tmp/golden_new --digest tests/golden.sha256
 """
 
 import argparse
 import csv
+import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -55,6 +67,47 @@ def commands(out: Path) -> list[list[str]]:
         "--seed", "1", "--out", str(out / "run_weights"),
     ])
     return runs
+
+
+# Output directories whose bytes go through no BLAS product, so a digest pins them.
+DIGESTED = ("bench", *(f"run_{s}" for s in SCHEMES), "sweep_cap", "sweep_aol")
+
+
+def out_name(argv: list[str]) -> str:
+    """The output directory name of one of ``commands``' runs."""
+    return Path(argv[argv.index("--out") + 1]).name
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every file in the ``DIGESTED`` directories under ``root``, by relative path."""
+    return {
+        rel: hashlib.sha256((root / rel).read_bytes()).hexdigest()
+        for rel in sorted(_files(root))
+        if rel.split("/")[0] in DIGESTED
+    }
+
+
+def write_digest(root: Path, path: Path) -> None:
+    lines = [f"# {name} {version}" for name, version in versions().items()]
+    lines += [f"{digest}  {rel}" for rel, digest in digests(root).items()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_digest(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """(versions the digests were taken with, digest by relative path) of ``write_digest``'s file."""
+    taken, files = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            name, version = line[2:].split(" ", 1)
+            taken[name] = version
+        else:
+            digest, rel = line.split("  ", 1)
+            files[rel] = digest
+    return taken, files
 
 
 def _files(root: Path) -> set[str]:
@@ -148,12 +201,17 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True, help="directory to write into")
     parser.add_argument("--against", type=Path, default=None,
                         help="earlier output tree the new one must equal byte for byte")
+    parser.add_argument("--digest", type=Path, default=None,
+                        help="file to write the SHA-256 digests of the DIGESTED outputs to")
     args = parser.parse_args()
     for argv in commands(args.out):
         print("reverb " + " ".join(argv), flush=True)
         code = reverb_main(argv)
         if code != 0:
             return code
+    if args.digest is not None:
+        write_digest(args.out, args.digest)
+        print(f"digests of {len(digests(args.out))} files written to {args.digest}")
     if args.against is not None:
         if not args.against.is_dir():
             print(f"error: {args.against} is not a directory", file=sys.stderr)

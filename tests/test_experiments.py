@@ -615,3 +615,20 @@ def test_golden_outputs_names_first_difference(tmp_path):
         "summary.json: largest relative float difference 2e-13, 1 differing non-float cells",
     ]
     assert golden.float_shift(old / "summary.json", old / "summary.json") == (0.0, 0)
+
+
+def test_golden_files_keep_their_recorded_digests(tmp_path):
+    """The 11 golden files that go through no BLAS product, regenerated, match tests/golden.sha256."""
+    golden = load_golden_script()
+    taken, want = golden.read_digest(Path(__file__).with_name("golden.sha256"))
+    assert len(want) == 11
+    for argv in golden.commands(tmp_path):
+        if golden.out_name(argv) in golden.DIGESTED:
+            assert cli.main(argv) == 0
+    got = golden.digests(tmp_path)
+    differing = sorted(rel for rel in want.keys() | got.keys() if want.get(rel) != got.get(rel))
+    assert not differing, (
+        f"golden files differ from tests/golden.sha256: {differing}; the digests were taken with "
+        f"{taken}, this run has {golden.versions()} (numpy does not promise the same random "
+        "streams across versions)"
+    )
