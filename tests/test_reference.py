@@ -7,10 +7,15 @@ and fusion that replays the planner's steps only up to the first lost pick.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reverb import channel as ch
 from reverb import config
 from reverb import control as ctl
 from reverb.config import SCHEMES
+from reverb.errors import ReverbError
 from reverb.recordio import EPISODE_COLUMNS
 from reverb.schemes import make_policy, run_episode
 
@@ -77,3 +82,54 @@ def test_run_episode_matches_the_reference_episode():
                         replayed_past_a_loss += lost_then_delivered(got)
     assert blind_reverb > 0, "no blind AoL-REVERB interval was checked"
     assert replayed_past_a_loss > 0, "no AoL-REVERB round lost a pick and delivered a later one"
+
+
+def unit_interval_pair(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(list)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid run configuration with every setting the round reads drawn off its default."""
+    outage = draw(st.floats(1e-6, 0.3))
+    q = ch.gaussian_q_inv(outage)
+    return config.config_from_dict({
+        "qi_cap": draw(st.integers(20, 60)),
+        "cap": draw(st.integers(1, 30)),
+        "aol_thresholds": draw(st.tuples(st.integers(1, 10), st.integers(1, 10)).map(list)),
+        "required_var": draw(unit_interval_pair(1e-4, 5e-2)),
+        "scripted_accuracy": draw(unit_interval_pair(0.0, 1e5)),
+        "process_noise_var": draw(unit_interval_pair(0.0, 1e-4)),
+        "init_belief_var": draw(st.floats(1e-6, 1e-2)),
+        # rician_k above the strong-LoS bound 0.5 Qinv(outage)^2 that ChannelParams requires.
+        "channel": {"outage_target": outage, "rician_k": 0.5 * q * q + draw(st.floats(0.1, 40.0))},
+        "fleet": {
+            "n_agents": draw(st.integers(2, 60)),
+            # Far and weak enough that some links have no finite bandwidth.
+            "max_distance_m": draw(st.floats(2.0, 100.0)),
+            "tx_power_w": draw(st.floats(1e-3, 0.1)),
+        },
+    })
+
+
+def outcome(run, cfg, scheme, policy, seed):
+    """The episode's rows and goal flag, or the class and message of the ReverbError it raised."""
+    try:
+        record = run(cfg, scheme, policy, seed)
+    except ReverbError as exc:
+        return type(exc), str(exc)
+    return rows(record), record.reached_goal
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(cfg=run_configs(), agent=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_generated_configs_match_the_reference_episode(cfg, scheme, agent, seed):
+    """Every column as exact hex, or the same ReverbError (an infeasible link, say) from both.
+
+    The policy is the scripted pump or, with ``agent``, an untrained agent's mean action.
+    """
+    policy = make_policy(cfg, ctl.PolicyAgent(cfg.control, np.random.default_rng(seed)) if agent else None)
+    got = outcome(run_episode, cfg, scheme, policy, seed)
+    want = outcome(reference_episode, cfg, scheme, policy, seed)
+    assert got == want
