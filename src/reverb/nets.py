@@ -135,6 +135,9 @@ class Adam:
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            # In place, the same products and sum as b1*m + (1-b1)*g, so the same bits.
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)

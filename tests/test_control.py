@@ -9,7 +9,7 @@ from scipy import stats
 from reverb import control as ctl
 from reverb import dynamics as dyn
 from reverb.errors import TrainingError
-from reverb.nets import MLP, Adam
+from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MLP, Adam
 
 from oracles import td_error
 
@@ -150,6 +150,25 @@ def test_adam_on_the_flat_vector_equals_adam_per_layer():
         flat_opt.step([flat_net.flat], [np.concatenate([g.ravel() for g in grads])])
         layer_opt.step(arrays, grads)
     assert flat_net.flat.tobytes() == np.concatenate([p.ravel() for p in arrays]).tobytes()
+
+
+def test_adam_in_place_moments_equal_the_textbook_update():
+    """Adam's in-place moment updates give the bits of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g."""
+    rng = np.random.default_rng(34)
+    params = [rng.standard_normal(300), rng.standard_normal(7)]
+    want = [p.copy() for p in params]
+    m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
+    opt = Adam(1e-3)
+    for t in range(1, 51):
+        # Gradients over nine decades, so the products round differently across entries.
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
+        opt.step(params, grads)
+        for p, g, m_i, v_i in zip(want, grads, m, v):
+            m_i[...] = ADAM_BETA1 * m_i + (1.0 - ADAM_BETA1) * g
+            v_i[...] = ADAM_BETA2 * v_i + (1.0 - ADAM_BETA2) * g * g
+            p -= 1e-3 * (m_i / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v_i / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_layer_arrays_stay_views_of_the_flat_vector():
