@@ -2,6 +2,11 @@
 
 Ages grow by one each interval and reset to 1 when delivered state feedback
 closes the loop for a feature (the closing interval itself is one unit old).
+``fresh`` checks the thresholds once and starts every age at 0; ``tick`` and
+``close_loop`` then build the next ages as plain tuples, which keep the
+invariants by construction (one age per threshold, every age nonnegative), so
+they are not checked again every interval. ``close_loop`` checks the feature
+indices it is given.
 """
 
 from __future__ import annotations
@@ -14,20 +19,16 @@ from .errors import ConfigError, InputError
 
 @dataclass(frozen=True)
 class AolTracker:
+    """Per-feature ages and their tolerable maxima; start one with ``fresh``."""
+
     ages: tuple[int, ...]
     thresholds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ages) != len(self.thresholds):
-            raise ConfigError("one threshold per feature is required")
-        if min(self.ages, default=0) < 0:
-            raise InputError("ages must be nonnegative")
-        if min(self.thresholds, default=1) < 1:
-            raise ConfigError("thresholds must be at least 1")
 
     @classmethod
     def fresh(cls, thresholds: Iterable[int]) -> "AolTracker":
         ts = tuple(int(t) for t in thresholds)
+        if min(ts, default=1) < 1:
+            raise ConfigError("thresholds must be at least 1")
         return cls(ages=(0,) * len(ts), thresholds=ts)
 
     def tick(self) -> "AolTracker":

@@ -111,12 +111,35 @@ def snr(
     """Instantaneous SNR: gain * power * fading / (d^alpha * W * N0)."""
     if min(tx_power_w, distance_m, bandwidth_hz) <= 0.0 or fading < 0.0:
         raise InputError("power, distance, bandwidth must be positive; fading nonnegative")
-    return (
-        params.system_gain
-        * tx_power_w
-        * fading
-        / (distance_m**params.path_loss_exp * bandwidth_hz * params.noise_psd)
-    )
+    num, den = snr_terms(params, tx_power_w, distance_m, bandwidth_hz)
+    return num * fading / den
+
+
+def snr_terms(
+    params: ChannelParams, tx_power_w: float, distance_m: float, bandwidth_hz: float
+) -> tuple[float, float]:
+    """``snr`` less the fading: (gain * power, d^alpha * W * N0), and snr = num * fading / den."""
+    return params.system_gain * tx_power_w, distance_m**params.path_loss_exp * bandwidth_hz * params.noise_psd
+
+
+def link_terms(params: ChannelParams, budget: LinkBudget) -> tuple[float, float, float]:
+    """What a sized link's deadline test needs beside the fading: (W, snr's num, snr's den)."""
+    return (budget.bandwidth_hz, *snr_terms(params, budget.tx_power_w, budget.distance_m, budget.bandwidth_hz))
+
+
+def meets_deadline(params: ChannelParams, links, fades) -> list[bool]:
+    """Per link, ``uplink_latency(params, budget, fading) <= params.max_latency_s``, bit for bit.
+
+    ``links`` holds each budget's ``link_terms``, aligned with ``fades``. The
+    SNR and the rate are ``uplink_latency``'s expressions in the same order; a
+    rate that is not positive means an infinite latency, which no deadline meets.
+    """
+    bits, deadline = params.packet_bits, params.max_latency_s
+    met = []
+    for (bandwidth, num, den), fading in zip(links, fades):
+        rate = bandwidth * math.log2(1.0 + num * fading / den)
+        met.append(rate > 0.0 and bits / rate <= deadline)
+    return met
 
 
 def rician_fading_sample(

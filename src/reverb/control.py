@@ -41,21 +41,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ActionVector:
-    """Control force in [-1, 1] plus per-feature accuracy requests in [0, eta_max]."""
+    """Control force in [-1, 1] plus per-feature accuracy requests in [0, eta_max], as floats."""
 
     force: float
-    accuracy: Array
+    accuracy: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        acc = np.asarray(self.accuracy, dtype=float)
-        values = acc.ravel().tolist()
-        if not (math.isfinite(self.force) and all(map(math.isfinite, values))):
+        if not (math.isfinite(self.force) and all(map(math.isfinite, self.accuracy))):
             raise InputError("action fields must be finite")
         if abs(self.force) > 1.0 + 1e-12:
             raise InputError("force outside [-1, 1]")
-        if min(values, default=0.0) < 0.0:  # NaN was rejected above
+        if min(self.accuracy, default=0.0) < 0.0:  # NaN was rejected above
             raise InputError("accuracy requests must be nonnegative")
-        object.__setattr__(self, "accuracy", acc)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class PolicyAgent:
         force = math.tanh(float(raw[0]))
         # Past exp(709) the float range ends; below -709 a request saturates to ~0 anyway.
         accuracy = self.cfg.eta_max / (1.0 + np.exp(np.minimum(-raw[1:], 709.0)))
-        return ActionVector(force=force, accuracy=accuracy)
+        return ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
 
     def sample_step(self, state: Array, rng: np.random.Generator) -> tuple[ActionVector, Array, float]:
         """Sample a raw action, return (squashed action, raw, log-probability)."""
@@ -212,18 +209,17 @@ def gaussian_log_prob(raw: Array, mean: Array, log_std: Array) -> Array:
     return -0.5 * np.sum(z * z + 2.0 * log_std + _LOG_2PI, axis=1)
 
 
-def shaped_reward(reward_env: float, accuracy: Array, kappa: float) -> float:
+def shaped_reward(reward_env: float, accuracy: Sequence[float], kappa: float) -> float:
     """Add the accuracy-request bonus: reward + kappa * mean(accuracy).
 
     The mean sums in index order, as ``np.mean`` does for a 2-vector.
     """
-    values = np.asarray(accuracy, dtype=float).ravel().tolist()
-    if not values:
+    if not len(accuracy):
         raise InputError("need at least one accuracy request")
-    total = values[0]
-    for v in values[1:]:
+    total = accuracy[0]
+    for v in accuracy[1:]:
         total += v
-    return reward_env + kappa * (total / len(values))
+    return reward_env + kappa * (total / len(accuracy))
 
 
 @dataclass
@@ -359,7 +355,7 @@ def train(
     explore_until = int(cfg.explore_frac * episodes)
     for ep in range(episodes):
         loop = make_loop(np.random.default_rng(env_children[ep]))
-        state = loop.belief.mean.copy()
+        state = np.array(loop.belief.mean)
         transitions: list[Transition] = []
         env_return = 0.0
         shaped_return = 0.0
@@ -367,7 +363,7 @@ def train(
             action, raw, logp = agent.sample_step(state, act_rng)
             res = loop.step(action.force, action.accuracy)
             r = shaped_reward(res.reward_env, action.accuracy, cfg.kappa)
-            next_state = res.belief.mean.copy()
+            next_state = np.array(res.belief.mean)
             transitions.append(
                 Transition(state, raw, logp, r, next_state, res.done)
             )
@@ -390,10 +386,9 @@ def train(
     return agent, curve
 
 
-def scripted_controller(state: Array, accuracy: Array) -> ActionVector:
+def scripted_controller(state: Sequence[float], accuracy: tuple[float, ...]) -> ActionVector:
     """Deterministic energy pump: push along the velocity sign, +1 at rest."""
-    s = np.asarray(state, dtype=float).ravel().tolist()
-    if not all(map(math.isfinite, s)):
+    if not all(map(math.isfinite, state)):
         raise InputError("state must be finite")
-    force = 1.0 if s[1] >= 0.0 else -1.0
+    force = 1.0 if state[1] >= 0.0 else -1.0
     return ActionVector(force=force, accuracy=accuracy)

@@ -1,29 +1,32 @@
 """Plant models: 2-D nonlinear discrete-time dynamics and the mountain-car instance.
 
 The twin's plant has two state features, position first and velocity second
-for the mountain car, whose constants are module constants. A model owns three
-maps sharing that convention:
+for the mountain car, whose constants are module constants. A state is a pair
+of Python floats. A model owns three maps sharing that convention:
 
 * ``update(s, a)``      -- the deterministic per-interval transition, ending
   in ``clamp``, the environment's one clamping rule,
 * ``update_free(s, a)`` -- the same transition without clamping (the map the
   EKF linearizes),
 * ``jacobian(s)``       -- exact partial derivatives of ``update_free`` at ``s``
-  with zero control.
+  with zero control, as a pair of rows.
 
-``step`` clips the force to [-ACTION_BOUND, ACTION_BOUND], adds Gaussian
-process noise to ``update``'s next state and applies ``clamp`` (which takes a
-list of floats) again, so outputs always respect the state bounds. The noise
-is the PSD square root of its 2x2 covariance, kept as nested floats, times one
-draw of two standard normals, formed as float expressions summed in index
-order. The per-interval checks of ``step`` and ``jacobian_at`` run on floats.
+The mountain car's maps take and return float pairs; the constructor also
+accepts maps that return numpy arrays (a linear test model's ``A @ s``),
+since every caller unpacks what a map returns. ``step`` checks that the
+state is two finite numbers, clips the force to [-ACTION_BOUND,
+ACTION_BOUND], adds Gaussian process noise to ``update``'s next state and
+applies ``clamp`` again, so outputs always respect the state bounds. The
+noise is the PSD square root of its 2x2 covariance, kept as nested float
+tuples beside the covariance itself, times one draw of two standard normals,
+formed as float expressions summed in index order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from .errors import ConfigError, InputError
 from .schema import STATE_FEATURES
 
 Array = np.ndarray
+State = tuple[float, float]
+Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
 # Constants of the continuous mountain-car environment.
@@ -50,14 +55,14 @@ class DynamicsModel:
     """Discrete-time 2-D plant with additive control and Gaussian process noise."""
 
     dim: int
-    update: Callable[[Array, float], Array]
-    update_free: Callable[[Array, float], Array]
-    jacobian: Callable[[Array], Array]
-    clamp: Callable[[list[float]], Sequence[float]]
+    update: Callable[[State, float], State]
+    update_free: Callable[[State, float], State]
+    jacobian: Callable[[State], Matrix2]
+    clamp: Callable[[State], State]
     control_gain: Array
-    process_noise_cov: Array
+    process_noise_cov: Matrix2  # given as any 2x2 array-like, kept as nested float tuples
     # PSD square root of process_noise_cov as nested floats; None without noise.
-    noise_scale: list[list[float]] | None = field(init=False, repr=False)
+    noise_scale: Matrix2 | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.process_noise_cov, dtype=float)
@@ -71,39 +76,49 @@ class DynamicsModel:
             raise ConfigError("process noise covariance must be positive semidefinite")
         # PSD square root; works for rank-deficient (e.g. zero) covariances.
         scale = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-        object.__setattr__(self, "process_noise_cov", cov)
-        object.__setattr__(self, "noise_scale", scale.tolist() if np.any(cov) else None)
+        object.__setattr__(self, "process_noise_cov", _nested(cov))
+        object.__setattr__(self, "noise_scale", _nested(scale) if np.any(cov) else None)
         object.__setattr__(self, "control_gain", np.asarray(self.control_gain, dtype=float))
 
 
-def _checked_state(model: DynamicsModel, state: Array) -> Array:
-    s = np.asarray(state, dtype=float)
-    if s.shape != (model.dim,) or not all(map(math.isfinite, s.tolist())):
-        raise InputError("state must be a finite vector of the model dimension")
-    return s
+def _nested(matrix: Array) -> Matrix2:
+    (a, b), (c, d) = matrix.tolist()
+    return (a, b), (c, d)
 
 
-def step(model: DynamicsModel, state: Array, action: float, rng: np.random.Generator) -> Array:
+def _checked_state(state: State) -> State:
+    """``state`` as a pair, if it is two finite numbers."""
+    try:
+        x, v = state
+        finite = math.isfinite(x) and math.isfinite(v)
+    except (TypeError, ValueError):  # not a pair, or not numbers
+        finite = False
+    if not finite:
+        raise InputError("state must be two finite numbers")
+    return x, v
+
+
+def step(model: DynamicsModel, state: State, action: float, rng: np.random.Generator) -> State:
     """Advance the plant one interval: deterministic update plus process noise."""
-    s = _checked_state(model, state)
+    s = _checked_state(state)
     if not math.isfinite(action):
         raise InputError("action must be finite")
     a = min(max(float(action), -ACTION_BOUND), ACTION_BOUND)
-    x, v = model.update(s, a).tolist()
+    x, v = model.update(s, a)
     if model.noise_scale is not None:
         z0, z1 = rng.standard_normal(2).tolist()
         (s00, s01), (s10, s11) = model.noise_scale
         # (x, v) + noise_scale @ z, each entry's products summed in index order.
         x, v = x + (s00 * z0 + s01 * z1), v + (s10 * z0 + s11 * z1)
-    return np.asarray(model.clamp([x, v]), dtype=float)
+    return model.clamp((x, v))
 
 
-def jacobian_at(model: DynamicsModel, state: Array) -> Array:
+def jacobian_at(model: DynamicsModel, state: State) -> Matrix2:
     """Exact Jacobian of the clamp-free update map at ``state`` with zero control."""
-    return model.jacobian(_checked_state(model, state))
+    return model.jacobian(_checked_state(state))
 
 
-def finite_difference_jacobian(model: DynamicsModel, state: Array, h: float = 1e-6) -> Array:
+def finite_difference_jacobian(model: DynamicsModel, state: State, h: float = 1e-6) -> Array:
     """Central finite differences of ``update_free`` (test oracle for ``jacobian_at``)."""
     s = np.asarray(state, dtype=float)
     jac = np.zeros((model.dim, model.dim))
@@ -112,36 +127,37 @@ def finite_difference_jacobian(model: DynamicsModel, state: Array, h: float = 1e
         dm = s.copy()
         dp[j] += h
         dm[j] -= h
-        jac[:, j] = (model.update_free(dp, 0.0) - model.update_free(dm, 0.0)) / (2.0 * h)
+        jac[:, j] = np.subtract(model.update_free(dp, 0.0), model.update_free(dm, 0.0)) / (2.0 * h)
     return jac
 
 
 def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) -> DynamicsModel:
     """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'."""
 
-    def clamp(s: list[float]) -> Array:
-        x = min(max(float(s[0]), POSITION_MIN), POSITION_MAX)
-        v = min(max(float(s[1]), -VELOCITY_MAX), VELOCITY_MAX)
+    def clamp(s: State) -> State:
+        x, v = s
+        x = min(max(x, POSITION_MIN), POSITION_MAX)
+        v = min(max(v, -VELOCITY_MAX), VELOCITY_MAX)
         if x == POSITION_MIN and v < 0.0:
             v = 0.0
-        return np.array([x, v])
+        return x, v
 
-    def update(s: Array, a: float) -> Array:
-        x, v = float(s[0]), float(s[1])
+    def update(s: State, a: float) -> State:
+        x, v = s
         v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
         # x' takes the clipped velocity; clamp leaves it as it is.
         v2 = min(max(v2, -VELOCITY_MAX), VELOCITY_MAX)
-        return clamp([x + v2, v2])
+        return clamp((x + v2, v2))
 
-    def update_free(s: Array, a: float) -> Array:
-        x, v = float(s[0]), float(s[1])
+    def update_free(s: State, a: float) -> State:
+        x, v = s
         v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
-        return np.array([x + v2, v2])
+        return x + v2, v2
 
-    def jacobian(s: Array) -> Array:
+    def jacobian(s: State) -> Matrix2:
         # d v'/d x = 3*GRAVITY*sin(3x); x' = x + v' chains it into the first row.
-        g = 3.0 * GRAVITY * math.sin(3.0 * float(s[0]))
-        return np.array([[1.0 + g, 1.0], [g, 1.0]])
+        g = 3.0 * GRAVITY * math.sin(3.0 * s[0])
+        return (1.0 + g, 1.0), (g, 1.0)
 
     return DynamicsModel(
         dim=2,
@@ -154,6 +170,6 @@ def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) ->
     )
 
 
-def initial_state(rng: np.random.Generator) -> Array:
+def initial_state(rng: np.random.Generator) -> State:
     """Random start: position uniform in the start range, zero velocity."""
-    return np.array([rng.uniform(START_POSITION_LOW, START_POSITION_HIGH), 0.0])
+    return rng.uniform(START_POSITION_LOW, START_POSITION_HIGH), 0.0

@@ -1,8 +1,9 @@
 """Extended Kalman filter over the twin's 2-D Gaussian belief.
 
 The twin tracks the mountain car's state, position and velocity: a belief is
-a length-2 mean and a 2x2 covariance, and the arithmetic of a round is
-written out for that shape in Python floats. Prediction propagates the
+a length-2 mean and a 2x2 covariance, held as tuples of Python floats, and
+the arithmetic of a round is written out for that shape on those floats; no
+numpy container is built on the way. Prediction propagates the
 covariance through the dynamics Jacobian, J P J^T + Q, as explicit 2x2
 expressions with each entry's products summed in index order, so the result
 does not depend on the BLAS kernel (it equals the elementwise ``einsum``
@@ -11,7 +12,7 @@ product bit for bit).
 A sensor observes one feature k with noise variance r, so independent
 readings are fused one at a time (sequential processing, Bierman 1977):
 ``rank1_update`` is the Joseph-form update S = P_kk + r, K = P[:, k] / S of a
-2x2 covariance held as nested floats, cross-checked against the textbook
+2x2 covariance held as nested float tuples, cross-checked against the textbook
 (I - K e_k^T) P expression, with one jitter retry when S is not positive.
 The planner calls it once per pick and keeps each result, (gain,
 covariance), as a step. ``fuse_readings`` applies the delivered readings in
@@ -24,9 +25,10 @@ all arrived (the same update on the same numbers), and calls
 diagonal noise covariance (``from_observations`` stacks sensors and their
 read values). Its readings are independent, so it hands them to
 ``fuse_readings`` in row order, which is exact for that input: the package
-has one Kalman update. A new belief's covariance is checked once, when it is
-constructed, for symmetry and, by its smaller eigenvalue in closed form, for
-positive semidefiniteness.
+has one Kalman update. A new belief is checked once, when it is constructed:
+its mean for finiteness, its covariance for symmetry and, by its smaller
+eigenvalue in closed form, for positive semidefiniteness. ``init_belief`` and
+the learner's input are where arrays are built.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsModel, jacobian_at
+from .dynamics import DynamicsModel, Matrix2, State, jacobian_at
 from .errors import InputError, NumericalError
 from .schema import STATE_FEATURES
 from .sensing import SensingAgent
@@ -48,24 +50,30 @@ SYMMETRY_TOL = 1e-10
 JOSEPH_TOL = 1e-8
 
 # One rank-1 update of a 2x2 covariance held as nested floats: (gain, posterior).
-Step = tuple[tuple[float, float], list[list[float]]]
+Step = tuple[tuple[float, float], Matrix2]
 
 
-@dataclass
+@dataclass(slots=True)
 class Belief:
-    """Gaussian state estimate held by the twin: 2-vector mean, 2x2 covariance."""
+    """Gaussian state estimate held by the twin: 2-vector mean, 2x2 covariance, as float tuples.
 
-    mean: Array
-    cov: Array
+    Any pair and 2x2 nesting of numbers is accepted and kept as tuples.
+    """
+
+    mean: State
+    cov: Matrix2
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        n = STATE_FEATURES
-        if self.mean.shape != (n,) or self.cov.shape != (n, n):
-            raise InputError(f"belief must be a {n}-vector mean with a {n}x{n} covariance")
-        if not all(map(math.isfinite, self.mean.tolist())):
+        try:
+            m0, m1 = self.mean
+            (c00, c01), (c10, c11) = self.cov
+        except (TypeError, ValueError):
+            n = STATE_FEATURES
+            raise InputError(f"belief must be a {n}-vector mean with a {n}x{n} covariance") from None
+        if not (math.isfinite(m0) and math.isfinite(m1)):
             raise InputError("belief mean must be finite")
+        self.mean = m0, m1
+        self.cov = (c00, c01), (c10, c11)
         _check_cov(self.cov)
 
 
@@ -86,8 +94,8 @@ class FusionBatch:
         return cls(obs_matrix=h, noise_cov=c, values=np.array(values, dtype=float))
 
 
-def _check_cov(cov: Array) -> None:
-    (a, b), (c, d) = cov.tolist()
+def _check_cov(cov: Matrix2) -> None:
+    (a, b), (c, d) = cov
     # Smaller eigenvalue of [[a, b], [b, d]] in closed form.
     min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
     if not abs(b - c) <= SYMMETRY_TOL:
@@ -102,19 +110,19 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     The process noise enters only through its covariance; sampling it here
     would bias the minimum-mean-square-error predictor.
     """
-    (j00, j01), (j10, j11) = jacobian_at(model, belief.mean).tolist()
-    (p00, p01), (p10, p11) = belief.cov.tolist()
-    (q00, q01), (q10, q11) = model.process_noise_cov.tolist()
+    (j00, j01), (j10, j11) = jacobian_at(model, belief.mean)
+    (p00, p01), (p10, p11) = belief.cov
+    (q00, q01), (q10, q11) = model.process_noise_cov
     # A = J P, then C = A J^T + Q, each entry's products summed in index order.
     a00, a01 = j00 * p00 + j01 * p10, j00 * p01 + j01 * p11
     a10, a11 = j10 * p00 + j11 * p10, j10 * p01 + j11 * p11
     c00, c01 = a00 * j00 + a01 * j01 + q00, a00 * j10 + a01 * j11 + q01
     c10, c11 = a10 * j00 + a11 * j01 + q10, a10 * j10 + a11 * j11 + q11
-    cov = [[0.5 * (c00 + c00), 0.5 * (c01 + c10)], [0.5 * (c10 + c01), 0.5 * (c11 + c11)]]
-    return Belief(mean=model.update(belief.mean, action), cov=np.array(cov))
+    cov = (0.5 * (c00 + c00), 0.5 * (c01 + c10)), (0.5 * (c10 + c01), 0.5 * (c11 + c11))
+    return Belief(model.update(belief.mean, action), cov)
 
 
-def rank1_update(p: list[list[float]], k: int, r: float) -> Step:
+def rank1_update(p: Matrix2, k: int, r: float) -> Step:
     """Kalman gain and Joseph-form posterior of a 2x2 prior fused with one reading.
 
     The sensor observes feature ``k`` with noise variance ``r``. ``p`` and the
@@ -149,10 +157,10 @@ def rank1_update(p: list[list[float]], k: int, r: float) -> Step:
         and abs(c11 - a11) <= JOSEPH_TOL
     ):
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return (g0, g1), [[c00, c01], [c10, c11]]
+    return (g0, g1), ((c00, c01), (c10, c11))
 
 
-def posterior_cov(p: list[list[float]], k: int, r: float) -> list[list[float]]:
+def posterior_cov(p: Matrix2, k: int, r: float) -> Matrix2:
     """The would-be posterior of one reading: ``rank1_update``'s covariance alone."""
     return rank1_update(p, k, r)[1]
 
@@ -170,14 +178,14 @@ def fuse_readings(
     computed from this prior in this order (the planner's); those are reused
     and the rest are computed here.
     """
-    m0, m1 = prior.mean.tolist()
-    cov = prior.cov.tolist()
+    m0, m1 = prior.mean
+    cov = prior.cov
     planned = iter(steps)
     for k, r, y in readings:
         (g0, g1), cov = next(planned, None) or rank1_update(cov, k, r)
         innovation = y - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-    return Belief(mean=np.array([m0, m1]), cov=np.array(cov))
+    return Belief((m0, m1), cov)
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
@@ -202,18 +210,17 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
     return fuse_readings(prior, readings)
 
 
-def meets_targets(belief: Belief, variance_bounds: Array) -> tuple[bool, tuple[int, ...]]:
+def meets_targets(belief: Belief, variance_bounds: Sequence[float]) -> tuple[bool, tuple[int, ...]]:
     """Check diag(cov) <= bound per feature (inclusive); return the violating features."""
-    bounds = np.asarray(variance_bounds, dtype=float).ravel().tolist()
-    cov = belief.cov.tolist()
-    if len(bounds) != len(cov):
+    cov = belief.cov
+    if len(variance_bounds) != len(cov):
         raise InputError("one variance bound per feature is required")
-    violating = tuple(k for k, (row, bound) in enumerate(zip(cov, bounds)) if row[k] > bound)
+    violating = tuple(k for k, (row, bound) in enumerate(zip(cov, variance_bounds)) if row[k] > bound)
     return not violating, violating
 
 
-def init_belief(true_state: Array, rng: np.random.Generator, var: float) -> Belief:
+def init_belief(true_state: State, rng: np.random.Generator, var: float) -> Belief:
     """Initial belief: true state perturbed by N(0, var I), covariance var I."""
     s = np.asarray(true_state, dtype=float)
     mean = s + np.sqrt(var) * rng.standard_normal(s.shape[0])
-    return Belief(mean=mean, cov=var * np.eye(s.shape[0]))
+    return Belief(mean.tolist(), (var * np.eye(s.shape[0])).tolist())

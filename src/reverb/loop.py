@@ -10,7 +10,10 @@ plant moves under the applied force, the belief is blindly predicted, ages
 tick, and the scheme's round decides which sensors transmit and how the
 belief is corrected. The round is injected as a callable
 (``schemes.make_round``): for every radio scheme it is the one pipeline
-``scheduler.run_round`` with that scheme's selector and fuse.
+``scheduler.run_round`` with that scheme's selector and fuse. The plant state
+is a pair of floats and every per-interval value a step hands on (belief,
+targets, ages) is a tuple of floats or ints, so a step builds no numpy
+container and copies nothing.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .sensing import SensorFleet
 if TYPE_CHECKING:  # config imports control, which imports this module
     from .config import RunConfig
 
-Array = np.ndarray
-
 TERMINATION_REWARD = 100.0      # environment reward for reaching the goal
 ACTION_COST_WEIGHT = 0.1        # environment reward per unit of squared force, negated
 
@@ -41,9 +42,9 @@ class StepResult:
     reward_env: float
     done: bool
     schedule: ScheduleResult
-    true_state: Array
-    targets: Array          # variance bounds in force this interval
-    failed: bool            # any belief variance above its bound after fusion
+    true_state: dyn.State
+    targets: tuple[float, ...]  # variance bounds in force this interval
+    failed: bool                # any belief variance above its bound after fusion
 
 
 class TwinLoop:
@@ -63,9 +64,9 @@ class TwinLoop:
         self.belief = est.init_belief(self.state, rng, cfg.init_belief_var)
         self.aol = AolTracker.fresh(cfg.aol_thresholds)
 
-    def step(self, force: float, accuracy: Array) -> StepResult:
+    def step(self, force: float, accuracy: tuple[float, ...]) -> StepResult:
         self.state = dyn.step(self.model, self.state, force, self.rng)
-        done = bool(self.state[0] >= dyn.GOAL_POSITION)
+        done = self.state[0] >= dyn.GOAL_POSITION
         reward = -ACTION_COST_WEIGHT * float(force) ** 2
         if done:
             reward += TERMINATION_REWARD
@@ -90,7 +91,7 @@ class TwinLoop:
             reward_env=reward,
             done=done,
             schedule=sched,
-            true_state=self.state.copy(),
-            targets=targets.variance_bounds.copy(),
+            true_state=self.state,
+            targets=targets.variance_bounds,
             failed=not met,
         )

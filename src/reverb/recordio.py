@@ -2,7 +2,11 @@
 
 Column order and headers are frozen (``EPISODE_COLUMNS``); floats are written
 with ``repr`` so every row round-trips losslessly and reruns are byte
-identical.
+identical. A record keeps one tuple per interval in that order, as the loop
+produced it: floats and ints, with ``selected`` and ``delivered`` as tuples
+of agent ids. ``columns``, the per-column view the metrics and the CSV read,
+is built when it is first read, with the id tuples as ``;``-joined text, and
+kept until the next ``append``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ EPISODE_COLUMNS = (
 
 _INT_COLUMNS = {"qi", "n_selected", "prbs", "age_pos", "age_vel", "failed"}
 _STR_COLUMNS = {"selected", "delivered"}
-_COLUMN_SET = frozenset(EPISODE_COLUMNS)
 
 
 @dataclass
@@ -49,18 +52,29 @@ class EpisodeRecord:
     scheme: str = ""
     seed: int = 0
     reached_goal: bool = False
-    columns: dict = field(default_factory=lambda: {c: [] for c in EPISODE_COLUMNS})
+    rows: list[tuple] = field(default_factory=list)
+    _columns: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def append(self, **values) -> None:
-        if values.keys() != _COLUMN_SET:
-            missing = set(EPISODE_COLUMNS) - set(values)
-            extra = set(values) - set(EPISODE_COLUMNS)
-            raise ValueError(f"bad row: missing {missing or '{}'}, extra {extra or '{}'}")
-        for c in EPISODE_COLUMNS:
-            self.columns[c].append(values[c])
+    def append(self, row: tuple) -> None:
+        """Log one interval: a tuple of values in ``EPISODE_COLUMNS`` order."""
+        if len(row) != len(EPISODE_COLUMNS):
+            raise ValueError(f"bad row: {len(row)} values for {len(EPISODE_COLUMNS)} columns")
+        self.rows.append(row)
+        self._columns = None
+
+    @property
+    def columns(self) -> dict[str, list]:
+        """Column name -> the values of every row; agent ids as ``;``-joined text."""
+        if self._columns is None:
+            values = zip(*self.rows) if self.rows else ((),) * len(EPISODE_COLUMNS)
+            self._columns = {
+                c: [";".join(map(str, ids)) for ids in v] if c in _STR_COLUMNS else list(v)
+                for c, v in zip(EPISODE_COLUMNS, values)
+            }
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.columns["qi"])
+        return len(self.rows)
 
     @property
     def qis(self) -> int:

@@ -8,22 +8,26 @@ sensor not yet picked, recomputing the would-be posterior covariance after
 each pick with ``estimator.rank1_update``, until the targets hold, the cap is
 reached, or no candidate sensor remains. A sensor measures one feature, so
 each feature's candidates are its own sensors and no other feature's pick
-can take them: the planner walks one candidate queue per feature. It returns
+can take them: the planner walks one candidate queue per feature, with a
+cursor, and takes the argmax over the two features written out. It returns
 each pick's rank-1 update, (gain, covariance), as its steps.
 
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
 the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved once per
-fleet, the first time its sensor is selected. A round makes one draw for all
-observation noise (``sensing.observe``) and one for all fades, the same
-numbers per-link ``uplink_outcome`` calls would draw. The planner
+fleet, the first time its sensor is selected, and memoised with the parts of
+its SNR that do not depend on the fading (``channel.link_terms``). A round
+makes one draw for all observation noise (``sensing.observe``) and one for
+all fades, the same numbers per-link ``uplink_outcome`` calls would draw, and
+``channel.meets_deadline`` tests each link from the memoised parts. The planner
 keeps its 2x2 covariance as nested floats across picks. Fusion is one rank-1
 update per delivered reading, in selection order; while every pick so far
 has arrived it is the planner's step for that pick, on the same numbers, so
 fusion replays the planner's gain and covariance and computes only the mean
 update, and from the first lost pick on it runs ``rank1_update`` afresh.
-Targets and their checks are computed in Python floats.
+Targets are float tuples, and they and their checks are computed in Python
+floats.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
+from .dynamics import State
 from .errors import InputError
 from .sensing import SensorFleet, observe
 
@@ -47,13 +52,11 @@ Array = np.ndarray
 class UncertaintyTargets:
     """Per-feature variance bounds the twin must satisfy this interval."""
 
-    variance_bounds: Array
+    variance_bounds: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.variance_bounds, dtype=float)
-        if any(x <= 0.0 for x in b.ravel().tolist()):
+        if any(x <= 0.0 for x in self.variance_bounds):
             raise InputError("variance bounds must be strictly positive")
-        object.__setattr__(self, "variance_bounds", b)
 
 
 @dataclass(frozen=True)
@@ -73,25 +76,23 @@ class ScheduleResult:
         return sum(b.prbs for b in self.budgets)
 
 
-def compute_targets(required_var: Array, accuracy_request: Array) -> UncertaintyTargets:
+def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[float]) -> UncertaintyTargets:
     """Combine the twin's standing bounds with the controller's accuracy request.
 
     Per feature: min(required_var, 1/request); a zero request imposes nothing.
     """
-    xi = np.asarray(required_var, dtype=float).ravel().tolist()
-    eta = np.asarray(accuracy_request, dtype=float).ravel().tolist()
-    if len(eta) != len(xi):
+    if len(accuracy_request) != len(required_var):
         raise InputError("one accuracy request per feature is required")
     bounds = []
-    for x, e in zip(xi, eta):
+    for x, e in zip(required_var, accuracy_request):
         if e < 0.0:
             raise InputError("accuracy requests must be nonnegative")
         bounds.append(min(x, 1.0 / e) if e > 0.0 else x)
-    return UncertaintyTargets(np.array(bounds))
+    return UncertaintyTargets(tuple(bounds))
 
 
 def plan_selection(
-    prior_cov: Array,
+    prior_cov: est.Matrix2,
     targets: UncertaintyTargets,
     violated: tuple[int, ...],
     fleet: SensorFleet,
@@ -111,15 +112,16 @@ def plan_selection(
     nearest sensor is always free, and each feature's value-of-information
     queue is its quietest-first order less its own age-phase pick.
     """
-    bounds = targets.variance_bounds.tolist()
-    cov = np.asarray(prior_cov, dtype=float).tolist()  # nested floats until the end
+    b0, b1 = targets.variance_bounds
+    cov = prior_cov
+    agents = fleet.agents
     selected: list[int] = []
     serviced: list[int] = []
     steps: list[est.Step] = []
 
     def pick(agent_id: int) -> None:
         nonlocal cov
-        agent = fleet.agents[agent_id]
+        agent = agents[agent_id]
         selected.append(agent_id)
         step = est.rank1_update(cov, agent.feature, agent.noise_var)
         steps.append(step)
@@ -132,17 +134,24 @@ def plan_selection(
             pick(fleet.nearest_first[k][0])
             serviced.append(k)
 
-    queues = [[i for i in fleet.quietest_first[k] if i not in selected] for k in range(len(cov))]
-    while len(selected) < cap and any(row[k] > b for k, (row, b) in enumerate(zip(cov, bounds))):
-        # The coverable feature with the largest variance-to-target ratio.
+    aged = set(selected)
+    queues = [[i for i in fleet.quietest_first[k] if i not in aged] for k in (0, 1)]
+    cursors = [0, 0]
+    while len(selected) < cap:
+        (v0, _), (_, v1) = cov
+        if not (v0 > b0 or v1 > b1):
+            break
+        # The coverable feature with the largest variance-to-target ratio;
+        # strict, so ties keep feature 0.
         best_k, best_ratio = None, -math.inf
-        for k, queue in enumerate(queues):
-            ratio = cov[k][k] / bounds[k]
-            if queue and ratio > best_ratio:  # strict: ties keep the lowest feature
-                best_k, best_ratio = k, ratio
+        if cursors[0] < len(queues[0]) and v0 / b0 > best_ratio:
+            best_k, best_ratio = 0, v0 / b0
+        if cursors[1] < len(queues[1]) and v1 / b1 > best_ratio:
+            best_k = 1
         if best_k is None:
             break
-        pick(queues[best_k].pop(0))
+        pick(queues[best_k][cursors[best_k]])
+        cursors[best_k] += 1
 
     return selected, serviced, steps
 
@@ -151,7 +160,7 @@ def size_and_transmit(
     selected: list[int],
     fleet: SensorFleet,
     params: ch.ChannelParams,
-    true_state: Array,
+    true_state: State,
     rng: np.random.Generator,
 ) -> tuple[tuple[ch.LinkBudget, ...], Array, list[int]]:
     """Size every selected link, draw observations, realize the uplinks.
@@ -160,28 +169,27 @@ def size_and_transmit(
     selected sensors' observations in selection order. All observation noise
     comes from one draw (``sensing.observe``), then all fades from one draw of
     two normals per link (real, imaginary part): the numbers, in the order,
-    that ``channel.uplink_outcome`` per link draws, and each deadline test is
-    ``uplink_outcome``'s own float expression, so deliveries and the
-    generator state afterwards equal theirs bit for bit. A link budget
-    depends only on the channel and the sensor, so it is solved the first
-    time the sensor is selected and kept in the fleet's memo; a sensor that
-    is never selected is never sized, even when its link is infeasible.
+    that ``channel.uplink_outcome`` per link draws, and each deadline test
+    (``channel.meets_deadline``) is ``uplink_outcome``'s own float
+    expression, so deliveries and the generator state afterwards equal theirs
+    bit for bit. A link budget depends only on the channel and the sensor, so
+    it is solved the first time the sensor is selected and kept in the
+    fleet's memo with its ``channel.link_terms``; a sensor that is never
+    selected is never sized, even when its link is infeasible.
     """
     memo = fleet.link_memo.setdefault(params, {})
     for i in selected:
         if i not in memo:
             agent = fleet.agents[i]
-            memo[i] = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
-    budgets = tuple(memo[i] for i in selected)
+            budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
+            memo[i] = budget, ch.link_terms(params, budget)
+    links = [memo[i] for i in selected]
     values = observe(fleet, selected, true_state, rng)
-    z = rng.standard_normal(2 * len(budgets))
+    z = rng.standard_normal(2 * len(links))
     fades = ch.rician_power(params.rician_k, z[0::2], z[1::2]).tolist()
-    delivered = [
-        i
-        for i, budget, fading in zip(selected, budgets, fades)
-        if ch.uplink_latency(params, budget, fading) <= params.max_latency_s
-    ]
-    return budgets, values, delivered
+    met = ch.meets_deadline(params, [terms for _, terms in links], fades)
+    delivered = [i for i, ok in zip(selected, met) if ok]
+    return tuple(budget for budget, _ in links), values, delivered
 
 
 def fuse_delivered(
@@ -223,7 +231,7 @@ def run_round(
     fleet: SensorFleet,
     params: ch.ChannelParams,
     cap: int,
-    true_state: Array,
+    true_state: State,
     rng: np.random.Generator,
     fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:

@@ -31,14 +31,10 @@ from .recordio import EpisodeRecord
 from .scheduler import ScheduleResult
 from .sensing import generate_fleet
 
-Array = np.ndarray
 
 
 def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
-    belief = est.Belief(
-        mean=np.asarray(true_state, dtype=float).copy(),
-        cov=np.zeros_like(prior.cov),
-    )
+    belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
     result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=())
     return result, belief, aol.close_loop(range(len(aol.ages)))
 
@@ -70,8 +66,8 @@ def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
     Features without a delivered observation keep the predicted prior. The
     selector plans nothing, so ``steps`` is empty.
     """
-    mean = prior.mean.tolist()
-    cov = prior.cov.tolist()
+    mean = list(prior.mean)
+    cov = [list(row) for row in prior.cov]
     arrived = set(delivered)
     for agent_id, y in zip(selected, values.tolist()):
         if agent_id not in arrived:
@@ -83,7 +79,7 @@ def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
             row[k] = 0.0
         cov[k] = [0.0] * len(cov)
         cov[k][k] = agent.noise_var
-    return est.Belief(mean=np.array(mean), cov=np.array(cov))
+    return est.Belief(mean, cov)
 
 
 SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}
@@ -108,8 +104,7 @@ def make_policy(cfg: RunConfig, agent: PolicyAgent | None = None):
     """Deterministic control policy: trained mean action, or the scripted pump."""
     if agent is not None:
         return agent.act_mean
-    accuracy = np.asarray(cfg.scripted_accuracy, dtype=float)
-    return lambda state: scripted_controller(state, accuracy)
+    return lambda state: scripted_controller(state, cfg.scripted_accuracy)
 
 
 def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoop:
@@ -126,28 +121,17 @@ def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord
         action: ActionVector = policy(belief.mean)
         res = loop.step(action.force, action.accuracy)
         reward = shaped_reward(res.reward_env, action.accuracy, cfg.control.kappa)
-        record.append(
-            qi=qi,
-            true_pos=res.true_state[0],
-            true_vel=res.true_state[1],
-            belief_pos=res.belief.mean[0],
-            belief_vel=res.belief.mean[1],
-            cov_pos=res.belief.cov[0, 0],
-            cov_vel=res.belief.cov[1, 1],
-            target_pos=res.targets[0],
-            target_vel=res.targets[1],
-            n_selected=len(res.schedule.selected),
-            selected=";".join(str(i) for i in res.schedule.selected),
-            delivered=";".join(str(i) for i in res.schedule.delivered),
-            prbs=res.schedule.total_prbs,
-            age_pos=loop.aol.ages[0],
-            age_vel=loop.aol.ages[1],
-            reward=reward,
-            force=action.force,
-            eta_pos=action.accuracy[0],
-            eta_vel=action.accuracy[1],
-            failed=int(res.failed),
-        )
+        (true_pos, true_vel), (belief_pos, belief_vel) = res.true_state, res.belief.mean
+        (cov_pos, _), (_, cov_vel) = res.belief.cov
+        target_pos, target_vel = res.targets
+        age_pos, age_vel = loop.aol.ages
+        eta_pos, eta_vel = action.accuracy
+        schedule = res.schedule
+        record.append((
+            qi, true_pos, true_vel, belief_pos, belief_vel, cov_pos, cov_vel, target_pos, target_vel,
+            len(schedule.selected), schedule.selected, schedule.delivered, schedule.total_prbs,
+            age_pos, age_vel, reward, action.force, eta_pos, eta_vel, int(res.failed),
+        ))
         belief = res.belief
         if res.done:
             record.reached_goal = True

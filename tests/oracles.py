@@ -32,7 +32,7 @@ from reverb import estimator as est
 from reverb import loop
 from reverb import sensing
 from reverb.errors import InputError, NumericalError
-from reverb.recordio import EpisodeRecord
+from reverb.recordio import EPISODE_COLUMNS, EpisodeRecord
 
 
 def marcum_q1(a: float, b: float, rel_tol: float = 1e-12) -> float:
@@ -214,17 +214,17 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     budgets = {}
     record = EpisodeRecord(scheme=scheme, seed=seed)
     for qi in range(cfg.qi_cap):
-        action = policy(np.array(mean))
-        force, eta = action.force, action.accuracy.tolist()
+        action = policy(tuple(mean))
+        force, eta = action.force, list(action.accuracy)
         state = dyn.step(model, state, force, rng)
         done = bool(state[0] >= dyn.GOAL_POSITION)
-        prior = est.predict(est.Belief(np.array(mean), np.array(cov)), force, model)
-        mean, cov = prior.mean.tolist(), prior.cov.tolist()
+        prior = est.predict(est.Belief(mean, cov), force, model)
+        mean, cov = list(prior.mean), [list(row) for row in prior.cov]
         ages = [a + 1 for a in ages]
         bounds = [min(x, 1.0 / e) if e > 0.0 else x for x, e in zip(cfg.required_var, eta)]
         selected, delivered = [], []
         if scheme == "Perfect":
-            mean, cov = state.tolist(), [[0.0, 0.0], [0.0, 0.0]]
+            mean, cov = list(state), [[0.0, 0.0], [0.0, 0.0]]
             ages = [1] * len(ages)
         else:
             violated = [k for k, (a, t) in enumerate(zip(ages, cfg.aol_thresholds)) if a > t]
@@ -253,7 +253,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
         reward = -loop.ACTION_COST_WEIGHT * force**2
         if done:
             reward += loop.TERMINATION_REWARD
-        record.append(
+        row = dict(
             qi=qi,
             true_pos=state[0],
             true_vel=state[1],
@@ -264,8 +264,8 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
             target_pos=bounds[0],
             target_vel=bounds[1],
             n_selected=len(selected),
-            selected=";".join(map(str, selected)),
-            delivered=";".join(map(str, delivered)),
+            selected=tuple(selected),
+            delivered=tuple(delivered),
             prbs=sum(budgets[i].prbs for i in selected),
             age_pos=ages[0],
             age_vel=ages[1],
@@ -275,6 +275,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
             eta_vel=eta[1],
             failed=int(any(cov[k][k] > b for k, b in enumerate(bounds))),
         )
+        record.append(tuple(row[c] for c in EPISODE_COLUMNS))
         if done:
             record.reached_goal = True
             break

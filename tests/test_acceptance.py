@@ -97,7 +97,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
     )
     rng = np.random.default_rng(33)
     belief = est.Belief(np.array([0.4, -0.1]), np.diag([0.05, 0.02]))
-    kf_mean, kf_cov = belief.mean.copy(), belief.cov.copy()
+    kf_mean, kf_cov = np.array(belief.mean), np.array(belief.cov)
     worst = 0.0
     for _ in range(100):
         obs = rng.standard_normal(2) * 0.3

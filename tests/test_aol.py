@@ -35,12 +35,16 @@ def test_violated_inclusive_bound():
 
 
 def test_validation():
-    with pytest.raises(ConfigError):
-        AolTracker((0, 0), (0, 5))
-    with pytest.raises(InputError):
-        AolTracker((-1, 0), (5, 5))
-    with pytest.raises(InputError):
-        AolTracker((0, 0), (5, 5)).close_loop({7})
+    """``fresh`` checks the thresholds once; ``close_loop`` checks every feature it is given."""
+    for thresholds in ((0, 5), (5, 0), (5, -3)):
+        with pytest.raises(ConfigError):
+            AolTracker.fresh(thresholds)
+    assert AolTracker.fresh([1, 2]) == AolTracker((0, 0), (1, 2))
+    tracker = AolTracker.fresh((5, 5)).tick().tick()
+    for features in ({7}, {2}, {-1}, {0, 2}, [1, -1]):
+        with pytest.raises(InputError):
+            tracker.close_loop(features)
+    assert tracker.close_loop(iter([1])).ages == (2, 1) and tracker.ages == (2, 2)
 
 
 @given(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,8 @@ def test_predict_scalar_linear_case():
     a, c_u = 0.7, 0.01
     model = linear_model([[a, 0.0], [0.0, 1.0]], [[c_u, 0.0], [0.0, 0.0]])
     out = est.predict(est.Belief(np.array([1.0, 0.0]), np.diag([0.5, 0.2])), 0.0, model)
-    assert out.cov[0, 0] == pytest.approx(a * a * 0.5 + c_u, abs=1e-15)
-    assert out.cov[1, 1] == 0.2 and out.cov[0, 1] == out.cov[1, 0] == 0.0
+    assert out.cov[0][0] == pytest.approx(a * a * 0.5 + c_u, abs=1e-15)
+    assert out.cov[1][1] == 0.2 and out.cov[0][1] == out.cov[1][0] == 0.0
 
 
 def test_belief_and_plant_are_two_dimensional():
@@ -52,7 +54,7 @@ def test_blind_prediction_matches_scalar_oracle():
     model = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
     belief = est.Belief(np.array([-0.5, 0.0]), np.diag([1e-4, 1e-4]))
     # independent scalar-by-scalar propagation: P <- J P J^T + Q unrolled
-    mean = belief.mean.copy()
+    mean = belief.mean
     p11, p12, p22 = 1e-4, 0.0, 1e-4
     for _ in range(5):
         g = 3 * 0.0025 * np.sin(3 * mean[0])
@@ -70,6 +72,24 @@ def test_blind_prediction_matches_scalar_oracle():
     assert np.allclose(belief.mean, mean)
 
 
+def test_belief_checks_its_mean_and_covariance_and_keeps_float_tuples():
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    for mean in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(InputError, match="mean must be finite"):
+            est.Belief(mean, eye)
+    for cov in (((1.0, 0.5), (0.0, 1.0)), ((1.0, 0.0), (1e-9, 1.0)), ((1.0, math.nan), (math.nan, 1.0))):
+        with pytest.raises(NumericalError, match="symmetry"):
+            est.Belief((0.0, 0.0), cov)
+    for cov in (((1.0, 2.0), (2.0, 1.0)), ((-1e-6, 0.0), (0.0, 1.0)), ((math.nan, 0.0), (0.0, 1.0))):
+        with pytest.raises(NumericalError, match="semidefiniteness"):
+            est.Belief((0.0, 0.0), cov)
+    for mean, cov in (((0.0,), eye), ((0.0, 0.0, 0.0), eye), ((0.0, 0.0), ((1.0, 0.0),)), (None, eye)):
+        with pytest.raises(InputError, match="2x2 covariance"):
+            est.Belief(mean, cov)
+    belief = est.Belief([0.5, -0.25], [[2.0, 0.5], [0.5, 1.0]])
+    assert belief.mean == (0.5, -0.25) and belief.cov == ((2.0, 0.5), (0.5, 1.0))
+
+
 def test_predict_is_bit_equal_to_einsum_oracle():
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -79,11 +99,11 @@ def test_predict_is_bit_equal_to_einsum_oracle():
         q = q @ q.T
         a = rng.uniform(-1.0, 1.0, (2, 2))
         p = a @ a.T + np.diag(rng.uniform(1e-6, 1.0, 2))
-        out = est.predict(est.Belief(np.zeros(2), p), 0.0, linear_model(jac, q))
+        out = np.array(est.predict(est.Belief(np.zeros(2), p), 0.0, linear_model(jac, q)).cov)
         c = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", jac, p), jac) + q
-        assert out.cov.tobytes() == (0.5 * (c + c.T)).tobytes()
+        assert out.tobytes() == (0.5 * (c + c.T)).tobytes()
         m = jac @ p @ jac.T + q
-        worst = max(worst, float(np.max(np.abs(out.cov - 0.5 * (m + m.T))) / np.max(np.abs(m))))
+        worst = max(worst, float(np.max(np.abs(out - 0.5 * (m + m.T))) / np.max(np.abs(m))))
     assert worst <= 1e-15
 
 
@@ -91,9 +111,9 @@ def test_predict_keeps_the_mountain_car_mean_and_checks():
     car = dyn.mountain_car_model()
     belief = est.Belief(np.array([-0.5, 0.01]), np.diag([1e-4, 2e-4]))
     out = est.predict(belief, 0.3, car)
-    assert out.mean.tobytes() == car.update(belief.mean, 0.3).tobytes()
+    assert np.array(out.mean).tobytes() == np.array(car.update(belief.mean, 0.3)).tobytes()
     indefinite = est.Belief.__new__(est.Belief)
-    indefinite.mean, indefinite.cov = np.zeros(2), np.diag([-1.0, 1.0])
+    indefinite.mean, indefinite.cov = (0.0, 0.0), ((-1.0, 0.0), (0.0, 1.0))
     with pytest.raises(NumericalError, match="semidefiniteness"):
         est.predict(indefinite, 0.0, dyn.mountain_car_model(process_noise_var=(0.0, 0.0)))
 
@@ -102,10 +122,10 @@ def test_fuse_equal_variances_halve():
     prior = est.Belief(np.array([0.0, 0.0]), np.diag([1.0, 1.0]))
     batch = est.FusionBatch(np.array([[1.0, 0.0]]), np.array([[1.0]]), np.array([2.0]))
     out = est.fuse(prior, batch)
-    assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert out.cov[0][0] == pytest.approx(0.5, abs=1e-12)
     assert out.mean[0] == pytest.approx(1.0, abs=1e-12)
     # the unobserved, uncorrelated feature keeps its prior
-    assert out.cov[1, 1] == pytest.approx(1.0, abs=1e-12) and out.mean[1] == 0.0
+    assert out.cov[1][1] == pytest.approx(1.0, abs=1e-12) and out.mean[1] == 0.0
 
 
 def test_fuse_exact_sensor_dominates():
@@ -174,7 +194,8 @@ def test_symmetry_preserved_through_operations():
         belief = est.predict(belief, 0.3, model)
         batch = est.FusionBatch(np.array([[1.0, 0.0]]), [[1e-3]], np.array([belief.mean[0]]))
         belief = est.fuse(belief, batch)
-        assert np.max(np.abs(belief.cov - belief.cov.T)) < 1e-10
+        cov = np.array(belief.cov)
+        assert np.max(np.abs(cov - cov.T)) < 1e-10
 
 
 def test_linear_system_matches_standard_kf():
@@ -186,7 +207,7 @@ def test_linear_system_matches_standard_kf():
     model = linear_model(a_mat, q)
     rng = np.random.default_rng(8)
     belief = est.Belief(np.array([0.5, -0.2]), np.diag([0.1, 0.1]))
-    kf_mean, kf_cov = belief.mean.copy(), belief.cov.copy()
+    kf_mean, kf_cov = np.array(belief.mean), np.array(belief.cov)
     for _ in range(100):
         obs = np.array([rng.normal()])
         belief = est.predict(belief, 0.0, model)
@@ -206,7 +227,7 @@ def test_refusing_same_batch_strictly_shrinks():
     batch = est.FusionBatch(np.array([[1.0, 0.0]]), [[5e-3]], np.array([0.1]))
     once = est.fuse(prior, batch)
     twice = est.fuse(once, batch)
-    assert twice.cov[0, 0] < once.cov[0, 0] < prior.cov[0, 0]
+    assert twice.cov[0][0] < once.cov[0][0] < prior.cov[0][0]
 
 
 def test_accuracy_vector_values():

@@ -52,15 +52,15 @@ def read_episode_csv(path, scheme: str = "", seed: int = 0) -> EpisodeRecord:
         if tuple(header) != EPISODE_COLUMNS:
             raise ValueError(f"unexpected episode CSV header: {header}")
         for row in reader:
-            values = {}
+            values = []
             for col, cell in zip(EPISODE_COLUMNS, row):
                 if col in _STR_COLUMNS:
-                    values[col] = cell
+                    values.append(tuple(int(i) for i in cell.split(";")) if cell else ())
                 elif col in _INT_COLUMNS:
-                    values[col] = int(cell)
+                    values.append(int(cell))
                 else:
-                    values[col] = float(cell)
-            record.append(**values)
+                    values.append(float(cell))
+            record.append(tuple(values))
     return record
 
 
@@ -188,7 +188,7 @@ def test_episode_rows_match_interval_count(cfg):
 def hand_record(scheme, rows):
     rec = EpisodeRecord(scheme=scheme, seed=0)
     for r in rows:
-        rec.append(**r)
+        rec.append(tuple(r[c] for c in EPISODE_COLUMNS))
     return rec
 
 
@@ -196,7 +196,7 @@ def base_row(**over):
     row = dict(
         qi=0, true_pos=0.0, true_vel=0.0, belief_pos=0.0, belief_vel=0.0,
         cov_pos=1e-4, cov_vel=1e-4, target_pos=0.01, target_vel=0.002,
-        n_selected=0, selected="", delivered="", prbs=0, age_pos=1, age_vel=1,
+        n_selected=0, selected=(), delivered=(), prbs=0, age_pos=1, age_vel=1,
         reward=0.0, force=0.0, eta_pos=0.0, eta_vel=0.0, failed=0,
     )
     row.update(over)
@@ -257,8 +257,22 @@ def test_episode_csv_round_trip(tmp_path, cfg):
 
 def test_bad_row_rejected():
     rec = EpisodeRecord()
-    with pytest.raises(ValueError):
-        rec.append(qi=0)
+    row = tuple(base_row().values())
+    for bad in ((0,), row[:-1], row + (0,)):
+        with pytest.raises(ValueError, match="bad row"):
+            rec.append(bad)
+    assert len(rec) == 0 and rec.columns == {c: [] for c in EPISODE_COLUMNS}
+
+
+def test_columns_view_shows_rows_appended_after_a_read():
+    rec = hand_record("AoL-REVERB", [base_row(selected=(3, 5), delivered=(5,), n_selected=2)])
+    first = rec.columns
+    assert first["selected"] == ["3;5"] and first["delivered"] == ["5"] and first["qi"] == [0]
+    assert rec.columns is first  # kept until the next append
+    rec.append(tuple(base_row(qi=1, selected=(7,), delivered=(), n_selected=1, prbs=4).values()))
+    again = rec.columns
+    assert again["qi"] == [0, 1] and again["selected"] == ["3;5", "7"] and again["delivered"] == ["5", ""]
+    assert again["prbs"] == [0, 4] and rec.qis == 2 and rec.total_prbs == 4
 
 
 def test_summary_csv_round_trip(tmp_path):

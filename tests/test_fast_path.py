@@ -196,8 +196,13 @@ def test_link_memo_hit_equals_fresh_solve():
 def per_link_transmit(selected, fleet, params, state, rng):
     """The oracle: ``observe_one`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
     values = np.array([observe_one(fleet.agents[i], state, rng) for i in selected])
-    outcomes = [ch.uplink_outcome(params, fleet.link_memo[params][i], rng) for i in selected]
+    outcomes = [ch.uplink_outcome(params, fleet.link_memo[params][i][0], rng) for i in selected]
     return values, [i for i, out in zip(selected, outcomes) if out.delivered]
+
+
+def memo_entry(params, budget):
+    """A link memo entry as the round keeps it: the budget and its ``channel.link_terms``."""
+    return budget, ch.link_terms(params, budget)
 
 
 sensor_specs = st.lists(
@@ -237,15 +242,35 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     memo = fleet.link_memo.setdefault(params, {})
     for a in fleet.agents:
         if data.draw(st.booleans(), label=f"coin-flip link {a.agent_id}"):
-            memo[a.agent_id] = coin_flip_budget(params, a)
+            memo[a.agent_id] = memo_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
-    assert budgets == tuple(fleet.link_memo[params][i] for i in selected)
+    assert budgets == tuple(fleet.link_memo[params][i][0] for i in selected)
     assert values.shape == want_values.shape
     assert values.tobytes() == want_values.tobytes()
     assert delivered == want_delivered
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=sensor_specs, seed=seeds, data=st.data())
+def test_memoised_deadline_test_equals_uplink_latency(specs, seed, data):
+    """``meets_deadline`` on ``link_terms`` is ``uplink_latency(...) <= max_latency_s`` on drawn fades."""
+    params = ch.ChannelParams(outage_target=data.draw(st.sampled_from([1e-5, 0.2])))
+    budgets = []
+    for a in build_fleet(specs).agents:
+        budget = ch.optimal_bandwidth(params, a.tx_power_w, a.distance_m, agent_id=a.agent_id)
+        scale = data.draw(st.sampled_from(["sized", "coin flip", "starved"]), label=f"link {a.agent_id}")
+        if scale == "coin flip":
+            budget = coin_flip_budget(params, a)
+        elif scale == "starved":
+            budget = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
+        budgets.append(budget)
+    fades = ch.rician_fading_sample(params.rician_k, np.random.default_rng(seed), len(budgets)).tolist()
+    fades[data.draw(st.integers(0, len(fades) - 1))] = 0.0  # no signal at all: zero rate
+    met = ch.meets_deadline(params, [ch.link_terms(params, b) for b in budgets], fades)
+    assert met == [ch.uplink_latency(params, b, f) <= params.max_latency_s for b, f in zip(budgets, fades)]
 
 
 def test_empty_selection_draws_nothing():
@@ -264,7 +289,7 @@ def test_starved_link_is_not_delivered(starved_first):
     params, state = ch.ChannelParams(), np.array([-0.5, 0.01])
     memo = fleet.link_memo.setdefault(params, {})
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
-    memo[1] = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
+    memo[1] = memo_entry(params, dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz))
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
     _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
@@ -284,19 +309,19 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
     post = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     if not delivered:
-        assert np.array_equal(post.mean, belief.mean) and np.array_equal(post.cov, belief.cov)
-        assert not np.shares_memory(post.mean, belief.mean) and not np.shares_memory(post.cov, belief.cov)
+        assert post == belief and post is not belief
         return
     readings = [
         (fleet.agents[i].feature, fleet.agents[i].noise_var, values[selected.index(i)]) for i in delivered
     ]
-    mean, cov = sequential_fusion(belief.mean.tolist(), prior.tolist(), readings)
-    assert post.mean.tobytes() == np.array(mean).tobytes()
-    assert post.cov.tobytes() == np.array(cov).tobytes()
+    mean, cov = sequential_fusion(list(belief.mean), prior.tolist(), readings)
+    assert np.array(post.mean).tobytes() == np.array(mean).tobytes()
+    assert np.array(post.cov).tobytes() == np.array(cov).tobytes()
     agents = [fleet.agents[i] for i in delivered]
     batch = est.FusionBatch.from_observations(agents, [values[selected.index(i)] for i in delivered])
     gain, batch_cov = joseph_update(prior, batch.obs_matrix, batch.noise_cov)
-    batch_mean = belief.mean + gain @ (batch.values - batch.obs_matrix @ belief.mean)
+    prior_mean = np.array(belief.mean)
+    batch_mean = prior_mean + gain @ (batch.values - batch.obs_matrix @ prior_mean)
     assert np.max(np.abs(post.mean - batch_mean)) <= 1e-12
     assert np.max(np.abs(post.cov - batch_cov)) <= 1e-12
 
@@ -310,7 +335,7 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     assert len(selected) > 2
     values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
     post = sched.fuse_delivered(prior, selected, selected, values, fleet)
-    assert post.cov.tobytes() == planned_cov(prior.cov, steps).tobytes()
+    assert np.array(post.cov).tobytes() == planned_cov(prior.cov, steps).tobytes()
 
 
 LOSSES = ("all delivered", "none delivered", "first lost", "last lost", "random")
@@ -343,8 +368,8 @@ def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violate
     values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
     replayed = sched.fuse_delivered(belief, selected, delivered, values, fleet, steps)
     fresh = sched.fuse_delivered(belief, selected, delivered, values, fleet)
-    assert replayed.mean.tobytes() == fresh.mean.tobytes()
-    assert replayed.cov.tobytes() == fresh.cov.tobytes()
+    assert np.array(replayed.mean).tobytes() == np.array(fresh.mean).tobytes()
+    assert np.array(replayed.cov).tobytes() == np.array(fresh.cov).tobytes()
 
 
 def test_fully_delivered_round_runs_one_rank1_update_per_pick():
@@ -363,7 +388,7 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
 
 def test_rank1_update_retries_with_jitter_then_fails():
     gain, cov = est.rank1_update([[0.0, 0.0], [0.0, 1.0]], 0, 0.0)
-    assert gain == (0.0, 0.0) and cov == [[0.0, 0.0], [0.0, 1.0]]
+    assert gain == (0.0, 0.0) and cov == ((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(NumericalError, match="singular"):
         est.rank1_update([[-1.0, 0.0], [0.0, 1.0]], 0, 0.5)
 

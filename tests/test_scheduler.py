@@ -249,7 +249,7 @@ def test_schedule_deterministic_given_seed():
             select_reverb, prior, targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
             np.random.default_rng(31), fuse=sched.fuse_delivered,
         )
-        runs.append((result, post.mean.copy(), post.cov.copy(), trk.ages))
+        runs.append((result, post.mean, post.cov, trk.ages))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
     assert np.array_equal(runs[0][2], runs[1][2])
