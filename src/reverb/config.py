@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from .channel import ChannelParams
 from .control import ControlConfig
 from .errors import ConfigError
@@ -68,6 +66,8 @@ def config_from_dict(data: dict | None) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    import yaml  # only a config file needs the parser; a run without one never loads it
+
     with open(path, "rb") as fh:
         try:
             data = yaml.safe_load(fh)

@@ -74,8 +74,9 @@ class SensorFleet:
     """The sensors of one episode; ``agents[i].agent_id == i``."""
 
     agents: tuple[SensingAgent, ...]
-    # Link budgets per channel configuration, keyed by agent id; the
-    # scheduler fills an entry the first time that agent is selected.
+    # Per channel configuration, keyed by agent id: the link budget and its
+    # ``channel.link_terms``; the scheduler fills an entry the first time
+    # that agent is selected.
     link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property

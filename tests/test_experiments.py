@@ -564,6 +564,25 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
         assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
 
 
+def test_yaml_loads_only_with_a_config_file(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from reverb.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    cfg_path = tmp_path / "short.yaml"
+    cfg_path.write_text("qi_cap: 20\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for extra, loads in (([], "False"), (["--config", str(cfg_path)], "True")):
+        argv = ["run", "--seed", "1", "--out", str(tmp_path / "run"), *extra]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == loads, (argv, proc.stdout)
+
+
 # Import name -> distribution name, for the package's third-party imports.
 DISTRIBUTIONS = {"numpy": "numpy", "yaml": "pyyaml"}
 
