@@ -222,13 +222,6 @@ def shaped_reward(reward_env: float, accuracy: Sequence[float], kappa: float) ->
     return reward_env + kappa * (total / len(accuracy))
 
 
-@dataclass
-class UpdateDiagnostics:
-    actor_loss: float
-    critic_loss: float
-    mean_advantage: float
-
-
 def _flat(grads: list[Array]) -> Array:
     return np.concatenate([g.ravel() for g in grads])
 
@@ -240,7 +233,7 @@ def ppo_update(
     critic_opt,
     rng: np.random.Generator,
     log_std_floor: float = LOG_STD_MIN,
-) -> UpdateDiagnostics:
+) -> None:
     """Clipped-ratio policy step and TD(0) critic regression over one batch."""
     if not batch:
         raise InputError("update needs a nonempty batch")
@@ -260,9 +253,6 @@ def ppo_update(
     # gradients are gathered into one vector in the same order.
     actor_params = [agent.actor.flat, agent.log_std]
     critic_params = [agent.critic.flat]
-    actor_losses: list[float] = []
-    critic_losses: list[float] = []
-    last_adv = 0.0
 
     for _ in range(cfg.epochs):
         # One-step TD residuals with the current critic; they are both the
@@ -272,7 +262,6 @@ def ppo_update(
         targets = rewards + cfg.gamma * v_next
         delta = targets - v_s
         adv = (delta - delta.mean()) / (delta.std() + 1e-8)
-        last_adv = float(delta.mean())
 
         order = rng.permutation(n)
         for start in range(0, n, cfg.minibatch):
@@ -287,7 +276,6 @@ def ppo_update(
             a_mb = adv[mb]
             unclipped = ratio * a_mb
             clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * a_mb
-            surrogate = np.minimum(unclipped, clipped)
             # d surrogate / d logp_new is ratio*adv where the unclipped term is
             # active, zero in the clipped-and-worse region.
             active = unclipped <= clipped
@@ -300,7 +288,6 @@ def ppo_update(
                 raise TrainingError("non-finite actor gradients")
             actor_opt.step(actor_params, [actor_grad, grad_log_std])
             np.clip(agent.log_std, floor, LOG_STD_MAX, out=agent.log_std)
-            actor_losses.append(float(-surrogate.mean()))
 
             # Critic: semi-gradient MSE to the frozen minibatch targets.
             v_mb, c_acts = agent.critic.forward_cached(x)
@@ -309,13 +296,6 @@ def ppo_update(
             if not np.isfinite(critic_grad).all():
                 raise TrainingError("non-finite critic gradients")
             critic_opt.step(critic_params, [critic_grad])
-            critic_losses.append(float(np.mean(err * err)))
-
-    return UpdateDiagnostics(
-        actor_loss=float(np.mean(actor_losses)),
-        critic_loss=float(np.mean(critic_losses)),
-        mean_advantage=last_adv,
-    )
 
 
 @dataclass

@@ -54,12 +54,10 @@ ACTION_BOUND = 1.0  # the applied force is clipped to [-ACTION_BOUND, ACTION_BOU
 class DynamicsModel:
     """Discrete-time 2-D plant with additive control and Gaussian process noise."""
 
-    dim: int
     update: Callable[[State, float], State]
     update_free: Callable[[State, float], State]
     jacobian: Callable[[State], Matrix2]
     clamp: Callable[[State], State]
-    control_gain: Array
     process_noise_cov: Matrix2  # given as any 2x2 array-like, kept as nested float tuples
     # PSD square root of process_noise_cov as nested floats; None without noise.
     noise_scale: Matrix2 | None = field(init=False, repr=False)
@@ -67,7 +65,7 @@ class DynamicsModel:
     def __post_init__(self) -> None:
         cov = np.asarray(self.process_noise_cov, dtype=float)
         n = STATE_FEATURES
-        if self.dim != n or cov.shape != (n, n):
+        if cov.shape != (n, n):
             raise ConfigError(f"the plant needs {n} state features and {n}x{n} process noise")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("process noise covariance must be symmetric")
@@ -78,7 +76,6 @@ class DynamicsModel:
         scale = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
         object.__setattr__(self, "process_noise_cov", _nested(cov))
         object.__setattr__(self, "noise_scale", _nested(scale) if np.any(cov) else None)
-        object.__setattr__(self, "control_gain", np.asarray(self.control_gain, dtype=float))
 
 
 def _nested(matrix: Array) -> Matrix2:
@@ -121,8 +118,8 @@ def jacobian_at(model: DynamicsModel, state: State) -> Matrix2:
 def finite_difference_jacobian(model: DynamicsModel, state: State, h: float = 1e-6) -> Array:
     """Central finite differences of ``update_free`` (test oracle for ``jacobian_at``)."""
     s = np.asarray(state, dtype=float)
-    jac = np.zeros((model.dim, model.dim))
-    for j in range(model.dim):
+    jac = np.zeros((STATE_FEATURES, STATE_FEATURES))
+    for j in range(STATE_FEATURES):
         dp = s.copy()
         dm = s.copy()
         dp[j] += h
@@ -160,12 +157,10 @@ def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) ->
         return (1.0 + g, 1.0), (g, 1.0)
 
     return DynamicsModel(
-        dim=2,
         update=update,
         update_free=update_free,
         jacobian=jacobian,
         clamp=clamp,
-        control_gain=np.array([0.0, FORCE_GAIN]),
         process_noise_cov=np.diag(process_noise_var),
     )
 

@@ -20,7 +20,8 @@ fleet, the first time its sensor is selected, and memoised with the parts of
 its SNR that do not depend on the fading (``channel.link_terms``). A round
 makes one draw for all observation noise (``sensing.observe``) and one for
 all fades, the same numbers per-link ``uplink_outcome`` calls would draw, and
-``channel.meets_deadline`` tests each link from the memoised parts. The planner
+``channel.meets_deadline`` tests each link from the memoised parts. Readings
+and fades are lists of Python floats from the draw to the fusion. The planner
 keeps its 2x2 covariance as nested floats across picks. Fusion is one rank-1
 update per delivered reading, in selection order; while every pick so far
 has arrived it is the planner's step for that pick, on the same numbers, so
@@ -44,8 +45,6 @@ from .aol import AolTracker
 from .dynamics import State
 from .errors import InputError
 from .sensing import SensorFleet, observe
-
-Array = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,15 @@ def size_and_transmit(
     params: ch.ChannelParams,
     true_state: State,
     rng: np.random.Generator,
-) -> tuple[tuple[ch.LinkBudget, ...], Array, list[int]]:
+) -> tuple[tuple[ch.LinkBudget, ...], list[float], list[int]]:
     """Size every selected link, draw observations, realize the uplinks.
 
     Returns (budgets, values, delivered agent ids); ``values`` holds the
     selected sensors' observations in selection order. All observation noise
     comes from one draw (``sensing.observe``), then all fades from one draw of
-    two normals per link (real, imaginary part): the numbers, in the order,
-    that ``channel.uplink_outcome`` per link draws, and each deadline test
+    two normals per link (real, imaginary part), each fade formed in floats by
+    ``channel.rician_power``: the numbers, in the order, that
+    ``channel.uplink_outcome`` per link draws, and each deadline test
     (``channel.meets_deadline``) is ``uplink_outcome``'s own float
     expression, so deliveries and the generator state afterwards equal theirs
     bit for bit. A link budget depends only on the channel and the sensor, so
@@ -185,8 +185,8 @@ def size_and_transmit(
             memo[i] = budget, ch.link_terms(params, budget)
     links = [memo[i] for i in selected]
     values = observe(fleet, selected, true_state, rng)
-    z = rng.standard_normal(2 * len(links))
-    fades = ch.rician_power(params.rician_k, z[0::2], z[1::2]).tolist()
+    z = rng.standard_normal(2 * len(links)).tolist()
+    fades = [ch.rician_power(params.rician_k, re, im) for re, im in zip(z[0::2], z[1::2])]
     met = ch.meets_deadline(params, [terms for _, terms in links], fades)
     delivered = [i for i, ok in zip(selected, met) if ok]
     return tuple(budget for budget, _ in links), values, delivered
@@ -196,7 +196,7 @@ def fuse_delivered(
     prior: est.Belief,
     selected: list[int],
     delivered: list[int],
-    values: Array,
+    values: list[float],
     fleet: SensorFleet,
     steps: Sequence[est.Step] = (),
 ) -> est.Belief:
@@ -214,7 +214,7 @@ def fuse_delivered(
     agents = fleet.agents
     readings = [
         (agents[i].feature, agents[i].noise_var, y)
-        for i, y in zip(selected, values.tolist())
+        for i, y in zip(selected, values)
         if i in arrived
     ]
     reused = 0

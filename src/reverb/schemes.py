@@ -12,7 +12,9 @@ belief):
   belief replaced by the raw observation (no memory across intervals, the
   pre-twin baseline).
 
-``Perfect`` uses no radio: its round sets the belief to the true next state.
+A fuse receives the round's readings, in selection order, as the list of
+Python floats ``sensing.observe`` returns. ``Perfect`` uses no radio: its
+round sets the belief to the true next state.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
     mean = list(prior.mean)
     cov = [list(row) for row in prior.cov]
     arrived = set(delivered)
-    for agent_id, y in zip(selected, values.tolist()):
+    for agent_id, y in zip(selected, values):
         if agent_id not in arrived:
             continue
         agent = fleet.agents[agent_id]

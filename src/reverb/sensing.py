@@ -4,12 +4,12 @@ A sensor sees one state feature k and adds its own measurement error of
 variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
 observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
 distance and power budget; sqrt(r) is computed once. ``observe`` is the one
-sensor model: it reads a whole selection from one draw of standard normals,
-in Python floats. A fleet caches, derived from its agents, the sensor ids of
-each feature and the global candidate orders for the schedulers, by
-(distance, id) and by (noise, id); a feature's order is the global one
-filtered to its sensors. It holds a memo of link budgets, filled lazily by
-the scheduler the first time a sensor is selected.
+sensor model: it reads a whole selection from one draw of standard normals
+and returns the readings as a list of Python floats. A fleet caches, derived
+from its agents, the sensor ids of each feature and the global candidate
+orders for the schedulers, by (distance, id) and by (noise, id); a feature's
+order is the global one filtered to its sensors. It holds a memo of link
+budgets, filled lazily by the scheduler the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .dynamics import State
 from .errors import ConfigError, InputError
 from .schema import POSITIVE, STATE_FEATURES, at_least, check_fields, spec
-
-Array = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,18 +126,16 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     return SensorFleet(agents=tuple(agents))
 
 
-def observe(fleet: SensorFleet, ids, state: Array, rng: np.random.Generator) -> Array:
+def observe(fleet: SensorFleet, ids, state: State, rng: np.random.Generator) -> list[float]:
     """The readings ``s[k] + sqrt(r) z`` of sensors ``ids``, in order, from one draw.
 
     ``rng.standard_normal(len(ids))`` yields the numbers of that many single
     draws, so the readings and the generator state afterwards equal those of
     reading the sensors one at a time, each with its own draw.
     """
-    s = np.asarray(state, dtype=float).ravel().tolist()
+    s = tuple(map(float, state))
     if not all(map(math.isfinite, s)):
         raise InputError("state must be finite")
     agents = fleet.agents
     z = rng.standard_normal(len(ids)).tolist()
-    return np.array(
-        [s[agents[i].feature] + agents[i].noise_std * zi for i, zi in zip(ids, z)], dtype=float
-    )
+    return [s[agents[i].feature] + agents[i].noise_std * zi for i, zi in zip(ids, z)]

@@ -87,12 +87,10 @@ def test_a3_ekf_oracle_equivalence(criterion):
     h = np.array([[1.0, 0.0], [0.0, 1.0]])
     r = np.diag([4e-3, 9e-4])
     model = dyn.DynamicsModel(
-        dim=2,
         update=lambda s, a: a_mat @ s,
         update_free=lambda s, a: a_mat @ s,
         jacobian=lambda s: a_mat.copy(),
         clamp=lambda s: s,
-        control_gain=np.zeros(2),
         process_noise_cov=q,
     )
     rng = np.random.default_rng(33)

@@ -18,12 +18,10 @@ def car():
 
 def identity_model(process_noise_cov=np.zeros((2, 2))):
     return dyn.DynamicsModel(
-        dim=2,
         update=lambda s, a: s,
         update_free=lambda s, a: s,
         jacobian=lambda s: ((1.0, 0.0), (0.0, 1.0)),
         clamp=lambda s: s,
-        control_gain=np.zeros(2),
         process_noise_cov=process_noise_cov,
     )
 

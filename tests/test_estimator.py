@@ -13,12 +13,10 @@ from oracles import accuracy_vector, joseph_update
 def linear_model(a_mat: np.ndarray, noise: np.ndarray) -> dyn.DynamicsModel:
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     return dyn.DynamicsModel(
-        dim=a_mat.shape[0],
         update=lambda s, a: a_mat @ s,
         update_free=lambda s, a: a_mat @ s,
         jacobian=lambda s: a_mat.copy(),
         clamp=lambda s: s,
-        control_gain=np.zeros(a_mat.shape[0]),
         process_noise_cov=noise,
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reverb import sensing
-from reverb.errors import ConfigError
+from reverb.errors import ConfigError, InputError
 
 
 def test_two_agents_cover_both_features():
@@ -58,7 +58,7 @@ def test_observe_noiseless_limit():
 
 def test_observe_selector_row():
     rng = np.random.default_rng(1)
-    samples = sensing.observe(one_sensor(0, 1e-4), [0] * 2000, np.array([0.3, -0.01]), rng)
+    samples = np.array(sensing.observe(one_sensor(0, 1e-4), [0] * 2000, np.array([0.3, -0.01]), rng))
     assert abs(samples.mean() - 0.3) < 4.0 * 1e-2 / np.sqrt(2000)
 
 
@@ -66,9 +66,21 @@ def test_residual_moments_match_noise_covariance():
     var = 2.5e-3
     rng = np.random.default_rng(2)
     s = np.array([0.1, 0.02])
-    res = sensing.observe(one_sensor(1, var), [0] * 100_000, s, rng) - 0.02
+    res = np.array(sensing.observe(one_sensor(1, var), [0] * 100_000, s, rng)) - 0.02
     assert abs(res.mean()) < 4.0 * np.sqrt(var) / np.sqrt(res.size)
     assert abs(res.var() - var) / var < 0.05
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("k", [0, 1])
+def test_observe_rejects_non_finite_state(bad, k):
+    state = [0.3, -0.01]
+    state[k] = bad
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(InputError, match="state must be finite"):
+        sensing.observe(one_sensor(0, 1e-4), [0], state, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_feature_index_round_trips():
