@@ -57,11 +57,11 @@ class ActionVector:
 
 @dataclass(frozen=True)
 class Transition:
-    state: Array
+    state: Sequence[float]
     raw_action: Array
     log_prob: float
     reward: float
-    next_state: Array
+    next_state: Sequence[float]
     done: bool
 
 
@@ -102,11 +102,13 @@ class PolicyAgent:
 
     # --- action plumbing ----------------------------------------------------
 
-    def _scaled(self, states: Array) -> Array:
+    def _scaled(self, states) -> Array:
+        """A batch of states, one per row, as the nets' scaled input."""
         return np.atleast_2d(np.asarray(states, dtype=float)) * self.scale
 
-    def raw_mean(self, states: Array) -> Array:
-        return self.actor.forward(self._scaled(states))
+    def raw_mean(self, state: Sequence[float]) -> Array:
+        """The actor's raw-action mean at one state: a 1-D pass through the net."""
+        return self.actor.forward(np.array(state) * self.scale)
 
     def squash(self, raw: Array) -> ActionVector:
         raw = np.asarray(raw, dtype=float)
@@ -115,20 +117,26 @@ class PolicyAgent:
         accuracy = self.cfg.eta_max / (1.0 + np.exp(np.minimum(-raw[1:], 709.0)))
         return ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
 
-    def sample_step(self, state: Array, rng: np.random.Generator) -> tuple[ActionVector, Array, float]:
-        """Sample a raw action, return (squashed action, raw, log-probability)."""
-        mean = self.raw_mean(state)[0]
+    def sample_step(
+        self, state: Sequence[float], rng: np.random.Generator
+    ) -> tuple[ActionVector, Array, float]:
+        """Sample a raw action, return (squashed action, raw, log-probability).
+
+        The diagonal-Gaussian log density is summed in floats, in index order,
+        with the same operations as the batch form in ``ppo_update``.
+        """
+        mean = self.raw_mean(state)
         std = np.exp(self.log_std)
         raw = mean + std * rng.standard_normal(ACTION_DIM)
-        logp = float(gaussian_log_prob(raw[None, :], mean[None, :], self.log_std)[0])
-        return self.squash(raw), raw, logp
+        total = 0.0
+        for r, m, s, ls in zip(raw.tolist(), mean.tolist(), std.tolist(), self.log_std.tolist()):
+            z = (r - m) / s
+            total += z * z + 2.0 * ls + _LOG_2PI
+        return self.squash(raw), raw, -0.5 * total
 
-    def act_mean(self, state: Array) -> ActionVector:
+    def act_mean(self, state: Sequence[float]) -> ActionVector:
         """Deterministic (mean) action, used for evaluation rollouts."""
-        return self.squash(self.raw_mean(state)[0])
-
-    def value(self, states: Array) -> Array:
-        return self.critic.forward(self._scaled(states))[:, 0]
+        return self.squash(self.raw_mean(state))
 
     # --- serialization ------------------------------------------------------
 
@@ -203,12 +211,6 @@ class PolicyAgent:
         return agent
 
 
-def gaussian_log_prob(raw: Array, mean: Array, log_std: Array) -> Array:
-    """Diagonal-Gaussian log density of raw actions, summed over dimensions."""
-    z = (raw - mean) / np.exp(log_std)
-    return -0.5 * np.sum(z * z + 2.0 * log_std + _LOG_2PI, axis=1)
-
-
 def shaped_reward(reward_env: float, accuracy: Sequence[float], kappa: float) -> float:
     """Add the accuracy-request bonus: reward + kappa * mean(accuracy).
 
@@ -241,8 +243,8 @@ def ppo_update(
     # Never raise an entry that already sits below the floor: with zero
     # gradients the update must leave parameters exactly unchanged.
     floor = min(log_std_floor, float(agent.log_std.min()))
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
+    states = agent._scaled([t.state for t in batch])
+    next_states = agent._scaled([t.next_state for t in batch])
     raws = np.stack([t.raw_action for t in batch])
     logp_old = np.array([t.log_prob for t in batch])
     rewards = np.array([t.reward for t in batch])
@@ -257,32 +259,38 @@ def ppo_update(
     for _ in range(cfg.epochs):
         # One-step TD residuals with the current critic; they are both the
         # critic's regression error and the actor's advantage estimate.
-        v_s = agent.value(states)
-        v_next = agent.value(next_states) * not_done
+        v_s = agent.critic.forward(states)[:, 0]
+        v_next = agent.critic.forward(next_states)[:, 0] * not_done
         targets = rewards + cfg.gamma * v_next
         delta = targets - v_s
         adv = (delta - delta.mean()) / (delta.std() + 1e-8)
 
+        # The epoch's rows in permuted order, gathered once; each minibatch is a slice.
         order = rng.permutation(n)
+        ep_states, ep_raws, ep_logp = states[order], raws[order], logp_old[order]
+        ep_adv, ep_targets = adv[order], targets[order]
         for start in range(0, n, cfg.minibatch):
-            mb = order[start : start + cfg.minibatch]
-            x = agent._scaled(states[mb])
+            mb = slice(start, start + cfg.minibatch)
+            x = ep_states[mb]
+            mb_size = len(x)
 
-            # Actor: clipped surrogate in the raw action space.
+            # Actor: clipped surrogate in the raw action space, with the
+            # diagonal-Gaussian log density of the minibatch's raw actions.
             mean, acts = agent.actor.forward_cached(x)
             std = np.exp(agent.log_std)
-            logp_new = gaussian_log_prob(raws[mb], mean, agent.log_std)
-            ratio = np.exp(logp_new - logp_old[mb])
-            a_mb = adv[mb]
+            z = (ep_raws[mb] - mean) / std
+            zz = z * z
+            logp_new = -0.5 * np.sum(zz + 2.0 * agent.log_std + _LOG_2PI, axis=1)
+            ratio = np.exp(logp_new - ep_logp[mb])
+            a_mb = ep_adv[mb]
             unclipped = ratio * a_mb
             clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * a_mb
             # d surrogate / d logp_new is ratio*adv where the unclipped term is
             # active, zero in the clipped-and-worse region.
             active = unclipped <= clipped
-            dlogp = np.where(active, ratio * a_mb, 0.0) / len(mb)
-            z = (raws[mb] - mean) / std
+            dlogp = np.where(active, unclipped, 0.0) / mb_size
             grad_mean = -(dlogp[:, None] * z / std)  # minimize -surrogate
-            grad_log_std = -(dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
+            grad_log_std = -(dlogp[:, None] * (zz - 1.0)).sum(axis=0)
             actor_grad = _flat(agent.actor.backward(acts, grad_mean))
             if not (np.isfinite(actor_grad).all() and np.isfinite(grad_log_std).all()):
                 raise TrainingError("non-finite actor gradients")
@@ -291,8 +299,8 @@ def ppo_update(
 
             # Critic: semi-gradient MSE to the frozen minibatch targets.
             v_mb, c_acts = agent.critic.forward_cached(x)
-            err = v_mb[:, 0] - targets[mb]
-            critic_grad = _flat(agent.critic.backward(c_acts, (2.0 * err / len(mb))[:, None]))
+            err = v_mb[:, 0] - ep_targets[mb]
+            critic_grad = _flat(agent.critic.backward(c_acts, (2.0 * err / mb_size)[:, None]))
             if not np.isfinite(critic_grad).all():
                 raise TrainingError("non-finite critic gradients")
             critic_opt.step(critic_params, [critic_grad])
@@ -335,7 +343,7 @@ def train(
     explore_until = int(cfg.explore_frac * episodes)
     for ep in range(episodes):
         loop = make_loop(np.random.default_rng(env_children[ep]))
-        state = np.array(loop.belief.mean)
+        state = loop.belief.mean
         transitions: list[Transition] = []
         env_return = 0.0
         shaped_return = 0.0
@@ -343,7 +351,7 @@ def train(
             action, raw, logp = agent.sample_step(state, act_rng)
             res = loop.step(action.force, action.accuracy)
             r = shaped_reward(res.reward_env, action.accuracy, cfg.kappa)
-            next_state = np.array(res.belief.mean)
+            next_state = res.belief.mean
             transitions.append(
                 Transition(state, raw, logp, r, next_state, res.done)
             )

@@ -76,12 +76,24 @@ class MLP:
         return out
 
     def forward_cached(self, x: Array) -> tuple[Array, list[Array]]:
-        """Returns outputs and the per-layer activations needed for backward."""
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        """Returns outputs and the per-layer activations needed for backward.
+
+        A 1-D input is one row: it gives a 1-D output with the bits of row 0 of
+        the 2-D pass over that row alone. ``backward`` needs 2-D activations.
+
+        Each layer adds its bias and applies tanh in place on the product, the
+        same operations as ``tanh(h @ W + b)`` with one new array per layer
+        instead of three.
+        """
+        h = np.asarray(x, dtype=float)
+        if h.ndim != 1:
+            h = np.atleast_2d(h)
         acts = [h]
         for i in range(self.n_layers):
-            z = h @ self.weights[i] + self.biases[i]
-            h = np.tanh(z) if i < self.n_layers - 1 else z
+            h = h @ self.weights[i]
+            h += self.biases[i]
+            if i < self.n_layers - 1:
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 

@@ -5,6 +5,12 @@
 * ``accuracy_vector``: the per-feature accuracy a belief delivers.
 * ``td_error``: the one-step temporal-difference residual of one transition,
   the quantity ``control.ppo_update`` computes for a whole batch.
+* ``forward_2d``, ``gaussian_log_prob``, ``value``, ``sample_step_2d`` and
+  ``ppo_update_batch``: the learner as it was before its per-interval step
+  took one row, each state pushed through the nets as a 2-D batch, each
+  layer's ``tanh(h @ W + b)`` a new array per operation, and every log
+  density taken by the batch function; ``MLP.forward_cached``,
+  ``PolicyAgent.sample_step`` and ``control.ppo_update`` must keep their bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
 * ``joseph_update``: the general batch Kalman update of any observation
@@ -31,7 +37,7 @@ from reverb import dynamics as dyn
 from reverb import estimator as est
 from reverb import loop
 from reverb import sensing
-from reverb.errors import InputError, NumericalError
+from reverb.errors import InputError, NumericalError, TrainingError
 from reverb.recordio import EPISODE_COLUMNS, EpisodeRecord
 
 
@@ -78,9 +84,94 @@ def accuracy_vector(belief: est.Belief) -> np.ndarray:
 
 def td_error(agent: ctl.PolicyAgent, transition: ctl.Transition, gamma: float) -> float:
     """One-step residual r + gamma * V(s') - V(s); no bootstrap on terminal steps."""
-    v_s = float(agent.value(transition.state[None, :])[0])
-    v_next = 0.0 if transition.done else float(agent.value(transition.next_state[None, :])[0])
+    v_s = float(value(agent, [transition.state])[0])
+    v_next = 0.0 if transition.done else float(value(agent, [transition.next_state])[0])
     return transition.reward + gamma * v_next - v_s
+
+
+def forward_2d(net, x):
+    """Outputs and per-layer activations of a 2-D pass, ``tanh(h @ W + b)`` per hidden layer."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    acts = [h]
+    for i in range(net.n_layers):
+        z = h @ net.weights[i] + net.biases[i]
+        h = np.tanh(z) if i < net.n_layers - 1 else z
+        acts.append(h)
+    return h, acts
+
+
+def gaussian_log_prob(raw, mean, log_std):
+    """Diagonal-Gaussian log density of raw actions, summed over dimensions."""
+    z = (raw - mean) / np.exp(log_std)
+    return -0.5 * np.sum(z * z + 2.0 * log_std + ctl._LOG_2PI, axis=1)
+
+
+def value(agent: ctl.PolicyAgent, states) -> np.ndarray:
+    """The critic's value of each state of a batch, one state per row."""
+    return forward_2d(agent.critic, agent._scaled(states))[0][:, 0]
+
+
+def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
+    """``PolicyAgent.sample_step`` with the state as a one-row batch and the batch log density."""
+    mean = forward_2d(agent.actor, agent._scaled(state))[0][0]
+    std = np.exp(agent.log_std)
+    raw = mean + std * rng.standard_normal(ctl.ACTION_DIM)
+    logp = float(gaussian_log_prob(raw[None, :], mean[None, :], agent.log_std)[0])
+    return agent.squash(raw), raw, logp
+
+
+def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl.LOG_STD_MIN) -> None:
+    """``control.ppo_update`` scaling each minibatch's rows and taking the log density apart."""
+    if not batch:
+        raise InputError("update needs a nonempty batch")
+    cfg = agent.cfg
+    floor = min(log_std_floor, float(agent.log_std.min()))
+    states = np.stack([t.state for t in batch])
+    next_states = np.stack([t.next_state for t in batch])
+    raws = np.stack([t.raw_action for t in batch])
+    logp_old = np.array([t.log_prob for t in batch])
+    rewards = np.array([t.reward for t in batch])
+    not_done = 1.0 - np.array([t.done for t in batch], dtype=float)
+    n = len(batch)
+    actor_params = [agent.actor.flat, agent.log_std]
+    critic_params = [agent.critic.flat]
+
+    for _ in range(cfg.epochs):
+        v_s = value(agent, states)
+        v_next = value(agent, next_states) * not_done
+        targets = rewards + cfg.gamma * v_next
+        delta = targets - v_s
+        adv = (delta - delta.mean()) / (delta.std() + 1e-8)
+
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch):
+            mb = order[start : start + cfg.minibatch]
+            x = agent._scaled(states[mb])
+
+            mean, acts = forward_2d(agent.actor, x)
+            std = np.exp(agent.log_std)
+            logp_new = gaussian_log_prob(raws[mb], mean, agent.log_std)
+            ratio = np.exp(logp_new - logp_old[mb])
+            a_mb = adv[mb]
+            unclipped = ratio * a_mb
+            clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * a_mb
+            active = unclipped <= clipped
+            dlogp = np.where(active, ratio * a_mb, 0.0) / len(mb)
+            z = (raws[mb] - mean) / std
+            grad_mean = -(dlogp[:, None] * z / std)
+            grad_log_std = -(dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
+            actor_grad = ctl._flat(agent.actor.backward(acts, grad_mean))
+            if not (np.isfinite(actor_grad).all() and np.isfinite(grad_log_std).all()):
+                raise TrainingError("non-finite actor gradients")
+            actor_opt.step(actor_params, [actor_grad, grad_log_std])
+            np.clip(agent.log_std, floor, ctl.LOG_STD_MAX, out=agent.log_std)
+
+            v_mb, c_acts = forward_2d(agent.critic, x)
+            err = v_mb[:, 0] - targets[mb]
+            critic_grad = ctl._flat(agent.critic.backward(c_acts, (2.0 * err / len(mb))[:, None]))
+            if not np.isfinite(critic_grad).all():
+                raise TrainingError("non-finite critic gradients")
+            critic_opt.step(critic_params, [critic_grad])
 
 
 def mountain_car_update(x: float, v: float, a: float) -> list[float]:

@@ -11,6 +11,7 @@ from reverb import dynamics as dyn
 from reverb.errors import TrainingError
 from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MLP, Adam
 
+import oracles
 from oracles import td_error
 
 
@@ -69,7 +70,7 @@ def test_log_prob_consistent_with_density():
     rng = np.random.default_rng(7)
     state = np.array([-0.3, 0.02])
     _, raw, logp = agent.sample_step(state, rng)
-    mean = agent.raw_mean(state)[0]
+    mean = agent.raw_mean(state)
     want = stats.norm.logpdf(raw, loc=mean, scale=np.exp(agent.log_std)).sum()
     assert math.isfinite(logp)
     assert logp == pytest.approx(want, rel=1e-10)
@@ -89,34 +90,35 @@ def test_shaped_reward_monotone_in_accuracy():
 
 def test_td_error_zero_critic():
     agent = zeroed_agent()
-    tr = ctl.Transition(np.zeros(2), np.zeros(3), 0.0, reward=0.7, next_state=np.ones(2), done=False)
+    tr = ctl.Transition((0.0, 0.0), np.zeros(3), 0.0, reward=0.7, next_state=(1.0, 1.0), done=False)
     assert td_error(agent, tr, 0.99) == pytest.approx(0.7)
 
 
 def test_td_error_terminal_drops_bootstrap():
     agent = zeroed_agent()
     agent.critic.biases[-1][0] = 2.5  # V() == 2.5 everywhere
-    tr = ctl.Transition(np.zeros(2), np.zeros(3), 0.0, reward=0.7, next_state=np.ones(2), done=True)
+    tr = ctl.Transition((0.0, 0.0), np.zeros(3), 0.0, reward=0.7, next_state=(1.0, 1.0), done=True)
     assert td_error(agent, tr, 0.99) == pytest.approx(0.7 - 2.5)
 
 
 def test_td_error_matches_straight_line():
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(9))
     tr = ctl.Transition(
-        np.array([0.3, -0.01]), np.zeros(3), 0.0, reward=-0.2,
-        next_state=np.array([0.31, -0.005]), done=False,
+        (0.3, -0.01), np.zeros(3), 0.0, reward=-0.2, next_state=(0.31, -0.005), done=False,
     )
-    v_s = float(agent.critic.forward(agent._scaled(tr.state[None, :]))[0, 0])
-    v_n = float(agent.critic.forward(agent._scaled(tr.next_state[None, :]))[0, 0])
+    v_s = float(agent.critic.forward(agent._scaled([tr.state]))[0, 0])
+    v_n = float(agent.critic.forward(agent._scaled([tr.next_state]))[0, 0])
     assert td_error(agent, tr, 0.97) == pytest.approx(-0.2 + 0.97 * v_n - v_s, abs=1e-10)
 
 
 def make_batch(agent, rng, n=24, reward=0.0):
+    """Transitions with float-tuple states, as ``control.train`` records them."""
     batch = []
     for _ in range(n):
         s = rng.standard_normal(2) * 0.3
-        a, raw, logp = agent.sample_step(s, rng)
-        batch.append(ctl.Transition(s, raw, logp, reward, s + rng.normal(0, 0.01, 2), False))
+        a, raw, logp = agent.sample_step(tuple(s.tolist()), rng)
+        s_next = s + rng.normal(0, 0.01, 2)
+        batch.append(ctl.Transition(tuple(s.tolist()), raw, logp, reward, tuple(s_next.tolist()), False))
     return batch
 
 
@@ -185,7 +187,7 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
     s = np.array([-0.4, 0.02])
     assert np.array_equal(clone.raw_mean(s), agent.raw_mean(s))
     clone.actor.flat[:] = 0.0  # a forward pass sees a write to the flat vector
-    assert np.array_equal(clone.raw_mean(s), np.zeros((1, 3)))
+    assert np.array_equal(clone.raw_mean(s), np.zeros(3))
 
 
 @pytest.mark.parametrize("net", ["actor", "critic"])
@@ -264,14 +266,14 @@ def test_critic_moves_toward_td_target():
     rng = np.random.default_rng(18)
     s = np.array([0.2, -0.03])
     tr = ctl.Transition(s, np.zeros(3), 0.0, reward=1.0, next_state=s, done=True)
-    before_gap = abs(1.0 - float(agent.value(s[None, :])[0]))
+    before_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
     ctl.ppo_update(
         agent, [tr] * 16,
         Adam(agent.cfg.lr_actor),
         Adam(agent.cfg.lr_critic),
         rng,
     )
-    after_gap = abs(1.0 - float(agent.value(s[None, :])[0]))
+    after_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
     assert after_gap < before_gap
 
 
@@ -377,3 +379,128 @@ def test_episode_stats_match_the_steps_run(done_at):
         assert stats.reached_goal == (done_at is not None) == run[-1][1].done
         assert stats.env_return == env_return
         assert stats.shaped_return == shaped_return
+
+
+def box_states(n_side=45):
+    """A grid over the mountain-car box, its edges and corners included: n_side² states."""
+    xs = np.linspace(dyn.POSITION_MIN, dyn.POSITION_MAX, n_side)
+    vs = np.linspace(-dyn.VELOCITY_MAX, dyn.VELOCITY_MAX, n_side)
+    return [(x, v) for x in xs.tolist() for v in vs.tolist()]
+
+
+@pytest.fixture(scope="module")
+def trained_agent():
+    """The agent a 5-episode ``control.train`` leaves."""
+    from reverb.config import RunConfig
+    from reverb.schemes import build_loop
+
+    cfg = RunConfig()
+    agent, _ = ctl.train(lambda rng: build_loop(cfg, "AoL-REVERB", rng), 5, cfg.control, seed=3, qi_cap=200)
+    return agent
+
+
+def learner_agents(trained):
+    """Fresh agents from several seeds, two with log-stds drawn across their range, and a trained one."""
+    agents = [ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(seed)) for seed in range(40, 45)]
+    rng = np.random.default_rng(45)
+    for agent in agents[3:]:
+        agent.log_std[:] = rng.uniform(ctl.LOG_STD_MIN, ctl.LOG_STD_MAX, ctl.ACTION_DIM)
+    return agents + [trained]
+
+
+def test_one_row_forward_is_row_zero_of_the_batch_forward(trained_agent):
+    """The 1-D pass gives the bits of the 2-D pass over the same single row.
+
+    The 2-D passes, one row and all the rows at once, with every activation,
+    give the bits of ``tanh(h @ W + b)`` with a new array per operation.
+    """
+    states = box_states()
+    assert len(states) >= 2000
+    for agent in learner_agents(trained_agent):
+        for net in (agent.actor, agent.critic):
+            for s in states:
+                x = np.array(s) * agent.scale
+                one = net.forward(x)
+                assert one.shape == (net.sizes[-1],)
+                row = net.forward(x[None, :])[0]
+                assert one.tobytes() == row.tobytes() == oracles.forward_2d(net, x)[0][0].tobytes()
+            batch = agent._scaled(states)
+            got, want = net.forward_cached(batch), oracles.forward_2d(net, batch)
+            assert [a.tobytes() for a in got[1]] == [a.tobytes() for a in want[1]]
+
+
+def test_sample_step_and_act_mean_match_the_batch_oracle(trained_agent):
+    """(action, raw, logp) and the mean action are bit-equal to the one-row batch learner."""
+    states = box_states(23)
+    for seed, agent in enumerate(learner_agents(trained_agent)):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for s in states:
+            action, raw, logp = agent.sample_step(s, rng)
+            want_action, want_raw, want_logp = oracles.sample_step_2d(agent, s, oracle_rng)
+            assert action == want_action
+            assert raw.tobytes() == want_raw.tobytes()
+            assert type(logp) is float and np.float64(logp).tobytes() == np.float64(want_logp).tobytes()
+            mean_action = agent.squash(oracles.forward_2d(agent.actor, agent._scaled(s))[0][0])
+            assert agent.act_mean(s) == mean_action
+
+
+def fixed_batch(agent, rng, n=200):
+    """n transitions with float-tuple states, mixed rewards and about one terminal step in ten."""
+    batch = []
+    for _ in range(n):
+        s = np.array([rng.uniform(dyn.POSITION_MIN, dyn.POSITION_MAX), rng.uniform(-0.07, 0.07)])
+        _, raw, logp = agent.sample_step(tuple(s.tolist()), rng)
+        s_next = s + rng.normal(0.0, 0.01, 2)
+        reward, done = float(rng.normal(-0.1, 0.5)), bool(rng.random() < 0.1)
+        batch.append(ctl.Transition(tuple(s.tolist()), raw, logp, reward, tuple(s_next.tolist()), done))
+    return batch
+
+
+def learner_state(agent, actor_opt, critic_opt):
+    """The bytes of every array an update writes: both nets, the log-std and both Adam moments."""
+    arrays = [agent.actor.flat, agent.critic.flat, agent.log_std]
+    arrays += [*actor_opt.m, *actor_opt.v, *critic_opt.m, *critic_opt.v]
+    return [a.tobytes() for a in arrays]
+
+
+def run_updates(update, batch, floor):
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
+    actor_opt, critic_opt = Adam(agent.cfg.lr_actor), Adam(agent.cfg.lr_critic)
+    rng = np.random.default_rng(51)
+    for _ in range(3):
+        update(agent, batch, actor_opt, critic_opt, rng, log_std_floor=floor)
+    return learner_state(agent, actor_opt, critic_opt)
+
+
+@pytest.mark.parametrize("floor", [ctl.LOG_STD_MIN, 0.45])
+def test_ppo_update_matches_the_batch_oracle(floor):
+    """Three updates on a fixed 200-transition batch leave the bits the per-minibatch learner leaves."""
+    sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
+    batch = fixed_batch(sampler, np.random.default_rng(52))
+    got = run_updates(ctl.ppo_update, batch, floor)
+    assert got == run_updates(oracles.ppo_update_batch, batch, floor)
+    assert got[:2] != [sampler.actor.flat.tobytes(), sampler.critic.flat.tobytes()]  # both nets moved
+
+
+def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():
+    sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(53))
+    batch = fixed_batch(sampler, np.random.default_rng(54), n=100)
+    arrays = [dataclasses.replace(t, state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch]
+    assert run_updates(ctl.ppo_update, batch, ctl.LOG_STD_MIN) == run_updates(ctl.ppo_update, arrays, ctl.LOG_STD_MIN)
+
+
+def test_one_forward_pass_per_sample_step_and_act_mean():
+    """Each per-interval action runs ``MLP.forward_cached`` once, on the actor."""
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(55))
+    forward_cached = MLP.forward_cached
+    nets = []
+
+    def counted(self, x):
+        nets.append(self)
+        return forward_cached(self, x)
+
+    with mock.patch.object(MLP, "forward_cached", counted):
+        agent.sample_step((-0.5, 0.01), np.random.default_rng(56))
+        assert nets == [agent.actor]
+        agent.act_mean((-0.5, 0.01))
+        assert nets == [agent.actor, agent.actor]
