@@ -121,7 +121,7 @@ def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
 
 
 def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl.LOG_STD_MIN) -> None:
-    """``control.ppo_update`` scaling each minibatch's rows and taking the log density apart."""
+    """``control.ppo_update`` as it was: each minibatch gathered and scaled on its own, ``z`` formed twice."""
     if not batch:
         raise InputError("update needs a nonempty batch")
     cfg = agent.cfg
