@@ -485,8 +485,11 @@ def test_ppo_update_matches_the_batch_oracle(floor):
 def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():
     sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(53))
     batch = fixed_batch(sampler, np.random.default_rng(54), n=100)
-    arrays = [dataclasses.replace(t, state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch]
-    assert run_updates(ctl.ppo_update, batch, ctl.LOG_STD_MIN) == run_updates(ctl.ppo_update, arrays, ctl.LOG_STD_MIN)
+    arrays = [
+        dataclasses.replace(t, state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch
+    ]
+    floor = ctl.LOG_STD_MIN
+    assert run_updates(ctl.ppo_update, batch, floor) == run_updates(ctl.ppo_update, arrays, floor)
 
 
 def test_one_forward_pass_per_sample_step_and_act_mean():
