@@ -1,0 +1,220 @@
+#!/usr/bin/env python3
+"""Alternating before/after perfbench pairs, summarised into ``BENCH_<pr>.json``.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pr 19 \\
+        --pairs dense=10 --pairs schemes=3 --pairs train=3 --first-seed 101 --traced-seed 131
+
+exports the parent commit with ``git archive REV | tar -x`` into a temporary
+directory (removed at exit) and runs, one process at a time,
+
+    python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
+
+once from the parent's tree and once from the change's tree per pair: the
+working tree this script sits in, or ``--change REV`` exported the same way.
+Workload W runs its pairs on seeds ``--first-seed`` onwards. Over all pairs,
+in the order the ``--pairs`` options are given, the parent runs first on even
+pair indices and second on odd ones, so a drift of the host's speed during
+the session falls on both sides alike. ``--traced-seed`` adds one traced pair
+(``--trace 1``) per workload.
+
+The JSON file holds, per workload and end-to-end metric, the parent's and the
+change's median and quartiles over the pairs, ``change_wins`` (the pairs in
+which the change reads strictly better, in the metric's direction from
+``BENCHMARK.json``) and the ratio of the medians, change over parent; then
+every run's final JSON line; then the traced runs with, per per-layer metric,
+both sides' values.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def end_to_end_directions(benchmark: dict) -> dict[str, str]:
+    """End-to-end metric name -> "higher" or "lower", the direction that reads better."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def parse_output(stdout: str) -> tuple[dict, dict]:
+    """(the ``env`` line's fields, the final JSON line) of one ``perfbench/run.py`` run."""
+    lines = [ln for ln in stdout.splitlines() if ln.strip()]
+    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return env, json.loads(lines[-1])
+
+
+def machine(env: dict) -> str:
+    return f"{env.get('nproc')}-vCPU {env.get('cpu')}, Python {env.get('python')}, numpy {env.get('numpy')}"
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+    """Per workload: pairs, all_correct and, per metric, medians, quartiles, change_wins and ratio.
+
+    ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries, one per
+    side of every pair; a pair is the parent and change runs of one workload
+    and seed.
+    """
+    pairs: dict[str, dict[int, dict[str, dict]]] = {}
+    for run in runs:
+        pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run["result"]
+    summary = {}
+    for workload, by_seed in pairs.items():
+        complete = [sides for sides in by_seed.values() if {"parent", "change"} <= sides.keys()]
+        entry = {
+            "pairs": len(complete),
+            "all_correct": all(r.get("correct", False) for sides in complete for r in sides.values()),
+        }
+        for name, better in directions.items():
+            try:
+                parent = [sides["parent"]["metrics"][name]["value"] for sides in complete]
+                change = [sides["change"]["metrics"][name]["value"] for sides in complete]
+            except KeyError:
+                continue
+            if not parent:
+                continue
+            wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
+            p_med, c_med = statistics.median(parent), statistics.median(change)
+            entry[name] = {
+                "parent_median": p_med,
+                "parent_q1_q3": quartiles(parent),
+                "change_median": c_med,
+                "change_q1_q3": quartiles(change),
+                "change_wins": wins,
+                "ratio": c_med / p_med if p_med else None,
+            }
+        summary[workload] = entry
+    return summary
+
+
+def compare_traced(runs: list[dict]) -> dict:
+    """Per workload and per-layer metric: the parent's and the change's value in the traced pair."""
+    out: dict[str, dict] = {}
+    for run in runs:
+        side = out.setdefault(run["workload"], {})
+        for name, metric in run["result"].get("metrics", {}).items():
+            side.setdefault(name, {})[run["side"]] = metric["value"]
+    return out
+
+
+def export(rev: str, into: Path) -> Path:
+    """``git archive REV | tar -x`` into a new directory ``into``; returns ``into``."""
+    into.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"error: could not export {rev!r}")
+    return into
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return parse_output(proc.stdout)
+
+
+def run_pairs(trees: dict[str, Path], plan: list[tuple[str, int]], seconds: float,
+              trace: int) -> tuple[list[dict], dict]:
+    """One pair per (workload, seed) of ``plan``, the parent first on even pair indices."""
+    runs, env = [], {}
+    for index, (workload, seed) in enumerate(plan):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            env, result = run_once(trees[side], workload, seed, seconds, trace)
+            runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
+            value = result.get("metrics", {}).get("qi_per_s", {}).get("value")
+            shown = f"{value:.1f} qi/s" if value is not None else "traced"
+            print(f"{workload} seed {seed} {side}: {shown}, correct {result.get('correct')}", flush=True)
+    return runs, env
+
+
+def parse_pairs(specs: list[str]) -> list[tuple[str, int]]:
+    out = []
+    for spec in specs:
+        name, _, count = spec.partition("=")
+        if not name or not count.isdigit() or int(count) < 1:
+            raise SystemExit(f"error: bad --pairs {spec!r}; expected WORKLOAD=N with N >= 1")
+        out.append((name, int(count)))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--change", help="git revision of the change side (default: this working tree)")
+    parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repository root")
+    parser.add_argument("--pairs", action="append", required=True, help="WORKLOAD=N, repeatable")
+    parser.add_argument("--first-seed", type=int, required=True, help="each workload's first pair seed")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--traced-seed", type=int, help="also run one traced pair per workload on this seed")
+    parser.add_argument("--note", default="", help="appended to the protocol text")
+    args = parser.parse_args(argv)
+
+    workloads = parse_pairs(args.pairs)
+    plan = [(w, args.first_seed + i) for w, n in workloads for i in range(n)]
+    directions = end_to_end_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {
+            "parent": export(args.parent, Path(tmp) / "parent"),
+            "change": export(args.change, Path(tmp) / "change") if args.change else ROOT,
+        }
+        runs, env = run_pairs(trees, plan, args.seconds, trace=0)
+        traced = None
+        if args.traced_seed is not None:
+            traced_plan = [(w, args.traced_seed) for w, _ in workloads]
+            traced_runs, _ = run_pairs(trees, traced_plan, args.seconds, trace=1)
+            traced = {
+                "command": f"python3 perfbench/run.py --workload W --seed {args.traced_seed} "
+                           f"--seconds {args.seconds:g} --trace 1",
+                "summary": compare_traced(traced_runs),
+                "runs": traced_runs,
+            }
+
+    change = args.change or "the working tree"
+    seeds = ", ".join(f"{w} {args.first_seed}-{args.first_seed + n - 1}" for w, n in workloads)
+    protocol = (
+        "alternating pairs, parent first on even pair index (the index runs over all pairs in the order "
+        f"{', '.join(w for w, _ in workloads)}); parent = git archive of {args.parent}, change = {change}; "
+        f"seeds {seeds}; medians and inclusive quartiles over the pairs, change_wins = pairs where the "
+        "change reads better"
+    )
+    if traced:
+        protocol += f"; traced runs: one pair per workload, seed {args.traced_seed}"
+    if args.note:
+        protocol += f"; {args.note}"
+    payload = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "protocol": protocol,
+        "machine": machine(env),
+        "summary": summarize(runs, directions),
+        "runs": runs,
+    }
+    if traced:
+        payload["traced"] = traced
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +81,19 @@ class ChannelParams:
         """Fading power threshold y of the outage target, ``outage_fading_threshold``."""
         return outage_fading_threshold(self.rician_k, self.outage_target)
 
+    @cached_property
+    def fading_terms(self) -> tuple[float, float]:
+        """``rician_terms`` of this channel's K: the fade's LoS amplitude and per-dimension scatter."""
+        return rician_terms(self.rician_k)
+
+    def __hash__(self) -> int:
+        # Every round looks its link memo up by channel, so the fields are hashed once.
+        return self._fields_hash
+
+    @cached_property
+    def _fields_hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -127,17 +140,24 @@ def link_terms(params: ChannelParams, budget: LinkBudget) -> tuple[float, float,
     return (budget.bandwidth_hz, *snr_terms(params, budget.tx_power_w, budget.distance_m, budget.bandwidth_hz))
 
 
-def meets_deadline(params: ChannelParams, links, fades) -> list[bool]:
-    """Per link, ``uplink_latency(params, budget, fading) <= params.max_latency_s``, bit for bit.
+def meets_deadline(params: ChannelParams, links, normals) -> list[bool]:
+    """Per link, ``uplink_outcome``'s delivery on the fade of its two standard normals, bit for bit.
 
-    ``links`` holds each budget's ``link_terms``, aligned with ``fades``. The
-    SNR and the rate are ``uplink_latency``'s expressions in the same order; a
-    rate that is not positive means an infinite latency, which no deadline meets.
+    ``links`` holds each budget's ``link_terms``; ``normals`` holds two draws
+    per link, in link order, the real part's before the imaginary part's, as
+    ``rician_fading_sample`` reads them. The fade is ``rician_power``'s
+    expression on the channel's cached ``fading_terms``, and the SNR, the rate
+    and the latency test are ``uplink_latency``'s, in the same order; a rate
+    that is not positive means an infinite latency, which no deadline meets.
     """
+    los, sigma = params.fading_terms
     bits, deadline = params.packet_bits, params.max_latency_s
+    pairs = iter(normals)
     met = []
-    for (bandwidth, num, den), fading in zip(links, fades):
-        rate = bandwidth * math.log2(1.0 + num * fading / den)
+    for (bandwidth, num, den), re_z, im_z in zip(links, pairs, pairs):
+        re = los + sigma * re_z
+        im = sigma * im_z
+        rate = bandwidth * math.log2(1.0 + num * (re * re + im * im) / den)
         met.append(rate > 0.0 and bits / rate <= deadline)
     return met
 
@@ -155,10 +175,14 @@ def rician_fading_sample(
     return float(power) if size is None else power
 
 
+def rician_terms(rician_k: float) -> tuple[float, float]:
+    """(LoS amplitude, scatter std per real dimension) of unit-mean Rician fading."""
+    return math.sqrt(rician_k / (rician_k + 1.0)), math.sqrt(0.5 / (rician_k + 1.0))
+
+
 def rician_power(rician_k: float, re_z, im_z):
     """Fading power from standard normal draws of the real and imaginary parts."""
-    los = math.sqrt(rician_k / (rician_k + 1.0))
-    sigma = math.sqrt(0.5 / (rician_k + 1.0))  # per real dimension
+    los, sigma = rician_terms(rician_k)
     re = los + sigma * re_z
     im = sigma * im_z
     return re * re + im * im

@@ -111,11 +111,12 @@ class PolicyAgent:
         return self.actor.forward(np.array(state) * self.scale)
 
     def squash(self, raw: Array) -> ActionVector:
-        raw = np.asarray(raw, dtype=float)
-        force = math.tanh(float(raw[0]))
+        force, r0, r1 = np.asarray(raw, dtype=float).tolist()
         # Past exp(709) the float range ends; below -709 a request saturates to ~0 anyway.
-        accuracy = self.cfg.eta_max / (1.0 + np.exp(np.minimum(-raw[1:], 709.0)))
-        return ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
+        # One numpy exp over both requests (numpy's bits, not math.exp's), the rest in floats.
+        e0, e1 = np.exp((min(-r0, 709.0), min(-r1, 709.0))).tolist()
+        eta_max = self.cfg.eta_max
+        return ActionVector(force=math.tanh(force), accuracy=(eta_max / (1.0 + e0), eta_max / (1.0 + e1)))
 
     def sample_step(
         self, state: Sequence[float], rng: np.random.Generator

@@ -24,6 +24,7 @@ formed as float expressions summed in index order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -129,8 +130,16 @@ def finite_difference_jacobian(model: DynamicsModel, state: State, h: float = 1e
 
 
 def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) -> DynamicsModel:
-    """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'."""
+    """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'.
 
+    A model is immutable, so each noise setting's is built once and shared;
+    the setting is told apart by the variances' exact bits (-0.0 is not 0.0).
+    """
+    return _mountain_car_model(tuple(float(v).hex() for v in process_noise_var))
+
+
+@functools.lru_cache(maxsize=16)
+def _mountain_car_model(noise_var_bits: tuple[str, ...]) -> DynamicsModel:
     def clamp(s: State) -> State:
         x, v = s
         x = min(max(x, POSITION_MIN), POSITION_MAX)
@@ -161,7 +170,7 @@ def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) ->
         update_free=update_free,
         jacobian=jacobian,
         clamp=clamp,
-        process_noise_cov=np.diag(process_noise_var),
+        process_noise_cov=np.diag([float.fromhex(v) for v in noise_var_bits]),
     )
 
 

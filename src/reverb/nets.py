@@ -147,9 +147,21 @@ class Adam:
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            # In place, the same products and sum as b1*m + (1-b1)*g, so the same bits.
+            # In place, the products, sums and quotients of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
+            # in the same order, so the same bits, through two scratch arrays.
+            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += tmp
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            v += tmp
+            np.divide(m, b1c, out=tmp)
+            tmp *= self.lr
+            den = np.divide(v, b2c)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            tmp /= den
+            p -= tmp

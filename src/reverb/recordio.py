@@ -5,14 +5,16 @@ with ``repr`` so every row round-trips losslessly and reruns are byte
 identical. A record keeps one tuple per interval in that order, as the loop
 produced it: floats and ints, with ``selected`` and ``delivered`` as tuples
 of agent ids. ``columns``, the per-column view the metrics and the CSV read,
-is built when it is first read, with the id tuples as ``;``-joined text, and
-kept until the next ``append``.
+is built when it is first read and kept until the next ``append``; an id
+column is joined into ``;``-separated text only when that column is read,
+since the metrics read none.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +47,32 @@ _INT_COLUMNS = {"qi", "n_selected", "prbs", "age_pos", "age_vel", "failed"}
 _STR_COLUMNS = {"selected", "delivered"}
 
 
+class _Columns(Mapping):
+    """The per-column view of a record's rows; an id column is joined into text when first read."""
+
+    def __init__(self, rows: list[tuple]) -> None:
+        values = zip(*rows) if rows else ((),) * len(EPISODE_COLUMNS)
+        self._lists: dict[str, list] = {}
+        self._ids: dict[str, tuple] = {}
+        for c, v in zip(EPISODE_COLUMNS, values):
+            if c in _STR_COLUMNS:
+                self._ids[c] = v
+            else:
+                self._lists[c] = list(v)
+
+    def __getitem__(self, column: str) -> list:
+        ids = self._ids.pop(column, None)
+        if ids is not None:
+            self._lists[column] = [";".join(map(str, row_ids)) for row_ids in ids]
+        return self._lists[column]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(EPISODE_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(EPISODE_COLUMNS)
+
+
 @dataclass
 class EpisodeRecord:
     """Per-interval log of one episode plus its summary facts."""
@@ -53,7 +81,7 @@ class EpisodeRecord:
     seed: int = 0
     reached_goal: bool = False
     rows: list[tuple] = field(default_factory=list)
-    _columns: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, row: tuple) -> None:
         """Log one interval: a tuple of values in ``EPISODE_COLUMNS`` order."""
@@ -63,14 +91,10 @@ class EpisodeRecord:
         self._columns = None
 
     @property
-    def columns(self) -> dict[str, list]:
+    def columns(self) -> Mapping[str, list]:
         """Column name -> the values of every row; agent ids as ``;``-joined text."""
         if self._columns is None:
-            values = zip(*self.rows) if self.rows else ((),) * len(EPISODE_COLUMNS)
-            self._columns = {
-                c: [";".join(map(str, ids)) for ids in v] if c in _STR_COLUMNS else list(v)
-                for c, v in zip(EPISODE_COLUMNS, values)
-            }
+            self._columns = _Columns(self.rows)
         return self._columns
 
     def __len__(self) -> int:
@@ -108,8 +132,9 @@ def write_episode_csv(record: EpisodeRecord, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
+        columns = [record.columns[c] for c in EPISODE_COLUMNS]
         for i in range(len(record)):
-            writer.writerow([_fmt(c, record.columns[c][i]) for c in EPISODE_COLUMNS])
+            writer.writerow([_fmt(c, column[i]) for c, column in zip(EPISODE_COLUMNS, columns)])
 
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:

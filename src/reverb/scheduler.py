@@ -20,20 +20,19 @@ fleet, the first time its sensor is selected, and memoised with the parts of
 its SNR that do not depend on the fading (``channel.link_terms``). A round
 makes one draw for all observation noise (``sensing.observe``) and one for
 all fades, the same numbers per-link ``uplink_outcome`` calls would draw, and
-``channel.meets_deadline`` tests each link from the memoised parts. Readings
-and fades are lists of Python floats from the draw to the fusion. The planner
-keeps its 2x2 covariance as nested floats across picks. Fusion is one rank-1
-update per delivered reading, in selection order; while every pick so far
-has arrived it is the planner's step for that pick, on the same numbers, so
-fusion replays the planner's gain and covariance and computes only the mean
-update, and from the first lost pick on it runs ``rank1_update`` afresh.
-Targets are float tuples, and they and their checks are computed in Python
-floats.
+``channel.meets_deadline`` forms each fade and tests each link from the
+memoised parts in one pass. Readings and normals are lists of Python floats
+from the draw to the fusion. The planner keeps its 2x2 covariance as nested
+floats across picks. Fusion is one rank-1 update per delivered reading, in
+selection order; while every pick so far has arrived it is the planner's
+step for that pick, on the same numbers, so fusion replays the planner's gain
+and covariance and computes only the mean update, and from the first lost
+pick on it runs ``rank1_update`` afresh. Targets are float tuples, and they
+and their checks are computed in Python floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,43 +113,44 @@ def plan_selection(
     b0, b1 = targets.variance_bounds
     cov = prior_cov
     agents = fleet.agents
+    rank1 = est.rank1_update
     selected: list[int] = []
     serviced: list[int] = []
     steps: list[est.Step] = []
-
-    def pick(agent_id: int) -> None:
-        nonlocal cov
-        agent = agents[agent_id]
-        selected.append(agent_id)
-        step = est.rank1_update(cov, agent.feature, agent.noise_var)
-        steps.append(step)
-        cov = step[1]
 
     for k in sorted(violated):
         if len(selected) >= cap:
             break
         if fleet.nearest_first[k]:
-            pick(fleet.nearest_first[k][0])
+            i = fleet.nearest_first[k][0]
+            step = rank1(cov, k, agents[i].noise_var)
+            selected.append(i)
+            steps.append(step)
+            cov = step[1]
             serviced.append(k)
 
-    aged = set(selected)
-    queues = [[i for i in fleet.quietest_first[k] if i not in aged] for k in (0, 1)]
-    cursors = [0, 0]
-    while len(selected) < cap:
-        (v0, _), (_, v1) = cov
-        if not (v0 > b0 or v1 > b1):
-            break
+    q0, q1 = fleet.quietest_first[0], fleet.quietest_first[1]
+    if selected:
+        q0, q1 = ([i for i in q if i not in selected] for q in (q0, q1))
+    n0, n1 = len(q0), len(q1)
+    c0 = c1 = 0
+    (v0, _), (_, v1) = cov
+    while len(selected) < cap and (v0 > b0 or v1 > b1):
         # The coverable feature with the largest variance-to-target ratio;
         # strict, so ties keep feature 0.
-        best_k, best_ratio = None, -math.inf
-        if cursors[0] < len(queues[0]) and v0 / b0 > best_ratio:
-            best_k, best_ratio = 0, v0 / b0
-        if cursors[1] < len(queues[1]) and v1 / b1 > best_ratio:
-            best_k = 1
-        if best_k is None:
+        if c1 < n1 and (c0 >= n0 or v1 / b1 > v0 / b0):
+            k, i = 1, q1[c1]
+            c1 += 1
+        elif c0 < n0:
+            k, i = 0, q0[c0]
+            c0 += 1
+        else:
             break
-        pick(queues[best_k][cursors[best_k]])
-        cursors[best_k] += 1
+        step = rank1(cov, k, agents[i].noise_var)
+        selected.append(i)
+        steps.append(step)
+        cov = step[1]
+        (v0, _), (_, v1) = cov
 
     return selected, serviced, steps
 
@@ -167,14 +167,13 @@ def size_and_transmit(
     Returns (budgets, values, delivered agent ids); ``values`` holds the
     selected sensors' observations in selection order. All observation noise
     comes from one draw (``sensing.observe``), then all fades from one draw of
-    two normals per link (real, imaginary part), each fade formed in floats by
-    ``channel.rician_power``: the numbers, in the order, that
-    ``channel.uplink_outcome`` per link draws, and each deadline test
-    (``channel.meets_deadline``) is ``uplink_outcome``'s own float
-    expression, so deliveries and the generator state afterwards equal theirs
-    bit for bit. A link budget depends only on the channel and the sensor, so
-    it is solved the first time the sensor is selected and kept in the
-    fleet's memo with its ``channel.link_terms``; a sensor that is never
+    two normals per link (real, imaginary part): the numbers, in the order,
+    that ``channel.uplink_outcome`` per link draws. ``channel.meets_deadline``
+    forms each fade and tests each deadline with ``uplink_outcome``'s own
+    float expressions, so deliveries and the generator state afterwards equal
+    theirs bit for bit. A link budget depends only on the channel and the
+    sensor, so it is solved the first time the sensor is selected and kept in
+    the fleet's memo with its ``channel.link_terms``; a sensor that is never
     selected is never sized, even when its link is infeasible.
     """
     memo = fleet.link_memo.setdefault(params, {})
@@ -183,13 +182,11 @@ def size_and_transmit(
             agent = fleet.agents[i]
             budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
             memo[i] = budget, ch.link_terms(params, budget)
-    links = [memo[i] for i in selected]
+    budgets, terms = zip(*[memo[i] for i in selected]) if selected else ((), ())
     values = observe(fleet, selected, true_state, rng)
-    z = rng.standard_normal(2 * len(links)).tolist()
-    fades = [ch.rician_power(params.rician_k, re, im) for re, im in zip(z[0::2], z[1::2])]
-    met = ch.meets_deadline(params, [terms for _, terms in links], fades)
+    met = ch.meets_deadline(params, terms, rng.standard_normal(2 * len(terms)).tolist())
     delivered = [i for i, ok in zip(selected, met) if ok]
-    return tuple(budget for budget, _ in links), values, delivered
+    return budgets, values, delivered
 
 
 def fuse_delivered(
@@ -210,8 +207,11 @@ def fuse_delivered(
     on, each reading is updated afresh. With nothing delivered the posterior
     is a new belief holding the prior's numbers.
     """
-    arrived = set(delivered)
     agents = fleet.agents
+    if len(delivered) == len(selected):  # every pick arrived: every planned step holds
+        readings = [(agents[i].feature, agents[i].noise_var, y) for i, y in zip(selected, values)]
+        return est.fuse_readings(prior, readings, steps)
+    arrived = set(delivered)
     readings = [
         (agents[i].feature, agents[i].noise_var, y)
         for i, y in zip(selected, values)

@@ -115,14 +115,18 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     """Place ``n_agents`` single-feature sensors, features assigned round-robin.
 
     Distances are i.i.d. uniform on (0, max_distance]; each sensor's noise
-    variance is uniform in its feature's configured range.
+    variance is uniform in its feature's configured range. The 2n uniforms
+    come from one ``rng.random(2 * n)``, read in pairs (distance, noise): the
+    numbers of 2n single ``rng.uniform`` draws, since ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()``.
     """
+    u = iter(rng.random(2 * config.n_agents).tolist())
     agents = []
-    for i in range(config.n_agents):
+    for i, u_dist, u_noise in zip(range(config.n_agents), u, u):
         k = i % STATE_FEATURES
         lo, hi = config.noise_var_ranges[k]
-        d = float(config.max_distance_m * (1.0 - rng.uniform(0.0, 1.0)))  # in (0, d_max]
-        agents.append(SensingAgent(i, k, rng.uniform(lo, hi), distance_m=d, tx_power_w=config.tx_power_w))
+        d = config.max_distance_m * (1.0 - u_dist)  # in (0, d_max]
+        agents.append(SensingAgent(i, k, lo + (hi - lo) * u_noise, distance_m=d, tx_power_w=config.tx_power_w))
     return SensorFleet(agents=tuple(agents))
 
 

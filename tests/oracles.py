@@ -5,12 +5,15 @@
 * ``accuracy_vector``: the per-feature accuracy a belief delivers.
 * ``td_error``: the one-step temporal-difference residual of one transition,
   the quantity ``control.ppo_update`` computes for a whole batch.
-* ``forward_2d``, ``gaussian_log_prob``, ``value``, ``sample_step_2d`` and
-  ``ppo_update_batch``: the learner as it was before its per-interval step
-  took one row, each state pushed through the nets as a 2-D batch, each
-  layer's ``tanh(h @ W + b)`` a new array per operation, and every log
-  density taken by the batch function; ``MLP.forward_cached``,
-  ``PolicyAgent.sample_step`` and ``control.ppo_update`` must keep their bits.
+* ``forward_2d``, ``gaussian_log_prob``, ``value``, ``squash``,
+  ``sample_step_2d`` and ``ppo_update_batch``: the learner as it was before
+  its per-interval step took one row, each state pushed through the nets as
+  a 2-D batch, each layer's ``tanh(h @ W + b)`` a new array per operation,
+  every log density taken by the batch function and the action squashed in
+  numpy; ``MLP.forward_cached``, ``PolicyAgent.sample_step``,
+  ``PolicyAgent.squash`` and ``control.ppo_update`` must keep their bits.
+* ``adam_step``: the Adam update as whole-array expressions, a new array per
+  operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
 * ``joseph_update``: the general batch Kalman update of any observation
@@ -20,6 +23,9 @@
 * ``plan_picks``: the value-of-information planner, min-scanning its
   candidates at every pick, its covariance following ``rank1_joseph`` or a
   given update.
+* ``generate_fleet_scalar``: the fleet drawn with one scalar uniform per
+  distance and per noise variance, the form of ``sensing.generate_fleet``'s
+  single draw of all of them.
 * ``observe_one``: one sensor's reading with its own standard normal draw,
   the per-sensor form of the batched ``sensing.observe``.
 * ``reference_episode``: one episode of any scheme, composed from the above,
@@ -38,6 +44,7 @@ from reverb import estimator as est
 from reverb import loop
 from reverb import sensing
 from reverb.errors import InputError, NumericalError, TrainingError
+from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from reverb.recordio import EPISODE_COLUMNS, EpisodeRecord
 
 
@@ -111,13 +118,33 @@ def value(agent: ctl.PolicyAgent, states) -> np.ndarray:
     return forward_2d(agent.critic, agent._scaled(states))[0][:, 0]
 
 
+def squash(agent: ctl.PolicyAgent, raw) -> ctl.ActionVector:
+    """``PolicyAgent.squash`` in numpy: tanh of the force, ``eta_max / (1 + exp(-raw))`` per request."""
+    raw = np.asarray(raw, dtype=float)
+    force = math.tanh(float(raw[0]))
+    accuracy = agent.cfg.eta_max / (1.0 + np.exp(np.minimum(-raw[1:], 709.0)))
+    return ctl.ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
+
+
+def adam_step(params, grads, m, v, t: int, lr: float) -> None:
+    """Adam step ``t`` as whole-array expressions, updating ``params``, ``m`` and ``v`` in place."""
+    b1c = 1.0 - ADAM_BETA1**t
+    b2c = 1.0 - ADAM_BETA2**t
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= ADAM_BETA1
+        m_i += (1.0 - ADAM_BETA1) * g
+        v_i *= ADAM_BETA2
+        v_i += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m_i / b1c) / (np.sqrt(v_i / b2c) + ADAM_EPS)
+
+
 def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
     """``PolicyAgent.sample_step`` with the state as a one-row batch and the batch log density."""
     mean = forward_2d(agent.actor, agent._scaled(state))[0][0]
     std = np.exp(agent.log_std)
     raw = mean + std * rng.standard_normal(ctl.ACTION_DIM)
     logp = float(gaussian_log_prob(raw[None, :], mean[None, :], agent.log_std)[0])
-    return agent.squash(raw), raw, logp
+    return squash(agent, raw), raw, logp
 
 
 def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl.LOG_STD_MIN) -> None:
@@ -183,6 +210,17 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     if x2 == -1.2 and v2 < 0.0:
         v2 = 0.0
     return [x2, v2]
+
+
+def generate_fleet_scalar(config: sensing.FleetConfig, rng: np.random.Generator) -> sensing.SensorFleet:
+    """``sensing.generate_fleet`` with one scalar ``rng.uniform`` per distance and per noise variance."""
+    agents = []
+    for i in range(config.n_agents):
+        k = i % sensing.STATE_FEATURES
+        lo, hi = config.noise_var_ranges[k]
+        d = float(config.max_distance_m * (1.0 - rng.uniform(0.0, 1.0)))
+        agents.append(sensing.SensingAgent(i, k, rng.uniform(lo, hi), distance_m=d, tx_power_w=config.tx_power_w))
+    return sensing.SensorFleet(agents=tuple(agents))
 
 
 def observe_one(agent: sensing.SensingAgent, state, rng: np.random.Generator) -> float:

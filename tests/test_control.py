@@ -173,6 +173,40 @@ def test_adam_in_place_moments_equal_the_textbook_update():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_adam_step_matches_the_whole_array_oracle():
+    """Over 50 steps, ``Adam.step`` leaves the bits ``oracles.adam_step`` leaves: parameters and both moments."""
+    rng = np.random.default_rng(35)
+    params = [rng.standard_normal(4547), rng.standard_normal(65), rng.standard_normal(1)]
+    want = [p.copy() for p in params]
+    m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
+    opt = Adam(3e-3)
+    for t in range(1, 51):
+        # Gradients over nine decades, both signs, and exact zeros.
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
+        grads[0][:: 7 + t] = 0.0
+        opt.step(params, grads)
+        oracles.adam_step(want, grads, m, v, t, 3e-3)
+    assert opt.t == 50
+    for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_squash_in_floats_matches_the_numpy_oracle():
+    """``PolicyAgent.squash`` gives ``oracles.squash``'s bits on raw vectors over six decades and the clip edges."""
+    rng = np.random.default_rng(36)
+    n = 100_000
+    raws = rng.standard_normal((n, ctl.ACTION_DIM)) * 10.0 ** rng.uniform(-3, 3, (n, ctl.ACTION_DIM))
+    edges = [709.0, -709.0, np.nextafter(709.0, 0.0), np.nextafter(-709.0, 0.0), 710.0, -710.0, 0.0, -0.0]
+    raws[: len(edges) ** 2, 1:] = [(a, b) for a in edges for b in edges]
+    for eta_max in (1e4, 1.0):
+        agent = ctl.PolicyAgent(ctl.ControlConfig(eta_max=eta_max), np.random.default_rng(37))
+        rows = raws if eta_max == 1e4 else raws[:1000]
+        got = [agent.squash(raw) for raw in rows]
+        want = [oracles.squash(agent, raw) for raw in rows]
+        assert np.array([(a.force, *a.accuracy) for a in got]).tobytes() == \
+            np.array([(a.force, *a.accuracy) for a in want]).tobytes()
+
+
 def test_layer_arrays_stay_views_of_the_flat_vector():
     agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=2, minibatch=8), np.random.default_rng(32))
     rng = np.random.default_rng(33)
@@ -440,7 +474,7 @@ def test_sample_step_and_act_mean_match_the_batch_oracle(trained_agent):
             assert action == want_action
             assert raw.tobytes() == want_raw.tobytes()
             assert type(logp) is float and np.float64(logp).tobytes() == np.float64(want_logp).tobytes()
-            mean_action = agent.squash(oracles.forward_2d(agent.actor, agent._scaled(s))[0][0])
+            mean_action = oracles.squash(agent, oracles.forward_2d(agent.actor, agent._scaled(s))[0][0])
             assert agent.act_mean(s) == mean_action
 
 

@@ -134,6 +134,17 @@ def test_invalid_process_noise_rejected():
         dyn.mountain_car_model(process_noise_var=(-1e-6, 1e-6))
 
 
+def test_model_is_built_once_per_noise_setting():
+    a = dyn.mountain_car_model(process_noise_var=(3e-6, 1e-6))
+    assert dyn.mountain_car_model(process_noise_var=[3e-6, np.float64(1e-6)]) is a
+    assert a.process_noise_cov == ((3e-6, 0.0), (0.0, 1e-6))
+    assert dyn.mountain_car_model(process_noise_var=(1e-6, 3e-6)) is not a
+    zero, signed = (dyn.mountain_car_model(process_noise_var=(0.0, v)) for v in (0.0, -0.0))
+    assert zero is not signed and math.copysign(1.0, signed.process_noise_cov[1][1]) == -1.0
+    with pytest.raises(ConfigError):  # a rejected setting is rejected every time
+        dyn.mountain_car_model(process_noise_var=(-1e-6, 1e-6))
+
+
 def test_initial_state_in_start_range():
     rng = np.random.default_rng(3)
     for _ in range(50):

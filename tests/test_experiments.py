@@ -275,6 +275,37 @@ def test_columns_view_shows_rows_appended_after_a_read():
     assert again["prbs"] == [0, 4] and rec.qis == 2 and rec.total_prbs == 4
 
 
+def eager_columns(rows):
+    """Every column of ``rows`` built at once, the id tuples joined into ``;``-separated text."""
+    return {
+        c: [";".join(map(str, row[j])) if c in ("selected", "delivered") else row[j] for row in rows]
+        for j, c in enumerate(EPISODE_COLUMNS)
+    }
+
+
+def test_lazily_joined_columns_equal_the_eager_dict():
+    rows = [
+        base_row(qi=0, selected=(3, 5, 11), delivered=(5,), n_selected=3, prbs=7),
+        base_row(qi=1, selected=(), delivered=(), n_selected=0),
+        base_row(qi=2, selected=(0,), delivered=(0,), n_selected=1, failed=1),
+    ]
+    want = eager_columns([tuple(r[c] for c in EPISODE_COLUMNS) for r in rows])
+    # Read as a whole, one text column first, or only the numeric columns the metrics read.
+    whole = hand_record("AoL-REVERB", rows)
+    assert whole.columns == want and dict(whole.columns) == want and list(whole.columns) == list(EPISODE_COLUMNS)
+    one_first = hand_record("AoL-REVERB", rows)
+    assert one_first.columns["delivered"] == ["5", "", "0"]
+    assert dict(one_first.columns) == want
+    numeric = hand_record("AoL-REVERB", rows)
+    assert numeric.total_prbs == 7 and numeric.failure_count == 1
+    assert compute_metrics([numeric]) == compute_metrics([whole])
+    assert dict(numeric.columns) == want
+    # Rows appended after a read show up in the next read, text columns included.
+    numeric.append(tuple(base_row(qi=3, selected=(4, 2), delivered=(2,), n_selected=2).values()))
+    assert numeric.columns["selected"] == ["3;5;11", "", "0", "4;2"]
+    assert dict(numeric.columns) == eager_columns(numeric.rows)
+
+
 def test_summary_csv_round_trip(tmp_path):
     rows = [
         {"scheme": "Perfect", "episodes": 3, "mrmse": 0.12345678901234567},

@@ -8,6 +8,7 @@ references of the float expressions (``oracles.rank1_joseph`` and
 """
 
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -190,6 +191,17 @@ def test_link_memo_hit_equals_fresh_solve():
     assert wide.bandwidth_hz > first[0].bandwidth_hz
 
 
+def test_equal_channels_share_a_memo_entry():
+    cfg, fleet = far_fleet()
+    same = dataclasses.replace(cfg.channel)
+    assert same is not cfg.channel and same == cfg.channel and hash(same) == hash(cfg.channel)
+    rng = np.random.default_rng(0)
+    (first,), _, _ = sched.size_and_transmit([0], fleet, cfg.channel, np.zeros(2), rng)
+    with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
+        (again,), _, _ = sched.size_and_transmit([0], fleet, same, np.zeros(2), rng)
+    assert again is first and list(fleet.link_memo) == [cfg.channel]
+
+
 # --- one draw per round --------------------------------------------------------
 
 
@@ -254,11 +266,25 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+class Replay:
+    """A generator stand-in whose scalar ``standard_normal()`` calls return given numbers, in order."""
+
+    def __init__(self, normals):
+        self.normals = iter(normals)
+
+    def standard_normal(self, shape=None):
+        assert shape in (None, ())
+        return np.float64(next(self.normals))
+
+
 @settings(max_examples=150, deadline=None)
 @given(specs=sensor_specs, seed=seeds, data=st.data())
 def test_memoised_deadline_test_equals_uplink_latency(specs, seed, data):
-    """``meets_deadline`` on ``link_terms`` is ``uplink_latency(...) <= max_latency_s`` on drawn fades."""
-    params = ch.ChannelParams(outage_target=data.draw(st.sampled_from([1e-5, 0.2])))
+    """``meets_deadline`` on ``link_terms`` and two normals per link is ``uplink_outcome``'s delivery."""
+    params = ch.ChannelParams(
+        outage_target=data.draw(st.sampled_from([1e-5, 0.2])),
+        rician_k=data.draw(st.sampled_from([10.0, 12.5, 250.0])),
+    )
     budgets = []
     for a in build_fleet(specs).agents:
         budget = ch.optimal_bandwidth(params, a.tx_power_w, a.distance_m, agent_id=a.agent_id)
@@ -268,10 +294,19 @@ def test_memoised_deadline_test_equals_uplink_latency(specs, seed, data):
         elif scale == "starved":
             budget = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
         budgets.append(budget)
-    fades = ch.rician_fading_sample(params.rician_k, np.random.default_rng(seed), len(budgets)).tolist()
-    fades[data.draw(st.integers(0, len(fades) - 1))] = 0.0  # no signal at all: zero rate
-    met = ch.meets_deadline(params, [ch.link_terms(params, b) for b in budgets], fades)
-    assert met == [ch.uplink_latency(params, b, f) <= params.max_latency_s for b, f in zip(budgets, fades)]
+    terms = [ch.link_terms(params, b) for b in budgets]
+    # Drawn normals: the per-link oracle draws the same numbers from the same seed.
+    normals = np.random.default_rng(seed).standard_normal(2 * len(budgets)).tolist()
+    rng = np.random.default_rng(seed)
+    assert ch.meets_deadline(params, terms, normals) == [ch.uplink_outcome(params, b, rng).delivered for b in budgets]
+    # A link with no signal at all: its real part cancels the line of sight, so the rate is zero.
+    los, sigma = ch.rician_terms(params.rician_k)
+    dark = data.draw(st.integers(0, len(budgets) - 1))
+    normals[2 * dark: 2 * dark + 2] = [-los / sigma, 0.0]
+    replay = Replay(normals)
+    outcomes = [ch.uplink_outcome(params, b, replay) for b in budgets]
+    assert outcomes[dark].latency_s == math.inf and not outcomes[dark].delivered
+    assert ch.meets_deadline(params, terms, normals) == [out.delivered for out in outcomes]
 
 
 def test_empty_selection_draws_nothing():

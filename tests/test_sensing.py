@@ -4,6 +4,8 @@ import pytest
 from reverb import sensing
 from reverb.errors import ConfigError, InputError
 
+import oracles
+
 
 def test_two_agents_cover_both_features():
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=2), np.random.default_rng(0))
@@ -44,6 +46,31 @@ def test_noise_variances_within_feature_ranges():
     for a in fleet.agents:
         lo, hi = cfg.noise_var_ranges[a.feature]
         assert lo <= a.noise_var <= hi
+
+
+@pytest.mark.parametrize(
+    "noise_var_ranges",
+    [
+        ((1e-3, 2e-2), (2e-4, 4e-3)),
+        ((0.5, 0.5), (1e-9, 3e5)),
+        ((1e-300, 1e300), (7.0, 7.000000000000001)),
+    ],
+)
+def test_fleet_equals_one_scalar_draw_per_field(noise_var_ranges):
+    """One ``rng.random(2n)`` gives every field of ``oracles.generate_fleet_scalar``, and its generator state."""
+    for n_agents in (2, 3, 17, 60, 80):
+        cfg = sensing.FleetConfig(n_agents=n_agents, max_distance_m=37.3, noise_var_ranges=noise_var_ranges)
+        for seed in (0, 1, 29, 2**40 + 3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sensing.generate_fleet(cfg, rng).agents
+            want = oracles.generate_fleet_scalar(cfg, oracle_rng).agents
+            assert len(got) == len(want) == n_agents
+            for a, b in zip(got, want):
+                assert (a.agent_id, a.feature, a.tx_power_w) == (b.agent_id, b.feature, b.tx_power_w)
+                for name in ("noise_var", "noise_std", "distance_m"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert type(x) is float and x.hex() == y.hex(), (n_agents, seed, a.agent_id, name)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def one_sensor(feature, noise_var):
