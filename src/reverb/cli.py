@@ -49,6 +49,8 @@ def _load_agent(path: str | None) -> control.PolicyAgent | None:
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:  # nested deeper than the decoder's recursion allows
+            raise ConfigError(f"{path} is not valid JSON: nested too deeply to parse") from None
     return control.PolicyAgent.from_dict(data)
 
 
@@ -164,6 +166,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ReverbError, OSError) as exc:  # a missing or unreadable file, a directory, a full disk
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size no machine holds, such as fleet.n_agents: 1000000000000
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

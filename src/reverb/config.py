@@ -73,5 +73,7 @@ def load_config(path: str | Path) -> RunConfig:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+        except RecursionError:  # nested deeper than the parser's recursion allows
+            raise ConfigError(f"{path} is not valid YAML: nested too deeply to parse") from None
     return config_from_dict(data)
 

@@ -8,8 +8,9 @@ critic is a state-value net trained on one-step temporal-difference targets;
 the same one-step residual is the actor's advantage.
 
 The nets map the scaled belief mean (``STATE_FEATURES`` entries) to
-``ACTION_DIM`` = 1 + ``STATE_FEATURES`` raw entries. A weights file must
-record those dimensions; its ``eta_max`` and ``input_scale`` are set through
+``ACTION_DIM`` = 1 + ``STATE_FEATURES`` raw entries through ``HIDDEN``
+widths. A weights file must record those end dimensions, and may declare
+other hidden widths; its ``eta_max`` and ``input_scale`` are set through
 ``ControlConfig`` and obey the rules they have in a config file.
 
 A deterministic energy-pumping controller is provided so the estimation and
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, InputError, TrainingError
 from .loop import TwinLoop
 from .nets import MLP, Adam, number_array
-from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, at_least, check_fields, spec, within
+from .schema import NONNEGATIVE, POSITIVE, STATE_FEATURES, check_fields, spec
 
 Array = np.ndarray
 
@@ -37,6 +38,19 @@ ACTION_DIM = 1 + STATE_FEATURES  # the force, then one accuracy request per feat
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# The learning recipe; Adam's step size, betas and eps are constants of ``nets``.
+HIDDEN = (64, 64)     # hidden-layer widths of a new actor and critic
+INIT_LOG_STD = 0.5    # the policy's initial log-std, every action entry
+CLIP = 0.2            # the surrogate's ratio clip, 1 +- CLIP
+GAMMA = 0.99          # discount of the one-step TD target
+EPOCHS = 10           # passes over an episode's batch per update
+MINIBATCH = 64        # rows per gradient step; the last may be smaller
+# Exploration schedule: keep log-std at or above EXPLORE_FLOOR for the first
+# EXPLORE_FRAC of training episodes so the sparse summit bonus can be found
+# before the action-cost gradient shrinks the policy's spread.
+EXPLORE_FLOOR = -0.75
+EXPLORE_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,21 +81,10 @@ class Transition:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    hidden: tuple[int, ...] = spec((64, 64), (int,), at_least(1))
-    lr_actor: float = spec(1e-3, float, POSITIVE)
-    lr_critic: float = spec(1e-3, float, POSITIVE)
-    clip: float = spec(0.2, float, POSITIVE)
-    gamma: float = spec(0.99, float, within(0.0, 1.0))
+    """The reward's accuracy weight and the two values a weights file carries; the recipe is fixed."""
+
     kappa: float = spec(5e-6, float, NONNEGATIVE)
     eta_max: float = spec(1e4, float, NONNEGATIVE)
-    epochs: int = spec(10, int, at_least(1))
-    minibatch: int = spec(64, int, at_least(1))
-    init_log_std: float = spec(0.5, float, within(LOG_STD_MIN, LOG_STD_MAX))
-    # Exploration schedule: keep log-std at or above this floor for the first
-    # explore_frac of training episodes so the sparse summit bonus can be
-    # found before the action-cost gradient shrinks the policy's spread.
-    explore_floor: float = spec(-0.75, float, within(LOG_STD_MIN, LOG_STD_MAX))
-    explore_frac: float = spec(0.5, float, within(0.0, 1.0))
     # Fixed per-feature scaling applied to the belief mean before the nets;
     # mountain-car velocity lives on a ~1/14 scale relative to position.
     input_scale: tuple[float, ...] = spec((1.0, 14.285714285714286), (float,), POSITIVE, per_feature=True)
@@ -95,9 +98,9 @@ class PolicyAgent:
 
     def __init__(self, cfg: ControlConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
-        self.actor = MLP((STATE_FEATURES, *cfg.hidden, ACTION_DIM), rng)
-        self.critic = MLP((STATE_FEATURES, *cfg.hidden, 1), rng)
-        self.log_std = np.full(ACTION_DIM, float(cfg.init_log_std))
+        self.actor = MLP((STATE_FEATURES, *HIDDEN, ACTION_DIM), rng)
+        self.critic = MLP((STATE_FEATURES, *HIDDEN, 1), rng)
+        self.log_std = np.full(ACTION_DIM, INIT_LOG_STD)
         self.scale = np.asarray(cfg.input_scale, dtype=float)
 
     # --- action plumbing ----------------------------------------------------
@@ -240,7 +243,6 @@ def ppo_update(
     """Clipped-ratio policy step and TD(0) critic regression over one batch."""
     if not batch:
         raise InputError("update needs a nonempty batch")
-    cfg = agent.cfg
     # Never raise an entry that already sits below the floor: with zero
     # gradients the update must leave parameters exactly unchanged.
     floor = min(log_std_floor, float(agent.log_std.min()))
@@ -257,12 +259,12 @@ def ppo_update(
     actor_params = [agent.actor.flat, agent.log_std]
     critic_params = [agent.critic.flat]
 
-    for _ in range(cfg.epochs):
+    for _ in range(EPOCHS):
         # One-step TD residuals with the current critic; they are both the
         # critic's regression error and the actor's advantage estimate.
         v_s = agent.critic.forward(states)[:, 0]
         v_next = agent.critic.forward(next_states)[:, 0] * not_done
-        targets = rewards + cfg.gamma * v_next
+        targets = rewards + GAMMA * v_next
         delta = targets - v_s
         adv = (delta - delta.mean()) / (delta.std() + 1e-8)
 
@@ -270,8 +272,8 @@ def ppo_update(
         order = rng.permutation(n)
         ep_states, ep_raws, ep_logp = states[order], raws[order], logp_old[order]
         ep_adv, ep_targets = adv[order], targets[order]
-        for start in range(0, n, cfg.minibatch):
-            mb = slice(start, start + cfg.minibatch)
+        for start in range(0, n, MINIBATCH):
+            mb = slice(start, start + MINIBATCH)
             x = ep_states[mb]
             mb_size = len(x)
 
@@ -285,7 +287,7 @@ def ppo_update(
             ratio = np.exp(logp_new - ep_logp[mb])
             a_mb = ep_adv[mb]
             unclipped = ratio * a_mb
-            clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * a_mb
+            clipped = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * a_mb
             # d surrogate / d logp_new is ratio*adv where the unclipped term is
             # active, zero in the clipped-and-worse region.
             active = unclipped <= clipped
@@ -337,11 +339,11 @@ def train(
     update_rng = np.random.default_rng(update_ss)
     env_children = env_ss.spawn(episodes)
     agent = PolicyAgent(cfg, init_rng)
-    actor_opt = Adam(cfg.lr_actor)
-    critic_opt = Adam(cfg.lr_critic)
+    actor_opt = Adam()
+    critic_opt = Adam()
     curve: list[EpisodeStats] = []
 
-    explore_until = int(cfg.explore_frac * episodes)
+    explore_until = int(EXPLORE_FRAC * episodes)
     for ep in range(episodes):
         loop = make_loop(np.random.default_rng(env_children[ep]))
         state = loop.belief.mean
@@ -363,7 +365,7 @@ def train(
                 break
         if not math.isfinite(shaped_return):
             raise TrainingError("non-finite episode return")
-        floor = cfg.explore_floor if ep < explore_until else LOG_STD_MIN
+        floor = EXPLORE_FLOOR if ep < explore_until else LOG_STD_MIN
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)

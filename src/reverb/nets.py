@@ -19,6 +19,7 @@ import numpy as np
 
 Array = np.ndarray
 
+ADAM_LR = 1e-3       # step size, the same for the actor and the critic
 ADAM_BETA1 = 0.9     # decay of the running gradient mean
 ADAM_BETA2 = 0.999   # decay of the running squared-gradient mean
 ADAM_EPS = 1e-8      # added to the root of the second moment
@@ -133,8 +134,7 @@ class MLP:
 
 
 class Adam:
-    def __init__(self, lr: float):
-        self.lr = lr
+    def __init__(self) -> None:
         self.m: list[Array] | None = None
         self.v: list[Array] | None = None
         self.t = 0
@@ -159,7 +159,7 @@ class Adam:
             v *= ADAM_BETA2
             v += tmp
             np.divide(m, b1c, out=tmp)
-            tmp *= self.lr
+            tmp *= ADAM_LR
             den = np.divide(v, b2c)
             np.sqrt(den, out=den)
             den += ADAM_EPS

@@ -18,7 +18,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _CRITERIA:
         return
     terminalreporter.section("acceptance criteria")
-    for cid, ok, detail in sorted(_CRITERIA):
+    # By the number after "A", so A2 comes before A10.
+    for cid, ok, detail in sorted(_CRITERIA, key=lambda c: (int(c[0].removeprefix("A")), c)):
         status = "PASS" if ok else "FAIL"
         line = f"{cid}: {status}"
         if detail:

@@ -44,7 +44,7 @@ from reverb import estimator as est
 from reverb import loop
 from reverb import sensing
 from reverb.errors import InputError, NumericalError, TrainingError
-from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR
 from reverb.recordio import EPISODE_COLUMNS, EpisodeRecord
 
 
@@ -126,7 +126,7 @@ def squash(agent: ctl.PolicyAgent, raw) -> ctl.ActionVector:
     return ctl.ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
 
 
-def adam_step(params, grads, m, v, t: int, lr: float) -> None:
+def adam_step(params, grads, m, v, t: int) -> None:
     """Adam step ``t`` as whole-array expressions, updating ``params``, ``m`` and ``v`` in place."""
     b1c = 1.0 - ADAM_BETA1**t
     b2c = 1.0 - ADAM_BETA2**t
@@ -135,7 +135,7 @@ def adam_step(params, grads, m, v, t: int, lr: float) -> None:
         m_i += (1.0 - ADAM_BETA1) * g
         v_i *= ADAM_BETA2
         v_i += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m_i / b1c) / (np.sqrt(v_i / b2c) + ADAM_EPS)
+        p -= ADAM_LR * (m_i / b1c) / (np.sqrt(v_i / b2c) + ADAM_EPS)
 
 
 def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
@@ -151,7 +151,6 @@ def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl
     """``control.ppo_update`` as it was: each minibatch gathered and scaled on its own, ``z`` formed twice."""
     if not batch:
         raise InputError("update needs a nonempty batch")
-    cfg = agent.cfg
     floor = min(log_std_floor, float(agent.log_std.min()))
     states = np.stack([t.state for t in batch])
     next_states = np.stack([t.next_state for t in batch])
@@ -163,16 +162,16 @@ def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl
     actor_params = [agent.actor.flat, agent.log_std]
     critic_params = [agent.critic.flat]
 
-    for _ in range(cfg.epochs):
+    for _ in range(ctl.EPOCHS):
         v_s = value(agent, states)
         v_next = value(agent, next_states) * not_done
-        targets = rewards + cfg.gamma * v_next
+        targets = rewards + ctl.GAMMA * v_next
         delta = targets - v_s
         adv = (delta - delta.mean()) / (delta.std() + 1e-8)
 
         order = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch):
-            mb = order[start : start + cfg.minibatch]
+        for start in range(0, n, ctl.MINIBATCH):
+            mb = order[start : start + ctl.MINIBATCH]
             x = agent._scaled(states[mb])
 
             mean, acts = forward_2d(agent.actor, x)
@@ -181,7 +180,7 @@ def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl
             ratio = np.exp(logp_new - logp_old[mb])
             a_mb = adv[mb]
             unclipped = ratio * a_mb
-            clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * a_mb
+            clipped = np.clip(ratio, 1.0 - ctl.CLIP, 1.0 + ctl.CLIP) * a_mb
             active = unclipped <= clipped
             dlogp = np.where(active, ratio * a_mb, 0.0) / len(mb)
             z = (raws[mb] - mean) / std

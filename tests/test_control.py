@@ -9,7 +9,7 @@ from scipy import stats
 from reverb import control as ctl
 from reverb import dynamics as dyn
 from reverb.errors import TrainingError
-from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MLP, Adam
+from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, MLP, Adam
 
 import oracles
 from oracles import td_error
@@ -131,12 +131,7 @@ def test_zero_advantage_leaves_actor_unchanged():
     agent.actor = actor
     batch = make_batch(agent, rng, reward=0.0)
     before = [p.copy() for p in param_arrays(agent.actor)] + [agent.log_std.copy()]
-    ctl.ppo_update(
-        agent, batch,
-        Adam(agent.cfg.lr_actor),
-        Adam(agent.cfg.lr_critic),
-        np.random.default_rng(14),
-    )
+    ctl.ppo_update(agent, batch, Adam(), Adam(), np.random.default_rng(14))
     after = param_arrays(agent.actor) + [agent.log_std]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -145,7 +140,7 @@ def test_zero_advantage_leaves_actor_unchanged():
 def test_adam_on_the_flat_vector_equals_adam_per_layer():
     flat_net, layer_net = (MLP((2, 8, 8, 3), np.random.default_rng(30)) for _ in range(2))
     arrays = [p.copy() for p in param_arrays(layer_net)]  # arrays of their own, not views
-    flat_opt, layer_opt = Adam(1e-2), Adam(1e-2)
+    flat_opt, layer_opt = Adam(), Adam()
     rng = np.random.default_rng(31)
     for _ in range(6):
         grads = [rng.standard_normal(p.shape) for p in arrays]
@@ -160,7 +155,7 @@ def test_adam_in_place_moments_equal_the_textbook_update():
     params = [rng.standard_normal(300), rng.standard_normal(7)]
     want = [p.copy() for p in params]
     m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
-    opt = Adam(1e-3)
+    opt = Adam()
     for t in range(1, 51):
         # Gradients over nine decades, so the products round differently across entries.
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
@@ -168,7 +163,7 @@ def test_adam_in_place_moments_equal_the_textbook_update():
         for p, g, m_i, v_i in zip(want, grads, m, v):
             m_i[...] = ADAM_BETA1 * m_i + (1.0 - ADAM_BETA1) * g
             v_i[...] = ADAM_BETA2 * v_i + (1.0 - ADAM_BETA2) * g * g
-            p -= 1e-3 * (m_i / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v_i / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+            p -= ADAM_LR * (m_i / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v_i / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
     for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
         assert got.tobytes() == expected.tobytes()
 
@@ -179,13 +174,13 @@ def test_adam_step_matches_the_whole_array_oracle():
     params = [rng.standard_normal(4547), rng.standard_normal(65), rng.standard_normal(1)]
     want = [p.copy() for p in params]
     m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
-    opt = Adam(3e-3)
+    opt = Adam()
     for t in range(1, 51):
         # Gradients over nine decades, both signs, and exact zeros.
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
         grads[0][:: 7 + t] = 0.0
         opt.step(params, grads)
-        oracles.adam_step(want, grads, m, v, t, 3e-3)
+        oracles.adam_step(want, grads, m, v, t)
     assert opt.t == 50
     for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
         assert got.tobytes() == expected.tobytes()
@@ -208,10 +203,10 @@ def test_squash_in_floats_matches_the_numpy_oracle():
 
 
 def test_layer_arrays_stay_views_of_the_flat_vector():
-    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=2, minibatch=8), np.random.default_rng(32))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(32))
     rng = np.random.default_rng(33)
     before = agent.actor.flat.copy()
-    ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(1e-3), Adam(1e-3), rng)
+    ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(), Adam(), rng)
     assert not np.array_equal(agent.actor.flat, before)
     clone = ctl.PolicyAgent.from_dict(agent.to_dict())
     for net in (agent.actor, agent.critic, clone.actor, clone.critic):
@@ -226,10 +221,12 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
 
 @pytest.mark.parametrize("net", ["actor", "critic"])
 def test_one_nan_gradient_entry_raises(net):
-    # One minibatch, one step: a NaN that slipped through would raise nowhere else.
-    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=1, minibatch=8), np.random.default_rng(34))
+    # One minibatch per epoch; the poisoned net's first step must raise, before
+    # the NaN reaches its parameters and every later gradient.
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(34))
     rng = np.random.default_rng(35)
     batch = make_batch(agent, rng, n=8, reward=1.0)
+    before = getattr(agent, net).flat.tobytes()
     backward = MLP.backward
 
     def poisoned(self, acts, grad_out):
@@ -240,7 +237,8 @@ def test_one_nan_gradient_entry_raises(net):
 
     with mock.patch.object(MLP, "backward", poisoned):
         with pytest.raises(TrainingError, match=f"non-finite {net} gradients"):
-            ctl.ppo_update(agent, batch, Adam(1e-3), Adam(1e-3), rng)
+            ctl.ppo_update(agent, batch, Adam(), Adam(), rng)
+    assert getattr(agent, net).flat.tobytes() == before
 
 
 def test_critic_gradient_matches_fd_three_weight_net():
@@ -296,17 +294,12 @@ def test_critic_gradient_matches_fd_random_nets():
 
 
 def test_critic_moves_toward_td_target():
-    agent = ctl.PolicyAgent(ctl.ControlConfig(epochs=5, minibatch=8), np.random.default_rng(17))
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(17))
     rng = np.random.default_rng(18)
     s = np.array([0.2, -0.03])
     tr = ctl.Transition(s, np.zeros(3), 0.0, reward=1.0, next_state=s, done=True)
     before_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
-    ctl.ppo_update(
-        agent, [tr] * 16,
-        Adam(agent.cfg.lr_actor),
-        Adam(agent.cfg.lr_critic),
-        rng,
-    )
+    ctl.ppo_update(agent, [tr] * 16, Adam(), Adam(), rng)
     after_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
     assert after_gap < before_gap
 
@@ -362,7 +355,7 @@ def test_training_deterministic_given_seed():
     from reverb.config import RunConfig
     from reverb.schemes import build_loop
 
-    cfg = dataclasses.replace(RunConfig(), control=ctl.ControlConfig(epochs=2))
+    cfg = RunConfig()
     results = []
     for _ in range(2):
         agent, curve = ctl.train(
@@ -499,7 +492,7 @@ def learner_state(agent, actor_opt, critic_opt):
 
 def run_updates(update, batch, floor):
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
-    actor_opt, critic_opt = Adam(agent.cfg.lr_actor), Adam(agent.cfg.lr_critic)
+    actor_opt, critic_opt = Adam(), Adam()
     rng = np.random.default_rng(51)
     for _ in range(3):
         update(agent, batch, actor_opt, critic_opt, rng, log_std_floor=floor)
@@ -511,6 +504,7 @@ def test_ppo_update_matches_the_batch_oracle(floor):
     """Three updates on a fixed 200-transition batch leave the bits the per-minibatch learner leaves."""
     sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
     batch = fixed_batch(sampler, np.random.default_rng(52))
+    assert len(batch) // ctl.MINIBATCH >= 2 and len(batch) % ctl.MINIBATCH  # several minibatches, the last partial
     got = run_updates(ctl.ppo_update, batch, floor)
     assert got == run_updates(oracles.ppo_update_batch, batch, floor)
     assert got[:2] != [sampler.actor.flat.tobytes(), sampler.critic.flat.tobytes()]  # both nets moved

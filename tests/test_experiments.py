@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reverb import cli, control
+from reverb import cli, control, schemes
 from reverb.config import RunConfig, config_from_dict, load_config
 from reverb.errors import ConfigError, InputError
 from reverb.metrics import compute_metrics
@@ -415,11 +415,6 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("init_belief_var: .nan", "init_belief_var must be finite and strictly positive"),
         ("cap: [1, 2", "is not valid YAML"),
         ("seed: -1", "seed must be nonnegative"),
-        ("control: {minibatch: 0}", "control.minibatch must be at least 1, got 0"),
-        ("control: {explore_frac: .nan}", "control.explore_frac must be finite and within [0.0, 1.0]"),
-        ("control: {hidden: [0, 4]}", "control.hidden must be at least 1, got 0"),
-        ("control: {epochs: 0}", "control.epochs must be at least 1, got 0"),
-        ("control: {clip: -1.0}", "control.clip must be finite and strictly positive, got -1.0"),
         ("control: {input_scale: [1.0]}", "control.input_scale needs one entry per state feature"),
         ("fleet: {max_distance_m: .nan}", "fleet.max_distance_m must be finite and strictly positive"),
         ("channel: {noise_power_dbm: .nan}", "channel.noise_power_dbm must be finite, got nan"),
@@ -432,6 +427,17 @@ def test_cli_non_integer_env_seed_returns_1(tmp_path, monkeypatch, capsys):
         ("control: {advantage_norm: true}", "unknown config key 'control.advantage_norm'"),
         ("control: {entropy_coef: 0.0}", "unknown config key 'control.entropy_coef'"),
         ("traditional_sensors: 2", "unknown config key 'traditional_sensors'"),
+        # The learner's recipe, now constants of ``control``, as the old example config set it.
+        ("control: {hidden: [64, 64]}", "unknown config key 'control.hidden'"),
+        ("control: {lr_actor: 1.0e-3}", "unknown config key 'control.lr_actor'"),
+        ("control: {lr_critic: 1.0e-3}", "unknown config key 'control.lr_critic'"),
+        ("control: {clip: 0.2}", "unknown config key 'control.clip'"),
+        ("control: {gamma: 0.99}", "unknown config key 'control.gamma'"),
+        ("control: {epochs: 10}", "unknown config key 'control.epochs'"),
+        ("control: {minibatch: 64}", "unknown config key 'control.minibatch'"),
+        ("control: {init_log_std: 0.5}", "unknown config key 'control.init_log_std'"),
+        ("control: {explore_floor: -0.75}", "unknown config key 'control.explore_floor'"),
+        ("control: {explore_frac: 0.5}", "unknown config key 'control.explore_frac'"),
     ],
 )
 def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
@@ -439,6 +445,42 @@ def test_cli_malformed_config_returns_1(tmp_path, capsys, setting, fragment):
     cfg_path.write_text(setting + "\n")
     argv = ["run", "--scheme", "AoL-REVERB", "--config", str(cfg_path), "--out", str(tmp_path)]
     assert cli.main(argv) == 1
+    assert_one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "flag, text, fragment",
+    [
+        ("--config", "seed: " + "[" * 5000 + "]" * 5000, "is not valid YAML: nested too deeply"),
+        ("--weights", "[" * 5000 + "]" * 5000, "is not valid JSON: nested too deeply"),
+    ],
+    ids=["config", "weights"],
+)
+def test_cli_deeply_nested_file_returns_1(tmp_path, capsys, flag, text, fragment):
+    # Deeper than the parser's recursion allows: once a RecursionError traceback.
+    path = tmp_path / "deep"
+    path.write_text(text + "\n")
+    argv = ["run", "--scheme", "Perfect", flag, str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys, f"{path} {fragment}")
+
+
+@pytest.mark.parametrize(
+    "exc, fragment",
+    [
+        (MemoryError("Unable to allocate 14.6 TiB for an array"), "out of memory: Unable to allocate 14.6 TiB"),
+        (MemoryError(), "out of memory: an allocation failed"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_out_of_memory_returns_1(tmp_path, monkeypatch, capsys, exc, fragment):
+    # As a fleet of 10^12 sensors ends: its draw of 2n uniforms cannot be allocated.
+    # The fleet draw raises instead of allocating, so the default config is enough.
+    def no_room(fleet_cfg, rng):
+        raise exc
+
+    monkeypatch.setattr(schemes, "generate_fleet", no_room)
+    assert cli.main(["run", "--scheme", "AoL-REVERB", "--out", str(tmp_path)]) == 1
     assert_one_error_line(capsys, fragment)
 
 
