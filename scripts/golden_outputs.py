@@ -30,6 +30,16 @@ with; ``tests/golden.sha256`` is that file, and a Tier-1 test regenerates the
 11 files and compares. A change that shifts rounding on purpose rewrites it:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --digest tests/golden.sha256
+
+``--learner FILE`` writes the learner pin: ``learner_run``'s short
+``control.train`` of the headline config, each episode's returns and length
+and the final ``actor.flat``, ``critic.flat`` and ``log_std``, headed by the
+versions they were taken with. ``tests/learner.json`` is that file, and a
+Tier-1 test trains again and compares at ``LEARNER_RTOL``. Those values go
+through BLAS products, so they are compared at a tolerance rather than by
+digest; a change to the learner on purpose rewrites the file:
+
+    python3 scripts/golden_outputs.py --out /tmp/golden_new --learner tests/learner.json
 """
 
 import argparse
@@ -44,8 +54,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from reverb import control  # noqa: E402
 from reverb.cli import main as reverb_main  # noqa: E402
-from reverb.config import SCHEMES  # noqa: E402
+from reverb.config import SCHEMES, RunConfig  # noqa: E402
+from reverb.schemes import build_loop  # noqa: E402
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -108,6 +120,57 @@ def read_digest(path: Path) -> tuple[dict[str, str], dict[str, str]]:
             digest, rel = line.split("  ", 1)
             files[rel] = digest
     return taken, files
+
+
+# The learner pin: episodes and seed of the short training run. Three
+# episodes of the headline config take about a second.
+LEARNER_EPISODES = 3
+LEARNER_SEED = 1
+# Largest relative difference the pin allows, per episode return and per
+# parameter vector (largest entry difference over largest entry). Measured
+# with OpenBLAS 0.3.31 on a 2-vCPU Xeon: one and two threads give the same
+# bits, a last-bit change of every initial weight moves no pinned value by
+# more than 1e-14, and each of the learner mutants GAMMA 0.98, EPOCHS 9,
+# CLIP 0.3 and ADAM_LR 2e-3 moves every pinned parameter vector by more than
+# 3e-2.
+LEARNER_RTOL = 1e-9
+
+
+def learner_run() -> dict:
+    """Per-episode (shaped return, environment return, QIs) and the final parameters of the pin's run."""
+    cfg = RunConfig()
+    agent, curve = control.train(
+        lambda rng: build_loop(cfg, cfg.scheme, rng), LEARNER_EPISODES, cfg.control,
+        seed=LEARNER_SEED, qi_cap=cfg.qi_cap,
+    )
+    return {
+        "episodes": [[s.shaped_return, s.env_return, s.qis] for s in curve],
+        "actor": agent.actor.flat.tolist(),
+        "critic": agent.critic.flat.tolist(),
+        "log_std": agent.log_std.tolist(),
+    }
+
+
+def write_learner(path: Path) -> None:
+    run = {"versions": versions(), **learner_run()}
+    path.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in run.items()) + "\n}\n")
+
+
+def learner_differences(got: dict, want: dict) -> list[str]:
+    """One line per pinned value of ``got`` that differs from ``want`` by more than ``LEARNER_RTOL``."""
+    lines = []
+    for i, (g, w) in enumerate(zip(got["episodes"], want["episodes"])):
+        for name, a, b in zip(("shaped return", "environment return", "QIs"), g, w):
+            if not abs(a - b) <= LEARNER_RTOL * abs(b):
+                lines.append(f"episode {i} {name}: {a!r} != {b!r}")
+    for name in ("actor", "critic", "log_std"):
+        a, b = np.asarray(got[name]), np.asarray(want[name])
+        if a.shape != b.shape:
+            lines.append(f"{name}: {a.size} values != {b.size}")
+        elif not np.max(np.abs(a - b), initial=0.0) <= LEARNER_RTOL * np.max(np.abs(b), initial=0.0):
+            rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
+            lines.append(f"{name}: largest relative difference {rel:.3g}")
+    return lines
 
 
 def _files(root: Path) -> set[str]:
@@ -203,6 +266,8 @@ def main() -> int:
                         help="earlier output tree the new one must equal byte for byte")
     parser.add_argument("--digest", type=Path, default=None,
                         help="file to write the SHA-256 digests of the DIGESTED outputs to")
+    parser.add_argument("--learner", type=Path, default=None,
+                        help="file to write the learner pin (learner_run's values) to")
     args = parser.parse_args()
     for argv in commands(args.out):
         print("reverb " + " ".join(argv), flush=True)
@@ -212,6 +277,9 @@ def main() -> int:
     if args.digest is not None:
         write_digest(args.out, args.digest)
         print(f"digests of {len(digests(args.out))} files written to {args.digest}")
+    if args.learner is not None:
+        write_learner(args.learner)
+        print(f"learner pin of {LEARNER_EPISODES} episodes written to {args.learner}")
     if args.against is not None:
         if not args.against.is_dir():
             print(f"error: {args.against} is not a directory", file=sys.stderr)

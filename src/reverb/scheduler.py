@@ -28,13 +28,16 @@ selection order; while every pick so far has arrived it is the planner's
 step for that pick, on the same numbers, so fusion replays the planner's gain
 and covariance and computes only the mean update, and from the first lost
 pick on it runs ``rank1_update`` afresh. Targets are float tuples, and they
-and their checks are computed in Python floats.
+and their checks are computed in Python floats. The planner, the fusion and
+the loop closing read each sensor's feature and noise from the fleet's
+id-indexed tuples. ``UncertaintyTargets`` and ``ScheduleResult`` are named
+tuples, built once per round: ``compute_targets`` checks the requests and
+the bounds as it builds the targets, and a round stores its PRB total once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,46 +49,54 @@ from .errors import InputError
 from .sensing import SensorFleet, observe
 
 
-@dataclass(frozen=True)
-class UncertaintyTargets:
-    """Per-feature variance bounds the twin must satisfy this interval."""
+class UncertaintyTargets(NamedTuple):
+    """Per-feature variance bounds the twin must satisfy this interval.
+
+    ``compute_targets`` builds them and checks that every bound is strictly
+    positive.
+    """
 
     variance_bounds: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if any(x <= 0.0 for x in self.variance_bounds):
-            raise InputError("variance bounds must be strictly positive")
 
-
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     selected: tuple[int, ...]                  # agent ids, selection order
     budgets: tuple[ch.LinkBudget, ...]         # aligned with ``selected``
     aol_serviced: tuple[int, ...]              # features serviced for age violations
     delivered: tuple[int, ...]                 # agent ids whose uplink made the deadline
+    total_prbs: int                            # sum of the budgets' PRBs, stored once
 
     @property
     def blind(self) -> bool:
         """No sensor was selected this interval."""
         return not self.selected
 
-    @property
-    def total_prbs(self) -> int:
-        return sum(b.prbs for b in self.budgets)
-
 
 def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[float]) -> UncertaintyTargets:
     """Combine the twin's standing bounds with the controller's accuracy request.
 
     Per feature: min(required_var, 1/request); a zero request imposes nothing.
+    One pass checks both: a negative request fails as it is met, and a bound
+    that is not strictly positive fails once every request has been checked.
     """
     if len(accuracy_request) != len(required_var):
         raise InputError("one accuracy request per feature is required")
     bounds = []
+    nonpositive = False
     for x, e in zip(required_var, accuracy_request):
-        if e < 0.0:
+        if e > 0.0:
+            b = 1.0 / e
+            if not b < x:
+                b = x
+        elif e < 0.0:
             raise InputError("accuracy requests must be nonnegative")
-        bounds.append(min(x, 1.0 / e) if e > 0.0 else x)
+        else:
+            b = x
+        if b <= 0.0:
+            nonpositive = True
+        bounds.append(b)
+    if nonpositive:
+        raise InputError("variance bounds must be strictly positive")
     return UncertaintyTargets(tuple(bounds))
 
 
@@ -112,7 +123,7 @@ def plan_selection(
     """
     b0, b1 = targets.variance_bounds
     cov = prior_cov
-    agents = fleet.agents
+    noise_vars = fleet.noise_vars
     rank1 = est.rank1_update
     selected: list[int] = []
     serviced: list[int] = []
@@ -123,7 +134,7 @@ def plan_selection(
             break
         if fleet.nearest_first[k]:
             i = fleet.nearest_first[k][0]
-            step = rank1(cov, k, agents[i].noise_var)
+            step = rank1(cov, k, noise_vars[i])
             selected.append(i)
             steps.append(step)
             cov = step[1]
@@ -146,7 +157,7 @@ def plan_selection(
             c0 += 1
         else:
             break
-        step = rank1(cov, k, agents[i].noise_var)
+        step = rank1(cov, k, noise_vars[i])
         selected.append(i)
         steps.append(step)
         cov = step[1]
@@ -207,13 +218,13 @@ def fuse_delivered(
     on, each reading is updated afresh. With nothing delivered the posterior
     is a new belief holding the prior's numbers.
     """
-    agents = fleet.agents
+    features, noise_vars = fleet.features, fleet.noise_vars
     if len(delivered) == len(selected):  # every pick arrived: every planned step holds
-        readings = [(agents[i].feature, agents[i].noise_var, y) for i, y in zip(selected, values)]
+        readings = [(features[i], noise_vars[i], y) for i, y in zip(selected, values)]
         return est.fuse_readings(prior, readings, steps)
     arrived = set(delivered)
     readings = [
-        (agents[i].feature, agents[i].noise_var, y)
+        (features[i], noise_vars[i], y)
         for i, y in zip(selected, values)
         if i in arrived
     ]
@@ -246,9 +257,7 @@ def run_round(
     budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(
-        selected=tuple(selected),
-        budgets=budgets,
-        aol_serviced=tuple(serviced),
-        delivered=tuple(delivered),
+        tuple(selected), budgets, tuple(serviced), tuple(delivered), sum([b.prbs for b in budgets])
     )
-    return result, posterior, aol.close_loop(fleet.agents[i].feature for i in delivered)
+    features = fleet.features
+    return result, posterior, aol.close_loop([features[i] for i in delivered])

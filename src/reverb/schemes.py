@@ -37,7 +37,7 @@ from .sensing import generate_fleet
 
 def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
     belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
-    result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=())
+    result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=(), total_prbs=0)
     return result, belief, aol.close_loop(range(len(aol.ages)))
 
 

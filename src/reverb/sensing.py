@@ -8,7 +8,9 @@ sensor model: it reads a whole selection from one draw of standard normals
 and returns the readings as a list of Python floats. A fleet caches, derived
 from its agents, the sensor ids of each feature and the global candidate
 orders for the schedulers, by (distance, id) and by (noise, id); a feature's
-order is the global one filtered to its sensors. It holds a memo of link
+order is the global one filtered to its sensors. It also caches each
+sensor's feature, r and sqrt(r) as tuples indexed by id, which ``observe``
+and the scheduler read per pick and per link. It holds a memo of link
 budgets, filled lazily by the scheduler the first time a sensor is selected.
 """
 
@@ -79,6 +81,21 @@ class SensorFleet:
     link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
+    def features(self) -> tuple[int, ...]:
+        """Per sensor id, the feature it measures."""
+        return tuple([a.feature for a in self.agents])
+
+    @cached_property
+    def noise_vars(self) -> tuple[float, ...]:
+        """Per sensor id, its measurement variance r."""
+        return tuple([a.noise_var for a in self.agents])
+
+    @cached_property
+    def noise_stds(self) -> tuple[float, ...]:
+        """Per sensor id, sqrt(r)."""
+        return tuple([a.noise_std for a in self.agents])
+
+    @cached_property
     def feature_index(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids in id order."""
         return self._per_feature(range(len(self.agents)))
@@ -88,7 +105,8 @@ class SensorFleet:
 
     def _per_feature(self, order: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
         """``order`` filtered to each feature's sensors; a filter keeps the order."""
-        return {k: tuple(i for i in order if self.agents[i].feature == k) for k in range(STATE_FEATURES)}
+        features = self.features
+        return {k: tuple(i for i in order if features[i] == k) for k in range(STATE_FEATURES)}
 
     @cached_property
     def nearest(self) -> tuple[int, ...]:
@@ -140,6 +158,6 @@ def observe(fleet: SensorFleet, ids, state: State, rng: np.random.Generator) -> 
     s = tuple(map(float, state))
     if not all(map(math.isfinite, s)):
         raise InputError("state must be finite")
-    agents = fleet.agents
+    features, stds = fleet.features, fleet.noise_stds
     z = rng.standard_normal(len(ids)).tolist()
-    return [s[agents[i].feature] + agents[i].noise_std * zi for i, zi in zip(ids, z)]
+    return [s[features[i]] + stds[i] * zi for i, zi in zip(ids, z)]

@@ -738,3 +738,25 @@ def test_golden_files_keep_their_recorded_digests(tmp_path):
         f"{taken}, this run has {golden.versions()} (numpy does not promise the same random "
         "streams across versions)"
     )
+
+
+def test_short_training_keeps_its_recorded_learner():
+    """A short headline-config training run matches tests/learner.json at ``LEARNER_RTOL``.
+
+    Each episode's returns and length and the final actor, critic and log-std
+    are compared, so a change to the learner's recipe (discount, epochs, clip,
+    learning rate) fails here even where A5's bounds still hold.
+    """
+    golden = load_golden_script()
+    want = json.loads(Path(__file__).with_name("learner.json").read_text())
+    got = golden.learner_run()
+    assert len(got["episodes"]) == len(want["episodes"]) == golden.LEARNER_EPISODES
+    differences = golden.learner_differences(got, want)
+    assert not differences, (
+        f"the learner moved from tests/learner.json: {differences}; it was recorded with "
+        f"{want['versions']}, this run has {golden.versions()}"
+    )
+    nudged = {**got, "critic": [x * (1.0 + 1e-6) for x in got["critic"]]}
+    assert golden.learner_differences(nudged, want) == [
+        "critic: largest relative difference 1e-06"
+    ]

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
+import pytest
 
 from reverb import estimator as est
 from reverb import scheduler as sched
 from reverb import schemes
 from reverb.aol import AolTracker
 from reverb.channel import ChannelParams
-from reverb.config import RunConfig
+from reverb.config import SCHEMES, RunConfig, config_from_dict
+from reverb.control import scripted_controller
+from reverb.errors import InputError
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
@@ -34,6 +39,58 @@ def test_compute_targets_zero_request_is_vacuous():
 def test_compute_targets_elementwise_min():
     t = sched.compute_targets([0.01, 0.002], [200.0, 200.0])
     assert np.allclose(t.variance_bounds, [0.005, 0.002])
+
+
+@pytest.mark.parametrize(
+    "required_var, accuracy, message",
+    [
+        ([0.01, 0.002], [50.0, -1.0], "accuracy requests must be nonnegative"),
+        ([0.01, -0.002], [0.0, 0.0], "variance bounds must be strictly positive"),
+        ([0.0, 0.002], [0.0, 10.0], "variance bounds must be strictly positive"),
+        ([0.01, 0.002], [math.inf, 0.0], "variance bounds must be strictly positive"),
+        # A bad request is reported before a bad bound, wherever either sits.
+        ([-0.01, 0.002], [0.0, -1.0], "accuracy requests must be nonnegative"),
+    ],
+    ids=["negative-request", "negative-bound", "zero-bound", "infinite-request", "both"],
+)
+def test_compute_targets_rejects_with_one_line(required_var, accuracy, message):
+    with pytest.raises(InputError) as exc:
+        sched.compute_targets(required_var, accuracy)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
+    """Every round stores ``total_prbs`` as its budgets' PRB sum, lost links included.
+
+    Outages are made frequent (outage target 0.3) so that rounds with lost
+    links occur; the scripted accuracy request alternates with no request,
+    so AoL-REVERB has blind intervals as well as scheduled ones. After each
+    round, exactly the delivered sensors' features are one interval old
+    (every feature under Perfect).
+    """
+    cfg = config_from_dict({"channel": {"outage_target": 0.3}, "qi_cap": 80})
+    loop = schemes.build_loop(cfg, scheme, np.random.default_rng(3))
+    results = []
+    for qi in range(cfg.qi_cap):
+        action = scripted_controller(loop.belief.mean, cfg.scripted_accuracy if qi % 2 else (0.0, 0.0))
+        ages = loop.aol.ages
+        result = loop.step(action.force, action.accuracy).schedule
+        assert result.total_prbs == sum(b.prbs for b in result.budgets)
+        assert len(result.budgets) == len(result.selected)
+        assert result.blind == (not result.selected)
+        closed = {loop.fleet.agents[i].feature for i in result.delivered}
+        if scheme == "Perfect":
+            closed = set(range(len(ages)))
+        assert loop.aol.ages == tuple(1 if k in closed else a + 1 for k, a in enumerate(ages))
+        results.append(result)
+    lost = [r for r in results if len(r.delivered) < len(r.selected)]
+    if scheme == "Perfect":
+        assert all(r.blind and r.total_prbs == 0 for r in results)
+    else:
+        assert lost
+    if scheme == "AoL-REVERB":
+        assert any(r.blind for r in results) and not all(r.blind for r in results)
 
 
 def plan_aol_only(violated, fleet, cap=3):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reverb import sensing
 from reverb.errors import ConfigError, InputError
@@ -115,6 +117,27 @@ def test_feature_index_round_trips():
     assert sorted(fleet.feature_index) == [0, 1]
     for k, ids in fleet.feature_index.items():
         assert ids == tuple(a.agent_id for a in fleet.agents if a.feature == k)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.floats(1e-12, 1e6, allow_nan=False),
+            st.floats(1e-3, 1e3, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_fleet_id_indexed_tuples_equal_each_agents_fields(spec):
+    """``features``, ``noise_vars`` and ``noise_stds`` hold, at index i, agent i's own fields."""
+    fleet = sensing.SensorFleet(tuple(
+        sensing.SensingAgent(i, k, r, distance_m=d, tx_power_w=0.02) for i, (k, r, d) in enumerate(spec)
+    ))
+    assert fleet.features == tuple(a.feature for a in fleet.agents)
+    assert fleet.noise_vars == tuple(a.noise_var for a in fleet.agents)
+    assert fleet.noise_stds == tuple(a.noise_std for a in fleet.agents)
 
 
 @pytest.mark.parametrize(
