@@ -20,9 +20,17 @@ the session falls on both sides alike. ``--traced-seed`` adds one traced pair
 The JSON file holds, per workload and end-to-end metric, the parent's and the
 change's median and quartiles over the pairs, ``change_wins`` (the pairs in
 which the change reads strictly better, in the metric's direction from
-``BENCHMARK.json``) and the ratio of the medians, change over parent; then
-every run's final JSON line; then the traced runs with, per per-layer metric,
-both sides' values.
+``BENCHMARK.json``), the ratio of the medians, change over parent, and a
+``verdict``:
+
+* ``gain``: the change wins at least 9 in 10 of the pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+* ``worse``: the change's median is worse than the parent's by more than the
+  metric's relative ``bound`` in ``BENCHMARK.json``;
+* ``unresolved``: neither.
+
+Then come every run's final JSON line and the traced runs with, per
+per-layer metric, both sides' values.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def end_to_end_directions(benchmark: dict) -> dict[str, str]:
     """End-to-end metric name -> "higher" or "lower", the direction that reads better."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def end_to_end_bounds(benchmark: dict) -> dict[str, float]:
+    """End-to-end metric name -> the relative change of its median that counts as worse."""
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
 
 def parse_output(stdout: str) -> tuple[dict, dict]:
@@ -63,12 +76,32 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per workload: pairs, all_correct and, per metric, medians, quartiles, change_wins and ratio.
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads strictly better; a tie is no win."""
+    return sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float | None) -> str:
+    """``gain``, ``worse`` or ``unresolved`` for one metric's paired values (see the module text).
+
+    ``bound`` None never reads ``worse``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    q1, q3 = quartiles(parent)
+    if 10 * change_wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if bound is not None and gap < -bound * abs(statistics.median(parent)):
+        return "worse"
+    return "unresolved"
+
+
+def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+    """Per workload: pairs, all_correct and, per metric, medians, quartiles, change_wins, ratio and verdict.
 
     ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries, one per
     side of every pair; a pair is the parent and change runs of one workload
-    and seed.
+    and seed. ``bounds`` holds each metric's bound for ``verdict``.
     """
     pairs: dict[str, dict[int, dict[str, dict]]] = {}
     for run in runs:
@@ -88,15 +121,15 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 continue
             if not parent:
                 continue
-            wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
             p_med, c_med = statistics.median(parent), statistics.median(change)
             entry[name] = {
                 "parent_median": p_med,
                 "parent_q1_q3": quartiles(parent),
                 "change_median": c_med,
                 "change_q1_q3": quartiles(change),
-                "change_wins": wins,
+                "change_wins": change_wins(parent, change, better),
                 "ratio": c_med / p_med if p_med else None,
+                "verdict": verdict(parent, change, better, (bounds or {}).get(name)),
             }
         summary[workload] = entry
     return summary
@@ -171,7 +204,8 @@ def main(argv=None) -> int:
 
     workloads = parse_pairs(args.pairs)
     plan = [(w, args.first_seed + i) for w, n in workloads for i in range(n)]
-    directions = end_to_end_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions, bounds = end_to_end_directions(benchmark), end_to_end_bounds(benchmark)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {
             "parent": export(args.parent, Path(tmp) / "parent"),
@@ -195,7 +229,8 @@ def main(argv=None) -> int:
         "alternating pairs, parent first on even pair index (the index runs over all pairs in the order "
         f"{', '.join(w for w, _ in workloads)}); parent = git archive of {args.parent}, change = {change}; "
         f"seeds {seeds}; medians and inclusive quartiles over the pairs, change_wins = pairs where the "
-        "change reads better"
+        "change reads better, verdict = gain (wins >= 9/10 of the pairs and the median gap exceeds the "
+        "parent's IQR), worse (the median is worse by more than the metric's bound) or unresolved"
     )
     if traced:
         protocol += f"; traced runs: one pair per workload, seed {args.traced_seed}"
@@ -205,7 +240,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "protocol": protocol,
         "machine": machine(env),
-        "summary": summarize(runs, directions),
+        "summary": summarize(runs, directions, bounds),
         "runs": runs,
     }
     if traced:

@@ -18,7 +18,9 @@ Rician fading tail. The chain is:
 The fading threshold of the outage target depends only on the channel
 constants, so ``ChannelParams`` computes it once, beside the noise density.
 
-Granted bandwidth is quantized upward to physical resource blocks (PRBs).
+Granted bandwidth is quantized upward to physical resource blocks (PRBs). A
+sized link is a ``LinkBudget``, an immutable named tuple: the scheduler sizes
+each sensor's link once per fleet, the first time it is selected.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import statistics
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +98,8 @@ class ChannelParams:
         return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Sized uplink for one scheduled sensor."""
+class LinkBudget(NamedTuple):
+    """Sized uplink for one scheduled sensor; an immutable named tuple."""
 
     agent_id: int
     bandwidth_hz: float
@@ -300,14 +302,7 @@ def optimal_bandwidth(
         raise InfeasibleError(
             f"agent {agent_id}: {bandwidth:g} Hz is no finite count of {params.prb_hz:g}-Hz PRBs"
         )
-    return LinkBudget(
-        agent_id=agent_id,
-        bandwidth_hz=bandwidth,
-        prbs=int(math.ceil(prbs)),
-        theta=theta,
-        tx_power_w=tx_power_w,
-        distance_m=distance_m,
-    )
+    return LinkBudget(agent_id, bandwidth, math.ceil(prbs), theta, tx_power_w, distance_m)
 
 
 def uplink_outcome(

@@ -13,8 +13,10 @@ widths. A weights file must record those end dimensions, and may declare
 other hidden widths; its ``eta_max`` and ``input_scale`` are set through
 ``ControlConfig`` and obey the rules they have in a config file.
 
-A deterministic energy-pumping controller is provided so the estimation and
-scheduling pipeline can be exercised without a trained policy.
+An action is an ``ActionVector``, an immutable named tuple whose constructor
+checks the force and the requests; ``_make`` and ``_replace`` run the same
+constructor. A deterministic energy-pumping controller is provided so the
+estimation and scheduling pipeline can be exercised without a trained policy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,20 +55,29 @@ EXPLORE_FLOOR = -0.75
 EXPLORE_FRAC = 0.5
 
 
-@dataclass(frozen=True)
-class ActionVector:
-    """Control force in [-1, 1] plus per-feature accuracy requests in [0, eta_max], as floats."""
-
+class _ActionFields(NamedTuple):
     force: float
     accuracy: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.force) and all(map(math.isfinite, self.accuracy))):
+
+class ActionVector(_ActionFields):
+    """Control force in [-1, 1] plus per-feature accuracy requests in [0, eta_max], as floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, force: float, accuracy: tuple[float, ...]):
+        if not (math.isfinite(force) and all(map(math.isfinite, accuracy))):
             raise InputError("action fields must be finite")
-        if abs(self.force) > 1.0 + 1e-12:
+        if abs(force) > 1.0 + 1e-12:
             raise InputError("force outside [-1, 1]")
-        if min(self.accuracy, default=0.0) < 0.0:  # NaN was rejected above
+        if min(accuracy, default=0.0) < 0.0:  # NaN was rejected above
             raise InputError("accuracy requests must be nonnegative")
+        return tuple.__new__(cls, (force, accuracy))
+
+    @classmethod
+    def _make(cls, iterable) -> "ActionVector":
+        """An action from its two fields, checked by the constructor (``_replace`` comes here too)."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,7 @@ class PolicyAgent:
         # One numpy exp over both requests (numpy's bits, not math.exp's), the rest in floats.
         e0, e1 = np.exp((min(-r0, 709.0), min(-r1, 709.0))).tolist()
         eta_max = self.cfg.eta_max
-        return ActionVector(force=math.tanh(force), accuracy=(eta_max / (1.0 + e0), eta_max / (1.0 + e1)))
+        return ActionVector(math.tanh(force), (eta_max / (1.0 + e0), eta_max / (1.0 + e1)))
 
     def sample_step(
         self, state: Sequence[float], rng: np.random.Generator
@@ -382,4 +393,4 @@ def scripted_controller(state: Sequence[float], accuracy: tuple[float, ...]) -> 
     if not all(map(math.isfinite, state)):
         raise InputError("state must be finite")
     force = 1.0 if state[1] >= 0.0 else -1.0
-    return ActionVector(force=force, accuracy=accuracy)
+    return ActionVector(force, accuracy)

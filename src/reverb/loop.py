@@ -13,13 +13,13 @@ belief is corrected. The round is injected as a callable
 ``scheduler.run_round`` with that scheme's selector and fuse. The plant state
 is a pair of floats and every per-interval value a step hands on (belief,
 targets, ages) is a tuple of floats or ints, so a step builds no numpy
-container and copies nothing.
+container and copies nothing; what it returns, a ``StepResult``, is an
+immutable named tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ TERMINATION_REWARD = 100.0      # environment reward for reaching the goal
 ACTION_COST_WEIGHT = 0.1        # environment reward per unit of squared force, negated
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     belief: est.Belief
     reward_env: float
     done: bool
@@ -86,12 +85,4 @@ class TwinLoop:
         )
         self.belief = posterior
         met, _ = est.meets_targets(posterior, targets.variance_bounds)
-        return StepResult(
-            belief=posterior,
-            reward_env=reward,
-            done=done,
-            schedule=sched,
-            true_state=self.state,
-            targets=targets.variance_bounds,
-            failed=not met,
-        )
+        return StepResult(posterior, reward, done, sched, self.state, targets.variance_bounds, not met)

@@ -1,7 +1,16 @@
-"""Aggregate metrics over a batch of episode records."""
+"""Aggregate metrics over a batch of episode records.
+
+Every count is an exact integer tally in plain Python: episodes reaching the
+goal, QIs, picks, PRBs and failures, and the value counts behind the two age
+histograms and the PRB and pick CDFs. A rate is one tally over another:
+the float ``np.mean`` of the counted values gives, since their sum is exact.
+Only the float means, ``mrmse`` and each record's ``mean_error_norm``, are
+``np.mean`` over floats, where the summation order sets the bits.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,37 +54,42 @@ class MetricsSummary:
         return payload
 
 
-def _cdf(values: np.ndarray) -> dict:
-    if values.size == 0:
-        return {}
-    uniq, counts = np.unique(values, return_counts=True)
-    cum = np.cumsum(counts) / values.size
-    return {int(v): float(c) for v, c in zip(uniq, cum)}
+def _cdf(counts: Counter, n: int) -> dict:
+    """Value -> the share of the ``n`` counted values at or below it, in increasing order."""
+    cdf = {}
+    below = 0
+    for v in sorted(counts):
+        below += counts[v]
+        cdf[v] = below / n
+    return cdf
 
 
 def compute_metrics(records: list[EpisodeRecord]) -> MetricsSummary:
     if not records:
         raise InputError("need at least one episode record")
-    scheme = records[0].scheme
-    n_sel = np.concatenate([np.asarray(r.columns["n_selected"]) for r in records])
-    prbs = np.concatenate([np.asarray(r.columns["prbs"]) for r in records])
-    failed = np.concatenate([np.asarray(r.columns["failed"]) for r in records])
+    n_sel, prbs = Counter(), Counter()
     hist: dict[int, dict[int, int]] = {0: {}, 1: {}}
     for r in records:
+        columns = r.columns
+        n_sel.update(columns["n_selected"])
+        prbs.update(columns["prbs"])
         for k, col in ((0, "age_pos"), (1, "age_vel")):
-            ages, counts = np.unique(np.asarray(r.columns[col]), return_counts=True)
-            for a, c in zip(ages, counts):
-                hist[k][int(a)] = hist[k].get(int(a), 0) + int(c)
+            ages, h = Counter(columns[col]), hist[k]
+            for a in sorted(ages):  # per record in increasing age, as the keys first appear
+                h[a] = h.get(a, 0) + ages[a]
+    qis = sum([r.qis for r in records])
+    if not qis:
+        raise InputError("need at least one logged interval")
     return MetricsSummary(
-        scheme=scheme,
+        scheme=records[0].scheme,
         episodes=len(records),
-        success_rate=float(np.mean([r.reached_goal for r in records])),
-        mean_qis=float(np.mean([r.qis for r in records])),
+        success_rate=sum([bool(r.reached_goal) for r in records]) / len(records),
+        mean_qis=qis / len(records),
         mrmse=float(np.mean([r.mean_error_norm for r in records])),
-        failure_prob=float(np.mean(failed)),
-        mean_total_prbs=float(np.mean([r.total_prbs for r in records])),
-        mean_selected=float(np.mean(n_sel)),
+        failure_prob=sum([r.failure_count for r in records]) / qis,
+        mean_total_prbs=sum([r.total_prbs for r in records]) / len(records),
+        mean_selected=sum([v * c for v, c in n_sel.items()]) / qis,
         aol_hist=hist,
-        prb_cdf=_cdf(prbs),
-        selected_cdf=_cdf(n_sel),
+        prb_cdf=_cdf(prbs, qis),
+        selected_cdf=_cdf(n_sel, qis),
     )

@@ -7,7 +7,9 @@ produced it: floats and ints, with ``selected`` and ``delivered`` as tuples
 of agent ids. ``columns``, the per-column view the metrics and the CSV read,
 is built when it is first read and kept until the next ``append``; an id
 column is joined into ``;``-separated text only when that column is read,
-since the metrics read none.
+since the metrics read none. The record's totals, ``total_prbs``,
+``failure_count`` and ``mean_error_norm``, are computed when first read and
+kept until the next ``append`` as well.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class _Columns(Mapping):
     """The per-column view of a record's rows; an id column is joined into text when first read."""
 
     def __init__(self, rows: list[tuple]) -> None:
+        self.totals: dict[str, object] = {}  # the record's totals computed from these columns
         values = zip(*rows) if rows else ((),) * len(EPISODE_COLUMNS)
         self._lists: dict[str, list] = {}
         self._ids: dict[str, tuple] = {}
@@ -104,20 +107,32 @@ class EpisodeRecord:
     def qis(self) -> int:
         return len(self)
 
+    def _total(self, name: str, compute):
+        """``compute(columns)``, kept with the column view until the next ``append``."""
+        columns = self.columns
+        totals = columns.totals
+        if name not in totals:
+            totals[name] = compute(columns)
+        return totals[name]
+
     @property
     def total_prbs(self) -> int:
-        return int(sum(self.columns["prbs"]))
+        return self._total("total_prbs", lambda c: int(sum(c["prbs"])))
 
     @property
     def failure_count(self) -> int:
-        return int(sum(self.columns["failed"]))
+        return self._total("failure_count", lambda c: int(sum(c["failed"])))
 
     @property
     def mean_error_norm(self) -> float:
         """Per-interval mean of ||true state - belief mean||_2."""
-        ex = np.array(self.columns["true_pos"]) - np.array(self.columns["belief_pos"])
-        ev = np.array(self.columns["true_vel"]) - np.array(self.columns["belief_vel"])
-        return float(np.mean(np.hypot(ex, ev)))
+        return self._total("mean_error_norm", _mean_error_norm)
+
+
+def _mean_error_norm(columns) -> float:
+    ex = np.array(columns["true_pos"]) - np.array(columns["belief_pos"])
+    ev = np.array(columns["true_vel"]) - np.array(columns["belief_vel"])
+    return float(np.mean(np.hypot(ex, ev)))
 
 
 def _fmt(col: str, value) -> str:

@@ -215,12 +215,20 @@ def fuse_delivered(
     ``selected``, from the same prior and in the same order: while every pick
     so far has arrived, the planner's gain and covariance are this fusion's,
     so they are reused and only the mean is updated; from the first lost pick
-    on, each reading is updated afresh. With nothing delivered the posterior
-    is a new belief holding the prior's numbers.
+    on, each reading is updated afresh. When every pick was planned and
+    arrived, the steps are replayed here, with ``fuse_readings``' mean update
+    and no reading tuple. With nothing delivered the posterior is a new
+    belief holding the prior's numbers.
     """
     features, noise_vars = fleet.features, fleet.noise_vars
     if len(delivered) == len(selected):  # every pick arrived: every planned step holds
-        readings = [(features[i], noise_vars[i], y) for i, y in zip(selected, values)]
+        if len(steps) == len(selected):  # and every pick was planned: only the mean moves
+            m0, m1 = prior.mean
+            for i, y, ((g0, g1), _) in zip(selected, values, steps):
+                innovation = y - (m0 if features[i] == 0 else m1)
+                m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
+            return est.Belief((m0, m1), steps[-1][1] if steps else prior.cov)
+        readings = zip(map(features.__getitem__, selected), map(noise_vars.__getitem__, selected), values)
         return est.fuse_readings(prior, readings, steps)
     arrived = set(delivered)
     readings = [

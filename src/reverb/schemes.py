@@ -13,7 +13,8 @@ belief):
   pre-twin baseline).
 
 A fuse receives the round's readings, in selection order, as the list of
-Python floats ``sensing.observe`` returns. ``Perfect`` uses no radio: its
+Python floats ``sensing.observe`` returns, and reads each sensor's feature
+and noise from the fleet's id-indexed tuples. ``Perfect`` uses no radio: its
 round sets the belief to the true next state.
 """
 
@@ -65,23 +66,22 @@ def select_traditional(prior, targets, aol, fleet, cap):
 def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
     """Traditional's update: a delivered feature's estimate is the raw observation.
 
-    Features without a delivered observation keep the predicted prior. The
-    selector plans nothing, so ``steps`` is empty.
+    Its variance becomes the sensor's r and its covariances with the other
+    feature 0. Features without a delivered observation keep the predicted
+    prior. The selector plans nothing, so ``steps`` is empty.
     """
-    mean = list(prior.mean)
-    cov = [list(row) for row in prior.cov]
+    (m0, m1), ((c00, c01), (c10, c11)) = prior.mean, prior.cov
+    features, noise_vars = fleet.features, fleet.noise_vars
     arrived = set(delivered)
-    for agent_id, y in zip(selected, values):
-        if agent_id not in arrived:
+    for i, y in zip(selected, values):
+        if i not in arrived:
             continue
-        agent = fleet.agents[agent_id]
-        k = agent.feature
-        mean[k] = y
-        for row in cov:
-            row[k] = 0.0
-        cov[k] = [0.0] * len(cov)
-        cov[k][k] = agent.noise_var
-    return est.Belief(mean, cov)
+        if features[i] == 0:
+            m0, c00 = y, noise_vars[i]
+        else:
+            m1, c11 = y, noise_vars[i]
+        c01 = c10 = 0.0
+    return est.Belief((m0, m1), ((c00, c01), (c10, c11)))
 
 
 SELECTORS = {"AoL-REVERB": select_reverb, "CB-Greedy": select_nearest, "EB-Greedy": select_quietest}

@@ -3,15 +3,19 @@
 A sensor sees one state feature k and adds its own measurement error of
 variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
 observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
-distance and power budget; sqrt(r) is computed once. ``observe`` is the one
-sensor model: it reads a whole selection from one draw of standard normals
-and returns the readings as a list of Python floats. A fleet caches, derived
-from its agents, the sensor ids of each feature and the global candidate
-orders for the schedulers, by (distance, id) and by (noise, id); a feature's
-order is the global one filtered to its sensors. It also caches each
-sensor's feature, r and sqrt(r) as tuples indexed by id, which ``observe``
-and the scheduler read per pick and per link. It holds a memo of link
-budgets, filled lazily by the scheduler the first time a sensor is selected.
+distance and power budget. It is an immutable named tuple whose constructor
+checks k and r; ``_make`` and ``_replace`` run the same constructor, and
+sqrt(r) is read from r, so no copy skips a check or keeps a stale root.
+``observe`` is the one sensor model: it reads a whole selection from one
+draw of standard normals and returns the readings as a list of Python
+floats. A fleet caches each sensor's feature, r and sqrt(r) as tuples
+indexed by id, which ``observe`` and the scheduler read per pick and per
+link. From them it caches the sensor ids of each feature and the global
+candidate orders for the schedulers, by (distance, id) and by (noise, id):
+a stable sort of the ids by the value alone, ties left in id order. A
+feature's order is the global one split by feature in one pass. It holds a
+memo of link budgets, filled lazily by the scheduler the first time a
+sensor is selected.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,28 +32,39 @@ from .errors import ConfigError, InputError
 from .schema import POSITIVE, STATE_FEATURES, at_least, check_fields, spec
 
 
-@dataclass(frozen=True)
-class SensingAgent:
-    """One wireless sensor: what it measures, how noisily, and where it sits."""
-
+class _AgentFields(NamedTuple):
     agent_id: int
     feature: int             # k: the state feature it measures
     noise_var: float         # r: its measurement variance
     distance_m: float
     tx_power_w: float
-    noise_std: float = field(init=False, repr=False, compare=False)  # sqrt(r)
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.feature, int) and 0 <= self.feature < STATE_FEATURES):
-            raise ConfigError(f"feature must be 0..{STATE_FEATURES - 1}, got {self.feature!r}")
-        if not (math.isfinite(self.noise_var) and self.noise_var > 0.0):
-            raise ConfigError(f"noise_var must be finite and strictly positive, got {self.noise_var!r}")
-        if not (self.distance_m > 0.0):
+
+class SensingAgent(_AgentFields):
+    """One wireless sensor: what it measures, how noisily, and where it sits."""
+
+    __slots__ = ()
+
+    def __new__(cls, agent_id: int, feature: int, noise_var: float, distance_m: float, tx_power_w: float):
+        if not (isinstance(feature, int) and 0 <= feature < STATE_FEATURES):
+            raise ConfigError(f"feature must be 0..{STATE_FEATURES - 1}, got {feature!r}")
+        if not (math.isfinite(noise_var) and noise_var > 0.0):
+            raise ConfigError(f"noise_var must be finite and strictly positive, got {noise_var!r}")
+        if not (distance_m > 0.0):
             raise ConfigError("distance must be strictly positive")
-        if not (self.tx_power_w > 0.0):
+        if not (tx_power_w > 0.0):
             raise ConfigError("transmit power budget must be strictly positive")
-        object.__setattr__(self, "noise_var", float(self.noise_var))
-        object.__setattr__(self, "noise_std", math.sqrt(self.noise_var))
+        return tuple.__new__(cls, (agent_id, feature, float(noise_var), distance_m, tx_power_w))
+
+    @classmethod
+    def _make(cls, iterable) -> "SensingAgent":
+        """An agent from its five fields, checked by the constructor (``_replace`` comes here too)."""
+        return cls(*iterable)
+
+    @property
+    def noise_std(self) -> float:
+        """sqrt(r)."""
+        return math.sqrt(self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -93,30 +109,31 @@ class SensorFleet:
     @cached_property
     def noise_stds(self) -> tuple[float, ...]:
         """Per sensor id, sqrt(r)."""
-        return tuple([a.noise_std for a in self.agents])
+        return tuple([math.sqrt(r) for r in self.noise_vars])
 
     @cached_property
     def feature_index(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids in id order."""
         return self._per_feature(range(len(self.agents)))
 
-    def _order(self, key) -> tuple[int, ...]:
-        return tuple(sorted(range(len(self.agents)), key=lambda i: key(self.agents[i])))
-
-    def _per_feature(self, order: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        """``order`` filtered to each feature's sensors; a filter keeps the order."""
+    def _per_feature(self, order) -> dict[int, tuple[int, ...]]:
+        """``order`` split by feature in one pass; a split keeps the order."""
+        queues: list[list[int]] = [[] for _ in range(STATE_FEATURES)]
         features = self.features
-        return {k: tuple(i for i in order if features[i] == k) for k in range(STATE_FEATURES)}
+        for i in order:
+            queues[features[i]].append(i)
+        return {k: tuple(q) for k, q in enumerate(queues)}
 
     @cached_property
     def nearest(self) -> tuple[int, ...]:
         """Every sensor id ordered by (distance_m, id)."""
-        return self._order(lambda a: (a.distance_m, a.agent_id))
+        distances = [a.distance_m for a in self.agents]
+        return tuple(sorted(range(len(distances)), key=distances.__getitem__))
 
     @cached_property
     def quietest(self) -> tuple[int, ...]:
         """Every sensor id ordered by (noise_var, id)."""
-        return self._order(lambda a: (a.noise_var, a.agent_id))
+        return tuple(sorted(range(len(self.agents)), key=self.noise_vars.__getitem__))
 
     @cached_property
     def nearest_first(self) -> dict[int, tuple[int, ...]]:
@@ -144,7 +161,7 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
         k = i % STATE_FEATURES
         lo, hi = config.noise_var_ranges[k]
         d = config.max_distance_m * (1.0 - u_dist)  # in (0, d_max]
-        agents.append(SensingAgent(i, k, lo + (hi - lo) * u_noise, distance_m=d, tx_power_w=config.tx_power_w))
+        agents.append(SensingAgent(i, k, lo + (hi - lo) * u_noise, d, config.tx_power_w))
     return SensorFleet(agents=tuple(agents))
 
 

@@ -30,6 +30,12 @@
   the per-sensor form of the batched ``sensing.observe``.
 * ``reference_episode``: one episode of any scheme, composed from the above,
   ``observe_one`` per sensor and per-link ``channel.uplink_outcome``.
+* ``fuse_memoryless_lists``: Traditional's fuse as it read each delivered
+  sensor's agent and rebuilt the covariance as lists of lists;
+  ``schemes.fuse_memoryless`` reads the fleet's tuples and must keep its bits.
+* ``compute_metrics_numpy``: the metrics as numpy reductions of the
+  concatenated columns (``np.unique`` counts, ``np.mean`` of every rate);
+  ``metrics.compute_metrics`` tallies integers and must keep every bit.
 """
 
 import math
@@ -43,6 +49,7 @@ from reverb import dynamics as dyn
 from reverb import estimator as est
 from reverb import loop
 from reverb import sensing
+from reverb.metrics import MetricsSummary
 from reverb.errors import InputError, NumericalError, TrainingError
 from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR
 from reverb.recordio import EPISODE_COLUMNS, EpisodeRecord
@@ -408,3 +415,60 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
             record.reached_goal = True
             break
     return record
+
+
+def fuse_memoryless_lists(prior, selected, delivered, values, fleet, steps):
+    """Traditional's update, each delivered feature's estimate replaced by its raw reading."""
+    mean = list(prior.mean)
+    cov = [list(row) for row in prior.cov]
+    arrived = set(delivered)
+    for agent_id, y in zip(selected, values):
+        if agent_id not in arrived:
+            continue
+        agent = fleet.agents[agent_id]
+        k = agent.feature
+        mean[k] = y
+        for row in cov:
+            row[k] = 0.0
+        cov[k] = [0.0] * len(cov)
+        cov[k][k] = agent.noise_var
+    return est.Belief(mean, cov)
+
+
+def _cdf_numpy(values: np.ndarray) -> dict:
+    if values.size == 0:
+        return {}
+    uniq, counts = np.unique(values, return_counts=True)
+    cum = np.cumsum(counts) / values.size
+    return {int(v): float(c) for v, c in zip(uniq, cum)}
+
+
+def compute_metrics_numpy(records) -> MetricsSummary:
+    """``metrics.compute_metrics`` as numpy reductions of the records' concatenated columns."""
+    if not records:
+        raise InputError("need at least one episode record")
+    scheme = records[0].scheme
+    n_sel = np.concatenate([np.asarray(r.columns["n_selected"]) for r in records])
+    prbs = np.concatenate([np.asarray(r.columns["prbs"]) for r in records])
+    failed = np.concatenate([np.asarray(r.columns["failed"]) for r in records])
+    hist = {0: {}, 1: {}}
+    for r in records:
+        for k, col in ((0, "age_pos"), (1, "age_vel")):
+            ages, counts = np.unique(np.asarray(r.columns[col]), return_counts=True)
+            for a, c in zip(ages, counts):
+                hist[k][int(a)] = hist[k].get(int(a), 0) + int(c)
+    ex = [np.array(r.columns["true_pos"]) - np.array(r.columns["belief_pos"]) for r in records]
+    ev = [np.array(r.columns["true_vel"]) - np.array(r.columns["belief_vel"]) for r in records]
+    return MetricsSummary(
+        scheme=scheme,
+        episodes=len(records),
+        success_rate=float(np.mean([r.reached_goal for r in records])),
+        mean_qis=float(np.mean([len(r.rows) for r in records])),
+        mrmse=float(np.mean([float(np.mean(np.hypot(x, v))) for x, v in zip(ex, ev)])),
+        failure_prob=float(np.mean(failed)),
+        mean_total_prbs=float(np.mean([int(sum(r.columns["prbs"])) for r in records])),
+        mean_selected=float(np.mean(n_sel)),
+        aol_hist=hist,
+        prb_cdf=_cdf_numpy(prbs),
+        selected_cdf=_cdf_numpy(n_sel),
+    )

@@ -89,3 +89,50 @@ def test_traced_comparison_and_pair_specs():
     for bad in ("dense", "dense=0", "=3", "dense=x"):
         with pytest.raises(SystemExit):
             bench_pairs.parse_pairs([bad])
+
+
+BOUNDS = bench_pairs.end_to_end_bounds(json.loads((ROOT / "BENCHMARK.json").read_text()))
+
+
+def test_verdicts_of_canned_pairs():
+    summary = bench_pairs.summarize(canned_runs(), DIRECTIONS, BOUNDS)
+    dense = summary["dense"]
+    # 3 of 3 step-time wins, and the 2-us median gap exceeds the parent's 0.75-us IQR.
+    assert dense["step_us_p50"]["verdict"] == "gain"
+    # 2 of 3 wins is short of 9 in 10, however large the gap.
+    assert dense["qi_per_s"]["verdict"] == "unresolved"
+    # 2% more memory is within the 10% bound; equal values are no gain.
+    assert dense["peak_rss_mb"]["verdict"] == "unresolved"
+    assert dense["failure_prob"]["verdict"] == "unresolved"
+    # One pair that wins is a gain: 1 of 1 and any gap beats a zero IQR.
+    assert summary["schemes"]["qi_per_s"]["verdict"] == "gain"
+    # Without bounds nothing reads worse.
+    slower = [dict(run, result=json.loads(result_line(50.0, 20.0, 50.0))) if run["side"] == "change" else run
+              for run in canned_runs()]
+    assert bench_pairs.summarize(slower, DIRECTIONS)["dense"]["qi_per_s"]["verdict"] == "unresolved"
+    worse = bench_pairs.summarize(slower, DIRECTIONS, BOUNDS)["dense"]
+    assert worse["qi_per_s"]["verdict"] == "worse" and worse["step_us_p50"]["verdict"] == "worse"
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, bound, want",
+    [
+        # 9 of 10 wins and a median gap of 10.5 over an IQR of 4.5: a gain.
+        ([100, 101, 102, 103, 104, 105, 106, 107, 108, 109], [115] * 9 + [90], "higher", 0.2, "gain"),
+        # The same wins, but a gap of 2.5 within the IQR.
+        ([100, 101, 102, 103, 104, 105, 106, 107, 108, 109], [107] * 9 + [90], "higher", 0.2, "unresolved"),
+        # 8 of 10 wins.
+        ([100] * 10, [120] * 8 + [90] * 2, "higher", 0.2, "unresolved"),
+        # A 21% lower throughput against a 20% bound, and a 19% one.
+        ([100] * 4, [79] * 4, "higher", 0.2, "worse"),
+        ([100] * 4, [81] * 4, "higher", 0.2, "unresolved"),
+        # Lower reads better: 26% more step time against a 25% bound; 9 of 10 lower ones win.
+        ([10.0] * 4, [12.6] * 4, "lower", 0.25, "worse"),
+        ([10.0] * 10, [9.0] * 9 + [11.0], "lower", 0.25, "gain"),
+        # A tie is no win.
+        ([0.5] * 10, [0.5] * 10, "lower", 0.05, "unresolved"),
+    ],
+    ids=["gain", "gap-within-iqr", "8-of-10", "worse", "within-bound", "worse-lower", "gain-lower", "ties"],
+)
+def test_verdict_rule(parent, change, better, bound, want):
+    assert bench_pairs.verdict(parent, change, better, bound) == want

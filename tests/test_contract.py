@@ -25,10 +25,11 @@ from reverb import cli, control
 from reverb.channel import ChannelParams
 from reverb.config import RunConfig, config_from_dict
 from reverb.control import ControlConfig
-from reverb.errors import ConfigError
+from reverb.control import ActionVector
+from reverb.errors import ConfigError, InputError
 from reverb.nets import MLP
 from reverb.schema import STATE_FEATURES
-from reverb.sensing import FleetConfig
+from reverb.sensing import FleetConfig, SensingAgent
 
 EXAMPLE = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "example.yaml").read_text())
 CONFIGS = (RunConfig, ChannelParams, FleetConfig, ControlConfig)
@@ -72,6 +73,58 @@ def test_every_config_is_frozen(cls):
     name = dataclasses.fields(cls)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cfg, name, getattr(cfg, name))
+
+
+AGENT = SensingAgent(3, 1, 4e-3, distance_m=7.5, tx_power_w=0.02)
+ACTION = ActionVector(0.5, (10.0, 20.0))
+# (valid value, field edit, the exception and its whole line)
+LIGHT_GUARDS = {
+    "agent-feature-2": (AGENT, {"feature": 2}, ConfigError, "feature must be 0..1, got 2"),
+    "agent-feature-fraction": (AGENT, {"feature": 0.5}, ConfigError, "feature must be 0..1, got 0.5"),
+    "agent-var-nan": (AGENT, {"noise_var": math.nan}, ConfigError,
+                      "noise_var must be finite and strictly positive, got nan"),
+    "agent-var-zero": (AGENT, {"noise_var": 0.0}, ConfigError,
+                       "noise_var must be finite and strictly positive, got 0.0"),
+    "agent-var-negative": (AGENT, {"noise_var": -1e-4}, ConfigError,
+                           "noise_var must be finite and strictly positive, got -0.0001"),
+    "agent-distance": (AGENT, {"distance_m": 0.0}, ConfigError, "distance must be strictly positive"),
+    "agent-power": (AGENT, {"tx_power_w": -1.0}, ConfigError, "transmit power budget must be strictly positive"),
+    "action-force-nan": (ACTION, {"force": math.nan}, InputError, "action fields must be finite"),
+    "action-request-inf": (ACTION, {"accuracy": (1.0, math.inf)}, InputError, "action fields must be finite"),
+    "action-force-range": (ACTION, {"force": -1.5}, InputError, "force outside [-1, 1]"),
+    "action-request-negative": (ACTION, {"accuracy": (0.0, -1.0)}, InputError,
+                                "accuracy requests must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", LIGHT_GUARDS, ids=str)
+def test_light_values_check_every_way_they_are_built(case):
+    """A sensor or action built by its constructor, ``_make`` or ``_replace`` fails with the same line."""
+    valid, edit, error, line = LIGHT_GUARDS[case]
+    fields = valid._asdict() | edit
+    builds = (
+        lambda: type(valid)(**fields),
+        lambda: type(valid)._make(fields.values()),
+        lambda: valid._replace(**edit),
+    )
+    for build in builds:
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == line
+
+
+@pytest.mark.parametrize("valid", [AGENT, ACTION], ids=lambda v: type(v).__name__)
+def test_light_values_are_immutable(valid):
+    for name in (*valid._fields, "noise_std", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(valid, name, getattr(valid, name, 1.0))
+    assert not hasattr(valid, "__dict__")
+
+
+def test_a_rebuilt_sensor_reads_its_own_noise_root():
+    for agent in (AGENT._replace(noise_var=0.25), SensingAgent._make([0, 0, 0.25, 1.0, 1.0])):
+        assert agent.noise_var == 0.25 and agent.noise_std == 0.5
+    assert type(AGENT._replace(noise_var=1).noise_var) is float
 
 
 @pytest.mark.parametrize(

@@ -387,7 +387,7 @@ def test_episode_stats_match_the_steps_run(done_at):
         def recorded_step(force, accuracy):
             res = step(force, accuracy)
             if done_at is not None:
-                res = dataclasses.replace(res, done=len(run) + 1 == done_at)
+                res = res._replace(done=len(run) + 1 == done_at)
             run.append((np.array(accuracy, dtype=float), res))
             return res
 

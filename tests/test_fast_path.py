@@ -2,9 +2,10 @@
 
 The oracles are the per-sensor reading ``oracles.observe_one``, the per-link
 ``channel.uplink_outcome``, ``FusionBatch.from_observations``, the general
-batch Joseph update ``oracles.joseph_update``, and the loop-written
+batch Joseph update ``oracles.joseph_update``, the loop-written
 references of the float expressions (``oracles.rank1_joseph`` and
-``oracles.sequential_fusion``).
+``oracles.sequential_fusion``) and Traditional's list-of-lists fuse
+(``oracles.fuse_memoryless_lists``).
 """
 
 import dataclasses
@@ -29,7 +30,14 @@ from reverb import sensing
 from reverb.aol import AolTracker
 from reverb.errors import InfeasibleError, NumericalError
 
-from oracles import joseph_update, observe_one, plan_picks, rank1_joseph, sequential_fusion
+from oracles import (
+    fuse_memoryless_lists,
+    joseph_update,
+    observe_one,
+    plan_picks,
+    rank1_joseph,
+    sequential_fusion,
+)
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -238,10 +246,10 @@ def coin_flip_budget(params, agent):
     budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=agent.agent_id)
 
     def slack(w):
-        sized = dataclasses.replace(budget, bandwidth_hz=w)
+        sized = budget._replace(bandwidth_hz=w)
         return ch.uplink_latency(params, sized, 1.0) - params.max_latency_s
 
-    return dataclasses.replace(budget, bandwidth_hz=brentq(slack, 1e-3 * budget.bandwidth_hz, budget.bandwidth_hz))
+    return budget._replace(bandwidth_hz=brentq(slack, 1e-3 * budget.bandwidth_hz, budget.bandwidth_hz))
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,7 +300,7 @@ def test_memoised_deadline_test_equals_uplink_latency(specs, seed, data):
         if scale == "coin flip":
             budget = coin_flip_budget(params, a)
         elif scale == "starved":
-            budget = dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz)
+            budget = budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz)
         budgets.append(budget)
     terms = [ch.link_terms(params, b) for b in budgets]
     # Drawn normals: the per-link oracle draws the same numbers from the same seed.
@@ -325,7 +333,7 @@ def test_starved_link_is_not_delivered(starved_first):
     params, state = ch.ChannelParams(), np.array([-0.5, 0.01])
     memo = fleet.link_memo.setdefault(params, {})
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
-    memo[1] = memo_entry(params, dataclasses.replace(budget, bandwidth_hz=1e-3 * budget.bandwidth_hz))
+    memo[1] = memo_entry(params, budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz))
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
     _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
@@ -360,6 +368,23 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     batch_mean = prior_mean + gain @ (batch.values - batch.obs_matrix @ prior_mean)
     assert np.max(np.abs(post.mean - batch_mean)) <= 1e-12
     assert np.max(np.abs(post.cov - batch_cov)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=sensor_specs, data=st.data(), prior=spd_2x2(), m0=unit, m1=unit)
+def test_memoryless_fuse_matches_the_list_oracle(specs, data, prior, m0, m1):
+    """Traditional's fuse on the fleet's tuples keeps the bits of the per-agent, list-of-lists form."""
+    fleet = build_fleet(specs)
+    selected = data.draw(st.permutations(range(len(fleet.agents))))
+    selected = selected[: data.draw(st.integers(min_value=0, max_value=len(selected)))]
+    delivered = [i for i in selected if data.draw(st.booleans())]
+    values = [data.draw(unit) for _ in selected]
+    belief = est.Belief((m0, m1), prior.tolist())
+    got = schemes.fuse_memoryless(belief, selected, delivered, values, fleet, ())
+    want = fuse_memoryless_lists(belief, selected, delivered, values, fleet, ())
+    assert got is not belief
+    assert [x.hex() for x in got.mean] == [x.hex() for x in want.mean]
+    assert [x.hex() for row in got.cov for x in row] == [x.hex() for row in want.cov for x in row]
 
 
 def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
