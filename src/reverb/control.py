@@ -5,7 +5,9 @@ dimension is squashed by tanh into the force range, the rest pass through a
 scaled sigmoid to become nonnegative accuracy requests. Log-probabilities and
 the clipped-ratio surrogate are computed in the raw (pre-squash) space. The
 critic is a state-value net trained on one-step temporal-difference targets;
-the same one-step residual is the actor's advantage.
+the same one-step residual is the actor's advantage. The agent's parameters
+are one vector, ``PolicyAgent.flat`` (actor, log-std, critic), and one
+``Adam`` step per minibatch moves it once both gradients are checked.
 
 The nets map the scaled belief mean (``STATE_FEATURES`` entries) to
 ``ACTION_DIM`` = 1 + ``STATE_FEATURES`` raw entries through ``HIDDEN``
@@ -105,7 +107,7 @@ class ControlConfig:
 
 
 class PolicyAgent:
-    """Gaussian actor + value critic over the belief mean."""
+    """Gaussian actor + value critic over the belief mean, all parameters in ``flat``."""
 
     def __init__(self, cfg: ControlConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
@@ -113,6 +115,18 @@ class PolicyAgent:
         self.critic = MLP((STATE_FEATURES, *HIDDEN, 1), rng)
         self.log_std = np.full(ACTION_DIM, INIT_LOG_STD)
         self.scale = np.asarray(cfg.input_scale, dtype=float)
+        self._join()
+
+    def _join(self) -> None:
+        """Copy the actor, the log-std and the critic into ``flat`` and make each a view into it."""
+        self.flat = np.concatenate([self.actor.flat, self.log_std, self.critic.flat])
+        actor, self.log_std, critic = self.split(self.flat)
+        self.actor.bind(actor)
+        self.critic.bind(critic)
+
+    def split(self, vec: Array) -> tuple[Array, Array, Array]:
+        """The actor, log-std and critic views of a vector laid out like ``flat``."""
+        return tuple(np.split(vec, np.cumsum([self.actor.flat.size, ACTION_DIM])))
 
     # --- action plumbing ----------------------------------------------------
 
@@ -223,6 +237,7 @@ class PolicyAgent:
         finite("log_std", agent.log_std)
         agent.cfg = read("input_scale", lambda v: dataclasses.replace(cfg, input_scale=v))
         agent.scale = np.asarray(agent.cfg.input_scale, dtype=float)
+        agent._join()
         return agent
 
 
@@ -239,15 +254,10 @@ def shaped_reward(reward_env: float, accuracy: Sequence[float], kappa: float) ->
     return reward_env + kappa * (total / len(accuracy))
 
 
-def _flat(grads: list[Array]) -> Array:
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def ppo_update(
     agent: PolicyAgent,
     batch: Sequence[Transition],
-    actor_opt,
-    critic_opt,
+    opt: Adam,
     rng: np.random.Generator,
     log_std_floor: float = LOG_STD_MIN,
 ) -> None:
@@ -265,10 +275,9 @@ def ppo_update(
     not_done = 1.0 - np.array([t.done for t in batch], dtype=float)
     n = len(batch)
 
-    # Adam steps each net's one flat parameter vector; a backward's layer
-    # gradients are gathered into one vector in the same order.
-    actor_params = [agent.actor.flat, agent.log_std]
-    critic_params = [agent.critic.flat]
+    grad = np.zeros_like(agent.flat)
+    actor_grad, grad_log_std, critic_grad = agent.split(grad)
+    actor_views, critic_views = agent.actor.views(actor_grad), agent.critic.views(critic_grad)
 
     for _ in range(EPOCHS):
         # One-step TD residuals with the current critic; they are both the
@@ -304,20 +313,20 @@ def ppo_update(
             active = unclipped <= clipped
             dlogp = np.where(active, unclipped, 0.0) / mb_size
             grad_mean = -(dlogp[:, None] * z / std)  # minimize -surrogate
-            grad_log_std = -(dlogp[:, None] * (zz - 1.0)).sum(axis=0)
-            actor_grad = _flat(agent.actor.backward(acts, grad_mean))
+            grad_log_std[:] = -(dlogp[:, None] * (zz - 1.0)).sum(axis=0)
+            agent.actor.backward(acts, grad_mean, actor_views)
             if not (np.isfinite(actor_grad).all() and np.isfinite(grad_log_std).all()):
                 raise TrainingError("non-finite actor gradients")
-            actor_opt.step(actor_params, [actor_grad, grad_log_std])
-            np.clip(agent.log_std, floor, LOG_STD_MAX, out=agent.log_std)
 
-            # Critic: semi-gradient MSE to the frozen minibatch targets.
+            # Critic: semi-gradient MSE to the frozen minibatch targets. It reads
+            # no actor parameter, so one joint step equals stepping the actor first.
             v_mb, c_acts = agent.critic.forward_cached(x)
             err = v_mb[:, 0] - ep_targets[mb]
-            critic_grad = _flat(agent.critic.backward(c_acts, (2.0 * err / mb_size)[:, None]))
+            agent.critic.backward(c_acts, (2.0 * err / mb_size)[:, None], critic_views)
             if not np.isfinite(critic_grad).all():
                 raise TrainingError("non-finite critic gradients")
-            critic_opt.step(critic_params, [critic_grad])
+            opt.step(agent.flat, grad)
+            np.clip(agent.log_std, floor, LOG_STD_MAX, out=agent.log_std)
 
 
 @dataclass
@@ -350,8 +359,7 @@ def train(
     update_rng = np.random.default_rng(update_ss)
     env_children = env_ss.spawn(episodes)
     agent = PolicyAgent(cfg, init_rng)
-    actor_opt = Adam()
-    critic_opt = Adam()
+    opt = Adam()
     curve: list[EpisodeStats] = []
 
     explore_until = int(EXPLORE_FRAC * episodes)
@@ -379,7 +387,7 @@ def train(
         floor = EXPLORE_FLOOR if ep < explore_until else LOG_STD_MIN
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                ppo_update(agent, transitions, actor_opt, critic_opt, update_rng, log_std_floor=floor)
+                ppo_update(agent, transitions, opt, update_rng, log_std_floor=floor)
         except FloatingPointError as exc:  # a learning rate or reward scale too large
             raise TrainingError(f"episode {ep}: the policy update left the float range ({exc})") from None
         curve.append(

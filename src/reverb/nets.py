@@ -6,13 +6,15 @@ gradients can be checked against finite differences in the tests.
 
 A net's parameters live in one contiguous vector, ``flat``: each layer's
 weights, row-major, then its biases, layer by layer (w0, b0, w1, b1, ...);
-each ``weights[i]`` and ``biases[i]`` is a reshaped view into it. An
-optimizer steps ``flat`` with one call per array operation instead of one
-per layer, and a forward pass sees the update through the views.
+each ``weights[i]`` and ``biases[i]`` is a reshaped view into it. A new net
+owns ``flat`` until ``bind`` makes it a slice of a larger vector, as
+``control.PolicyAgent`` does. ``backward`` writes the layer gradients into
+``views`` of a vector laid out like ``flat``; ``Adam`` steps one vector.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -61,12 +63,18 @@ class MLP:
         if len(weights) != len(biases):
             raise ValueError(f"{len(weights)} weight matrices but {len(biases)} bias vectors")
         arrays = [a for pair in zip(weights, biases) for a in pair]
-        self.flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
-        views, start = [], 0
-        for a in arrays:
-            views.append(self.flat[start : start + a.size].reshape(a.shape))
-            start += a.size
+        self.shapes = [a.shape for a in arrays]
+        self.bind(np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0))
+
+    def bind(self, flat: Array) -> None:
+        """Make ``flat``, laid out as the net's own, the vector the layer arrays view."""
+        self.flat, views = flat, self.views(flat)
         self.weights, self.biases = views[0::2], views[1::2]
+
+    def views(self, flat: Array) -> list[Array]:
+        """(w0, b0, w1, b1, ...) as reshaped views into a vector laid out like ``flat``."""
+        starts = np.cumsum([0] + [math.prod(shape) for shape in self.shapes])
+        return [flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], self.shapes)]
 
     @property
     def n_layers(self) -> int:
@@ -98,19 +106,17 @@ class MLP:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[Array], grad_out: Array) -> list[Array]:
-        """Gradients of sum(grad_out * outputs) w.r.t. the flat parameter list."""
-        grads: list[Array] = [np.empty(0)] * (2 * self.n_layers)
+    def backward(self, acts: list[Array], grad_out: Array, grads: list[Array]) -> None:
+        """Write the gradients of sum(grad_out * outputs) into ``grads``, the ``views`` of a gradient vector."""
         delta = np.atleast_2d(grad_out)
         for i in range(self.n_layers - 1, -1, -1):
             h_in, h_out = acts[i], acts[i + 1]
             if i < self.n_layers - 1:
                 delta = delta * (1.0 - h_out * h_out)  # tanh'
-            grads[2 * i] = h_in.T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            np.matmul(h_in.T, delta, out=grads[2 * i])
+            delta.sum(axis=0, out=grads[2 * i + 1])
             if i > 0:
                 delta = delta @ self.weights[i].T
-        return grads
 
     # --- parameter plumbing -------------------------------------------------
 
@@ -134,34 +140,35 @@ class MLP:
 
 
 class Adam:
+    """Adam over one parameter vector; every operation is elementwise."""
+
     def __init__(self) -> None:
-        self.m: list[Array] | None = None
-        self.v: list[Array] | None = None
+        self.m: Array | None = None
+        self.v: Array | None = None
         self.t = 0
 
-    def step(self, params: list[Array], grads: list[Array]) -> None:
+    def step(self, p: Array, g: Array) -> None:
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        m, v = self.m, self.v
         self.t += 1
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            # In place, the products, sums and quotients of
-            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-            #   p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
-            # in the same order, so the same bits, through two scratch arrays.
-            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
-            m *= ADAM_BETA1
-            m += tmp
-            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-            tmp *= g
-            v *= ADAM_BETA2
-            v += tmp
-            np.divide(m, b1c, out=tmp)
-            tmp *= ADAM_LR
-            den = np.divide(v, b2c)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            tmp /= den
-            p -= tmp
+        # In place, the products, sums and quotients of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= lr * (m/b1c) / (sqrt(v/b2c) + eps)
+        # in the same order, so the same bits, through two scratch arrays.
+        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(m, b1c, out=tmp)
+        tmp *= ADAM_LR
+        den = np.divide(v, b2c)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        tmp /= den
+        p -= tmp

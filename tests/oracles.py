@@ -12,6 +12,11 @@
   every log density taken by the batch function and the action squashed in
   numpy; ``MLP.forward_cached``, ``PolicyAgent.sample_step``,
   ``PolicyAgent.squash`` and ``control.ppo_update`` must keep their bits.
+  ``ppo_update_batch`` is also the learner as it was before the agent held
+  one parameter vector: ``backward_list`` returns each layer's gradient as
+  a new array, the layers are concatenated per net, and two ``AdamState``s,
+  one over ``[actor, log_std]`` and one over ``[critic]``, step the actor
+  before the critic's forward pass.
 * ``adam_step``: the Adam update as whole-array expressions, a new array per
   operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
@@ -145,6 +150,40 @@ def adam_step(params, grads, m, v, t: int) -> None:
         p -= ADAM_LR * (m_i / b1c) / (np.sqrt(v_i / b2c) + ADAM_EPS)
 
 
+class AdamState:
+    """``adam_step`` over a list of parameter arrays, with its moments and step count."""
+
+    def __init__(self) -> None:
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, params, grads) -> None:
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        adam_step(params, grads, self.m, self.v, self.t)
+
+
+def backward_list(net, acts, grad_out) -> list:
+    """Gradients of sum(grad_out * outputs), a new array per layer in (w0, b0, w1, b1, ...) order."""
+    grads = [np.empty(0)] * (2 * net.n_layers)
+    delta = np.atleast_2d(grad_out)
+    for i in range(net.n_layers - 1, -1, -1):
+        h_in, h_out = acts[i], acts[i + 1]
+        if i < net.n_layers - 1:
+            delta = delta * (1.0 - h_out * h_out)
+        grads[2 * i] = h_in.T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i].T
+    return grads
+
+
+def _flat(grads) -> np.ndarray:
+    return np.concatenate([g.ravel() for g in grads])
+
+
 def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
     """``PolicyAgent.sample_step`` with the state as a one-row batch and the batch log density."""
     mean = forward_2d(agent.actor, agent._scaled(state))[0][0]
@@ -154,8 +193,12 @@ def sample_step_2d(agent: ctl.PolicyAgent, state, rng: np.random.Generator):
     return squash(agent, raw), raw, logp
 
 
-def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl.LOG_STD_MIN) -> None:
-    """``control.ppo_update`` as it was: each minibatch gathered and scaled on its own, ``z`` formed twice."""
+def ppo_update_batch(agent, batch, opts, rng, log_std_floor=ctl.LOG_STD_MIN) -> None:
+    """``control.ppo_update`` as it was: each minibatch gathered and scaled on its own, ``z`` formed twice.
+
+    ``opts`` is the pair of ``AdamState``s, the actor's and the critic's.
+    """
+    actor_opt, critic_opt = opts
     if not batch:
         raise InputError("update needs a nonempty batch")
     floor = min(log_std_floor, float(agent.log_std.min()))
@@ -193,7 +236,7 @@ def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl
             z = (raws[mb] - mean) / std
             grad_mean = -(dlogp[:, None] * z / std)
             grad_log_std = -(dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-            actor_grad = ctl._flat(agent.actor.backward(acts, grad_mean))
+            actor_grad = _flat(backward_list(agent.actor, acts, grad_mean))
             if not (np.isfinite(actor_grad).all() and np.isfinite(grad_log_std).all()):
                 raise TrainingError("non-finite actor gradients")
             actor_opt.step(actor_params, [actor_grad, grad_log_std])
@@ -201,7 +244,7 @@ def ppo_update_batch(agent, batch, actor_opt, critic_opt, rng, log_std_floor=ctl
 
             v_mb, c_acts = forward_2d(agent.critic, x)
             err = v_mb[:, 0] - targets[mb]
-            critic_grad = ctl._flat(agent.critic.backward(c_acts, (2.0 * err / len(mb))[:, None]))
+            critic_grad = _flat(backward_list(agent.critic, c_acts, (2.0 * err / len(mb))[:, None]))
             if not np.isfinite(critic_grad).all():
                 raise TrainingError("non-finite critic gradients")
             critic_opt.step(critic_params, [critic_grad])

@@ -20,22 +20,10 @@ def param_arrays(net):
     return [a for pair in zip(net.weights, net.biases) for a in pair]
 
 
-def get_flat(net):
-    return np.concatenate([p.ravel() for p in param_arrays(net)])
-
-
-def set_flat(net, flat):
-    i = 0
-    for p in param_arrays(net):
-        p[...] = flat[i : i + p.size].reshape(p.shape)
-        i += p.size
-
-
 def zeroed_agent(cfg=None, seed=0):
     agent = ctl.PolicyAgent(cfg or ctl.ControlConfig(), np.random.default_rng(seed))
     for net in (agent.actor, agent.critic):
-        for p in param_arrays(net):
-            p[...] = 0.0
+        net.flat[:] = 0.0
     return agent
 
 
@@ -127,62 +115,63 @@ def test_zero_advantage_leaves_actor_unchanged():
     agent = zeroed_agent(seed=11)
     rng = np.random.default_rng(12)
     # restore a random actor so the check is not trivially about zeros
-    actor = ctl.PolicyAgent(agent.cfg, np.random.default_rng(13)).actor
-    agent.actor = actor
+    agent.actor.flat[:] = ctl.PolicyAgent(agent.cfg, np.random.default_rng(13)).actor.flat
     batch = make_batch(agent, rng, reward=0.0)
     before = [p.copy() for p in param_arrays(agent.actor)] + [agent.log_std.copy()]
-    ctl.ppo_update(agent, batch, Adam(), Adam(), np.random.default_rng(14))
+    ctl.ppo_update(agent, batch, Adam(), np.random.default_rng(14))
     after = param_arrays(agent.actor) + [agent.log_std]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
 
 
 def test_adam_on_the_flat_vector_equals_adam_per_layer():
-    flat_net, layer_net = (MLP((2, 8, 8, 3), np.random.default_rng(30)) for _ in range(2))
-    arrays = [p.copy() for p in param_arrays(layer_net)]  # arrays of their own, not views
-    flat_opt, layer_opt = Adam(), Adam()
+    """One ``Adam`` over a joined vector leaves the bits ``oracles.adam_step`` leaves on each part, over 50 steps."""
     rng = np.random.default_rng(31)
-    for _ in range(6):
-        grads = [rng.standard_normal(p.shape) for p in arrays]
-        flat_opt.step([flat_net.flat], [np.concatenate([g.ravel() for g in grads])])
-        layer_opt.step(arrays, grads)
-    assert flat_net.flat.tobytes() == np.concatenate([p.ravel() for p in arrays]).tobytes()
+    parts = [rng.standard_normal(n) for n in (4547, 3, 4417)]  # actor, log-std and critic sizes
+    joined = np.concatenate(parts)
+    m, v = [np.zeros_like(p) for p in parts], [np.zeros_like(p) for p in parts]
+    opt = Adam()
+    for t in range(1, 51):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in parts]
+        opt.step(joined, np.concatenate(grads))
+        oracles.adam_step(parts, grads, m, v, t)
+    for got, want in ((joined, parts), (opt.m, m), (opt.v, v)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_adam_in_place_moments_equal_the_textbook_update():
     """Adam's in-place moment updates give the bits of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g."""
     rng = np.random.default_rng(34)
-    params = [rng.standard_normal(300), rng.standard_normal(7)]
-    want = [p.copy() for p in params]
-    m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
+    params = rng.standard_normal(307)
+    want = params.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
     opt = Adam()
     for t in range(1, 51):
         # Gradients over nine decades, so the products round differently across entries.
-        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
-        opt.step(params, grads)
-        for p, g, m_i, v_i in zip(want, grads, m, v):
-            m_i[...] = ADAM_BETA1 * m_i + (1.0 - ADAM_BETA1) * g
-            v_i[...] = ADAM_BETA2 * v_i + (1.0 - ADAM_BETA2) * g * g
-            p -= ADAM_LR * (m_i / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v_i / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
-    for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
+        g = rng.standard_normal(params.shape) * 10.0 ** rng.uniform(-6, 3, params.shape)
+        opt.step(params, g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        want -= ADAM_LR * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    for got, expected in zip([params, opt.m, opt.v], [want, m, v]):
         assert got.tobytes() == expected.tobytes()
 
 
 def test_adam_step_matches_the_whole_array_oracle():
     """Over 50 steps, ``Adam.step`` leaves the bits ``oracles.adam_step`` leaves: parameters and both moments."""
     rng = np.random.default_rng(35)
-    params = [rng.standard_normal(4547), rng.standard_normal(65), rng.standard_normal(1)]
-    want = [p.copy() for p in params]
-    m, v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
+    params = rng.standard_normal(4613)
+    want = params.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
     opt = Adam()
     for t in range(1, 51):
         # Gradients over nine decades, both signs, and exact zeros.
-        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3, p.shape) for p in params]
-        grads[0][:: 7 + t] = 0.0
-        opt.step(params, grads)
-        oracles.adam_step(want, grads, m, v, t)
+        g = rng.standard_normal(params.shape) * 10.0 ** rng.uniform(-6, 3, params.shape)
+        g[:: 7 + t] = 0.0
+        opt.step(params, g)
+        oracles.adam_step([want], [g], [m], [v], t)
     assert opt.t == 50
-    for got, expected in zip([*params, *opt.m, *opt.v], [*want, *m, *v]):
+    for got, expected in zip([params, opt.m, opt.v], [want, m, v]):
         assert got.tobytes() == expected.tobytes()
 
 
@@ -206,9 +195,13 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(32))
     rng = np.random.default_rng(33)
     before = agent.actor.flat.copy()
-    ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(), Adam(), rng)
+    ctl.ppo_update(agent, make_batch(agent, rng, reward=1.0), Adam(), rng)
     assert not np.array_equal(agent.actor.flat, before)
     clone = ctl.PolicyAgent.from_dict(agent.to_dict())
+    for a in (agent, clone):
+        assert a.flat.size == a.actor.flat.size + ctl.ACTION_DIM + a.critic.flat.size
+        for part in (a.actor.flat, a.log_std, a.critic.flat):
+            assert np.shares_memory(part, a.flat)
     for net in (agent.actor, agent.critic, clone.actor, clone.critic):
         assert net.flat.size == sum(p.size for p in param_arrays(net))
         for p in param_arrays(net):
@@ -221,24 +214,25 @@ def test_layer_arrays_stay_views_of_the_flat_vector():
 
 @pytest.mark.parametrize("net", ["actor", "critic"])
 def test_one_nan_gradient_entry_raises(net):
-    # One minibatch per epoch; the poisoned net's first step must raise, before
-    # the NaN reaches its parameters and every later gradient.
+    # One minibatch per epoch; the poisoned net's first gradient must raise
+    # before any step, so no parameter and no Adam moment moves.
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(34))
     rng = np.random.default_rng(35)
     batch = make_batch(agent, rng, n=8, reward=1.0)
-    before = getattr(agent, net).flat.tobytes()
+    before = agent.flat.tobytes()
     backward = MLP.backward
 
-    def poisoned(self, acts, grad_out):
-        grads = backward(self, acts, grad_out)
+    def poisoned(self, acts, grad_out, grads):
+        backward(self, acts, grad_out, grads)
         if self is getattr(agent, net):
             grads[2].flat[5] = np.nan  # one entry of the second weight matrix
-        return grads
 
+    opt = Adam()
     with mock.patch.object(MLP, "backward", poisoned):
         with pytest.raises(TrainingError, match=f"non-finite {net} gradients"):
-            ctl.ppo_update(agent, batch, Adam(), Adam(), rng)
-    assert getattr(agent, net).flat.tobytes() == before
+            ctl.ppo_update(agent, batch, opt, rng)
+    assert agent.flat.tobytes() == before
+    assert opt.t == 0 and opt.m is None
 
 
 def test_critic_gradient_matches_fd_three_weight_net():
@@ -248,21 +242,21 @@ def test_critic_gradient_matches_fd_three_weight_net():
     target = rng.standard_normal(5)
 
     def loss(flat):
-        set_flat(net, flat)
+        net.flat[:] = flat
         err = net.forward(x)[:, 0] - target
         return float(np.mean(err * err))
 
-    flat = get_flat(net)
+    flat = net.flat.copy()
     out, acts = net.forward_cached(x)
-    grads = net.backward(acts, (2.0 * (out[:, 0] - target) / 5.0)[:, None])
-    ana = np.concatenate([g.ravel() for g in grads])
+    ana = np.empty_like(flat)
+    net.backward(acts, (2.0 * (out[:, 0] - target) / 5.0)[:, None], net.views(ana))
     num = np.zeros_like(flat)
     for i in range(flat.size):
         up, dn = flat.copy(), flat.copy()
         up[i] += 1e-6
         dn[i] -= 1e-6
         num[i] = (loss(up) - loss(dn)) / 2e-6
-    set_flat(net, flat)
+    net.flat[:] = flat
     assert np.max(np.abs(ana - num)) < 1e-4
 
 
@@ -273,12 +267,12 @@ def test_critic_gradient_matches_fd_random_nets():
         x = rng.standard_normal((7, sizes[0]))
         target = rng.standard_normal(7)
         out, acts = net.forward_cached(x)
-        grads = net.backward(acts, (2.0 * (out[:, 0] - target) / 7.0)[:, None])
-        ana = np.concatenate([g.ravel() for g in grads])
-        flat = get_flat(net)
+        ana = np.empty_like(net.flat)
+        net.backward(acts, (2.0 * (out[:, 0] - target) / 7.0)[:, None], net.views(ana))
+        flat = net.flat.copy()
 
         def loss(v):
-            set_flat(net, v)
+            net.flat[:] = v
             err = net.forward(x)[:, 0] - target
             return float(np.mean(err * err))
 
@@ -288,7 +282,7 @@ def test_critic_gradient_matches_fd_random_nets():
             up[i] += 1e-6
             dn[i] -= 1e-6
             num[i] = (loss(up) - loss(dn)) / 2e-6
-        set_flat(net, flat)
+        net.flat[:] = flat
         rel = np.max(np.abs(ana - num) / (np.abs(num) + 1e-6))
         assert rel < 1e-3
 
@@ -299,7 +293,7 @@ def test_critic_moves_toward_td_target():
     s = np.array([0.2, -0.03])
     tr = ctl.Transition(s, np.zeros(3), 0.0, reward=1.0, next_state=s, done=True)
     before_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
-    ctl.ppo_update(agent, [tr] * 16, Adam(), Adam(), rng)
+    ctl.ppo_update(agent, [tr] * 16, Adam(), rng)
     after_gap = abs(1.0 - float(oracles.value(agent, s)[0]))
     assert after_gap < before_gap
 
@@ -363,7 +357,7 @@ def test_training_deterministic_given_seed():
         )
         results.append((
             [(s.shaped_return, s.qis, s.reached_goal) for s in curve],
-            get_flat(agent.actor).copy(),
+            agent.actor.flat.copy(),
         ))
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
@@ -483,31 +477,36 @@ def fixed_batch(agent, rng, n=200):
     return batch
 
 
-def learner_state(agent, actor_opt, critic_opt):
-    """The bytes of every array an update writes: both nets, the log-std and both Adam moments."""
-    arrays = [agent.actor.flat, agent.critic.flat, agent.log_std]
-    arrays += [*actor_opt.m, *actor_opt.v, *critic_opt.m, *critic_opt.v]
-    return [a.tobytes() for a in arrays]
-
-
-def run_updates(update, batch, floor):
+def run_updates(update, opt, batch, floor):
+    """The agent three updates with ``opt`` leave."""
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
-    actor_opt, critic_opt = Adam(), Adam()
     rng = np.random.default_rng(51)
     for _ in range(3):
-        update(agent, batch, actor_opt, critic_opt, rng, log_std_floor=floor)
-    return learner_state(agent, actor_opt, critic_opt)
+        update(agent, batch, opt, rng, log_std_floor=floor)
+    return agent
+
+
+def learner_state(update, batch, floor):
+    """The bytes of every array three updates write: the agent's vector and the Adam moments."""
+    opt = Adam()
+    return [a.tobytes() for a in (run_updates(update, opt, batch, floor).flat, opt.m, opt.v)]
 
 
 @pytest.mark.parametrize("floor", [ctl.LOG_STD_MIN, 0.45])
 def test_ppo_update_matches_the_batch_oracle(floor):
-    """Three updates on a fixed 200-transition batch leave the bits the per-minibatch learner leaves."""
+    """Three updates on a fixed 200-transition batch leave the bits the two-Adam, per-minibatch learner leaves.
+
+    The one Adam's moments are the oracle's two states' parts joined in ``agent.flat`` order.
+    """
     sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
     batch = fixed_batch(sampler, np.random.default_rng(52))
     assert len(batch) // ctl.MINIBATCH >= 2 and len(batch) % ctl.MINIBATCH  # several minibatches, the last partial
-    got = run_updates(ctl.ppo_update, batch, floor)
-    assert got == run_updates(oracles.ppo_update_batch, batch, floor)
-    assert got[:2] != [sampler.actor.flat.tobytes(), sampler.critic.flat.tobytes()]  # both nets moved
+    opts = oracles.AdamState(), oracles.AdamState()
+    want = run_updates(oracles.ppo_update_batch, opts, batch, floor)
+    moments = [np.concatenate([*opts[0].m, *opts[1].m]), np.concatenate([*opts[0].v, *opts[1].v])]
+    assert learner_state(ctl.ppo_update, batch, floor) == [a.tobytes() for a in (want.flat, *moments)]
+    for net in ("actor", "critic"):  # both nets moved
+        assert getattr(want, net).flat.tobytes() != getattr(sampler, net).flat.tobytes()
 
 
 def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():
@@ -517,7 +516,7 @@ def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():
         dataclasses.replace(t, state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch
     ]
     floor = ctl.LOG_STD_MIN
-    assert run_updates(ctl.ppo_update, batch, floor) == run_updates(ctl.ppo_update, arrays, floor)
+    assert learner_state(ctl.ppo_update, batch, floor) == learner_state(ctl.ppo_update, arrays, floor)
 
 
 def test_one_forward_pass_per_sample_step_and_act_mean():
