@@ -15,27 +15,25 @@ readings are fused one at a time (sequential processing, Bierman 1977):
 2x2 covariance held as nested float tuples, cross-checked against the textbook
 (I - K e_k^T) P expression, with one jitter retry when S is not positive.
 The planner calls it once per pick and keeps each result, (gain,
-covariance), as a step. ``fuse_readings`` applies the delivered readings in
-selection order, each with the mean update m + K (y - m_k): it takes K and
-the covariance from the planner's steps for the leading readings whose picks
-all arrived (the same update on the same numbers), and calls
-``rank1_update`` for the rest. ``posterior_cov`` is the covariance alone.
+covariance), as a step; ``scheduler.fuse_delivered`` reuses those steps and
+applies the mean update m + K (y - m_k). ``posterior_cov`` is the
+covariance alone.
 
 ``fuse`` takes a stacked ``FusionBatch`` of unit-selector rows e_k with a
 diagonal noise covariance (``from_observations`` stacks sensors and their
-read values). Its readings are independent, so it hands them to
-``fuse_readings`` in row order, which is exact for that input: the package
-has one Kalman update. A new belief is checked once, when it is constructed:
-its mean for finiteness, its covariance for symmetry and, by its smaller
-eigenvalue in closed form, for positive semidefiniteness. ``init_belief`` and
-the learner's input are where arrays are built.
+read values). Its readings are independent, so it applies them in row
+order, one ``rank1_update`` and mean update each, which is exact for that
+input: the package has one Kalman update. A new belief is checked once, when
+it is constructed: its mean for finiteness, its covariance for symmetry and,
+by its smaller eigenvalue in closed form, for positive semidefiniteness.
+``init_belief`` and the learner's input are where arrays are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,35 +163,12 @@ def posterior_cov(p: Matrix2, k: int, r: float) -> Matrix2:
     return rank1_update(p, k, r)[1]
 
 
-def fuse_readings(
-    prior: Belief,
-    readings: Iterable[tuple[int, float, float]],
-    steps: Sequence[Step] = (),
-) -> Belief:
-    """Kalman update of a 2-D prior with independent readings (k, r, y), one at a time, in order.
-
-    Each reading y of feature k with noise variance r moves the mean by
-    K (y - m_k) and the covariance by ``rank1_update``. ``steps`` holds
-    ``rank1_update``'s (gain, covariance) for the first readings, already
-    computed from this prior in this order (the planner's); those are reused
-    and the rest are computed here.
-    """
-    m0, m1 = prior.mean
-    cov = prior.cov
-    planned = iter(steps)
-    for k, r, y in readings:
-        (g0, g1), cov = next(planned, None) or rank1_update(cov, k, r)
-        innovation = y - (m0 if k == 0 else m1)
-        m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-    return Belief((m0, m1), cov)
-
-
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
     """Kalman update of the prior with a stacked batch of independent readings.
 
     Each row of ``obs_matrix`` must select one feature k (a unit row e_k) and
     ``noise_cov`` must be diagonal; row i is then the reading (k, r_ii, y_i),
-    and ``fuse_readings`` applies the readings in row order.
+    and the readings are applied in row order, each by ``rank1_update``.
     """
     h = np.asarray(batch.obs_matrix, dtype=float)
     r = np.asarray(batch.noise_cov, dtype=float)
@@ -206,8 +181,13 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
         raise InputError("each observation row must select one feature (a unit row e_k)")
     if np.any(r[~np.eye(n, dtype=bool)] != 0.0):
         raise InputError("the batch noise covariance must be diagonal")
-    readings = zip((row.index(1.0) for row in rows), np.diag(r).tolist(), y.tolist())
-    return fuse_readings(prior, readings)
+    (m0, m1), cov = prior.mean, prior.cov
+    for row, rk, yk in zip(rows, np.diag(r).tolist(), y.tolist()):
+        k = row.index(1.0)
+        (g0, g1), cov = rank1_update(cov, k, rk)
+        innovation = yk - (m0 if k == 0 else m1)
+        m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
+    return Belief((m0, m1), cov)
 
 
 def meets_targets(belief: Belief, variance_bounds: Sequence[float]) -> tuple[bool, tuple[int, ...]]:

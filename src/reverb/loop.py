@@ -84,5 +84,5 @@ class TwinLoop:
             self.rng,
         )
         self.belief = posterior
-        met, _ = est.meets_targets(posterior, targets.variance_bounds)
-        return StepResult(posterior, reward, done, sched, self.state, targets.variance_bounds, not met)
+        met, _ = est.meets_targets(posterior, targets)
+        return StepResult(posterior, reward, done, sched, self.state, targets, not met)

@@ -23,16 +23,16 @@ all fades, the same numbers per-link ``uplink_outcome`` calls would draw, and
 ``channel.meets_deadline`` forms each fade and tests each link from the
 memoised parts in one pass. Readings and normals are lists of Python floats
 from the draw to the fusion. The planner keeps its 2x2 covariance as nested
-floats across picks. Fusion is one rank-1 update per delivered reading, in
-selection order; while every pick so far has arrived it is the planner's
-step for that pick, on the same numbers, so fusion replays the planner's gain
-and covariance and computes only the mean update, and from the first lost
-pick on it runs ``rank1_update`` afresh. Targets are float tuples, and they
-and their checks are computed in Python floats. The planner, the fusion and
+floats across picks. Fusion (``fuse_delivered``) is one loop over the picks,
+one rank-1 update per delivered reading, in selection order: while every
+pick so far has arrived, update n is the planner's step n on the same
+numbers, so its gain and covariance are reused and only the mean moves; from
+the first lost pick on, ``rank1_update`` runs on the running covariance.
+The targets are a plain tuple of per-feature variance bounds, computed and
+checked in Python floats by ``compute_targets``. The planner, the fusion and
 the loop closing read each sensor's feature and noise from the fleet's
-id-indexed tuples. ``UncertaintyTargets`` and ``ScheduleResult`` are named
-tuples, built once per round: ``compute_targets`` checks the requests and
-the bounds as it builds the targets, and a round stores its PRB total once.
+id-indexed tuples. ``ScheduleResult`` is a named tuple, built once per
+round, that stores the round's PRB total once.
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ from .errors import InputError
 from .sensing import SensorFleet, observe
 
 
-class UncertaintyTargets(NamedTuple):
-    """Per-feature variance bounds the twin must satisfy this interval.
-
-    ``compute_targets`` builds them and checks that every bound is strictly
-    positive.
-    """
-
-    variance_bounds: tuple[float, ...]
-
-
 class ScheduleResult(NamedTuple):
     selected: tuple[int, ...]                  # agent ids, selection order
     budgets: tuple[ch.LinkBudget, ...]         # aligned with ``selected``
@@ -72,12 +62,13 @@ class ScheduleResult(NamedTuple):
         return not self.selected
 
 
-def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[float]) -> UncertaintyTargets:
-    """Combine the twin's standing bounds with the controller's accuracy request.
+def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[float]) -> tuple[float, ...]:
+    """Per-feature variance bounds the twin must satisfy this interval.
 
     Per feature: min(required_var, 1/request); a zero request imposes nothing.
-    One pass checks both: a negative request fails as it is met, and a bound
-    that is not strictly positive fails once every request has been checked.
+    One pass checks both: a request that is not nonnegative (NaN included)
+    fails as it is met, and a bound that is not strictly positive (NaN
+    included) fails once every request has been checked.
     """
     if len(accuracy_request) != len(required_var):
         raise InputError("one accuracy request per feature is required")
@@ -88,21 +79,21 @@ def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[fl
             b = 1.0 / e
             if not b < x:
                 b = x
-        elif e < 0.0:
-            raise InputError("accuracy requests must be nonnegative")
-        else:
+        elif e == 0.0:
             b = x
-        if b <= 0.0:
+        else:
+            raise InputError("accuracy requests must be nonnegative")
+        if not b > 0.0:
             nonpositive = True
         bounds.append(b)
     if nonpositive:
         raise InputError("variance bounds must be strictly positive")
-    return UncertaintyTargets(tuple(bounds))
+    return tuple(bounds)
 
 
 def plan_selection(
     prior_cov: est.Matrix2,
-    targets: UncertaintyTargets,
+    targets: tuple[float, ...],
     violated: tuple[int, ...],
     fleet: SensorFleet,
     cap: int,
@@ -121,7 +112,7 @@ def plan_selection(
     nearest sensor is always free, and each feature's value-of-information
     queue is its quietest-first order less its own age-phase pick.
     """
-    b0, b1 = targets.variance_bounds
+    b0, b1 = targets
     cov = prior_cov
     noise_vars = fleet.noise_vars
     rank1 = est.rank1_update
@@ -210,42 +201,34 @@ def fuse_delivered(
 ) -> est.Belief:
     """Kalman-update the prior with the observations that actually arrived.
 
-    Each delivered reading is one rank-1 update (``estimator.fuse_readings``),
-    applied in selection order. ``steps`` are the planner's rank-1 updates of
-    ``selected``, from the same prior and in the same order: while every pick
-    so far has arrived, the planner's gain and covariance are this fusion's,
-    so they are reused and only the mean is updated; from the first lost pick
-    on, each reading is updated afresh. When every pick was planned and
-    arrived, the steps are replayed here, with ``fuse_readings``' mean update
-    and no reading tuple. With nothing delivered the posterior is a new
-    belief holding the prior's numbers.
+    Each delivered reading y of feature k is one rank-1 update, applied in
+    selection order: the mean moves by K (y - m_k) and the covariance is
+    ``estimator.rank1_update``'s. ``steps`` are the planner's rank-1 updates
+    of ``selected``, from the same prior and in the same order: while every
+    pick so far has arrived, step n is this fusion's update n, so it is
+    reused; from the first lost pick on, each update is computed from the
+    running covariance. With nothing delivered the posterior is a new belief
+    holding the prior's numbers.
     """
     features, noise_vars = fleet.features, fleet.noise_vars
-    if len(delivered) == len(selected):  # every pick arrived: every planned step holds
-        if len(steps) == len(selected):  # and every pick was planned: only the mean moves
-            m0, m1 = prior.mean
-            for i, y, ((g0, g1), _) in zip(selected, values, steps):
-                innovation = y - (m0 if features[i] == 0 else m1)
-                m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-            return est.Belief((m0, m1), steps[-1][1] if steps else prior.cov)
-        readings = zip(map(features.__getitem__, selected), map(noise_vars.__getitem__, selected), values)
-        return est.fuse_readings(prior, readings, steps)
-    arrived = set(delivered)
-    readings = [
-        (features[i], noise_vars[i], y)
-        for i, y in zip(selected, values)
-        if i in arrived
-    ]
-    reused = 0
-    while reused < len(steps) and selected[reused] in arrived:
-        reused += 1
-    return est.fuse_readings(prior, readings, steps[:reused])
+    arrived = set(delivered) if len(delivered) < len(selected) else None
+    planned = len(steps)
+    (m0, m1), cov = prior.mean, prior.cov
+    for n, (i, y) in enumerate(zip(selected, values)):
+        if arrived is not None and i not in arrived:
+            planned = min(planned, n)
+            continue
+        k = features[i]
+        (g0, g1), cov = steps[n] if n < planned else est.rank1_update(cov, k, noise_vars[i])
+        innovation = y - (m0 if k == 0 else m1)
+        m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
+    return est.Belief((m0, m1), cov)
 
 
 def run_round(
     select,
     prior: est.Belief,
-    targets: UncertaintyTargets,
+    targets: tuple[float, ...],
     aol: AolTracker,
     fleet: SensorFleet,
     params: ch.ChannelParams,

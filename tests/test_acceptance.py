@@ -132,7 +132,7 @@ def test_a4_scheduler_oracle(criterion):
         fleet = make_fleet(spec)
         violated = AolTracker(ages, thresholds).violated()
         selected, _, _ = sched.plan_selection(
-            prior_cov, sched.UncertaintyTargets(bounds), violated, fleet, cap
+            prior_cov, bounds, violated, fleet, cap
         )
         want = oracle_plan(prior_cov, bounds, violated, agents, cap)
         if selected != want or len(selected) > cap:

@@ -235,6 +235,25 @@ def test_one_nan_gradient_entry_raises(net):
     assert opt.t == 0 and opt.m is None
 
 
+def test_overflowing_raw_actions_raise_before_any_step():
+    """Raw actions of 1e200 overflow z*z: the log-std gradient is NaN while the mean's is a finite 0.
+
+    The actor check must see the log-std gradient, or Adam writes NaN into ``log_std``.
+    """
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    batch = [
+        dataclasses.replace(t, raw_action=np.full_like(t.raw_action, 1e200))
+        for t in make_batch(agent, rng, n=8, reward=1.0)
+    ]
+    before = agent.flat.tobytes()
+    opt = Adam()
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite actor gradients"):
+        ctl.ppo_update(agent, batch, opt, rng)
+    assert agent.flat.tobytes() == before
+    assert opt.t == 0
+
+
 def test_critic_gradient_matches_fd_three_weight_net():
     rng = np.random.default_rng(15)
     net = MLP((2, 1), rng)  # two weights and one bias
@@ -477,11 +496,11 @@ def fixed_batch(agent, rng, n=200):
     return batch
 
 
-def run_updates(update, opt, batch, floor):
-    """The agent three updates with ``opt`` leave."""
+def run_updates(update, opt, batch, floor, updates=3):
+    """The agent ``updates`` updates with ``opt`` leave."""
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
     rng = np.random.default_rng(51)
-    for _ in range(3):
+    for _ in range(updates):
         update(agent, batch, opt, rng, log_std_floor=floor)
     return agent
 
@@ -492,11 +511,12 @@ def learner_state(update, batch, floor):
     return [a.tobytes() for a in (run_updates(update, opt, batch, floor).flat, opt.m, opt.v)]
 
 
-@pytest.mark.parametrize("floor", [ctl.LOG_STD_MIN, 0.45])
+@pytest.mark.parametrize("floor", [ctl.LOG_STD_MIN, 0.45, ctl.INIT_LOG_STD])
 def test_ppo_update_matches_the_batch_oracle(floor):
     """Three updates on a fixed 200-transition batch leave the bits the two-Adam, per-minibatch learner leaves.
 
     The one Adam's moments are the oracle's two states' parts joined in ``agent.flat`` order.
+    With the floor at the initial log-std the clip binds, so its place after each step is checked too.
     """
     sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(50))
     batch = fixed_batch(sampler, np.random.default_rng(52))
@@ -507,6 +527,8 @@ def test_ppo_update_matches_the_batch_oracle(floor):
     assert learner_state(ctl.ppo_update, batch, floor) == [a.tobytes() for a in (want.flat, *moments)]
     for net in ("actor", "critic"):  # both nets moved
         assert getattr(want, net).flat.tobytes() != getattr(sampler, net).flat.tobytes()
+    if floor == ctl.INIT_LOG_STD:  # two updates leave a log-std entry clipped to the floor
+        assert (run_updates(ctl.ppo_update, Adam(), batch, floor, updates=2).log_std == floor).any()
 
 
 def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():

@@ -109,7 +109,7 @@ def general_plan(prior_cov, targets, violated, fleet, cap):
     def update(cov, k, r):
         return joseph_update(cov, selector(k), [[r]])[1]
 
-    return plan_picks(prior_cov, targets.variance_bounds.tolist(), violated, fleet.agents, cap, update)
+    return plan_picks(prior_cov, targets.tolist(), violated, fleet.agents, cap, update)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +127,7 @@ def general_plan(prior_cov, targets, violated, fleet, cap):
 def test_plan_selection_same_picks_as_general_path(specs, prior, bounds, violated, cap):
     agents = [scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)]
     fleet = sensing.SensorFleet(agents=tuple(agents))
-    targets = sched.UncertaintyTargets(np.array(bounds))
+    targets = np.array(bounds)
     violated = tuple(sorted(violated))
     fast = sched.plan_selection(prior, targets, violated, fleet, cap)
     general = general_plan(prior, targets, violated, fleet, cap)
@@ -391,7 +391,7 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     cfg = config.config_from_dict({"cap": 30, "fleet": {"n_agents": 60}})
     fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
-    targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
+    targets = np.array([1e-4, 2e-5])
     selected, _, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
     assert len(selected) > 2
     values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
@@ -416,7 +416,7 @@ LOSSES = ("all delivered", "none delivered", "first lost", "last lost", "random"
 def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violated, cap, seed, losses, data):
     fleet = build_fleet(specs)
     belief = est.Belief(np.array([-0.5, 0.01]), prior)
-    targets = sched.UncertaintyTargets(np.array(bounds))
+    targets = np.array(bounds)
     selected, _, steps = sched.plan_selection(prior, targets, tuple(sorted(violated)), fleet, cap)
     assert len(steps) == len(selected)
     if losses == "random":
@@ -437,7 +437,7 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     cfg = config.config_from_dict({"cap": 30, "fleet": {"n_agents": 60}})
     fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
-    targets = sched.UncertaintyTargets(np.array([1e-4, 2e-5]))
+    targets = np.array([1e-4, 2e-5])
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
             schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel,
@@ -455,17 +455,15 @@ def test_rank1_update_retries_with_jitter_then_fails():
 
 
 @pytest.mark.parametrize("bad", ["prior", "variance"])
-def test_fuse_readings_rejects_non_finite(bad):
+def test_rank1_update_rejects_non_finite(bad):
     cov = np.eye(2)
     r = 1e-3
     if bad == "prior":
         cov[0, 1] = cov[1, 0] = np.inf
     else:
         r = np.nan
-    prior = est.Belief.__new__(est.Belief)
-    prior.mean, prior.cov = np.zeros(2), cov
     with pytest.raises(NumericalError, match="not finite"):
-        est.fuse_readings(prior, [(1, r, 0.1)])
+        est.rank1_update(cov, 1, r)
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,17 +28,17 @@ def make_fleet(spec):
 
 def test_compute_targets_table_values():
     t = sched.compute_targets([0.01, 0.002], [50.0, 1000.0])
-    assert np.allclose(t.variance_bounds, [0.01, 0.001])
+    assert np.allclose(t, [0.01, 0.001])
 
 
 def test_compute_targets_zero_request_is_vacuous():
     t = sched.compute_targets([0.01, 0.002], [0.0, 0.0])
-    assert np.allclose(t.variance_bounds, [0.01, 0.002])
+    assert np.allclose(t, [0.01, 0.002])
 
 
 def test_compute_targets_elementwise_min():
     t = sched.compute_targets([0.01, 0.002], [200.0, 200.0])
-    assert np.allclose(t.variance_bounds, [0.005, 0.002])
+    assert np.allclose(t, [0.005, 0.002])
 
 
 @pytest.mark.parametrize(
@@ -50,8 +50,11 @@ def test_compute_targets_elementwise_min():
         ([0.01, 0.002], [math.inf, 0.0], "variance bounds must be strictly positive"),
         # A bad request is reported before a bad bound, wherever either sits.
         ([-0.01, 0.002], [0.0, -1.0], "accuracy requests must be nonnegative"),
+        # NaN is neither a request nor a bound: it would drop the request or never be violated.
+        ([0.01, 0.002], [math.nan, 1.0], "accuracy requests must be nonnegative"),
+        ([math.nan, 0.002], [0.0, 0.0], "variance bounds must be strictly positive"),
     ],
-    ids=["negative-request", "negative-bound", "zero-bound", "infinite-request", "both"],
+    ids=["negative-request", "negative-bound", "zero-bound", "infinite-request", "both", "nan-request", "nan-bound"],
 )
 def test_compute_targets_rejects_with_one_line(required_var, accuracy, message):
     with pytest.raises(InputError) as exc:
@@ -95,7 +98,7 @@ def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
 
 def plan_aol_only(violated, fleet, cap=3):
     """Plan with targets that already hold, so only stale features draw picks."""
-    targets = sched.UncertaintyTargets(np.array([1.0, 1.0]))
+    targets = np.array([1.0, 1.0])
     selected, serviced, _ = sched.plan_selection(np.diag([1e-4, 1e-4]), targets, violated, fleet, cap)
     return selected, serviced
 
@@ -118,7 +121,7 @@ def planned_cov(prior_cov, steps):
 
 def picked_features(fleet, prior_diag, bounds, cap):
     """Features of the value-of-information picks, no stale features."""
-    targets = sched.UncertaintyTargets(np.array(bounds))
+    targets = np.array(bounds)
     selected, _, _ = sched.plan_selection(np.diag(prior_diag), targets, (), fleet, cap)
     return [fleet.agents[i].feature for i in selected]
 
@@ -144,7 +147,7 @@ def test_select_feature_tie_goes_low():
 
 def test_blind_when_targets_already_met():
     fleet = make_fleet([(0, 1e-3, 2.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
+    targets = np.array([0.01, 0.002])
     prior = est.Belief(np.zeros(2), np.diag([1e-4, 1e-4]))
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
@@ -159,7 +162,7 @@ def test_blind_when_targets_already_met():
 
 def test_single_violation_picks_min_noise_agent():
     fleet = make_fleet([(0, 8e-3, 2.0), (0, 1e-3, 19.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
+    targets = np.array([0.01, 0.002])
     selected, serviced, _ = sched.plan_selection(
         np.diag([0.05, 1e-4]), targets, (), fleet, cap=1
     )
@@ -169,7 +172,7 @@ def test_single_violation_picks_min_noise_agent():
 
 def test_aol_service_joins_even_if_targets_hold():
     fleet = make_fleet([(0, 8e-3, 2.0), (0, 1e-3, 19.0), (1, 1e-3, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([0.01, 0.002]))
+    targets = np.array([0.01, 0.002])
     selected, serviced, _ = sched.plan_selection(
         np.diag([1e-4, 1e-4]), targets, (0,), fleet, cap=3
     )
@@ -249,9 +252,8 @@ def test_selection_matches_independent_oracle():
         spec, agents, prior_cov, bounds, ages, thresholds, cap = random_instance(rng)
         fleet = make_fleet(spec)
         tracker = AolTracker(ages, thresholds)
-        targets = sched.UncertaintyTargets(bounds)
         selected, _, steps = sched.plan_selection(
-            prior_cov, targets, tracker.violated(), fleet, cap
+            prior_cov, bounds, tracker.violated(), fleet, cap
         )
         want = oracle_plan(prior_cov, bounds, tracker.violated(), agents, cap)
         assert selected == want
@@ -262,7 +264,7 @@ def test_selection_matches_independent_oracle():
 
 def test_each_pick_shrinks_some_diagonal():
     fleet = make_fleet([(0, 1e-3, 2.0), (0, 2e-3, 4.0), (1, 5e-4, 3.0)])
-    targets = sched.UncertaintyTargets(np.array([1e-6, 1e-6]))  # unreachable, loop to cap
+    targets = np.array([1e-6, 1e-6])  # unreachable, loop to cap
     prior = np.diag([0.02, 0.01])
     cov = prior.copy()
     for cap in (1, 2, 3):
@@ -288,15 +290,14 @@ def test_reachable_targets_met_with_full_fleet():
             cov = joseph_update(cov, h, [[a.noise_var]])[1]
         if np.any(np.diag(cov) > bounds):
             continue
-        targets = sched.UncertaintyTargets(bounds)
-        _, _, steps = sched.plan_selection(prior_cov, targets, (), fleet, cap=len(fleet.agents))
+        _, _, steps = sched.plan_selection(prior_cov, bounds, (), fleet, cap=len(fleet.agents))
         planned = planned_cov(prior_cov, steps)
         assert np.all(np.diag(planned) <= bounds)
 
 
 def test_schedule_deterministic_given_seed():
     fleet = make_fleet([(0, 5e-3, 12.0), (0, 1e-3, 6.0), (1, 8e-4, 9.0), (1, 2e-3, 2.0)])
-    targets = sched.UncertaintyTargets(np.array([1e-3, 5e-4]))
+    targets = np.array([1e-3, 5e-4])
     aol = AolTracker((6, 2), (5, 5))
     params = ChannelParams()
     runs = []
@@ -315,7 +316,7 @@ def test_schedule_deterministic_given_seed():
 
 def test_schedule_closes_loops_for_delivered_features():
     fleet = make_fleet([(0, 1e-3, 6.0), (1, 8e-4, 9.0)])
-    targets = sched.UncertaintyTargets(np.array([1e-4, 1e-4]))
+    targets = np.array([1e-4, 1e-4])
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
