@@ -2,7 +2,8 @@
 """Alternating before/after perfbench pairs, summarised into ``BENCH_<pr>.json``.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr 19 \\
-        --pairs dense=10 --pairs schemes=3 --pairs train=3 --first-seed 101 --traced-seed 131
+        --pairs dense=10 --pairs schemes=3 --pairs train=3 --first-seed 101 \\
+        --traced-seed 131 --traced-pairs 3
 
 exports the parent commit with ``git archive REV | tar -x`` into a temporary
 directory (removed at exit) and runs, one process at a time,
@@ -14,8 +15,9 @@ working tree this script sits in, or ``--change REV`` exported the same way.
 Workload W runs its pairs on seeds ``--first-seed`` onwards. Over all pairs,
 in the order the ``--pairs`` options are given, the parent runs first on even
 pair indices and second on odd ones, so a drift of the host's speed during
-the session falls on both sides alike. ``--traced-seed`` adds one traced pair
-(``--trace 1``) per workload.
+the session falls on both sides alike. ``--traced-seed`` adds traced pairs
+(``--trace 1``) per workload, ``--traced-pairs`` of them (default 1) on seeds
+``--traced-seed`` onwards, alternating the same way.
 
 The JSON file holds, per workload and end-to-end metric, the parent's and the
 change's median and quartiles over the pairs, ``change_wins`` (the pairs in
@@ -29,8 +31,11 @@ which the change reads strictly better, in the metric's direction from
   metric's relative ``bound`` in ``BENCHMARK.json``;
 * ``unresolved``: neither.
 
-Then come every run's final JSON line and the traced runs with, per
-per-layer metric, both sides' values.
+Then come every run's final JSON line and the traced runs: per per-layer
+metric, both sides' medians over the traced pairs, and the same summary as
+the end-to-end one with the directions of ``BENCHMARK.json``'s
+``per_layer`` list and no bound, so a per-layer change can rest on more
+than one pair.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def end_to_end_directions(benchmark: dict) -> dict[str, str]:
     """End-to-end metric name -> "higher" or "lower", the direction that reads better."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def per_layer_directions(benchmark: dict) -> dict[str, str]:
+    """Per-layer metric name -> "higher" or "lower", the direction that reads better."""
+    return {m["name"]: m["better"] for m in benchmark["per_layer"]}
 
 
 def end_to_end_bounds(benchmark: dict) -> dict[str, float]:
@@ -136,13 +146,16 @@ def summarize(runs: list[dict], directions: dict[str, str], bounds: dict[str, fl
 
 
 def compare_traced(runs: list[dict]) -> dict:
-    """Per workload and per-layer metric: the parent's and the change's value in the traced pair."""
-    out: dict[str, dict] = {}
+    """Per workload and per-layer metric: the parent's and the change's median over the traced pairs."""
+    values: dict[str, dict] = {}
     for run in runs:
-        side = out.setdefault(run["workload"], {})
+        side = values.setdefault(run["workload"], {})
         for name, metric in run["result"].get("metrics", {}).items():
-            side.setdefault(name, {})[run["side"]] = metric["value"]
-    return out
+            side.setdefault(name, {}).setdefault(run["side"], []).append(metric["value"])
+    return {
+        workload: {name: {side: statistics.median(v) for side, v in sides.items()} for name, sides in metrics.items()}
+        for workload, metrics in values.items()
+    }
 
 
 def export(rev: str, into: Path) -> Path:
@@ -190,6 +203,11 @@ def parse_pairs(specs: list[str]) -> list[tuple[str, int]]:
     return out
 
 
+def pair_plan(workloads: list[tuple[str, int]], first_seed: int) -> list[tuple[str, int]]:
+    """(workload, seed) per pair: each workload's N pairs on seeds ``first_seed`` onwards, in order."""
+    return [(w, first_seed + i) for w, n in workloads for i in range(n)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -198,12 +216,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", action="append", required=True, help="WORKLOAD=N, repeatable")
     parser.add_argument("--first-seed", type=int, required=True, help="each workload's first pair seed")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced-seed", type=int, help="also run one traced pair per workload on this seed")
+    parser.add_argument("--traced-seed", type=int, help="also run traced pairs per workload from this seed")
+    parser.add_argument("--traced-pairs", type=int, default=1, help="traced pairs per workload (default 1)")
     parser.add_argument("--note", default="", help="appended to the protocol text")
     args = parser.parse_args(argv)
 
     workloads = parse_pairs(args.pairs)
-    plan = [(w, args.first_seed + i) for w, n in workloads for i in range(n)]
+    if args.traced_pairs < 1:
+        raise SystemExit(f"error: --traced-pairs must be at least 1, got {args.traced_pairs}")
+    plan = pair_plan(workloads, args.first_seed)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions, bounds = end_to_end_directions(benchmark), end_to_end_bounds(benchmark)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -214,12 +235,12 @@ def main(argv=None) -> int:
         runs, env = run_pairs(trees, plan, args.seconds, trace=0)
         traced = None
         if args.traced_seed is not None:
-            traced_plan = [(w, args.traced_seed) for w, _ in workloads]
+            traced_plan = pair_plan([(w, args.traced_pairs) for w, _ in workloads], args.traced_seed)
             traced_runs, _ = run_pairs(trees, traced_plan, args.seconds, trace=1)
             traced = {
-                "command": f"python3 perfbench/run.py --workload W --seed {args.traced_seed} "
-                           f"--seconds {args.seconds:g} --trace 1",
+                "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 1",
                 "summary": compare_traced(traced_runs),
+                "pairs": summarize(traced_runs, per_layer_directions(benchmark)),
                 "runs": traced_runs,
             }
 
@@ -233,7 +254,9 @@ def main(argv=None) -> int:
         "parent's IQR), worse (the median is worse by more than the metric's bound) or unresolved"
     )
     if traced:
-        protocol += f"; traced runs: one pair per workload, seed {args.traced_seed}"
+        last = args.traced_seed + args.traced_pairs - 1
+        protocol += (f"; traced runs: {args.traced_pairs} pair(s) per workload, seeds {args.traced_seed}-{last}, "
+                     "summary = medians per side, pairs = the same summary as the end-to-end one, no bound")
     if args.note:
         protocol += f"; {args.note}"
     payload = {

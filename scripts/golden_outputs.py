@@ -40,23 +40,47 @@ through BLAS products, so they are compared at a tolerance rather than by
 digest; a change to the learner on purpose rewrites the file:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --learner tests/learner.json
+
+``--costs FILE`` writes the per-QI cost counts: ``count_costs`` runs each of
+``cost_runs`` (every scheme's headline episode, the ``dense`` episode and a
+short ``control.train``) once to warm caches, then again under a
+``sys.setprofile`` hook, and records the QIs, every package function's
+calls, the numpy functions entered from outside numpy and the calls on the
+loop's generator, by name. ``tests/costs.json`` is that file, headed by the
+versions; a Tier-1 test counts again and fails when any count per QI is
+above its recorded value. Counts are exact and do not depend on the host,
+so a change that removes work re-records the file, and one that adds work
+names each risen count:
+
+    python3 scripts/golden_outputs.py --out /tmp/golden_new --costs tests/costs.json
+
+What a profile hook cannot see is not counted: array operators (``@``,
+``+``), ufuncs and ``Generator`` methods make no event (the generator is
+counted by a proxy), and comprehension frames are left out, since Python
+3.12 inlines list comprehensions.
 """
 
 import argparse
+import collections
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from reverb import control  # noqa: E402
+import reverb  # noqa: E402
+from reverb import control, runner, schemes  # noqa: E402
 from reverb.cli import main as reverb_main  # noqa: E402
-from reverb.config import SCHEMES, RunConfig  # noqa: E402
+from reverb.config import SCHEMES, RunConfig, config_from_dict  # noqa: E402
 from reverb.schemes import build_loop  # noqa: E402
 
 
@@ -173,6 +197,150 @@ def learner_differences(got: dict, want: dict) -> list[str]:
     return lines
 
 
+# --- per-QI cost counts ------------------------------------------------------
+
+COSTS_SEED = 3
+# The ``dense`` run's overrides of the headline config: a deep planner and large fusion batches.
+DENSE = {"cap": 30, "scripted_accuracy": [10000.0, 60000.0], "fleet": {"n_agents": 60}}
+COSTS_TRAIN_EPISODES = 2
+COSTS_TRAIN_QI_CAP = 200
+COST_KINDS = ("package", "numpy", "draws")
+
+_PACKAGE_DIR = os.path.dirname(reverb.__file__) + os.sep
+_NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+_COMPREHENSIONS = frozenset({"<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>"})
+
+
+class CountingGenerator:
+    """Forwards to a numpy ``Generator`` and counts each method called on it, by name."""
+
+    def __init__(self, rng: np.random.Generator, draws: collections.Counter) -> None:
+        self._rng = rng
+        self._draws = draws
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._draws[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def _frame_name(frame) -> str:
+    """Module and qualified name of a frame's function (Python 3.10 code objects lack ``co_qualname``)."""
+    code = frame.f_code
+    return f"{frame.f_globals['__name__']}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
+class CostCounter:
+    """A ``sys.setprofile`` hook counting package function calls and numpy entries by name.
+
+    A package call is the start of a frame of code under ``src/reverb`` that
+    is not a comprehension. A numpy entry is the start of a numpy Python
+    frame, or a call of a numpy builtin, from code outside numpy; what numpy
+    calls inside itself is not counted.
+    """
+
+    def __init__(self) -> None:
+        self.package: collections.Counter = collections.Counter()
+        self.numpy: collections.Counter = collections.Counter()
+        self.draws: collections.Counter = collections.Counter()
+
+    def __call__(self, frame, event: str, arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            path = code.co_filename
+            if path.startswith(_PACKAGE_DIR):
+                if code.co_name not in _COMPREHENSIONS:
+                    self.package[_frame_name(frame)] += 1
+            elif path.startswith(_NUMPY_DIR) and not code.co_name.endswith("_dispatcher"):
+                # An array function's dispatcher runs from the same caller as its body; the body counts.
+                caller = frame.f_back
+                if caller is None or not caller.f_code.co_filename.startswith(_NUMPY_DIR):
+                    self.numpy[_frame_name(frame)] += 1
+        elif event == "c_call" and not frame.f_code.co_filename.startswith(_NUMPY_DIR):
+            module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+            if module == "numpy" or module.startswith("numpy."):
+                self.numpy[f"{module}.{arg.__qualname__}"] += 1
+
+
+@contextlib.contextmanager
+def counted_loops(draws: collections.Counter):
+    """While open, every ``schemes.build_loop`` loop draws through a ``CountingGenerator``."""
+    build = schemes.build_loop
+
+    def build_counted(*args, **kwargs):
+        loop = build(*args, **kwargs)
+        loop.rng = CountingGenerator(loop.rng, draws)
+        return loop
+
+    schemes.build_loop = build_counted
+    try:
+        yield
+    finally:
+        schemes.build_loop = build
+
+
+def cost_runs() -> dict[str, Callable[[], int]]:
+    """Name -> a run that returns its QIs: one episode per scheme and of ``dense``, and a short training."""
+    headline = RunConfig(seed=COSTS_SEED)
+
+    def episode(cfg: RunConfig, scheme: str) -> Callable[[], int]:
+        return lambda: runner.monte_carlo(cfg, 1, scheme=scheme)[1][0].qis
+
+    def training() -> int:
+        _, curve = control.train(
+            lambda rng: schemes.build_loop(headline, headline.scheme, rng), COSTS_TRAIN_EPISODES,
+            headline.control, seed=COSTS_SEED, qi_cap=COSTS_TRAIN_QI_CAP,
+        )
+        return sum(s.qis for s in curve)
+
+    runs = {scheme: episode(headline, scheme) for scheme in SCHEMES}
+    runs["dense"] = episode(dataclasses.replace(config_from_dict(DENSE), seed=COSTS_SEED), "AoL-REVERB")
+    runs["train"] = training
+    return runs
+
+
+def count_costs(run: Callable[[], int]) -> dict:
+    """QIs and counts by kind and name of ``run``'s second call; the first warms every cache."""
+    counter = CostCounter()
+    with counted_loops(counter.draws):
+        run()
+        counter.draws.clear()
+        sys.setprofile(counter)
+        try:
+            qis = run()
+        finally:
+            sys.setprofile(None)
+    return {"qis": qis, **{kind: dict(sorted(getattr(counter, kind).items())) for kind in COST_KINDS}}
+
+
+def all_costs() -> dict[str, dict]:
+    return {name: count_costs(run) for name, run in cost_runs().items()}
+
+
+def write_costs(path: Path) -> None:
+    path.write_text(json.dumps({"versions": versions(), "runs": all_costs()}, indent=1) + "\n")
+
+
+def cost_increases(got: dict[str, dict], want: dict[str, dict]) -> list[str]:
+    """One line per count of ``got`` that is above ``want``'s per QI; a name ``want`` lacks counts 0."""
+    lines = []
+    for name, costs in got.items():
+        recorded = want[name]
+        for kind in COST_KINDS:
+            for key, n in costs[kind].items():
+                m = recorded[kind].get(key, 0)
+                if n * recorded["qis"] > m * costs["qis"]:
+                    lines.append(f"{name} {kind} {key}: {n / costs['qis']:.4g} per QI, "
+                                 f"recorded {m / recorded['qis']:.4g}")
+    return lines
+
+
 def _files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
@@ -268,6 +436,8 @@ def main() -> int:
                         help="file to write the SHA-256 digests of the DIGESTED outputs to")
     parser.add_argument("--learner", type=Path, default=None,
                         help="file to write the learner pin (learner_run's values) to")
+    parser.add_argument("--costs", type=Path, default=None,
+                        help="file to write the per-QI cost counts (all_costs) to")
     args = parser.parse_args()
     for argv in commands(args.out):
         print("reverb " + " ".join(argv), flush=True)
@@ -280,6 +450,9 @@ def main() -> int:
     if args.learner is not None:
         write_learner(args.learner)
         print(f"learner pin of {LEARNER_EPISODES} episodes written to {args.learner}")
+    if args.costs is not None:
+        write_costs(args.costs)
+        print(f"cost counts of {len(cost_runs())} runs written to {args.costs}")
     if args.against is not None:
         if not args.against.is_dir():
             print(f"error: {args.against} is not a directory", file=sys.stderr)

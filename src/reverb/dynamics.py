@@ -111,24 +111,6 @@ def step(model: DynamicsModel, state: State, action: float, rng: np.random.Gener
     return model.clamp((x, v))
 
 
-def jacobian_at(model: DynamicsModel, state: State) -> Matrix2:
-    """Exact Jacobian of the clamp-free update map at ``state`` with zero control."""
-    return model.jacobian(_checked_state(state))
-
-
-def finite_difference_jacobian(model: DynamicsModel, state: State, h: float = 1e-6) -> Array:
-    """Central finite differences of ``update_free`` (test oracle for ``jacobian_at``)."""
-    s = np.asarray(state, dtype=float)
-    jac = np.zeros((STATE_FEATURES, STATE_FEATURES))
-    for j in range(STATE_FEATURES):
-        dp = s.copy()
-        dm = s.copy()
-        dp[j] += h
-        dm[j] -= h
-        jac[:, j] = np.subtract(model.update_free(dp, 0.0), model.update_free(dm, 0.0)) / (2.0 * h)
-    return jac
-
-
 def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) -> DynamicsModel:
     """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'.
 

@@ -26,6 +26,10 @@ order, one ``rank1_update`` and mean update each, which is exact for that
 input: the package has one Kalman update. A new belief is checked once, when
 it is constructed: its mean for finiteness, its covariance for symmetry and,
 by its smaller eigenvalue in closed form, for positive semidefiniteness.
+``predict`` reads the mean's two entries once for the Jacobian and the
+transition; it checks only that they are still finite, since the mean is a
+plain attribute that can be reassigned after construction, and the
+mountain car would clip an infinite velocity to a finite next state.
 ``init_belief`` and the learner's input are where arrays are built.
 """
 
@@ -37,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsModel, Matrix2, State, jacobian_at
+from .dynamics import DynamicsModel, Matrix2, State
 from .errors import InputError, NumericalError
 from .schema import STATE_FEATURES
 from .sensing import SensingAgent
@@ -108,7 +112,10 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     The process noise enters only through its covariance; sampling it here
     would bias the minimum-mean-square-error predictor.
     """
-    (j00, j01), (j10, j11) = jacobian_at(model, belief.mean)
+    mean = m0, m1 = belief.mean
+    if not (math.isfinite(m0) and math.isfinite(m1)):  # a mean reassigned since construction
+        raise InputError("belief mean must be finite")
+    (j00, j01), (j10, j11) = model.jacobian(mean)
     (p00, p01), (p10, p11) = belief.cov
     (q00, q01), (q10, q11) = model.process_noise_cov
     # A = J P, then C = A J^T + Q, each entry's products summed in index order.
@@ -117,7 +124,7 @@ def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
     c00, c01 = a00 * j00 + a01 * j01 + q00, a00 * j10 + a01 * j11 + q01
     c10, c11 = a10 * j00 + a11 * j01 + q10, a10 * j10 + a11 * j11 + q11
     cov = (0.5 * (c00 + c00), 0.5 * (c01 + c10)), (0.5 * (c10 + c01), 0.5 * (c11 + c11))
-    return Belief(model.update(belief.mean, action), cov)
+    return Belief(model.update(mean, action), cov)
 
 
 def rank1_update(p: Matrix2, k: int, r: float) -> Step:
@@ -188,15 +195,6 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
         innovation = yk - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
     return Belief((m0, m1), cov)
-
-
-def meets_targets(belief: Belief, variance_bounds: Sequence[float]) -> tuple[bool, tuple[int, ...]]:
-    """Check diag(cov) <= bound per feature (inclusive); return the violating features."""
-    cov = belief.cov
-    if len(variance_bounds) != len(cov):
-        raise InputError("one variance bound per feature is required")
-    violating = tuple(k for k, (row, bound) in enumerate(zip(cov, variance_bounds)) if row[k] > bound)
-    return not violating, violating
 
 
 def init_belief(true_state: State, rng: np.random.Generator, var: float) -> Belief:

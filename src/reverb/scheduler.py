@@ -27,12 +27,16 @@ floats across picks. Fusion (``fuse_delivered``) is one loop over the picks,
 one rank-1 update per delivered reading, in selection order: while every
 pick so far has arrived, update n is the planner's step n on the same
 numbers, so its gain and covariance are reused and only the mean moves; from
-the first lost pick on, ``rank1_update`` runs on the running covariance.
-The targets are a plain tuple of per-feature variance bounds, computed and
-checked in Python floats by ``compute_targets``. The planner, the fusion and
-the loop closing read each sensor's feature and noise from the fleet's
-id-indexed tuples. ``ScheduleResult`` is a named tuple, built once per
-round, that stores the round's PRB total once.
+the first lost pick on, ``rank1_update`` runs on the running covariance. A
+round that was fully planned and fully delivered reuses every step, so it
+applies them in one plain ``zip`` with no per-pick test. A blind round
+selects nothing and skips both draws: ``standard_normal(0)`` returns no
+numbers and leaves the generator's state as it is, so the stream after the
+round is the same. The targets are a plain tuple of per-feature variance
+bounds, computed and checked in Python floats by ``compute_targets``. The
+planner, the fusion and the loop closing read each sensor's feature and
+noise from the fleet's id-indexed tuples. ``ScheduleResult`` is a named
+tuple, built once per round, that stores the round's PRB total once.
 """
 
 from __future__ import annotations
@@ -176,15 +180,19 @@ def size_and_transmit(
     theirs bit for bit. A link budget depends only on the channel and the
     sensor, so it is solved the first time the sensor is selected and kept in
     the fleet's memo with its ``channel.link_terms``; a sensor that is never
-    selected is never sized, even when its link is infeasible.
+    selected is never sized, even when its link is infeasible. An empty
+    selection returns at once: its two draws would be empty and would leave
+    the generator as it is.
     """
+    if not selected:
+        return (), [], []
     memo = fleet.link_memo.setdefault(params, {})
     for i in selected:
         if i not in memo:
             agent = fleet.agents[i]
             budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
             memo[i] = budget, ch.link_terms(params, budget)
-    budgets, terms = zip(*[memo[i] for i in selected]) if selected else ((), ())
+    budgets, terms = zip(*[memo[i] for i in selected])
     values = observe(fleet, selected, true_state, rng)
     met = ch.meets_deadline(params, terms, rng.standard_normal(2 * len(terms)).tolist())
     delivered = [i for i, ok in zip(selected, met) if ok]
@@ -207,13 +215,20 @@ def fuse_delivered(
     of ``selected``, from the same prior and in the same order: while every
     pick so far has arrived, step n is this fusion's update n, so it is
     reused; from the first lost pick on, each update is computed from the
-    running covariance. With nothing delivered the posterior is a new belief
-    holding the prior's numbers.
+    running covariance. When every pick was planned and arrived, the steps
+    are applied in one pass with no per-pick test. With nothing delivered
+    the posterior is a new belief holding the prior's numbers.
     """
     features, noise_vars = fleet.features, fleet.noise_vars
+    (m0, m1), cov = prior.mean, prior.cov
+    if len(delivered) == len(selected) == len(steps):
+        # Fully planned and fully delivered: update n is step n, every one.
+        for i, y, ((g0, g1), cov) in zip(selected, values, steps):
+            innovation = y - (m0 if features[i] == 0 else m1)
+            m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
+        return est.Belief((m0, m1), cov)
     arrived = set(delivered) if len(delivered) < len(selected) else None
     planned = len(steps)
-    (m0, m1), cov = prior.mean, prior.cov
     for n, (i, y) in enumerate(zip(selected, values)):
         if arrived is not None and i not in arrived:
             planned = min(planned, n)

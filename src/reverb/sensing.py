@@ -4,8 +4,8 @@ A sensor sees one state feature k and adds its own measurement error of
 variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
 observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
 distance and power budget. It is an immutable named tuple whose constructor
-checks k and r; ``_make`` and ``_replace`` run the same constructor, and
-sqrt(r) is read from r, so no copy skips a check or keeps a stale root.
+checks k and r; ``_make`` and ``_replace`` run the same constructor, so no
+copy skips a check, and an agent keeps no sqrt(r) that could go stale.
 ``observe`` is the one sensor model: it reads a whole selection from one
 draw of standard normals and returns the readings as a list of Python
 floats. A fleet caches each sensor's feature, r and sqrt(r) as tuples
@@ -60,11 +60,6 @@ class SensingAgent(_AgentFields):
     def _make(cls, iterable) -> "SensingAgent":
         """An agent from its five fields, checked by the constructor (``_replace`` comes here too)."""
         return cls(*iterable)
-
-    @property
-    def noise_std(self) -> float:
-        """sqrt(r)."""
-        return math.sqrt(self.noise_var)
 
 
 @dataclass(frozen=True)

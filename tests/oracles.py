@@ -21,6 +21,11 @@
   operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
+* ``finite_difference_jacobian``: central differences of a model's
+  clamp-free map, the check on its exact ``jacobian``.
+* ``meets_targets``: each belief variance against its bound, over any
+  number of features; ``TwinLoop.step`` reads its two variances directly
+  and its ``failed`` flag must equal this test's.
 * ``joseph_update``: the general batch Kalman update of any observation
   matrix, solved by Cholesky and cross-checked against (I - KH) P.
 * ``rank1_joseph`` and ``sequential_fusion``: the rank-1 Joseph update and
@@ -31,8 +36,9 @@
 * ``generate_fleet_scalar``: the fleet drawn with one scalar uniform per
   distance and per noise variance, the form of ``sensing.generate_fleet``'s
   single draw of all of them.
-* ``observe_one``: one sensor's reading with its own standard normal draw,
-  the per-sensor form of the batched ``sensing.observe``.
+* ``noise_std`` and ``observe_one``: one sensor's sqrt(r), and its reading
+  with its own standard normal draw, the per-sensor form of the batched
+  ``sensing.observe``.
 * ``reference_episode``: one episode of any scheme, composed from the above,
   ``observe_one`` per sensor and per-link ``channel.uplink_outcome``.
 * ``fuse_memoryless_lists``: Traditional's fuse as it read each delivered
@@ -261,6 +267,28 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     return [x2, v2]
 
 
+def finite_difference_jacobian(model: dyn.DynamicsModel, state, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of ``update_free`` at ``state`` with zero control."""
+    s = np.asarray(state, dtype=float)
+    jac = np.zeros((2, 2))
+    for j in range(2):
+        dp = s.copy()
+        dm = s.copy()
+        dp[j] += h
+        dm[j] -= h
+        jac[:, j] = np.subtract(model.update_free(dp, 0.0), model.update_free(dm, 0.0)) / (2.0 * h)
+    return jac
+
+
+def meets_targets(belief: est.Belief, variance_bounds) -> tuple[bool, tuple[int, ...]]:
+    """Check diag(cov) <= bound per feature (inclusive); return the violating features."""
+    cov = belief.cov
+    if len(variance_bounds) != len(cov):
+        raise InputError("one variance bound per feature is required")
+    violating = tuple(k for k, (row, bound) in enumerate(zip(cov, variance_bounds)) if row[k] > bound)
+    return not violating, violating
+
+
 def generate_fleet_scalar(config: sensing.FleetConfig, rng: np.random.Generator) -> sensing.SensorFleet:
     """``sensing.generate_fleet`` with one scalar ``rng.uniform`` per distance and per noise variance."""
     agents = []
@@ -272,9 +300,14 @@ def generate_fleet_scalar(config: sensing.FleetConfig, rng: np.random.Generator)
     return sensing.SensorFleet(agents=tuple(agents))
 
 
+def noise_std(agent: sensing.SensingAgent) -> float:
+    """sqrt(r) of one sensor, from its own noise variance."""
+    return math.sqrt(agent.noise_var)
+
+
 def observe_one(agent: sensing.SensingAgent, state, rng: np.random.Generator) -> float:
     """The reading ``s[k] + sqrt(r) z`` of one sensor, with one standard normal draw ``z``."""
-    return float(state[agent.feature]) + agent.noise_std * rng.standard_normal()
+    return float(state[agent.feature]) + noise_std(agent) * rng.standard_normal()
 
 
 def joseph_update(prior_cov, h, r) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from reverb.schemes import build_loop, make_policy, run_episode
 from reverb import cli
 
 from test_channel import bisect_bandwidth
+from oracles import finite_difference_jacobian
 from test_scheduler import make_fleet, oracle_plan, random_instance
 
 
@@ -117,8 +118,8 @@ def test_a3_ekf_oracle_equivalence(criterion):
     worst_jac = 0.0
     for _ in range(100):
         s = np.array([jac_rng.uniform(-1.1, 0.5), jac_rng.uniform(-0.06, 0.06)])
-        fd = dyn.finite_difference_jacobian(car, s)
-        worst_jac = max(worst_jac, float(np.max(np.abs(dyn.jacobian_at(car, s) - fd))))
+        fd = finite_difference_jacobian(car, s)
+        worst_jac = max(worst_jac, float(np.max(np.abs(car.jacobian(s) - fd))))
     ok = worst < 1e-9 and worst_jac < 1e-5
     criterion("A3", ok, f"KF gap {worst:.2e} <1e-9, FD gap {worst_jac:.2e} <1e-5")
 

@@ -91,6 +91,31 @@ def test_traced_comparison_and_pair_specs():
             bench_pairs.parse_pairs([bad])
 
 
+def test_traced_pairs_report_medians_and_a_per_layer_summary():
+    def traced(seed, side, us):
+        metrics = {"loop.step.self_us_per_qi": {"value": us, "unit": "us/qi"},
+                   "scheduler.compute_targets.calls_per_qi": {"value": 1.0 if side == "parent" else 0.01,
+                                                              "unit": "calls/qi"}}
+        return {"workload": "schemes", "seed": seed, "side": side, "result": {"correct": True, "metrics": metrics}}
+
+    plan = bench_pairs.pair_plan([("schemes", 3)], 131)
+    assert plan == [("schemes", 131), ("schemes", 132), ("schemes", 133)]
+    timings = {131: (14.0, 12.0), 132: (15.0, 12.5), 133: (13.0, 13.5)}
+    runs = [traced(seed, side, us) for _, seed in plan for side, us in zip(("parent", "change"), timings[seed])]
+    assert bench_pairs.compare_traced(runs) == {
+        "schemes": {"loop.step.self_us_per_qi": {"parent": 14.0, "change": 12.5},
+                    "scheduler.compute_targets.calls_per_qi": {"parent": 1.0, "change": 0.01}},
+    }
+    directions = bench_pairs.per_layer_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    summary = bench_pairs.summarize(runs, directions)["schemes"]
+    assert summary["pairs"] == 3 and summary["all_correct"] is True
+    step = summary["loop.step.self_us_per_qi"]
+    assert step["change_wins"] == 2 and step["verdict"] == "unresolved"
+    assert step["parent_q1_q3"] == [13.5, 14.5] and step["change_q1_q3"] == [12.25, 13.0]
+    assert summary["scheduler.compute_targets.calls_per_qi"]["verdict"] == "gain"
+    assert bench_pairs.pair_plan([("dense", 2), ("train", 1)], 7) == [("dense", 7), ("dense", 8), ("train", 7)]
+
+
 BOUNDS = bench_pairs.end_to_end_bounds(json.loads((ROOT / "BENCHMARK.json").read_text()))
 
 

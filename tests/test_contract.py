@@ -29,7 +29,7 @@ from reverb.control import ActionVector
 from reverb.errors import ConfigError, InputError
 from reverb.nets import MLP
 from reverb.schema import STATE_FEATURES
-from reverb.sensing import FleetConfig, SensingAgent
+from reverb.sensing import FleetConfig, SensingAgent, SensorFleet
 
 EXAMPLE = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "example.yaml").read_text())
 CONFIGS = (RunConfig, ChannelParams, FleetConfig, ControlConfig)
@@ -115,7 +115,7 @@ def test_light_values_check_every_way_they_are_built(case):
 
 @pytest.mark.parametrize("valid", [AGENT, ACTION], ids=lambda v: type(v).__name__)
 def test_light_values_are_immutable(valid):
-    for name in (*valid._fields, "noise_std", "extra"):
+    for name in (*valid._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(valid, name, getattr(valid, name, 1.0))
     assert not hasattr(valid, "__dict__")
@@ -123,7 +123,7 @@ def test_light_values_are_immutable(valid):
 
 def test_a_rebuilt_sensor_reads_its_own_noise_root():
     for agent in (AGENT._replace(noise_var=0.25), SensingAgent._make([0, 0, 0.25, 1.0, 1.0])):
-        assert agent.noise_var == 0.25 and agent.noise_std == 0.5
+        assert agent.noise_var == 0.25 and SensorFleet((agent,)).noise_stds == (0.5,)
     assert type(AGENT._replace(noise_var=1).noise_var) is float
 
 

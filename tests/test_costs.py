@@ -1,0 +1,71 @@
+"""Exact per-QI cost counts: no package call, numpy entry or generator draw may rise above ``tests/costs.json``."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from reverb import sensing
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("golden_outputs", ROOT / "scripts" / "golden_outputs.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_per_qi_costs_do_not_rise_above_the_recorded_counts():
+    """Every scheme's episode, the ``dense`` episode and a short training, counted again.
+
+    A count below its record passes: the change that lowered it re-records
+    the file (``scripts/golden_outputs.py --costs tests/costs.json``).
+    """
+    want = json.loads((ROOT / "tests" / "costs.json").read_text())
+    got = golden.all_costs()
+    assert got.keys() == want["runs"].keys()
+    for name, costs in got.items():
+        assert costs["qis"] == want["runs"][name]["qis"], name
+    risen = golden.cost_increases(got, want["runs"])
+    assert not risen, (
+        f"per-QI costs rose above tests/costs.json: {risen}; it was recorded with "
+        f"{want['versions']}, this run has {golden.versions()} (numpy's own Python calls "
+        "and Python's profile events can differ between versions)"
+    )
+    # One more call of anything, or a function never called before, is caught.
+    more = {name: {**costs, "package": dict(costs["package"])} for name, costs in got.items()}
+    more["Perfect"]["package"]["reverb.loop.TwinLoop.step"] += 1
+    more["train"]["package"]["reverb.dynamics.finite_difference_jacobian"] = 1
+    assert golden.cost_increases(more, want["runs"]) == [
+        f"Perfect package reverb.loop.TwinLoop.step: {1 + 1 / got['Perfect']['qis']:.4g} per QI, recorded 1",
+        f"train package reverb.dynamics.finite_difference_jacobian: {1 / got['train']['qis']:.4g} per QI, "
+        "recorded 0",
+    ]
+
+
+def test_the_counter_sees_package_calls_numpy_entries_and_draws():
+    """A hand-made run: its calls, its numpy entries (not numpy's inner calls) and its draws."""
+    fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=4), np.random.default_rng(0))
+    counter = golden.CostCounter()
+    rng = golden.CountingGenerator(np.random.default_rng(1), counter.draws)
+
+    def run():
+        for _ in range(3):
+            sensing.observe(fleet, [0, 1], (0.1, 0.2), rng)
+        np.mean(np.zeros(3))
+
+    sys.setprofile(counter)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    # The fleet's cached tuples are computed on first use, once.
+    assert counter.package == {
+        "reverb.sensing.observe": 3, "reverb.sensing.SensorFleet.features": 1,
+        "reverb.sensing.SensorFleet.noise_vars": 1, "reverb.sensing.SensorFleet.noise_stds": 1,
+    }
+    assert counter.draws == {"standard_normal": 3}
+    # ``np.mean``'s Python body counts once; its dispatcher and inner calls do not.
+    mean = [name for name in counter.numpy if name.endswith("fromnumeric.mean")]
+    assert len(mean) == 1
+    assert counter.numpy == {"numpy.ndarray.tolist": 3, "numpy.zeros": 1, mean[0]: 1}

@@ -1,0 +1,146 @@
+"""What a twin step reuses instead of deriving again, each checked against deriving it anew.
+
+The scripted pump's two actions per request tuple, the last bounds while
+the request is an equal tuple, the failure test on the posterior's two
+variances, the prediction's direct read of the belief mean and a blind
+round's skipped draws.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from reverb import control as ctl
+from reverb import dynamics as dyn
+from reverb import estimator as est
+from reverb import loop as loop_module
+from reverb import scheduler as sched
+from reverb import schemes
+from reverb.aol import AolTracker
+from reverb.config import RunConfig, config_from_dict
+from reverb.errors import InputError
+
+import oracles
+
+
+def test_the_pump_reuses_its_two_actions_per_request_tuple():
+    request = (100.0, 200.0)
+    up, down = ctl.scripted_controller((0.0, 0.01), request), ctl.scripted_controller((0.0, -0.01), request)
+    assert up == ctl.ActionVector(1.0, request) and down == ctl.ActionVector(-1.0, request)
+    assert ctl.scripted_controller((0.1, 0.0), request) is up
+    assert ctl.scripted_controller((0.1, -0.02), request) is down
+    # An equal tuple is another key: its own actions hold it, -0.0 included.
+    signed = (-0.0, 200.0)
+    zero_action = ctl.scripted_controller((0.0, 0.01), (0.0, 200.0))
+    signed_action = ctl.scripted_controller((0.0, 0.01), signed)
+    assert signed_action is not zero_action and signed_action.accuracy is signed
+    assert math.copysign(1.0, signed_action.accuracy[0]) == -1.0
+    # A list or an array is wrapped anew each call, and a bad request still fails every call.
+    listed = [100.0, 200.0]
+    assert ctl.scripted_controller((0.0, 0.01), listed).accuracy is listed
+    for _ in range(2):
+        with pytest.raises(InputError, match="finite"):
+            ctl.scripted_controller((0.0, 0.01), (math.nan, 1.0))
+        with pytest.raises(InputError, match="state must be finite"):
+            ctl.scripted_controller((0.0, math.nan), request)
+
+
+def test_a_negative_zero_scripted_accuracy_reaches_the_record_as_negative_zero():
+    records = []
+    for first in (0.0, -0.0, 0.0):  # equal requests of either sign, one after another through the pump
+        cfg = config_from_dict({"scripted_accuracy": [first, 500.0], "qi_cap": 20})
+        records.append(schemes.run_episode(cfg, "AoL-REVERB", schemes.make_policy(cfg), seed=4))
+        signs = {math.copysign(1.0, eta) for eta in records[-1].columns["eta_pos"]}
+        assert signs == {math.copysign(1.0, first)}
+    # Either zero imposes nothing, so the bounds are the same.
+    assert records[0].columns["target_pos"] == records[1].columns["target_pos"]
+
+
+def run_steps(requests, seed=5):
+    """Step a headline AoL-REVERB loop once per request; (results, compute_targets call count)."""
+    cfg = RunConfig()
+    loop = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(seed))
+    with mock.patch.object(loop_module, "compute_targets", wraps=sched.compute_targets) as compute:
+        results = [loop.step(1.0, request) for request in requests]
+    return cfg, results, compute.call_count
+
+
+def test_bounds_are_reused_while_the_request_is_an_equal_tuple():
+    cfg, results, calls = run_steps([(100.0, 900.0), (100.0, 900.0), (100.0, 900.0), (400.0, 900.0)])
+    assert calls == 2
+    assert results[1].targets is results[0].targets and results[2].targets is results[0].targets
+    for res, request in zip(results, [(100.0, 900.0)] * 3 + [(400.0, 900.0)]):
+        assert res.targets == sched.compute_targets(cfg.required_var, request)
+
+
+def test_a_request_list_mutated_in_place_gets_fresh_bounds():
+    request = [100.0, 900.0]
+    cfg = RunConfig()
+    loop = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(5))
+    first = loop.step(1.0, request).targets
+    request[0] = 400.0
+    second = loop.step(1.0, request).targets
+    assert first == sched.compute_targets(cfg.required_var, (100.0, 900.0))
+    assert second == sched.compute_targets(cfg.required_var, (400.0, 900.0)) != first
+    _, _, calls = run_steps([request, request, request])
+    assert calls == 3
+    # An array equal to the last tuple is not compared with it; its bounds are computed.
+    _, results, calls = run_steps([(100.0, 900.0), np.array([100.0, 900.0]), np.array([100.0, 900.0])])
+    assert calls == 3 and results[1].targets == results[2].targets == results[0].targets
+
+
+def test_a_nan_request_raises_on_every_step():
+    nan_request = (math.nan, 900.0)
+    cfg = RunConfig()
+    loop = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(5))
+    loop.step(1.0, (100.0, 900.0))
+    for _ in range(3):  # the same tuple object each time
+        with pytest.raises(InputError, match="nonnegative"):
+            loop.step(1.0, nan_request)
+    assert loop.step(1.0, (100.0, 900.0)).targets == sched.compute_targets(cfg.required_var, (100.0, 900.0))
+
+
+@pytest.mark.parametrize("scheme", ["AoL-REVERB", "Traditional", "Perfect"])
+def test_the_failure_flag_is_the_oracle_target_check(scheme):
+    cfg = config_from_dict({"channel": {"outage_target": 0.3}, "qi_cap": 120})
+    loop = schemes.build_loop(cfg, scheme, np.random.default_rng(8))
+    flags = []
+    for qi in range(cfg.qi_cap):
+        accuracy = (3000.0, 9000.0) if qi % 3 else (0.0, 0.0)
+        res = loop.step(ctl.scripted_controller(loop.belief.mean, accuracy).force, accuracy)
+        met, _ = oracles.meets_targets(res.belief, res.targets)
+        assert res.failed is (not met)
+        flags.append(res.failed)
+    if scheme == "AoL-REVERB":
+        assert True in flags and False in flags
+
+
+@pytest.mark.parametrize("mean", [(math.inf, 0.0), (0.0, math.inf), (0.0, -math.inf), (math.nan, 0.0), (0.0, math.nan)])
+def test_predict_rejects_a_mean_made_non_finite_after_construction(mean):
+    """The model would clip an infinite velocity to a finite one, so predict checks the mean it reads."""
+    belief = est.Belief((-0.5, 0.01), ((1e-3, 0.0), (0.0, 1e-3)))
+    belief.mean = mean
+    with pytest.raises(InputError, match="mean must be finite"):
+        est.predict(belief, 0.0, dyn.mountain_car_model())
+
+
+def test_a_blind_round_leaves_the_generator_untouched():
+    # ``standard_normal(0)`` draws nothing and leaves the state as it is, so skipping it is exact.
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    assert rng.standard_normal(0).tolist() == [] and rng.bit_generator.state == before
+
+    cfg = RunConfig()
+    loop = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(5))
+    prior = est.Belief((-0.5, 0.01), ((1e-6, 0.0), (0.0, 1e-6)))
+    generator = mock.Mock(wraps=loop.rng)
+    before = loop.rng.bit_generator.state
+    result, posterior, aol = sched.run_round(
+        schemes.select_reverb, prior, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet, cfg.channel,
+        cfg.cap, loop.state, generator, fuse=sched.fuse_delivered,
+    )
+    assert result.blind and result.total_prbs == 0 and result.budgets == () and result.delivered == ()
+    assert generator.mock_calls == [] and loop.rng.bit_generator.state == before
+    assert posterior == prior and posterior is not prior and aol.ages == (1, 1)

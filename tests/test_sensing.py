@@ -69,8 +69,8 @@ def test_fleet_equals_one_scalar_draw_per_field(noise_var_ranges):
             assert len(got) == len(want) == n_agents
             for a, b in zip(got, want):
                 assert (a.agent_id, a.feature, a.tx_power_w) == (b.agent_id, b.feature, b.tx_power_w)
-                for name in ("noise_var", "noise_std", "distance_m"):
-                    x, y = getattr(a, name), getattr(b, name)
+                fields = ("noise_var", a.noise_var, b.noise_var), ("distance_m", a.distance_m, b.distance_m)
+                for name, x, y in (*fields, ("noise_std", oracles.noise_std(a), oracles.noise_std(b))):
                     assert type(x) is float and x.hex() == y.hex(), (n_agents, seed, a.agent_id, name)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -137,7 +137,7 @@ def test_fleet_id_indexed_tuples_equal_each_agents_fields(spec):
     ))
     assert fleet.features == tuple(a.feature for a in fleet.agents)
     assert fleet.noise_vars == tuple(a.noise_var for a in fleet.agents)
-    assert fleet.noise_stds == tuple(a.noise_std for a in fleet.agents)
+    assert fleet.noise_stds == tuple(oracles.noise_std(a) for a in fleet.agents)
 
 
 @pytest.mark.parametrize(
