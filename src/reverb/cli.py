@@ -18,7 +18,7 @@ import numpy as np
 from . import control
 from .config import SCHEMES, RunConfig, load_config
 from .errors import ConfigError, ReverbError
-from .recordio import write_episode_csv, write_summary_csv, write_summary_json
+from .recordio import write_episode_csv, write_json, write_summary_csv
 from .runner import monte_carlo, run_sweep
 from .schemes import build_loop
 
@@ -66,19 +66,8 @@ def cmd_train(args) -> int:
         return build_loop(cfg, "AoL-REVERB", rng)
 
     agent, curve = control.train(make_loop, episodes, cfg.control, seed=cfg.seed, qi_cap=cfg.qi_cap)
-    with open(out / "weights.json", "w") as fh:
-        json.dump(agent.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    rows = [
-        {
-            "episode": s.episode,
-            "shaped_return": s.shaped_return,
-            "env_return": s.env_return,
-            "reached_goal": int(s.reached_goal),
-            "qis": s.qis,
-        }
-        for s in curve
-    ]
+    write_json(agent.to_dict(), out / "weights.json")
+    rows = [{**dataclasses.asdict(s), "reached_goal": int(s.reached_goal)} for s in curve]
     write_summary_csv(rows, out / "learning_curve.csv")
     reached = sum(s.reached_goal for s in curve[-100:])
     print(f"trained {episodes} episodes; goal reached in {reached} of the last {min(100, len(curve))}")
@@ -106,21 +95,15 @@ def cmd_bench(args) -> int:
     episodes = args.episodes if args.episodes is not None else cfg.episodes
     schemes = [args.scheme] if args.scheme else list(SCHEMES)
 
-    rows = []
-    payload = []
+    # (sweep column, summary) per point; an unswept bench has no column.
     if args.sweep:
-        points = run_sweep(cfg, args.sweep, episodes, schemes, agent)
         name = args.sweep.split(":", 1)[0]
-        for scheme, value, summary in points:
-            rows.append({name: value, **summary.to_row()})
-            payload.append({name: value, **summary.to_payload()})
+        points = [({name: value}, s) for _, value, s in run_sweep(cfg, args.sweep, episodes, schemes, agent)]
     else:
-        for scheme in schemes:
-            summary, _ = monte_carlo(cfg, episodes, scheme=scheme, agent=agent)
-            rows.append(summary.to_row())
-            payload.append(summary.to_payload())
+        points = [({}, monte_carlo(cfg, episodes, scheme=scheme, agent=agent)[0]) for scheme in schemes]
+    rows = [{**column, **s.to_row()} for column, s in points]
     write_summary_csv(rows, out / "summary.csv")
-    write_summary_json(payload, out / "summary.json")
+    write_json([{**column, **s.to_payload()} for column, s in points], out / "summary.json")
     for row in rows:
         print(", ".join(f"{k}={v}" for k, v in row.items()))
     return 0

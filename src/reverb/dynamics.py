@@ -2,14 +2,14 @@
 
 The twin's plant has two state features, position first and velocity second
 for the mountain car, whose constants are module constants. A state is a pair
-of Python floats. A model owns three maps sharing that convention:
+of Python floats. A model holds three maps sharing that convention:
 
-* ``update(s, a)``      -- the deterministic per-interval transition, ending
-  in ``clamp``, the environment's one clamping rule,
-* ``update_free(s, a)`` -- the same transition without clamping (the map the
-  EKF linearizes),
-* ``jacobian(s)``       -- exact partial derivatives of ``update_free`` at ``s``
-  with zero control, as a pair of rows.
+* ``update(s, a)`` -- the deterministic per-interval transition, ending in
+  ``clamp``,
+* ``clamp(s)``     -- the environment's one clamping rule,
+* ``jacobian(s)``  -- exact partial derivatives at ``s``, with zero control,
+  of the transition without clamping (the map the EKF linearizes), as a pair
+  of rows.
 
 The mountain car's maps take and return float pairs; the constructor also
 accepts maps that return numpy arrays (a linear test model's ``A @ s``),
@@ -56,7 +56,6 @@ class DynamicsModel:
     """Discrete-time 2-D plant with additive control and Gaussian process noise."""
 
     update: Callable[[State, float], State]
-    update_free: Callable[[State, float], State]
     jacobian: Callable[[State], Matrix2]
     clamp: Callable[[State], State]
     process_noise_cov: Matrix2  # given as any 2x2 array-like, kept as nested float tuples
@@ -137,11 +136,6 @@ def _mountain_car_model(noise_var_bits: tuple[str, ...]) -> DynamicsModel:
         v2 = min(max(v2, -VELOCITY_MAX), VELOCITY_MAX)
         return clamp((x + v2, v2))
 
-    def update_free(s: State, a: float) -> State:
-        x, v = s
-        v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
-        return x + v2, v2
-
     def jacobian(s: State) -> Matrix2:
         # d v'/d x = 3*GRAVITY*sin(3x); x' = x + v' chains it into the first row.
         g = 3.0 * GRAVITY * math.sin(3.0 * s[0])
@@ -149,7 +143,6 @@ def _mountain_car_model(noise_var_bits: tuple[str, ...]) -> DynamicsModel:
 
     return DynamicsModel(
         update=update,
-        update_free=update_free,
         jacobian=jacobian,
         clamp=clamp,
         process_noise_cov=np.diag([float.fromhex(v) for v in noise_var_bits]),

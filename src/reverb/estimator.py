@@ -30,7 +30,7 @@ by its smaller eigenvalue in closed form, for positive semidefiniteness.
 transition; it checks only that they are still finite, since the mean is a
 plain attribute that can be reassigned after construction, and the
 mountain car would clip an infinite velocity to a finite next state.
-``init_belief`` and the learner's input are where arrays are built.
+``init_belief`` builds the twin's start from float tuples as well.
 """
 
 from __future__ import annotations
@@ -199,6 +199,7 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
 
 def init_belief(true_state: State, rng: np.random.Generator, var: float) -> Belief:
     """Initial belief: true state perturbed by N(0, var I), covariance var I."""
-    s = np.asarray(true_state, dtype=float)
-    mean = s + np.sqrt(var) * rng.standard_normal(s.shape[0])
-    return Belief(mean.tolist(), (var * np.eye(s.shape[0])).tolist())
+    x, v = true_state
+    z0, z1 = rng.standard_normal(2).tolist()
+    sd = math.sqrt(var)
+    return Belief((x + sd * z0, v + sd * z1), ((var, 0.0), (0.0, var)))

@@ -165,7 +165,8 @@ def write_summary_csv(rows: list[dict], path: str | Path) -> None:
             )
 
 
-def write_summary_json(payload, path: str | Path) -> None:
+def write_json(payload, path: str | Path) -> None:
+    """``payload`` as JSON: indent 2, sorted keys, a trailing newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

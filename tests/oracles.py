@@ -21,8 +21,9 @@
   operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
-* ``finite_difference_jacobian``: central differences of a model's
-  clamp-free map, the check on its exact ``jacobian``.
+* ``mountain_car_free`` and ``finite_difference_jacobian``: the mountain-car
+  transition with no bound applied, the map the EKF linearizes, and its
+  central differences, the check on the model's exact ``jacobian``.
 * ``meets_targets``: each belief variance against its bound, over any
   number of features; ``TwinLoop.step`` reads its two variances directly
   and its ``failed`` flag must equal this test's.
@@ -267,8 +268,14 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     return [x2, v2]
 
 
-def finite_difference_jacobian(model: dyn.DynamicsModel, state, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of ``update_free`` at ``state`` with zero control."""
+def mountain_car_free(x: float, v: float, a: float) -> list[float]:
+    """Next (position, velocity) with no bound applied: v' = v + 0.0015 a - 0.0025 cos(3x), x' = x + v'."""
+    v2 = v + 0.0015 * a - 0.0025 * math.cos(3.0 * x)
+    return [x + v2, v2]
+
+
+def finite_difference_jacobian(state, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of ``mountain_car_free`` at ``state`` with zero control."""
     s = np.asarray(state, dtype=float)
     jac = np.zeros((2, 2))
     for j in range(2):
@@ -276,7 +283,7 @@ def finite_difference_jacobian(model: dyn.DynamicsModel, state, h: float = 1e-6)
         dm = s.copy()
         dp[j] += h
         dm[j] -= h
-        jac[:, j] = np.subtract(model.update_free(dp, 0.0), model.update_free(dm, 0.0)) / (2.0 * h)
+        jac[:, j] = np.subtract(mountain_car_free(*dp, 0.0), mountain_car_free(*dm, 0.0)) / (2.0 * h)
     return jac
 
 

@@ -63,18 +63,19 @@ def test_a1_closed_form_bandwidth(criterion):
 
 
 def test_a2_outage_fidelity(criterion):
-    """A2: Monte-Carlo outage at the sized bandwidth stays within [0.2, 5] x target."""
+    """A2: Monte-Carlo outage at the sized bandwidth stays within [0.2, 5] x target.
+
+    Each of 10^6 transmissions on the sized link is tested by the deadline
+    check a round runs, ``channel.meets_deadline`` on the link's
+    ``link_terms``, with two standard normals per transmission.
+    """
     params = ch.ChannelParams()
     start = time.time()
     budget = ch.optimal_bandwidth(params, 0.02, 20.0)
     rng = np.random.default_rng(202)
-    fading = ch.rician_fading_sample(params.rician_k, rng, size=1_000_000)
-    gamma = (
-        params.system_gain * 0.02 * fading
-        / (20.0**params.path_loss_exp * budget.bandwidth_hz * params.noise_psd)
-    )
-    latency = params.packet_bits / (budget.bandwidth_hz * np.log2(1.0 + gamma))
-    outage = float(np.mean(latency > params.max_latency_s))
+    n = 1_000_000
+    met = ch.meets_deadline(params, [ch.link_terms(params, budget)] * n, rng.standard_normal(2 * n).tolist())
+    outage = met.count(False) / n
     elapsed = time.time() - start
     lo, hi = 0.2 * params.outage_target, 5.0 * params.outage_target
     ok = lo <= outage <= hi and elapsed < 30.0
@@ -82,14 +83,18 @@ def test_a2_outage_fidelity(criterion):
 
 
 def test_a3_ekf_oracle_equivalence(criterion):
-    """A3: EKF equals a standard KF on a linear system; Jacobians match FD."""
+    """A3: EKF equals a standard KF on a linear system; Jacobians match FD.
+
+    Each interval's two readings are fused by ``scheduler.fuse_delivered``,
+    the fusion a run executes, over a fleet of one sensor per feature.
+    """
     a_mat = np.array([[0.97, 0.08], [-0.02, 0.91]])
     q = np.diag([3e-5, 1e-5])
     h = np.array([[1.0, 0.0], [0.0, 1.0]])
     r = np.diag([4e-3, 9e-4])
+    fleet = make_fleet([(0, 4e-3, 5.0), (1, 9e-4, 5.0)])
     model = dyn.DynamicsModel(
         update=lambda s, a: a_mat @ s,
-        update_free=lambda s, a: a_mat @ s,
         jacobian=lambda s: a_mat.copy(),
         clamp=lambda s: s,
         process_noise_cov=q,
@@ -101,7 +106,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
     for _ in range(100):
         obs = rng.standard_normal(2) * 0.3
         belief = est.predict(belief, 0.0, model)
-        belief = est.fuse(belief, est.FusionBatch(h, r, obs))
+        belief = sched.fuse_delivered(belief, [0, 1], [0, 1], obs.tolist(), fleet)
         kf_mean = a_mat @ kf_mean
         kf_cov = a_mat @ kf_cov @ a_mat.T + q
         s_mat = h @ kf_cov @ h.T + r
@@ -118,7 +123,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
     worst_jac = 0.0
     for _ in range(100):
         s = np.array([jac_rng.uniform(-1.1, 0.5), jac_rng.uniform(-0.06, 0.06)])
-        fd = finite_difference_jacobian(car, s)
+        fd = finite_difference_jacobian(s)
         worst_jac = max(worst_jac, float(np.max(np.abs(car.jacobian(s) - fd))))
     ok = worst < 1e-9 and worst_jac < 1e-5
     criterion("A3", ok, f"KF gap {worst:.2e} <1e-9, FD gap {worst_jac:.2e} <1e-5")

@@ -15,7 +15,6 @@ def linear_model(a_mat: np.ndarray, noise: np.ndarray) -> dyn.DynamicsModel:
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     return dyn.DynamicsModel(
         update=lambda s, a: a_mat @ s,
-        update_free=lambda s, a: a_mat @ s,
         jacobian=lambda s: a_mat.copy(),
         clamp=lambda s: s,
         process_noise_cov=noise,

@@ -364,6 +364,21 @@ def test_cli_bench_writes_summaries(tmp_path):
     assert payload[0]["mean_total_prbs"] == 0.0
 
 
+def test_cli_train_writes_its_curve_and_weights_in_their_formats(tmp_path):
+    """The curve's ints are integers and its returns ``repr``; weights are indent-2, key-sorted JSON."""
+    assert cli.main(["train", "--episodes", "2", "--seed", "7", "--out", str(tmp_path)]) == 0
+    cfg = RunConfig(seed=7)
+    agent, curve = control.train(
+        lambda rng: schemes.build_loop(cfg, "AoL-REVERB", rng), 2, cfg.control, seed=7, qi_cap=cfg.qi_cap
+    )
+    lines = (tmp_path / "learning_curve.csv").read_text().splitlines()
+    assert lines == ["episode,shaped_return,env_return,reached_goal,qis"] + [
+        f"{s.episode},{s.shaped_return!r},{s.env_return!r},{int(s.reached_goal)},{s.qis}" for s in curve
+    ]
+    text = (tmp_path / "weights.json").read_text()
+    assert text == json.dumps(agent.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REVERB_SEED", "7")
     out1 = tmp_path / "env"
