@@ -101,7 +101,6 @@ class ChannelParams:
 class LinkBudget(NamedTuple):
     """Sized uplink for one scheduled sensor; an immutable named tuple."""
 
-    agent_id: int
     bandwidth_hz: float
     prbs: int
     theta: float
@@ -302,7 +301,7 @@ def optimal_bandwidth(
         raise InfeasibleError(
             f"agent {agent_id}: {bandwidth:g} Hz is no finite count of {params.prb_hz:g}-Hz PRBs"
         )
-    return LinkBudget(agent_id, bandwidth, math.ceil(prbs), theta, tx_power_w, distance_m)
+    return LinkBudget(bandwidth, math.ceil(prbs), theta, tx_power_w, distance_m)
 
 
 def uplink_outcome(

@@ -110,7 +110,7 @@ def step(model: DynamicsModel, state: State, action: float, rng: np.random.Gener
     return model.clamp((x, v))
 
 
-def mountain_car_model(process_noise_var: tuple[float, float] = (1e-6, 1e-6)) -> DynamicsModel:
+def mountain_car_model(process_noise_var: tuple[float, float]) -> DynamicsModel:
     """Mountain-car dynamics: v' = v + FORCE_GAIN*a - GRAVITY*cos(3x), x' = x + v'.
 
     A model is immutable, so each noise setting's is built once and shared;

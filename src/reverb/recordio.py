@@ -81,7 +81,6 @@ class EpisodeRecord:
     """Per-interval log of one episode plus its summary facts."""
 
     scheme: str = ""
-    seed: int = 0
     reached_goal: bool = False
     rows: list[tuple] = field(default_factory=list)
     _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)

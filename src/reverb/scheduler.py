@@ -54,11 +54,9 @@ from .sensing import SensorFleet, observe
 
 
 class ScheduleResult(NamedTuple):
-    selected: tuple[int, ...]                  # agent ids, selection order
-    budgets: tuple[ch.LinkBudget, ...]         # aligned with ``selected``
-    aol_serviced: tuple[int, ...]              # features serviced for age violations
-    delivered: tuple[int, ...]                 # agent ids whose uplink made the deadline
-    total_prbs: int                            # sum of the budgets' PRBs, stored once
+    selected: tuple[int, ...]                  # sensor ids, selection order
+    delivered: tuple[int, ...]                 # sensor ids whose uplink made the deadline
+    total_prbs: int                            # sum of the selected links' PRBs, stored once
 
     @property
     def blind(self) -> bool:
@@ -101,8 +99,8 @@ def plan_selection(
     violated: tuple[int, ...],
     fleet: SensorFleet,
     cap: int,
-) -> tuple[list[int], list[int], list[est.Step]]:
-    """Decide the transmission set; returns (agent ids in order, serviced features, steps).
+) -> tuple[list[int], list[est.Step]]:
+    """Decide the transmission set; returns (picks, steps): sensor ids in order, and their rank-1 updates.
 
     Step i is ``estimator.rank1_update``'s (gain, covariance) for pick i, from
     the covariance after the picks before it: the covariance used inside the
@@ -121,7 +119,6 @@ def plan_selection(
     noise_vars = fleet.noise_vars
     rank1 = est.rank1_update
     selected: list[int] = []
-    serviced: list[int] = []
     steps: list[est.Step] = []
 
     for k in sorted(violated):
@@ -133,7 +130,6 @@ def plan_selection(
             selected.append(i)
             steps.append(step)
             cov = step[1]
-            serviced.append(k)
 
     q0, q1 = fleet.quietest_first[0], fleet.quietest_first[1]
     if selected:
@@ -158,7 +154,7 @@ def plan_selection(
         cov = step[1]
         (v0, _), (_, v1) = cov
 
-    return selected, serviced, steps
+    return selected, steps
 
 
 def size_and_transmit(
@@ -254,16 +250,15 @@ def run_round(
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
     """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
 
-    ``select(prior, targets, aol, fleet, cap)`` returns (agent ids in order,
-    age-serviced features, steps), where steps are the planner's rank-1
-    updates of the picks (see ``plan_selection``) or empty; ``fuse`` has the
-    signature of ``fuse_delivered``.
+    ``select(prior, targets, aol, fleet, cap)`` returns (picks, steps): the
+    sensor ids in order, and the planner's rank-1 updates of the picks (see
+    ``plan_selection``) or empty; ``fuse`` has the signature of
+    ``fuse_delivered``. The result stores the picks, the deliveries and the
+    sum of the picked links' PRBs.
     """
-    selected, serviced, steps = select(prior, targets, aol, fleet, cap)
+    selected, steps = select(prior, targets, aol, fleet, cap)
     budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
-    result = ScheduleResult(
-        tuple(selected), budgets, tuple(serviced), tuple(delivered), sum([b.prbs for b in budgets])
-    )
+    result = ScheduleResult(tuple(selected), tuple(delivered), sum([b.prbs for b in budgets]))
     features = fleet.features
     return result, posterior, aol.close_loop([features[i] for i in delivered])

@@ -38,29 +38,29 @@ from .sensing import generate_fleet
 
 def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
     belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
-    result = ScheduleResult(selected=(), budgets=(), aol_serviced=(), delivered=(), total_prbs=0)
+    result = ScheduleResult(selected=(), delivered=(), total_prbs=0)
     return result, belief, aol.close_loop(range(len(aol.ages)))
 
 
 def select_reverb(prior, targets, aol, fleet, cap):
-    """AoL-REVERB: the planner's picks, the features it serviced for age, and its rank-1 steps."""
+    """AoL-REVERB: the planner's (picks, steps), its sensor ids in order and their rank-1 updates."""
     return sched.plan_selection(prior.cov, targets, aol.violated(), fleet, cap)
 
 
 def select_nearest(prior, targets, aol, fleet, cap):
     """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id)."""
-    return list(fleet.nearest[:cap]), [], ()
+    return list(fleet.nearest[:cap]), ()
 
 
 def select_quietest(prior, targets, aol, fleet, cap):
     """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id)."""
-    return list(fleet.quietest[:cap]), [], ()
+    return list(fleet.quietest[:cap]), ()
 
 
 def select_traditional(prior, targets, aol, fleet, cap):
     """Fixed sensor set: the lowest-id sensor of each feature, in id order."""
     per_feature = [ids[0] for ids in fleet.feature_index.values() if ids]
-    return sorted(per_feature), [], ()
+    return sorted(per_feature), ()
 
 
 def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
@@ -118,7 +118,7 @@ def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord
     """Simulate one seeded episode of the given scheme and log every interval."""
     loop = build_loop(cfg, scheme, np.random.default_rng(seed))
     belief = loop.belief
-    record = EpisodeRecord(scheme=scheme, seed=seed)
+    record = EpisodeRecord(scheme=scheme)
     for qi in range(cfg.qi_cap):
         action: ActionVector = policy(belief.mean)
         res = loop.step(action.force, action.accuracy)

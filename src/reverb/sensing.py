@@ -3,7 +3,8 @@
 A sensor sees one state feature k and adds its own measurement error of
 variance r: it measures ``s[k] + sqrt(r) z``. An agent is k and r (its
 observation row is e_k, its noise covariance the 1x1 matrix [r]) plus its
-distance and power budget. It is an immutable named tuple whose constructor
+distance and power budget; its id is its index in the fleet's ``agents``,
+which it does not store. It is an immutable named tuple whose constructor
 checks k and r; ``_make`` and ``_replace`` run the same constructor, so no
 copy skips a check, and an agent keeps no sqrt(r) that could go stale.
 ``observe`` is the one sensor model: it reads a whole selection from one
@@ -33,7 +34,6 @@ from .schema import POSITIVE, STATE_FEATURES, at_least, check_fields, spec
 
 
 class _AgentFields(NamedTuple):
-    agent_id: int
     feature: int             # k: the state feature it measures
     noise_var: float         # r: its measurement variance
     distance_m: float
@@ -45,7 +45,7 @@ class SensingAgent(_AgentFields):
 
     __slots__ = ()
 
-    def __new__(cls, agent_id: int, feature: int, noise_var: float, distance_m: float, tx_power_w: float):
+    def __new__(cls, feature: int, noise_var: float, distance_m: float, tx_power_w: float):
         if not (isinstance(feature, int) and 0 <= feature < STATE_FEATURES):
             raise ConfigError(f"feature must be 0..{STATE_FEATURES - 1}, got {feature!r}")
         if not (math.isfinite(noise_var) and noise_var > 0.0):
@@ -54,11 +54,11 @@ class SensingAgent(_AgentFields):
             raise ConfigError("distance must be strictly positive")
         if not (tx_power_w > 0.0):
             raise ConfigError("transmit power budget must be strictly positive")
-        return tuple.__new__(cls, (agent_id, feature, float(noise_var), distance_m, tx_power_w))
+        return tuple.__new__(cls, (feature, float(noise_var), distance_m, tx_power_w))
 
     @classmethod
     def _make(cls, iterable) -> "SensingAgent":
-        """An agent from its five fields, checked by the constructor (``_replace`` comes here too)."""
+        """An agent from its four fields, checked by the constructor (``_replace`` comes here too)."""
         return cls(*iterable)
 
 
@@ -83,7 +83,7 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class SensorFleet:
-    """The sensors of one episode; ``agents[i].agent_id == i``."""
+    """The sensors of one episode; a sensor's id is its index in ``agents``."""
 
     agents: tuple[SensingAgent, ...]
     # Per channel configuration, keyed by agent id: the link budget and its
@@ -156,7 +156,7 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
         k = i % STATE_FEATURES
         lo, hi = config.noise_var_ranges[k]
         d = config.max_distance_m * (1.0 - u_dist)  # in (0, d_max]
-        agents.append(SensingAgent(i, k, lo + (hi - lo) * u_noise, d, config.tx_power_w))
+        agents.append(SensingAgent(k, lo + (hi - lo) * u_noise, d, config.tx_power_w))
     return SensorFleet(agents=tuple(agents))
 
 

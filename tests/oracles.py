@@ -303,7 +303,7 @@ def generate_fleet_scalar(config: sensing.FleetConfig, rng: np.random.Generator)
         k = i % sensing.STATE_FEATURES
         lo, hi = config.noise_var_ranges[k]
         d = float(config.max_distance_m * (1.0 - rng.uniform(0.0, 1.0)))
-        agents.append(sensing.SensingAgent(i, k, rng.uniform(lo, hi), distance_m=d, tx_power_w=config.tx_power_w))
+        agents.append(sensing.SensingAgent(k, rng.uniform(lo, hi), distance_m=d, tx_power_w=config.tx_power_w))
     return sensing.SensorFleet(agents=tuple(agents))
 
 
@@ -356,7 +356,7 @@ def sequential_fusion(mean, p, readings):
 
 
 def plan_picks(prior_cov, bounds, violated, agents, cap, update=rank1_joseph):
-    """The planner step by step: (agent ids in pick order, features serviced for age, covariance).
+    """The planner step by step: (sensor ids in pick order, features serviced for age, covariance).
 
     Each stale feature, lowest first, gets its nearest available sensor; then,
     while some variance exceeds its bound, the coverable feature with the
@@ -364,26 +364,26 @@ def plan_picks(prior_cov, bounds, violated, agents, cap, update=rank1_joseph):
     available sensor. Candidates are min-scanned at every pick, and the
     would-be covariance follows ``update(cov, k, r)``. The default,
     ``rank1_joseph``, carries the package's bits, so no pick can turn on a
-    last-bit difference.
+    last-bit difference. A sensor's id is its index in ``agents``.
     """
-    available = {a.agent_id for a in agents}
+    available = set(range(len(agents)))
     cov = [list(row) for row in prior_cov]
     selected, serviced = [], []
 
     def candidates(k):
-        return [a for a in agents if a.feature == k and a.agent_id in available]
+        return [i for i in available if agents[i].feature == k]
 
-    def pick(agent):
+    def pick(i):
         nonlocal cov
-        selected.append(agent.agent_id)
-        available.discard(agent.agent_id)
-        cov = update(cov, agent.feature, agent.noise_var)
+        selected.append(i)
+        available.discard(i)
+        cov = update(cov, agents[i].feature, agents[i].noise_var)
 
     for k in sorted(violated):
         if len(selected) >= cap:
             break
         if candidates(k):
-            pick(min(candidates(k), key=lambda a: (a.distance_m, a.agent_id)))
+            pick(min(candidates(k), key=lambda i: (agents[i].distance_m, i)))
             serviced.append(k)
     features = range(len(cov))
     while len(selected) < cap and any(cov[k][k] > bounds[k] for k in features):
@@ -391,20 +391,21 @@ def plan_picks(prior_cov, bounds, violated, agents, cap, update=rank1_joseph):
         if not ratios:
             break
         k = -max(ratios)[1]
-        pick(min(candidates(k), key=lambda a: (a.noise_var, a.agent_id)))
+        pick(min(candidates(k), key=lambda i: (agents[i].noise_var, i)))
     return selected, serviced, cov
 
 
 def scheme_selection(scheme, agents, cov, bounds, violated, cap):
-    """A radio scheme's transmission set, agent ids in order, from the scheme's definition."""
+    """A radio scheme's transmission set, indices in ``agents`` in order, from the scheme's definition."""
+    ids = range(len(agents))
     if scheme == "AoL-REVERB":
         return plan_picks(cov, bounds, violated, agents, cap)[0]
     if scheme == "CB-Greedy":
-        return [a.agent_id for a in sorted(agents, key=lambda a: (a.distance_m, a.agent_id))[:cap]]
+        return sorted(ids, key=lambda i: (agents[i].distance_m, i))[:cap]
     if scheme == "EB-Greedy":
-        return [a.agent_id for a in sorted(agents, key=lambda a: (a.noise_var, a.agent_id))[:cap]]
+        return sorted(ids, key=lambda i: (agents[i].noise_var, i))[:cap]
     if scheme == "Traditional":
-        return sorted(min(a.agent_id for a in agents if a.feature == k) for k in range(len(cov)))
+        return sorted(min(i for i in ids if agents[i].feature == k) for k in range(len(cov)))
     raise InputError(f"no reference for scheme {scheme!r}")
 
 
@@ -430,7 +431,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     cov = [[var, 0.0], [0.0, var]]
     ages = [0] * len(cfg.aol_thresholds)
     budgets = {}
-    record = EpisodeRecord(scheme=scheme, seed=seed)
+    record = EpisodeRecord(scheme=scheme)
     for qi in range(cfg.qi_cap):
         action = policy(tuple(mean))
         force, eta = action.force, list(action.accuracy)

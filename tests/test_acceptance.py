@@ -118,7 +118,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
             float(np.max(np.abs(belief.mean - kf_mean))),
             float(np.max(np.abs(belief.cov - kf_cov))),
         )
-    car = dyn.mountain_car_model()
+    car = dyn.mountain_car_model(process_noise_var=RunConfig().process_noise_var)
     jac_rng = np.random.default_rng(44)
     worst_jac = 0.0
     for _ in range(100):
@@ -137,9 +137,7 @@ def test_a4_scheduler_oracle(criterion):
         spec, agents, prior_cov, bounds, ages, thresholds, cap = random_instance(rng)
         fleet = make_fleet(spec)
         violated = AolTracker(ages, thresholds).violated()
-        selected, _, _ = sched.plan_selection(
-            prior_cov, bounds, violated, fleet, cap
-        )
+        selected, _ = sched.plan_selection(prior_cov, bounds, violated, fleet, cap)
         want = oracle_plan(prior_cov, bounds, violated, agents, cap)
         if selected != want or len(selected) > cap:
             mismatches += 1

@@ -278,7 +278,6 @@ def test_uplink_outage_within_band():
 def test_starved_link_mostly_fails():
     budget = ch.optimal_bandwidth(TABLE, 0.02, 20.0)
     starved = ch.LinkBudget(
-        agent_id=budget.agent_id,
         bandwidth_hz=budget.bandwidth_hz / 10.0,
         prbs=1,
         theta=budget.theta,

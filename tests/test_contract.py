@@ -75,7 +75,7 @@ def test_every_config_is_frozen(cls):
         setattr(cfg, name, getattr(cfg, name))
 
 
-AGENT = SensingAgent(3, 1, 4e-3, distance_m=7.5, tx_power_w=0.02)
+AGENT = SensingAgent(1, 4e-3, distance_m=7.5, tx_power_w=0.02)
 ACTION = ActionVector(0.5, (10.0, 20.0))
 # (valid value, field edit, the exception and its whole line)
 LIGHT_GUARDS = {
@@ -122,7 +122,7 @@ def test_light_values_are_immutable(valid):
 
 
 def test_a_rebuilt_sensor_reads_its_own_noise_root():
-    for agent in (AGENT._replace(noise_var=0.25), SensingAgent._make([0, 0, 0.25, 1.0, 1.0])):
+    for agent in (AGENT._replace(noise_var=0.25), SensingAgent._make([0, 0.25, 1.0, 1.0])):
         assert agent.noise_var == 0.25 and SensorFleet((agent,)).noise_stds == (0.5,)
     assert type(AGENT._replace(noise_var=1).noise_var) is float
 

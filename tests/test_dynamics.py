@@ -164,7 +164,7 @@ def assert_update_matches_oracle(car, x, v, a):
     a=st.floats(-1.0, 1.0),
 )
 def test_update_is_bit_equal_to_the_oracle_inside_and_outside_the_bounds(x, v, a):
-    assert_update_matches_oracle(dyn.mountain_car_model(), x, v, a)
+    assert_update_matches_oracle(dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6)), x, v, a)
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def test_predict_is_bit_equal_to_einsum_oracle():
 
 
 def test_predict_keeps_the_mountain_car_mean_and_checks():
-    car = dyn.mountain_car_model()
+    car = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
     belief = est.Belief(np.array([-0.5, 0.01]), np.diag([1e-4, 2e-4]))
     out = est.predict(belief, 0.3, car)
     assert np.array(out.mean).tobytes() == np.array(car.update(belief.mean, 0.3)).tobytes()
@@ -186,7 +186,7 @@ def test_fusion_never_inflates_diagonal():
 
 
 def test_symmetry_preserved_through_operations():
-    model = dyn.mountain_car_model()
+    model = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
     belief = est.Belief(np.array([-0.4, 0.01]), np.diag([1e-3, 1e-4]))
     for _ in range(10):
         belief = est.predict(belief, 0.3, model)

@@ -44,8 +44,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
-def read_episode_csv(path, scheme: str = "", seed: int = 0) -> EpisodeRecord:
-    record = EpisodeRecord(scheme=scheme, seed=seed)
+def read_episode_csv(path, scheme: str = "") -> EpisodeRecord:
+    record = EpisodeRecord(scheme=scheme)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -186,7 +186,7 @@ def test_episode_rows_match_interval_count(cfg):
 
 
 def hand_record(scheme, rows):
-    rec = EpisodeRecord(scheme=scheme, seed=0)
+    rec = EpisodeRecord(scheme=scheme)
     for r in rows:
         rec.append(tuple(r[c] for c in EPISODE_COLUMNS))
     return rec
@@ -250,7 +250,7 @@ def test_episode_csv_round_trip(tmp_path, cfg):
     record = run_episode(cfg, "AoL-REVERB", make_policy(cfg), seed=12)
     path = tmp_path / "episode_0.csv"
     write_episode_csv(record, path)
-    back = read_episode_csv(path, scheme=record.scheme, seed=record.seed)
+    back = read_episode_csv(path, scheme=record.scheme)
     for col in EPISODE_COLUMNS:
         assert back.columns[col] == record.columns[col]
 

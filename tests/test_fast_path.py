@@ -56,8 +56,8 @@ def selector(k: int, dim: int = 2) -> np.ndarray:
     return h
 
 
-def scalar_agent(agent_id: int, k: int, var: float, dist: float = 5.0) -> sensing.SensingAgent:
-    return sensing.SensingAgent(agent_id, k, var, distance_m=dist, tx_power_w=0.02)
+def scalar_agent(k: int, var: float, dist: float = 5.0) -> sensing.SensingAgent:
+    return sensing.SensingAgent(k, var, distance_m=dist, tx_power_w=0.02)
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,7 +78,7 @@ def test_float_2x2_update_keeps_cross_check():
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds, k=st.sampled_from([0, 1]), var=positive, s0=unit, s1=unit)
 def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
-    agent = scalar_agent(0, k, var)
+    agent = scalar_agent(k, var)
     state = np.array([s0, s1])
     fast_rng, general_rng, batch_rng = (np.random.default_rng(seed) for _ in range(3))
     fast = np.array([observe_one(agent, state, fast_rng)])
@@ -92,7 +92,7 @@ def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
 @settings(max_examples=100, deadline=None)
 @given(specs=st.lists(st.tuples(st.sampled_from([0, 1]), positive), min_size=1, max_size=12))
 def test_diag_batch_equals_block_diag(specs):
-    agents = [scalar_agent(i, k, var) for i, (k, var) in enumerate(specs)]
+    agents = [scalar_agent(k, var) for k, var in specs]
     batch = est.FusionBatch.from_observations(agents, [0.1] * len(agents))
     assert np.array_equal(batch.obs_matrix, np.vstack([selector(a.feature) for a in agents]))
     assert np.array_equal(batch.noise_cov, sla.block_diag(*[[[a.noise_var]] for a in agents]))
@@ -125,14 +125,14 @@ def general_plan(prior_cov, targets, violated, fleet, cap):
     cap=st.integers(min_value=1, max_value=12),
 )
 def test_plan_selection_same_picks_as_general_path(specs, prior, bounds, violated, cap):
-    agents = [scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs)]
-    fleet = sensing.SensorFleet(agents=tuple(agents))
+    fleet = build_fleet(specs)
     targets = np.array(bounds)
     violated = tuple(sorted(violated))
-    fast = sched.plan_selection(prior, targets, violated, fleet, cap)
-    general = general_plan(prior, targets, violated, fleet, cap)
-    assert fast[:2] == general[:2]
-    assert np.max(np.abs(planned_cov(prior, fast[2]) - general[2])) <= 1e-12
+    picks, steps = sched.plan_selection(prior, targets, violated, fleet, cap)
+    selected, serviced, cov = general_plan(prior, targets, violated, fleet, cap)
+    assert picks == selected
+    assert [fleet.features[i] for i in picks[: len(serviced)]] == serviced
+    assert np.max(np.abs(planned_cov(prior, steps) - cov)) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,9 +188,9 @@ def test_link_memo_hit_equals_fresh_solve():
     with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
         again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, np.zeros(2), rng)
     assert again == (first[1], first[0])
-    for budget in again:
-        a = fleet.agents[budget.agent_id]
-        assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=a.agent_id)
+    for i, budget in zip([1, 0], again):
+        a = fleet.agents[i]
+        assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
     # Another channel configuration is sized on its own.
     longer = dataclasses.replace(cfg.channel, packet_bits=2048.0)
     (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, np.zeros(2), rng)
@@ -237,13 +237,12 @@ sensor_specs = st.lists(
 
 
 def build_fleet(specs):
-    agents = (scalar_agent(i, k, var, dist) for i, (k, var, dist) in enumerate(specs))
-    return sensing.SensorFleet(tuple(agents))
+    return sensing.SensorFleet(tuple(scalar_agent(k, var, dist) for k, var, dist in specs))
 
 
 def coin_flip_budget(params, agent):
     """A link that makes the deadline only when its fading power exceeds 1, about half the time."""
-    budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=agent.agent_id)
+    budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m)
 
     def slack(w):
         sized = budget._replace(bandwidth_hz=w)
@@ -260,9 +259,9 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     selected = selected[: data.draw(st.integers(min_value=0, max_value=len(selected)))]
     params, state = ch.ChannelParams(), np.array([s0, s1])
     memo = fleet.link_memo.setdefault(params, {})
-    for a in fleet.agents:
-        if data.draw(st.booleans(), label=f"coin-flip link {a.agent_id}"):
-            memo[a.agent_id] = memo_entry(params, coin_flip_budget(params, a))
+    for i, a in enumerate(fleet.agents):
+        if data.draw(st.booleans(), label=f"coin-flip link {i}"):
+            memo[i] = memo_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
@@ -294,9 +293,9 @@ def test_memoised_deadline_test_equals_uplink_latency(specs, seed, data):
         rician_k=data.draw(st.sampled_from([10.0, 12.5, 250.0])),
     )
     budgets = []
-    for a in build_fleet(specs).agents:
-        budget = ch.optimal_bandwidth(params, a.tx_power_w, a.distance_m, agent_id=a.agent_id)
-        scale = data.draw(st.sampled_from(["sized", "coin flip", "starved"]), label=f"link {a.agent_id}")
+    for i, a in enumerate(build_fleet(specs).agents):
+        budget = ch.optimal_bandwidth(params, a.tx_power_w, a.distance_m, agent_id=i)
+        scale = data.draw(st.sampled_from(["sized", "coin flip", "starved"]), label=f"link {i}")
         if scale == "coin flip":
             budget = coin_flip_budget(params, a)
         elif scale == "starved":
@@ -392,7 +391,7 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
     targets = np.array([1e-4, 2e-5])
-    selected, _, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
+    selected, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
     assert len(selected) > 2
     values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
     post = sched.fuse_delivered(prior, selected, selected, values, fleet)
@@ -417,7 +416,7 @@ def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violate
     fleet = build_fleet(specs)
     belief = est.Belief(np.array([-0.5, 0.01]), prior)
     targets = np.array(bounds)
-    selected, _, steps = sched.plan_selection(prior, targets, tuple(sorted(violated)), fleet, cap)
+    selected, steps = sched.plan_selection(prior, targets, tuple(sorted(violated)), fleet, cap)
     assert len(steps) == len(selected)
     if losses == "random":
         lost = [i for i in selected if data.draw(st.booleans())]
@@ -481,15 +480,18 @@ def test_rank1_update_rejects_non_finite(bad):
 )
 def test_greedy_picks_equal_a_fresh_sort(specs, cap):
     fleet = build_fleet(specs)
-    by_distance = sorted(fleet.agents, key=lambda a: (a.distance_m, a.agent_id))
-    by_noise = sorted(fleet.agents, key=lambda a: (a.noise_var, a.agent_id))
-    nearest = [a.agent_id for a in by_distance[:cap]]
-    quietest = [a.agent_id for a in by_noise[:cap]]
-    assert schemes.select_nearest(None, None, None, fleet, cap) == (nearest, [], ())
-    assert schemes.select_quietest(None, None, None, fleet, cap) == (quietest, [], ())
+    agents = fleet.agents
+
+    def by_distance(ids):
+        return sorted(ids, key=lambda i: (agents[i].distance_m, i))
+
+    def by_noise(ids):
+        return sorted(ids, key=lambda i: (agents[i].noise_var, i))
+
+    ids = range(len(agents))
+    assert schemes.select_nearest(None, None, None, fleet, cap) == (by_distance(ids)[:cap], ())
+    assert schemes.select_quietest(None, None, None, fleet, cap) == (by_noise(ids)[:cap], ())
     for k in (0, 1):
-        own = [a for a in fleet.agents if a.feature == k]
-        by_k_distance = sorted(own, key=lambda a: (a.distance_m, a.agent_id))
-        by_k_noise = sorted(own, key=lambda a: (a.noise_var, a.agent_id))
-        assert fleet.nearest_first[k] == tuple(a.agent_id for a in by_k_distance)
-        assert fleet.quietest_first[k] == tuple(a.agent_id for a in by_k_noise)
+        own = [i for i in ids if agents[i].feature == k]
+        assert fleet.nearest_first[k] == tuple(by_distance(own))
+        assert fleet.quietest_first[k] == tuple(by_noise(own))

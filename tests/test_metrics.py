@@ -27,7 +27,7 @@ row_counts = st.fixed_dictionaries({
 
 @st.composite
 def records(draw):
-    record = EpisodeRecord(scheme="AoL-REVERB", seed=draw(st.integers(0, 99)))
+    record = EpisodeRecord(scheme="AoL-REVERB")
     for qi in range(draw(st.integers(1, 12))):
         counts = draw(row_counts)
         row = dict.fromkeys(EPISODE_COLUMNS, 0.0)

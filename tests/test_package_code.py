@@ -1,10 +1,17 @@
-"""Every function and class in the package is used by the package.
+"""Every function, class and field in the package is used by the package.
 
 A definition whose only callers are tests is a second copy of the program
 that no run executes; it belongs in ``tests/oracles.py``. The scan reads
 ``src/reverb`` with ``ast``: a definition counts as used when its name is
 read, as a name or as an attribute, anywhere in the package outside its own
 body. Dunder methods are Python's protocol and always count as used.
+
+A field, a name annotated in a class body (a dataclass or named-tuple
+field), that only tests read is state every run builds and no run uses. It
+counts as used when its name is read as an attribute anywhere in the
+package. The match is by name alone, so a field that shares its name with
+an attribute read elsewhere is invisible to the scan: a record field
+``seed`` would count as read through ``cfg.seed``.
 """
 
 import ast
@@ -20,6 +27,16 @@ ALLOWED = {
     "estimator.posterior_cov": "a perfbench SPANS entry wraps it",
     "estimator.FusionBatch.from_observations": "a perfbench SPANS entry wraps it",
     "channel.uplink_outcome": "a perfbench SPANS entry wraps it",
+}
+
+# Fields no package code reads, each with the reason it stays.
+ALLOWED_FIELDS = {
+    "channel.LinkBudget.theta": "A1 checks the Lambert-W identity on it",
+    "channel.LinkOutcome.latency_s": "uplink_outcome's result, which a perfbench SPANS entry wraps",
+    "channel.LinkOutcome.fading": "uplink_outcome's result, which a perfbench SPANS entry wraps",
+    "control.EpisodeStats.episode": "dataclasses.asdict writes it to learning_curve.csv",
+    "control.EpisodeStats.shaped_return": "dataclasses.asdict writes it to learning_curve.csv",
+    "control.EpisodeStats.env_return": "dataclasses.asdict writes it to learning_curve.csv",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -56,6 +73,27 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` of each name annotated in a class body that no code in ``sources`` reads.
+
+    A field is read when its name is loaded as an attribute (``x.name``)
+    anywhere in ``sources``, matched by name alone.
+    """
+    fields = []  # (qualified name, field name)
+    reads = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                fields += [
+                    (f"{module}.{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return [name for name, field in fields if field not in reads]
+
+
 def package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -90,3 +128,42 @@ def recursive(n):
     return recursive(n - 1) if n else 0
 '''
     assert unreferenced({"m": source}) == ["m.Model", "m.Model.spare", "m.recursive"]
+
+
+def test_every_package_field_is_read_by_the_package():
+    found = unread_fields(package_sources())
+    assert sorted(found) == sorted(ALLOWED_FIELDS), (
+        "a field no package code reads is test-only state; delete it "
+        f"or allow it with a reason: new {sorted(set(found) - set(ALLOWED_FIELDS))}, "
+        f"no longer unread {sorted(set(ALLOWED_FIELDS) - set(found))}"
+    )
+
+
+def test_the_field_scan_finds_fields_only_written_or_never_named():
+    model = '''
+from dataclasses import dataclass
+from typing import NamedTuple
+
+
+@dataclass
+class Record:
+    seed: int
+    kept: int
+    written: int = 0
+    plain = 1
+
+
+class Budget(NamedTuple):
+    prbs: int
+    spare: float
+
+
+def use(record, budget, cfg):
+    record.written = budget.prbs + record.kept
+    local: int = cfg.seed
+    return local
+'''
+    # ``Record.seed`` counts as read through ``cfg.seed``; an unannotated class attribute is no field.
+    assert unread_fields({"m": model}) == ["m.Record.written", "m.Budget.spare"]
+    # A read in another module counts.
+    assert unread_fields({"m": model, "n": "def f(b):\n    return b.spare\n"}) == ["m.Record.written"]

@@ -20,8 +20,7 @@ from oracles import joseph_update
 def make_fleet(spec):
     """spec: iterable of (feature, noise_var, distance) tuples, ids in order."""
     agents = [
-        SensingAgent(i, feature, var, distance_m=dist, tx_power_w=0.02)
-        for i, (feature, var, dist) in enumerate(spec)
+        SensingAgent(feature, var, distance_m=dist, tx_power_w=0.02) for feature, var, dist in spec
     ]
     return SensorFleet(agents=tuple(agents))
 
@@ -64,7 +63,7 @@ def test_compute_targets_rejects_with_one_line(required_var, accuracy, message):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
-    """Every round stores ``total_prbs`` as its budgets' PRB sum, lost links included.
+    """Every round stores ``total_prbs`` as its picks' memoised PRB sum, lost links included.
 
     Outages are made frequent (outage target 0.3) so that rounds with lost
     links occur; the scripted accuracy request alternates with no request,
@@ -79,8 +78,8 @@ def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
         action = scripted_controller(loop.belief.mean, cfg.scripted_accuracy if qi % 2 else (0.0, 0.0))
         ages = loop.aol.ages
         result = loop.step(action.force, action.accuracy).schedule
-        assert result.total_prbs == sum(b.prbs for b in result.budgets)
-        assert len(result.budgets) == len(result.selected)
+        memo = loop.fleet.link_memo.get(cfg.channel, {})
+        assert result.total_prbs == sum(memo[i][0].prbs for i in result.selected)
         assert result.blind == (not result.selected)
         closed = {loop.fleet.agents[i].feature for i in result.delivered}
         if scheme == "Perfect":
@@ -97,10 +96,10 @@ def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
 
 
 def plan_aol_only(violated, fleet, cap=3):
-    """Plan with targets that already hold, so only stale features draw picks."""
+    """Plan with targets that already hold, so only stale features draw picks: (picks, their features)."""
     targets = np.array([1.0, 1.0])
-    selected, serviced, _ = sched.plan_selection(np.diag([1e-4, 1e-4]), targets, violated, fleet, cap)
-    return selected, serviced
+    selected, _ = sched.plan_selection(np.diag([1e-4, 1e-4]), targets, violated, fleet, cap)
+    return selected, [fleet.features[i] for i in selected]
 
 
 def test_service_aol_picks_nearest():
@@ -122,7 +121,7 @@ def planned_cov(prior_cov, steps):
 def picked_features(fleet, prior_diag, bounds, cap):
     """Features of the value-of-information picks, no stale features."""
     targets = np.array(bounds)
-    selected, _, _ = sched.plan_selection(np.diag(prior_diag), targets, (), fleet, cap)
+    selected, _ = sched.plan_selection(np.diag(prior_diag), targets, (), fleet, cap)
     return [fleet.agents[i].feature for i in selected]
 
 
@@ -163,21 +162,16 @@ def test_blind_when_targets_already_met():
 def test_single_violation_picks_min_noise_agent():
     fleet = make_fleet([(0, 8e-3, 2.0), (0, 1e-3, 19.0), (1, 1e-3, 3.0)])
     targets = np.array([0.01, 0.002])
-    selected, serviced, _ = sched.plan_selection(
-        np.diag([0.05, 1e-4]), targets, (), fleet, cap=1
-    )
+    selected, _ = sched.plan_selection(np.diag([0.05, 1e-4]), targets, (), fleet, cap=1)
     assert selected == [1]  # lowest measurement noise, not nearest
-    assert serviced == []
 
 
 def test_aol_service_joins_even_if_targets_hold():
     fleet = make_fleet([(0, 8e-3, 2.0), (0, 1e-3, 19.0), (1, 1e-3, 3.0)])
     targets = np.array([0.01, 0.002])
-    selected, serviced, _ = sched.plan_selection(
-        np.diag([1e-4, 1e-4]), targets, (0,), fleet, cap=3
-    )
+    selected, _ = sched.plan_selection(np.diag([1e-4, 1e-4]), targets, (0,), fleet, cap=3)
     assert selected == [0]  # nearest position sensor services the stale loop
-    assert serviced == [0]
+    assert fleet.features[selected[0]] == 0
 
 
 def oracle_plan(prior_cov, bounds, violated, agents, cap):
@@ -252,9 +246,7 @@ def test_selection_matches_independent_oracle():
         spec, agents, prior_cov, bounds, ages, thresholds, cap = random_instance(rng)
         fleet = make_fleet(spec)
         tracker = AolTracker(ages, thresholds)
-        selected, _, steps = sched.plan_selection(
-            prior_cov, bounds, tracker.violated(), fleet, cap
-        )
+        selected, steps = sched.plan_selection(prior_cov, bounds, tracker.violated(), fleet, cap)
         want = oracle_plan(prior_cov, bounds, tracker.violated(), agents, cap)
         assert selected == want
         assert len(selected) <= cap
@@ -268,11 +260,11 @@ def test_each_pick_shrinks_some_diagonal():
     prior = np.diag([0.02, 0.01])
     cov = prior.copy()
     for cap in (1, 2, 3):
-        _, _, steps = sched.plan_selection(prior, targets, (), fleet, cap)
+        _, steps = sched.plan_selection(prior, targets, (), fleet, cap)
         planned = planned_cov(prior, steps)
         assert np.diag(planned).sum() < np.diag(cov).sum() + 1e-15
         cov = planned
-    selected, _, _ = sched.plan_selection(prior, targets, (), fleet, 3)
+    selected, _ = sched.plan_selection(prior, targets, (), fleet, 3)
     assert len(selected) == 3  # loop ran exactly cap iterations
 
 
@@ -290,7 +282,7 @@ def test_reachable_targets_met_with_full_fleet():
             cov = joseph_update(cov, h, [[a.noise_var]])[1]
         if np.any(np.diag(cov) > bounds):
             continue
-        _, _, steps = sched.plan_selection(prior_cov, bounds, (), fleet, cap=len(fleet.agents))
+        _, steps = sched.plan_selection(prior_cov, bounds, (), fleet, cap=len(fleet.agents))
         planned = planned_cov(prior_cov, steps)
         assert np.all(np.diag(planned) <= bounds)
 
@@ -324,7 +316,8 @@ def test_schedule_closes_loops_for_delivered_features():
         np.random.default_rng(1), fuse=sched.fuse_delivered,
     )
     assert set(result.selected) == {0, 1}
-    assert result.aol_serviced == (0, 1)
+    # both features are stale, so the first two picks are their nearest sensors
+    assert result.selected[:2] == (fleet.nearest_first[0][0], fleet.nearest_first[1][0])
     assert set(result.delivered) == {0, 1}  # outage at 1e-5 will not trip here
     assert trk.ages == (1, 1)
     assert result.total_prbs >= 2

@@ -67,16 +67,16 @@ def test_fleet_equals_one_scalar_draw_per_field(noise_var_ranges):
             got = sensing.generate_fleet(cfg, rng).agents
             want = oracles.generate_fleet_scalar(cfg, oracle_rng).agents
             assert len(got) == len(want) == n_agents
-            for a, b in zip(got, want):
-                assert (a.agent_id, a.feature, a.tx_power_w) == (b.agent_id, b.feature, b.tx_power_w)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert (a.feature, a.tx_power_w) == (b.feature, b.tx_power_w)
                 fields = ("noise_var", a.noise_var, b.noise_var), ("distance_m", a.distance_m, b.distance_m)
                 for name, x, y in (*fields, ("noise_std", oracles.noise_std(a), oracles.noise_std(b))):
-                    assert type(x) is float and x.hex() == y.hex(), (n_agents, seed, a.agent_id, name)
+                    assert type(x) is float and x.hex() == y.hex(), (n_agents, seed, i, name)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def one_sensor(feature, noise_var):
-    agent = sensing.SensingAgent(0, feature, noise_var, distance_m=5.0, tx_power_w=0.02)
+    agent = sensing.SensingAgent(feature, noise_var, distance_m=5.0, tx_power_w=0.02)
     return sensing.SensorFleet((agent,))
 
 
@@ -116,7 +116,7 @@ def test_feature_index_round_trips():
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=12), np.random.default_rng(8))
     assert sorted(fleet.feature_index) == [0, 1]
     for k, ids in fleet.feature_index.items():
-        assert ids == tuple(a.agent_id for a in fleet.agents if a.feature == k)
+        assert ids == tuple(i for i, a in enumerate(fleet.agents) if a.feature == k)
 
 
 @given(
@@ -133,7 +133,7 @@ def test_feature_index_round_trips():
 def test_fleet_id_indexed_tuples_equal_each_agents_fields(spec):
     """``features``, ``noise_vars`` and ``noise_stds`` hold, at index i, agent i's own fields."""
     fleet = sensing.SensorFleet(tuple(
-        sensing.SensingAgent(i, k, r, distance_m=d, tx_power_w=0.02) for i, (k, r, d) in enumerate(spec)
+        sensing.SensingAgent(k, r, distance_m=d, tx_power_w=0.02) for k, r, d in spec
     ))
     assert fleet.features == tuple(a.feature for a in fleet.agents)
     assert fleet.noise_vars == tuple(a.noise_var for a in fleet.agents)
@@ -154,4 +154,4 @@ def test_fleet_id_indexed_tuples_equal_each_agents_fields(spec):
 )
 def test_non_selector_sensor_rejected(feature, noise_var, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        sensing.SensingAgent(0, feature, noise_var, distance_m=5.0, tx_power_w=0.02)
+        sensing.SensingAgent(feature, noise_var, distance_m=5.0, tx_power_w=0.02)
