@@ -46,11 +46,12 @@ digest; a change to the learner on purpose rewrites the file:
 short ``control.train``) once to warm caches, then again under a
 ``sys.setprofile`` hook, and records the QIs, every package function's
 calls, the numpy functions entered from outside numpy and the calls on the
-loop's generator, by name. ``tests/costs.json`` is that file, headed by the
-versions; a Tier-1 test counts again and fails when any count per QI is
-above its recorded value. Counts are exact and do not depend on the host,
-so a change that removes work re-records the file, and one that adds work
-names each risen count:
+generator behind each loop's normal stream (``loop.NormalStream``), by
+name. ``tests/costs.json`` is that file, headed by the versions; a Tier-1
+test counts again and fails when any count per QI is above its recorded
+value. Counts are exact and do not depend on the host, so a change that
+removes work re-records the file, and one that adds work names each risen
+count:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --costs tests/costs.json
 
@@ -78,7 +79,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import reverb  # noqa: E402
-from reverb import control, runner, schemes  # noqa: E402
+from reverb import control, loop, runner, schemes  # noqa: E402
 from reverb.cli import main as reverb_main  # noqa: E402
 from reverb.config import SCHEMES, RunConfig, config_from_dict  # noqa: E402
 from reverb.schemes import build_loop  # noqa: E402
@@ -270,19 +271,22 @@ class CostCounter:
 
 @contextlib.contextmanager
 def counted_loops(draws: collections.Counter):
-    """While open, every ``schemes.build_loop`` loop draws through a ``CountingGenerator``."""
-    build = schemes.build_loop
+    """While open, every ``TwinLoop``'s normal stream draws its blocks through a ``CountingGenerator``.
 
-    def build_counted(*args, **kwargs):
-        loop = build(*args, **kwargs)
-        loop.rng = CountingGenerator(loop.rng, draws)
-        return loop
+    The stream is wrapped where the loop builds it, so its first block, drawn
+    with the loop, counts too; the initial state and belief drawn before it
+    do not.
+    """
+    stream = loop.NormalStream
 
-    schemes.build_loop = build_counted
+    def counted_stream(rng: np.random.Generator) -> loop.NormalStream:
+        return stream(CountingGenerator(rng, draws))
+
+    loop.NormalStream = counted_stream
     try:
         yield
     finally:
-        schemes.build_loop = build
+        loop.NormalStream = stream
 
 
 def cost_runs() -> dict[str, Callable[[], int]]:

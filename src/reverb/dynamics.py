@@ -18,8 +18,9 @@ state is two finite numbers, clips the force to [-ACTION_BOUND,
 ACTION_BOUND], adds Gaussian process noise to ``update``'s next state and
 applies ``clamp`` again, so outputs always respect the state bounds. The
 noise is the PSD square root of its 2x2 covariance, kept as nested float
-tuples beside the covariance itself, times one draw of two standard normals,
-formed as float expressions summed in index order.
+tuples beside the covariance itself, times the next two standard normals of
+the caller's ``normals`` stream (``loop.NormalStream``), formed as float
+expressions summed in index order.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .schema import STATE_FEATURES
 Array = np.ndarray
 State = tuple[float, float]
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
+Normals = Callable[[int], list[float]]  # n -> the next n standard normals of the loop's stream
 
 
 # Constants of the continuous mountain-car environment.
@@ -95,15 +97,15 @@ def _checked_state(state: State) -> State:
     return x, v
 
 
-def step(model: DynamicsModel, state: State, action: float, rng: np.random.Generator) -> State:
-    """Advance the plant one interval: deterministic update plus process noise."""
+def step(model: DynamicsModel, state: State, action: float, normals: Normals) -> State:
+    """Advance the plant one interval: deterministic update plus process noise from ``normals(2)``."""
     s = _checked_state(state)
     if not math.isfinite(action):
         raise InputError("action must be finite")
     a = min(max(float(action), -ACTION_BOUND), ACTION_BOUND)
     x, v = model.update(s, a)
     if model.noise_scale is not None:
-        z0, z1 = rng.standard_normal(2).tolist()
+        z0, z1 = normals(2)
         (s00, s01), (s10, s11) = model.noise_scale
         # (x, v) + noise_scale @ z, each entry's products summed in index order.
         x, v = x + (s00 * z0 + s01 * z1), v + (s10 * z0 + s11 * z1)

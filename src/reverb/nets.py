@@ -70,15 +70,12 @@ class MLP:
         """Make ``flat``, laid out as the net's own, the vector the layer arrays view."""
         self.flat, views = flat, self.views(flat)
         self.weights, self.biases = views[0::2], views[1::2]
+        self.n_layers = len(self.weights)
 
     def views(self, flat: Array) -> list[Array]:
         """(w0, b0, w1, b1, ...) as reshaped views into a vector laid out like ``flat``."""
         starts = np.cumsum([0] + [math.prod(shape) for shape in self.shapes])
         return [flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], self.shapes)]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
 
     def forward(self, x: Array) -> Array:
         out, _ = self.forward_cached(x)

@@ -18,37 +18,35 @@ the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved once per
 fleet, the first time its sensor is selected, and memoised with the parts of
 its SNR that do not depend on the fading (``channel.link_terms``). A round
-makes one draw for all observation noise (``sensing.observe``) and one for
-all fades, the same numbers per-link ``uplink_outcome`` calls would draw, and
-``channel.meets_deadline`` forms each fade and tests each link from the
-memoised parts in one pass. Readings and normals are lists of Python floats
-from the draw to the fusion. The planner keeps its 2x2 covariance as nested
-floats across picks. Fusion (``fuse_delivered``) is one loop over the picks,
-one rank-1 update per delivered reading, in selection order: while every
-pick so far has arrived, update n is the planner's step n on the same
+takes the normals for all observation noise (``sensing.observe``), then those
+for all fades, from the loop's stream (``loop.NormalStream``): the numbers,
+in the order, that per-link ``uplink_outcome`` calls on the stream's
+generator would draw. ``channel.meets_deadline`` forms each fade and tests each link
+from the memoised parts in one pass. Readings and normals are lists of Python
+floats from the stream to the fusion. The planner keeps its 2x2 covariance as
+nested floats across picks. Fusion (``fuse_delivered``) is one loop over the
+picks, one rank-1 update per delivered reading, in selection order: while
+every pick so far has arrived, update n is the planner's step n on the same
 numbers, so its gain and covariance are reused and only the mean moves; from
 the first lost pick on, ``rank1_update`` runs on the running covariance. A
 round that was fully planned and fully delivered reuses every step, so it
 applies them in one plain ``zip`` with no per-pick test. A blind round
-selects nothing and skips both draws: ``standard_normal(0)`` returns no
-numbers and leaves the generator's state as it is, so the stream after the
-round is the same. The targets are a plain tuple of per-feature variance
-bounds, computed and checked in Python floats by ``compute_targets``. The
-planner, the fusion and the loop closing read each sensor's feature and
-noise from the fleet's id-indexed tuples. ``ScheduleResult`` is a named
-tuple, built once per round, that stores the round's PRB total once.
+selects nothing and takes no normals, so the stream after it is where it was.
+The targets are a plain tuple of per-feature variance bounds, computed and
+checked in Python floats by ``compute_targets``. The planner, the fusion and
+the loop closing read each sensor's feature and noise from the fleet's
+id-indexed tuples. ``ScheduleResult`` is a named tuple, built once per round,
+that stores the round's PRB total once.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
-from .dynamics import State
+from .dynamics import Normals, State
 from .errors import InputError
 from .sensing import SensorFleet, observe
 
@@ -162,23 +160,22 @@ def size_and_transmit(
     fleet: SensorFleet,
     params: ch.ChannelParams,
     true_state: State,
-    rng: np.random.Generator,
+    normals: Normals,
 ) -> tuple[tuple[ch.LinkBudget, ...], list[float], list[int]]:
-    """Size every selected link, draw observations, realize the uplinks.
+    """Size every selected link, read the sensors, realize the uplinks.
 
     Returns (budgets, values, delivered agent ids); ``values`` holds the
     selected sensors' observations in selection order. All observation noise
-    comes from one draw (``sensing.observe``), then all fades from one draw of
-    two normals per link (real, imaginary part): the numbers, in the order,
-    that ``channel.uplink_outcome`` per link draws. ``channel.meets_deadline``
-    forms each fade and tests each deadline with ``uplink_outcome``'s own
-    float expressions, so deliveries and the generator state afterwards equal
-    theirs bit for bit. A link budget depends only on the channel and the
-    sensor, so it is solved the first time the sensor is selected and kept in
-    the fleet's memo with its ``channel.link_terms``; a sensor that is never
-    selected is never sized, even when its link is infeasible. An empty
-    selection returns at once: its two draws would be empty and would leave
-    the generator as it is.
+    is one take of ``normals`` (``sensing.observe``), then all fades one take
+    of two normals per link (real, imaginary part): the numbers, in the
+    order, that ``channel.uplink_outcome`` per link draws from the stream's
+    generator. ``channel.meets_deadline`` forms each fade and tests each
+    deadline with ``uplink_outcome``'s own float expressions, so deliveries
+    equal theirs bit for bit. A link budget depends only on the channel and
+    the sensor, so it is solved the first time the sensor is selected and
+    kept in the fleet's memo with its ``channel.link_terms``; a sensor that
+    is never selected is never sized, even when its link is infeasible. An
+    empty selection returns at once and takes no normals.
     """
     if not selected:
         return (), [], []
@@ -189,8 +186,8 @@ def size_and_transmit(
             budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
             memo[i] = budget, ch.link_terms(params, budget)
     budgets, terms = zip(*[memo[i] for i in selected])
-    values = observe(fleet, selected, true_state, rng)
-    met = ch.meets_deadline(params, terms, rng.standard_normal(2 * len(terms)).tolist())
+    values = observe(fleet, selected, true_state, normals)
+    met = ch.meets_deadline(params, terms, normals(2 * len(terms)))
     delivered = [i for i, ok in zip(selected, met) if ok]
     return budgets, values, delivered
 
@@ -245,7 +242,7 @@ def run_round(
     params: ch.ChannelParams,
     cap: int,
     true_state: State,
-    rng: np.random.Generator,
+    normals: Normals,
     fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
     """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
@@ -253,11 +250,12 @@ def run_round(
     ``select(prior, targets, aol, fleet, cap)`` returns (picks, steps): the
     sensor ids in order, and the planner's rank-1 updates of the picks (see
     ``plan_selection``) or empty; ``fuse`` has the signature of
-    ``fuse_delivered``. The result stores the picks, the deliveries and the
-    sum of the picked links' PRBs.
+    ``fuse_delivered``; ``normals`` is the loop's stream (``dynamics.Normals``).
+    The result stores the picks, the deliveries and the sum of the picked
+    links' PRBs.
     """
     selected, steps = select(prior, targets, aol, fleet, cap)
-    budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, rng)
+    budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, normals)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(tuple(selected), tuple(delivered), sum([b.prbs for b in budgets]))
     features = fleet.features

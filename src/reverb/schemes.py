@@ -15,7 +15,7 @@ belief):
 A fuse receives the round's readings, in selection order, as the list of
 Python floats ``sensing.observe`` returns, and reads each sensor's feature
 and noise from the fleet's id-indexed tuples. ``Perfect`` uses no radio: its
-round sets the belief to the true next state.
+round sets the belief to the true next state and takes no normals.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .sensing import generate_fleet
 
 
 
-def perfect_round(prior, targets, aol, fleet, params, cap, true_state, rng):
+def perfect_round(prior, targets, aol, fleet, params, cap, true_state, normals):
     belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
     result = ScheduleResult(selected=(), delivered=(), total_prbs=0)
     return result, belief, aol.close_loop(range(len(aol.ages)))

@@ -8,15 +8,15 @@ which it does not store. It is an immutable named tuple whose constructor
 checks k and r; ``_make`` and ``_replace`` run the same constructor, so no
 copy skips a check, and an agent keeps no sqrt(r) that could go stale.
 ``observe`` is the one sensor model: it reads a whole selection from one
-draw of standard normals and returns the readings as a list of Python
-floats. A fleet caches each sensor's feature, r and sqrt(r) as tuples
-indexed by id, which ``observe`` and the scheduler read per pick and per
-link. From them it caches the sensor ids of each feature and the global
-candidate orders for the schedulers, by (distance, id) and by (noise, id):
-a stable sort of the ids by the value alone, ties left in id order. A
-feature's order is the global one split by feature in one pass. It holds a
-memo of link budgets, filled lazily by the scheduler the first time a
-sensor is selected.
+take of the loop's standard normals (``loop.NormalStream``) and returns the
+readings as a list of Python floats. A fleet caches each sensor's feature, r
+and sqrt(r) as tuples indexed by id, which ``observe`` and the scheduler
+read per pick and per link. From them it caches the sensor ids of each
+feature and the global candidate orders for the schedulers, by (distance,
+id) and by (noise, id): a stable sort of the ids by the value alone, ties
+left in id order. A feature's order is the global one split by feature in
+one pass. It holds a memo of link budgets, filled lazily by the scheduler
+the first time a sensor is selected.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import State
+from .dynamics import Normals, State
 from .errors import ConfigError, InputError
 from .schema import POSITIVE, STATE_FEATURES, at_least, check_fields, spec
 
@@ -160,16 +160,16 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
     return SensorFleet(agents=tuple(agents))
 
 
-def observe(fleet: SensorFleet, ids, state: State, rng: np.random.Generator) -> list[float]:
-    """The readings ``s[k] + sqrt(r) z`` of sensors ``ids``, in order, from one draw.
+def observe(fleet: SensorFleet, ids, state: State, normals: Normals) -> list[float]:
+    """The readings ``s[k] + sqrt(r) z`` of sensors ``ids``, in order, from ``normals(len(ids))``.
 
-    ``rng.standard_normal(len(ids))`` yields the numbers of that many single
-    draws, so the readings and the generator state afterwards equal those of
-    reading the sensors one at a time, each with its own draw.
+    The z are the stream's next normals, in order, so the readings equal
+    those of reading the sensors one at a time, each with its own draw of
+    one normal from the stream's generator.
     """
     s = tuple(map(float, state))
     if not all(map(math.isfinite, s)):
         raise InputError("state must be finite")
     features, stds = fleet.features, fleet.noise_stds
-    z = rng.standard_normal(len(ids)).tolist()
+    z = normals(len(ids))
     return [s[features[i]] + stds[i] * zi for i, zi in zip(ids, z)]

@@ -40,6 +40,9 @@
 * ``noise_std`` and ``observe_one``: one sensor's sqrt(r), and its reading
   with its own standard normal draw, the per-sensor form of the batched
   ``sensing.observe``.
+* ``per_call_normals``: a generator as the ``normals`` callable the plant,
+  the sensors and the uplinks take, drawing ``standard_normal(n)`` on every
+  call, the form ``loop.NormalStream``'s blocks must reproduce.
 * ``reference_episode``: one episode of any scheme, composed from the above,
   ``observe_one`` per sensor and per-link ``channel.uplink_outcome``.
 * ``fuse_memoryless_lists``: Traditional's fuse as it read each delivered
@@ -317,6 +320,11 @@ def observe_one(agent: sensing.SensingAgent, state, rng: np.random.Generator) ->
     return float(state[agent.feature]) + noise_std(agent) * rng.standard_normal()
 
 
+def per_call_normals(rng: np.random.Generator):
+    """``n -> rng.standard_normal(n).tolist()``: one generator call per take, nothing drawn ahead."""
+    return lambda n: rng.standard_normal(n).tolist()
+
+
 def joseph_update(prior_cov, h, r) -> tuple[np.ndarray, np.ndarray]:
     """Kalman gain and Joseph-form posterior of a batch update, cross-checked against (I-KH)P."""
     prior_cov, h, r = (np.asarray(x, dtype=float) for x in (prior_cov, h, r))
@@ -424,6 +432,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     fleet_seq, env_seq = np.random.default_rng(seed).bit_generator.seed_seq.spawn(2)
     agents = sensing.generate_fleet(cfg.fleet, np.random.default_rng(fleet_seq)).agents
     rng = np.random.default_rng(env_seq)
+    normals = per_call_normals(rng)
     model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
     state = np.array([rng.uniform(dyn.START_POSITION_LOW, dyn.START_POSITION_HIGH), 0.0])
     var = cfg.init_belief_var
@@ -435,7 +444,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     for qi in range(cfg.qi_cap):
         action = policy(tuple(mean))
         force, eta = action.force, list(action.accuracy)
-        state = dyn.step(model, state, force, rng)
+        state = dyn.step(model, state, force, normals)
         done = bool(state[0] >= dyn.GOAL_POSITION)
         prior = est.predict(est.Belief(mean, cov), force, model)
         mean, cov = list(prior.mean), [list(row) for row in prior.cov]

@@ -23,7 +23,7 @@ from reverb.schemes import build_loop, make_policy, run_episode
 from reverb import cli
 
 from test_channel import bisect_bandwidth
-from oracles import finite_difference_jacobian
+from oracles import finite_difference_jacobian, per_call_normals
 from test_scheduler import make_fleet, oracle_plan, random_instance
 
 
@@ -148,10 +148,10 @@ def test_a5_control_capability(criterion):
     """A5: scripted pump summits fast; trained policy reaches the goal reliably."""
     model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
     s = np.array([-0.5, 0.0])
-    rng = np.random.default_rng(0)
+    normals = per_call_normals(np.random.default_rng(0))
     steps = 0
     while s[0] < 0.45 and steps < 200:
-        s = dyn.step(model, s, ctl.scripted_controller(s, np.zeros(2)).force, rng)
+        s = dyn.step(model, s, ctl.scripted_controller(s, np.zeros(2)).force, normals)
         steps += 1
     scripted_ok = steps < 200
 

@@ -12,7 +12,7 @@ from reverb.errors import TrainingError
 from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, MLP, Adam
 
 import oracles
-from oracles import td_error
+from oracles import per_call_normals, td_error
 
 
 def param_arrays(net):
@@ -328,10 +328,10 @@ def test_scripted_controller_reaches_goal_quickly():
     # pure dynamics, no noise: the pump must summit in under 200 intervals
     model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
     s = np.array([-0.5, 0.0])
-    rng = np.random.default_rng(0)
+    normals = per_call_normals(np.random.default_rng(0))
     for t in range(200):
         a = ctl.scripted_controller(s, np.zeros(2))
-        s = dyn.step(model, s, a.force, rng)
+        s = dyn.step(model, s, a.force, normals)
         if s[0] >= 0.45:
             break
     assert s[0] >= 0.45

@@ -9,6 +9,8 @@ import numpy as np
 
 from reverb import sensing
 
+import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden_outputs", ROOT / "scripts" / "golden_outputs.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -47,11 +49,11 @@ def test_the_counter_sees_package_calls_numpy_entries_and_draws():
     """A hand-made run: its calls, its numpy entries (not numpy's inner calls) and its draws."""
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=4), np.random.default_rng(0))
     counter = golden.CostCounter()
-    rng = golden.CountingGenerator(np.random.default_rng(1), counter.draws)
+    normals = oracles.per_call_normals(golden.CountingGenerator(np.random.default_rng(1), counter.draws))
 
     def run():
         for _ in range(3):
-            sensing.observe(fleet, [0, 1], (0.1, 0.2), rng)
+            sensing.observe(fleet, [0, 1], (0.1, 0.2), normals)
         np.mean(np.zeros(3))
 
     sys.setprofile(counter)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reverb import dynamics as dyn
 from reverb.errors import ConfigError, InputError
 
-from oracles import finite_difference_jacobian, mountain_car_update
+from oracles import finite_difference_jacobian, mountain_car_update, per_call_normals
 
 
 @pytest.fixture
@@ -27,33 +27,33 @@ def identity_model(process_noise_cov=np.zeros((2, 2))):
 
 def test_fixed_point_without_force_or_drift():
     model = identity_model()
-    rng = np.random.default_rng(0)
+    normals = per_call_normals(np.random.default_rng(0))
     s = (0.3, 0.0)
-    assert dyn.step(model, s, 0.0, rng) == s
+    assert dyn.step(model, s, 0.0, normals) == s
 
 
 def test_step_matches_hand_evaluated_update(car):
     # v' = -0.0025 cos(-1.5), x' = -0.5 + v', evaluated once by hand.
-    rng = np.random.default_rng(0)
-    out = dyn.step(car, np.array([-0.5, 0.0]), 0.0, rng)
+    normals = per_call_normals(np.random.default_rng(0))
+    out = dyn.step(car, np.array([-0.5, 0.0]), 0.0, normals)
     assert out[1] == pytest.approx(-0.00017684300416925727, abs=1e-18)
     assert out[0] == pytest.approx(-0.5001768430041692, abs=1e-15)
 
 
 def test_full_throttle_crosses_goal(car):
     # 0.07 + 0.0015 - 0.0025 cos(1.32) > 0.07 clamps, position passes 0.45.
-    rng = np.random.default_rng(0)
-    out = dyn.step(car, np.array([0.44, 0.07]), 1.0, rng)
+    normals = per_call_normals(np.random.default_rng(0))
+    out = dyn.step(car, np.array([0.44, 0.07]), 1.0, normals)
     assert out[0] > 0.45
     assert out[1] == pytest.approx(0.07)
 
 
 def test_step_rejects_nonfinite(car):
-    rng = np.random.default_rng(0)
+    normals = per_call_normals(np.random.default_rng(0))
     with pytest.raises(InputError):
-        dyn.step(car, np.array([np.nan, 0.0]), 0.0, rng)
+        dyn.step(car, np.array([np.nan, 0.0]), 0.0, normals)
     with pytest.raises(InputError):
-        dyn.step(car, np.array([0.0, 0.0]), math.inf, rng)
+        dyn.step(car, np.array([0.0, 0.0]), math.inf, normals)
 
 
 def test_jacobian_at_origin(car):
@@ -78,8 +78,8 @@ def test_jacobian_matches_finite_differences(car):
 def test_deterministic_without_process_noise(car):
     s = np.array([-0.42, 0.013])
     a = 0.37
-    out1 = dyn.step(car, s, a, np.random.default_rng(1))
-    out2 = dyn.step(car, s, a, np.random.default_rng(99))
+    out1 = dyn.step(car, s, a, per_call_normals(np.random.default_rng(1)))
+    out2 = dyn.step(car, s, a, per_call_normals(np.random.default_rng(99)))
     assert np.array_equal(out1, out2)
 
 
@@ -91,13 +91,13 @@ def test_deterministic_without_process_noise(car):
 )
 def test_outputs_always_clamped(x, v, a):
     model = dyn.mountain_car_model(process_noise_var=(1e-4, 1e-4))
-    out = dyn.step(model, np.array([x, v]), a, np.random.default_rng(7))
+    out = dyn.step(model, np.array([x, v]), a, per_call_normals(np.random.default_rng(7)))
     assert -1.2 <= out[0] <= 0.6
     assert -0.07 <= out[1] <= 0.07
 
 
 def test_left_wall_resets_velocity(car):
-    out = dyn.step(car, np.array([-1.2, -0.07]), -1.0, np.random.default_rng(0))
+    out = dyn.step(car, np.array([-1.2, -0.07]), -1.0, per_call_normals(np.random.default_rng(0)))
     assert out[0] == -1.2
     assert out[1] == 0.0
 
@@ -106,11 +106,11 @@ def test_noise_sample_mean_converges():
     var = (4e-6, 1e-6)
     model = dyn.mountain_car_model(process_noise_var=var)
     det = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
-    rng = np.random.default_rng(5)
+    normals = per_call_normals(np.random.default_rng(5))
     s = (-0.5, 0.0)
     n = 100_000
-    base = dyn.step(det, s, 0.0, rng)
-    draws = np.array([dyn.step(model, s, 0.0, rng) for _ in range(n)]) - base
+    base = dyn.step(det, s, 0.0, normals)
+    draws = np.array([dyn.step(model, s, 0.0, normals) for _ in range(n)]) - base
     for k, v in enumerate(var):
         assert abs(draws[:, k].mean()) < 4.0 * math.sqrt(v) / math.sqrt(n)
 
@@ -119,7 +119,7 @@ def test_step_noise_is_the_float_matrix_vector_product():
     model = identity_model(np.array([[4e-6, 1e-6], [1e-6, 2e-6]]))
     s = (0.1, -0.2)
     rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-    out = np.array(dyn.step(model, s, 0.0, rng))
+    out = np.array(dyn.step(model, s, 0.0, per_call_normals(rng)))
     z = oracle_rng.standard_normal(2)
     (a, b), (c, d) = model.noise_scale
     want = [0.1 + (a * z[0] + b * z[1]), -0.2 + (c * z[0] + d * z[1])]

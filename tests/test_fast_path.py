@@ -34,6 +34,7 @@ from oracles import (
     fuse_memoryless_lists,
     joseph_update,
     observe_one,
+    per_call_normals,
     plan_picks,
     rank1_joseph,
     sequential_fusion,
@@ -83,7 +84,7 @@ def test_scalar_observe_is_bit_identical_to_cholesky(seed, k, var, s0, s1):
     fast_rng, general_rng, batch_rng = (np.random.default_rng(seed) for _ in range(3))
     fast = np.array([observe_one(agent, state, fast_rng)])
     general = state[k] + np.linalg.cholesky(np.array([[var]])) @ general_rng.standard_normal(1)
-    batched = np.array(sensing.observe(sensing.SensorFleet((agent,)), [0], state, batch_rng))
+    batched = np.array(sensing.observe(sensing.SensorFleet((agent,)), [0], state, per_call_normals(batch_rng)))
     assert fast.shape == general.shape == batched.shape == (1,)
     assert fast.tobytes() == general.tobytes() == batched.tobytes()
     assert fast_rng.bit_generator.state == general_rng.bit_generator.state == batch_rng.bit_generator.state
@@ -176,24 +177,24 @@ def test_selecting_unreachable_sensor_names_agent_distance_and_theta():
     rng = np.random.default_rng(0)
     pattern = rf"agent 2 at {far.distance_m:g} m: link constant theta=0\.79"
     with pytest.raises(InfeasibleError, match=pattern):
-        sched.size_and_transmit([0, 2], fleet, cfg.channel, np.zeros(2), rng)
+        sched.size_and_transmit([0, 2], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
     with pytest.raises(InfeasibleError, match=re.escape(f"agent 3 at {fleet.agents[3].distance_m:g} m")):
-        sched.size_and_transmit([3], fleet, cfg.channel, np.zeros(2), rng)
+        sched.size_and_transmit([3], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
 
 
 def test_link_memo_hit_equals_fresh_solve():
     cfg, fleet = far_fleet()
     rng = np.random.default_rng(0)
-    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, np.zeros(2), rng)
+    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
     with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
-        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, np.zeros(2), rng)
+        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
     assert again == (first[1], first[0])
     for i, budget in zip([1, 0], again):
         a = fleet.agents[i]
         assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
     # Another channel configuration is sized on its own.
     longer = dataclasses.replace(cfg.channel, packet_bits=2048.0)
-    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, np.zeros(2), rng)
+    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, np.zeros(2), per_call_normals(rng))
     a = fleet.agents[0]
     assert wide == ch.optimal_bandwidth(longer, a.tx_power_w, a.distance_m, agent_id=0)
     assert wide.bandwidth_hz > first[0].bandwidth_hz
@@ -204,9 +205,9 @@ def test_equal_channels_share_a_memo_entry():
     same = dataclasses.replace(cfg.channel)
     assert same is not cfg.channel and same == cfg.channel and hash(same) == hash(cfg.channel)
     rng = np.random.default_rng(0)
-    (first,), _, _ = sched.size_and_transmit([0], fleet, cfg.channel, np.zeros(2), rng)
+    (first,), _, _ = sched.size_and_transmit([0], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
     with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
-        (again,), _, _ = sched.size_and_transmit([0], fleet, same, np.zeros(2), rng)
+        (again,), _, _ = sched.size_and_transmit([0], fleet, same, np.zeros(2), per_call_normals(rng))
     assert again is first and list(fleet.link_memo) == [cfg.channel]
 
 
@@ -263,7 +264,7 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
         if data.draw(st.booleans(), label=f"coin-flip link {i}"):
             memo[i] = memo_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
+    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, per_call_normals(rng))
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
     assert budgets == tuple(fleet.link_memo[params][i][0] for i in selected)
     assert type(values) is list and all(type(v) is float for v in values)
@@ -320,9 +321,10 @@ def test_empty_selection_draws_nothing():
     fleet = build_fleet([(0, 1e-3, 5.0), (1, 2e-3, 5.0)])
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), np.zeros(2), rng)
+    normals = mock.Mock(side_effect=per_call_normals(rng))
+    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), np.zeros(2), normals)
     assert budgets == () and np.array(values).shape == (0,) and delivered == []
-    assert rng.bit_generator.state == before
+    assert normals.call_count == 0 and rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("starved_first", [False, True])
@@ -334,7 +336,7 @@ def test_starved_link_is_not_delivered(starved_first):
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
     memo[1] = memo_entry(params, budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz))
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
-    _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, rng)
+    _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, per_call_normals(rng))
     want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
     assert delivered == want_delivered == [2, 0]
     assert np.array(values).tobytes() == want_values.tobytes()
@@ -349,7 +351,7 @@ def test_fuse_delivered_matches_observation_batch(specs, seed, data, prior):
     selected = selected[: data.draw(st.integers(min_value=1, max_value=len(selected)))]
     delivered = [i for i in selected if data.draw(st.booleans())]
     belief = est.Belief(np.array([-0.5, 0.01]), prior)
-    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(seed)))
     post = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     if not delivered:
         assert post == belief and post is not belief
@@ -393,7 +395,7 @@ def test_fused_covariance_is_the_planned_one_when_every_pick_arrives():
     targets = np.array([1e-4, 2e-5])
     selected, steps = sched.plan_selection(prior.cov, targets, (0, 1), fleet, cfg.cap)
     assert len(selected) > 2
-    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(0))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)))
     post = sched.fuse_delivered(prior, selected, selected, values, fleet)
     assert np.array(post.cov).tobytes() == planned_cov(prior.cov, steps).tobytes()
 
@@ -425,7 +427,7 @@ def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violate
             "all delivered": [], "none delivered": selected, "first lost": selected[:1], "last lost": selected[-1:],
         }[losses]
     delivered = [i for i in selected if i not in lost]
-    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), np.random.default_rng(seed))
+    values = sensing.observe(fleet, selected, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(seed)))
     replayed = sched.fuse_delivered(belief, selected, delivered, values, fleet, steps)
     fresh = sched.fuse_delivered(belief, selected, delivered, values, fleet)
     readings = [(fleet.features[i], fleet.noise_vars[i], y) for i, y in zip(selected, values) if i in delivered]
@@ -444,7 +446,7 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
             schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel,
-            cfg.cap, np.array([-0.49, 0.012]), np.random.default_rng(0), fuse=sched.fuse_delivered,
+            cfg.cap, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
         )
     assert len(result.selected) > 2 and result.delivered == result.selected
     assert rank1.call_count == len(result.selected)

@@ -4,7 +4,11 @@ A definition whose only callers are tests is a second copy of the program
 that no run executes; it belongs in ``tests/oracles.py``. The scan reads
 ``src/reverb`` with ``ast``: a definition counts as used when its name is
 read, as a name or as an attribute, anywhere in the package outside its own
-body. Dunder methods are Python's protocol and always count as used.
+body. Dunder methods are Python's protocol and always count as used. A read
+is not a call, so a function that package code only passes on counts as
+used even when nothing ever calls it: in ``def build(): def helper(x): ...;
+return M(f=helper)``, the constructor keyword names ``helper``, and the scan
+reports ``build`` but never ``helper``.
 
 A field, a name annotated in a class body (a dataclass or named-tuple
 field), that only tests read is state every run builds and no run uses. It

@@ -14,7 +14,7 @@ from reverb.errors import InputError
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
-from oracles import joseph_update
+from oracles import joseph_update, per_call_normals
 
 
 def make_fleet(spec):
@@ -151,7 +151,7 @@ def test_blind_when_targets_already_met():
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
         select_reverb, prior, targets, aol, fleet, ChannelParams(), 3, np.zeros(2),
-        np.random.default_rng(0), fuse=sched.fuse_delivered,
+        per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
     )
     assert result.blind and result.selected == ()
     assert np.array_equal(post.cov, prior.cov)
@@ -297,7 +297,7 @@ def test_schedule_deterministic_given_seed():
         prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
             select_reverb, prior, targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
-            np.random.default_rng(31), fuse=sched.fuse_delivered,
+            per_call_normals(np.random.default_rng(31)), fuse=sched.fuse_delivered,
         )
         runs.append((result, post.mean, post.cov, trk.ages))
     assert runs[0][0] == runs[1][0]
@@ -313,7 +313,7 @@ def test_schedule_closes_loops_for_delivered_features():
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
         select_reverb, prior, targets, aol, fleet, ChannelParams(), 2, np.array([-0.49, 0.012]),
-        np.random.default_rng(1), fuse=sched.fuse_delivered,
+        per_call_normals(np.random.default_rng(1)), fuse=sched.fuse_delivered,
     )
     assert set(result.selected) == {0, 1}
     # both features are stale, so the first two picks are their nearest sensors

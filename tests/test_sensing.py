@@ -81,21 +81,22 @@ def one_sensor(feature, noise_var):
 
 
 def test_observe_noiseless_limit():
-    obs = sensing.observe(one_sensor(0, 1e-30), [0], np.array([0.3, -0.01]), np.random.default_rng(0))
+    normals = oracles.per_call_normals(np.random.default_rng(0))
+    obs = sensing.observe(one_sensor(0, 1e-30), [0], np.array([0.3, -0.01]), normals)
     assert abs(obs[0] - 0.3) < 1e-10
 
 
 def test_observe_selector_row():
-    rng = np.random.default_rng(1)
-    samples = np.array(sensing.observe(one_sensor(0, 1e-4), [0] * 2000, np.array([0.3, -0.01]), rng))
+    normals = oracles.per_call_normals(np.random.default_rng(1))
+    samples = np.array(sensing.observe(one_sensor(0, 1e-4), [0] * 2000, np.array([0.3, -0.01]), normals))
     assert abs(samples.mean() - 0.3) < 4.0 * 1e-2 / np.sqrt(2000)
 
 
 def test_residual_moments_match_noise_covariance():
     var = 2.5e-3
-    rng = np.random.default_rng(2)
+    normals = oracles.per_call_normals(np.random.default_rng(2))
     s = np.array([0.1, 0.02])
-    res = np.array(sensing.observe(one_sensor(1, var), [0] * 100_000, s, rng)) - 0.02
+    res = np.array(sensing.observe(one_sensor(1, var), [0] * 100_000, s, normals)) - 0.02
     assert abs(res.mean()) < 4.0 * np.sqrt(var) / np.sqrt(res.size)
     assert abs(res.var() - var) / var < 0.05
 
@@ -108,7 +109,7 @@ def test_observe_rejects_non_finite_state(bad, k):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(InputError, match="state must be finite"):
-        sensing.observe(one_sensor(0, 1e-4), [0], state, rng)
+        sensing.observe(one_sensor(0, 1e-4), [0], state, oracles.per_call_normals(rng))
     assert rng.bit_generator.state == before
 
 
