@@ -19,15 +19,16 @@ The fading threshold of the outage target depends only on the channel
 constants, so ``ChannelParams`` computes it once, beside the noise density.
 
 Granted bandwidth is quantized upward to physical resource blocks (PRBs). A
-sized link is a ``LinkBudget``, an immutable named tuple: the scheduler sizes
-each sensor's link once per fleet, the first time it is selected.
+sized link is a ``LinkBudget``, an immutable named tuple; the loop's link
+table (``TwinLoop.links``) holds each sensor's, sized the first time the
+sensor is selected.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -88,14 +89,6 @@ class ChannelParams:
     def fading_terms(self) -> tuple[float, float]:
         """``rician_terms`` of this channel's K: the fade's LoS amplitude and per-dimension scatter."""
         return rician_terms(self.rician_k)
-
-    def __hash__(self) -> int:
-        # Every round looks its link memo up by channel, so the fields are hashed once.
-        return self._fields_hash
-
-    @cached_property
-    def _fields_hash(self) -> int:
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
 
 class LinkBudget(NamedTuple):

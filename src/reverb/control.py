@@ -18,9 +18,9 @@ other hidden widths; its ``eta_max`` and ``input_scale`` are set through
 An action is an ``ActionVector``, an immutable named tuple whose constructor
 checks the force and the requests; ``_make`` and ``_replace`` run the same
 constructor. A deterministic energy-pumping controller is provided so the
-estimation and scheduling pipeline can be exercised without a trained policy;
-it builds its two actions once per request tuple and returns them while the
-same tuple object comes back (``scripted_controller``).
+estimation and scheduling pipeline can be exercised without a trained policy:
+``scripted_controller`` picks one of two given actions, which
+``schemes.make_policy`` builds once per policy.
 """
 
 from __future__ import annotations
@@ -398,32 +398,8 @@ def train(
     return agent, curve
 
 
-# The last request tuple the pump was given, then its +1 and -1 actions. A
-# memo: a hit returns what a new build would, so no caller can tell them
-# apart but by identity. It is replaced whole and read whole, so a caller
-# never pairs one request with another request's actions.
-_pump_actions: tuple = (None, None, None)
-
-
-def scripted_controller(state: Sequence[float], accuracy: tuple[float, ...]) -> ActionVector:
-    """Deterministic energy pump: push along the velocity sign, +1 at rest.
-
-    The pump can return only two actions per request. For a request tuple
-    both are built, and checked, once, and returned while the same tuple
-    object comes back, as a run's fixed ``scripted_accuracy`` does: an
-    ``ActionVector`` is immutable and holds the request object itself, so a
-    reused one equals a new one field for field and bit for bit. The key is
-    the object, not its value, so a ``-0.0`` request never gets the action
-    built for ``0.0``. Any other request, a list or an array, is checked
-    and wrapped anew on every call.
-    """
+def scripted_controller(state: Sequence[float], push: ActionVector, pull: ActionVector) -> ActionVector:
+    """Deterministic energy pump: ``push`` (force +1) while the velocity is >= 0, else ``pull`` (-1)."""
     if not all(map(math.isfinite, state)):
         raise InputError("state must be finite")
-    push = state[1] >= 0.0
-    if accuracy.__class__ is not tuple:
-        return ActionVector(1.0 if push else -1.0, accuracy)
-    global _pump_actions
-    request, up, down = _pump_actions
-    if request is not accuracy:
-        request, up, down = _pump_actions = accuracy, ActionVector(1.0, accuracy), ActionVector(-1.0, accuracy)
-    return up if push else down
+    return push if state[1] >= 0.0 else pull

@@ -6,15 +6,18 @@ variance from it, and holds none of them a second time. It owns the mutable
 episode state, which its constructor starts: it draws the initial plant
 state and then the initial belief from the episode's generator, sets every
 age fresh, and hands the generator to a ``NormalStream``, which every later
-draw goes through. Each ``step`` advances that state one query interval: the
-plant moves under the applied force, the belief is blindly predicted, ages
-tick, and the scheme's round decides which sensors transmit and how the
-belief is corrected. The round is injected as a callable
-(``schemes.make_round``): for every radio scheme it is the one pipeline
-``scheduler.run_round`` with that scheme's selector and fuse. The plant state
-is a pair of floats and every per-interval value a step hands on (belief,
-targets, ages) is a tuple of floats or ints, so a step builds no numpy
-container and copies nothing; what it returns, a ``StepResult``, is an
+draw goes through. It also owns the episode's link table, ``links``: sensor
+id -> (``LinkBudget``, ``channel.link_terms``) on the run's channel, which
+starts empty and gains a sensor's entry the first time the sensor is
+selected (``scheduler.size_and_transmit``). Each ``step`` advances that
+state one query interval: the plant moves under the applied force, the
+belief is blindly predicted, ages tick, and the scheme's round decides which
+sensors transmit and how the belief is corrected. The round is injected as
+a callable (``schemes.make_round``): for every radio scheme it is the one
+pipeline ``scheduler.run_round`` with that scheme's selector and fuse. The
+plant state is a pair of floats and every per-interval value a step hands
+on (belief, targets, ages) is a tuple of floats or ints, so a step builds no
+numpy container and copies nothing; what it returns, a ``StepResult``, is an
 immutable named tuple.
 
 A step derives nothing its inputs already fix. The variance bounds depend
@@ -111,6 +114,7 @@ class TwinLoop:
         self.state = dyn.initial_state(rng)
         self.belief = est.init_belief(self.state, rng, cfg.init_belief_var)
         self.normals = NormalStream(rng).take
+        self.links: dict = {}
         self.aol = AolTracker.fresh(cfg.aol_thresholds)
         # The last request tuple whose bounds were computed, and those bounds (see the module text).
         self._request: tuple[float, ...] | None = None
@@ -137,6 +141,7 @@ class TwinLoop:
             self.aol,
             self.fleet,
             self.cfg.channel,
+            self.links,
             self.cfg.cap,
             self.state,
             self.normals,

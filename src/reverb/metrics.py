@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .recordio import EpisodeRecord
 
 
@@ -80,6 +80,10 @@ def compute_metrics(records: list[EpisodeRecord]) -> MetricsSummary:
     qis = sum([r.qis for r in records])
     if not qis:
         raise InputError("need at least one logged interval")
+    try:
+        mean_total_prbs = sum([r.total_prbs for r in records]) / len(records)
+    except OverflowError:  # each link's PRB count is finite, their sum need not be
+        raise NumericalError("the mean PRB total per episode is past the float range") from None
     return MetricsSummary(
         scheme=records[0].scheme,
         episodes=len(records),
@@ -87,7 +91,7 @@ def compute_metrics(records: list[EpisodeRecord]) -> MetricsSummary:
         mean_qis=qis / len(records),
         mrmse=float(np.mean([r.mean_error_norm for r in records])),
         failure_prob=sum([r.failure_count for r in records]) / qis,
-        mean_total_prbs=sum([r.total_prbs for r in records]) / len(records),
+        mean_total_prbs=mean_total_prbs,
         mean_selected=sum([v * c for v, c in n_sel.items()]) / qis,
         aol_hist=hist,
         prb_cdf=_cdf(prbs, qis),

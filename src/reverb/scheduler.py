@@ -15,15 +15,16 @@ each pick's rank-1 update, (gain, covariance), as its steps.
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
 the scheme's fuse corrects the belief with the ones that actually arrive, and
-those close the loop for their features. A link budget is solved once per
-fleet, the first time its sensor is selected, and memoised with the parts of
-its SNR that do not depend on the fading (``channel.link_terms``). A round
-takes the normals for all observation noise (``sensing.observe``), then those
-for all fades, from the loop's stream (``loop.NormalStream``): the numbers,
-in the order, that per-link ``uplink_outcome`` calls on the stream's
-generator would draw. ``channel.meets_deadline`` forms each fade and tests each link
-from the memoised parts in one pass. Readings and normals are lists of Python
-floats from the stream to the fusion. The planner keeps its 2x2 covariance as
+those close the loop for their features. A link budget is solved the first
+time its sensor is selected and kept in the loop's link table
+(``TwinLoop.links``), with the parts of its SNR that do not depend on the
+fading (``channel.link_terms``). A round takes the normals for all
+observation noise (``sensing.observe``), then those for all fades, from the
+loop's stream (``loop.NormalStream``): the numbers, in the order, that
+per-link ``uplink_outcome`` calls on the stream's generator would draw.
+``channel.meets_deadline`` forms each fade and tests each link from the
+table's parts in one pass. Readings and normals are lists of Python floats
+from the stream to the fusion. The planner keeps its 2x2 covariance as
 nested floats across picks. Fusion (``fuse_delivered``) is one loop over the
 picks, one rank-1 update per delivered reading, in selection order: while
 every pick so far has arrived, update n is the planner's step n on the same
@@ -159,6 +160,7 @@ def size_and_transmit(
     selected: list[int],
     fleet: SensorFleet,
     params: ch.ChannelParams,
+    links: dict,
     true_state: State,
     normals: Normals,
 ) -> tuple[tuple[ch.LinkBudget, ...], list[float], list[int]]:
@@ -171,21 +173,20 @@ def size_and_transmit(
     order, that ``channel.uplink_outcome`` per link draws from the stream's
     generator. ``channel.meets_deadline`` forms each fade and tests each
     deadline with ``uplink_outcome``'s own float expressions, so deliveries
-    equal theirs bit for bit. A link budget depends only on the channel and
-    the sensor, so it is solved the first time the sensor is selected and
-    kept in the fleet's memo with its ``channel.link_terms``; a sensor that
-    is never selected is never sized, even when its link is infeasible. An
-    empty selection returns at once and takes no normals.
+    equal theirs bit for bit. ``links`` is the loop's link table, sensor id
+    -> (``LinkBudget``, ``channel.link_terms``) on ``params``: a sensor's
+    entry is solved and added the first time it is selected, so a sensor
+    that is never selected is never sized, even when its link is
+    infeasible. An empty selection returns at once and takes no normals.
     """
     if not selected:
         return (), [], []
-    memo = fleet.link_memo.setdefault(params, {})
     for i in selected:
-        if i not in memo:
+        if i not in links:
             agent = fleet.agents[i]
             budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
-            memo[i] = budget, ch.link_terms(params, budget)
-    budgets, terms = zip(*[memo[i] for i in selected])
+            links[i] = budget, ch.link_terms(params, budget)
+    budgets, terms = zip(*[links[i] for i in selected])
     values = observe(fleet, selected, true_state, normals)
     met = ch.meets_deadline(params, terms, normals(2 * len(terms)))
     delivered = [i for i, ok in zip(selected, met) if ok]
@@ -240,6 +241,7 @@ def run_round(
     aol: AolTracker,
     fleet: SensorFleet,
     params: ch.ChannelParams,
+    links: dict,
     cap: int,
     true_state: State,
     normals: Normals,
@@ -250,12 +252,13 @@ def run_round(
     ``select(prior, targets, aol, fleet, cap)`` returns (picks, steps): the
     sensor ids in order, and the planner's rank-1 updates of the picks (see
     ``plan_selection``) or empty; ``fuse`` has the signature of
-    ``fuse_delivered``; ``normals`` is the loop's stream (``dynamics.Normals``).
+    ``fuse_delivered``; ``links`` is the loop's link table on ``params`` (see
+    ``size_and_transmit``); ``normals`` is the loop's stream (``dynamics.Normals``).
     The result stores the picks, the deliveries and the sum of the picked
     links' PRBs.
     """
     selected, steps = select(prior, targets, aol, fleet, cap)
-    budgets, values, delivered = size_and_transmit(selected, fleet, params, true_state, normals)
+    budgets, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(tuple(selected), tuple(delivered), sum([b.prbs for b in budgets]))
     features = fleet.features

@@ -36,7 +36,7 @@ from .sensing import generate_fleet
 
 
 
-def perfect_round(prior, targets, aol, fleet, params, cap, true_state, normals):
+def perfect_round(prior, targets, aol, fleet, params, links, cap, true_state, normals):
     belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
     result = ScheduleResult(selected=(), delivered=(), total_prbs=0)
     return result, belief, aol.close_loop(range(len(aol.ages)))
@@ -103,10 +103,16 @@ def make_round(scheme: str):
 
 
 def make_policy(cfg: RunConfig, agent: PolicyAgent | None = None):
-    """Deterministic control policy: trained mean action, or the scripted pump."""
+    """Deterministic control policy: trained mean action, or the scripted pump.
+
+    The pump's two actions, force +1 and -1 with the run's
+    ``scripted_accuracy``, are built once here, and the policy returns them
+    on every call.
+    """
     if agent is not None:
         return agent.act_mean
-    return lambda state: scripted_controller(state, cfg.scripted_accuracy)
+    push, pull = ActionVector(1.0, cfg.scripted_accuracy), ActionVector(-1.0, cfg.scripted_accuracy)
+    return functools.partial(scripted_controller, push=push, pull=pull)
 
 
 def build_loop(cfg: RunConfig, scheme: str, rng: np.random.Generator) -> TwinLoop:

@@ -12,17 +12,17 @@ take of the loop's standard normals (``loop.NormalStream``) and returns the
 readings as a list of Python floats. A fleet caches each sensor's feature, r
 and sqrt(r) as tuples indexed by id, which ``observe`` and the scheduler
 read per pick and per link. From them it caches the sensor ids of each
-feature and the global candidate orders for the schedulers, by (distance,
-id) and by (noise, id): a stable sort of the ids by the value alone, ties
-left in id order. A feature's order is the global one split by feature in
-one pass. It holds a memo of link budgets, filled lazily by the scheduler
-the first time a sensor is selected.
+feature and the fleet-wide candidate orders for the schedulers, by
+(distance, id) and by (noise, id): a stable sort of the ids by the value
+alone, ties left in id order. A feature's order is the fleet-wide one split
+by feature in one pass. A fleet holds no link budget: the loop that runs it
+does (``TwinLoop.links``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -86,10 +86,6 @@ class SensorFleet:
     """The sensors of one episode; a sensor's id is its index in ``agents``."""
 
     agents: tuple[SensingAgent, ...]
-    # Per channel configuration, keyed by agent id: the link budget and its
-    # ``channel.link_terms``; the scheduler fills an entry the first time
-    # that agent is selected.
-    link_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def features(self) -> tuple[int, ...]:

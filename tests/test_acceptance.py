@@ -149,9 +149,10 @@ def test_a5_control_capability(criterion):
     model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
     s = np.array([-0.5, 0.0])
     normals = per_call_normals(np.random.default_rng(0))
+    push, pull = ctl.ActionVector(1.0, (0.0, 0.0)), ctl.ActionVector(-1.0, (0.0, 0.0))
     steps = 0
     while s[0] < 0.45 and steps < 200:
-        s = dyn.step(model, s, ctl.scripted_controller(s, np.zeros(2)).force, normals)
+        s = dyn.step(model, s, ctl.scripted_controller(s, push, pull).force, normals)
         steps += 1
     scripted_ok = steps < 200
 

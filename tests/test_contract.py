@@ -301,6 +301,14 @@ EXTREME_CASES = [
         "init_belief_var: 1.0e+308",
         "init_belief_var must be finite and strictly positive and at most 1.0",
     ),
+    # Every link's PRB count is finite; the episode's total is past the float range.
+    ("argv14", ["run"], "channel: {prb_hz: 1.0e-303}", "the mean PRB total per episode is past the float range"),
+    (
+        "argv15",
+        ["bench", "--episodes", "1", "--scheme", "CB-Greedy"],
+        "channel: {prb_hz: 1.0e-303}",
+        "the mean PRB total per episode is past the float range",
+    ),
 ]
 
 

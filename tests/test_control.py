@@ -318,10 +318,10 @@ def test_critic_moves_toward_td_target():
 
 
 def test_scripted_controller_signs():
-    acc = np.array([100.0, 100.0])
-    assert ctl.scripted_controller(np.array([0.0, 0.05]), acc).force == 1.0
-    assert ctl.scripted_controller(np.array([0.0, -0.05]), acc).force == -1.0
-    assert ctl.scripted_controller(np.array([0.0, 0.0]), acc).force == 1.0
+    push, pull = ctl.ActionVector(1.0, (100.0, 100.0)), ctl.ActionVector(-1.0, (100.0, 100.0))
+    assert ctl.scripted_controller(np.array([0.0, 0.05]), push, pull) is push
+    assert ctl.scripted_controller(np.array([0.0, -0.05]), push, pull) is pull
+    assert ctl.scripted_controller(np.array([0.0, 0.0]), push, pull) is push
 
 
 def test_scripted_controller_reaches_goal_quickly():
@@ -329,8 +329,9 @@ def test_scripted_controller_reaches_goal_quickly():
     model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
     s = np.array([-0.5, 0.0])
     normals = per_call_normals(np.random.default_rng(0))
+    push, pull = ctl.ActionVector(1.0, (0.0, 0.0)), ctl.ActionVector(-1.0, (0.0, 0.0))
     for t in range(200):
-        a = ctl.scripted_controller(s, np.zeros(2))
+        a = ctl.scripted_controller(s, push, pull)
         s = dyn.step(model, s, a.force, normals)
         if s[0] >= 0.45:
             break

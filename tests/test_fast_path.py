@@ -1,4 +1,4 @@
-"""The round's fast stages and lazy link memo, each checked against its oracle.
+"""The round's fast stages and lazy link table, each checked against its oracle.
 
 The oracles are the per-sensor reading ``oracles.observe_one``, the per-link
 ``channel.uplink_outcome``, ``FusionBatch.from_observations``, the general
@@ -152,7 +152,7 @@ def test_closed_form_2x2_check_agrees_with_eigvalsh(a, b, d):
         est._check_cov(cov + np.array([[0.0, 1e-9], [0.0, 0.0]]))
 
 
-# --- lazy link memo ----------------------------------------------------------
+# --- lazy link table ---------------------------------------------------------
 
 # At 30 m maximum distance, seed 1 places agents 2 and 3 where theta <= 1.
 FAR = {"fleet": {"max_distance_m": 30}, "qi_cap": 50}
@@ -177,52 +177,42 @@ def test_selecting_unreachable_sensor_names_agent_distance_and_theta():
     rng = np.random.default_rng(0)
     pattern = rf"agent 2 at {far.distance_m:g} m: link constant theta=0\.79"
     with pytest.raises(InfeasibleError, match=pattern):
-        sched.size_and_transmit([0, 2], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
+        sched.size_and_transmit([0, 2], fleet, cfg.channel, {}, np.zeros(2), per_call_normals(rng))
     with pytest.raises(InfeasibleError, match=re.escape(f"agent 3 at {fleet.agents[3].distance_m:g} m")):
-        sched.size_and_transmit([3], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
+        sched.size_and_transmit([3], fleet, cfg.channel, {}, np.zeros(2), per_call_normals(rng))
 
 
 def test_link_memo_hit_equals_fresh_solve():
     cfg, fleet = far_fleet()
     rng = np.random.default_rng(0)
-    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
-    with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
-        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
+    links = {}
+    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
+    with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("link table missed")):
+        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
     assert again == (first[1], first[0])
     for i, budget in zip([1, 0], again):
         a = fleet.agents[i]
         assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
-    # Another channel configuration is sized on its own.
+    # Another channel configuration is sized in its own table.
     longer = dataclasses.replace(cfg.channel, packet_bits=2048.0)
-    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, np.zeros(2), per_call_normals(rng))
+    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, {}, np.zeros(2), per_call_normals(rng))
     a = fleet.agents[0]
     assert wide == ch.optimal_bandwidth(longer, a.tx_power_w, a.distance_m, agent_id=0)
     assert wide.bandwidth_hz > first[0].bandwidth_hz
 
 
-def test_equal_channels_share_a_memo_entry():
-    cfg, fleet = far_fleet()
-    same = dataclasses.replace(cfg.channel)
-    assert same is not cfg.channel and same == cfg.channel and hash(same) == hash(cfg.channel)
-    rng = np.random.default_rng(0)
-    (first,), _, _ = sched.size_and_transmit([0], fleet, cfg.channel, np.zeros(2), per_call_normals(rng))
-    with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("memo missed")):
-        (again,), _, _ = sched.size_and_transmit([0], fleet, same, np.zeros(2), per_call_normals(rng))
-    assert again is first and list(fleet.link_memo) == [cfg.channel]
-
-
 # --- one draw per round --------------------------------------------------------
 
 
-def per_link_transmit(selected, fleet, params, state, rng):
-    """The oracle: ``observe_one`` per sensor, then ``uplink_outcome`` per link, on the memo's budgets."""
+def per_link_transmit(selected, fleet, params, links, state, rng):
+    """The oracle: ``observe_one`` per sensor, then ``uplink_outcome`` per link, on the link table's budgets."""
     values = np.array([observe_one(fleet.agents[i], state, rng) for i in selected])
-    outcomes = [ch.uplink_outcome(params, fleet.link_memo[params][i][0], rng) for i in selected]
+    outcomes = [ch.uplink_outcome(params, links[i][0], rng) for i in selected]
     return values, [i for i, out in zip(selected, outcomes) if out.delivered]
 
 
-def memo_entry(params, budget):
-    """A link memo entry as the round keeps it: the budget and its ``channel.link_terms``."""
+def link_entry(params, budget):
+    """A link table entry as the round keeps it: the budget and its ``channel.link_terms``."""
     return budget, ch.link_terms(params, budget)
 
 
@@ -259,14 +249,14 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     selected = data.draw(st.permutations(range(len(fleet.agents))))
     selected = selected[: data.draw(st.integers(min_value=0, max_value=len(selected)))]
     params, state = ch.ChannelParams(), np.array([s0, s1])
-    memo = fleet.link_memo.setdefault(params, {})
+    links = {}
     for i, a in enumerate(fleet.agents):
         if data.draw(st.booleans(), label=f"coin-flip link {i}"):
-            memo[i] = memo_entry(params, coin_flip_budget(params, a))
+            links[i] = link_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, state, per_call_normals(rng))
-    want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
-    assert budgets == tuple(fleet.link_memo[params][i][0] for i in selected)
+    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
+    want_values, want_delivered = per_link_transmit(selected, fleet, params, links, state, oracle_rng)
+    assert budgets == tuple(links[i][0] for i in selected)
     assert type(values) is list and all(type(v) is float for v in values)
     assert np.array(values).shape == want_values.shape
     assert np.array(values).tobytes() == want_values.tobytes()
@@ -322,7 +312,7 @@ def test_empty_selection_draws_nothing():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     normals = mock.Mock(side_effect=per_call_normals(rng))
-    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), np.zeros(2), normals)
+    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), {}, np.zeros(2), normals)
     assert budgets == () and np.array(values).shape == (0,) and delivered == []
     assert normals.call_count == 0 and rng.bit_generator.state == before
 
@@ -332,12 +322,11 @@ def test_starved_link_is_not_delivered(starved_first):
     fleet = build_fleet([(0, 1e-3, 5.0), (1, 1e-3, 6.0), (1, 2e-3, 7.0)])
     selected = [1, 2, 0] if starved_first else [2, 1, 0]
     params, state = ch.ChannelParams(), np.array([-0.5, 0.01])
-    memo = fleet.link_memo.setdefault(params, {})
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
-    memo[1] = memo_entry(params, budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz))
+    links = {1: link_entry(params, budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz))}
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
-    _, values, delivered = sched.size_and_transmit(selected, fleet, params, state, per_call_normals(rng))
-    want_values, want_delivered = per_link_transmit(selected, fleet, params, state, oracle_rng)
+    _, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
+    want_values, want_delivered = per_link_transmit(selected, fleet, params, links, state, oracle_rng)
     assert delivered == want_delivered == [2, 0]
     assert np.array(values).tobytes() == want_values.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -445,7 +434,7 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     targets = np.array([1e-4, 2e-5])
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
-            schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel,
+            schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel, {},
             cfg.cap, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
         )
     assert len(result.selected) > 2 and result.delivered == result.selected

@@ -16,6 +16,12 @@ counts as used when its name is read as an attribute anywhere in the
 package. The match is by name alone, so a field that shares its name with
 an attribute read elsewhere is invisible to the scan: a record field
 ``seed`` would count as read through ``cfg.seed``.
+
+Run state lives with its owner: no function rebinds a module global
+(a ``global`` statement), and no frozen dataclass holds a mutable field
+(``field(default_factory=dict)``, ``list`` or ``set``), which its freezing
+would hide. A frozen dataclass's factory of another class, as ``RunConfig``
+builds its frozen config sections, is not flagged.
 """
 
 import ast
@@ -98,6 +104,40 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     return [name for name, field in fields if field not in reads]
 
 
+def shared_state(sources: dict[str, str]) -> list[str]:
+    """``module.qualname`` of each function with a ``global`` statement and each mutable field of a frozen dataclass."""
+    found = []
+
+    def frozen_dataclass(node) -> bool:
+        return any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", getattr(d.func, "attr", None)) == "dataclass"
+            and any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in d.keywords)
+            for d in node.decorator_list
+        )
+
+    def mutable_factory(value) -> bool:
+        return isinstance(value, ast.Call) and any(
+            k.arg == "default_factory" and getattr(k.value, "id", None) in ("dict", "list", "set")
+            for k in value.keywords
+        )
+
+    def walk(node, module, prefix, frozen):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFS):
+                is_frozen = isinstance(child, ast.ClassDef) and frozen_dataclass(child)
+                walk(child, module, f"{prefix}.{child.name}", is_frozen)
+                continue
+            if isinstance(child, ast.Global):
+                found.append(f"{module}{prefix}")
+            elif frozen and isinstance(child, ast.AnnAssign) and mutable_factory(child.value):
+                found.append(f"{module}{prefix}.{child.target.id}")
+            walk(child, module, prefix, frozen)
+
+    for module, source in sources.items():
+        walk(ast.parse(source), module, "", False)
+    return found
+
+
 def package_sources() -> dict[str, str]:
     return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -171,3 +211,45 @@ def use(record, budget, cfg):
     assert unread_fields({"m": model}) == ["m.Record.written", "m.Budget.spare"]
     # A read in another module counts.
     assert unread_fields({"m": model, "n": "def f(b):\n    return b.spare\n"}) == ["m.Record.written"]
+
+
+def test_no_run_state_is_held_away_from_its_owner():
+    found = shared_state(package_sources())
+    assert found == [], f"a global statement or a mutable field of a frozen dataclass: {found}"
+
+
+def test_the_state_scan_finds_globals_and_mutable_fields_of_frozen_dataclasses():
+    model = '''
+import dataclasses
+from dataclasses import dataclass, field
+
+_last = None
+
+
+def remember(x):
+    global _last
+    _last = x
+
+
+@dataclass(frozen=True)
+class Fleet:
+    agents: tuple
+    memo: dict = field(default_factory=dict, init=False)
+    seen: list = dataclasses.field(default_factory=list)
+
+    def method(self):
+        cache: dict = field(default_factory=set)
+        return cache
+
+
+@dataclass(frozen=True)
+class Config:
+    section: Fleet = field(default_factory=Fleet)
+
+
+@dataclass
+class Summary:
+    hist: dict = field(default_factory=dict)
+'''
+    # A factory of another class, a mutable field of an unfrozen dataclass and a local are not flagged.
+    assert shared_state({"m": model}) == ["m.remember", "m.Fleet.memo", "m.Fleet.seen"]

@@ -1,12 +1,13 @@
 """What a twin step reuses instead of deriving again, each checked against deriving it anew.
 
-The scripted pump's two actions per request tuple, the last bounds while
-the request is an equal tuple, the failure test on the posterior's two
+The scripted policy's two actions, built once per policy, the last bounds
+while the request is an equal tuple, the failure test on the posterior's two
 variances, the prediction's direct read of the belief mean and a blind
 round's skipped draws.
 """
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -24,27 +25,24 @@ from reverb.errors import InputError
 
 import oracles
 
+# The pump's two actions where only their force is read.
+PUSH, PULL = ctl.ActionVector(1.0, (0.0, 0.0)), ctl.ActionVector(-1.0, (0.0, 0.0))
 
-def test_the_pump_reuses_its_two_actions_per_request_tuple():
-    request = (100.0, 200.0)
-    up, down = ctl.scripted_controller((0.0, 0.01), request), ctl.scripted_controller((0.0, -0.01), request)
-    assert up == ctl.ActionVector(1.0, request) and down == ctl.ActionVector(-1.0, request)
-    assert ctl.scripted_controller((0.1, 0.0), request) is up
-    assert ctl.scripted_controller((0.1, -0.02), request) is down
-    # An equal tuple is another key: its own actions hold it, -0.0 included.
-    signed = (-0.0, 200.0)
-    zero_action = ctl.scripted_controller((0.0, 0.01), (0.0, 200.0))
-    signed_action = ctl.scripted_controller((0.0, 0.01), signed)
-    assert signed_action is not zero_action and signed_action.accuracy is signed
-    assert math.copysign(1.0, signed_action.accuracy[0]) == -1.0
-    # A list or an array is wrapped anew each call, and a bad request still fails every call.
-    listed = [100.0, 200.0]
-    assert ctl.scripted_controller((0.0, 0.01), listed).accuracy is listed
-    for _ in range(2):
-        with pytest.raises(InputError, match="finite"):
-            ctl.scripted_controller((0.0, 0.01), (math.nan, 1.0))
+
+def test_the_scripted_policy_pickles_and_returns_its_two_actions():
+    cfg = config_from_dict({"scripted_accuracy": [100.0, 200.0]})
+    policy = schemes.make_policy(cfg)
+    up, down = policy((0.0, 0.01)), policy((0.0, -0.01))
+    assert up == ctl.ActionVector(1.0, (100.0, 200.0)) and down == ctl.ActionVector(-1.0, (100.0, 200.0))
+    # The same two objects on every call, at rest included.
+    assert policy((0.1, 0.0)) is up and policy((0.1, -0.02)) is down
+    copy = pickle.loads(pickle.dumps(policy))
+    for velocity in (0.01, 0.0, -0.01):
+        assert copy((0.0, velocity)) == policy((0.0, velocity))
+    assert copy((0.0, 0.01)) is copy((0.2, 0.03)) and copy((0.0, -0.01)) is copy((0.2, -0.03))
+    for _ in range(2):  # a bad state fails every call
         with pytest.raises(InputError, match="state must be finite"):
-            ctl.scripted_controller((0.0, math.nan), request)
+            policy((0.0, math.nan))
 
 
 def test_a_negative_zero_scripted_accuracy_reaches_the_record_as_negative_zero():
@@ -109,7 +107,7 @@ def test_the_failure_flag_is_the_oracle_target_check(scheme):
     flags = []
     for qi in range(cfg.qi_cap):
         accuracy = (3000.0, 9000.0) if qi % 3 else (0.0, 0.0)
-        res = loop.step(ctl.scripted_controller(loop.belief.mean, accuracy).force, accuracy)
+        res = loop.step(ctl.scripted_controller(loop.belief.mean, PUSH, PULL).force, accuracy)
         met, _ = oracles.meets_targets(res.belief, res.targets)
         assert res.failed is (not met)
         flags.append(res.failed)
@@ -134,7 +132,7 @@ def test_a_blind_round_leaves_the_generator_untouched():
     normals = mock.Mock(wraps=loop.normals)
     result, posterior, aol = sched.run_round(
         schemes.select_reverb, prior, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet, cfg.channel,
-        cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
+        loop.links, cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
     )
     assert result.blind and result.total_prbs == 0 and result.delivered == ()
     assert normals.mock_calls == []

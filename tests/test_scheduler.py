@@ -9,7 +9,7 @@ from reverb import schemes
 from reverb.aol import AolTracker
 from reverb.channel import ChannelParams
 from reverb.config import SCHEMES, RunConfig, config_from_dict
-from reverb.control import scripted_controller
+from reverb.control import ActionVector, scripted_controller
 from reverb.errors import InputError
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
@@ -63,7 +63,7 @@ def test_compute_targets_rejects_with_one_line(required_var, accuracy, message):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
-    """Every round stores ``total_prbs`` as its picks' memoised PRB sum, lost links included.
+    """Every round stores ``total_prbs`` as its picks' PRB sum from the link table, lost links included.
 
     Outages are made frequent (outage target 0.3) so that rounds with lost
     links occur; the scripted accuracy request alternates with no request,
@@ -75,11 +75,11 @@ def test_every_round_stores_its_prb_total_and_closes_delivered_loops(scheme):
     loop = schemes.build_loop(cfg, scheme, np.random.default_rng(3))
     results = []
     for qi in range(cfg.qi_cap):
-        action = scripted_controller(loop.belief.mean, cfg.scripted_accuracy if qi % 2 else (0.0, 0.0))
+        request = cfg.scripted_accuracy if qi % 2 else (0.0, 0.0)
+        action = scripted_controller(loop.belief.mean, ActionVector(1.0, request), ActionVector(-1.0, request))
         ages = loop.aol.ages
         result = loop.step(action.force, action.accuracy).schedule
-        memo = loop.fleet.link_memo.get(cfg.channel, {})
-        assert result.total_prbs == sum(memo[i][0].prbs for i in result.selected)
+        assert result.total_prbs == sum(loop.links[i][0].prbs for i in result.selected)
         assert result.blind == (not result.selected)
         closed = {loop.fleet.agents[i].feature for i in result.delivered}
         if scheme == "Perfect":
@@ -150,7 +150,7 @@ def test_blind_when_targets_already_met():
     prior = est.Belief(np.zeros(2), np.diag([1e-4, 1e-4]))
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
-        select_reverb, prior, targets, aol, fleet, ChannelParams(), 3, np.zeros(2),
+        select_reverb, prior, targets, aol, fleet, ChannelParams(), {}, 3, np.zeros(2),
         per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
     )
     assert result.blind and result.selected == ()
@@ -296,7 +296,7 @@ def test_schedule_deterministic_given_seed():
     for _ in range(2):
         prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
-            select_reverb, prior, targets, aol, fleet, params, 3, np.array([-0.49, 0.012]),
+            select_reverb, prior, targets, aol, fleet, params, {}, 3, np.array([-0.49, 0.012]),
             per_call_normals(np.random.default_rng(31)), fuse=sched.fuse_delivered,
         )
         runs.append((result, post.mean, post.cov, trk.ages))
@@ -312,7 +312,7 @@ def test_schedule_closes_loops_for_delivered_features():
     prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
-        select_reverb, prior, targets, aol, fleet, ChannelParams(), 2, np.array([-0.49, 0.012]),
+        select_reverb, prior, targets, aol, fleet, ChannelParams(), {}, 2, np.array([-0.49, 0.012]),
         per_call_normals(np.random.default_rng(1)), fuse=sched.fuse_delivered,
     )
     assert set(result.selected) == {0, 1}
