@@ -84,8 +84,9 @@ class ActionVector(_ActionFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One QI of an episode, as ``train`` records it for ``ppo_update``."""
+
     state: Sequence[float]
     raw_action: Array
     log_prob: float

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsModel, Matrix2, State
+from .dynamics import Matrix2, MountainCar, State
 from .errors import InputError, NumericalError
 from .schema import STATE_FEATURES
 from .sensing import SensingAgent
@@ -106,11 +106,14 @@ def _check_cov(cov: Matrix2) -> None:
         raise NumericalError("covariance lost positive semidefiniteness")
 
 
-def predict(belief: Belief, action: float, model: DynamicsModel) -> Belief:
+def predict(belief: Belief, action: float, model: MountainCar) -> Belief:
     """Blind prediction: mean through the deterministic map, covariance through P Psi P^T + C_u.
 
-    The process noise enters only through its covariance; sampling it here
-    would bias the minimum-mean-square-error predictor.
+    ``model`` is any value with the plant's ``update(s, a)``, ``jacobian(s)``
+    (a pair of rows) and ``process_noise_cov`` (2x2, nested): the mean goes
+    through ``update``, the covariance through ``jacobian`` plus the noise
+    covariance. The process noise enters only through its covariance;
+    sampling it here would bias the minimum-mean-square-error predictor.
     """
     mean = m0, m1 = belief.mean
     if not (math.isfinite(m0) and math.isfinite(m1)):  # a mean reassigned since construction

@@ -1,12 +1,12 @@
 """Per-episode co-simulation engine: plant, sensing fleet, belief, and ages.
 
-``TwinLoop`` runs one ``RunConfig``: it reads the plant's process noise, the
-channel, the uplink cap, the variance and age targets and the initial belief
-variance from it, and holds none of them a second time. It owns the mutable
-episode state, which its constructor starts: it draws the initial plant
-state and then the initial belief from the episode's generator, sets every
-age fresh, and hands the generator to a ``NormalStream``, which every later
-draw goes through. It also owns the episode's link table, ``links``: sensor
+``TwinLoop`` runs one ``RunConfig``: it builds its plant from the
+process-noise variances, reads the channel, the uplink cap, the variance and
+age targets and the initial belief variance from it, and holds none of them a
+second time. It owns the mutable episode state, which its constructor
+starts: it draws the initial plant state and then the initial belief from
+the episode's generator, sets every age fresh, and hands the generator to a
+``NormalStream``, which every later draw goes through. It also owns the episode's link table, ``links``: sensor
 id -> (``LinkBudget``, ``channel.link_terms``) on the run's channel, which
 starts empty and gains a sensor's entry the first time the sensor is
 selected (``scheduler.size_and_transmit``). Each ``step`` advances that
@@ -108,7 +108,7 @@ class TwinLoop:
         rng: np.random.Generator,
     ) -> None:
         self.cfg = cfg
-        self.model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
+        self.plant = dyn.plant(cfg.process_noise_var)
         self.fleet = fleet
         self.scheme_round = scheme_round
         self.state = dyn.initial_state(rng)
@@ -121,13 +121,13 @@ class TwinLoop:
         self._bounds: tuple[float, ...] = ()
 
     def step(self, force: float, accuracy: tuple[float, ...]) -> StepResult:
-        self.state = dyn.step(self.model, self.state, force, self.normals)
+        self.state = dyn.step(self.plant, self.state, force, self.normals)
         done = self.state[0] >= dyn.GOAL_POSITION
         reward = -ACTION_COST_WEIGHT * float(force) ** 2
         if done:
             reward += TERMINATION_REWARD
 
-        prior = est.predict(self.belief, force, self.model)
+        prior = est.predict(self.belief, force, self.plant)
         self.aol = self.aol.tick()
         if accuracy.__class__ is tuple and accuracy == self._request:
             targets = self._bounds

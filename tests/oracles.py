@@ -21,6 +21,9 @@
   operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
+* ``linear_model``: a linear plant s' = A s with a given 2x2 process-noise
+  covariance, duck-typed as ``estimator.predict`` and ``dynamics.step`` read
+  the mountain car: the textbook Kalman filter's model.
 * ``mountain_car_free`` and ``finite_difference_jacobian``: the mountain-car
   transition with no bound applied, the map the EKF linearizes, and its
   central differences, the check on the model's exact ``jacobian``.
@@ -54,6 +57,7 @@
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg as sla
@@ -271,6 +275,19 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     return [x2, v2]
 
 
+def linear_model(a_mat, process_noise_cov=((0.0, 0.0), (0.0, 0.0))) -> SimpleNamespace:
+    """s' = A s with no clamp, Jacobian A and the given noise covariance; ``dynamics.step`` adds no noise to it."""
+    a_mat = np.asarray(a_mat, dtype=float)
+    (q00, q01), (q10, q11) = np.asarray(process_noise_cov, dtype=float).tolist()
+    return SimpleNamespace(
+        update=lambda s, a: a_mat @ s,
+        jacobian=lambda s: a_mat.copy(),
+        clamp=lambda s: s,
+        process_noise_cov=((q00, q01), (q10, q11)),
+        noise_std=None,
+    )
+
+
 def mountain_car_free(x: float, v: float, a: float) -> list[float]:
     """Next (position, velocity) with no bound applied: v' = v + 0.0015 a - 0.0025 cos(3x), x' = x + v'."""
     v2 = v + 0.0015 * a - 0.0025 * math.cos(3.0 * x)
@@ -433,7 +450,7 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     agents = sensing.generate_fleet(cfg.fleet, np.random.default_rng(fleet_seq)).agents
     rng = np.random.default_rng(env_seq)
     normals = per_call_normals(rng)
-    model = dyn.mountain_car_model(process_noise_var=cfg.process_noise_var)
+    model = dyn.plant(cfg.process_noise_var)
     state = np.array([rng.uniform(dyn.START_POSITION_LOW, dyn.START_POSITION_HIGH), 0.0])
     var = cfg.init_belief_var
     mean = (state + math.sqrt(var) * rng.standard_normal(2)).tolist()

@@ -23,7 +23,7 @@ from reverb.schemes import build_loop, make_policy, run_episode
 from reverb import cli
 
 from test_channel import bisect_bandwidth
-from oracles import finite_difference_jacobian, per_call_normals
+from oracles import finite_difference_jacobian, linear_model, per_call_normals
 from test_scheduler import make_fleet, oracle_plan, random_instance
 
 
@@ -83,7 +83,7 @@ def test_a2_outage_fidelity(criterion):
 
 
 def test_a3_ekf_oracle_equivalence(criterion):
-    """A3: EKF equals a standard KF on a linear system; Jacobians match FD.
+    """A3: EKF equals a standard KF on ``oracles.linear_model``; Jacobians match FD.
 
     Each interval's two readings are fused by ``scheduler.fuse_delivered``,
     the fusion a run executes, over a fleet of one sensor per feature.
@@ -93,12 +93,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
     h = np.array([[1.0, 0.0], [0.0, 1.0]])
     r = np.diag([4e-3, 9e-4])
     fleet = make_fleet([(0, 4e-3, 5.0), (1, 9e-4, 5.0)])
-    model = dyn.DynamicsModel(
-        update=lambda s, a: a_mat @ s,
-        jacobian=lambda s: a_mat.copy(),
-        clamp=lambda s: s,
-        process_noise_cov=q,
-    )
+    model = linear_model(a_mat, q)
     rng = np.random.default_rng(33)
     belief = est.Belief(np.array([0.4, -0.1]), np.diag([0.05, 0.02]))
     kf_mean, kf_cov = np.array(belief.mean), np.array(belief.cov)
@@ -118,7 +113,7 @@ def test_a3_ekf_oracle_equivalence(criterion):
             float(np.max(np.abs(belief.mean - kf_mean))),
             float(np.max(np.abs(belief.cov - kf_cov))),
         )
-    car = dyn.mountain_car_model(process_noise_var=RunConfig().process_noise_var)
+    car = dyn.plant(RunConfig().process_noise_var)
     jac_rng = np.random.default_rng(44)
     worst_jac = 0.0
     for _ in range(100):
@@ -146,7 +141,7 @@ def test_a4_scheduler_oracle(criterion):
 
 def test_a5_control_capability(criterion):
     """A5: scripted pump summits fast; trained policy reaches the goal reliably."""
-    model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
+    model = dyn.plant((0.0, 0.0))
     s = np.array([-0.5, 0.0])
     normals = per_call_normals(np.random.default_rng(0))
     push, pull = ctl.ActionVector(1.0, (0.0, 0.0)), ctl.ActionVector(-1.0, (0.0, 0.0))

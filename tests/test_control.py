@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -243,7 +242,7 @@ def test_overflowing_raw_actions_raise_before_any_step():
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(36))
     rng = np.random.default_rng(37)
     batch = [
-        dataclasses.replace(t, raw_action=np.full_like(t.raw_action, 1e200))
+        t._replace(raw_action=np.full_like(t.raw_action, 1e200))
         for t in make_batch(agent, rng, n=8, reward=1.0)
     ]
     before = agent.flat.tobytes()
@@ -326,7 +325,7 @@ def test_scripted_controller_signs():
 
 def test_scripted_controller_reaches_goal_quickly():
     # pure dynamics, no noise: the pump must summit in under 200 intervals
-    model = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
+    model = dyn.plant((0.0, 0.0))
     s = np.array([-0.5, 0.0])
     normals = per_call_normals(np.random.default_rng(0))
     push, pull = ctl.ActionVector(1.0, (0.0, 0.0)), ctl.ActionVector(-1.0, (0.0, 0.0))
@@ -536,7 +535,7 @@ def test_ppo_update_gives_the_same_bits_from_tuple_and_array_states():
     sampler = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(53))
     batch = fixed_batch(sampler, np.random.default_rng(54), n=100)
     arrays = [
-        dataclasses.replace(t, state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch
+        t._replace(state=np.array(t.state), next_state=np.array(t.next_state)) for t in batch
     ]
     floor = ctl.LOG_STD_MIN
     assert learner_state(ctl.ppo_update, batch, floor) == learner_state(ctl.ppo_update, arrays, floor)

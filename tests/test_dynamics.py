@@ -8,25 +8,16 @@ from hypothesis import strategies as st
 from reverb import dynamics as dyn
 from reverb.errors import ConfigError, InputError
 
-from oracles import finite_difference_jacobian, mountain_car_update, per_call_normals
+from oracles import finite_difference_jacobian, linear_model, mountain_car_update, per_call_normals
 
 
 @pytest.fixture
 def car():
-    return dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
-
-
-def identity_model(process_noise_cov=np.zeros((2, 2))):
-    return dyn.DynamicsModel(
-        update=lambda s, a: s,
-        jacobian=lambda s: ((1.0, 0.0), (0.0, 1.0)),
-        clamp=lambda s: s,
-        process_noise_cov=process_noise_cov,
-    )
+    return dyn.plant((0.0, 0.0))
 
 
 def test_fixed_point_without_force_or_drift():
-    model = identity_model()
+    model = linear_model(np.eye(2))
     normals = per_call_normals(np.random.default_rng(0))
     s = (0.3, 0.0)
     assert dyn.step(model, s, 0.0, normals) == s
@@ -90,7 +81,7 @@ def test_deterministic_without_process_noise(car):
     a=st.floats(-1.0, 1.0),
 )
 def test_outputs_always_clamped(x, v, a):
-    model = dyn.mountain_car_model(process_noise_var=(1e-4, 1e-4))
+    model = dyn.plant((1e-4, 1e-4))
     out = dyn.step(model, np.array([x, v]), a, per_call_normals(np.random.default_rng(7)))
     assert -1.2 <= out[0] <= 0.6
     assert -0.07 <= out[1] <= 0.07
@@ -104,8 +95,8 @@ def test_left_wall_resets_velocity(car):
 
 def test_noise_sample_mean_converges():
     var = (4e-6, 1e-6)
-    model = dyn.mountain_car_model(process_noise_var=var)
-    det = dyn.mountain_car_model(process_noise_var=(0.0, 0.0))
+    model = dyn.plant(var)
+    det = dyn.plant((0.0, 0.0))
     normals = per_call_normals(np.random.default_rng(5))
     s = (-0.5, 0.0)
     n = 100_000
@@ -115,33 +106,64 @@ def test_noise_sample_mean_converges():
         assert abs(draws[:, k].mean()) < 4.0 * math.sqrt(v) / math.sqrt(n)
 
 
-def test_step_noise_is_the_float_matrix_vector_product():
-    model = identity_model(np.array([[4e-6, 1e-6], [1e-6, 2e-6]]))
-    s = (0.1, -0.2)
-    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-    out = np.array(dyn.step(model, s, 0.0, per_call_normals(rng)))
-    z = oracle_rng.standard_normal(2)
-    (a, b), (c, d) = model.noise_scale
-    want = [0.1 + (a * z[0] + b * z[1]), -0.2 + (c * z[0] + d * z[1])]
-    assert out.tobytes() == np.array(want).tobytes()
-    assert np.max(np.abs(out - (s + np.array(model.noise_scale) @ z))) <= 1e-17
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def counting_normals(values):
+    """``normals`` handing out ``values``; ``.calls`` lists the count of each request."""
+
+    def normals(n):
+        normals.calls.append(n)
+        return values[:n]
+
+    normals.calls = []
+    return normals
+
+
+@pytest.mark.parametrize(
+    "var",
+    [(1e-6, 1e-6), (1e-6, 4e-6), (4e-6, 1e-6), (0.0, 1e-6), (1e-6, 0.0)],
+    ids=["equal", "v0<v1", "v0>v1", "v0=0", "v1=0"],
+)
+def test_each_feature_takes_its_own_normal(var):
+    """Position gets sqrt(v0) z0 and velocity sqrt(v1) z1, bit for bit, whatever the order of the variances.
+
+    The plant's noise was once the PSD root of diag(v0, v1) from ``eigh``,
+    times z, each entry summed in index order. For equal variances, every
+    golden and benchmark config, that root is exactly diag(sqrt(v)), and
+    x + (s z0 + 0.0 z1) is x + s z0, so those runs keep every byte. ``eigh``
+    sorts the eigenvalues, so for v0 > v1 (and for v1 = 0) its root paired
+    position with z1: runs of such configs changed when the root became
+    diag(sqrt(v0), sqrt(v1)).
+    """
+    v0, v1 = var
+    car = dyn.plant(var)
+    assert car.process_noise_cov == ((v0, 0.0), (0.0, v1))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        s = (rng.uniform(-1.0, 0.4), rng.uniform(-0.05, 0.05))
+        a = rng.uniform(-1.0, 1.0)
+        z0, z1 = rng.standard_normal(2).tolist()
+        normals = counting_normals([z0, z1])
+        out = dyn.step(car, s, a, normals)
+        x, v = car.update(s, a)
+        want = car.clamp((x + math.sqrt(v0) * z0, v + math.sqrt(v1) * z1))
+        assert normals.calls == [2]
+        assert np.array(out).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_noiseless_plant_takes_no_normals(zero):
+    car = dyn.plant((0.0, zero))
+    assert car.noise_std is None
+    assert math.copysign(1.0, car.process_noise_cov[1][1]) == math.copysign(1.0, zero)
+    normals = counting_normals([0.5, -0.5])
+    s, a = (-0.5, 0.01), 0.3
+    assert np.array(dyn.step(car, s, a, normals)).tobytes() == np.array(car.update(s, a)).tobytes()
+    assert normals.calls == []
 
 
 def test_invalid_process_noise_rejected():
-    with pytest.raises(ConfigError):
-        dyn.mountain_car_model(process_noise_var=(-1e-6, 1e-6))
-
-
-def test_model_is_built_once_per_noise_setting():
-    a = dyn.mountain_car_model(process_noise_var=(3e-6, 1e-6))
-    assert dyn.mountain_car_model(process_noise_var=[3e-6, np.float64(1e-6)]) is a
-    assert a.process_noise_cov == ((3e-6, 0.0), (0.0, 1e-6))
-    assert dyn.mountain_car_model(process_noise_var=(1e-6, 3e-6)) is not a
-    zero, signed = (dyn.mountain_car_model(process_noise_var=(0.0, v)) for v in (0.0, -0.0))
-    assert zero is not signed and math.copysign(1.0, signed.process_noise_cov[1][1]) == -1.0
-    with pytest.raises(ConfigError):  # a rejected setting is rejected every time
-        dyn.mountain_car_model(process_noise_var=(-1e-6, 1e-6))
+    for var in ((-1e-6, 1e-6), (1e-6, -1e-300), (math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            dyn.plant(var)
 
 
 def test_initial_state_in_start_range():
@@ -164,7 +186,7 @@ def assert_update_matches_oracle(car, x, v, a):
     a=st.floats(-1.0, 1.0),
 )
 def test_update_is_bit_equal_to_the_oracle_inside_and_outside_the_bounds(x, v, a):
-    assert_update_matches_oracle(dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6)), x, v, a)
+    assert_update_matches_oracle(dyn.plant((1e-6, 1e-6)), x, v, a)
 
 
 @pytest.mark.parametrize(

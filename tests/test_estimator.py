@@ -5,24 +5,14 @@ import pytest
 
 from reverb import dynamics as dyn
 from reverb import estimator as est
-from reverb.errors import ConfigError, InputError, NumericalError
+from reverb.errors import InputError, NumericalError
 
 import oracles
-from oracles import accuracy_vector, joseph_update
-
-
-def linear_model(a_mat: np.ndarray, noise: np.ndarray) -> dyn.DynamicsModel:
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    return dyn.DynamicsModel(
-        update=lambda s, a: a_mat @ s,
-        jacobian=lambda s: a_mat.copy(),
-        clamp=lambda s: s,
-        process_noise_cov=noise,
-    )
+from oracles import accuracy_vector, joseph_update, linear_model
 
 
 def test_predict_identity_keeps_covariance():
-    model = linear_model(np.eye(2), np.zeros((2, 2)))
+    model = linear_model(np.eye(2))
     belief = est.Belief(np.zeros(2), np.diag([0.3, 0.04]))
     out = est.predict(belief, 0.0, model)
     assert np.allclose(out.cov, belief.cov)
@@ -37,19 +27,17 @@ def test_predict_scalar_linear_case():
     assert out.cov[1][1] == 0.2 and out.cov[0][1] == out.cov[1][0] == 0.0
 
 
-def test_belief_and_plant_are_two_dimensional():
+def test_belief_is_two_dimensional():
     for n in (1, 3):
         with pytest.raises(InputError, match="2-vector mean with a 2x2 covariance"):
             est.Belief(np.zeros(n), np.eye(n))
-        with pytest.raises(ConfigError, match="2 state features and 2x2 process noise"):
-            linear_model(np.eye(n), np.zeros((n, n)))
     with pytest.raises(InputError, match="2x2 covariance"):
         est.Belief(np.zeros(2), np.eye(3))
 
 
 def test_blind_prediction_matches_scalar_oracle():
     # five blind mountain-car steps, covariance propagated entry by entry
-    model = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
+    model = dyn.plant((1e-6, 1e-6))
     belief = est.Belief(np.array([-0.5, 0.0]), np.diag([1e-4, 1e-4]))
     # independent scalar-by-scalar propagation: P <- J P J^T + Q unrolled
     mean = belief.mean
@@ -106,14 +94,14 @@ def test_predict_is_bit_equal_to_einsum_oracle():
 
 
 def test_predict_keeps_the_mountain_car_mean_and_checks():
-    car = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
+    car = dyn.plant((1e-6, 1e-6))
     belief = est.Belief(np.array([-0.5, 0.01]), np.diag([1e-4, 2e-4]))
     out = est.predict(belief, 0.3, car)
     assert np.array(out.mean).tobytes() == np.array(car.update(belief.mean, 0.3)).tobytes()
     indefinite = est.Belief.__new__(est.Belief)
     indefinite.mean, indefinite.cov = (0.0, 0.0), ((-1.0, 0.0), (0.0, 1.0))
     with pytest.raises(NumericalError, match="semidefiniteness"):
-        est.predict(indefinite, 0.0, dyn.mountain_car_model(process_noise_var=(0.0, 0.0)))
+        est.predict(indefinite, 0.0, dyn.plant((0.0, 0.0)))
 
 
 def test_fuse_equal_variances_halve():
@@ -186,7 +174,7 @@ def test_fusion_never_inflates_diagonal():
 
 
 def test_symmetry_preserved_through_operations():
-    model = dyn.mountain_car_model(process_noise_var=(1e-6, 1e-6))
+    model = dyn.plant((1e-6, 1e-6))
     belief = est.Belief(np.array([-0.4, 0.01]), np.diag([1e-3, 1e-4]))
     for _ in range(10):
         belief = est.predict(belief, 0.3, model)

@@ -121,7 +121,7 @@ def test_predict_rejects_a_mean_made_non_finite_after_construction(mean):
     belief = est.Belief((-0.5, 0.01), ((1e-3, 0.0), (0.0, 1e-3)))
     belief.mean = mean
     with pytest.raises(InputError, match="mean must be finite"):
-        est.predict(belief, 0.0, dyn.mountain_car_model(process_noise_var=RunConfig().process_noise_var))
+        est.predict(belief, 0.0, dyn.plant(RunConfig().process_noise_var))
 
 
 def test_a_blind_round_leaves_the_generator_untouched():
