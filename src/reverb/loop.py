@@ -6,10 +6,13 @@ age targets and the initial belief variance from it, and holds none of them a
 second time. It owns the mutable episode state, which its constructor
 starts: it draws the initial plant state and then the initial belief from
 the episode's generator, sets every age fresh, and hands the generator to a
-``NormalStream``, which every later draw goes through. It also owns the episode's link table, ``links``: sensor
-id -> (``LinkBudget``, ``channel.link_terms``) on the run's channel, which
-starts empty and gains a sensor's entry the first time the sensor is
-selected (``scheduler.size_and_transmit``). Each ``step`` advances that
+``NormalStream``, which every later draw goes through. It also owns the
+episode's link table, ``links``, on the run's channel, which starts empty
+(``scheduler.size_and_transmit`` fills it): sensor id -> (``LinkBudget``,
+``channel.link_terms``), added the first time the sensor is selected, and
+selection tuple -> (that tuple, its links' ``link_terms`` in pick order, its
+PRB total), added the first time the selection is made, so its tuple keys
+are the episode's distinct non-empty selections. Each ``step`` advances that
 state one query interval: the plant moves under the applied force, the
 belief is blindly predicted, ages tick, and the scheme's round decides which
 sensors transmit and how the belief is corrected. The round is injected as

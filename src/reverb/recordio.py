@@ -7,7 +7,8 @@ produced it: floats and ints, with ``selected`` and ``delivered`` as tuples
 of agent ids. ``columns``, the per-column view the metrics and the CSV read,
 is built when it is first read and kept until the next ``append``; an id
 column is joined into ``;``-separated text only when that column is read,
-since the metrics read none. The record's totals, ``total_prbs``,
+since the metrics read none, and each distinct id tuple is joined once per
+view, whichever id column it appears in. The record's totals, ``total_prbs``,
 ``failure_count`` and ``mean_error_norm``, are computed when first read and
 kept until the next ``append`` as well.
 """
@@ -57,6 +58,7 @@ class _Columns(Mapping):
         values = zip(*rows) if rows else ((),) * len(EPISODE_COLUMNS)
         self._lists: dict[str, list] = {}
         self._ids: dict[str, tuple] = {}
+        self._texts: dict[tuple, str] = {}  # id tuple -> its ``;``-joined text
         for c, v in zip(EPISODE_COLUMNS, values):
             if c in _STR_COLUMNS:
                 self._ids[c] = v
@@ -66,7 +68,13 @@ class _Columns(Mapping):
     def __getitem__(self, column: str) -> list:
         ids = self._ids.pop(column, None)
         if ids is not None:
-            self._lists[column] = [";".join(map(str, row_ids)) for row_ids in ids]
+            texts, column_texts = self._texts, []
+            for row_ids in ids:
+                text = texts.get(row_ids)
+                if text is None:
+                    text = texts[row_ids] = ";".join(map(str, row_ids))
+                column_texts.append(text)
+            self._lists[column] = column_texts
         return self._lists[column]
 
     def __iter__(self) -> Iterator[str]:

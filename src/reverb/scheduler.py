@@ -18,7 +18,10 @@ the scheme's fuse corrects the belief with the ones that actually arrive, and
 those close the loop for their features. A link budget is solved the first
 time its sensor is selected and kept in the loop's link table
 (``TwinLoop.links``), with the parts of its SNR that do not depend on the
-fading (``channel.link_terms``). A round takes the normals for all
+fading (``channel.link_terms``). What a selection alone fixes, its tuple,
+its links' terms in pick order and its PRB total, is kept in the same table
+under the selection's tuple the first time that selection is made, so a
+selection that comes back costs one lookup. A round takes the normals for all
 observation noise (``sensing.observe``), then those for all fades, from the
 loop's stream (``loop.NormalStream``): the numbers, in the order, that
 per-link ``uplink_outcome`` calls on the stream's generator would draw.
@@ -163,34 +166,45 @@ def size_and_transmit(
     links: dict,
     true_state: State,
     normals: Normals,
-) -> tuple[tuple[ch.LinkBudget, ...], list[float], list[int]]:
+) -> tuple[tuple[int, ...], int, list[float], list[int]]:
     """Size every selected link, read the sensors, realize the uplinks.
 
-    Returns (budgets, values, delivered agent ids); ``values`` holds the
-    selected sensors' observations in selection order. All observation noise
+    Returns (ids, prbs, values, delivered agent ids): the selection as a
+    tuple, the sum of its links' PRBs, and the selected sensors'
+    observations in selection order. All observation noise
     is one take of ``normals`` (``sensing.observe``), then all fades one take
     of two normals per link (real, imaginary part): the numbers, in the
     order, that ``channel.uplink_outcome`` per link draws from the stream's
     generator. ``channel.meets_deadline`` forms each fade and tests each
     deadline with ``uplink_outcome``'s own float expressions, so deliveries
-    equal theirs bit for bit. ``links`` is the loop's link table, sensor id
-    -> (``LinkBudget``, ``channel.link_terms``) on ``params``: a sensor's
-    entry is solved and added the first time it is selected, so a sensor
-    that is never selected is never sized, even when its link is
-    infeasible. An empty selection returns at once and takes no normals.
+    equal theirs bit for bit.
+
+    ``links`` is the loop's link table on ``params``, with two kinds of
+    entry. A sensor id maps to its (``LinkBudget``, ``channel.link_terms``),
+    solved and added the first time the sensor is selected, so a sensor that
+    is never selected is never sized, even when its link is infeasible. A
+    selection tuple maps to (that tuple, its links' ``link_terms`` in pick
+    order, its PRB total), built from the sensor entries the first time the
+    selection is made; a selection seen before is neither checked, split nor
+    summed again, and the returned ids are the entry's tuple. An empty
+    selection returns at once, adds no entry and takes no normals.
     """
     if not selected:
-        return (), [], []
-    for i in selected:
-        if i not in links:
-            agent = fleet.agents[i]
-            budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
-            links[i] = budget, ch.link_terms(params, budget)
-    budgets, terms = zip(*[links[i] for i in selected])
+        return (), 0, [], []
+    key = tuple(selected)
+    entry = links.get(key)
+    if entry is None:
+        for i in key:
+            if i not in links:
+                agent = fleet.agents[i]
+                budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
+                links[i] = budget, ch.link_terms(params, budget)
+        entry = links[key] = key, [links[i][1] for i in key], sum([links[i][0].prbs for i in key])
+    ids, terms, prbs = entry
     values = observe(fleet, selected, true_state, normals)
     met = ch.meets_deadline(params, terms, normals(2 * len(terms)))
     delivered = [i for i, ok in zip(selected, met) if ok]
-    return budgets, values, delivered
+    return ids, prbs, values, delivered
 
 
 def fuse_delivered(
@@ -255,11 +269,12 @@ def run_round(
     ``fuse_delivered``; ``links`` is the loop's link table on ``params`` (see
     ``size_and_transmit``); ``normals`` is the loop's stream (``dynamics.Normals``).
     The result stores the picks, the deliveries and the sum of the picked
-    links' PRBs.
+    links' PRBs; the picks are the link table's tuple for the selection, and
+    so are the deliveries when every pick arrived.
     """
     selected, steps = select(prior, targets, aol, fleet, cap)
-    budgets, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
+    ids, prbs, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
-    result = ScheduleResult(tuple(selected), tuple(delivered), sum([b.prbs for b in budgets]))
+    result = ScheduleResult(ids, ids if len(delivered) == len(ids) else tuple(delivered), prbs)
     features = fleet.features
     return result, posterior, aol.close_loop([features[i] for i in delivered])

@@ -24,6 +24,7 @@ from reverb import channel as ch
 from reverb import cli
 from reverb import config
 from reverb import estimator as est
+from reverb import recordio
 from reverb import scheduler as sched
 from reverb import schemes
 from reverb import sensing
@@ -186,19 +187,117 @@ def test_link_memo_hit_equals_fresh_solve():
     cfg, fleet = far_fleet()
     rng = np.random.default_rng(0)
     links = {}
-    first, _, _ = sched.size_and_transmit([0, 1], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
+    sched.size_and_transmit([0, 1], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
+    first = links[0][0], links[1][0]
     with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("link table missed")):
-        again, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
-    assert again == (first[1], first[0])
-    for i, budget in zip([1, 0], again):
+        ids, prbs, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
+    # A new order of sized sensors is a new selection, built from the sensors' entries.
+    assert ids == (1, 0) and prbs == first[1].prbs + first[0].prbs
+    assert links[ids] == (ids, [links[1][1], links[0][1]], prbs) and links[ids][0] is ids
+    for i in (1, 0):
         a = fleet.agents[i]
-        assert budget == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
+        assert links[i][0] == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
     # Another channel configuration is sized in its own table.
     longer = dataclasses.replace(cfg.channel, packet_bits=2048.0)
-    (wide,), _, _ = sched.size_and_transmit([0], fleet, longer, {}, np.zeros(2), per_call_normals(rng))
+    wide_links = {}
+    sched.size_and_transmit([0], fleet, longer, wide_links, np.zeros(2), per_call_normals(rng))
+    wide = wide_links[0][0]
     a = fleet.agents[0]
     assert wide == ch.optimal_bandwidth(longer, a.tx_power_w, a.distance_m, agent_id=0)
     assert wide.bandwidth_hz > first[0].bandwidth_hz
+
+
+# The table's selection entries. A hit hands the round the entry's tuple, the
+# sensors' own ``link_terms`` objects in pick order and the integer PRB sum:
+# the values a miss computes from the same sensor entries, so the deadline
+# tests, the readings, the fusion and the stream's position do not depend on
+# whether the selection was seen before, and every bit of the round is kept.
+PICKS = [8, 1, 6, 9]   # reachable sensors of ``far_fleet``, both features
+
+
+def coin_flip_links(params, fleet, ids):
+    """A table holding only sensor entries, each link a coin flip (``coin_flip_budget``)."""
+    return {i: link_entry(params, coin_flip_budget(params, fleet.agents[i])) for i in ids}
+
+
+def traced_round(links, fleet, params, seed):
+    """``run_round`` of ``PICKS`` (a new list each round) on ``links``: result, readings, posterior, stream state."""
+    readings = []
+
+    def fuse(prior, selected, delivered, values, fleet, steps):
+        readings.append(values)
+        return sched.fuse_delivered(prior, selected, delivered, values, fleet, steps)
+
+    rng = np.random.default_rng(seed)
+    prior = est.Belief((-0.5, 0.01), ((2e-2, 1e-3), (1e-3, 1e-2)))
+    result, post, _ = sched.run_round(
+        lambda *_: (list(PICKS), ()), prior, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet, params, links,
+        len(PICKS), (-0.49, 0.012), per_call_normals(rng), fuse=fuse,
+    )
+    return result, np.array(readings).tobytes(), np.array([post.mean, *post.cov]).tobytes(), rng.bit_generator.state
+
+
+def test_repeated_selection_equals_a_round_on_an_empty_table():
+    cfg, fleet = far_fleet()
+    warm = coin_flip_links(cfg.channel, fleet, PICKS)
+    first = traced_round(warm, fleet, cfg.channel, 0)[0]
+    entry = warm[tuple(PICKS)]
+    patterns = set()
+    for seed in range(1, 25):
+        hit = traced_round(warm, fleet, cfg.channel, seed)
+        fresh = traced_round(coin_flip_links(cfg.channel, fleet, PICKS), fleet, cfg.channel, seed)
+        assert hit == fresh
+        result = hit[0]
+        assert result.selected is entry[0] and result.total_prbs == entry[2] == first.total_prbs
+        assert (result.delivered is result.selected) == (result.delivered == result.selected)
+        patterns.add(result.delivered)
+    # Other outage patterns than the first round's, a full delivery and a partial one among them.
+    assert len(patterns - {first.delivered}) > 1 and tuple(PICKS) in patterns and len(patterns) > 2
+    assert [k for k in warm if type(k) is tuple] == [tuple(PICKS)]
+
+
+def test_table_hit_neither_sizes_nor_splits_a_link():
+    cfg, fleet = far_fleet()
+    links = {}
+    state = (-0.49, 0.012)
+    first = sched.size_and_transmit(list(PICKS), fleet, cfg.channel, links, state, per_call_normals(np.random.default_rng(4)))
+    table = dict(links)
+    with (
+        mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("sized again")),
+        mock.patch.object(ch, "link_terms", side_effect=AssertionError("terms formed again")),
+    ):
+        again = sched.size_and_transmit(list(PICKS), fleet, cfg.channel, links, state, per_call_normals(np.random.default_rng(4)))
+    assert again == first and again[0] is first[0] is links[tuple(PICKS)][0]
+    assert links == table
+
+
+# No accuracy request, so AoL-REVERB transmits only when a feature's age runs out.
+LOOSE = {"scripted_accuracy": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "overrides, scheme",
+    [(LOOSE, s) for s in ("AoL-REVERB", "CB-Greedy", "EB-Greedy", "Traditional")] + [({}, "AoL-REVERB")],
+    ids=["loose-AoL-REVERB", "loose-CB-Greedy", "loose-EB-Greedy", "loose-Traditional", "headline-AoL-REVERB"],
+)
+def test_selection_keys_are_the_episode_distinct_selections(overrides, scheme):
+    cfg = config.config_from_dict(overrides)
+    build, loops = schemes.build_loop, []
+
+    def build_loop(*args):
+        loops.append(build(*args))
+        return loops[-1]
+
+    with mock.patch.object(schemes, "build_loop", build_loop):
+        record = schemes.run_episode(cfg, scheme, schemes.make_policy(cfg), 4)
+    (loop,) = loops
+    column = [row[recordio.EPISODE_COLUMNS.index("selected")] for row in record.rows]
+    keys = [k for k in loop.links if type(k) is tuple]
+    assert set(keys) == {s for s in column if s} and len(keys) == len(set(keys))
+    # Every row holds its selection's one tuple, and blind rounds add no key.
+    assert all(s is loop.links[s][0] for s in column if s)
+    assert () not in loop.links and any(column)
+    assert (() in column) == (overrides == LOOSE and scheme == "AoL-REVERB")
 
 
 # --- one draw per round --------------------------------------------------------
@@ -254,9 +353,9 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
         if data.draw(st.booleans(), label=f"coin-flip link {i}"):
             links[i] = link_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    budgets, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
+    ids, prbs, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
     want_values, want_delivered = per_link_transmit(selected, fleet, params, links, state, oracle_rng)
-    assert budgets == tuple(links[i][0] for i in selected)
+    assert ids == tuple(selected) and prbs == sum(links[i][0].prbs for i in selected)
     assert type(values) is list and all(type(v) is float for v in values)
     assert np.array(values).shape == want_values.shape
     assert np.array(values).tobytes() == want_values.tobytes()
@@ -312,9 +411,10 @@ def test_empty_selection_draws_nothing():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     normals = mock.Mock(side_effect=per_call_normals(rng))
-    budgets, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), {}, np.zeros(2), normals)
-    assert budgets == () and np.array(values).shape == (0,) and delivered == []
-    assert normals.call_count == 0 and rng.bit_generator.state == before
+    links = {}
+    ids, prbs, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), links, np.zeros(2), normals)
+    assert ids == () and prbs == 0 and np.array(values).shape == (0,) and delivered == []
+    assert normals.call_count == 0 and rng.bit_generator.state == before and links == {}
 
 
 @pytest.mark.parametrize("starved_first", [False, True])
@@ -325,7 +425,7 @@ def test_starved_link_is_not_delivered(starved_first):
     budget = ch.optimal_bandwidth(params, 0.02, 6.0, agent_id=1)
     links = {1: link_entry(params, budget._replace(bandwidth_hz=1e-3 * budget.bandwidth_hz))}
     rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
-    _, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
+    _, _, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
     want_values, want_delivered = per_link_transmit(selected, fleet, params, links, state, oracle_rng)
     assert delivered == want_delivered == [2, 0]
     assert np.array(values).tobytes() == want_values.tobytes()

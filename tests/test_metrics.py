@@ -1,4 +1,5 @@
-"""``metrics.compute_metrics`` and the record totals, checked against numpy reductions of the columns."""
+"""``metrics.compute_metrics`` and the record totals, checked against numpy reductions of the columns,
+and the record's id-column text, checked against a per-row join."""
 
 import dataclasses
 import json
@@ -67,6 +68,25 @@ def test_record_totals_follow_every_append():
         totals = record.total_prbs, record.failure_count, record.mean_error_norm
         assert totals == (record.total_prbs, record.failure_count, record.mean_error_norm)
     assert totals == (10, 2, 1.75 / 3)
+
+
+# Few distinct ids, so tuples repeat, as equal values in new objects too; () is a blind round.
+id_tuples = st.lists(st.sampled_from([0, 1, 3, 12]), max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.tuples(id_tuples, id_tuples), min_size=1, max_size=15))
+def test_id_columns_join_each_row_as_the_per_row_oracle(ids):
+    record = EpisodeRecord()
+    row = dict.fromkeys(EPISODE_COLUMNS, 0)
+    for n, (selected, delivered) in enumerate(ids):
+        record.append(tuple({**row, "selected": selected, "delivered": delivered}[c] for c in EPISODE_COLUMNS))
+        if n == len(ids) // 2:
+            record.columns["selected"]   # read, then appended to: the next read covers every row
+    for column, index in (("selected", 0), ("delivered", 1)):
+        want = [";".join(map(str, pair[index])) for pair in ids]
+        assert record.columns[column] == want
+        assert all(type(text) is str for text in record.columns[column])
 
 
 def test_records_without_intervals_are_rejected():

@@ -4,11 +4,15 @@ A definition whose only callers are tests is a second copy of the program
 that no run executes; it belongs in ``tests/oracles.py``. The scan reads
 ``src/reverb`` with ``ast``: a definition counts as used when its name is
 read, as a name or as an attribute, anywhere in the package outside its own
-body. Dunder methods are Python's protocol and always count as used. A read
-is not a call, so a function that package code only passes on counts as
-used even when nothing ever calls it: in ``def build(): def helper(x): ...;
-return M(f=helper)``, the constructor keyword names ``helper``, and the scan
-reports ``build`` but never ``helper``.
+body. Dunder methods are Python's protocol and always count as used. A name
+passed on as a keyword argument, ``M(f=helper)``, counts as a use only when
+package code calls the keyword, as a name (``f(x)``) or an attribute
+(``self.f(x)``): ``make_round``'s ``fuse=`` counts because ``run_round``
+calls ``fuse(``. Any call of that keyword's name counts, wherever it is, and
+a function passed on positionally, or stored in a container, still counts as
+used even when nothing ever calls it. A keyword only the standard library
+calls, ``field(default_factory=ChannelParams)``, is no use, so such a class
+counts through its other reads (here the field's annotation).
 
 A field, a name annotated in a class body (a dataclass or named-tuple
 field), that only tests read is state every run builds and no run uses. It
@@ -59,6 +63,8 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     """
     defs = []  # (qualified name, node)
     reads = []  # (name read, the definitions enclosing the read)
+    passed = []  # (name passed on, the keyword it is passed as, the definitions enclosing it)
+    called = set()  # names called, as a name or an attribute
 
     def walk(node, module, prefix, enclosing):
         for child in ast.iter_child_nodes(node):
@@ -66,6 +72,14 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                 qualname = f"{prefix}.{child.name}"
                 defs.append((f"{module}.{qualname[1:]}", child))
                 walk(child, module, qualname, enclosing + (child,))
+                continue
+            if isinstance(child, ast.Call):
+                called.add(getattr(child.func, "id", getattr(child.func, "attr", None)))
+            if (isinstance(child, ast.keyword) and child.arg is not None
+                    and isinstance(child.value, (ast.Name, ast.Attribute))):
+                value = child.value
+                passed.append((getattr(value, "id", getattr(value, "attr", None)), child.arg, enclosing))
+                walk(value, module, prefix, enclosing)
                 continue
             if isinstance(child, ast.Name):
                 reads.append((child.id, enclosing))
@@ -75,6 +89,7 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
 
     for module, source in sources.items():
         walk(ast.parse(source), module, "", ())
+    reads += [(name, enclosing) for name, keyword, enclosing in passed if keyword in called]
     return [
         name
         for name, node in defs
@@ -172,6 +187,27 @@ def recursive(n):
     return recursive(n - 1) if n else 0
 '''
     assert unreferenced({"m": source}) == ["m.Model", "m.Model.spare", "m.recursive"]
+
+
+def test_the_scan_counts_a_keyword_pass_on_only_when_the_keyword_is_called():
+    source = '''
+class M:
+    def __init__(self, f):
+        self.f = f
+
+
+def build():
+    def helper(x):
+        return x
+
+    return M(f=helper)
+'''
+    assert unreferenced({"m": source}) == ["m.build", "m.build.helper"]
+    # A call of the keyword, as an attribute or as a name, makes the pass-on a use.
+    by_attribute = source + "\n\ndef use(m):\n    return m.f(1)\n"
+    assert unreferenced({"m": by_attribute}) == ["m.build", "m.use"]
+    by_name = source + "\n\ndef use(f):\n    return f(1)\n"
+    assert unreferenced({"m": by_name}) == ["m.build", "m.use"]
 
 
 def test_every_package_field_is_read_by_the_package():
