@@ -45,20 +45,22 @@ digest; a change to the learner on purpose rewrites the file:
 ``cost_runs`` (every scheme's headline episode, the ``dense`` episode and a
 short ``control.train``) once to warm caches, then again under a
 ``sys.setprofile`` hook, and records the QIs, every package function's
-calls, the numpy functions entered from outside numpy and the calls on the
-generator behind each loop's normal stream (``loop.NormalStream``), by
-name. ``tests/costs.json`` is that file, headed by the versions; a Tier-1
-test counts again and fails when any count per QI is above its recorded
-value. Counts are exact and do not depend on the host, so a change that
-removes work re-records the file, and one that adds work names each risen
-count:
+calls, the numpy functions entered from outside numpy, the functions of
+Python's ``builtins`` module (``min``, ``max``, ``len``, ...) called from
+package code and the calls on the generator behind each loop's normal
+stream (``loop.NormalStream``), by name. ``tests/costs.json`` is that file,
+headed by the versions; a Tier-1 test counts again and fails when any count
+per QI is above its recorded value. Counts are exact and do not depend on
+the host, so a change that removes work re-records the file, and one that
+adds work names each risen count:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --costs tests/costs.json
 
 What a profile hook cannot see is not counted: array operators (``@``,
 ``+``), ufuncs and ``Generator`` methods make no event (the generator is
-counted by a proxy), and comprehension frames are left out, since Python
-3.12 inlines list comprehensions.
+counted by a proxy), and comprehension frames are left out as package
+calls, since Python 3.12 inlines list comprehensions; a builtin called
+inside one counts either way.
 """
 
 import argparse
@@ -205,7 +207,7 @@ COSTS_SEED = 3
 DENSE = {"cap": 30, "scripted_accuracy": [10000.0, 60000.0], "fleet": {"n_agents": 60}}
 COSTS_TRAIN_EPISODES = 2
 COSTS_TRAIN_QI_CAP = 200
-COST_KINDS = ("package", "numpy", "draws")
+COST_KINDS = ("package", "numpy", "builtins", "draws")
 
 _PACKAGE_DIR = os.path.dirname(reverb.__file__) + os.sep
 _NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
@@ -238,17 +240,21 @@ def _frame_name(frame) -> str:
 
 
 class CostCounter:
-    """A ``sys.setprofile`` hook counting package function calls and numpy entries by name.
+    """A ``sys.setprofile`` hook counting package calls, numpy entries and builtin calls by name.
 
     A package call is the start of a frame of code under ``src/reverb`` that
     is not a comprehension. A numpy entry is the start of a numpy Python
     frame, or a call of a numpy builtin, from code outside numpy; what numpy
-    calls inside itself is not counted.
+    calls inside itself is not counted. A builtin call is a call of a
+    ``builtins`` module function made by package code, comprehensions
+    included; a type called (``float``, ``tuple``), a method and a function
+    that C code calls (the ``len`` of ``map(len, ...)``) make no such event.
     """
 
     def __init__(self) -> None:
         self.package: collections.Counter = collections.Counter()
         self.numpy: collections.Counter = collections.Counter()
+        self.builtins: collections.Counter = collections.Counter()
         self.draws: collections.Counter = collections.Counter()
 
     def __call__(self, frame, event: str, arg) -> None:
@@ -263,8 +269,16 @@ class CostCounter:
                 caller = frame.f_back
                 if caller is None or not caller.f_code.co_filename.startswith(_NUMPY_DIR):
                     self.numpy[_frame_name(frame)] += 1
-        elif event == "c_call" and not frame.f_code.co_filename.startswith(_NUMPY_DIR):
-            module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+        elif event == "c_call":
+            path = frame.f_code.co_filename
+            if path.startswith(_NUMPY_DIR):
+                return
+            module = getattr(arg, "__module__", None)
+            if module == "builtins":
+                if path.startswith(_PACKAGE_DIR):
+                    self.builtins[f"builtins.{arg.__qualname__}"] += 1
+                return
+            module = module or type(getattr(arg, "__self__", None)).__module__
             if module == "numpy" or module.startswith("numpy."):
                 self.numpy[f"{module}.{arg.__qualname__}"] += 1
 

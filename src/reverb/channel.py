@@ -201,7 +201,8 @@ def lambert_w_lower(x: float) -> float:
         raise DomainError("no real solution below -1/e")
     if not (x < 0.0):
         raise DomainError("lower branch requires x in [-1/e, 0)")
-    x = max(x, -_INV_E)
+    if -_INV_E > x:
+        x = -_INV_E
     # Log asymptote away from the branch point, branch-point series near -1/e.
     if x > -0.25:
         lx = math.log(-x)
@@ -222,7 +223,10 @@ def lambert_w_lower(x: float) -> float:
         w -= delta
         if abs(delta) <= _HALLEY_REL_TOL * (abs(w) + 1e-300):
             break
-    if abs(w * math.exp(w) - x) > 1e-9 * max(abs(x), 1e-12):
+    scale = abs(x)
+    if 1e-12 > scale:
+        scale = 1e-12
+    if abs(w * math.exp(w) - x) > 1e-9 * scale:
         raise DomainError(f"Halley iteration failed to converge for x={x!r}")
     return w
 

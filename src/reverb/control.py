@@ -70,11 +70,17 @@ class ActionVector(_ActionFields):
     __slots__ = ()
 
     def __new__(cls, force: float, accuracy: tuple[float, ...]):
-        if not (math.isfinite(force) and all(map(math.isfinite, accuracy))):
+        if not math.isfinite(force):
             raise InputError("action fields must be finite")
+        negative = False
+        for eta in accuracy:
+            if not math.isfinite(eta):
+                raise InputError("action fields must be finite")
+            if eta < 0.0:
+                negative = True
         if abs(force) > 1.0 + 1e-12:
             raise InputError("force outside [-1, 1]")
-        if min(accuracy, default=0.0) < 0.0:  # NaN was rejected above
+        if negative:
             raise InputError("accuracy requests must be nonnegative")
         return tuple.__new__(cls, (force, accuracy))
 
@@ -145,7 +151,12 @@ class PolicyAgent:
         force, r0, r1 = np.asarray(raw, dtype=float).tolist()
         # Past exp(709) the float range ends; below -709 a request saturates to ~0 anyway.
         # One numpy exp over both requests (numpy's bits, not math.exp's), the rest in floats.
-        e0, e1 = np.exp((min(-r0, 709.0), min(-r1, 709.0))).tolist()
+        c0, c1 = -r0, -r1
+        if 709.0 < c0:
+            c0 = 709.0
+        if 709.0 < c1:
+            c1 = 709.0
+        e0, e1 = np.exp((c0, c1)).tolist()
         eta_max = self.cfg.eta_max
         return ActionVector(math.tanh(force), (eta_max / (1.0 + e0), eta_max / (1.0 + e1)))
 
@@ -401,6 +412,10 @@ def train(
 
 def scripted_controller(state: Sequence[float], push: ActionVector, pull: ActionVector) -> ActionVector:
     """Deterministic energy pump: ``push`` (force +1) while the velocity is >= 0, else ``pull`` (-1)."""
-    if not all(map(math.isfinite, state)):
+    try:
+        x, v = state
+    except (TypeError, ValueError):  # not a pair
+        raise InputError("state must be two finite numbers") from None
+    if not (math.isfinite(x) and math.isfinite(v)):
         raise InputError("state must be finite")
-    return push if state[1] >= 0.0 else pull
+    return push if v >= 0.0 else pull

@@ -59,8 +59,14 @@ class MountainCar(NamedTuple):
     @staticmethod
     def clamp(s: State) -> State:
         x, v = s
-        x = min(max(x, POSITION_MIN), POSITION_MAX)
-        v = min(max(v, -VELOCITY_MAX), VELOCITY_MAX)
+        if POSITION_MIN > x:
+            x = POSITION_MIN
+        if POSITION_MAX < x:
+            x = POSITION_MAX
+        if -VELOCITY_MAX > v:
+            v = -VELOCITY_MAX
+        if VELOCITY_MAX < v:
+            v = VELOCITY_MAX
         if x == POSITION_MIN and v < 0.0:
             v = 0.0
         return x, v
@@ -70,7 +76,10 @@ class MountainCar(NamedTuple):
         x, v = s
         v2 = v + FORCE_GAIN * a - GRAVITY * math.cos(3.0 * x)
         # x' takes the clipped velocity; clamp leaves it as it is.
-        v2 = min(max(v2, -VELOCITY_MAX), VELOCITY_MAX)
+        if -VELOCITY_MAX > v2:
+            v2 = -VELOCITY_MAX
+        if VELOCITY_MAX < v2:
+            v2 = VELOCITY_MAX
         return MountainCar.clamp((x + v2, v2))
 
     @staticmethod
@@ -100,7 +109,11 @@ def step(car: MountainCar, state: State, action: float, normals: Normals) -> Sta
         raise InputError("state must be two finite numbers")
     if not math.isfinite(action):
         raise InputError("action must be finite")
-    a = min(max(float(action), -ACTION_BOUND), ACTION_BOUND)
+    a = float(action)
+    if -ACTION_BOUND > a:
+        a = -ACTION_BOUND
+    if ACTION_BOUND < a:
+        a = ACTION_BOUND
     x, v = car.update((x, v), a)
     std = car.noise_std
     if std is not None:

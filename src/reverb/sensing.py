@@ -159,13 +159,21 @@ def generate_fleet(config: FleetConfig, rng: np.random.Generator) -> SensorFleet
 def observe(fleet: SensorFleet, ids, state: State, normals: Normals) -> list[float]:
     """The readings ``s[k] + sqrt(r) z`` of sensors ``ids``, in order, from ``normals(len(ids))``.
 
+    ``state`` is a pair (position, velocity), each entry read as a float; a
+    state that is not a pair, or has an entry that is not finite, raises
+    ``InputError`` before a normal is taken.
     The z are the stream's next normals, in order, so the readings equal
     those of reading the sensors one at a time, each with its own draw of
     one normal from the stream's generator.
     """
-    s = tuple(map(float, state))
-    if not all(map(math.isfinite, s)):
+    try:
+        x, v = state
+    except (TypeError, ValueError):  # not a pair
+        raise InputError("state must be two finite numbers") from None
+    x, v = float(x), float(v)
+    if not (math.isfinite(x) and math.isfinite(v)):
         raise InputError("state must be finite")
+    s = x, v
     features, stds = fleet.features, fleet.noise_stds
     z = normals(len(ids))
     return [s[features[i]] + stds[i] * zi for i, zi in zip(ids, z)]

@@ -21,6 +21,11 @@
   operation; ``nets.Adam.step`` forms it in place and must keep its bits.
 * ``mountain_car_update``: the clamped mountain-car transition with its
   constants written out, each bound applied where it first arises.
+* ``mountain_car_clamp`` and ``mountain_car_step``: the state bounds and the
+  noisy plant step, every clip a builtin ``min(max(x, lo), hi)``;
+  ``squash_min``: ``PolicyAgent.squash`` clipping each request with
+  ``min(-r, 709.0)``. The package clips with comparisons and must return
+  what these return.
 * ``linear_model``: a linear plant s' = A s with a given 2x2 process-noise
   covariance, duck-typed as ``estimator.predict`` and ``dynamics.step`` read
   the mountain car: the textbook Kalman filter's model.
@@ -152,6 +157,14 @@ def squash(agent: ctl.PolicyAgent, raw) -> ctl.ActionVector:
     return ctl.ActionVector(force=force, accuracy=tuple(accuracy.tolist()))
 
 
+def squash_min(agent: ctl.PolicyAgent, raw) -> ctl.ActionVector:
+    """``PolicyAgent.squash`` in floats, each request's ``-raw`` clipped by the builtin ``min(-r, 709.0)``."""
+    force, r0, r1 = np.asarray(raw, dtype=float).tolist()
+    e0, e1 = np.exp((min(-r0, 709.0), min(-r1, 709.0))).tolist()
+    eta_max = agent.cfg.eta_max
+    return ctl.ActionVector(math.tanh(force), (eta_max / (1.0 + e0), eta_max / (1.0 + e1)))
+
+
 def adam_step(params, grads, m, v, t: int) -> None:
     """Adam step ``t`` as whole-array expressions, updating ``params``, ``m`` and ``v`` in place."""
     b1c = 1.0 - ADAM_BETA1**t
@@ -273,6 +286,22 @@ def mountain_car_update(x: float, v: float, a: float) -> list[float]:
     if x2 == -1.2 and v2 < 0.0:
         v2 = 0.0
     return [x2, v2]
+
+
+def mountain_car_clamp(x, v) -> list:
+    """The state bounds: x into [-1.2, 0.6], v into [-0.07, 0.07], then a stop at the left wall."""
+    x = min(max(x, -1.2), 0.6)
+    v = min(max(v, -0.07), 0.07)
+    if x == -1.2 and v < 0.0:
+        v = 0.0
+    return [x, v]
+
+
+def mountain_car_step(x: float, v: float, a: float, noise: tuple[float, float]) -> list[float]:
+    """One noisy step: the force clipped into [-1, 1], ``mountain_car_update``, ``noise`` added, clamped."""
+    a = min(max(float(a), -1.0), 1.0)
+    x2, v2 = mountain_car_update(x, v, a)
+    return mountain_car_clamp(x2 + noise[0], v2 + noise[1])
 
 
 def linear_model(a_mat, process_noise_cov=((0.0, 0.0), (0.0, 0.0))) -> SimpleNamespace:

@@ -119,6 +119,15 @@ def test_lambert_known_points():
     assert ch.lambert_w_lower(-2.0 * math.exp(-2.0)) == pytest.approx(-2.0, rel=1e-12)
 
 
+def test_lambert_clips_to_the_branch_point_and_solves_near_zero():
+    """Just below -1/e (inside the 1e-15 allowance) solves at -1/e itself; x near 0 converges."""
+    branch = -math.exp(-1.0)
+    assert ch.lambert_w_lower(math.nextafter(branch, -1.0)) == ch.lambert_w_lower(branch)
+    for x in (-1e-13, -1e-300, -1e-310):
+        w = ch.lambert_w_lower(x)
+        assert w < -1.0 and abs(w * math.exp(w) - x) <= 1e-21
+
+
 def test_lambert_identity_lower_branch():
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1.0 / math.e, -1e-6, size=1000)

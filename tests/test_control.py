@@ -7,7 +7,7 @@ from scipy import stats
 
 from reverb import control as ctl
 from reverb import dynamics as dyn
-from reverb.errors import TrainingError
+from reverb.errors import InputError, TrainingError
 from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, MLP, Adam
 
 import oracles
@@ -190,6 +190,20 @@ def test_squash_in_floats_matches_the_numpy_oracle():
             np.array([(a.force, *a.accuracy) for a in want]).tobytes()
 
 
+def test_squash_clips_requests_past_709_as_the_builtin_min():
+    """Raw requests at, just past and far past +-709 give the bits of the ``min(-r, 709.0)`` form."""
+    agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(37))
+    edges = [709.0, -709.0, math.nextafter(709.0, math.inf), math.nextafter(-709.0, -math.inf),
+             710.0, -710.0, 1e3, -1e3, 1e308, -1e308, math.inf, -math.inf]
+    for r0 in edges:
+        for r1 in edges:
+            raw = np.array([0.3, r0, r1])
+            assert repr(agent.squash(raw)) == repr(oracles.squash_min(agent, raw)), (r0, r1)
+    for squash in (agent.squash, lambda raw: oracles.squash_min(agent, raw)):
+        with pytest.raises(InputError, match="action fields must be finite"):
+            squash(np.array([0.3, math.nan, 1e3]))
+
+
 def test_layer_arrays_stay_views_of_the_flat_vector():
     agent = ctl.PolicyAgent(ctl.ControlConfig(), np.random.default_rng(32))
     rng = np.random.default_rng(33)
@@ -321,6 +335,32 @@ def test_scripted_controller_signs():
     assert ctl.scripted_controller(np.array([0.0, 0.05]), push, pull) is push
     assert ctl.scripted_controller(np.array([0.0, -0.05]), push, pull) is pull
     assert ctl.scripted_controller(np.array([0.0, 0.0]), push, pull) is push
+
+
+def test_scripted_controller_rejects_a_state_that_is_not_a_pair_of_finite_numbers():
+    push, pull = ctl.ActionVector(1.0, (100.0, 100.0)), ctl.ActionVector(-1.0, (100.0, 100.0))
+    for state in ([0.05], [0.0, 0.05, 0.0], [0.0, 0.05, math.nan], np.zeros(3), 0.05):
+        with pytest.raises(InputError, match="state must be two finite numbers"):
+            ctl.scripted_controller(state, push, pull)
+    for state in ([math.nan, 0.05], [0.0, math.inf], np.array([-math.inf, 0.0])):
+        with pytest.raises(InputError, match="state must be finite"):
+            ctl.scripted_controller(state, push, pull)
+
+
+def test_action_checks_finiteness_then_force_then_requests():
+    """Each check reports the first failing rule in order; a request list of any length, even none, is read."""
+    for force, accuracy, line in [
+        (math.nan, ("not read",), "action fields must be finite"),
+        (2.0, (1.0, math.inf), "action fields must be finite"),
+        (0.5, (-1.0, math.nan), "action fields must be finite"),
+        (2.0, (-1.0, 1.0), "force outside [-1, 1]"),
+        (0.5, (1.0, 2.0, -1e-300), "accuracy requests must be nonnegative"),
+    ]:
+        with pytest.raises(InputError) as caught:
+            ctl.ActionVector(force, accuracy)
+        assert str(caught.value) == line
+    for accuracy in ((), (-0.0, 0.0), (0.0, 1.0, 2.0)):
+        assert ctl.ActionVector(1.0, accuracy).accuracy is accuracy
 
 
 def test_scripted_controller_reaches_goal_quickly():

@@ -1,4 +1,4 @@
-"""Exact per-QI cost counts: no package call, numpy entry or generator draw may rise above ``tests/costs.json``."""
+"""Exact per-QI cost counts: no package call, numpy entry, builtin call or draw may rise above ``tests/costs.json``."""
 
 import importlib.util
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reverb import sensing
+from reverb import aol, sensing
 
 import oracles
 
@@ -34,19 +34,26 @@ def test_per_qi_costs_do_not_rise_above_the_recorded_counts():
         f"{want['versions']}, this run has {golden.versions()} (numpy's own Python calls "
         "and Python's profile events can differ between versions)"
     )
-    # One more call of anything, or a function never called before, is caught.
-    more = {name: {**costs, "package": dict(costs["package"])} for name, costs in got.items()}
+    # One more call of anything, or a function never called before, is caught; so is a clip's
+    # ``min`` back on the per-QI path.
+    more = {
+        name: {**costs, "package": dict(costs["package"]), "builtins": dict(costs["builtins"])}
+        for name, costs in got.items()
+    }
     more["Perfect"]["package"]["reverb.loop.TwinLoop.step"] += 1
+    qis, dense_min = got["dense"]["qis"], got["dense"]["builtins"]["builtins.min"]
+    more["dense"]["builtins"]["builtins.min"] += qis
     more["train"]["package"]["reverb.dynamics.finite_difference_jacobian"] = 1
     assert golden.cost_increases(more, want["runs"]) == [
         f"Perfect package reverb.loop.TwinLoop.step: {1 + 1 / got['Perfect']['qis']:.4g} per QI, recorded 1",
+        f"dense builtins builtins.min: {dense_min / qis + 1:.4g} per QI, recorded {dense_min / qis:.4g}",
         f"train package reverb.dynamics.finite_difference_jacobian: {1 / got['train']['qis']:.4g} per QI, "
         "recorded 0",
     ]
 
 
 def test_the_counter_sees_package_calls_numpy_entries_and_draws():
-    """A hand-made run: its calls, its numpy entries (not numpy's inner calls) and its draws."""
+    """A hand-made run: its calls, its numpy entries (not numpy's inner calls), its builtin calls and its draws."""
     fleet = sensing.generate_fleet(sensing.FleetConfig(n_agents=4), np.random.default_rng(0))
     counter = golden.CostCounter()
     normals = oracles.per_call_normals(golden.CountingGenerator(np.random.default_rng(1), counter.draws))
@@ -55,6 +62,8 @@ def test_the_counter_sees_package_calls_numpy_entries_and_draws():
         for _ in range(3):
             sensing.observe(fleet, [0, 1], (0.1, 0.2), normals)
         np.mean(np.zeros(3))
+        aol.AolTracker.fresh([2, 3])  # one ``min`` and one ``len`` in the package
+        min(1, 2)  # outside the package: not counted
 
     sys.setprofile(counter)
     try:
@@ -65,7 +74,10 @@ def test_the_counter_sees_package_calls_numpy_entries_and_draws():
     assert counter.package == {
         "reverb.sensing.observe": 3, "reverb.sensing.SensorFleet.features": 1,
         "reverb.sensing.SensorFleet.noise_vars": 1, "reverb.sensing.SensorFleet.noise_stds": 1,
+        "reverb.aol.AolTracker.fresh": 1,
     }
+    # ``observe``'s ``len(ids)``, and ``fresh``'s ``min`` and ``len``; no type called or method.
+    assert counter.builtins == {"builtins.len": 4, "builtins.min": 1}
     assert counter.draws == {"standard_normal": 3}
     # ``np.mean``'s Python body counts once; its dispatcher and inner calls do not.
     mean = [name for name in counter.numpy if name.endswith("fromnumeric.mean")]

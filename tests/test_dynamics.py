@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from reverb import dynamics as dyn
 from reverb.errors import ConfigError, InputError
 
-from oracles import finite_difference_jacobian, linear_model, mountain_car_update, per_call_normals
+from oracles import (
+    finite_difference_jacobian,
+    linear_model,
+    mountain_car_clamp,
+    mountain_car_step,
+    mountain_car_update,
+    per_call_normals,
+)
 
 
 @pytest.fixture
@@ -196,12 +203,65 @@ def test_update_is_bit_equal_to_the_oracle_inside_and_outside_the_bounds(x, v, a
         (-0.5, -0.069, -1.0, (-0.5 - 0.07, -0.07)),  # v' clipped at -VELOCITY_MAX
         (-1.19, -0.05, -1.0, (-1.2, 0.0)),           # x' clamped to POSITION_MIN with v' < 0: the car stops
         (0.59, 0.06, 1.0, (0.6, None)),              # x' clamped to POSITION_MAX
+        (-1.2, 0.0, 0.0, None),                      # x at each bound, v at each bound
+        (0.6, 0.0, 0.0, None),
+        (-0.5, 0.07, 0.0, None),
+        (-0.5, -0.07, 0.0, None),
+        (0.6, 0.07, 1.0, None),
+        (-1.2, -0.07, -1.0, None),
+        (-0.5, -0.0, 0.0, None),                     # v = -0.0
+        (-1.2, -0.0, -1.0, None),
+        (-1.2, -0.0, 0.0, None),
     ],
-    ids=["velocity-max", "velocity-min", "left-wall", "right-bound"],
+    ids=[
+        "velocity-max", "velocity-min", "left-wall", "right-bound", "x-min", "x-max", "v-max", "v-min",
+        "x-max-v-max", "x-min-v-min", "v-minus-zero", "x-min-v-minus-zero", "x-min-v-minus-zero-coast",
+    ],
 )
 def test_update_clamp_branches(car, x, v, a, want):
     assert_update_matches_oracle(car, x, v, a)
-    out = car.update((x, v), a)
-    assert out[0] == want[0]
-    if want[1] is not None:
-        assert out[1] == want[1]
+    if want is not None:
+        out = car.update((x, v), a)
+        assert out[0] == want[0]
+        if want[1] is not None:
+            assert out[1] == want[1]
+
+
+BOUND_EDGES_X = [-1.2, 0.6, -1.3, 0.7, 0.0, -0.0, -1, 0, 1, -2, math.nan, math.inf, -math.inf,
+                 math.nextafter(-1.2, 0.0), math.nextafter(-1.2, -2.0)]
+BOUND_EDGES_V = [-0.07, 0.07, -0.08, 0.08, 0.0, -0.0, 0, 1, -1, math.nan, math.inf, -math.inf,
+                 math.nextafter(-0.07, 0.0), math.nextafter(0.07, 1.0)]
+
+
+def test_clamp_returns_what_min_max_clips_return(car):
+    """Each bound is two comparisons, ``if lo > x: x = lo`` then ``if hi < x: x = hi``.
+
+    ``max(x, lo)`` returns ``x`` unless ``lo > x`` is true, and ``min(y, hi)``
+    returns ``y`` unless ``hi < y`` is true, so the comparisons return what
+    ``min(max(x, lo), hi)`` returns, object for object: a tie keeps ``x``
+    (a -0.0 keeps its sign), a NaN fails both tests and passes through, and
+    an int inside the bounds stays an int. ``update``, ``step``'s force clip
+    and ``PolicyAgent.squash`` clip the same way; ``repr`` tells each of
+    these cases apart.
+    """
+    for x in BOUND_EDGES_X:
+        for v in BOUND_EDGES_V:
+            assert repr(car.clamp((x, v))) == repr(tuple(mountain_car_clamp(x, v))), (x, v)
+
+
+@pytest.mark.parametrize("a", [1.5, -1.5, 1.0, -1.0, -0.0, 0.25])
+def test_step_clips_force_and_noisy_state_as_min_max_clips(a):
+    """``step`` gives the bits of the ``min``/``max`` form, with noise that pushes the state past each bound."""
+    car = dyn.plant((1e-4, 1e-4))
+    std0, std1 = car.noise_std
+    cases = [
+        ((0.59, 0.05), (3.0, 8.0)),       # past POSITION_MAX and VELOCITY_MAX after the update's own clamp
+        ((-1.19, -0.06), (-3.0, -8.0)),   # past POSITION_MIN with v < 0: the car stops again
+        ((-0.5, 0.0), (200.0, -10.0)),    # from inside, past the right bound and -VELOCITY_MAX
+        ((-0.5, 0.0), (-200.0, 10.0)),
+        ((-0.5, 0.01), (0.1, -0.2)),      # inside every bound
+    ]
+    for (x, v), (z0, z1) in cases:
+        out = dyn.step(car, (x, v), a, counting_normals([z0, z1]))
+        want = mountain_car_step(x, v, a, (std0 * z0, std1 * z1))
+        assert np.array(out).tobytes() == np.array(want).tobytes(), ((x, v), (z0, z1))

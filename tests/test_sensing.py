@@ -104,12 +104,16 @@ def test_residual_moments_match_noise_covariance():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("k", [0, 1])
 def test_observe_rejects_non_finite_state(bad, k):
+    """A non-finite entry, and a state that is not a pair (checked first, as ``dynamics.step`` does), take no normal."""
     state = [0.3, -0.01]
     state[k] = bad
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(InputError, match="state must be finite"):
         sensing.observe(one_sensor(0, 1e-4), [0], state, oracles.per_call_normals(rng))
+    for not_a_pair in (state[k:k + 1], [*state, 0.0], [0.3, -0.01, bad], bad):
+        with pytest.raises(InputError, match="state must be two finite numbers"):
+            sensing.observe(one_sensor(0, 1e-4), [0], not_a_pair, oracles.per_call_normals(rng))
     assert rng.bit_generator.state == before
 
 
