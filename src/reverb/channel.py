@@ -219,14 +219,14 @@ def lambert_w_lower(x: float) -> float:
         if wp1 == 0.0:
             w += 1e-12
             continue
-        delta = fw / (ew * wp1 - (w + 2.0) * fw / (2.0 * wp1))
+        denominator = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
+        if denominator == 0.0:  # e^w underflowed: x is too close to 0 to solve
+            raise DomainError(f"Halley iteration failed to converge for x={x!r}")
+        delta = fw / denominator
         w -= delta
         if abs(delta) <= _HALLEY_REL_TOL * (abs(w) + 1e-300):
             break
-    scale = abs(x)
-    if 1e-12 > scale:
-        scale = 1e-12
-    if abs(w * math.exp(w) - x) > 1e-9 * scale:
+    if abs(w * math.exp(w) - x) > 1e-9 * abs(x):
         raise DomainError(f"Halley iteration failed to converge for x={x!r}")
     return w
 

@@ -4,21 +4,20 @@ Column order and headers are frozen (``EPISODE_COLUMNS``); floats are written
 with ``repr`` so every row round-trips losslessly and reruns are byte
 identical. A record keeps one tuple per interval in that order, as the loop
 produced it: floats and ints, with ``selected`` and ``delivered`` as tuples
-of agent ids. ``columns``, the per-column view the metrics and the CSV read,
-is built when it is first read and kept until the next ``append``; an id
-column is joined into ``;``-separated text only when that column is read,
-since the metrics read none, and each distinct id tuple is joined once per
-view, whichever id column it appears in. The record's totals, ``total_prbs``,
-``failure_count`` and ``mean_error_norm``, are computed when first read and
-kept until the next ``append`` as well.
+of agent ids. ``columns`` is a plain dict, column name -> list, built in one
+pass when first read and dropped by the next ``append``; in it each id tuple
+is ``;``-joined text, each distinct tuple joined once per build. The totals
+``total_prbs``, ``failure_count`` and ``mean_error_norm`` and the episode CSV
+are read from the rows, so neither builds that dict.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,40 +47,8 @@ EPISODE_COLUMNS = (
 
 _INT_COLUMNS = {"qi", "n_selected", "prbs", "age_pos", "age_vel", "failed"}
 _STR_COLUMNS = {"selected", "delivered"}
-
-
-class _Columns(Mapping):
-    """The per-column view of a record's rows; an id column is joined into text when first read."""
-
-    def __init__(self, rows: list[tuple]) -> None:
-        self.totals: dict[str, object] = {}  # the record's totals computed from these columns
-        values = zip(*rows) if rows else ((),) * len(EPISODE_COLUMNS)
-        self._lists: dict[str, list] = {}
-        self._ids: dict[str, tuple] = {}
-        self._texts: dict[tuple, str] = {}  # id tuple -> its ``;``-joined text
-        for c, v in zip(EPISODE_COLUMNS, values):
-            if c in _STR_COLUMNS:
-                self._ids[c] = v
-            else:
-                self._lists[c] = list(v)
-
-    def __getitem__(self, column: str) -> list:
-        ids = self._ids.pop(column, None)
-        if ids is not None:
-            texts, column_texts = self._texts, []
-            for row_ids in ids:
-                text = texts.get(row_ids)
-                if text is None:
-                    text = texts[row_ids] = ";".join(map(str, row_ids))
-                column_texts.append(text)
-            self._lists[column] = column_texts
-        return self._lists[column]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(EPISODE_COLUMNS)
-
-    def __len__(self) -> int:
-        return len(EPISODE_COLUMNS)
+_PRBS, _FAILED = itemgetter(EPISODE_COLUMNS.index("prbs")), itemgetter(EPISODE_COLUMNS.index("failed"))
+_NO_ROWS = ((),) * len(EPISODE_COLUMNS)  # the columns of a record without rows
 
 
 @dataclass
@@ -91,7 +58,7 @@ class EpisodeRecord:
     scheme: str = ""
     reached_goal: bool = False
     rows: list[tuple] = field(default_factory=list)
-    _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: dict[str, list] | None = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, row: tuple) -> None:
         """Log one interval: a tuple of values in ``EPISODE_COLUMNS`` order."""
@@ -101,10 +68,15 @@ class EpisodeRecord:
         self._columns = None
 
     @property
-    def columns(self) -> Mapping[str, list]:
+    def columns(self) -> dict[str, list]:
         """Column name -> the values of every row; agent ids as ``;``-joined text."""
         if self._columns is None:
-            self._columns = _Columns(self.rows)
+            columns = dict(zip(EPISODE_COLUMNS, map(list, zip(*self.rows) if self.rows else _NO_ROWS)))
+            # Each distinct id tuple is joined once, whichever id column it appears in.
+            texts = {ids: ";".join(map(str, ids)) for ids in {*columns["selected"], *columns["delivered"]}}
+            for c in _STR_COLUMNS:
+                columns[c] = [texts[ids] for ids in columns[c]]
+            self._columns = columns
         return self._columns
 
     def __len__(self) -> int:
@@ -114,37 +86,26 @@ class EpisodeRecord:
     def qis(self) -> int:
         return len(self)
 
-    def _total(self, name: str, compute):
-        """``compute(columns)``, kept with the column view until the next ``append``."""
-        columns = self.columns
-        totals = columns.totals
-        if name not in totals:
-            totals[name] = compute(columns)
-        return totals[name]
-
     @property
     def total_prbs(self) -> int:
-        return self._total("total_prbs", lambda c: int(sum(c["prbs"])))
+        return int(sum(map(_PRBS, self.rows)))
 
     @property
     def failure_count(self) -> int:
-        return self._total("failure_count", lambda c: int(sum(c["failed"])))
+        return int(sum(map(_FAILED, self.rows)))
 
     @property
     def mean_error_norm(self) -> float:
         """Per-interval mean of ||true state - belief mean||_2."""
-        return self._total("mean_error_norm", _mean_error_norm)
-
-
-def _mean_error_norm(columns) -> float:
-    ex = np.array(columns["true_pos"]) - np.array(columns["belief_pos"])
-    ev = np.array(columns["true_vel"]) - np.array(columns["belief_vel"])
-    return float(np.mean(np.hypot(ex, ev)))
+        _, true_pos, true_vel, belief_pos, belief_vel = islice(zip(*self.rows) if self.rows else _NO_ROWS, 5)
+        ex = np.array(true_pos) - np.array(belief_pos)
+        ev = np.array(true_vel) - np.array(belief_vel)
+        return float(np.mean(np.hypot(ex, ev)))
 
 
 def _fmt(col: str, value) -> str:
     if col in _STR_COLUMNS:
-        return str(value)
+        return ";".join(map(str, value))
     if col in _INT_COLUMNS:
         return str(int(value))
     return repr(float(value))
@@ -154,9 +115,8 @@ def write_episode_csv(record: EpisodeRecord, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
-        columns = [record.columns[c] for c in EPISODE_COLUMNS]
-        for i in range(len(record)):
-            writer.writerow([_fmt(c, column[i]) for c, column in zip(EPISODE_COLUMNS, columns)])
+        for row in record.rows:
+            writer.writerow([_fmt(c, value) for c, value in zip(EPISODE_COLUMNS, row)])
 
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:

@@ -125,7 +125,17 @@ def test_lambert_clips_to_the_branch_point_and_solves_near_zero():
     assert ch.lambert_w_lower(math.nextafter(branch, -1.0)) == ch.lambert_w_lower(branch)
     for x in (-1e-13, -1e-300, -1e-310):
         w = ch.lambert_w_lower(x)
-        assert w < -1.0 and abs(w * math.exp(w) - x) <= 1e-21
+        assert w < -1.0 and abs(w * math.exp(w) - x) <= 1e-9 * abs(x)
+
+
+def test_lambert_rejects_subnormals_it_cannot_solve():
+    """Where e^w underflows, the iteration either divides by zero or stalls far from x; both are DomainErrors."""
+    for x in (-5e-324, -1e-323, -3e-321, -4e-321, -1e-320, -1e-315):
+        with pytest.raises(DomainError, match="^Halley iteration failed to converge for x="):
+            ch.lambert_w_lower(x)
+    # Still solved just above them, and decreasing as x nears 0.
+    ws = [ch.lambert_w_lower(x) for x in (-1e-300, -1e-310, -1e-312)]
+    assert ws == sorted(ws, reverse=True) and ws[-1] < -710.0
 
 
 def test_lambert_identity_lower_branch():

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from reverb import aol, sensing
+from reverb import aol, runner, sensing
+from reverb.config import RunConfig
 
 import oracles
 
@@ -83,3 +84,23 @@ def test_the_counter_sees_package_calls_numpy_entries_and_draws():
     mean = [name for name in counter.numpy if name.endswith("fromnumeric.mean")]
     assert len(mean) == 1
     assert counter.numpy == {"numpy.ndarray.tolist": 3, "numpy.zeros": 1, mean[0]: 1}
+
+
+def test_an_episode_builds_one_column_dict_for_the_metrics_and_perfbench():
+    """``runner.monte_carlo``'s ``compute_metrics`` builds the dict; perfbench's two reads of it reuse it."""
+    sys.path.append(str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    counter = golden.CostCounter()
+    sys.setprofile(counter)
+    try:
+        _, (record,) = runner.monte_carlo(RunConfig(seed=golden.COSTS_SEED), 1, scheme="AoL-REVERB")
+        built = record._columns
+        facts = workloads._episode_facts(record)
+    finally:
+        sys.setprofile(None)
+    # Three reads of ``columns``: one by ``compute_metrics``, two by ``_episode_facts``; one dict serves them all.
+    assert counter.package["reverb.recordio.EpisodeRecord.columns"] == 3
+    assert type(built) is dict and record._columns is built and facts["qis"] == record.qis

@@ -255,6 +255,40 @@ def test_episode_csv_round_trip(tmp_path, cfg):
         assert back.columns[col] == record.columns[col]
 
 
+def per_row_csv(record) -> bytes:
+    """The episode CSV written cell by cell from ``record.rows``: ids ``;``-joined, ints as ints, floats by ``repr``."""
+    lines = [",".join(EPISODE_COLUMNS)]
+    for row in record.rows:
+        cells = []
+        for c, value in zip(EPISODE_COLUMNS, row):
+            if c in ("selected", "delivered"):
+                cells.append(";".join(str(i) for i in value))
+            elif c in ("qi", "n_selected", "prbs", "age_pos", "age_vel", "failed"):
+                cells.append(str(int(value)))
+            else:
+                cells.append(repr(float(value)))
+        lines.append(",".join(cells))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_episode_csv_is_written_from_the_rows_alone(tmp_path, cfg, monkeypatch):
+    hand = hand_record("AoL-REVERB", [
+        base_row(qi=0, selected=(3, 5, 11), delivered=(5,), n_selected=3, prbs=7, true_pos=0.1),
+        base_row(qi=1, selected=(), delivered=(), n_selected=0, failed=1),
+        base_row(qi=2, selected=(0,), delivered=(0,), n_selected=1, belief_vel=-2.5e-17),
+    ])
+    episode = run_episode(cfg, "AoL-REVERB", make_policy(cfg), seed=12)
+
+    def no_columns(record):
+        raise AssertionError("the column dict was built")
+
+    monkeypatch.setattr(EpisodeRecord, "columns", property(no_columns))
+    for n, record in enumerate((hand, episode)):
+        path = tmp_path / f"episode_{n}.csv"
+        write_episode_csv(record, path)
+        assert path.read_bytes() == per_row_csv(record)
+
+
 def test_bad_row_rejected():
     rec = EpisodeRecord()
     row = tuple(base_row().values())
@@ -283,7 +317,7 @@ def eager_columns(rows):
     }
 
 
-def test_lazily_joined_columns_equal_the_eager_dict():
+def test_column_dict_equals_the_eager_join():
     rows = [
         base_row(qi=0, selected=(3, 5, 11), delivered=(5,), n_selected=3, prbs=7),
         base_row(qi=1, selected=(), delivered=(), n_selected=0),
@@ -293,6 +327,7 @@ def test_lazily_joined_columns_equal_the_eager_dict():
     # Read as a whole, one text column first, or only the numeric columns the metrics read.
     whole = hand_record("AoL-REVERB", rows)
     assert whole.columns == want and dict(whole.columns) == want and list(whole.columns) == list(EPISODE_COLUMNS)
+    assert type(whole.columns) is dict
     one_first = hand_record("AoL-REVERB", rows)
     assert one_first.columns["delivered"] == ["5", "", "0"]
     assert dict(one_first.columns) == want

@@ -1,8 +1,9 @@
-"""``metrics.compute_metrics`` and the record totals, checked against numpy reductions of the columns,
-and the record's id-column text, checked against a per-row join."""
+"""``metrics.compute_metrics`` and the record totals, checked against numpy reductions of the columns
+(the totals with the column dict unbuilt), and the record's id-column text, checked against a per-row join."""
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,22 @@ def test_record_totals_follow_every_append():
         totals = record.total_prbs, record.failure_count, record.mean_error_norm
         assert totals == (record.total_prbs, record.failure_count, record.mean_error_norm)
     assert totals == (10, 2, 1.75 / 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=records())
+def test_record_totals_read_the_rows_not_the_column_dict(record):
+    want = compute_metrics_numpy([record])
+
+    def no_columns(record):
+        raise AssertionError("the column dict was built")
+
+    with mock.patch.object(EpisodeRecord, "columns", property(no_columns)):
+        got = record.total_prbs, record.failure_count, record.mean_error_norm
+    assert type(got[0]) is int and type(got[1]) is int
+    assert float(got[0]) == want.mean_total_prbs
+    assert got[1] / record.qis == want.failure_prob
+    assert got[2].hex() == want.mrmse.hex()
 
 
 # Few distinct ids, so tuples repeat, as equal values in new objects too; () is a blind round.
