@@ -21,7 +21,11 @@ constants, so ``ChannelParams`` computes it once, beside the noise density.
 Granted bandwidth is quantized upward to physical resource blocks (PRBs). A
 sized link is a ``LinkBudget``, an immutable named tuple; the loop's link
 table (``TwinLoop.links``) holds each sensor's, sized the first time the
-sensor is selected.
+sensor is selected, with its ``link_terms``: the bandwidth, the SNR less the
+fading, and the sure fade, the fade at which the link's rate meets D/tau
+exactly raised by ``SURE_MARGIN``. ``meets_deadline`` delivers a fade at or
+above it without taking the logarithm; only fades in a sized link's outage
+tail take ``uplink_latency``'s exact expression.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _HALLEY_REL_TOL = 1e-12  # lambert_w_lower stops once a step is this small relat
 # the rounding of its argument near -1/e (1e-12 at 1e-2, 0.5 at 1e-8).
 _UPS_SERIES = (-2.0, 4 / 3, -10 / 9, 136 / 135, -386 / 405, 524 / 567, -38698 / 42525, 16496 / 18225)
 _SERIES_MAX_DELTA = 1e-2
+_LN2 = math.log(2.0)
+# A link's sure fade sits this factor above the fade at which its rate meets D/tau exactly.
+SURE_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,28 @@ def snr_terms(
     return params.system_gain * tx_power_w, distance_m**params.path_loss_exp * bandwidth_hz * params.noise_psd
 
 
-def link_terms(params: ChannelParams, budget: LinkBudget) -> tuple[float, float, float]:
-    """What a sized link's deadline test needs beside the fading: (W, snr's num, snr's den)."""
-    return (budget.bandwidth_hz, *snr_terms(params, budget.tx_power_w, budget.distance_m, budget.bandwidth_hz))
+def link_terms(params: ChannelParams, budget: LinkBudget) -> tuple[float, float, float, float]:
+    """What a sized link's deadline test needs beside the fading: (W, snr's num, snr's den, sure fade).
+
+    The sure fade is the fade at which the link's rate meets D/tau exactly,
+    (2^(D/(tau W)) - 1) den / num, raised by ``SURE_MARGIN``: every fade at or
+    above it makes the deadline, so ``meets_deadline`` takes no logarithm
+    there. It is ``inf``, so that no fade skips the exact test, when that
+    value is not a finite positive number or the exact test does not
+    deliver at it.
+    """
+    bandwidth = budget.bandwidth_hz
+    num, den = snr_terms(params, budget.tx_power_w, budget.distance_m, bandwidth)
+    bits, deadline = params.packet_bits, params.max_latency_s
+    try:
+        sure = math.expm1(_LN2 * bits / (deadline * bandwidth)) * den / num * SURE_MARGIN
+    except OverflowError:
+        sure = math.inf
+    if 0.0 < sure < math.inf:
+        rate = bandwidth * math.log2(1.0 + num * sure / den)
+        if rate > 0.0 and bits / rate <= deadline:
+            return bandwidth, num, den, sure
+    return bandwidth, num, den, math.inf
 
 
 def meets_deadline(params: ChannelParams, links, normals) -> list[bool]:
@@ -140,19 +166,24 @@ def meets_deadline(params: ChannelParams, links, normals) -> list[bool]:
     ``links`` holds each budget's ``link_terms``; ``normals`` holds two draws
     per link, in link order, the real part's before the imaginary part's, as
     ``rician_fading_sample`` reads them. The fade is ``rician_power``'s
-    expression on the channel's cached ``fading_terms``, and the SNR, the rate
-    and the latency test are ``uplink_latency``'s, in the same order; a rate
+    expression on the channel's cached ``fading_terms``. A fade at or above
+    the link's sure fade is delivered; below it, the SNR, the rate and the
+    latency test are ``uplink_latency``'s, in the same order, and a rate
     that is not positive means an infinite latency, which no deadline meets.
     """
     los, sigma = params.fading_terms
     bits, deadline = params.packet_bits, params.max_latency_s
     pairs = iter(normals)
     met = []
-    for (bandwidth, num, den), re_z, im_z in zip(links, pairs, pairs):
+    for (bandwidth, num, den, sure), re_z, im_z in zip(links, pairs, pairs):
         re = los + sigma * re_z
         im = sigma * im_z
-        rate = bandwidth * math.log2(1.0 + num * (re * re + im * im) / den)
-        met.append(rate > 0.0 and bits / rate <= deadline)
+        fade = re * re + im * im
+        if fade >= sure:
+            met.append(True)
+        else:
+            rate = bandwidth * math.log2(1.0 + num * fade / den)
+            met.append(rate > 0.0 and bits / rate <= deadline)
     return met
 
 

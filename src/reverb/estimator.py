@@ -12,12 +12,13 @@ product bit for bit).
 A sensor observes one feature k with noise variance r, so independent
 readings are fused one at a time (sequential processing, Bierman 1977):
 ``rank1_update`` is the Joseph-form update S = P_kk + r, K = P[:, k] / S of a
-2x2 covariance held as nested float tuples, cross-checked against the textbook
-(I - K e_k^T) P expression, with one jitter retry when S is not positive.
-The planner calls it once per pick and keeps each result, (gain,
-covariance), as a step; ``scheduler.fuse_delivered`` reuses those steps and
-applies the mean update m + K (y - m_k). ``posterior_cov`` is the
-covariance alone.
+2x2 covariance on flat floats: it takes the prior's four entries in row
+order, k and r, and returns one flat step (g0, g1, c00, c01, c10, c11). It
+is cross-checked against the textbook (I - K e_k^T) P expression, with one
+jitter retry when S is not positive, and its checks are comparisons, so it
+calls no builtin. The planner calls it once per pick and keeps each step;
+``scheduler.fuse_delivered`` reuses those steps and applies the mean update
+m + K (y - m_k). ``posterior_cov`` is the covariance alone, nested.
 
 ``fuse`` takes a stacked ``FusionBatch`` of unit-selector rows e_k with a
 diagonal noise covariance (``from_observations`` stacks sensors and their
@@ -51,8 +52,10 @@ Array = np.ndarray
 SYMMETRY_TOL = 1e-10
 JOSEPH_TOL = 1e-8
 
-# One rank-1 update of a 2x2 covariance held as nested floats: (gain, posterior).
-Step = tuple[tuple[float, float], Matrix2]
+_INF = math.inf
+
+# One rank-1 update of a 2x2 covariance, flat: (g0, g1, c00, c01, c10, c11), gain then posterior.
+Step = tuple[float, float, float, float, float, float]
 
 
 @dataclass(slots=True)
@@ -130,47 +133,59 @@ def predict(belief: Belief, action: float, model: MountainCar) -> Belief:
     return Belief(model.update(mean, action), cov)
 
 
-def rank1_update(p: Matrix2, k: int, r: float) -> Step:
-    """Kalman gain and Joseph-form posterior of a 2x2 prior fused with one reading.
+def rank1_update(p00: float, p01: float, p10: float, p11: float, k: int, r: float) -> Step:
+    """Kalman gain and Joseph-form posterior of a 2x2 prior fused with one reading, as one flat step.
 
-    The sensor observes feature ``k`` with noise variance ``r``. ``p`` and the
-    posterior are nested floats: on a 2x2 prior the per-call overhead of numpy
-    would dominate. Cross-checked against (I-KH)P; S = P_kk + r gets one
-    jitter retry when it is not positive.
+    The sensor observes feature ``k`` with noise variance ``r``; the prior's
+    entries come in row order and the step is (g0, g1, c00, c01, c10, c11).
+    The off-diagonal term r (g0 g1) and the symmetrized entry are formed
+    once, as c01 and c10 are the same float. Cross-checked against (I-KH)P;
+    S = P_kk + r gets one jitter retry when it is not positive.
     """
-    (p00, p01), (p10, p11) = p
-    pk0, pk1 = p[k]
-    p0k, p1k = (p00, p10) if k == 0 else (p01, p11)
-    if not (math.isfinite(pk0) and math.isfinite(pk1) and math.isfinite(r)):
+    # Row k of the prior (pk0, pk1), its column k (p0k, p1k) and P_kk.
+    if k == 0:
+        pkk = pk0 = p0k = p00
+        pk1, p1k = p01, p10
+    else:
+        pkk = pk1 = p1k = p11
+        pk0, p0k = p10, p01
+    if not (-_INF < pk0 < _INF and -_INF < pk1 < _INF and -_INF < r < _INF):
         raise NumericalError("innovation covariance or gain system is not finite")
-    s = p[k][k] + r
+    s = pkk + r
     if not s > 0.0:
-        s = p[k][k] + r + 1e-12
+        s = pkk + r + 1e-12
         if not s > 0.0:
             raise NumericalError("innovation covariance is singular")
     g0, g1 = p0k / s, p1k / s
     # (I - K e_k^T) P, then Joseph: (I - K e_k^T) P (I - K e_k^T)^T + r K K^T.
     a00, a01 = p00 - g0 * pk0, p01 - g0 * pk1
     a10, a11 = p10 - g1 * pk0, p11 - g1 * pk1
-    a0k, a1k = (a00, a10) if k == 0 else (a01, a11)
+    if k == 0:
+        a0k, a1k = a00, a10
+    else:
+        a0k, a1k = a01, a11
+    rg01 = r * (g0 * g1)
     j00 = a00 - a0k * g0 + r * (g0 * g0)
-    j01 = a01 - a0k * g1 + r * (g0 * g1)
-    j10 = a10 - a1k * g0 + r * (g1 * g0)
+    j01 = a01 - a0k * g1 + rg01
+    j10 = a10 - a1k * g0 + rg01
     j11 = a11 - a1k * g1 + r * (g1 * g1)
-    c00, c01, c10, c11 = 0.5 * (j00 + j00), 0.5 * (j01 + j10), 0.5 * (j10 + j01), 0.5 * (j11 + j11)
+    c00, c01, c11 = 0.5 * (j00 + j00), 0.5 * (j01 + j10), 0.5 * (j11 + j11)
+    tol = JOSEPH_TOL
     if not (
-        abs(c00 - a00) <= JOSEPH_TOL
-        and abs(c01 - a01) <= JOSEPH_TOL
-        and abs(c10 - a10) <= JOSEPH_TOL
-        and abs(c11 - a11) <= JOSEPH_TOL
+        -tol <= c00 - a00 <= tol
+        and -tol <= c01 - a01 <= tol
+        and -tol <= c01 - a10 <= tol
+        and -tol <= c11 - a11 <= tol
     ):
         raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
-    return (g0, g1), ((c00, c01), (c10, c11))
+    return g0, g1, c00, c01, c01, c11
 
 
 def posterior_cov(p: Matrix2, k: int, r: float) -> Matrix2:
-    """The would-be posterior of one reading: ``rank1_update``'s covariance alone."""
-    return rank1_update(p, k, r)[1]
+    """The would-be posterior of one reading: ``rank1_update``'s covariance alone, nested."""
+    (p00, p01), (p10, p11) = p
+    _, _, c00, c01, c10, c11 = rank1_update(p00, p01, p10, p11, k, r)
+    return (c00, c01), (c10, c11)
 
 
 def fuse(prior: Belief, batch: FusionBatch) -> Belief:
@@ -191,13 +206,13 @@ def fuse(prior: Belief, batch: FusionBatch) -> Belief:
         raise InputError("each observation row must select one feature (a unit row e_k)")
     if np.any(r[~np.eye(n, dtype=bool)] != 0.0):
         raise InputError("the batch noise covariance must be diagonal")
-    (m0, m1), cov = prior.mean, prior.cov
+    (m0, m1), ((c00, c01), (c10, c11)) = prior.mean, prior.cov
     for row, rk, yk in zip(rows, np.diag(r).tolist(), y.tolist()):
         k = row.index(1.0)
-        (g0, g1), cov = rank1_update(cov, k, rk)
+        g0, g1, c00, c01, c10, c11 = rank1_update(c00, c01, c10, c11, k, rk)
         innovation = yk - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-    return Belief((m0, m1), cov)
+    return Belief((m0, m1), ((c00, c01), (c10, c11)))
 
 
 def init_belief(true_state: State, rng: np.random.Generator, var: float) -> Belief:

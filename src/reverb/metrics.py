@@ -77,9 +77,13 @@ def compute_metrics(records: list[EpisodeRecord]) -> MetricsSummary:
             ages, h = Counter(columns[col]), hist[k]
             for a in sorted(ages):  # per record in increasing age, as the keys first appear
                 h[a] = h.get(a, 0) + ages[a]
-    qis = sum([r.qis for r in records])
+    counts = [r.qis for r in records]
+    qis = sum(counts)
     if not qis:
         raise InputError("need at least one logged interval")
+    if 0 in counts:  # its mean error norm would be the mean of nothing
+        n = counts.index(0)
+        raise InputError(f"episode record {n} ({records[n].scheme!r}) has no logged interval")
     try:
         mean_total_prbs = sum([r.total_prbs for r in records]) / len(records)
     except OverflowError:  # each link's PRB count is finite, their sum need not be

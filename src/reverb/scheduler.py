@@ -9,8 +9,11 @@ each pick with ``estimator.rank1_update``, until the targets hold, the cap is
 reached, or no candidate sensor remains. A sensor measures one feature, so
 each feature's candidates are its own sensors and no other feature's pick
 can take them: the planner walks one candidate queue per feature, with a
-cursor, and takes the argmax over the two features written out. It returns
-each pick's rank-1 update, (gain, covariance), as its steps.
+cursor, from which only that feature's own age pick is dropped, and takes
+the argmax over the two features written out. It keeps the running
+covariance as four floats and counts the room left under the cap, and it
+returns each pick's flat rank-1 step, (g0, g1, c00, c01, c10, c11), as its
+steps.
 
 ``run_round`` is the round every radio scheme runs: the scheme's selector
 names the sensors, their links are sized and their observations transmitted,
@@ -26,9 +29,9 @@ observation noise (``sensing.observe``), then those for all fades, from the
 loop's stream (``loop.NormalStream``): the numbers, in the order, that
 per-link ``uplink_outcome`` calls on the stream's generator would draw.
 ``channel.meets_deadline`` forms each fade and tests each link from the
-table's parts in one pass. Readings and normals are lists of Python floats
-from the stream to the fusion. The planner keeps its 2x2 covariance as
-nested floats across picks. Fusion (``fuse_delivered``) is one loop over the
+table's parts in one pass, taking no logarithm for a fade at or above the
+link's sure fade. Readings and normals are lists of Python floats from the
+stream to the fusion. Fusion (``fuse_delivered``) is one loop over the
 picks, one rank-1 update per delivered reading, in selection order: while
 every pick so far has arrived, update n is the planner's step n on the same
 numbers, so its gain and covariance are reused and only the mean moves; from
@@ -36,6 +39,8 @@ the first lost pick on, ``rank1_update`` runs on the running covariance. A
 round that was fully planned and fully delivered reuses every step, so it
 applies them in one plain ``zip`` with no per-pick test. A blind round
 selects nothing and takes no normals, so the stream after it is where it was.
+Each delivered feature closes its loop once, however many of its readings
+arrived.
 The targets are a plain tuple of per-feature variance bounds, computed and
 checked in Python floats by ``compute_targets``. The planner, the fusion and
 the loop closing read each sensor's feature and noise from the fleet's
@@ -104,8 +109,8 @@ def plan_selection(
 ) -> tuple[list[int], list[est.Step]]:
     """Decide the transmission set; returns (picks, steps): sensor ids in order, and their rank-1 updates.
 
-    Step i is ``estimator.rank1_update``'s (gain, covariance) for pick i, from
-    the covariance after the picks before it: the covariance used inside the
+    Step i is ``estimator.rank1_update``'s flat step for pick i, from the
+    covariance after the picks before it: the covariance used inside the
     loop assumes every pick is delivered, and the planned covariance is the
     last step's (the prior's when nothing is picked). Real outages are
     applied afterwards to the stored belief only. Candidates come from the
@@ -117,32 +122,36 @@ def plan_selection(
     queue is its quietest-first order less its own age-phase pick.
     """
     b0, b1 = targets
-    cov = prior_cov
+    (c00, c01), (c10, c11) = prior_cov
     noise_vars = fleet.noise_vars
     rank1 = est.rank1_update
     selected: list[int] = []
     steps: list[est.Step] = []
+    room = cap
+    q0, q1 = fleet.quietest_first[0], fleet.quietest_first[1]
 
     for k in sorted(violated):
-        if len(selected) >= cap:
+        if room <= 0:
             break
         if fleet.nearest_first[k]:
             i = fleet.nearest_first[k][0]
-            step = rank1(cov, k, noise_vars[i])
+            step = rank1(c00, c01, c10, c11, k, noise_vars[i])
             selected.append(i)
             steps.append(step)
-            cov = step[1]
+            _, _, c00, c01, c10, c11 = step
+            room -= 1
+            # The age pick leaves its own feature's queue; no other queue holds it.
+            if k == 0:
+                q0 = [j for j in q0 if j != i]
+            else:
+                q1 = [j for j in q1 if j != i]
 
-    q0, q1 = fleet.quietest_first[0], fleet.quietest_first[1]
-    if selected:
-        q0, q1 = ([i for i in q if i not in selected] for q in (q0, q1))
     n0, n1 = len(q0), len(q1)
     c0 = c1 = 0
-    (v0, _), (_, v1) = cov
-    while len(selected) < cap and (v0 > b0 or v1 > b1):
+    while room > 0 and (c00 > b0 or c11 > b1):
         # The coverable feature with the largest variance-to-target ratio;
         # strict, so ties keep feature 0.
-        if c1 < n1 and (c0 >= n0 or v1 / b1 > v0 / b0):
+        if c1 < n1 and (c0 >= n0 or c11 / b1 > c00 / b0):
             k, i = 1, q1[c1]
             c1 += 1
         elif c0 < n0:
@@ -150,11 +159,11 @@ def plan_selection(
             c0 += 1
         else:
             break
-        step = rank1(cov, k, noise_vars[i])
+        step = rank1(c00, c01, c10, c11, k, noise_vars[i])
         selected.append(i)
         steps.append(step)
-        cov = step[1]
-        (v0, _), (_, v1) = cov
+        _, _, c00, c01, c10, c11 = step
+        room -= 1
 
     return selected, steps
 
@@ -228,13 +237,13 @@ def fuse_delivered(
     the posterior is a new belief holding the prior's numbers.
     """
     features, noise_vars = fleet.features, fleet.noise_vars
-    (m0, m1), cov = prior.mean, prior.cov
+    (m0, m1), ((c00, c01), (c10, c11)) = prior.mean, prior.cov
     if len(delivered) == len(selected) == len(steps):
         # Fully planned and fully delivered: update n is step n, every one.
-        for i, y, ((g0, g1), cov) in zip(selected, values, steps):
+        for i, y, (g0, g1, c00, c01, c10, c11) in zip(selected, values, steps):
             innovation = y - (m0 if features[i] == 0 else m1)
             m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-        return est.Belief((m0, m1), cov)
+        return est.Belief((m0, m1), ((c00, c01), (c10, c11)))
     arrived = set(delivered) if len(delivered) < len(selected) else None
     planned = len(steps)
     for n, (i, y) in enumerate(zip(selected, values)):
@@ -242,10 +251,12 @@ def fuse_delivered(
             planned = min(planned, n)
             continue
         k = features[i]
-        (g0, g1), cov = steps[n] if n < planned else est.rank1_update(cov, k, noise_vars[i])
+        g0, g1, c00, c01, c10, c11 = (
+            steps[n] if n < planned else est.rank1_update(c00, c01, c10, c11, k, noise_vars[i])
+        )
         innovation = y - (m0 if k == 0 else m1)
         m0, m1 = m0 + g0 * innovation, m1 + g1 * innovation
-    return est.Belief((m0, m1), cov)
+    return est.Belief((m0, m1), ((c00, c01), (c10, c11)))
 
 
 def run_round(
@@ -277,4 +288,4 @@ def run_round(
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
     result = ScheduleResult(ids, ids if len(delivered) == len(ids) else tuple(delivered), prbs)
     features = fleet.features
-    return result, posterior, aol.close_loop([features[i] for i in delivered])
+    return result, posterior, aol.close_loop({features[i] for i in delivered})

@@ -39,6 +39,11 @@
   matrix, solved by Cholesky and cross-checked against (I - KH) P.
 * ``rank1_joseph`` and ``sequential_fusion``: the rank-1 Joseph update and
   the one-reading-at-a-time fusion, written as loops over nested floats.
+* ``rank1_update_nested``: the 2x2 Kalman kernel on a nested-float prior,
+  returning (gain, covariance), with every entry of the Joseph form computed
+  on its own and each check an ``abs`` or ``math.isfinite`` call;
+  ``estimator.rank1_update`` takes and returns flat floats and must return
+  its bits and raise its errors.
 * ``plan_picks``: the value-of-information planner, min-scanning its
   candidates at every pick, its covariance following ``rank1_joseph`` or a
   given update.
@@ -395,6 +400,37 @@ def rank1_joseph(p, k, r):
     ]
     n = len(p)
     return [[0.5 * (joseph[i][j] + joseph[j][i]) for j in range(n)] for i in range(n)]
+
+
+def rank1_update_nested(p, k, r):
+    """Kalman gain and Joseph-form posterior of a nested 2x2 prior and one reading: ((g0, g1), cov)."""
+    (p00, p01), (p10, p11) = p
+    pk0, pk1 = p[k]
+    p0k, p1k = (p00, p10) if k == 0 else (p01, p11)
+    if not (math.isfinite(pk0) and math.isfinite(pk1) and math.isfinite(r)):
+        raise NumericalError("innovation covariance or gain system is not finite")
+    s = p[k][k] + r
+    if not s > 0.0:
+        s = p[k][k] + r + 1e-12
+        if not s > 0.0:
+            raise NumericalError("innovation covariance is singular")
+    g0, g1 = p0k / s, p1k / s
+    a00, a01 = p00 - g0 * pk0, p01 - g0 * pk1
+    a10, a11 = p10 - g1 * pk0, p11 - g1 * pk1
+    a0k, a1k = (a00, a10) if k == 0 else (a01, a11)
+    j00 = a00 - a0k * g0 + r * (g0 * g0)
+    j01 = a01 - a0k * g1 + r * (g0 * g1)
+    j10 = a10 - a1k * g0 + r * (g1 * g0)
+    j11 = a11 - a1k * g1 + r * (g1 * g1)
+    c00, c01, c10, c11 = 0.5 * (j00 + j00), 0.5 * (j01 + j10), 0.5 * (j10 + j01), 0.5 * (j11 + j11)
+    if not (
+        abs(c00 - a00) <= est.JOSEPH_TOL
+        and abs(c01 - a01) <= est.JOSEPH_TOL
+        and abs(c10 - a10) <= est.JOSEPH_TOL
+        and abs(c11 - a11) <= est.JOSEPH_TOL
+    ):
+        raise NumericalError("Joseph-form and (I-KH)P posteriors disagree")
+    return (g0, g1), ((c00, c01), (c10, c11))
 
 
 def sequential_fusion(mean, p, readings):

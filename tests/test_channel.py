@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,3 +318,81 @@ def test_params_validation():
         ch.ChannelParams(rician_k=2.0)  # strong-LoS condition fails at eps=1e-5
     with pytest.raises(ConfigError):
         ch.ChannelParams(prb_hz=0.0)
+
+
+SURE_SETTINGS = [
+    TABLE,
+    ch.ChannelParams(rician_k=250.0, outage_target=0.2, packet_bits=256.0, max_latency_s=1e-2),
+    ch.ChannelParams(rician_k=12.5, outage_target=1e-3, packet_bits=8192.0, max_latency_s=1e-3),
+]
+# theta - 1 per link: the series branch (below 1e-2) down to where 1 + snr rounds, then the Lambert-W branch.
+SURE_EXCESS = [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 5e-3, 0.0099, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9]
+
+
+def boundary_fade(params: ch.ChannelParams, terms) -> float:
+    """The fade at which the link's rate meets D/tau exactly: (2^(D/(tau W)) - 1) den / num."""
+    bandwidth, num, den, _ = terms
+    return math.expm1(math.log(2.0) * params.packet_bits / (params.max_latency_s * bandwidth)) * den / num
+
+
+def deadline_cases(params: ch.ChannelParams, fades):
+    """(normals giving each fade as ``meets_deadline`` forms it, the fades it forms)."""
+    los, sigma = params.fading_terms
+    normals, formed = [], []
+    for f in fades:
+        re_z = (math.sqrt(f) - los) / sigma
+        re, im = los + sigma * re_z, sigma * 0.0
+        normals += [re_z, 0.0]
+        formed.append(re * re + im * im)
+    return normals, formed
+
+
+@pytest.mark.parametrize("params", SURE_SETTINGS, ids=["headline", "K250-eps0.2", "K12.5-eps1e-3"])
+def test_sure_fade_decides_as_uplink_latency_and_takes_no_logarithm(params):
+    """``meets_deadline`` equals ``uplink_latency(...) <= max_latency_s`` on [0, 3] and near each boundary.
+
+    The margin: the test delivers when W log2(1 + snr) >= D/tau. Raising the
+    fade by the factor ``SURE_MARGIN`` = 1 + 1e-6 raises the rate by a
+    relative 1e-6 snr / ((1 + snr) ln(1 + snr)), at least 1e-6 / 710 for any
+    snr under the float range, while the float expressions of the test and
+    of the sure fade err by a few units of 2^-53, plus 2^-53 / snr where
+    1 + snr is rounded. So the test delivers at the sure fade, and, being
+    monotone in the fade, above it, unless the boundary snr is below about
+    1e-9: there ``link_terms`` finds the exact test failing at the raised
+    fade and keeps the sure fade infinite (theta - 1 = 1e-12 and below here).
+    """
+    theta_1m = ch.optimal_bandwidth(params, 0.02, 1.0).theta
+    budgets = []
+    for excess in SURE_EXCESS:
+        budget = ch.optimal_bandwidth(params, 0.02, (theta_1m / (1.0 + excess)) ** (1.0 / params.path_loss_exp))
+        budgets += [budget, budget._replace(bandwidth_hz=0.3 * budget.bandwidth_hz)]  # sized and starved
+    for budget in budgets:
+        terms = ch.link_terms(params, budget)
+        bandwidth, num, den, sure = terms
+        boundary = boundary_fade(params, terms)
+        if budget.theta - 1.0 > 1e-11:
+            assert boundary < sure <= boundary * (1.0 + 2e-6)
+        fades = [3.0 * n / 300 for n in range(301)] + [boundary * (1.0 + 1e-7 * n) for n in range(-100, 101)]
+        if sure < math.inf:
+            fades += [sure, math.nextafter(sure, 0.0), math.nextafter(sure, math.inf)]
+        normals, formed = deadline_cases(params, fades)
+        want = [ch.uplink_latency(params, budget, f) <= params.max_latency_s for f in formed]
+        assert ch.meets_deadline(params, [terms] * len(fades), normals) == want
+        assert any(want) and not all(want)
+        # At or above the sure fade the test is decided without a logarithm.
+        above = [n for n, f in enumerate(formed) if f >= sure]
+        with mock.patch.object(math, "log2", side_effect=AssertionError("a logarithm was taken")):
+            got = ch.meets_deadline(params, [terms] * len(above), [normals[2 * n + j] for n in above for j in (0, 1)])
+        assert got == [True] * len(above)
+
+
+def test_a_sure_fade_that_overflows_is_infinite():
+    """A boundary past the float range leaves every fade to the exact test: 2^(D/(tau W)) overflows, or den / num."""
+    budget = ch.optimal_bandwidth(TABLE, 0.02, 20.0)
+    for starved in (budget._replace(bandwidth_hz=1.0), budget._replace(tx_power_w=1e-320)):
+        terms = ch.link_terms(TABLE, starved)
+        assert terms[3] == math.inf
+        fades = [0.0, 1.0, 3.0, 1e300]
+        normals, formed = deadline_cases(TABLE, fades)
+        want = [ch.uplink_latency(TABLE, starved, f) <= TABLE.max_latency_s for f in formed]
+        assert ch.meets_deadline(TABLE, [terms] * len(fades), normals) == want

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from reverb import aol, runner, sensing
+from reverb import estimator as est
 from reverb.config import RunConfig
 
 import oracles
@@ -84,6 +85,21 @@ def test_the_counter_sees_package_calls_numpy_entries_and_draws():
     mean = [name for name in counter.numpy if name.endswith("fromnumeric.mean")]
     assert len(mean) == 1
     assert counter.numpy == {"numpy.ndarray.tolist": 3, "numpy.zeros": 1, mean[0]: 1}
+
+
+def test_the_kalman_kernel_calls_no_builtin():
+    """``estimator.rank1_update`` checks with comparisons: no ``abs`` or other builtin per pick, on either k,
+    through the jitter retry too."""
+    counter = golden.CostCounter()
+    sys.setprofile(counter)
+    try:
+        est.rank1_update(2e-2, 1e-3, 1e-3, 1e-2, 0, 1e-3)
+        est.rank1_update(2e-2, 1e-3, 1e-3, 1e-2, 1, 1e-3)
+        est.rank1_update(0.0, 0.0, 0.0, 1.0, 0, 0.0)
+    finally:
+        sys.setprofile(None)
+    assert counter.package == {"reverb.estimator.rank1_update": 3}
+    assert counter.builtins == {}
 
 
 def test_an_episode_builds_one_column_dict_for_the_metrics_and_perfbench():

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.optimize import brentq
@@ -38,6 +38,7 @@ from oracles import (
     per_call_normals,
     plan_picks,
     rank1_joseph,
+    rank1_update_nested,
     sequential_fusion,
 )
 
@@ -102,7 +103,7 @@ def test_diag_batch_equals_block_diag(specs):
 
 def planned_cov(prior_cov, steps):
     """The planned covariance: the last rank-1 step's, the prior's when nothing was picked."""
-    return np.array(steps[-1][1]) if steps else np.asarray(prior_cov, dtype=float)
+    return np.array(steps[-1][2:]).reshape(2, 2) if steps else np.asarray(prior_cov, dtype=float)
 
 
 def general_plan(prior_cov, targets, violated, fleet, cap):
@@ -542,22 +543,78 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
 
 
 def test_rank1_update_retries_with_jitter_then_fails():
-    gain, cov = est.rank1_update([[0.0, 0.0], [0.0, 1.0]], 0, 0.0)
-    assert gain == (0.0, 0.0) and cov == ((0.0, 0.0), (0.0, 1.0))
+    assert est.rank1_update(0.0, 0.0, 0.0, 1.0, 0, 0.0) == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     with pytest.raises(NumericalError, match="singular"):
-        est.rank1_update([[-1.0, 0.0], [0.0, 1.0]], 0, 0.5)
+        est.rank1_update(-1.0, 0.0, 0.0, 1.0, 0, 0.5)
 
 
 @pytest.mark.parametrize("bad", ["prior", "variance"])
 def test_rank1_update_rejects_non_finite(bad):
-    cov = np.eye(2)
+    p01 = p10 = 0.0
     r = 1e-3
     if bad == "prior":
-        cov[0, 1] = cov[1, 0] = np.inf
+        p01 = p10 = math.inf
     else:
-        r = np.nan
+        r = math.nan
     with pytest.raises(NumericalError, match="not finite"):
-        est.rank1_update(cov, 1, r)
+        est.rank1_update(1.0, p01, p10, 1.0, 1, r)
+
+
+def rank1_outcome(update, *args):
+    """The step's six entries, gain then covariance, as hex, or the ``NumericalError``'s message."""
+    try:
+        step = update(*args)
+    except NumericalError as err:
+        return str(err)
+    return [x.hex() for x in step]
+
+
+def nested_oracle(p00, p01, p10, p11, k, r):
+    """``oracles.rank1_update_nested`` on the nested prior, its step flattened."""
+    (g0, g1), ((c00, c01), (c10, c11)) = rank1_update_nested(((p00, p01), (p10, p11)), k, r)
+    return g0, g1, c00, c01, c10, c11
+
+
+# Any float, finite or not: the kernel must fail as the oracle fails, with its message.
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+
+
+@st.composite
+def rank1_inputs(draw):
+    """(p00, p01, p10, p11, k, r): PSD priors whose off-diagonals may differ within SYMMETRY_TOL,
+    readings whose S = P_kk + r is zero (the jitter retry) or negative, an entry or r made
+    infinite or NaN, and arbitrary floats."""
+    k = draw(st.sampled_from([0, 1]))
+    kind = draw(st.sampled_from(["psd", "psd", "jitter", "non-finite", "arbitrary"]))
+    if kind == "arbitrary":
+        return (*[draw(any_float) for _ in range(4)], k, draw(any_float))
+    (p00, p01), (p10, p11) = draw(spd_2x2()).tolist()
+    p10 = p01 + draw(st.floats(min_value=-est.SYMMETRY_TOL, max_value=est.SYMMETRY_TOL))
+    args = [p00, p01, p10, p11, k, draw(positive)]
+    if kind == "jitter":
+        # S = P_kk + r at or just below 0, with row k small enough that the retried gain can pass.
+        tiny = st.floats(min_value=-1e-13, max_value=1e-13)
+        pkk = abs(draw(tiny))
+        args[1] = args[2] = draw(tiny)
+        args[3 * k] = pkk
+        args[5] = -pkk + draw(st.sampled_from([0.0, -1e-13, -2e-12]))
+    if kind == "non-finite":
+        args[draw(st.sampled_from([0, 1, 2, 3, 5]))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return tuple(args)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(args=rank1_inputs())
+@example(args=(0.0, 0.0, 0.0, 1.0, 0, 0.0))            # S = 0: the jitter retry
+@example(args=(1e-13, 0.0, 0.0, 1.0, 0, -1e-13))       # S = 0 with a gain after the retry
+@example(args=(-1.0, 0.0, 0.0, 1.0, 0, 0.5))           # singular
+@example(args=(1.0, math.inf, math.inf, 1.0, 1, 1e-3))  # not finite
+@example(args=(1.0, 0.0, 0.0, 1.0, 0, -1.0 + 1e-9))    # Joseph and (I-KH)P disagree
+def test_flat_rank1_update_returns_the_nested_oracles_bits(args):
+    want = rank1_outcome(nested_oracle, *args)
+    assert rank1_outcome(est.rank1_update, *args) == want
+    if isinstance(want, list):
+        assert want[3] == want[4]   # c01 and c10 are one float
 
 
 @settings(max_examples=100, deadline=None)

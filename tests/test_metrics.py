@@ -3,6 +3,7 @@
 
 import dataclasses
 import json
+import warnings
 from unittest import mock
 
 import pytest
@@ -109,3 +110,15 @@ def test_id_columns_join_each_row_as_the_per_row_oracle(ids):
 def test_records_without_intervals_are_rejected():
     with pytest.raises(InputError, match="^need at least one logged interval$"):
         compute_metrics([EpisodeRecord(), EpisodeRecord()])
+
+
+def test_a_record_without_intervals_beside_others_is_named():
+    """An empty record among non-empty ones fails, naming it, instead of a NaN ``mrmse`` and a warning."""
+    row = dict.fromkeys(EPISODE_COLUMNS, 0)
+    logged = EpisodeRecord(scheme="AoL-REVERB")
+    logged.append(tuple({**row, "selected": (), "delivered": ()}[c] for c in EPISODE_COLUMNS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^episode record 1 \('CB-Greedy'\) has no logged interval$"):
+            compute_metrics([logged, EpisodeRecord(scheme="CB-Greedy"), logged])
+        assert compute_metrics([logged, logged]).mrmse == 0.0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,9 +114,35 @@ def test_service_aol_empty_and_disjoint():
     assert plan_aol_only((0, 1), fleet) == ([0, 1], [0, 1])
 
 
+class IndexOnly(tuple):
+    """A candidate queue that may be measured and indexed, but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the planner walked another feature's queue")
+
+
+@pytest.mark.parametrize("stale", [0, 1])
+def test_age_pick_leaves_only_its_own_features_queue(stale):
+    """A stale feature's age pick is dropped from that feature's value-of-information queue alone.
+
+    The other feature's queue cannot hold the pick, so the planner only
+    measures and indexes it; here it cannot be iterated, and the picks are
+    the plain fleet's.
+    """
+    fleet = make_fleet([(k % 2, 1e-3 * (1 + k % 5), 2.0 + k) for k in range(10)])
+    other = 1 - stale
+    queues = {stale: fleet.quietest_first[stale], other: IndexOnly(fleet.quietest_first[other])}
+    guarded = SimpleNamespace(noise_vars=fleet.noise_vars, nearest_first=fleet.nearest_first, quietest_first=queues)
+    prior, targets = np.diag([1e-2, 1e-2]), np.array([1e-5, 1e-5])
+    picks, _ = sched.plan_selection(prior, targets, (stale,), guarded, 8)
+    assert picks == sched.plan_selection(prior, targets, (stale,), fleet, 8)[0]
+    assert picks[0] == fleet.nearest_first[stale][0] and picks.count(picks[0]) == 1
+    assert {fleet.features[i] for i in picks[1:]} == {0, 1}
+
+
 def planned_cov(prior_cov, steps):
     """The planned covariance: the last rank-1 step's, the prior's when nothing was picked."""
-    return np.array(steps[-1][1]) if steps else np.asarray(prior_cov, dtype=float)
+    return np.array(steps[-1][2:]).reshape(2, 2) if steps else np.asarray(prior_cov, dtype=float)
 
 
 def picked_features(fleet, prior_diag, bounds, cap):
