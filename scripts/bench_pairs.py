@@ -36,6 +36,14 @@ metric, both sides' medians over the traced pairs, and the same summary as
 the end-to-end one with the directions of ``BENCHMARK.json``'s
 ``per_layer`` list and no bound, so a per-layer change can rest on more
 than one pair.
+
+perfbench keeps every timed step, so its ``peak_rss_mb`` grows with the
+QIs a run gets through. ``--fixed-work-rss N`` measures the program's own
+peak at a fixed amount of work beside it: ``reverb bench --episodes 200
+--seed 1`` N times per side, alternating the same way, each in a new
+process that prints its ``getrusage`` peak when the command returns. The
+file then holds both sides' peaks, their medians and the ratio, change over
+parent, under ``fixed_work_rss``.
 """
 
 from __future__ import annotations
@@ -178,6 +186,55 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return parse_output(proc.stdout)
 
 
+# The fixed work of ``--fixed-work-rss``, and the process that runs it and prints its peak RSS.
+FIXED_WORK = ("bench", "--episodes", "200", "--seed", "1")
+RSS_PROBE = (
+    "import json, resource, sys\n"
+    "sys.path.insert(0, 'src')\n"
+    "from reverb.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0\n"
+    "print('peak_rss ' + json.dumps({'exit': code, 'peak_rss_mb': peak}))\n"
+)
+
+
+def parse_rss(stdout: str) -> float:
+    """The peak RSS in MB that one ``RSS_PROBE`` run printed last; a run whose command failed raises."""
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("peak_rss ")]
+    if not lines:
+        raise ValueError("the fixed-work run printed no peak_rss line")
+    probe = json.loads(lines[-1][len("peak_rss "):])
+    if probe["exit"] != 0:
+        raise ValueError(f"the fixed-work command exited {probe['exit']}")
+    return probe["peak_rss_mb"]
+
+
+def run_fixed_work(trees: dict[str, Path], runs: int, out: Path) -> list[dict]:
+    """``runs`` fixed-work runs per side, the parent first on even indices; one entry per run."""
+    results = []
+    for index in range(runs):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            cmd = [sys.executable, "-c", RSS_PROBE, *FIXED_WORK, "--out", str(out / f"{side}-{index}")]
+            proc = subprocess.run(cmd, cwd=trees[side], capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"error: fixed-work run in {trees[side]} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+            peak = parse_rss(proc.stdout)
+            results.append({"index": index, "side": side, "peak_rss_mb": peak})
+            print(f"fixed work {index} {side}: {peak:.1f} MB", flush=True)
+    return results
+
+
+def summarize_rss(runs: list[dict]) -> dict:
+    """Per side, the peaks in run order and their median; and the ratio of the medians, change over parent."""
+    summary = {}
+    for side in ("parent", "change"):
+        peaks = [r["peak_rss_mb"] for r in runs if r["side"] == side]
+        summary[side] = {"peak_rss_mb": peaks, "median": statistics.median(peaks)}
+    summary["ratio"] = summary["change"]["median"] / summary["parent"]["median"]
+    return summary
+
+
 def run_pairs(trees: dict[str, Path], plan: list[tuple[str, int]], seconds: float,
               trace: int) -> tuple[list[dict], dict]:
     """One pair per (workload, seed) of ``plan``, the parent first on even pair indices."""
@@ -218,6 +275,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced-seed", type=int, help="also run traced pairs per workload from this seed")
     parser.add_argument("--traced-pairs", type=int, default=1, help="traced pairs per workload (default 1)")
+    parser.add_argument("--fixed-work-rss", type=int, default=0, metavar="N",
+                        help="also run `reverb bench --episodes 200 --seed 1` N times per side for its peak RSS")
     parser.add_argument("--note", default="", help="appended to the protocol text")
     args = parser.parse_args(argv)
 
@@ -242,6 +301,14 @@ def main(argv=None) -> int:
                 "summary": compare_traced(traced_runs),
                 "pairs": summarize(traced_runs, per_layer_directions(benchmark)),
                 "runs": traced_runs,
+            }
+        fixed = None
+        if args.fixed_work_rss:
+            fixed_runs = run_fixed_work(trees, args.fixed_work_rss, Path(tmp) / "fixed_work")
+            fixed = {
+                "command": "reverb " + " ".join(FIXED_WORK) + " (peak: getrusage ru_maxrss of its own process)",
+                "summary": summarize_rss(fixed_runs),
+                "runs": fixed_runs,
             }
 
     change = args.change or "the working tree"
@@ -268,6 +335,8 @@ def main(argv=None) -> int:
     }
     if traced:
         payload["traced"] = traced
+    if fixed:
+        payload["fixed_work_rss"] = fixed
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {out}")

@@ -4,6 +4,7 @@
 Runs, with the package from this checkout's ``src/``:
 
 * ``reverb bench --episodes 5 --seed 1``                        -> DIR/bench
+* the same on ``configs/lossy.yaml`` (about one uplink in twenty lost) -> DIR/bench_lossy
 * ``reverb run --scheme S --seed 1`` for all five schemes        -> DIR/run_S
 * ``reverb bench --scheme AoL-REVERB --sweep C:1..30 --episodes 2 --seed 1`` -> DIR/sweep_cap
 * ``reverb bench --scheme AoL-REVERB --sweep aol:1..10 --episodes 2 --seed 1`` -> DIR/sweep_aol
@@ -24,10 +25,10 @@ shift:
     python3 scripts/golden_outputs.py --out /tmp/golden_new --against /tmp/golden_old
 
 ``--digest FILE`` writes the SHA-256 of every file in the ``DIGESTED``
-directories, the 11 whose bytes go through no BLAS product (not ``train`` or
+directories, the 13 whose bytes go through no BLAS product (not ``train`` or
 ``run_weights``), headed by the Python and numpy versions they were taken
 with; ``tests/golden.sha256`` is that file, and a Tier-1 test regenerates the
-11 files and compares. A change that shifts rounding on purpose rewrites it:
+13 files and compares. A change that shifts rounding on purpose rewrites it:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --digest tests/golden.sha256
 
@@ -42,17 +43,17 @@ digest; a change to the learner on purpose rewrites the file:
     python3 scripts/golden_outputs.py --out /tmp/golden_new --learner tests/learner.json
 
 ``--costs FILE`` writes the per-QI cost counts: ``count_costs`` runs each of
-``cost_runs`` (every scheme's headline episode, the ``dense`` episode and a
-short ``control.train``) once to warm caches, then again under a
-``sys.setprofile`` hook, and records the QIs, every package function's
-calls, the numpy functions entered from outside numpy, the functions of
-Python's ``builtins`` module (``min``, ``max``, ``len``, ...) called from
-package code and the calls on the generator behind each loop's normal
-stream (``loop.NormalStream``), by name. ``tests/costs.json`` is that file,
-headed by the versions; a Tier-1 test counts again and fails when any count
-per QI is above its recorded value. Counts are exact and do not depend on
-the host, so a change that removes work re-records the file, and one that
-adds work names each risen count:
+``cost_runs`` (every scheme's headline episode, the ``dense`` episode, an
+AoL-REVERB episode on ``configs/lossy.yaml`` and a short ``control.train``)
+once to warm caches, then again under a ``sys.setprofile`` hook, and records
+the QIs, every package function's calls, the numpy functions entered from
+outside numpy, the functions of Python's ``builtins`` module (``min``,
+``max``, ``len``, ...) called from package code and the calls on the generator
+behind each loop's normal stream (``loop.NormalStream``), by name.
+``tests/costs.json`` is that file, headed by the versions; a Tier-1 test
+counts again and fails when any count per QI is above its recorded value.
+Counts are exact and do not depend on the host, so a change that removes work
+re-records the file, and one that adds work names each risen count:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --costs tests/costs.json
 
@@ -78,17 +79,25 @@ from typing import Callable
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import reverb  # noqa: E402
 from reverb import control, loop, runner, schemes  # noqa: E402
 from reverb.cli import main as reverb_main  # noqa: E402
-from reverb.config import SCHEMES, RunConfig, config_from_dict  # noqa: E402
+from reverb.config import SCHEMES, RunConfig, config_from_dict, load_config  # noqa: E402
 from reverb.schemes import build_loop  # noqa: E402
+
+
+# The headline config on a lossy channel: the golden runs and cost runs that lose links.
+LOSSY = ROOT / "configs" / "lossy.yaml"
 
 
 def commands(out: Path) -> list[list[str]]:
     runs = [["bench", "--episodes", "5", "--seed", "1", "--out", str(out / "bench")]]
+    runs.append([
+        "bench", "--config", str(LOSSY), "--episodes", "5", "--seed", "1", "--out", str(out / "bench_lossy"),
+    ])
     runs += [
         ["run", "--scheme", s, "--seed", "1", "--out", str(out / f"run_{s}")] for s in SCHEMES
     ]
@@ -109,7 +118,7 @@ def commands(out: Path) -> list[list[str]]:
 
 
 # Output directories whose bytes go through no BLAS product, so a digest pins them.
-DIGESTED = ("bench", *(f"run_{s}" for s in SCHEMES), "sweep_cap", "sweep_aol")
+DIGESTED = ("bench", "bench_lossy", *(f"run_{s}" for s in SCHEMES), "sweep_cap", "sweep_aol")
 
 
 def out_name(argv: list[str]) -> str:
@@ -304,7 +313,7 @@ def counted_loops(draws: collections.Counter):
 
 
 def cost_runs() -> dict[str, Callable[[], int]]:
-    """Name -> a run that returns its QIs: one episode per scheme and of ``dense``, and a short training."""
+    """Name -> a run that returns its QIs: one episode per scheme, of ``dense`` and ``lossy``, and a short training."""
     headline = RunConfig(seed=COSTS_SEED)
 
     def episode(cfg: RunConfig, scheme: str) -> Callable[[], int]:
@@ -319,6 +328,7 @@ def cost_runs() -> dict[str, Callable[[], int]]:
 
     runs = {scheme: episode(headline, scheme) for scheme in SCHEMES}
     runs["dense"] = episode(dataclasses.replace(config_from_dict(DENSE), seed=COSTS_SEED), "AoL-REVERB")
+    runs["lossy"] = episode(dataclasses.replace(load_config(LOSSY), seed=COSTS_SEED), "AoL-REVERB")
     runs["train"] = training
     return runs
 

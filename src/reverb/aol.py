@@ -2,13 +2,15 @@
 
 Ages grow by one each interval and reset to 1 when delivered state feedback
 closes the loop for a feature (the closing interval itself is one unit old).
-``fresh`` checks the thresholds once and starts every age at 0. A tracker is
-an immutable named tuple, built once per ``tick`` and at most once per
-``close_loop``: the next ages are built as plain tuples from one list, which
-keeps the invariants by construction (one age per threshold, every age
+``fresh`` checks the thresholds once, one per state feature and each at
+least 1, and starts both ages at 0. A tracker is an immutable named tuple:
+``tick`` and ``close_loop`` build the next ages as plain tuples, which keeps
+the invariants by construction (one age per threshold, every age
 nonnegative), so they are not checked again every interval. ``close_loop``
 checks each feature index it is given and returns the tracker itself when
-nothing closes.
+nothing closes. ``TwinLoop.step`` ticks the ages before the round; a radio
+round closes the features of the readings that arrived, and Perfect's round
+closes every feature.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, InputError
+from .schema import STATE_FEATURES
 
 
 class AolTracker(NamedTuple):
@@ -27,9 +30,12 @@ class AolTracker(NamedTuple):
     @classmethod
     def fresh(cls, thresholds: Iterable[int]) -> "AolTracker":
         ts = tuple(int(t) for t in thresholds)
-        if min(ts, default=1) < 1:
+        if len(ts) != STATE_FEATURES:
+            n = STATE_FEATURES
+            raise ConfigError(f"aol_thresholds needs one entry per state feature ({n}), got {ts!r}")
+        if min(ts) < 1:
             raise ConfigError("thresholds must be at least 1")
-        return cls((0,) * len(ts), ts)
+        return cls((0, 0), ts)
 
     def tick(self) -> "AolTracker":
         """Every feature's loop ages by one interval."""

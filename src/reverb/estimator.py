@@ -75,11 +75,15 @@ class Belief:
         except (TypeError, ValueError):
             n = STATE_FEATURES
             raise InputError(f"belief must be a {n}-vector mean with a {n}x{n} covariance") from None
-        if not (math.isfinite(m0) and math.isfinite(m1)):
+        if not (-_INF < m0 < _INF and -_INF < m1 < _INF):
             raise InputError("belief mean must be finite")
+        if not -SYMMETRY_TOL <= c01 - c10 <= SYMMETRY_TOL:
+            raise NumericalError("covariance lost symmetry")
+        # Smaller eigenvalue of [[c00, c01], [c01, c11]] in closed form.
+        if not 0.5 * (c00 + c11) - math.hypot(0.5 * (c00 - c11), c01) >= -SYMMETRY_TOL:
+            raise NumericalError("covariance lost positive semidefiniteness")
         self.mean = m0, m1
         self.cov = (c00, c01), (c10, c11)
-        _check_cov(self.cov)
 
 
 @dataclass(frozen=True)
@@ -99,16 +103,6 @@ class FusionBatch:
         return cls(obs_matrix=h, noise_cov=c, values=np.array(values, dtype=float))
 
 
-def _check_cov(cov: Matrix2) -> None:
-    (a, b), (c, d) = cov
-    # Smaller eigenvalue of [[a, b], [b, d]] in closed form.
-    min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
-    if not abs(b - c) <= SYMMETRY_TOL:
-        raise NumericalError("covariance lost symmetry")
-    if not min_eig >= -SYMMETRY_TOL:
-        raise NumericalError("covariance lost positive semidefiniteness")
-
-
 def predict(belief: Belief, action: float, model: MountainCar) -> Belief:
     """Blind prediction: mean through the deterministic map, covariance through P Psi P^T + C_u.
 
@@ -119,7 +113,7 @@ def predict(belief: Belief, action: float, model: MountainCar) -> Belief:
     sampling it here would bias the minimum-mean-square-error predictor.
     """
     mean = m0, m1 = belief.mean
-    if not (math.isfinite(m0) and math.isfinite(m1)):  # a mean reassigned since construction
+    if not (-_INF < m0 < _INF and -_INF < m1 < _INF):  # a mean reassigned since construction
         raise InputError("belief mean must be finite")
     (j00, j01), (j10, j11) = model.jacobian(mean)
     (p00, p01), (p10, p11) = belief.cov

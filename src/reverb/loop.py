@@ -7,44 +7,35 @@ second time. It owns the mutable episode state, which its constructor
 starts: it draws the initial plant state and then the initial belief from
 the episode's generator, sets every age fresh, and hands the generator to a
 ``NormalStream``, which every later draw goes through. It also owns the
-episode's link table, ``links``, on the run's channel, which starts empty
-(``scheduler.size_and_transmit`` fills it): sensor id -> (``LinkBudget``,
-``channel.link_terms``), added the first time the sensor is selected, and
-selection tuple -> (that tuple, its links' ``link_terms`` in pick order, its
-PRB total), added the first time the selection is made, so its tuple keys
-are the episode's distinct non-empty selections. Each ``step`` advances that
-state one query interval: the plant moves under the applied force, the
-belief is blindly predicted, ages tick, and the scheme's round decides which
-sensors transmit and how the belief is corrected. The round is injected as
-a callable (``schemes.make_round``): for every radio scheme it is the one
-pipeline ``scheduler.run_round`` with that scheme's selector and fuse. The
-plant state is a pair of floats and every per-interval value a step hands
-on (belief, targets, ages) is a tuple of floats or ints, so a step builds no
-numpy container and copies nothing; what it returns, a ``StepResult``, is an
-immutable named tuple.
+episode's link table, ``links``, which starts empty and which the radio
+rounds fill (``scheduler.size_and_transmit``).
 
-A step derives nothing its inputs already fix. The variance bounds depend
-only on the configured ``required_var`` and the request, so the last bounds
-are reused while the request is a tuple equal to the last one: equal floats
-give equal bounds, and the one pair of equal floats with different bits,
-0.0 and -0.0, imposes no request either way. A list or an array is not
-kept, since it can change in place, so its bounds are computed every step,
+Each ``step`` advances that state one query interval: the plant moves under
+the applied force, the ages tick, and the scheme's round, a callable injected
+by ``schemes.make_round``, turns the last belief, the force and the ticked
+ages into the next belief and ages. Every radio scheme's round is
+``scheduler.run_round``, which predicts the prior, selects, transmits, fuses
+and closes the delivered features' loops; Perfect's round replaces the belief
+with the true state and closes every loop, with no prior. The plant state is a
+pair of floats and every per-interval value a step hands on (belief, targets,
+ages) is a tuple of floats or ints, so a step builds no numpy container; what
+it returns, a ``StepResult``, is an immutable named tuple.
+
+The variance bounds depend only on the configured ``required_var`` and the
+request, so the last bounds are reused while the request is a tuple equal to
+the last one; a list or an array is not kept, since it can change in place,
 and a request that fails the check is never kept, so it fails every step.
-The failure flag reads the posterior's two variances against the two
-bounds directly: the belief's constructor has already checked them.
+The failure flag reads the posterior's two variances against the two bounds
+directly: the belief's constructor has already checked them.
 
 Every noise a step adds is standard normals in one stream: the plant's
 process noise (``dynamics.step``), then, in a radio round, the readings
 (``sensing.observe``) and the fades (``scheduler.size_and_transmit``). Each
 takes its numbers through the loop's ``normals`` callable, ``n -> list of n
-floats``, which slices them from a block of ``BLOCK`` normals drawn ahead.
-``standard_normal(k)`` yields the numbers of k single draws, so the stream
-hands out exactly the numbers a ``standard_normal(n)`` call per consumer
-would, in the same order, whatever the block boundaries: every value an
-episode uses is unchanged, and the generator is called once per block
-instead of up to three times per interval. The first block is drawn when the
-loop is built, so a short episode steps with no draw at all; a blind round
-takes no normals.
+floats``, which slices them from a block of ``BLOCK`` normals drawn ahead:
+exactly the numbers a ``standard_normal(n)`` call per consumer would give,
+in the same order, whatever the block boundaries. The first block is drawn
+when the loop is built; a blind round takes no normals.
 """
 
 from __future__ import annotations
@@ -130,8 +121,6 @@ class TwinLoop:
         if done:
             reward += TERMINATION_REWARD
 
-        prior = est.predict(self.belief, force, self.plant)
-        self.aol = self.aol.tick()
         if accuracy.__class__ is tuple and accuracy == self._request:
             targets = self._bounds
         else:
@@ -139,9 +128,11 @@ class TwinLoop:
             if accuracy.__class__ is tuple:
                 self._request, self._bounds = accuracy, targets
         sched, posterior, self.aol = self.scheme_round(
-            prior,
+            self.belief,
+            force,
+            self.plant,
             targets,
-            self.aol,
+            self.aol.tick(),
             self.fleet,
             self.cfg.channel,
             self.links,

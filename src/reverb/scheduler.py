@@ -15,32 +15,26 @@ covariance as four floats and counts the room left under the cap, and it
 returns each pick's flat rank-1 step, (g0, g1, c00, c01, c10, c11), as its
 steps.
 
-``run_round`` is the round every radio scheme runs: the scheme's selector
-names the sensors, their links are sized and their observations transmitted,
-the scheme's fuse corrects the belief with the ones that actually arrive, and
-those close the loop for their features. A link budget is solved the first
-time its sensor is selected and kept in the loop's link table
-(``TwinLoop.links``), with the parts of its SNR that do not depend on the
-fading (``channel.link_terms``). What a selection alone fixes, its tuple,
-its links' terms in pick order and its PRB total, is kept in the same table
-under the selection's tuple the first time that selection is made, so a
-selection that comes back costs one lookup. A round takes the normals for all
-observation noise (``sensing.observe``), then those for all fades, from the
-loop's stream (``loop.NormalStream``): the numbers, in the order, that
-per-link ``uplink_outcome`` calls on the stream's generator would draw.
+``run_round`` is the round every radio scheme runs. It predicts the prior
+from the last belief (``estimator.predict``); the scheme's selector names the
+sensors; their links are sized and their readings transmitted; the scheme's
+fuse corrects the prior with the readings that arrive; and the features of
+those readings close their loops, each once however many of its readings
+arrived. The loop's link table (``TwinLoop.links``) holds, per sensor, its
+``LinkBudget`` and the fade-free parts of its SNR (``channel.link_terms``),
+solved the first time the sensor is selected, and, per selection tuple, what
+the selection alone fixes: the tuple, its links' terms in pick order and its
+PRB total. A round takes the normals for all observation noise
+(``sensing.observe``), then those for all fades, from the loop's stream
+(``loop.NormalStream``): the numbers, in the order, that per-link
+``uplink_outcome`` calls on the stream's generator would draw.
 ``channel.meets_deadline`` forms each fade and tests each link from the
-table's parts in one pass, taking no logarithm for a fade at or above the
-link's sure fade. Readings and normals are lists of Python floats from the
-stream to the fusion. Fusion (``fuse_delivered``) is one loop over the
-picks, one rank-1 update per delivered reading, in selection order: while
-every pick so far has arrived, update n is the planner's step n on the same
-numbers, so its gain and covariance are reused and only the mean moves; from
-the first lost pick on, ``rank1_update`` runs on the running covariance. A
-round that was fully planned and fully delivered reuses every step, so it
-applies them in one plain ``zip`` with no per-pick test. A blind round
-selects nothing and takes no normals, so the stream after it is where it was.
-Each delivered feature closes its loop once, however many of its readings
-arrived.
+table's parts in one pass. Fusion (``fuse_delivered``) is one rank-1 update
+per delivered reading, in selection order: while every pick so far has
+arrived, update n is the planner's step n, so only the mean moves; from the
+first lost pick on, ``rank1_update`` runs on the running covariance. A blind
+round selects nothing and takes no normals.
+
 The targets are a plain tuple of per-feature variance bounds, computed and
 checked in Python floats by ``compute_targets``. The planner, the fusion and
 the loop closing read each sensor's feature and noise from the fleet's
@@ -55,7 +49,7 @@ from typing import NamedTuple, Sequence
 from . import channel as ch
 from . import estimator as est
 from .aol import AolTracker
-from .dynamics import Normals, State
+from .dynamics import MountainCar, Normals, State
 from .errors import InputError
 from .sensing import SensorFleet, observe
 
@@ -261,7 +255,9 @@ def fuse_delivered(
 
 def run_round(
     select,
-    prior: est.Belief,
+    belief: est.Belief,
+    force: float,
+    plant: MountainCar,
     targets: tuple[float, ...],
     aol: AolTracker,
     fleet: SensorFleet,
@@ -272,17 +268,19 @@ def run_round(
     normals: Normals,
     fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
-    """One round of a radio scheme: select, size and transmit, fuse what arrived, close loops.
+    """One round of a radio scheme: predict, select, size and transmit, fuse what arrived, close loops.
 
-    ``select(prior, targets, aol, fleet, cap)`` returns (picks, steps): the
-    sensor ids in order, and the planner's rank-1 updates of the picks (see
-    ``plan_selection``) or empty; ``fuse`` has the signature of
+    The prior is ``estimator.predict`` of ``belief`` under ``force`` and
+    ``plant``. ``select(prior, targets, aol, fleet, cap)`` returns (picks,
+    steps): the sensor ids in order, and the planner's rank-1 updates of the
+    picks (see ``plan_selection``) or empty; ``fuse`` has the signature of
     ``fuse_delivered``; ``links`` is the loop's link table on ``params`` (see
-    ``size_and_transmit``); ``normals`` is the loop's stream (``dynamics.Normals``).
-    The result stores the picks, the deliveries and the sum of the picked
-    links' PRBs; the picks are the link table's tuple for the selection, and
-    so are the deliveries when every pick arrived.
+    ``size_and_transmit``); ``normals`` is the loop's stream
+    (``dynamics.Normals``). The result stores the picks, the deliveries and
+    the sum of the picked links' PRBs; the picks are the link table's tuple
+    for the selection, and so are the deliveries when every pick arrived.
     """
+    prior = est.predict(belief, force, plant)
     selected, steps = select(prior, targets, aol, fleet, cap)
     ids, prbs, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)

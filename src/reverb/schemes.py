@@ -12,10 +12,12 @@ belief):
   belief replaced by the raw observation (no memory across intervals, the
   pre-twin baseline).
 
-A fuse receives the round's readings, in selection order, as the list of
-Python floats ``sensing.observe`` returns, and reads each sensor's feature
-and noise from the fleet's id-indexed tuples. ``Perfect`` uses no radio: its
-round sets the belief to the true next state and takes no normals.
+A radio round predicts the prior from the last belief before it selects
+(``scheduler.run_round``). A fuse receives the round's readings, in
+selection order, as the list of Python floats ``sensing.observe`` returns,
+and reads each sensor's feature and noise from the fleet's id-indexed
+tuples. ``Perfect`` uses no radio and no prior: its round sets the belief to
+the true next state, closes every feature's loop and takes no normals.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from .recordio import EpisodeRecord
 from .scheduler import ScheduleResult
 from .sensing import generate_fleet
 
+# Perfect's every round: nothing selected, nothing delivered, no PRB.
+NO_RADIO = ScheduleResult(selected=(), delivered=(), total_prbs=0)
 
 
-def perfect_round(prior, targets, aol, fleet, params, links, cap, true_state, normals):
-    belief = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
-    result = ScheduleResult(selected=(), delivered=(), total_prbs=0)
-    return result, belief, aol.close_loop(range(len(aol.ages)))
+def perfect_round(belief, force, plant, targets, aol, fleet, params, links, cap, true_state, normals):
+    posterior = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
+    return NO_RADIO, posterior, aol.close_loop(range(len(aol.ages)))
 
 
 def select_reverb(prior, targets, aol, fleet, cap):
@@ -59,8 +62,7 @@ def select_quietest(prior, targets, aol, fleet, cap):
 
 def select_traditional(prior, targets, aol, fleet, cap):
     """Fixed sensor set: the lowest-id sensor of each feature, in id order."""
-    per_feature = [ids[0] for ids in fleet.feature_index.values() if ids]
-    return sorted(per_feature), ()
+    return fleet.lowest_per_feature, ()
 
 
 def fuse_memoryless(prior, selected, delivered, values, fleet, steps):
@@ -125,15 +127,22 @@ def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord
     loop = build_loop(cfg, scheme, np.random.default_rng(seed))
     belief = loop.belief
     record = EpisodeRecord(scheme=scheme)
+    request = None
     for qi in range(cfg.qi_cap):
         action: ActionVector = policy(belief.mean)
-        res = loop.step(action.force, action.accuracy)
-        reward = shaped_reward(res.reward_env, action.accuracy, cfg.control.kappa)
+        accuracy = action.accuracy
+        res = loop.step(action.force, accuracy)
+        if accuracy is not request:
+            # -0.0 is the identity of float addition, so this is the bonus, bit for bit; a tuple
+            # cannot change in place, so the same one gives the same bonus again.
+            bonus = shaped_reward(-0.0, accuracy, cfg.control.kappa)
+            request = accuracy if accuracy.__class__ is tuple else None
+        reward = res.reward_env + bonus
         (true_pos, true_vel), (belief_pos, belief_vel) = res.true_state, res.belief.mean
         (cov_pos, _), (_, cov_vel) = res.belief.cov
         target_pos, target_vel = res.targets
         age_pos, age_vel = loop.aol.ages
-        eta_pos, eta_vel = action.accuracy
+        eta_pos, eta_vel = accuracy
         schedule = res.schedule
         record.append((
             qi, true_pos, true_vel, belief_pos, belief_vel, cov_pos, cov_vel, target_pos, target_vel,

@@ -7,16 +7,15 @@ distance and power budget; its id is its index in the fleet's ``agents``,
 which it does not store. It is an immutable named tuple whose constructor
 checks k and r; ``_make`` and ``_replace`` run the same constructor, so no
 copy skips a check, and an agent keeps no sqrt(r) that could go stale.
-``observe`` is the one sensor model: it reads a whole selection from one
-take of the loop's standard normals (``loop.NormalStream``) and returns the
+``observe`` is the one sensor model: it reads a whole selection from one take
+of the loop's standard normals (``loop.NormalStream``) and returns the
 readings as a list of Python floats. A fleet caches each sensor's feature, r
-and sqrt(r) as tuples indexed by id, which ``observe`` and the scheduler
-read per pick and per link. From them it caches the sensor ids of each
-feature and the fleet-wide candidate orders for the schedulers, by
-(distance, id) and by (noise, id): a stable sort of the ids by the value
-alone, ties left in id order. A feature's order is the fleet-wide one split
-by feature in one pass. A fleet holds no link budget: the loop that runs it
-does (``TwinLoop.links``).
+and sqrt(r) as tuples indexed by id, which ``observe`` and the scheduler read
+per pick and per link. From them it caches the sensor ids of each feature, the
+lowest of each, and the fleet-wide candidate orders by (distance, id) and by
+(noise, id): a stable sort of the ids by the value alone, ties left in id
+order, split by feature in one pass. A fleet holds no link budget: the loop
+that runs it does (``TwinLoop.links``).
 """
 
 from __future__ import annotations
@@ -106,6 +105,11 @@ class SensorFleet:
     def feature_index(self) -> dict[int, tuple[int, ...]]:
         """Per feature, its sensor ids in id order."""
         return self._per_feature(range(len(self.agents)))
+
+    @cached_property
+    def lowest_per_feature(self) -> tuple[int, ...]:
+        """The lowest sensor id of each feature that has one, in id order."""
+        return tuple(sorted([ids[0] for ids in self.feature_index.values() if ids]))
 
     def _per_feature(self, order) -> dict[int, tuple[int, ...]]:
         """``order`` split by feature in one pass; a split keeps the order."""

@@ -28,7 +28,8 @@
   what these return.
 * ``linear_model``: a linear plant s' = A s with a given 2x2 process-noise
   covariance, duck-typed as ``estimator.predict`` and ``dynamics.step`` read
-  the mountain car: the textbook Kalman filter's model.
+  the mountain car: the textbook Kalman filter's model. ``STILL`` is the
+  one with A = I and no noise.
 * ``mountain_car_free`` and ``finite_difference_jacobian``: the mountain-car
   transition with no bound applied, the map the EKF linearizes, and its
   central differences, the check on the model's exact ``jacobian``.
@@ -320,6 +321,11 @@ def linear_model(a_mat, process_noise_cov=((0.0, 0.0), (0.0, 0.0))) -> SimpleNam
         process_noise_cov=((q00, q01), (q10, q11)),
         noise_std=None,
     )
+
+
+# The plant s' = s with no noise: ``estimator.predict`` hands a symmetric belief's numbers back,
+# so a round given it fuses the belief it was handed.
+STILL = linear_model(np.eye(2))
 
 
 def mountain_car_free(x: float, v: float, a: float) -> list[float]:

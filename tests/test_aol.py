@@ -47,6 +47,13 @@ def test_validation():
     assert tracker.close_loop(iter([1])).ages == (2, 1) and tracker.ages == (2, 2)
 
 
+@pytest.mark.parametrize("thresholds", [[1, 1, 1], [5], []])
+def test_fresh_needs_one_threshold_per_state_feature(thresholds):
+    """Three thresholds once made a tracker whose first AoL-REVERB round failed in the planner."""
+    with pytest.raises(ConfigError, match=r"one entry per state feature \(2\)"):
+        AolTracker.fresh(thresholds)
+
+
 @given(
     ages=st.lists(st.integers(0, 50), min_size=1, max_size=5),
     thresholds_seed=st.integers(1, 20),

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -161,3 +163,51 @@ def test_verdicts_of_canned_pairs():
 )
 def test_verdict_rule(parent, change, better, bound, want):
     assert bench_pairs.verdict(parent, change, better, bound) == want
+
+
+def test_fixed_work_rss_parsing_and_summary():
+    """A canned fixed-work run: the probe's last ``peak_rss`` line is the peak; a failed command raises."""
+    stdout = (
+        "AoL-REVERB: 200 episodes, ...\n"
+        'peak_rss {"exit": 0, "peak_rss_mb": 99.0}\n'
+        'peak_rss {"exit": 0, "peak_rss_mb": 55.25}\n'
+    )
+    assert bench_pairs.parse_rss(stdout) == 55.25
+    with pytest.raises(ValueError, match="exited 1"):
+        bench_pairs.parse_rss('peak_rss {"exit": 1, "peak_rss_mb": 30.0}\n')
+    with pytest.raises(ValueError, match="no peak_rss line"):
+        bench_pairs.parse_rss("error: something\n")
+    assert bench_pairs.FIXED_WORK == ("bench", "--episodes", "200", "--seed", "1")
+    runs = [
+        {"index": 0, "side": "parent", "peak_rss_mb": 60.0},
+        {"index": 0, "side": "change", "peak_rss_mb": 54.0},
+        {"index": 1, "side": "change", "peak_rss_mb": 56.0},
+        {"index": 1, "side": "parent", "peak_rss_mb": 62.0},
+        {"index": 2, "side": "parent", "peak_rss_mb": 61.0},
+        {"index": 2, "side": "change", "peak_rss_mb": 55.0},
+    ]
+    summary = bench_pairs.summarize_rss(runs)
+    assert summary["parent"] == {"peak_rss_mb": [60.0, 62.0, 61.0], "median": 61.0}
+    assert summary["change"] == {"peak_rss_mb": [54.0, 56.0, 55.0], "median": 55.0}
+    assert summary["ratio"] == pytest.approx(55.0 / 61.0)
+
+
+def test_the_rss_probe_prints_its_own_peak():
+    """The probe's code, run here on a stand-in ``main``, prints one line ``parse_rss`` reads."""
+    import contextlib
+    import io
+    import types
+
+    cli = types.ModuleType("reverb.cli")
+    cli.main = lambda argv: 0 if list(argv) == list(bench_pairs.FIXED_WORK) else 2
+    printed = io.StringIO()
+    saved_argv = sys.argv
+    sys.argv = ["-c", *bench_pairs.FIXED_WORK]
+    try:
+        with mock.patch.dict(sys.modules, {"reverb.cli": cli}), contextlib.redirect_stdout(printed):
+            exec(bench_pairs.RSS_PROBE, {})
+    finally:
+        sys.argv = saved_argv
+        if sys.path and sys.path[0] == "src":
+            sys.path.pop(0)
+    assert bench_pairs.parse_rss(printed.getvalue()) > 0.0

@@ -774,10 +774,10 @@ def test_golden_outputs_names_first_difference(tmp_path):
 
 
 def test_golden_files_keep_their_recorded_digests(tmp_path):
-    """The 11 golden files that go through no BLAS product, regenerated, match tests/golden.sha256."""
+    """The 13 golden files that go through no BLAS product, regenerated, match tests/golden.sha256."""
     golden = load_golden_script()
     taken, want = golden.read_digest(Path(__file__).with_name("golden.sha256"))
-    assert len(want) == 11
+    assert len(want) == 13
     for argv in golden.commands(tmp_path):
         if golden.out_name(argv) in golden.DIGESTED:
             assert cli.main(argv) == 0

@@ -32,6 +32,7 @@ from reverb.aol import AolTracker
 from reverb.errors import InfeasibleError, NumericalError
 
 from oracles import (
+    STILL,
     fuse_memoryless_lists,
     joseph_update,
     observe_one,
@@ -147,11 +148,11 @@ def test_closed_form_2x2_check_agrees_with_eigvalsh(a, b, d):
         return  # too close to the threshold for either method to decide
     if min_eig < -est.SYMMETRY_TOL:
         with pytest.raises(NumericalError, match="semidefiniteness"):
-            est._check_cov(cov)
+            est.Belief((0.0, 0.0), cov)
     else:
-        est._check_cov(cov)
+        est.Belief((0.0, 0.0), cov)
     with pytest.raises(NumericalError, match="symmetry"):
-        est._check_cov(cov + np.array([[0.0, 1e-9], [0.0, 0.0]]))
+        est.Belief((0.0, 0.0), cov + np.array([[0.0, 1e-9], [0.0, 0.0]]))
 
 
 # --- lazy link table ---------------------------------------------------------
@@ -230,10 +231,10 @@ def traced_round(links, fleet, params, seed):
         return sched.fuse_delivered(prior, selected, delivered, values, fleet, steps)
 
     rng = np.random.default_rng(seed)
-    prior = est.Belief((-0.5, 0.01), ((2e-2, 1e-3), (1e-3, 1e-2)))
+    belief = est.Belief((-0.5, 0.01), ((2e-2, 1e-3), (1e-3, 1e-2)))
     result, post, _ = sched.run_round(
-        lambda *_: (list(PICKS), ()), prior, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet, params, links,
-        len(PICKS), (-0.49, 0.012), per_call_normals(rng), fuse=fuse,
+        lambda *_: (list(PICKS), ()), belief, 0.0, STILL, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet, params,
+        links, len(PICKS), (-0.49, 0.012), per_call_normals(rng), fuse=fuse,
     )
     return result, np.array(readings).tobytes(), np.array([post.mean, *post.cov]).tobytes(), rng.bit_generator.state
 
@@ -531,11 +532,11 @@ def test_fusion_replaying_the_planner_is_bit_equal(specs, prior, bounds, violate
 def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     cfg = config.config_from_dict({"cap": 30, "fleet": {"n_agents": 60}})
     fleet = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(3)).fleet
-    prior = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
+    belief = est.Belief(np.array([-0.5, 0.01]), np.diag([2e-2, 1e-2]))
     targets = np.array([1e-4, 2e-5])
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
-            schemes.select_reverb, prior, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel, {},
+            schemes.select_reverb, belief, 0.0, STILL, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel, {},
             cfg.cap, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
         )
     assert len(result.selected) > 2 and result.delivered == result.selected

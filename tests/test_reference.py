@@ -6,6 +6,8 @@ sensors and fades, which features close their loops, the blind intervals,
 and fusion that replays the planner's steps only up to the first lost pick.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from reverb import control as ctl
 from reverb.config import SCHEMES
 from reverb.errors import ReverbError
 from reverb.recordio import EPISODE_COLUMNS
-from reverb.schemes import make_policy, run_episode
+from reverb.runner import monte_carlo
+from reverb.schemes import build_loop, make_policy, run_episode
 
 from oracles import reference_episode
 
@@ -133,3 +136,35 @@ def test_generated_configs_match_the_reference_episode(cfg, scheme, agent, seed)
     got = outcome(run_episode, cfg, scheme, policy, seed)
     want = outcome(reference_episode, cfg, scheme, policy, seed)
     assert got == want
+
+
+LOSSY = Path(__file__).resolve().parents[1] / "configs" / "lossy.yaml"
+
+
+def test_ages_follow_the_per_feature_rule_on_the_lossy_config():
+    """``bench --episodes 5 --seed 1`` on ``configs/lossy.yaml``: every logged age, every scheme.
+
+    The oracle reads only the episode CSV's columns and the fleet: a feature's
+    age is 1 in an interval where a reading of one of its sensors arrived
+    (Perfect: every interval), and one more than in the interval before
+    otherwise, from 0. Lost picks are counted so the partial rounds are seen.
+    """
+    cfg = config.load_config(LOSSY)
+    lost = partial_close = 0
+    for scheme in SCHEMES:
+        _, records = monte_carlo(cfg, 5, scheme=scheme)
+        for i, record in enumerate(records):
+            features = build_loop(cfg, scheme, np.random.default_rng(cfg.seed + i)).fleet.features
+            ages = [0, 0]
+            columns = record.columns
+            for selected, delivered, age_pos, age_vel in zip(
+                columns["selected"], columns["delivered"], columns["age_pos"], columns["age_vel"]
+            ):
+                picks = [int(s) for s in selected.split(";")] if selected else []
+                arrived = [int(s) for s in delivered.split(";")] if delivered else []
+                closed = {0, 1} if scheme == "Perfect" else {features[s] for s in arrived}
+                ages = [1 if k in closed else a + 1 for k, a in enumerate(ages)]
+                assert [age_pos, age_vel] == ages, f"{scheme} episode {i}"
+                lost += len(picks) - len(arrived)
+                partial_close += len(arrived) < len(picks) and closed != {features[s] for s in picks}
+    assert lost >= 100 and partial_close > 0

@@ -128,12 +128,12 @@ def test_a_blind_round_leaves_the_generator_untouched():
     """A round that selects nothing calls ``normals`` zero times, so the stream stays where it was."""
     cfg = RunConfig()
     loop = schemes.build_loop(cfg, "AoL-REVERB", np.random.default_rng(5))
-    prior = est.Belief((-0.5, 0.01), ((1e-6, 0.0), (0.0, 1e-6)))
+    belief = est.Belief((-0.5, 0.01), ((1e-6, 0.0), (0.0, 1e-6)))
     normals = mock.Mock(wraps=loop.normals)
     result, posterior, aol = sched.run_round(
-        schemes.select_reverb, prior, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet, cfg.channel,
-        loop.links, cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
+        schemes.select_reverb, belief, 0.0, oracles.STILL, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet,
+        cfg.channel, loop.links, cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
     )
     assert result.blind and result.total_prbs == 0 and result.delivered == ()
     assert normals.mock_calls == []
-    assert posterior == prior and posterior is not prior and aol.ages == (1, 1)
+    assert posterior == belief and posterior is not belief and aol.ages == (1, 1)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reverb import dynamics as dyn
 from reverb import estimator as est
 from reverb import scheduler as sched
 from reverb import schemes
@@ -15,7 +16,7 @@ from reverb.errors import InputError
 from reverb.schemes import select_reverb
 from reverb.sensing import SensingAgent, SensorFleet
 
-from oracles import joseph_update, per_call_normals
+from oracles import STILL, joseph_update, per_call_normals
 
 
 def make_fleet(spec):
@@ -177,7 +178,7 @@ def test_blind_when_targets_already_met():
     prior = est.Belief(np.zeros(2), np.diag([1e-4, 1e-4]))
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
-        select_reverb, prior, targets, aol, fleet, ChannelParams(), {}, 3, np.zeros(2),
+        select_reverb, prior, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 3, np.zeros(2),
         per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
     )
     assert result.blind and result.selected == ()
@@ -318,12 +319,12 @@ def test_schedule_deterministic_given_seed():
     fleet = make_fleet([(0, 5e-3, 12.0), (0, 1e-3, 6.0), (1, 8e-4, 9.0), (1, 2e-3, 2.0)])
     targets = np.array([1e-3, 5e-4])
     aol = AolTracker((6, 2), (5, 5))
-    params = ChannelParams()
+    params, plant = ChannelParams(), dyn.plant(RunConfig().process_noise_var)
     runs = []
     for _ in range(2):
-        prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
+        belief = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
-            select_reverb, prior, targets, aol, fleet, params, {}, 3, np.array([-0.49, 0.012]),
+            select_reverb, belief, 0.3, plant, targets, aol, fleet, params, {}, 3, np.array([-0.49, 0.012]),
             per_call_normals(np.random.default_rng(31)), fuse=sched.fuse_delivered,
         )
         runs.append((result, post.mean, post.cov, trk.ages))
@@ -336,10 +337,10 @@ def test_schedule_deterministic_given_seed():
 def test_schedule_closes_loops_for_delivered_features():
     fleet = make_fleet([(0, 1e-3, 6.0), (1, 8e-4, 9.0)])
     targets = np.array([1e-4, 1e-4])
-    prior = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
+    belief = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
-        select_reverb, prior, targets, aol, fleet, ChannelParams(), {}, 2, np.array([-0.49, 0.012]),
+        select_reverb, belief, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 2, np.array([-0.49, 0.012]),
         per_call_normals(np.random.default_rng(1)), fuse=sched.fuse_delivered,
     )
     assert set(result.selected) == {0, 1}
