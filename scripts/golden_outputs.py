@@ -6,6 +6,8 @@ Runs, with the package from this checkout's ``src/``:
 * ``reverb bench --episodes 5 --seed 1``                        -> DIR/bench
 * the same on ``configs/lossy.yaml`` (about one uplink in twenty lost) -> DIR/bench_lossy
 * ``reverb run --scheme S --seed 1`` for all five schemes        -> DIR/run_S
+* ``reverb run --scheme AoL-REVERB --seed 1`` on ``configs/dense.yaml`` (60
+  sensors, cap 30) and on ``configs/unequal_noise.yaml``  -> DIR/run_dense, DIR/run_unequal_noise
 * ``reverb bench --scheme AoL-REVERB --sweep C:1..30 --episodes 2 --seed 1`` -> DIR/sweep_cap
 * ``reverb bench --scheme AoL-REVERB --sweep aol:1..10 --episodes 2 --seed 1`` -> DIR/sweep_aol
 * ``reverb train --episodes 5 --seed 1``                         -> DIR/train
@@ -25,10 +27,10 @@ shift:
     python3 scripts/golden_outputs.py --out /tmp/golden_new --against /tmp/golden_old
 
 ``--digest FILE`` writes the SHA-256 of every file in the ``DIGESTED``
-directories, the 13 whose bytes go through no BLAS product (not ``train`` or
+directories, the 15 whose bytes go through no BLAS product (not ``train`` or
 ``run_weights``), headed by the Python and numpy versions they were taken
 with; ``tests/golden.sha256`` is that file, and a Tier-1 test regenerates the
-13 files and compares. A change that shifts rounding on purpose rewrites it:
+15 files and compares. A change that shifts rounding on purpose rewrites it:
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --digest tests/golden.sha256
 
@@ -85,12 +87,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import reverb  # noqa: E402
 from reverb import control, loop, runner, schemes  # noqa: E402
 from reverb.cli import main as reverb_main  # noqa: E402
-from reverb.config import SCHEMES, RunConfig, config_from_dict, load_config  # noqa: E402
+from reverb.config import SCHEMES, RunConfig, load_config  # noqa: E402
 from reverb.schemes import build_loop  # noqa: E402
 
 
 # The headline config on a lossy channel: the golden runs and cost runs that lose links.
 LOSSY = ROOT / "configs" / "lossy.yaml"
+# A deep planner and large fusion batches: a golden run and a cost run.
+DENSE = ROOT / "configs" / "dense.yaml"
+# Unequal process-noise variances, which no other golden config has.
+UNEQUAL_NOISE = ROOT / "configs" / "unequal_noise.yaml"
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -100,6 +106,11 @@ def commands(out: Path) -> list[list[str]]:
     ])
     runs += [
         ["run", "--scheme", s, "--seed", "1", "--out", str(out / f"run_{s}")] for s in SCHEMES
+    ]
+    runs += [
+        ["run", "--config", str(config), "--scheme", "AoL-REVERB", "--seed", "1",
+         "--out", str(out / f"run_{config.stem}")]
+        for config in (DENSE, UNEQUAL_NOISE)
     ]
     runs.append([
         "bench", "--scheme", "AoL-REVERB", "--sweep", "C:1..30", "--episodes", "2",
@@ -118,7 +129,10 @@ def commands(out: Path) -> list[list[str]]:
 
 
 # Output directories whose bytes go through no BLAS product, so a digest pins them.
-DIGESTED = ("bench", "bench_lossy", *(f"run_{s}" for s in SCHEMES), "sweep_cap", "sweep_aol")
+DIGESTED = (
+    "bench", "bench_lossy", *(f"run_{s}" for s in SCHEMES), "run_dense", "run_unequal_noise",
+    "sweep_cap", "sweep_aol",
+)
 
 
 def out_name(argv: list[str]) -> str:
@@ -212,8 +226,6 @@ def learner_differences(got: dict, want: dict) -> list[str]:
 # --- per-QI cost counts ------------------------------------------------------
 
 COSTS_SEED = 3
-# The ``dense`` run's overrides of the headline config: a deep planner and large fusion batches.
-DENSE = {"cap": 30, "scripted_accuracy": [10000.0, 60000.0], "fleet": {"n_agents": 60}}
 COSTS_TRAIN_EPISODES = 2
 COSTS_TRAIN_QI_CAP = 200
 COST_KINDS = ("package", "numpy", "builtins", "draws")
@@ -327,7 +339,7 @@ def cost_runs() -> dict[str, Callable[[], int]]:
         return sum(s.qis for s in curve)
 
     runs = {scheme: episode(headline, scheme) for scheme in SCHEMES}
-    runs["dense"] = episode(dataclasses.replace(config_from_dict(DENSE), seed=COSTS_SEED), "AoL-REVERB")
+    runs["dense"] = episode(dataclasses.replace(load_config(DENSE), seed=COSTS_SEED), "AoL-REVERB")
     runs["lossy"] = episode(dataclasses.replace(load_config(LOSSY), seed=COSTS_SEED), "AoL-REVERB")
     runs["train"] = training
     return runs

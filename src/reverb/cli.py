@@ -19,7 +19,7 @@ from . import control
 from .config import SCHEMES, RunConfig, load_config
 from .errors import ConfigError, ReverbError
 from .recordio import write_episode_csv, write_json, write_summary_csv
-from .runner import monte_carlo, run_sweep
+from .runner import apply_sweep_point, monte_carlo, sweep_values
 from .schemes import build_loop
 
 
@@ -95,10 +95,13 @@ def cmd_bench(args) -> int:
     episodes = args.episodes if args.episodes is not None else cfg.episodes
     schemes = [args.scheme] if args.scheme else list(SCHEMES)
 
-    # (sweep column, summary) per point; an unswept bench has no column.
+    # (sweep column, summary) per point, scheme by scheme; an unswept bench has no column.
     if args.sweep:
-        name = args.sweep.split(":", 1)[0]
-        points = [({name: value}, s) for _, value, s in run_sweep(cfg, args.sweep, episodes, schemes, agent)]
+        name, values = sweep_values(args.sweep)
+        points = [
+            ({name: value}, monte_carlo(apply_sweep_point(cfg, name, value), episodes, scheme, agent)[0])
+            for scheme in schemes for value in values
+        ]
     else:
         points = [({}, monte_carlo(cfg, episodes, scheme=scheme, agent=agent)[0]) for scheme in schemes]
     rows = [{**column, **s.to_row()} for column, s in points]

@@ -2,12 +2,15 @@
 
 The actor is a Gaussian policy over a raw action vector; the first raw
 dimension is squashed by tanh into the force range, the rest pass through a
-scaled sigmoid to become nonnegative accuracy requests. Log-probabilities and
-the clipped-ratio surrogate are computed in the raw (pre-squash) space. The
-critic is a state-value net trained on one-step temporal-difference targets;
-the same one-step residual is the actor's advantage. The agent's parameters
-are one vector, ``PolicyAgent.flat`` (actor, log-std, critic), and one
-``Adam`` step per minibatch moves it once both gradients are checked.
+scaled sigmoid to become nonnegative accuracy requests. Training learns from
+the twin step's reward (``loop.StepResult.reward``): -0.1 f² (+100 at the
+goal) + kappa * mean(request), with the loop's ``control.kappa``.
+Log-probabilities and the clipped-ratio surrogate are computed in the raw
+(pre-squash) space. The critic is a state-value net trained on one-step
+temporal-difference targets; the same one-step residual is the actor's
+advantage. The agent's parameters are one vector, ``PolicyAgent.flat``
+(actor, log-std, critic), and one ``Adam`` step per minibatch moves it once
+both gradients are checked.
 
 The nets map the scaled belief mean (``STATE_FEATURES`` entries) to
 ``ACTION_DIM`` = 1 + ``STATE_FEATURES`` raw entries through ``HIDDEN``
@@ -255,19 +258,6 @@ class PolicyAgent:
         return agent
 
 
-def shaped_reward(reward_env: float, accuracy: Sequence[float], kappa: float) -> float:
-    """Add the accuracy-request bonus: reward + kappa * mean(accuracy).
-
-    The mean sums in index order, as ``np.mean`` does for a 2-vector.
-    """
-    if not len(accuracy):
-        raise InputError("need at least one accuracy request")
-    total = accuracy[0]
-    for v in accuracy[1:]:
-        total += v
-    return reward_env + kappa * (total / len(accuracy))
-
-
 def ppo_update(
     agent: PolicyAgent,
     batch: Sequence[Transition],
@@ -361,7 +351,7 @@ def train(
 ) -> tuple[PolicyAgent, list[EpisodeStats]]:
     """Run the full learning loop: belief in, force and accuracy request out.
 
-    Each episode drives a fresh co-simulation; the shaped reward is observed,
+    Each episode drives a fresh co-simulation and records each step's reward,
     transitions are batched per episode, and one clipped-ratio update follows.
     """
     if episodes < 0:
@@ -386,13 +376,12 @@ def train(
         for _ in range(qi_cap):
             action, raw, logp = agent.sample_step(state, act_rng)
             res = loop.step(action.force, action.accuracy)
-            r = shaped_reward(res.reward_env, action.accuracy, cfg.kappa)
             next_state = res.belief.mean
             transitions.append(
-                Transition(state, raw, logp, r, next_state, res.done)
+                Transition(state, raw, logp, res.reward, next_state, res.done)
             )
             env_return += res.reward_env
-            shaped_return += r
+            shaped_return += res.reward
             state = next_state
             if res.done:
                 break

@@ -10,16 +10,17 @@ the episode's generator, sets every age fresh, and hands the generator to a
 episode's link table, ``links``, which starts empty and which the radio
 rounds fill (``scheduler.size_and_transmit``).
 
-Each ``step`` advances that state one query interval: the plant moves under
-the applied force, the ages tick, and the scheme's round, a callable injected
-by ``schemes.make_round``, turns the last belief, the force and the ticked
-ages into the next belief and ages. Every radio scheme's round is
-``scheduler.run_round``, which predicts the prior, selects, transmits, fuses
-and closes the delivered features' loops; Perfect's round replaces the belief
-with the true state and closes every loop, with no prior. The plant state is a
-pair of floats and every per-interval value a step hands on (belief, targets,
-ages) is a tuple of floats or ints, so a step builds no numpy container; what
-it returns, a ``StepResult``, is an immutable named tuple.
+Each ``step`` takes an action, a force and a per-feature accuracy request.
+It checks the request first, by taking its variance bounds, so a failing
+request changes nothing; then the plant moves, the ages tick, and the
+scheme's round (``schemes.make_round``) turns the last belief, the force and
+the ticked ages into the next belief and ages: ``scheduler.run_round`` for a
+radio scheme, which predicts, selects, transmits, fuses and closes the
+delivered features' loops, and for Perfect the true state with every loop
+closed and no prior. The reward is -0.1 f² (+100 at the goal) + kappa *
+mean(request), kappa being the config's ``control.kappa``. Every value a
+step hands on (plant state, belief, targets, ages) is a tuple of floats or
+ints, and the step returns an immutable named tuple, ``StepResult``.
 
 The variance bounds depend only on the configured ``required_var`` and the
 request, so the last bounds are reused while the request is a tuple equal to
@@ -86,6 +87,7 @@ class NormalStream:
 class StepResult(NamedTuple):
     belief: est.Belief
     reward_env: float
+    reward: float               # reward_env + kappa * mean(request)
     done: bool
     schedule: ScheduleResult
     true_state: dyn.State
@@ -115,18 +117,20 @@ class TwinLoop:
         self._bounds: tuple[float, ...] = ()
 
     def step(self, force: float, accuracy: tuple[float, ...]) -> StepResult:
-        self.state = dyn.step(self.plant, self.state, force, self.normals)
-        done = self.state[0] >= dyn.GOAL_POSITION
-        reward = -ACTION_COST_WEIGHT * float(force) ** 2
-        if done:
-            reward += TERMINATION_REWARD
-
         if accuracy.__class__ is tuple and accuracy == self._request:
             targets = self._bounds
         else:
             targets = compute_targets(self.cfg.required_var, accuracy)
             if accuracy.__class__ is tuple:
                 self._request, self._bounds = accuracy, targets
+        a0, a1 = accuracy
+        self.state = dyn.step(self.plant, self.state, force, self.normals)
+        done = self.state[0] >= dyn.GOAL_POSITION
+        reward_env = -ACTION_COST_WEIGHT * float(force) ** 2
+        if done:
+            reward_env += TERMINATION_REWARD
+        reward = reward_env + self.cfg.control.kappa * ((a0 + a1) / 2)
+
         sched, posterior, self.aol = self.scheme_round(
             self.belief,
             force,
@@ -143,4 +147,4 @@ class TwinLoop:
         self.belief = posterior
         (v0, _), (_, v1) = posterior.cov
         b0, b1 = targets
-        return StepResult(posterior, reward, done, sched, self.state, targets, v0 > b0 or v1 > b1)
+        return StepResult(posterior, reward_env, reward, done, sched, self.state, targets, v0 > b0 or v1 > b1)

@@ -79,12 +79,9 @@ class EpisodeRecord:
             self._columns = columns
         return self._columns
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     @property
     def qis(self) -> int:
-        return len(self)
+        return len(self.rows)
 
     @property
     def total_prbs(self) -> int:

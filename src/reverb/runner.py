@@ -1,4 +1,4 @@
-"""Monte-Carlo harness: seeded batches of episodes and parameter sweeps."""
+"""Monte-Carlo harness: seeded batches of episodes, and the sweep spec parsed into config points."""
 
 from __future__ import annotations
 
@@ -50,20 +50,3 @@ def apply_sweep_point(cfg: RunConfig, name: str, value: int) -> RunConfig:
         return dataclasses.replace(cfg, aol_thresholds=(value,) * len(cfg.aol_thresholds))
     raise InputError(f"unknown sweep parameter {name!r}")
 
-
-def run_sweep(
-    cfg: RunConfig,
-    sweep: str,
-    n_episodes: int,
-    schemes: list[str],
-    agent: PolicyAgent | None = None,
-) -> list[tuple[str, int, MetricsSummary]]:
-    """Monte-Carlo at every sweep point for every scheme; returns (scheme, value, summary)."""
-    name, values = sweep_values(sweep)
-    out = []
-    for scheme in schemes:
-        for value in values:
-            point_cfg = apply_sweep_point(cfg, name, value)
-            summary, _ = monte_carlo(point_cfg, n_episodes, scheme=scheme, agent=agent)
-            out.append((scheme, value, summary))
-    return out

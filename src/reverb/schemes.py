@@ -18,6 +18,9 @@ selection order, as the list of Python floats ``sensing.observe`` returns,
 and reads each sensor's feature and noise from the fleet's id-indexed
 tuples. ``Perfect`` uses no radio and no prior: its round sets the belief to
 the true next state, closes every feature's loop and takes no normals.
+
+``run_episode`` logs the reward of each ``TwinLoop.step``, which checks the
+request, then moves the plant: -0.1 f² (+100 at the goal) + kappa * mean(request).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import estimator as est
 from . import scheduler as sched
 from .config import RunConfig
-from .control import ActionVector, PolicyAgent, scripted_controller, shaped_reward
+from .control import ActionVector, PolicyAgent, scripted_controller
 from .errors import ConfigError
 from .loop import TwinLoop
 from .recordio import EpisodeRecord
@@ -127,27 +130,19 @@ def run_episode(cfg: RunConfig, scheme: str, policy, seed: int) -> EpisodeRecord
     loop = build_loop(cfg, scheme, np.random.default_rng(seed))
     belief = loop.belief
     record = EpisodeRecord(scheme=scheme)
-    request = None
     for qi in range(cfg.qi_cap):
         action: ActionVector = policy(belief.mean)
-        accuracy = action.accuracy
-        res = loop.step(action.force, accuracy)
-        if accuracy is not request:
-            # -0.0 is the identity of float addition, so this is the bonus, bit for bit; a tuple
-            # cannot change in place, so the same one gives the same bonus again.
-            bonus = shaped_reward(-0.0, accuracy, cfg.control.kappa)
-            request = accuracy if accuracy.__class__ is tuple else None
-        reward = res.reward_env + bonus
+        res = loop.step(action.force, action.accuracy)
         (true_pos, true_vel), (belief_pos, belief_vel) = res.true_state, res.belief.mean
         (cov_pos, _), (_, cov_vel) = res.belief.cov
         target_pos, target_vel = res.targets
         age_pos, age_vel = loop.aol.ages
-        eta_pos, eta_vel = accuracy
+        eta_pos, eta_vel = action.accuracy
         schedule = res.schedule
         record.append((
             qi, true_pos, true_vel, belief_pos, belief_vel, cov_pos, cov_vel, target_pos, target_vel,
             len(schedule.selected), schedule.selected, schedule.delivered, schedule.total_prbs,
-            age_pos, age_vel, reward, action.force, eta_pos, eta_vel, int(res.failed),
+            age_pos, age_vel, res.reward, action.force, eta_pos, eta_vel, int(res.failed),
         ))
         belief = res.belief
         if res.done:

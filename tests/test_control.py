@@ -63,16 +63,114 @@ def test_log_prob_consistent_with_density():
     assert logp == pytest.approx(want, rel=1e-10)
 
 
-def test_shaped_reward_examples():
-    assert ctl.shaped_reward(-0.1, np.array([0.0, 0.0]), 5e-6) == pytest.approx(-0.1)
-    assert ctl.shaped_reward(0.0, np.array([100.0, 100.0]), 5e-6) == pytest.approx(5e-4)
-    assert ctl.shaped_reward(-0.37, np.array([123.0, 7.0]), 0.0) == -0.37
+def bonus_reward(reward_env, request, kappa):
+    """The step's reward: reward_env + kappa * the request's mean, summed in index order."""
+    return reward_env + kappa * ((request[0] + request[1]) / 2)
 
 
-def test_shaped_reward_monotone_in_accuracy():
-    base = ctl.shaped_reward(0.1, np.array([10.0, 10.0]), 5e-6)
+def recorded_episode(cfg, policy, seed=3, scheme="AoL-REVERB"):
+    """``schemes.run_episode``'s record and every (request, StepResult) of its loop."""
+    from reverb import loop as loop_module
+    from reverb import schemes
+
+    steps = []
+    step = loop_module.TwinLoop.step
+
+    def recorded(twin, force, accuracy):
+        res = step(twin, force, accuracy)
+        steps.append((accuracy, res))
+        return res
+
+    with mock.patch.object(loop_module.TwinLoop, "step", recorded):
+        record = schemes.run_episode(cfg, scheme, policy, seed)
+    return record, steps
+
+
+def assert_rewards_are_the_bonus_sum(cfg, record, steps):
+    """Each step's reward is the bonus sum with the loop's kappa, bit for bit, and the record logs it."""
+    assert len(steps) == record.qis > 0
+    for (request, res), logged in zip(steps, record.columns["reward"]):
+        want = bonus_reward(res.reward_env, request, cfg.control.kappa)
+        assert repr(res.reward) == repr(want) == repr(logged)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"scripted_accuracy": [-0.0, 500.0]},
+    {"scripted_accuracy": [-0.0, -0.0]},
+    {"control": {"kappa": 3e-3}, "scripted_accuracy": [123.0, 7.0]},
+], ids=["headline", "negative-zero", "both-negative-zero", "kappa"])
+def test_step_reward_of_the_scripted_pump(overrides):
+    from reverb.config import config_from_dict
+    from reverb.schemes import make_policy
+
+    cfg = config_from_dict({"qi_cap": 60, **overrides})
+    record, steps = recorded_episode(cfg, make_policy(cfg))
+    assert_rewards_are_the_bonus_sum(cfg, record, steps)
+    if overrides:
+        assert {request for request, _ in steps} == {tuple(cfg.scripted_accuracy)}
+
+
+def test_step_reward_of_a_trained_policy(trained_agent):
+    from reverb.config import RunConfig
+    from reverb.schemes import make_policy
+
+    cfg = RunConfig()
+    record, steps = recorded_episode(cfg, make_policy(cfg, trained_agent), seed=4)
+    assert len({request for request, _ in steps}) > 1
+    assert_rewards_are_the_bonus_sum(cfg, record, steps)
+
+
+def first_step(cfg, force, request, seed=5):
+    from reverb.schemes import build_loop
+
+    return build_loop(cfg, "AoL-REVERB", np.random.default_rng(seed)).step(force, request)
+
+
+def test_step_reward_examples():
+    from reverb.config import config_from_dict
+
+    headline, no_bonus = config_from_dict({}), config_from_dict({"control": {"kappa": 0.0}})
+    res = first_step(headline, 1.0, (0.0, 0.0))
+    assert res.reward == res.reward_env == -0.1 * 1.0**2
+    res = first_step(headline, 0.0, (100.0, 100.0))
+    assert res.reward == pytest.approx(5e-4) and res.reward_env == 0.0
+    res = first_step(no_bonus, 0.5, (123.0, 7.0))
+    assert res.reward == res.reward_env == -0.1 * 0.5**2
+    # A zero force costs -0.0 and a request of two -0.0 adds -0.0, so the reward keeps that sign.
+    res = first_step(headline, -0.0, (-0.0, -0.0))
+    assert math.copysign(1.0, res.reward) == math.copysign(1.0, res.reward_env) == -1.0
+
+
+def test_step_reward_monotone_in_accuracy():
+    from reverb.config import RunConfig
+
+    cfg = RunConfig()
+    base = first_step(cfg, 0.3, (10.0, 10.0))
     for bump in (1.0, 50.0, 4000.0):
-        assert ctl.shaped_reward(0.1, np.array([10.0 + bump, 10.0]), 5e-6) >= base
+        res = first_step(cfg, 0.3, (10.0 + bump, 10.0))
+        assert res.reward_env == base.reward_env and res.reward > base.reward
+
+
+def test_a_failing_step_changes_nothing():
+    """A request that fails its check raises before the plant moves, the ages tick or a normal is drawn."""
+    from reverb.config import RunConfig
+    from reverb.schemes import build_loop
+
+    cfg = RunConfig()
+    failing, fresh, probe, probe_fresh = (
+        build_loop(cfg, "AoL-REVERB", np.random.default_rng(5)) for _ in range(4)
+    )
+    for twin in (failing, probe):
+        with pytest.raises(InputError, match="nonnegative"):
+            twin.step(1.0, (-1.0, 5.0))
+    assert (failing.state, failing.belief, failing.aol) == (fresh.state, fresh.belief, fresh.aol)
+    assert probe.normals(8) == probe_fresh.normals(8)
+    # With a bad force too, the request's error comes first.
+    with pytest.raises(InputError, match="nonnegative"):
+        failing.step(math.nan, (-1.0, 5.0))
+    assert repr(failing.step(1.0, (100.0, 900.0))) == repr(fresh.step(1.0, (100.0, 900.0)))
+    assert (failing.state, failing.belief, failing.aol) == (fresh.state, fresh.belief, fresh.aol)
 
 
 def test_td_error_zero_critic():
@@ -441,7 +539,7 @@ def test_episode_stats_match_the_steps_run(done_at):
             res = step(force, accuracy)
             if done_at is not None:
                 res = res._replace(done=len(run) + 1 == done_at)
-            run.append((np.array(accuracy, dtype=float), res))
+            run.append((accuracy, res))
             return res
 
         loop.step = recorded_step
@@ -453,8 +551,9 @@ def test_episode_stats_match_the_steps_run(done_at):
     for stats, run in zip(curve, runs):
         env_return = shaped_return = 0.0
         for accuracy, res in run:
+            assert res.reward == bonus_reward(res.reward_env, accuracy, cfg.control.kappa)
             env_return += res.reward_env
-            shaped_return += ctl.shaped_reward(res.reward_env, accuracy, cfg.control.kappa)
+            shaped_return += res.reward
         assert stats.qis == len(run) == (done_at or 6)
         assert stats.reached_goal == (done_at is not None) == run[-1][1].done
         assert stats.env_return == env_return

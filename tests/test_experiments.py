@@ -295,7 +295,7 @@ def test_bad_row_rejected():
     for bad in ((0,), row[:-1], row + (0,)):
         with pytest.raises(ValueError, match="bad row"):
             rec.append(bad)
-    assert len(rec) == 0 and rec.columns == {c: [] for c in EPISODE_COLUMNS}
+    assert rec.qis == 0 and rec.columns == {c: [] for c in EPISODE_COLUMNS}
 
 
 def test_columns_view_shows_rows_appended_after_a_read():
@@ -774,10 +774,10 @@ def test_golden_outputs_names_first_difference(tmp_path):
 
 
 def test_golden_files_keep_their_recorded_digests(tmp_path):
-    """The 13 golden files that go through no BLAS product, regenerated, match tests/golden.sha256."""
+    """The 15 golden files that go through no BLAS product, regenerated, match tests/golden.sha256."""
     golden = load_golden_script()
     taken, want = golden.read_digest(Path(__file__).with_name("golden.sha256"))
-    assert len(want) == 13
+    assert len(want) == 15
     for argv in golden.commands(tmp_path):
         if golden.out_name(argv) in golden.DIGESTED:
             assert cli.main(argv) == 0
