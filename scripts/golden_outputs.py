@@ -55,7 +55,9 @@ behind each loop's normal stream (``loop.NormalStream``), by name.
 ``tests/costs.json`` is that file, headed by the versions; a Tier-1 test
 counts again and fails when any count per QI is above its recorded value.
 Counts are exact and do not depend on the host, so a change that removes work
-re-records the file, and one that adds work names each risen count:
+re-records the file, and one that adds work names each risen count. When
+FILE exists, every per-QI count that moved is printed before FILE is
+overwritten, one line each (``run kind name: old → new per QI``):
 
     python3 scripts/golden_outputs.py --out /tmp/golden_new --costs tests/costs.json
 
@@ -364,7 +366,31 @@ def all_costs() -> dict[str, dict]:
 
 
 def write_costs(path: Path) -> None:
-    path.write_text(json.dumps({"versions": versions(), "runs": all_costs()}, indent=1) + "\n")
+    """Count every run and write the file; when ``path`` exists, first print each per-QI count that moved."""
+    costs = all_costs()
+    if path.exists():
+        for line in cost_changes(costs, json.loads(path.read_text())["runs"]):
+            print(line)
+    path.write_text(json.dumps({"versions": versions(), "runs": costs}, indent=1) + "\n")
+
+
+def cost_changes(got: dict[str, dict], want: dict[str, dict]) -> list[str]:
+    """One line per count whose per-QI value differs between ``want`` (old) and ``got`` (new), runs in both.
+
+    A name one side lacks counts 0 there. Each line reads ``run kind name: old → new per QI``.
+    """
+    lines = []
+    for name, costs in got.items():
+        recorded = want.get(name)
+        if recorded is None:
+            continue
+        for kind in COST_KINDS:
+            new, old = costs[kind], recorded[kind]
+            for key in sorted(new.keys() | old.keys()):
+                n, m = new.get(key, 0), old.get(key, 0)
+                if n * recorded["qis"] != m * costs["qis"]:
+                    lines.append(f"{name} {kind} {key}: {m / recorded['qis']:.4g} → {n / costs['qis']:.4g} per QI")
+    return lines
 
 
 def cost_increases(got: dict[str, dict], want: dict[str, dict]) -> list[str]:

@@ -3,29 +3,29 @@
 Ages grow by one each interval and reset to 1 when delivered state feedback
 closes the loop for a feature (the closing interval itself is one unit old).
 ``fresh`` checks the thresholds once, one per state feature and each at
-least 1, and starts both ages at 0. A tracker is an immutable named tuple:
-``tick`` and ``close_loop`` build the next ages as plain tuples, which keeps
-the invariants by construction (one age per threshold, every age
-nonnegative), so they are not checked again every interval. ``close_loop``
-checks each feature index it is given and returns the tracker itself when
-nothing closes. ``TwinLoop.step`` ticks the ages before the round; a radio
-round closes the features of the readings that arrived, and Perfect's round
-closes every feature.
+least 1, and starts both ages at 0. A tracker is an immutable named tuple
+whose ages are a pair: ``tick`` builds ``(a0 + 1, a1 + 1)`` and
+``close_loop`` takes a pair of closing flags, one per feature, so the
+invariants (two ages, each nonnegative) hold by construction and are not
+checked again every interval. A radio round ticks the ages before it selects
+and closes the features its delivered readings measure; Perfect's round
+never ticks, closes both features and keeps its tracker once the ages are
+``(1, 1)``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .schema import STATE_FEATURES
 
 
 class AolTracker(NamedTuple):
     """Per-feature ages and their tolerable maxima; start one with ``fresh``."""
 
-    ages: tuple[int, ...]
-    thresholds: tuple[int, ...]
+    ages: tuple[int, int]
+    thresholds: tuple[int, int]
 
     @classmethod
     def fresh(cls, thresholds: Iterable[int]) -> "AolTracker":
@@ -38,21 +38,17 @@ class AolTracker(NamedTuple):
         return cls((0, 0), ts)
 
     def tick(self) -> "AolTracker":
-        """Every feature's loop ages by one interval."""
-        return AolTracker(tuple([a + 1 for a in self.ages]), self.thresholds)
+        """Both features' loops age by one interval."""
+        a0, a1 = self.ages
+        return AolTracker((a0 + 1, a1 + 1), self.thresholds)
 
-    def close_loop(self, features: Iterable[int]) -> "AolTracker":
-        """Reset the listed features to age 1; others are untouched."""
-        ages = self.ages
-        n = len(ages)
-        closed = None
-        for k in features:
-            if not 0 <= k < n:
-                raise InputError("feature index out of range")
-            if closed is None:
-                closed = list(ages)
-            closed[k] = 1
-        return self if closed is None else AolTracker(tuple(closed), self.thresholds)
+    def close_loop(self, closes: tuple[bool, bool]) -> "AolTracker":
+        """Reset feature k to age 1 where ``closes[k]`` holds; with nothing to close, the tracker itself."""
+        c0, c1 = closes
+        if not (c0 or c1):
+            return self
+        a0, a1 = self.ages
+        return AolTracker((1 if c0 else a0, 1 if c1 else a1), self.thresholds)
 
     def violated(self) -> tuple[int, ...]:
         """Features whose age exceeds the tolerable maximum this interval."""

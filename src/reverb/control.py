@@ -351,8 +351,8 @@ def train(
 ) -> tuple[PolicyAgent, list[EpisodeStats]]:
     """Run the full learning loop: belief in, force and accuracy request out.
 
-    Each episode drives a fresh co-simulation and records each step's reward,
-    transitions are batched per episode, and one clipped-ratio update follows.
+    Each episode drives a fresh co-simulation and takes one clipped-ratio
+    update; a loop whose ``cfg.control`` is not ``cfg``, the agent's, fails.
     """
     if episodes < 0:
         raise InputError(f"episode count must be nonnegative, got {episodes}")
@@ -369,6 +369,8 @@ def train(
     explore_until = int(EXPLORE_FRAC * episodes)
     for ep in range(episodes):
         loop = make_loop(np.random.default_rng(env_children[ep]))
+        if loop.cfg.control != cfg:
+            raise ConfigError(f"the loop's control config {loop.cfg.control} is not train's {cfg}")
         state = loop.belief.mean
         transitions: list[Transition] = []
         env_return = 0.0

@@ -7,17 +7,17 @@ second time. It owns the mutable episode state, which its constructor
 starts: it draws the initial plant state and then the initial belief from
 the episode's generator, sets every age fresh, and hands the generator to a
 ``NormalStream``, which every later draw goes through. It also owns the
-episode's link table, ``links``, which starts empty and which the radio
-rounds fill (``scheduler.size_and_transmit``).
+episode's link table, ``links``: empty at first, filled by the radio rounds
+(``scheduler.size_and_transmit``), with a three-part entry per selection.
 
 Each ``step`` takes an action, a force and a per-feature accuracy request.
 It checks the request first, by taking its variance bounds, so a failing
-request changes nothing; then the plant moves, the ages tick, and the
-scheme's round (``schemes.make_round``) turns the last belief, the force and
-the ticked ages into the next belief and ages: ``scheduler.run_round`` for a
-radio scheme, which predicts, selects, transmits, fuses and closes the
-delivered features' loops, and for Perfect the true state with every loop
-closed and no prior. The reward is -0.1 f² (+100 at the goal) + kappa *
+request changes nothing; then the plant moves, and the scheme's round
+(``schemes.make_round``) turns the last belief, the force and the last ages
+into the next belief and ages: ``scheduler.run_round`` for a radio scheme,
+which ticks the ages, predicts, selects, transmits, fuses and closes the
+delivered features' loops, and for Perfect the true state with both ages at
+``(1, 1)`` and no prior. The reward is -0.1 f² (+100 at the goal) + kappa *
 mean(request), kappa being the config's ``control.kappa``. Every value a
 step hands on (plant state, belief, targets, ages) is a tuple of floats or
 ints, and the step returns an immutable named tuple, ``StepResult``.
@@ -136,7 +136,7 @@ class TwinLoop:
             force,
             self.plant,
             targets,
-            self.aol.tick(),
+            self.aol,
             self.fleet,
             self.cfg.channel,
             self.links,

@@ -15,22 +15,22 @@ covariance as four floats and counts the room left under the cap, and it
 returns each pick's flat rank-1 step, (g0, g1, c00, c01, c10, c11), as its
 steps.
 
-``run_round`` is the round every radio scheme runs. It predicts the prior
-from the last belief (``estimator.predict``); the scheme's selector names the
-sensors; their links are sized and their readings transmitted; the scheme's
-fuse corrects the prior with the readings that arrive; and the features of
-those readings close their loops, each once however many of its readings
-arrived. The loop's link table (``TwinLoop.links``) holds, per sensor, its
-``LinkBudget`` and the fade-free parts of its SNR (``channel.link_terms``),
-solved the first time the sensor is selected, and, per selection tuple, what
-the selection alone fixes: the tuple, its links' terms in pick order and its
-PRB total. A round takes the normals for all observation noise
-(``sensing.observe``), then those for all fades, from the loop's stream
-(``loop.NormalStream``): the numbers, in the order, that per-link
-``uplink_outcome`` calls on the stream's generator would draw.
-``channel.meets_deadline`` forms each fade and tests each link from the
-table's parts in one pass. Fusion (``fuse_delivered``) is one rank-1 update
-per delivered reading, in selection order: while every pick so far has
+``run_round`` is the round every radio scheme runs. It ticks the ages and
+predicts the prior from the last belief (``estimator.predict``); the scheme's
+selector names the sensors; their links are sized and their readings
+transmitted; the scheme's fuse corrects the prior with the readings that
+arrive; and the features of those readings close their loops. The loop's link
+table (``TwinLoop.links``) holds, per sensor, its ``LinkBudget`` and the
+fade-free parts of its SNR (``channel.link_terms``), solved the first time the
+sensor is selected, and, per selection tuple, an entry of three parts: its
+fully delivered ``ScheduleResult``, its links' terms in pick order and its
+closing flags (whether it holds a sensor of feature 0, of feature 1). A round
+takes the normals for all observation noise (``sensing.observe``), then those
+for all fades, from the loop's stream (``loop.NormalStream``): the numbers, in
+the order, that per-link ``uplink_outcome`` calls on the stream's generator
+would draw. ``channel.meets_deadline`` forms each fade and tests each link
+from the table's parts in one pass. Fusion (``fuse_delivered``) is one rank-1
+update per delivered reading, in selection order: while every pick so far has
 arrived, update n is the planner's step n, so only the mean moves; from the
 first lost pick on, ``rank1_update`` runs on the running covariance. A blind
 round selects nothing and takes no normals.
@@ -38,8 +38,8 @@ round selects nothing and takes no normals.
 The targets are a plain tuple of per-feature variance bounds, computed and
 checked in Python floats by ``compute_targets``. The planner, the fusion and
 the loop closing read each sensor's feature and noise from the fleet's
-id-indexed tuples. ``ScheduleResult`` is a named tuple, built once per round,
-that stores the round's PRB total once.
+id-indexed tuples. ``ScheduleResult`` is a named tuple that stores the
+round's PRB total once; only a round with a lost pick builds one.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ class ScheduleResult(NamedTuple):
     def blind(self) -> bool:
         """No sensor was selected this interval."""
         return not self.selected
+
+
+BLIND = ScheduleResult((), (), 0)  # nothing selected, delivered or spent
 
 
 def compute_targets(required_var: Sequence[float], accuracy_request: Sequence[float]) -> tuple[float, ...]:
@@ -169,45 +172,56 @@ def size_and_transmit(
     links: dict,
     true_state: State,
     normals: Normals,
-) -> tuple[tuple[int, ...], int, list[float], list[int]]:
+) -> tuple[ScheduleResult, tuple[bool, bool], list[float], list[int]]:
     """Size every selected link, read the sensors, realize the uplinks.
 
-    Returns (ids, prbs, values, delivered agent ids): the selection as a
-    tuple, the sum of its links' PRBs, and the selected sensors'
-    observations in selection order. All observation noise
-    is one take of ``normals`` (``sensing.observe``), then all fades one take
-    of two normals per link (real, imaginary part): the numbers, in the
-    order, that ``channel.uplink_outcome`` per link draws from the stream's
-    generator. ``channel.meets_deadline`` forms each fade and tests each
-    deadline with ``uplink_outcome``'s own float expressions, so deliveries
-    equal theirs bit for bit.
+    Returns (result, closes, values, delivered agent ids): the round's
+    ``ScheduleResult``, its closing flags, and the selected sensors'
+    observations in selection order. All observation noise is one take of
+    ``normals`` (``sensing.observe``), then all fades one take of two normals
+    per link (real, imaginary part): the numbers, in the order, that
+    ``channel.uplink_outcome`` per link draws from the stream's generator.
+    ``channel.meets_deadline`` forms each fade and tests each deadline with
+    ``uplink_outcome``'s own float expressions, so deliveries equal theirs
+    bit for bit.
 
     ``links`` is the loop's link table on ``params``, with two kinds of
     entry. A sensor id maps to its (``LinkBudget``, ``channel.link_terms``),
     solved and added the first time the sensor is selected, so a sensor that
     is never selected is never sized, even when its link is infeasible. A
-    selection tuple maps to (that tuple, its links' ``link_terms`` in pick
-    order, its PRB total), built from the sensor entries the first time the
-    selection is made; a selection seen before is neither checked, split nor
-    summed again, and the returned ids are the entry's tuple. An empty
-    selection returns at once, adds no entry and takes no normals.
+    selection tuple maps to its three-part entry (see the module text), built
+    from the sensor entries the first time the selection is made and never
+    checked, split or summed again. A fully delivered round returns the
+    entry's result and flags, a round with a lost pick new ones; an empty
+    selection returns ``BLIND`` at once, adds no entry and takes no normals.
     """
     if not selected:
-        return (), 0, [], []
+        return BLIND, (False, False), [], []
     key = tuple(selected)
     entry = links.get(key)
+    features = fleet.features
     if entry is None:
         for i in key:
             if i not in links:
                 agent = fleet.agents[i]
                 budget = ch.optimal_bandwidth(params, agent.tx_power_w, agent.distance_m, agent_id=i)
                 links[i] = budget, ch.link_terms(params, budget)
-        entry = links[key] = key, [links[i][1] for i in key], sum([links[i][0].prbs for i in key])
-    ids, terms, prbs = entry
+        picked = {features[i] for i in key}
+        full = ScheduleResult(key, key, sum([links[i][0].prbs for i in key]))
+        entry = links[key] = full, [links[i][1] for i in key], (0 in picked, 1 in picked)
+    full, terms, closes = entry
     values = observe(fleet, selected, true_state, normals)
     met = ch.meets_deadline(params, terms, normals(2 * len(terms)))
     delivered = [i for i, ok in zip(selected, met) if ok]
-    return ids, prbs, values, delivered
+    if len(delivered) == len(key):
+        return full, closes, values, delivered
+    c0 = c1 = False
+    for i in delivered:
+        if features[i] == 0:
+            c0 = True
+        else:
+            c1 = True
+    return ScheduleResult(full.selected, tuple(delivered), full.total_prbs), (c0, c1), values, delivered
 
 
 def fuse_delivered(
@@ -268,22 +282,21 @@ def run_round(
     normals: Normals,
     fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
-    """One round of a radio scheme: predict, select, size and transmit, fuse what arrived, close loops.
+    """One round of a radio scheme: tick, predict, select, size and transmit, fuse what arrived, close loops.
 
-    The prior is ``estimator.predict`` of ``belief`` under ``force`` and
-    ``plant``. ``select(prior, targets, aol, fleet, cap)`` returns (picks,
-    steps): the sensor ids in order, and the planner's rank-1 updates of the
-    picks (see ``plan_selection``) or empty; ``fuse`` has the signature of
-    ``fuse_delivered``; ``links`` is the loop's link table on ``params`` (see
+    ``aol`` is the last interval's tracker; the round ticks it before it
+    selects. The prior is ``estimator.predict`` of ``belief`` under ``force``
+    and ``plant``. ``select(prior, targets, aol, fleet, cap)`` returns
+    (picks, steps): the sensor ids in order, and the planner's rank-1
+    updates of the picks (see ``plan_selection``) or empty; ``fuse`` has the
+    signature of ``fuse_delivered``; ``links`` is the loop's link table on
+    ``params``, and the result and the closing flags come from it (see
     ``size_and_transmit``); ``normals`` is the loop's stream
-    (``dynamics.Normals``). The result stores the picks, the deliveries and
-    the sum of the picked links' PRBs; the picks are the link table's tuple
-    for the selection, and so are the deliveries when every pick arrived.
+    (``dynamics.Normals``).
     """
+    aol = aol.tick()
     prior = est.predict(belief, force, plant)
     selected, steps = select(prior, targets, aol, fleet, cap)
-    ids, prbs, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
+    result, closes, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
     posterior = fuse(prior, selected, delivered, values, fleet, steps)
-    result = ScheduleResult(ids, ids if len(delivered) == len(ids) else tuple(delivered), prbs)
-    features = fleet.features
-    return result, posterior, aol.close_loop({features[i] for i in delivered})
+    return result, posterior, aol.close_loop(closes)

@@ -17,7 +17,8 @@ A radio round predicts the prior from the last belief before it selects
 selection order, as the list of Python floats ``sensing.observe`` returns,
 and reads each sensor's feature and noise from the fleet's id-indexed
 tuples. ``Perfect`` uses no radio and no prior: its round sets the belief to
-the true next state, closes every feature's loop and takes no normals.
+the true next state, never ticks, closes both features' loops and keeps its
+tracker once the ages are ``(1, 1)``, and takes no normals.
 
 ``run_episode`` logs the reward of each ``TwinLoop.step``, which checks the
 request, then moves the plant: -0.1 f² (+100 at the goal) + kappa * mean(request).
@@ -36,16 +37,12 @@ from .control import ActionVector, PolicyAgent, scripted_controller
 from .errors import ConfigError
 from .loop import TwinLoop
 from .recordio import EpisodeRecord
-from .scheduler import ScheduleResult
 from .sensing import generate_fleet
-
-# Perfect's every round: nothing selected, nothing delivered, no PRB.
-NO_RADIO = ScheduleResult(selected=(), delivered=(), total_prbs=0)
 
 
 def perfect_round(belief, force, plant, targets, aol, fleet, params, links, cap, true_state, normals):
     posterior = est.Belief(true_state, ((0.0, 0.0), (0.0, 0.0)))
-    return NO_RADIO, posterior, aol.close_loop(range(len(aol.ages)))
+    return sched.BLIND, posterior, aol if aol.ages == (1, 1) else aol.close_loop((True, True))
 
 
 def select_reverb(prior, targets, aol, fleet, cap):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reverb.aol import AolTracker
-from reverb.errors import ConfigError, InputError
+from reverb.errors import ConfigError
 
 
 def test_tick_increments_everything():
@@ -21,10 +21,12 @@ def test_five_ticks_from_zero():
 
 
 def test_close_loop_resets_to_one():
-    t = AolTracker((7, 3), (5, 5)).close_loop({0})
+    t = AolTracker((7, 3), (5, 5)).close_loop((True, False))
     assert t.ages == (1, 3)
-    assert AolTracker((7, 3), (5, 5)).close_loop(set()).ages == (7, 3)
-    assert AolTracker((7, 3), (5, 5)).close_loop({0, 1}).ages == (1, 1)
+    assert AolTracker((7, 3), (5, 5)).close_loop((False, True)).ages == (7, 1)
+    assert AolTracker((7, 3), (5, 5)).close_loop((True, True)).ages == (1, 1)
+    untouched = AolTracker((7, 3), (5, 5))
+    assert untouched.close_loop((False, False)) is untouched
 
 
 def test_violated_inclusive_bound():
@@ -35,16 +37,16 @@ def test_violated_inclusive_bound():
 
 
 def test_validation():
-    """``fresh`` checks the thresholds once; ``close_loop`` checks every feature it is given."""
+    """``fresh`` checks the thresholds once; ``close_loop`` takes exactly one flag per feature."""
     for thresholds in ((0, 5), (5, 0), (5, -3)):
         with pytest.raises(ConfigError):
             AolTracker.fresh(thresholds)
     assert AolTracker.fresh([1, 2]) == AolTracker((0, 0), (1, 2))
     tracker = AolTracker.fresh((5, 5)).tick().tick()
-    for features in ({7}, {2}, {-1}, {0, 2}, [1, -1]):
-        with pytest.raises(InputError):
-            tracker.close_loop(features)
-    assert tracker.close_loop(iter([1])).ages == (2, 1) and tracker.ages == (2, 2)
+    for closes in ((True,), (True, False, True), ()):
+        with pytest.raises(ValueError):
+            tracker.close_loop(closes)
+    assert tracker.close_loop(iter([False, True])).ages == (2, 1) and tracker.ages == (2, 2)
 
 
 @pytest.mark.parametrize("thresholds", [[1, 1, 1], [5], []])
@@ -55,19 +57,18 @@ def test_fresh_needs_one_threshold_per_state_feature(thresholds):
 
 
 @given(
-    ages=st.lists(st.integers(0, 50), min_size=1, max_size=5),
+    ages=st.tuples(st.integers(0, 50), st.integers(0, 50)),
     thresholds_seed=st.integers(1, 20),
-    close=st.sets(st.integers(0, 4)),
+    closes=st.tuples(st.booleans(), st.booleans()),
 )
-def test_ops_only_touch_expected_entries(ages, thresholds_seed, close):
-    thresholds = tuple(thresholds_seed for _ in ages)
-    t = AolTracker(tuple(ages), thresholds)
+def test_ops_only_touch_expected_entries(ages, thresholds_seed, closes):
+    thresholds = (thresholds_seed, thresholds_seed)
+    t = AolTracker(ages, thresholds)
     ticked = t.tick()
     assert all(b == a + 1 for a, b in zip(t.ages, ticked.ages))
-    close = {k for k in close if k < len(ages)}
-    closed = ticked.close_loop(close)
-    for k, (before, after) in enumerate(zip(ticked.ages, closed.ages)):
-        assert after == (1 if k in close else before)
+    closed = ticked.close_loop(closes)
+    for before, after, close in zip(ticked.ages, closed.ages, closes):
+        assert after == (1 if close else before)
     assert closed.violated() == tuple(
         k for k, a in enumerate(closed.ages) if a > thresholds_seed
     )

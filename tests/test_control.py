@@ -7,7 +7,7 @@ from scipy import stats
 
 from reverb import control as ctl
 from reverb import dynamics as dyn
-from reverb.errors import InputError, TrainingError
+from reverb.errors import ConfigError, InputError, TrainingError
 from reverb.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, MLP, Adam
 
 import oracles
@@ -485,6 +485,26 @@ def test_agent_serialization_round_trip():
     a1, a2 = agent.act_mean(s), clone.act_mean(s)
     assert a1.force == a2.force
     assert np.array_equal(a1.accuracy, a2.accuracy)
+
+
+def test_training_rejects_a_loop_whose_control_config_is_not_its_own():
+    """The agent is built from ``train``'s config and the reward reads the loop's ``kappa``; they must agree."""
+    from reverb.config import RunConfig
+    from reverb.schemes import build_loop
+
+    cfg = RunConfig()
+    other = ctl.ControlConfig(kappa=1.0, eta_max=10.0)
+    steps = []
+
+    def make_loop(rng):
+        loop = build_loop(cfg, "AoL-REVERB", rng)
+        loop.step = lambda *args: steps.append(args)
+        return loop
+
+    names_both = r"control config ControlConfig\(kappa=5e-06.*train's ControlConfig\(kappa=1\.0"
+    with pytest.raises(ConfigError, match=names_both):
+        ctl.train(make_loop, 2, other, seed=4, qi_cap=20)
+    assert steps == []
 
 
 def test_zero_episode_training_returns_initial_params():

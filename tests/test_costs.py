@@ -46,16 +46,38 @@ def test_per_qi_costs_do_not_rise_above_the_recorded_counts():
     # Perfect's round replaces the belief, so a prediction back in its step is work thrown away.
     perfect_qis = got["Perfect"]["qis"]
     more["Perfect"]["package"]["reverb.estimator.predict"] = perfect_qis
+    # Perfect closes both features every round, so a tick back in its round is work thrown away too.
+    more["Perfect"]["package"]["reverb.aol.AolTracker.tick"] = perfect_qis
     qis, dense_min = got["dense"]["qis"], got["dense"]["builtins"]["builtins.min"]
     more["dense"]["builtins"]["builtins.min"] += qis
     more["train"]["package"]["reverb.dynamics.finite_difference_jacobian"] = 1
     assert golden.cost_increases(more, want["runs"]) == [
         f"Perfect package reverb.loop.TwinLoop.step: {1 + 1 / perfect_qis:.4g} per QI, recorded 1",
         "Perfect package reverb.estimator.predict: 1 per QI, recorded 0",
+        "Perfect package reverb.aol.AolTracker.tick: 1 per QI, recorded 0",
         f"dense builtins builtins.min: {dense_min / qis + 1:.4g} per QI, recorded {dense_min / qis:.4g}",
         f"train package reverb.dynamics.finite_difference_jacobian: {1 / got['train']['qis']:.4g} per QI, "
         "recorded 0",
     ]
+
+
+def test_cost_changes_name_every_moved_count_per_qi():
+    """Canned counts: a count that moved per QI is listed, old then new, whichever side lacks it; others are not."""
+    empty = {kind: {} for kind in golden.COST_KINDS}
+    old = {
+        "a": {**empty, "qis": 10, "package": {"f": 10, "g": 5, "gone": 3}, "builtins": {"builtins.len": 20}},
+        "only_old": {**empty, "qis": 1, "package": {"f": 1}},
+    }
+    new = {
+        "a": {**empty, "qis": 20, "package": {"f": 20, "g": 5, "new": 2}, "builtins": {"builtins.len": 40}},
+        "only_new": {**empty, "qis": 1, "package": {"f": 9}},
+    }
+    assert golden.cost_changes(new, old) == [
+        "a package g: 0.5 → 0.25 per QI",
+        "a package gone: 0.3 → 0 per QI",
+        "a package new: 0 → 0.1 per QI",
+    ]
+    assert golden.cost_changes(old, old) == []
 
 
 def test_the_counter_sees_package_calls_numpy_entries_and_draws():

@@ -192,10 +192,14 @@ def test_link_memo_hit_equals_fresh_solve():
     sched.size_and_transmit([0, 1], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
     first = links[0][0], links[1][0]
     with mock.patch.object(ch, "optimal_bandwidth", side_effect=AssertionError("link table missed")):
-        ids, prbs, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, links, np.zeros(2), per_call_normals(rng))
+        normals = per_call_normals(rng)
+        result, closes, _, _ = sched.size_and_transmit([1, 0], fleet, cfg.channel, links, np.zeros(2), normals)
     # A new order of sized sensors is a new selection, built from the sensors' entries.
+    ids, prbs = result.selected, result.total_prbs
     assert ids == (1, 0) and prbs == first[1].prbs + first[0].prbs
-    assert links[ids] == (ids, [links[1][1], links[0][1]], prbs) and links[ids][0] is ids
+    picked = {fleet.features[1], fleet.features[0]}
+    assert links[ids] == ((ids, ids, prbs), [links[1][1], links[0][1]], (0 in picked, 1 in picked))
+    assert links[ids][0] is result and result.delivered is ids and links[ids][2] is closes
     for i in (1, 0):
         a = fleet.agents[i]
         assert links[i][0] == ch.optimal_bandwidth(cfg.channel, a.tx_power_w, a.distance_m, agent_id=i)
@@ -209,11 +213,12 @@ def test_link_memo_hit_equals_fresh_solve():
     assert wide.bandwidth_hz > first[0].bandwidth_hz
 
 
-# The table's selection entries. A hit hands the round the entry's tuple, the
-# sensors' own ``link_terms`` objects in pick order and the integer PRB sum:
-# the values a miss computes from the same sensor entries, so the deadline
-# tests, the readings, the fusion and the stream's position do not depend on
-# whether the selection was seen before, and every bit of the round is kept.
+# The table's selection entries. A hit hands the round the entry's fully
+# delivered result, the sensors' own ``link_terms`` objects in pick order and
+# the closing flags: the values a miss computes from the same sensor entries,
+# so the deadline tests, the readings, the fusion, the ages and the stream's
+# position do not depend on whether the selection was seen before, and every
+# bit of the round is kept.
 PICKS = [8, 1, 6, 9]   # reachable sensors of ``far_fleet``, both features
 
 
@@ -223,7 +228,10 @@ def coin_flip_links(params, fleet, ids):
 
 
 def traced_round(links, fleet, params, seed):
-    """``run_round`` of ``PICKS`` (a new list each round) on ``links``: result, readings, posterior, stream state."""
+    """``run_round`` of ``PICKS`` (a new list each round) on ``links``.
+
+    Returns the result, the readings, the posterior, the ages and the stream state.
+    """
     readings = []
 
     def fuse(prior, selected, delivered, values, fleet, steps):
@@ -232,11 +240,12 @@ def traced_round(links, fleet, params, seed):
 
     rng = np.random.default_rng(seed)
     belief = est.Belief((-0.5, 0.01), ((2e-2, 1e-3), (1e-3, 1e-2)))
-    result, post, _ = sched.run_round(
+    result, post, aol = sched.run_round(
         lambda *_: (list(PICKS), ()), belief, 0.0, STILL, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet, params,
         links, len(PICKS), (-0.49, 0.012), per_call_normals(rng), fuse=fuse,
     )
-    return result, np.array(readings).tobytes(), np.array([post.mean, *post.cov]).tobytes(), rng.bit_generator.state
+    posterior = np.array([post.mean, *post.cov]).tobytes()
+    return result, np.array(readings).tobytes(), posterior, aol.ages, rng.bit_generator.state
 
 
 def test_repeated_selection_equals_a_round_on_an_empty_table():
@@ -249,9 +258,13 @@ def test_repeated_selection_equals_a_round_on_an_empty_table():
         hit = traced_round(warm, fleet, cfg.channel, seed)
         fresh = traced_round(coin_flip_links(cfg.channel, fleet, PICKS), fleet, cfg.channel, seed)
         assert hit == fresh
-        result = hit[0]
-        assert result.selected is entry[0] and result.total_prbs == entry[2] == first.total_prbs
-        assert (result.delivered is result.selected) == (result.delivered == result.selected)
+        result, ages = hit[0], hit[3]
+        full = entry[0]
+        assert result.selected is full.selected and result.total_prbs == full.total_prbs == first.total_prbs
+        # Only a fully delivered round hands back the entry's result, and it closes from the entry's flags.
+        assert (result is full) == (result.delivered is result.selected) == (result.delivered == result.selected)
+        arrived = {fleet.features[i] for i in result.delivered}
+        assert ages == tuple(1 if k in arrived else 7 for k in (0, 1))
         patterns.add(result.delivered)
     # Other outage patterns than the first round's, a full delivery and a partial one among them.
     assert len(patterns - {first.delivered}) > 1 and tuple(PICKS) in patterns and len(patterns) > 2
@@ -297,9 +310,39 @@ def test_selection_keys_are_the_episode_distinct_selections(overrides, scheme):
     keys = [k for k in loop.links if type(k) is tuple]
     assert set(keys) == {s for s in column if s} and len(keys) == len(set(keys))
     # Every row holds its selection's one tuple, and blind rounds add no key.
-    assert all(s is loop.links[s][0] for s in column if s)
+    assert all(s is loop.links[s][0].selected for s in column if s)
     assert () not in loop.links and any(column)
     assert (() in column) == (overrides == LOOSE and scheme == "AoL-REVERB")
+
+
+@pytest.mark.parametrize("scheme", ["CB-Greedy", "AoL-REVERB"])
+def test_repeated_fully_delivered_selection_is_the_entry_result(scheme):
+    """A fully delivered round hands back its selection entry's ``ScheduleResult``, the same object every time."""
+    cfg = config.config_from_dict({"qi_cap": 60})
+    loop = schemes.build_loop(cfg, scheme, np.random.default_rng(2))
+    policy = schemes.make_policy(cfg)
+    belief, seen, repeats = loop.belief, set(), 0
+    for _ in range(cfg.qi_cap):
+        action = policy(belief.mean)
+        schedule = loop.step(action.force, action.accuracy).schedule
+        belief = loop.belief
+        if schedule.selected and schedule.delivered == schedule.selected:
+            assert schedule is loop.links[schedule.selected][0]
+            repeats += schedule.selected in seen
+            seen.add(schedule.selected)
+    assert repeats > 10
+
+
+def test_perfect_keeps_its_tracker_at_one_one():
+    """Perfect never ticks: its first step closes both features, and from step 2 on the tracker is the same object."""
+    cfg = config.RunConfig()
+    loop = schemes.build_loop(cfg, "Perfect", np.random.default_rng(3))
+    assert loop.aol.ages == (0, 0)
+    loop.step(1.0, cfg.scripted_accuracy)
+    first = loop.aol
+    for _ in range(20):
+        res = loop.step(-1.0, cfg.scripted_accuracy)
+        assert loop.aol is first and first.ages == (1, 1) and res.schedule is sched.BLIND
 
 
 # --- one draw per round --------------------------------------------------------
@@ -355,9 +398,14 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
         if data.draw(st.booleans(), label=f"coin-flip link {i}"):
             links[i] = link_entry(params, coin_flip_budget(params, a))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ids, prbs, values, delivered = sched.size_and_transmit(selected, fleet, params, links, state, per_call_normals(rng))
+    result, closes, values, delivered = sched.size_and_transmit(
+        selected, fleet, params, links, state, per_call_normals(rng)
+    )
     want_values, want_delivered = per_link_transmit(selected, fleet, params, links, state, oracle_rng)
-    assert ids == tuple(selected) and prbs == sum(links[i][0].prbs for i in selected)
+    assert result.selected == tuple(selected) and result.total_prbs == sum(links[i][0].prbs for i in selected)
+    assert result.delivered == tuple(want_delivered)
+    arrived = {fleet.features[i] for i in want_delivered}
+    assert closes == (0 in arrived, 1 in arrived)
     assert type(values) is list and all(type(v) is float for v in values)
     assert np.array(values).shape == want_values.shape
     assert np.array(values).tobytes() == want_values.tobytes()
@@ -414,8 +462,10 @@ def test_empty_selection_draws_nothing():
     before = rng.bit_generator.state
     normals = mock.Mock(side_effect=per_call_normals(rng))
     links = {}
-    ids, prbs, values, delivered = sched.size_and_transmit([], fleet, ch.ChannelParams(), links, np.zeros(2), normals)
-    assert ids == () and prbs == 0 and np.array(values).shape == (0,) and delivered == []
+    params = ch.ChannelParams()
+    result, closes, values, delivered = sched.size_and_transmit([], fleet, params, links, np.zeros(2), normals)
+    assert result is sched.BLIND == ((), (), 0) and closes == (False, False)
+    assert np.array(values).shape == (0,) and delivered == []
     assert normals.call_count == 0 and rng.bit_generator.state == before and links == {}
 
 

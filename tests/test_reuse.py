@@ -134,6 +134,7 @@ def test_a_blind_round_leaves_the_generator_untouched():
         schemes.select_reverb, belief, 0.0, oracles.STILL, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet,
         cfg.channel, loop.links, cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
     )
-    assert result.blind and result.total_prbs == 0 and result.delivered == ()
+    assert result is sched.BLIND and result.blind and result.total_prbs == 0 and result.delivered == ()
     assert normals.mock_calls == []
-    assert posterior == belief and posterior is not belief and aol.ages == (1, 1)
+    # The round ticks the ages and closes none.
+    assert posterior == belief and posterior is not belief and aol.ages == (2, 2)

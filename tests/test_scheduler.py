@@ -181,10 +181,11 @@ def test_blind_when_targets_already_met():
         select_reverb, prior, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 3, np.zeros(2),
         per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
     )
-    assert result.blind and result.selected == ()
+    assert result is sched.BLIND and result.selected == ()
     assert np.array_equal(post.cov, prior.cov)
     assert np.array_equal(post.mean, prior.mean)
-    assert aol2.ages == aol.ages
+    # The round ticks the ages it is given and closes none.
+    assert aol2 == aol.tick()
 
 
 def test_single_violation_picks_min_noise_agent():
