@@ -39,11 +39,14 @@ than one pair.
 
 perfbench keeps every timed step, so its ``peak_rss_mb`` grows with the
 QIs a run gets through. ``--fixed-work-rss N`` measures the program's own
-peak at a fixed amount of work beside it: ``reverb bench --episodes 200
---seed 1`` N times per side, alternating the same way, each in a new
-process that prints its ``getrusage`` peak when the command returns. The
-file then holds both sides' peaks, their medians and the ratio, change over
-parent, under ``fixed_work_rss``.
+peak at a fixed amount of work beside it, one command per workload
+(``FIXED_WORK``): for ``schemes`` ``reverb bench --episodes 200 --seed 1``,
+for ``dense`` ``reverb bench --config configs/dense.yaml --scheme
+AoL-REVERB --episodes 200 --seed 1``. Each runs N times per side,
+alternating the same way, each in a new process that prints its
+``getrusage`` peak when the command returns. The file then holds, under
+``fixed_work_rss`` and keyed by workload, the command, both sides' peaks,
+their medians and the ratio, change over parent.
 """
 
 from __future__ import annotations
@@ -186,8 +189,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return parse_output(proc.stdout)
 
 
-# The fixed work of ``--fixed-work-rss``, and the process that runs it and prints its peak RSS.
-FIXED_WORK = ("bench", "--episodes", "200", "--seed", "1")
+# The fixed work of ``--fixed-work-rss`` per workload, and the process that runs it and prints its peak RSS.
+FIXED_WORK = {
+    "schemes": ("bench", "--episodes", "200", "--seed", "1"),
+    "dense": ("bench", "--config", "configs/dense.yaml", "--scheme", "AoL-REVERB", "--episodes", "200", "--seed", "1"),
+}
 RSS_PROBE = (
     "import json, resource, sys\n"
     "sys.path.insert(0, 'src')\n"
@@ -209,19 +215,19 @@ def parse_rss(stdout: str) -> float:
     return probe["peak_rss_mb"]
 
 
-def run_fixed_work(trees: dict[str, Path], runs: int, out: Path) -> list[dict]:
-    """``runs`` fixed-work runs per side, the parent first on even indices; one entry per run."""
+def run_fixed_work(trees: dict[str, Path], work: tuple[str, ...], runs: int, out: Path) -> list[dict]:
+    """``runs`` runs of the command ``work`` per side, the parent first on even indices; one entry per run."""
     results = []
     for index in range(runs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            cmd = [sys.executable, "-c", RSS_PROBE, *FIXED_WORK, "--out", str(out / f"{side}-{index}")]
+            cmd = [sys.executable, "-c", RSS_PROBE, *work, "--out", str(out / f"{side}-{index}")]
             proc = subprocess.run(cmd, cwd=trees[side], capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SystemExit(f"error: fixed-work run in {trees[side]} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
             peak = parse_rss(proc.stdout)
             results.append({"index": index, "side": side, "peak_rss_mb": peak})
-            print(f"fixed work {index} {side}: {peak:.1f} MB", flush=True)
+            print(f"fixed work {' '.join(work)} {index} {side}: {peak:.1f} MB", flush=True)
     return results
 
 
@@ -276,7 +282,7 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-seed", type=int, help="also run traced pairs per workload from this seed")
     parser.add_argument("--traced-pairs", type=int, default=1, help="traced pairs per workload (default 1)")
     parser.add_argument("--fixed-work-rss", type=int, default=0, metavar="N",
-                        help="also run `reverb bench --episodes 200 --seed 1` N times per side for its peak RSS")
+                        help="also run each workload's fixed work (FIXED_WORK) N times per side for its peak RSS")
     parser.add_argument("--note", default="", help="appended to the protocol text")
     args = parser.parse_args(argv)
 
@@ -302,14 +308,15 @@ def main(argv=None) -> int:
                 "pairs": summarize(traced_runs, per_layer_directions(benchmark)),
                 "runs": traced_runs,
             }
-        fixed = None
+        fixed = {}
         if args.fixed_work_rss:
-            fixed_runs = run_fixed_work(trees, args.fixed_work_rss, Path(tmp) / "fixed_work")
-            fixed = {
-                "command": "reverb " + " ".join(FIXED_WORK) + " (peak: getrusage ru_maxrss of its own process)",
-                "summary": summarize_rss(fixed_runs),
-                "runs": fixed_runs,
-            }
+            for workload, work in FIXED_WORK.items():
+                fixed_runs = run_fixed_work(trees, work, args.fixed_work_rss, Path(tmp) / "fixed_work" / workload)
+                fixed[workload] = {
+                    "command": "reverb " + " ".join(work) + " (peak: getrusage ru_maxrss of its own process)",
+                    "summary": summarize_rss(fixed_runs),
+                    "runs": fixed_runs,
+                }
 
     change = args.change or "the working tree"
     seeds = ", ".join(f"{w} {args.first_seed}-{args.first_seed + n - 1}" for w, n in workloads)

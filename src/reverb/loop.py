@@ -15,9 +15,10 @@ It checks the request first, by taking its variance bounds, so a failing
 request changes nothing; then the plant moves, and the scheme's round
 (``schemes.make_round``) turns the last belief, the force and the last ages
 into the next belief and ages: ``scheduler.run_round`` for a radio scheme,
-which ticks the ages, predicts, selects, transmits, fuses and closes the
-delivered features' loops, and for Perfect the true state with both ages at
-``(1, 1)`` and no prior. The reward is -0.1 f² (+100 at the goal) + kappa *
+which predicts, selects the sensors from the due features of the last ages,
+transmits, fuses and makes the ages' one transition of the interval
+(``AolTracker.close_loop``), and for Perfect the true state with both ages
+at ``(1, 1)`` and no prior. The reward is -0.1 f² (+100 at the goal) + kappa *
 mean(request), kappa being the config's ``control.kappa``. Every value a
 step hands on (plant state, belief, targets, ages) is a tuple of floats or
 ints, and the step returns an immutable named tuple, ``StepResult``.

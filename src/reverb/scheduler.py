@@ -15,22 +15,26 @@ covariance as four floats and counts the room left under the cap, and it
 returns each pick's flat rank-1 step, (g0, g1, c00, c01, c10, c11), as its
 steps.
 
-``run_round`` is the round every radio scheme runs. It ticks the ages and
-predicts the prior from the last belief (``estimator.predict``); the scheme's
-selector names the sensors; their links are sized and their readings
-transmitted; the scheme's fuse corrects the prior with the readings that
-arrive; and the features of those readings close their loops. The loop's link
-table (``TwinLoop.links``) holds, per sensor, its ``LinkBudget`` and the
-fade-free parts of its SNR (``channel.link_terms``), solved the first time the
-sensor is selected, and, per selection tuple, an entry of three parts: its
-fully delivered ``ScheduleResult``, its links' terms in pick order and its
-closing flags (whether it holds a sensor of feature 0, of feature 1). A round
-takes the normals for all observation noise (``sensing.observe``), then those
-for all fades, from the loop's stream (``loop.NormalStream``): the numbers, in
-the order, that per-link ``uplink_outcome`` calls on the stream's generator
-would draw. ``channel.meets_deadline`` forms each fade and tests each link
-from the table's parts in one pass. Fusion (``fuse_delivered``) is one rank-1
-update per delivered reading, in selection order: while every pick so far has
+``run_round(select, fuse, belief, ...)`` is the round every radio scheme
+runs, with the scheme's selector and fuse bound first. It predicts the prior
+from the last belief (``estimator.predict``); the selector names the
+sensors, reading the due features of the last interval's ages; their links
+are sized and their readings transmitted; the fuse corrects the prior with
+the readings that arrive; and the ages make the round's one transition
+(``AolTracker.close_loop``). The loop's link table (``TwinLoop.links``)
+holds, per sensor, its ``LinkBudget`` and the fade-free parts of its SNR
+(``channel.link_terms``), solved the first time the sensor is selected, and,
+per selection tuple, an entry of three parts: its fully delivered
+``ScheduleResult``, its links' terms in pick order and its closing flags
+(whether it holds a sensor of feature 0, of feature 1). A tuple selection is
+its own key, and a fully delivered round hands the key on as its
+deliveries. A round takes the normals for all observation noise
+(``sensing.observe``), then those for all fades, from the loop's stream
+(``loop.NormalStream``): the numbers, in the order, that per-link
+``uplink_outcome`` calls on the stream's generator would draw.
+``channel.meets_deadline`` forms each fade and tests each link from the
+table's parts in one pass. Fusion (``fuse_delivered``) is one rank-1 update
+per delivered reading, in selection order: while every pick so far has
 arrived, update n is the planner's step n, so only the mean moves; from the
 first lost pick on, ``rank1_update`` runs on the running covariance. A blind
 round selects nothing and takes no normals.
@@ -166,18 +170,19 @@ def plan_selection(
 
 
 def size_and_transmit(
-    selected: list[int],
+    selected: Sequence[int],
     fleet: SensorFleet,
     params: ch.ChannelParams,
     links: dict,
     true_state: State,
     normals: Normals,
-) -> tuple[ScheduleResult, tuple[bool, bool], list[float], list[int]]:
+) -> tuple[ScheduleResult, tuple[bool, bool], list[float], Sequence[int]]:
     """Size every selected link, read the sensors, realize the uplinks.
 
     Returns (result, closes, values, delivered agent ids): the round's
-    ``ScheduleResult``, its closing flags, and the selected sensors'
-    observations in selection order. All observation noise is one take of
+    ``ScheduleResult``, its closing flags, the selected sensors'
+    observations in selection order, and the ids whose uplink made the
+    deadline, in selection order. All observation noise is one take of
     ``normals`` (``sensing.observe``), then all fades one take of two normals
     per link (real, imaginary part): the numbers, in the order, that
     ``channel.uplink_outcome`` per link draws from the stream's generator.
@@ -191,13 +196,14 @@ def size_and_transmit(
     is never selected is never sized, even when its link is infeasible. A
     selection tuple maps to its three-part entry (see the module text), built
     from the sensor entries the first time the selection is made and never
-    checked, split or summed again. A fully delivered round returns the
-    entry's result and flags, a round with a lost pick new ones; an empty
-    selection returns ``BLIND`` at once, adds no entry and takes no normals.
+    checked, split or summed again. A tuple ``selected`` is its own key. A
+    fully delivered round returns the entry's result and flags, and the key
+    as its deliveries, a round with a lost pick new ones; an empty selection
+    returns ``BLIND`` at once, adds no entry and takes no normals.
     """
     if not selected:
         return BLIND, (False, False), [], []
-    key = tuple(selected)
+    key = selected if selected.__class__ is tuple else tuple(selected)
     entry = links.get(key)
     features = fleet.features
     if entry is None:
@@ -210,11 +216,11 @@ def size_and_transmit(
         full = ScheduleResult(key, key, sum([links[i][0].prbs for i in key]))
         entry = links[key] = full, [links[i][1] for i in key], (0 in picked, 1 in picked)
     full, terms, closes = entry
-    values = observe(fleet, selected, true_state, normals)
+    values = observe(fleet, key, true_state, normals)
     met = ch.meets_deadline(params, terms, normals(2 * len(terms)))
-    delivered = [i for i, ok in zip(selected, met) if ok]
-    if len(delivered) == len(key):
-        return full, closes, values, delivered
+    if False not in met:
+        return full, closes, values, key
+    delivered = [i for i, ok in zip(key, met) if ok]
     c0 = c1 = False
     for i in delivered:
         if features[i] == 0:
@@ -226,8 +232,8 @@ def size_and_transmit(
 
 def fuse_delivered(
     prior: est.Belief,
-    selected: list[int],
-    delivered: list[int],
+    selected: Sequence[int],
+    delivered: Sequence[int],
     values: list[float],
     fleet: SensorFleet,
     steps: Sequence[est.Step] = (),
@@ -269,6 +275,7 @@ def fuse_delivered(
 
 def run_round(
     select,
+    fuse,
     belief: est.Belief,
     force: float,
     plant: MountainCar,
@@ -280,23 +287,20 @@ def run_round(
     cap: int,
     true_state: State,
     normals: Normals,
-    fuse,
 ) -> tuple[ScheduleResult, est.Belief, AolTracker]:
-    """One round of a radio scheme: tick, predict, select, size and transmit, fuse what arrived, close loops.
+    """One round of a radio scheme: predict, select, size and transmit, fuse what arrived, one age transition.
 
-    ``aol`` is the last interval's tracker; the round ticks it before it
-    selects. The prior is ``estimator.predict`` of ``belief`` under ``force``
-    and ``plant``. ``select(prior, targets, aol, fleet, cap)`` returns
-    (picks, steps): the sensor ids in order, and the planner's rank-1
-    updates of the picks (see ``plan_selection``) or empty; ``fuse`` has the
-    signature of ``fuse_delivered``; ``links`` is the loop's link table on
-    ``params``, and the result and the closing flags come from it (see
+    The prior is ``estimator.predict`` of ``belief`` under ``force`` and
+    ``plant``. ``select(prior, targets, aol, fleet, cap)`` returns (picks,
+    steps): the sensor ids in order, a list or a tuple, and the planner's
+    rank-1 updates of the picks (see ``plan_selection``) or empty; it reads
+    the due features of ``aol``, the last interval's tracker. ``fuse`` has
+    the signature of ``fuse_delivered``; ``links`` is the loop's link table
+    on ``params``, and the result and the closing flags come from it (see
     ``size_and_transmit``); ``normals`` is the loop's stream
     (``dynamics.Normals``).
     """
-    aol = aol.tick()
     prior = est.predict(belief, force, plant)
     selected, steps = select(prior, targets, aol, fleet, cap)
     result, closes, values, delivered = size_and_transmit(selected, fleet, params, links, true_state, normals)
-    posterior = fuse(prior, selected, delivered, values, fleet, steps)
-    return result, posterior, aol.close_loop(closes)
+    return result, fuse(prior, selected, delivered, values, fleet, steps), aol.close_loop(closes)

@@ -1,8 +1,8 @@
 """Scheduling schemes: the scheduler-driven policy and the four benchmarks.
 
-There is one round pipeline, ``scheduler.run_round``; a radio scheme is a
-selector (which sensors transmit) plus a fuse (how what arrived corrects the
-belief):
+There is one round pipeline, ``scheduler.run_round(select, fuse, ...)``; a
+radio scheme is a selector (which sensors transmit) plus a fuse (how what
+arrived corrects the belief), which ``make_round`` binds in that order:
 
 * ``AoL-REVERB``  -- the full planner (age servicing + value-of-information),
   EKF fusion of the delivered observations.
@@ -13,12 +13,15 @@ belief):
   pre-twin baseline).
 
 A radio round predicts the prior from the last belief before it selects
-(``scheduler.run_round``). A fuse receives the round's readings, in
-selection order, as the list of Python floats ``sensing.observe`` returns,
-and reads each sensor's feature and noise from the fleet's id-indexed
-tuples. ``Perfect`` uses no radio and no prior: its round sets the belief to
-the true next state, never ticks, closes both features' loops and keeps its
-tracker once the ages are ``(1, 1)``, and takes no normals.
+(``scheduler.run_round``). CB-Greedy, EB-Greedy and Traditional return the
+fleet's own tuples (a slice of ``fleet.nearest`` or ``fleet.quietest``, and
+``fleet.lowest_per_feature``), which the round uses as its table key
+unchanged. A fuse receives the round's readings, in selection order, as
+the list of Python floats ``sensing.observe`` returns, and reads each
+sensor's feature and noise from the fleet's id-indexed tuples. ``Perfect``
+uses no radio and no prior: its round sets the belief to the true next
+state, closes both features' loops and keeps its tracker once the ages are
+``(1, 1)``, and takes no normals.
 
 ``run_episode`` logs the reward of each ``TwinLoop.step``, which checks the
 request, then moves the plant: -0.1 f² (+100 at the goal) + kappa * mean(request).
@@ -51,13 +54,13 @@ def select_reverb(prior, targets, aol, fleet, cap):
 
 
 def select_nearest(prior, targets, aol, fleet, cap):
-    """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id)."""
-    return list(fleet.nearest[:cap]), ()
+    """CB-Greedy: the ``cap`` nearest sensors (ties: lowest id), a slice of the fleet's tuple."""
+    return fleet.nearest[:cap], ()
 
 
 def select_quietest(prior, targets, aol, fleet, cap):
-    """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id)."""
-    return list(fleet.quietest[:cap]), ()
+    """EB-Greedy: the ``cap`` lowest-noise sensors (ties: lowest id), a slice of the fleet's tuple."""
+    return fleet.quietest[:cap], ()
 
 
 def select_traditional(prior, targets, aol, fleet, cap):
@@ -98,9 +101,9 @@ def make_round(scheme: str):
     if scheme == "Perfect":
         return perfect_round
     if scheme == "Traditional":
-        return functools.partial(sched.run_round, select_traditional, fuse=fuse_memoryless)
+        return functools.partial(sched.run_round, select_traditional, fuse_memoryless)
     if scheme in SELECTORS:
-        return functools.partial(sched.run_round, SELECTORS[scheme], fuse=sched.fuse_delivered)
+        return functools.partial(sched.run_round, SELECTORS[scheme], sched.fuse_delivered)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 

@@ -57,6 +57,10 @@
 * ``per_call_normals``: a generator as the ``normals`` callable the plant,
   the sensors and the uplinks take, drawing ``standard_normal(n)`` on every
   call, the form ``loop.NormalStream``'s blocks must reproduce.
+* ``age_round``: one interval of the age rule written as two steps, every
+  age ticked one older, the features older than their threshold due, then
+  the closed loops reset to 1; ``AolTracker.violated`` on the last
+  interval's tracker and its one transition ``close_loop`` must agree.
 * ``reference_episode``: one episode of any scheme, composed from the above,
   ``observe_one`` per sensor and per-link ``channel.uplink_outcome``.
 * ``fuse_memoryless_lists``: Traditional's fuse as it read each delivered
@@ -505,6 +509,13 @@ def scheme_selection(scheme, agents, cov, bounds, violated, cap):
     raise InputError(f"no reference for scheme {scheme!r}")
 
 
+def age_round(ages, thresholds, closes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the features due this interval, the ages after it): tick every age, read the due ones, then close."""
+    ticked = [a + 1 for a in ages]
+    due = tuple(k for k, (a, t) in enumerate(zip(ticked, thresholds)) if a > t)
+    return due, tuple(1 if c else a for a, c in zip(ticked, closes))
+
+
 def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
     """One episode of ``scheme`` as ``schemes.run_episode`` logs it, assembled independently.
 
@@ -536,14 +547,12 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
         done = bool(state[0] >= dyn.GOAL_POSITION)
         prior = est.predict(est.Belief(mean, cov), force, model)
         mean, cov = list(prior.mean), [list(row) for row in prior.cov]
-        ages = [a + 1 for a in ages]
+        violated, _ = age_round(ages, cfg.aol_thresholds, [False] * len(ages))
         bounds = [min(x, 1.0 / e) if e > 0.0 else x for x, e in zip(cfg.required_var, eta)]
         selected, delivered = [], []
         if scheme == "Perfect":
             mean, cov = list(state), [[0.0, 0.0], [0.0, 0.0]]
-            ages = [1] * len(ages)
         else:
-            violated = [k for k, (a, t) in enumerate(zip(ages, cfg.aol_thresholds)) if a > t]
             selected = scheme_selection(scheme, agents, cov, bounds, violated, cfg.cap)
             for i in selected:
                 if i not in budgets:
@@ -564,8 +573,8 @@ def reference_episode(cfg, scheme, policy, seed) -> EpisodeRecord:
                     cov[k][k] = r
             else:
                 mean, cov = sequential_fusion(mean, cov, readings)
-            for i in delivered:
-                ages[agents[i].feature] = 1
+        closed = {0, 1} if scheme == "Perfect" else {agents[i].feature for i in delivered}
+        _, ages = age_round(ages, cfg.aol_thresholds, [k in closed for k in range(len(ages))])
         reward = -loop.ACTION_COST_WEIGHT * force**2
         if done:
             reward += loop.TERMINATION_REWARD

@@ -177,7 +177,12 @@ def test_fixed_work_rss_parsing_and_summary():
         bench_pairs.parse_rss('peak_rss {"exit": 1, "peak_rss_mb": 30.0}\n')
     with pytest.raises(ValueError, match="no peak_rss line"):
         bench_pairs.parse_rss("error: something\n")
-    assert bench_pairs.FIXED_WORK == ("bench", "--episodes", "200", "--seed", "1")
+    assert bench_pairs.FIXED_WORK == {
+        "schemes": ("bench", "--episodes", "200", "--seed", "1"),
+        "dense": ("bench", "--config", "configs/dense.yaml", "--scheme", "AoL-REVERB", "--episodes", "200",
+                  "--seed", "1"),
+    }
+    assert (ROOT / "configs" / "dense.yaml").is_file()
     runs = [
         {"index": 0, "side": "parent", "peak_rss_mb": 60.0},
         {"index": 0, "side": "change", "peak_rss_mb": 54.0},
@@ -198,11 +203,12 @@ def test_the_rss_probe_prints_its_own_peak():
     import io
     import types
 
+    work = bench_pairs.FIXED_WORK["dense"]
     cli = types.ModuleType("reverb.cli")
-    cli.main = lambda argv: 0 if list(argv) == list(bench_pairs.FIXED_WORK) else 2
+    cli.main = lambda argv: 0 if list(argv) == list(work) else 2
     printed = io.StringIO()
     saved_argv = sys.argv
-    sys.argv = ["-c", *bench_pairs.FIXED_WORK]
+    sys.argv = ["-c", *work]
     try:
         with mock.patch.dict(sys.modules, {"reverb.cli": cli}), contextlib.redirect_stdout(printed):
             exec(bench_pairs.RSS_PROBE, {})
@@ -211,3 +217,27 @@ def test_the_rss_probe_prints_its_own_peak():
         if sys.path and sys.path[0] == "src":
             sys.path.pop(0)
     assert bench_pairs.parse_rss(printed.getvalue()) > 0.0
+
+
+def test_fixed_work_runs_alternate_per_workload_command(tmp_path):
+    """Canned processes: each run is the probe on the given command in its side's tree, the parent first on even
+    indices, and its printed peak is filed under that side."""
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append((cmd, cwd))
+        peak = 40.0 + len(calls)
+        return mock.Mock(returncode=0, stdout=f'peak_rss {{"exit": 0, "peak_rss_mb": {peak}}}\n', stderr="")
+
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    work = bench_pairs.FIXED_WORK["dense"]
+    with mock.patch.object(bench_pairs.subprocess, "run", fake_run):
+        runs = bench_pairs.run_fixed_work(trees, work, 3, tmp_path / "out")
+    assert [(r["index"], r["side"], r["peak_rss_mb"]) for r in runs] == [
+        (0, "parent", 41.0), (0, "change", 42.0), (1, "change", 43.0), (1, "parent", 44.0),
+        (2, "parent", 45.0), (2, "change", 46.0),
+    ]
+    for (cmd, cwd), run in zip(calls, runs):
+        assert cwd == trees[run["side"]]
+        assert cmd[:3] == [sys.executable, "-c", bench_pairs.RSS_PROBE]
+        assert cmd[3:] == [*work, "--out", str(tmp_path / "out" / f"{run['side']}-{run['index']}")]

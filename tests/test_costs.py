@@ -46,15 +46,17 @@ def test_per_qi_costs_do_not_rise_above_the_recorded_counts():
     # Perfect's round replaces the belief, so a prediction back in its step is work thrown away.
     perfect_qis = got["Perfect"]["qis"]
     more["Perfect"]["package"]["reverb.estimator.predict"] = perfect_qis
-    # Perfect closes both features every round, so a tick back in its round is work thrown away too.
-    more["Perfect"]["package"]["reverb.aol.AolTracker.tick"] = perfect_qis
+    # Perfect keeps its tracker once the ages are (1, 1), so an age transition back in every round is
+    # work thrown away too.
+    perfect_closes = want["runs"]["Perfect"]["package"]["reverb.aol.AolTracker.close_loop"]
+    more["Perfect"]["package"]["reverb.aol.AolTracker.close_loop"] = perfect_qis
     qis, dense_min = got["dense"]["qis"], got["dense"]["builtins"]["builtins.min"]
     more["dense"]["builtins"]["builtins.min"] += qis
     more["train"]["package"]["reverb.dynamics.finite_difference_jacobian"] = 1
     assert golden.cost_increases(more, want["runs"]) == [
+        f"Perfect package reverb.aol.AolTracker.close_loop: 1 per QI, recorded {perfect_closes / perfect_qis:.4g}",
         f"Perfect package reverb.loop.TwinLoop.step: {1 + 1 / perfect_qis:.4g} per QI, recorded 1",
         "Perfect package reverb.estimator.predict: 1 per QI, recorded 0",
-        "Perfect package reverb.aol.AolTracker.tick: 1 per QI, recorded 0",
         f"dense builtins builtins.min: {dense_min / qis + 1:.4g} per QI, recorded {dense_min / qis:.4g}",
         f"train package reverb.dynamics.finite_difference_jacobian: {1 / got['train']['qis']:.4g} per QI, "
         "recorded 0",

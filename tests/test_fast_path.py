@@ -241,8 +241,8 @@ def traced_round(links, fleet, params, seed):
     rng = np.random.default_rng(seed)
     belief = est.Belief((-0.5, 0.01), ((2e-2, 1e-3), (1e-3, 1e-2)))
     result, post, aol = sched.run_round(
-        lambda *_: (list(PICKS), ()), belief, 0.0, STILL, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet, params,
-        links, len(PICKS), (-0.49, 0.012), per_call_normals(rng), fuse=fuse,
+        lambda *_: (list(PICKS), ()), fuse, belief, 0.0, STILL, (1e-4, 2e-5), AolTracker((6, 6), (5, 5)), fleet,
+        params, links, len(PICKS), (-0.49, 0.012), per_call_normals(rng),
     )
     posterior = np.array([post.mean, *post.cov]).tobytes()
     return result, np.array(readings).tobytes(), posterior, aol.ages, rng.bit_generator.state
@@ -269,6 +269,16 @@ def test_repeated_selection_equals_a_round_on_an_empty_table():
     # Other outage patterns than the first round's, a full delivery and a partial one among them.
     assert len(patterns - {first.delivered}) > 1 and tuple(PICKS) in patterns and len(patterns) > 2
     assert [k for k in warm if type(k) is tuple] == [tuple(PICKS)]
+
+
+def test_a_tuple_selection_is_the_table_key_and_a_full_round_its_deliveries():
+    cfg, fleet = far_fleet()
+    picks, links = tuple(PICKS), {}
+    result, _, _, delivered = sched.size_and_transmit(
+        picks, fleet, cfg.channel, links, (-0.49, 0.012), per_call_normals(np.random.default_rng(4))
+    )
+    assert [k for k in links if type(k) is tuple][0] is picks
+    assert result is links[picks][0] and result.selected is picks and delivered is picks
 
 
 def test_table_hit_neither_sizes_nor_splits_a_link():
@@ -409,7 +419,10 @@ def test_batched_transmit_matches_per_link_oracle(specs, seed, data, s0, s1):
     assert type(values) is list and all(type(v) is float for v in values)
     assert np.array(values).shape == want_values.shape
     assert np.array(values).tobytes() == want_values.tobytes()
-    assert delivered == want_delivered
+    assert list(delivered) == want_delivered
+    # A fully delivered round hands on the selection's key as its deliveries.
+    if selected and len(want_delivered) == len(selected):
+        assert delivered is result.delivered is result.selected
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -586,8 +599,8 @@ def test_fully_delivered_round_runs_one_rank1_update_per_pick():
     targets = np.array([1e-4, 2e-5])
     with mock.patch.object(est, "rank1_update", wraps=est.rank1_update) as rank1:
         result, _, _ = sched.run_round(
-            schemes.select_reverb, belief, 0.0, STILL, targets, AolTracker((6, 6), (5, 5)), fleet, cfg.channel, {},
-            cfg.cap, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
+            schemes.select_reverb, sched.fuse_delivered, belief, 0.0, STILL, targets, AolTracker((6, 6), (5, 5)),
+            fleet, cfg.channel, {}, cfg.cap, np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(0)),
         )
     assert len(result.selected) > 2 and result.delivered == result.selected
     assert rank1.call_count == len(result.selected)
@@ -688,8 +701,9 @@ def test_greedy_picks_equal_a_fresh_sort(specs, cap):
         return sorted(ids, key=lambda i: (agents[i].noise_var, i))
 
     ids = range(len(agents))
-    assert schemes.select_nearest(None, None, None, fleet, cap) == (by_distance(ids)[:cap], ())
-    assert schemes.select_quietest(None, None, None, fleet, cap) == (by_noise(ids)[:cap], ())
+    # A greedy selection is a slice of the fleet's own tuple, which the round uses as its table key.
+    assert schemes.select_nearest(None, None, None, fleet, cap) == (tuple(by_distance(ids)[:cap]), ())
+    assert schemes.select_quietest(None, None, None, fleet, cap) == (tuple(by_noise(ids)[:cap]), ())
     for k in (0, 1):
         own = [i for i in ids if agents[i].feature == k]
         assert fleet.nearest_first[k] == tuple(by_distance(own))

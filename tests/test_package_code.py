@@ -7,8 +7,7 @@ read, as a name or as an attribute, anywhere in the package outside its own
 body. Dunder methods are Python's protocol and always count as used. A name
 passed on as a keyword argument, ``M(f=helper)``, counts as a use only when
 package code calls the keyword, as a name (``f(x)``) or an attribute
-(``self.f(x)``): ``make_round``'s ``fuse=`` counts because ``run_round``
-calls ``fuse(``. Any call of that keyword's name counts, wherever it is, and
+(``self.f(x)``). Any call of that keyword's name counts, wherever it is, and
 a function passed on positionally, or stored in a container, still counts as
 used even when nothing ever calls it. A keyword only the standard library
 calls, ``field(default_factory=ChannelParams)``, is no use, so such a class

@@ -131,10 +131,10 @@ def test_a_blind_round_leaves_the_generator_untouched():
     belief = est.Belief((-0.5, 0.01), ((1e-6, 0.0), (0.0, 1e-6)))
     normals = mock.Mock(wraps=loop.normals)
     result, posterior, aol = sched.run_round(
-        schemes.select_reverb, belief, 0.0, oracles.STILL, (1e-3, 1e-3), AolTracker((1, 1), (5, 5)), loop.fleet,
-        cfg.channel, loop.links, cfg.cap, loop.state, normals, fuse=sched.fuse_delivered,
+        schemes.select_reverb, sched.fuse_delivered, belief, 0.0, oracles.STILL, (1e-3, 1e-3),
+        AolTracker((1, 1), (5, 5)), loop.fleet, cfg.channel, loop.links, cfg.cap, loop.state, normals,
     )
     assert result is sched.BLIND and result.blind and result.total_prbs == 0 and result.delivered == ()
     assert normals.mock_calls == []
-    # The round ticks the ages and closes none.
+    # The round makes its one age transition and closes none.
     assert posterior == belief and posterior is not belief and aol.ages == (2, 2)

@@ -178,14 +178,14 @@ def test_blind_when_targets_already_met():
     prior = est.Belief(np.zeros(2), np.diag([1e-4, 1e-4]))
     aol = AolTracker((1, 1), (5, 5))
     result, post, aol2 = sched.run_round(
-        select_reverb, prior, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 3, np.zeros(2),
-        per_call_normals(np.random.default_rng(0)), fuse=sched.fuse_delivered,
+        select_reverb, sched.fuse_delivered, prior, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 3,
+        np.zeros(2), per_call_normals(np.random.default_rng(0)),
     )
     assert result is sched.BLIND and result.selected == ()
     assert np.array_equal(post.cov, prior.cov)
     assert np.array_equal(post.mean, prior.mean)
-    # The round ticks the ages it is given and closes none.
-    assert aol2 == aol.tick()
+    # The round makes its one age transition from the ages it is given and closes none.
+    assert aol2 == aol.close_loop((False, False)) == AolTracker((2, 2), (5, 5))
 
 
 def test_single_violation_picks_min_noise_agent():
@@ -325,8 +325,8 @@ def test_schedule_deterministic_given_seed():
     for _ in range(2):
         belief = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
         result, post, trk = sched.run_round(
-            select_reverb, belief, 0.3, plant, targets, aol, fleet, params, {}, 3, np.array([-0.49, 0.012]),
-            per_call_normals(np.random.default_rng(31)), fuse=sched.fuse_delivered,
+            select_reverb, sched.fuse_delivered, belief, 0.3, plant, targets, aol, fleet, params, {}, 3,
+            np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(31)),
         )
         runs.append((result, post.mean, post.cov, trk.ages))
     assert runs[0][0] == runs[1][0]
@@ -341,8 +341,8 @@ def test_schedule_closes_loops_for_delivered_features():
     belief = est.Belief(np.array([-0.5, 0.01]), np.diag([0.02, 0.01]))
     aol = AolTracker((6, 6), (5, 5))
     result, post, trk = sched.run_round(
-        select_reverb, belief, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 2, np.array([-0.49, 0.012]),
-        per_call_normals(np.random.default_rng(1)), fuse=sched.fuse_delivered,
+        select_reverb, sched.fuse_delivered, belief, 0.0, STILL, targets, aol, fleet, ChannelParams(), {}, 2,
+        np.array([-0.49, 0.012]), per_call_normals(np.random.default_rng(1)),
     )
     assert set(result.selected) == {0, 1}
     # both features are stale, so the first two picks are their nearest sensors
